@@ -5,6 +5,11 @@ every experiment is a pure function of (config, seed) regardless of worker
 count.  Cold-start SPSA runs calibrate the step gain per run by probing the
 objective at the initial point; warm-started runs keep the configured gains,
 because a gradient probe at an already-converged point is degenerate.
+
+The SPSA runs of an ensemble or of a warm-start rung go through the optimizer
+in lockstep: one batch for all calibration probes, then one batch of every
+run's probe pair per iteration.  Each run keeps its own random streams and
+evaluation seeds, so its result is bit-identical to the run made alone.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .optimize import (
     OptTrace,
     SpsaConfig,
     nelder_mead_minimize,
+    spsa_lockstep,
     spsa_minimize,
 )
 from .paulimap import PauliOperator, map_operator
@@ -44,6 +50,7 @@ from .qsim import (
     embed_params,
     noisy_expectation,
     prepare_state,
+    prepare_states,
     sampled_expectation,
 )
 
@@ -170,14 +177,24 @@ def _build(config: VqeConfig) -> Problem:
     )
 
 
+def _energies(states: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """<psi|H|psi> of every row of states[B, 2^Q].
+
+    Contracted as stacked products, bra times matrix then times ket, so each
+    value is bit-identical to `np.conj(psi) @ matrix @ psi` for one state; a
+    single (B, d) @ (d, d) product or `einsum` differs in the last bit.
+    """
+    bra = np.matmul(np.conj(states)[:, None, :], matrix)
+    return np.matmul(bra, states[:, :, None])[:, 0, 0].real
+
+
 def _evaluator(problem: Problem, config: VqeConfig, run_seed: int):
     """Objective closure for one run; statistical modes reseed per evaluation."""
     if config.mode == EXACT:
-        matrix = problem.matrix
 
         def evaluate(params):
-            state = prepare_state(problem.ansatz, params)
-            return float(np.real(np.conj(state) @ matrix @ state)), 0.0
+            states = prepare_states(problem.ansatz, np.asarray(params, dtype=float)[None, :])
+            return float(_energies(states, problem.matrix)[0]), 0.0
 
         return evaluate
 
@@ -211,28 +228,61 @@ def _evaluator(problem: Problem, config: VqeConfig, run_seed: int):
     return evaluate
 
 
-def _calibrated_gain(evaluate, x0: np.ndarray, config: VqeConfig, run_seed: int) -> SpsaConfig:
-    """Scale the SPSA step gain so the first update moves ~2pi/10 per angle.
+def _batch_evaluator(problem: Problem, config: VqeConfig, run_seeds):
+    """Objective over stacked points[B, P], row i belonging to run i % len(run_seeds).
+
+    Exact mode prepares the whole batch at once.  Statistical modes call the
+    per-point estimator row by row, each run with its own evaluation counter,
+    so every run sees the evaluation seeds it would see alone.
+    """
+    if config.mode == EXACT:
+        return lambda points: _energies(prepare_states(problem.ansatz, points), problem.matrix)
+    singles = [_evaluator(problem, config, seed) for seed in run_seeds]
+    return lambda points: np.array(
+        [singles[i % len(singles)](point)[0] for i, point in enumerate(points)]
+    )
+
+
+def _calibrated_gains(evaluate, x0: np.ndarray, config: VqeConfig, run_seeds) -> np.ndarray:
+    """Per-run SPSA step gains `a` so each first update moves ~2pi/10 per angle.
 
     Mirrors the self-calibration of era-typical SPSA drivers: probe the
-    objective along random Rademacher directions at the start point and set
-    `a` from the mean finite-difference magnitude.  The probe budget is
-    bookkept separately from the optimization budget.
+    objective along random Rademacher directions at each run's start point
+    x0[r] and set `a` from the mean finite-difference magnitude; a run whose
+    probes show no slope keeps the configured `a`.  All runs' probes go to
+    `evaluate` as one batch, ordered so that row i belongs to run i % R and
+    each run's probes come in its own (+, -) trial order.  The probe budget
+    is bookkept separately from the optimization budget.
     """
     cfg = config.spsa
-    rng = np.random.default_rng([run_seed & _MASK64, 0xCA11])
-    dim = len(x0)
-    acc = 0.0
-    for _ in range(_CALIBRATION_TRIALS):
-        delta = rng.integers(0, 2, size=dim) * 2.0 - 1.0
-        up, _ = evaluate(x0 + cfg.c * delta)
-        down, _ = evaluate(x0 - cfg.c * delta)
-        acc += abs(up - down) / _CALIBRATION_TRIALS
+    runs, dim = x0.shape
+    delta = np.stack(
+        [
+            np.random.default_rng([seed & _MASK64, 0xCA11]).integers(
+                0, 2, size=(_CALIBRATION_TRIALS, dim)
+            )
+            for seed in run_seeds
+        ],
+        axis=1,
+    ) * 2.0 - 1.0
+    probes = np.stack((x0 + cfg.c * delta, x0 - cfg.c * delta), axis=1)
+    values = np.asarray(evaluate(probes.reshape(-1, dim)), dtype=float)
+    acc = np.zeros(runs)
+    for up, down in values.reshape(_CALIBRATION_TRIALS, 2, runs):
+        acc += np.abs(up - down) / _CALIBRATION_TRIALS
     gradient_scale = acc / (2.0 * cfg.c)
-    if gradient_scale <= 0.0:
-        return cfg
-    a = _CALIBRATION_STEP * (cfg.A + 1.0) ** cfg.alpha / gradient_scale
-    return dataclasses.replace(cfg, a=a)
+    step = _CALIBRATION_STEP * (cfg.A + 1.0) ** cfg.alpha
+    return np.array([cfg.a if g <= 0.0 else step / float(g) for g in gradient_scale])
+
+
+def _calibrated_gain(evaluate, x0: np.ndarray, config: VqeConfig, run_seed: int) -> SpsaConfig:
+    """`_calibrated_gains` for one run and its per-point objective."""
+
+    def evaluate_batch(points):
+        return [evaluate(point)[0] for point in points]
+
+    (a,) = _calibrated_gains(evaluate_batch, np.asarray(x0, dtype=float)[None, :], config, (run_seed,))
+    return dataclasses.replace(config.spsa, a=float(a))
 
 
 @dataclass(frozen=True)
@@ -256,13 +306,20 @@ class VqeRun:
         return 100.0 * (self.value - self.reference) / self.reference
 
 
+def _start_points(problem: Problem, run_seeds, x0=None) -> np.ndarray:
+    """One start per run: the shared x0, or uniform angles drawn from each run seed."""
+    dim = problem.ansatz.parameter_count
+    if x0 is not None:
+        return np.tile(np.asarray(x0, dtype=float), (len(run_seeds), 1))
+    return np.array(
+        [np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, dim) for seed in run_seeds]
+    )
+
+
 def _single_run(problem: Problem, config: VqeConfig, run_seed: int, x0=None, calibrate=None) -> VqeRun:
     evaluate = _evaluator(problem, config, run_seed)
     dim = problem.ansatz.parameter_count
-    if x0 is None:
-        x0 = np.random.default_rng(run_seed).uniform(0.0, 2.0 * math.pi, dim)
-    else:
-        x0 = np.asarray(x0, dtype=float)
+    (x0,) = _start_points(problem, (run_seed,), x0)
     obj = ObjectiveSpec(evaluate, dim, config.budget, seed=run_seed)
     if config.optimizer == NELDER_MEAD:
         trace = nelder_mead_minimize(obj, config.nelder_mead, x0=x0)
@@ -319,19 +376,58 @@ class EnsembleStats:
         return 100.0 * (self.mean - self.reference) / self.reference
 
 
-def _run_indexed(args):
-    problem, config, run_seed, x0, calibrate = args
-    run = _single_run(problem, config, run_seed, x0=x0, calibrate=calibrate)
-    return run.value, run.params
+def _lockstep_runs(problem: Problem, config: VqeConfig, run_seeds, x0=None, calibrate=None):
+    """SPSA runs for `run_seeds` in lockstep; (value, params) per run, in seed order.
+
+    Each run keeps its own direction stream, calibrated gain, evaluation seeds
+    and running best, so its result is bit-identical to the run made alone.
+    """
+    evaluate = _batch_evaluator(problem, config, run_seeds)
+    starts = _start_points(problem, run_seeds, x0)
+    if calibrate is None:
+        calibrate = config.gain_policy == CALIBRATED
+    gains = _calibrated_gains(evaluate, starts, config, run_seeds) if calibrate else None
+    values, params = spsa_lockstep(
+        evaluate, starts, run_seeds, config.iterations, config.spsa, a=gains
+    )
+    return [(float(value), tuple(point)) for value, point in zip(values, params)]
+
+
+def _run_chunk(args):
+    problem, config, run_seeds, x0, calibrate = args
+    if config.optimizer == NELDER_MEAD:
+        runs = (_single_run(problem, config, seed, x0=x0, calibrate=calibrate) for seed in run_seeds)
+        return [(run.value, run.params) for run in runs]
+    return _lockstep_runs(problem, config, run_seeds, x0=x0, calibrate=calibrate)
+
+
+def _chunks(items, count: int) -> list:
+    """`items` split into `count` contiguous chunks whose lengths differ by at most one."""
+    size, extra = divmod(len(items), count)
+    bounds = [0]
+    for i in range(count):
+        bounds.append(bounds[-1] + size + (i < extra))
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _run_batch(problem: Problem, config: VqeConfig, run_seeds, x0=None, calibrate=None):
-    """Execute one run per seed; reduction is ordered by run index regardless of workers."""
-    jobs = [(problem, config, seed, x0, calibrate) for seed in run_seeds]
+    """One run per seed; reduction is ordered by run index regardless of workers.
+
+    SPSA runs go through the optimizer in lockstep, as one batch per worker:
+    `workers` only splits the seed list into contiguous chunks.  Nelder-Mead
+    branches per run, so each of its runs is a chunk of its own.
+    """
+    if config.optimizer == NELDER_MEAD:
+        chunks = [(seed,) for seed in run_seeds]
+    else:
+        chunks = _chunks(run_seeds, min(config.workers, len(run_seeds)))
+    jobs = [(problem, config, chunk, x0, calibrate) for chunk in chunks]
     if config.workers == 1 or len(jobs) == 1:
-        return [_run_indexed(job) for job in jobs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(_run_indexed, jobs))
+        results = list(map(_run_chunk, jobs))
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
+            results = list(pool.map(_run_chunk, jobs))
+    return [pair for chunk in results for pair in chunk]
 
 
 def run_ensemble(config: VqeConfig, problem: Problem = None) -> EnsembleStats:
@@ -416,8 +512,10 @@ def run_hierarchical(ladder, config: VqeConfig) -> tuple:
                 qubits=problem.qubits - 1, depth=config.depth, entangler=config.entangler
             )
             x0 = embed_params(smaller, np.asarray(params, dtype=float))
-            evaluate = _evaluator(problem, rung_config, seeds[0])
-            start_value = evaluate(x0)[0]
+            # the probe takes the seed after the runs' seeds, so its evaluation
+            # seeds are not those of run 0's first probe
+            probe_seed = seed_stream(config.seed + i, config.restarts + 1)[-1]
+            start_value = _evaluator(problem, rung_config, probe_seed)(x0)[0]
             results = _run_batch(problem, rung_config, seeds, x0=x0, calibrate=False)
             results.append((start_value, tuple(float(v) for v in x0)))
         value, best_params = min(results, key=lambda pair: pair[0])
@@ -475,7 +573,7 @@ def run_distribution_study(
             f"expected {problem.ansatz.parameter_count} parameters, got {len(params)}"
         )
     state = prepare_state(problem.ansatz, params)
-    exact_value = float(np.real(np.conj(state) @ problem.matrix @ state))
+    exact_value = float(_energies(state[None, :], problem.matrix)[0])
     noise = config.noise if config.noise is not None else NoiseSpec()
     studies = []
     for m, mode in enumerate(modes):

@@ -107,41 +107,81 @@ def _initial_point(obj: ObjectiveSpec, x0) -> np.ndarray:
     return start
 
 
+def spsa_lockstep(
+    evaluate, x0, seeds, iterations: int, config: SpsaConfig = None, a=None, observe=None
+):
+    """Run one SPSA descent per row of x0[R, P], all R in step.
+
+    Run r draws its Rademacher directions from `default_rng(seeds[r])` and
+    steps with gain a[r] (default `config.a`); the rest of the schedule is
+    shared.  `evaluate(points[B, P]) -> values[B]` gets every run's probes
+    at once, row i belonging to run i % R: the + probes of all runs, then
+    the - probes, then, after the last iteration, the terminal iterates.
+    Each iteration records the better probe, the end records the terminal
+    iterate, and `observe(k, points, values)` sees every record.  Returns
+    each run's best record as (values[R], params[R, P]), the first one on ties.
+    """
+    config = config or SpsaConfig()
+    x = np.array(x0, dtype=float, ndmin=2)
+    runs, dim = x.shape
+    gains = np.full(runs, config.a) if a is None else np.asarray(a, dtype=float)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    best_values = np.full(runs, math.inf)
+    best_params = x.copy()
+
+    def record(k, points, values):
+        better = values < best_values
+        best_values[better] = values[better]
+        best_params[better] = points[better]
+        if observe is not None:
+            observe(k, points, values)
+
+    for k in range(iterations):
+        c_k = config.c / (k + 1) ** config.gamma
+        delta = np.array([rng.integers(0, 2, size=dim) for rng in rngs]) * 2.0 - 1.0
+        probes = np.concatenate((x + c_k * delta, x - c_k * delta))
+        values = np.asarray(evaluate(probes), dtype=float)
+        f_up, f_down = values[:runs], values[runs:]
+        gradient = ((f_up - f_down) / (2.0 * c_k))[:, None] * delta
+        a_k = gains / (config.A + k + 1) ** config.alpha
+        x = x - a_k[:, None] * gradient
+        up_wins = f_up <= f_down
+        record(
+            k,
+            np.where(up_wins[:, None], probes[:runs], probes[runs:]),
+            np.where(up_wins, f_up, f_down),
+        )
+    record(iterations, x, np.asarray(evaluate(x), dtype=float))
+    return best_values, best_params
+
+
 def spsa_minimize(obj: ObjectiveSpec, config: SpsaConfig = None, x0=None) -> OptTrace:
     """Simultaneous-perturbation stochastic approximation descent.
 
     Each iteration draws a Rademacher direction, probes x +/- c_k*delta,
     and steps along the two-point gradient estimate.  The trace records
     the better probe of every iteration and a final evaluation at the
-    terminal iterate.
+    terminal iterate.  This is the one-run case of `spsa_lockstep`.
     """
-    config = config or SpsaConfig()
-    rng = np.random.default_rng(obj.seed)
-    x = _initial_point(obj, x0)
     eval_values = []
     records = []
 
-    def call(point):
-        value, _ = obj.evaluator(point)
-        eval_values.append(float(value))
-        return float(value)
+    def evaluate(points):
+        values = [float(obj.evaluator(point)[0]) for point in points]
+        eval_values.extend(values)
+        return values
 
-    iterations = (obj.budget - 1) // 2
-    for k in range(iterations):
-        c_k = config.c / (k + 1) ** config.gamma
-        delta = rng.integers(0, 2, size=obj.dimension) * 2.0 - 1.0
-        up = x + c_k * delta
-        down = x - c_k * delta
-        f_up = call(up)
-        f_down = call(down)
-        gradient = (f_up - f_down) / (2.0 * c_k) * delta
-        a_k = config.a / (config.A + k + 1) ** config.alpha
-        x = x - a_k * gradient
-        if f_up <= f_down:
-            records.append(TraceRecord(k, tuple(up), f_up))
-        else:
-            records.append(TraceRecord(k, tuple(down), f_down))
-    records.append(TraceRecord(iterations, tuple(x), call(x)))
+    def observe(k, points, values):
+        records.append(TraceRecord(k, tuple(points[0]), float(values[0])))
+
+    spsa_lockstep(
+        evaluate,
+        _initial_point(obj, x0),
+        (obj.seed,),
+        (obj.budget - 1) // 2,
+        config,
+        observe=observe,
+    )
     return _finish(records, eval_values, "budget")
 
 

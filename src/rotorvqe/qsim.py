@@ -140,6 +140,88 @@ def _apply_cnot(state: np.ndarray, qubits: int, control: int, target: int) -> No
     state[:] = state[_cnot_table(qubits, control, target)]
 
 
+@lru_cache(maxsize=64)
+def _batch_program(ansatz: AnsatzSpec):
+    """The circuit as one gather per rotation on a batch kept in a running column order.
+
+    Column k of the working batch holds amplitude order[k].  A rotation on a
+    qubit with amplitude pairs (j0, j1) gathers a = (x[j0], x[j0]) and
+    b = (x[j1], x[j1]) as (2, len(j0)) blocks, so one product per side gives
+    both new halves, stored in the order (j0, j1).  A CNOT only relabels the
+    order, being its own inverse.  Returns (is_rz, steps, final): a mask of
+    the Rz parameters, (parameter, a gather, b gather) per rotation, and the
+    gather that restores the computational-basis order.
+    """
+    qubits = ansatz.qubits
+    order = np.arange(1 << qubits)
+    is_rz = np.zeros(ansatz.parameter_count, dtype=bool)
+    steps = []
+    for op in ansatz_operations(ansatz):
+        if op[0] == "cx":
+            order = _cnot_table(qubits, op[1], op[2])[order]
+            continue
+        is_rz[op[2]] = op[0] == "rz"
+        column = np.argsort(order)
+        j0, j1 = _pair_indices(qubits, op[1])
+        steps.append((op[2], column[np.stack((j0, j0))], column[np.stack((j1, j1))]))
+        order = np.concatenate((j0, j1))
+    final = np.argsort(order)
+    for table in [is_rz, final] + [index for step in steps for index in step[1:]]:
+        table.flags.writeable = False
+    return is_rz, tuple(steps), final
+
+
+def _rotation_gates(is_rz: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Every rotation's 2x2 matrix for every row of values[B, P]: gates[param, row, i, j].
+
+    The entries are the complex numbers `_ry` and `_rz` build, bit for bit:
+    Ry takes cos and sin of theta/2, Rz the phase exp(-i theta/2), which is
+    cos(-theta/2) + i sin(-theta/2), and its conjugate.
+    """
+    half = values.T / 2.0
+    rz = is_rz[:, None]
+    angle = np.where(rz, -half, half)
+    cos, sin = np.cos(angle), np.sin(angle)
+    gates = np.empty(half.shape + (2, 2), dtype=complex)
+    gates[..., 0, 0].real = gates[..., 1, 1].real = cos
+    gates[..., 0, 0].imag = np.where(rz, sin, 0.0)
+    gates[..., 1, 1].imag = np.where(rz, -sin, 0.0)
+    gates[..., 0, 1] = np.where(rz, 0.0, -sin)
+    gates[..., 1, 0] = np.where(rz, 0.0, sin)
+    return gates
+
+
+def prepare_states(ansatz: AnsatzSpec, params) -> np.ndarray:
+    """Run the circuit on |0...0> once per row of params[B, P]; returns states[B, 2^Q].
+
+    Each gate acts on the whole batch at once, with the same complex products
+    and sums as on a single state, so row b is bit-identical to the state of
+    params[b] prepared alone.  The batch stays C-contiguous (`take` rather
+    than `states[:, table]`), which the bit-identical energy contraction in
+    `driver` relies on.
+    """
+    values = np.asarray(params, dtype=float)
+    if values.ndim != 2 or values.shape[1] != ansatz.parameter_count:
+        raise ValueError(
+            f"expected rows of {ansatz.parameter_count} parameters, got shape {values.shape}"
+        )
+    is_rz, steps, final = _batch_program(ansatz)
+    gates = _rotation_gates(is_rz, values)
+    left, right = gates[..., :1], gates[..., 1:]  # per row, (g00, g10) and (g01, g11)
+    batch = len(values)
+    states = np.zeros((batch, 1 << ansatz.qubits), dtype=complex)
+    states[:, 0] = 1.0
+    for p, a_index, b_index in steps:
+        states = left[p] * states.take(a_index, axis=1) + right[p] * states.take(b_index, axis=1)
+        states = states.reshape(batch, -1)
+    states = states.take(final, axis=1)
+    norms = np.sum(np.abs(states) ** 2, axis=1)
+    drifted = np.abs(norms - 1.0) > _NORM_TOL
+    if np.any(drifted):
+        raise RuntimeError(f"state norm drifted to {float(norms[drifted][0])}")
+    return states
+
+
 def prepare_state(ansatz: AnsatzSpec, params) -> np.ndarray:
     """Run the circuit on |0...0> and return the 2^Q statevector."""
     values = np.asarray(params, dtype=float).ravel()
@@ -147,19 +229,7 @@ def prepare_state(ansatz: AnsatzSpec, params) -> np.ndarray:
         raise ValueError(
             f"expected {ansatz.parameter_count} parameters, got {values.size}"
         )
-    state = np.zeros(1 << ansatz.qubits, dtype=complex)
-    state[0] = 1.0
-    for op in ansatz_operations(ansatz):
-        if op[0] == "cx":
-            _apply_cnot(state, ansatz.qubits, op[1], op[2])
-        elif op[0] == "ry":
-            _apply_single(state, ansatz.qubits, op[1], _ry(values[op[2]]))
-        else:
-            _apply_single(state, ansatz.qubits, op[1], _rz(values[op[2]]))
-    norm = float(np.sum(np.abs(state) ** 2))
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise RuntimeError(f"state norm drifted to {norm}")
-    return state
+    return prepare_states(ansatz, values[None, :])[0]
 
 
 def exact_expectation(state: np.ndarray, operator: PauliOperator) -> float:

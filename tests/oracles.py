@@ -8,6 +8,7 @@ hand, and Pauli reconstruction uses literal 2x2 matrices with np.kron.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -138,3 +139,45 @@ def dense_from_labels(terms) -> np.ndarray:
             mat = np.kron(mat, PAULI_1Q[ch])
         out += complex(coeff) * mat
     return out
+
+
+def serial_prepare_state(qubits: int, depth: int, entangler: str, params) -> np.ndarray:
+    """RyRz ansatz state, one literal 2x2 gate at a time, with scalar math/cmath trig.
+
+    Layout as documented on `qsim.ansatz_operations`: per block an Ry layer
+    then an Rz layer over qubits 1..Q (qubit 1 the most significant bit),
+    blocks separated by CNOTs on neighbours (linear) or on every pair (full).
+    Gate arithmetic follows the single-state formula, so a batched
+    preparation must reproduce this bit for bit.
+    """
+    dim = 1 << qubits
+    idx = np.arange(dim)
+    state = np.zeros(dim, dtype=complex)
+    state[0] = 1.0
+    if entangler == "linear":
+        pairs = [(q, q + 1) for q in range(1, qubits)]
+    else:
+        pairs = [(i, j) for i in range(1, qubits + 1) for j in range(i + 1, qubits + 1)]
+
+    def apply(qubit, gate):
+        j0 = idx[(idx & (1 << (qubits - qubit))) == 0]
+        j1 = j0 | (1 << (qubits - qubit))
+        a, b = state[j0], state[j1]
+        state[j0] = gate[0, 0] * a + gate[0, 1] * b
+        state[j1] = gate[1, 0] * a + gate[1, 1] * b
+
+    angles = [float(p) for p in params]
+    for block in range(depth + 1):
+        base = 2 * qubits * block
+        for q in range(1, qubits + 1):
+            theta = angles[base + q - 1]
+            c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+            apply(q, np.array([[c, -s], [s, c]], dtype=complex))
+        for q in range(1, qubits + 1):
+            phase = cmath.exp(-0.5j * angles[base + qubits + q - 1])
+            apply(q, np.array([[phase, 0.0], [0.0, phase.conjugate()]], dtype=complex))
+        if block < depth:
+            for control, target in pairs:
+                flip = (idx >> (qubits - control)) & 1
+                state = state[idx ^ (flip << (qubits - target))]
+    return state

@@ -19,7 +19,8 @@ from rotorvqe.driver import (
     run_vqe,
     seed_stream,
 )
-from rotorvqe.qsim import NOISY, SAMPLED, prepare_state
+from rotorvqe import driver
+from rotorvqe.qsim import NOISY, SAMPLED, prepare_state, sampled_expectation
 
 from conftest import LADDER, make_chain
 
@@ -124,14 +125,40 @@ def test_ensemble_bookkeeping(q2_problem):
     assert stats.eps_min <= stats.eps_avg
     state = prepare_state(q2_problem.ansatz, np.asarray(stats.best_params))
     value = float(np.real(np.conj(state) @ q2_problem.matrix @ state))
-    assert value == pytest.approx(stats.minimum, abs=1e-12)
+    # bit-identical: the lockstep batch contracts each energy like a single state
+    assert value == stats.minimum
 
 
 def test_ensemble_worker_count_does_not_change_results(q2_problem):
-    serial = run_ensemble(quick_config(restarts=4, workers=1), q2_problem)
-    parallel = run_ensemble(quick_config(restarts=4, workers=2), q2_problem)
-    assert serial.values == parallel.values
-    assert serial.best_params == parallel.best_params
+    # workers split the lockstep batch into contiguous chunks, unevenly for 5 runs
+    sampled = dict(mode=SAMPLED, shots=256, iterations=20)
+    for overrides in (dict(restarts=4), dict(restarts=5), dict(restarts=5, **sampled)):
+        serial = run_ensemble(quick_config(workers=1, **overrides), q2_problem)
+        parallel = run_ensemble(quick_config(workers=2, **overrides), q2_problem)
+        assert serial.values == parallel.values
+        assert serial.best_params == parallel.best_params
+    # a warm-start rung: every run starts from the shared embedded x0 with fixed gains
+    serial = run_hierarchical(LADDER[:2], quick_config(iterations=20, restarts=3, workers=1))
+    parallel = run_hierarchical(LADDER[:2], quick_config(iterations=20, restarts=3, workers=2))
+    for one, two in zip(serial, parallel):
+        assert (one.best_value, one.best_params) == (two.best_value, two.best_params)
+    assert serial[1].start_value == parallel[1].start_value
+
+
+def test_sampled_ladder_never_reuses_an_evaluation_seed(monkeypatch):
+    seen = []
+
+    def spy(*args, seed=None, **kwargs):
+        seen.append(tuple(seed))
+        return sampled_expectation(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(driver, "sampled_expectation", spy)
+    config = quick_config(mode=SAMPLED, shots=200, iterations=5, restarts=2)
+    run_hierarchical(LADDER[:2], config)
+    # cold rung: 50 calibration probes + 11 SPSA evaluations per run; warm rung:
+    # one start probe + 11 evaluations per run
+    assert len(seen) == 2 * 61 + 1 + 2 * 11
+    assert len(set(seen)) == len(seen)
 
 
 def test_production_q2_ensemble_band(q2_stats):

@@ -1,9 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from rotorvqe.chain import (
@@ -27,11 +29,13 @@ from rotorvqe.qsim import (
     format_bitstrings,
     noisy_expectation,
     prepare_state,
+    prepare_states,
     sample_bitstrings,
     sampled_expectation,
     symmetric_confusion,
 )
 
+from oracles import serial_prepare_state
 
 LADDER = ((4, 2), (4, 4), (8, 4))
 
@@ -122,6 +126,44 @@ def test_qubit_one_is_most_significant_bit():
 def test_states_stay_normalized(params):
     state = prepare_state(AnsatzSpec(qubits=3, depth=1, entangler=FULL), params[:12])
     assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    qubits=st.integers(1, 4),
+    depth=st.integers(0, 2),
+    entangler=st.sampled_from([LINEAR, FULL]),
+    batch=st.sampled_from([1, 2, 37]),
+    data=st.data(),
+)
+def test_prepare_states_rows_match_single_states_bit_for_bit(qubits, depth, entangler, batch, data):
+    ansatz = AnsatzSpec(qubits=qubits, depth=depth, entangler=entangler)
+    params = data.draw(
+        arrays(np.float64, (batch, ansatz.parameter_count), elements=st.floats(-50, 50))
+    )
+    states = prepare_states(ansatz, params)
+    assert states.shape == (batch, 1 << qubits)
+    assert states.flags.c_contiguous
+    for row, state in zip(params, states):
+        assert state.tobytes() == prepare_state(ansatz, row).tobytes()
+        assert state.tobytes() == serial_prepare_state(qubits, depth, entangler, row).tobytes()
+    # the gate angles go through numpy's cos/sin; bit identity with the
+    # single-state gates needs them to agree with math and cmath
+    angles = params.ravel()
+    half = angles / 2.0
+    assert np.cos(half).tolist() == [math.cos(h) for h in half]
+    assert np.sin(half).tolist() == [math.sin(h) for h in half]
+    phases = [cmath.exp(-0.5j * theta) for theta in angles]
+    assert np.cos(-half).tolist() == [p.real for p in phases]
+    assert np.sin(-half).tolist() == [p.imag for p in phases]
+
+
+def test_prepare_states_validates_shape():
+    ansatz = AnsatzSpec(qubits=2, depth=1)
+    with pytest.raises(ValueError):
+        prepare_states(ansatz, np.zeros(8))
+    with pytest.raises(ValueError):
+        prepare_states(ansatz, np.zeros((3, 7)))
 
 
 def test_exact_expectation_basics():
