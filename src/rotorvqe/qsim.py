@@ -1,16 +1,18 @@
-"""Statevector simulation of RyRz variational circuits.
+"""Statevector and density-matrix simulation of RyRz variational circuits.
 
 Qubit 1 is the most significant bit of a computational-basis index,
 matching `paulimap`.  Rotation gates follow the half-angle convention
 exp(-i theta sigma / 2).  Expectation values of a PauliOperator come in
 three flavours: exact (amplitude traversal), shot-sampled, and sampled
-under a parametric noise model (per-gate depolarizing plus readout
-confusion, with optional linear-inversion mitigation).
+under a parametric noise model.  The noisy estimator evolves the density
+matrix exactly through every gate and its depolarizing channel, applies
+the readout confusion to the measured distribution, and draws each
+setting's counts in one multinomial (optionally undoing the confusion by
+linear inversion).  A measurement plan is compiled once per operator.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -89,22 +91,9 @@ def _ry(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def _rz(theta: float) -> np.ndarray:
-    phase = cmath.exp(-0.5j * theta)
-    return np.array([[phase, 0.0], [0.0, phase.conjugate()]], dtype=complex)
-
-
 def _rx(theta: float) -> np.ndarray:
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
-_PAULI_GATES = (
-    None,
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
 
 
 @lru_cache(maxsize=256)
@@ -174,9 +163,9 @@ def _batch_program(ansatz: AnsatzSpec):
 def _rotation_gates(is_rz: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Every rotation's 2x2 matrix for every row of values[B, P]: gates[param, row, i, j].
 
-    The entries are the complex numbers `_ry` and `_rz` build, bit for bit:
-    Ry takes cos and sin of theta/2, Rz the phase exp(-i theta/2), which is
-    cos(-theta/2) + i sin(-theta/2), and its conjugate.
+    The entries are those of the scalar gate matrices, bit for bit: Ry takes
+    cos and sin of theta/2, as `_ry` does, and Rz the phase exp(-i theta/2),
+    which is cos(-theta/2) + i sin(-theta/2), and its conjugate.
     """
     half = values.T / 2.0
     rz = is_rz[:, None]
@@ -222,13 +211,16 @@ def prepare_states(ansatz: AnsatzSpec, params) -> np.ndarray:
     return states
 
 
-def prepare_state(ansatz: AnsatzSpec, params) -> np.ndarray:
-    """Run the circuit on |0...0> and return the 2^Q statevector."""
+def _parameter_vector(ansatz: AnsatzSpec, params) -> np.ndarray:
     values = np.asarray(params, dtype=float).ravel()
     if values.size != ansatz.parameter_count:
-        raise ValueError(
-            f"expected {ansatz.parameter_count} parameters, got {values.size}"
-        )
+        raise ValueError(f"expected {ansatz.parameter_count} parameters, got {values.size}")
+    return values
+
+
+def prepare_state(ansatz: AnsatzSpec, params) -> np.ndarray:
+    """Run the circuit on |0...0> and return the 2^Q statevector."""
+    values = _parameter_vector(ansatz, params)
     return prepare_states(ansatz, values[None, :])[0]
 
 
@@ -311,34 +303,16 @@ def _total_confusion(matrices) -> np.ndarray:
     return total
 
 
-def _measurement_settings(operator: PauliOperator, grouping: bool):
-    """Exact identity offset plus (x, z, member indices) per sampled setting."""
-    offset = operator.identity_offset
-    if grouping:
-        settings = []
-        for group in group_qubitwise_commuting(operator):
-            members = tuple(
-                i for i in group.members if not operator.strings[i].is_identity
-            )
-            if members:
-                settings.append((group.x, group.z, members))
-    else:
-        settings = [
-            (s.x, s.z, (i,))
-            for i, s in enumerate(operator.strings)
-            if not s.is_identity
-        ]
-    return offset, settings
-
-
-def _basis_change_gates(x: int, z: int, qubits: int):
-    """Single-qubit rotations taking the setting's basis to the Z basis."""
+def _basis_change_gates(x: int, z: int, qubits: int) -> tuple:
+    """((qubit,), rotation) taking the setting's basis to the Z basis, per measured qubit."""
     gates = []
     for q in range(1, qubits + 1):
         bit = 1 << (qubits - q)
         if x & bit:
-            gates.append((q, _rx(math.pi / 2) if z & bit else _ry(-math.pi / 2)))
-    return gates
+            gate = _rx(math.pi / 2) if z & bit else _ry(-math.pi / 2)
+            gate.flags.writeable = False
+            gates.append(((q,), gate))
+    return tuple(gates)
 
 
 def _outcome_values(operator: PauliOperator, members, dim: int) -> np.ndarray:
@@ -350,7 +324,30 @@ def _outcome_values(operator: PauliOperator, members, dim: int) -> np.ndarray:
         support = string.x | string.z
         signs = 1.0 - 2.0 * (np.bitwise_count(idx & support) & 1)
         values += operator.coefficients[i] * signs
+    values.flags.writeable = False
     return values
+
+
+@lru_cache(maxsize=64)
+def _measurement_plan(operator: PauliOperator, grouping: bool):
+    """Exact identity offset plus (basis-change gates, outcome values) per sampled setting.
+
+    A setting is one QWC group, or one string when grouping is off; the
+    identity string is never measured.  Compiled once per operator, so the
+    estimators neither regroup nor rebuild outcome tables on each call.
+    """
+    qubits, strings = operator.qubits, operator.strings
+    if grouping:
+        settings = [(g.x, g.z, g.members) for g in group_qubitwise_commuting(operator)]
+    else:
+        settings = [(s.x, s.z, (i,)) for i, s in enumerate(strings)]
+    plan = []
+    for x, z, members in settings:
+        members = [i for i in members if not strings[i].is_identity]
+        if members:
+            gates = _basis_change_gates(x, z, qubits)
+            plan.append((gates, _outcome_values(operator, members, 1 << qubits)))
+    return operator.identity_offset, tuple(plan)
 
 
 def _tally(counts: np.ndarray, values: np.ndarray, shots: int):
@@ -378,17 +375,17 @@ def sampled_expectation(
         raise ValueError("need at least one shot")
     rng = np.random.default_rng(seed)
     state = prepare_state(ansatz, params)
-    offset, settings = _measurement_settings(operator, grouping)
+    offset, settings = _measurement_plan(operator, grouping)
     value = offset
     variance = 0.0
     used = 0
-    for x, z, members in settings:
+    for gates, outcomes in settings:
         rotated = state.copy()
-        for q, gate in _basis_change_gates(x, z, ansatz.qubits):
+        for (q,), gate in gates:
             _apply_single(rotated, ansatz.qubits, q, gate)
         probs = np.abs(rotated) ** 2
         counts = rng.multinomial(shots, probs / probs.sum())
-        mean, var = _tally(counts, _outcome_values(operator, members, state.size), shots)
+        mean, var = _tally(counts, outcomes, shots)
         value += mean
         variance += var
         used += shots
@@ -397,37 +394,81 @@ def sampled_expectation(
     )
 
 
-def _concrete_gates(ansatz: AnsatzSpec, values: np.ndarray, noise: NoiseSpec):
-    """(kind, qubits, matrix, fault probability) per gate of the bare circuit."""
-    gates = []
-    for op in ansatz_operations(ansatz):
-        if op[0] == "cx":
-            gates.append(("2q", (op[1], op[2]), None, noise.p2))
-        elif op[0] == "ry":
-            gates.append(("1q", (op[1],), _ry(values[op[2]]), noise.p1))
+@lru_cache(maxsize=256)
+def _diagonal_blocks(qubits: int, touched: tuple) -> tuple:
+    """Index of each block of rho, viewed on 2Q bit axes, diagonal on the touched qubits."""
+    blocks = []
+    for bits in range(1 << len(touched)):
+        index = [slice(None)] * (2 * qubits)
+        for k, q in enumerate(touched):
+            index[q - 1] = index[qubits + q - 1] = (bits >> k) & 1
+        blocks.append(tuple(index))
+    return tuple(blocks)
+
+
+def _depolarize(rho: np.ndarray, qubits: int, touched: tuple, p: float) -> None:
+    """With probability p, a uniformly chosen non-identity Pauli on the touched qubits.
+
+    For k touched qubits that is (1 - w) rho + w (I/2^k (x) Tr_touched rho)
+    with w = p 4^k / (4^k - 1) (Nielsen & Chuang, ch. 8).  Acts in place,
+    through a view, so rho must be C-contiguous.
+    """
+    if p == 0.0:
+        return
+    size = 4 ** len(touched)
+    weight = p * size / (size - 1)
+    view = rho.reshape((2,) * (2 * qubits))
+    blocks = _diagonal_blocks(qubits, touched)
+    mixed = sum(view[block] for block in blocks) * (weight / (1 << len(touched)))
+    view *= 1.0 - weight
+    for block in blocks:
+        view[block] += mixed
+
+
+def _evolve(rho: np.ndarray, qubits: int, gates, noise: NoiseSpec) -> None:
+    """Each (touched, matrix) gate as U rho U^dagger, then its depolarizing channel.
+
+    A matrix of None is a CNOT on touched = (control, target).  Rows are
+    transformed first, then the columns through the transposed view.
+    """
+    for touched, matrix in gates:
+        if matrix is None:
+            for view in (rho, rho.T):
+                _apply_cnot(view, qubits, *touched)
+            _depolarize(rho, qubits, touched, noise.p2)
         else:
-            gates.append(("1q", (op[1],), _rz(values[op[2]]), noise.p1))
-    return gates
+            _apply_single(rho, qubits, touched[0], matrix)
+            _apply_single(rho.T, qubits, touched[0], matrix.conj())
+            _depolarize(rho, qubits, touched, noise.p1)
 
 
-def _apply_gate(state: np.ndarray, qubits: int, gate) -> None:
-    kind, touched, matrix, _ = gate
-    if kind == "2q":
-        _apply_cnot(state, qubits, touched[0], touched[1])
-    else:
-        _apply_single(state, qubits, touched[0], matrix)
+def _noisy_distributions(ansatz: AnsatzSpec, values: np.ndarray, noise: NoiseSpec, settings):
+    """Exact measured-outcome distribution of every setting of a plan, readout included.
 
-
-def _inject_fault(state: np.ndarray, qubits: int, gate, rng) -> None:
-    """Uniformly random non-identity Pauli on the qubits the gate touched."""
-    kind, touched, _, _ = gate
-    if kind == "1q":
-        _apply_single(state, qubits, touched[0], _PAULI_GATES[rng.integers(1, 4)])
-    else:
-        pick = int(rng.integers(1, 16))
-        for qubit, letter in zip(touched, (pick >> 2, pick & 3)):
-            if letter:
-                _apply_single(state, qubits, qubit, _PAULI_GATES[letter])
+    The ansatz is evolved once; each setting then applies only its own
+    basis-change tail, which is as fault-prone as the ansatz's gates.
+    """
+    qubits = ansatz.qubits
+    is_rz = _batch_program(ansatz)[0]
+    rotations = _rotation_gates(is_rz, values[None, :])[:, 0]
+    circuit = [
+        (op[1:], None) if op[0] == "cx" else ((op[1],), rotations[op[2]])
+        for op in ansatz_operations(ansatz)
+    ]
+    dim = 1 << qubits
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0] = 1.0
+    _evolve(rho, qubits, circuit, noise)
+    readout = noise.readout_matrices(qubits)
+    confusion = None if readout is None else _total_confusion(readout)
+    distributions = []
+    for gates, _ in settings:
+        tail = rho.copy()
+        _evolve(tail, qubits, gates, noise)
+        probs = np.clip(tail.diagonal().real, 0.0, None)
+        probs /= probs.sum()
+        distributions.append(probs if confusion is None else probs @ confusion)
+    return distributions
 
 
 def noisy_expectation(
@@ -441,82 +482,41 @@ def noisy_expectation(
 ) -> ExpectationEstimate:
     """Estimate <operator> under depolarizing gate faults and readout error.
 
-    Shots are split into a fault-free bulk (one multinomial draw from the
-    clean distribution) and individually simulated faulty trajectories,
-    which is an exact unravelling of the Pauli channel.  Basis-change
-    rotations are as fault-prone as the ansatz's own gates.  Mitigation
-    inverts the readout confusion on the measured frequencies, clipping
-    negative entries and renormalizing.
+    After every gate, including the basis-change rotations, a uniformly
+    chosen non-identity Pauli strikes the gate's qubits with probability
+    p1 (rotations) or p2 (CNOTs).  The density matrix is evolved through
+    this channel exactly, the readout confusion maps its diagonal to each
+    setting's outcome distribution, and the setting's counts are one
+    multinomial draw from it, seeded by `noise.seed`.  Mitigation inverts
+    the readout confusion on the measured frequencies, clipping negative
+    entries and renormalizing.
     """
     if ansatz.qubits != operator.qubits:
         raise ValueError("ansatz and operator registers differ")
     if shots < 1:
         raise ValueError("need at least one shot")
-    qubits = ansatz.qubits
-    dim = 1 << qubits
-    values = np.asarray(params, dtype=float).ravel()
-    if values.size != ansatz.parameter_count:
-        raise ValueError(
-            f"expected {ansatz.parameter_count} parameters, got {values.size}"
-        )
+    values = _parameter_vector(ansatz, params)
     rng = np.random.default_rng(noise.seed)
-    base_gates = _concrete_gates(ansatz, values, noise)
-    readout = noise.readout_matrices(qubits)
-    confusion = inverse = None
+    readout = noise.readout_matrices(ansatz.qubits)
+    inverse = None
     if readout is not None:
-        confusion = _total_confusion(readout)
         try:
             inverse = _total_confusion([np.linalg.inv(m) for m in readout])
         except np.linalg.LinAlgError as err:
             raise ValueError("readout confusion matrix is singular") from err
 
-    offset, settings = _measurement_settings(operator, grouping)
+    offset, settings = _measurement_plan(operator, grouping)
     value = offset
     variance = 0.0
     used = 0
-    for x, z, members in settings:
-        gates = base_gates + [
-            ("1q", (q,), mat, noise.p1) for q, mat in _basis_change_gates(x, z, qubits)
-        ]
-        prefixes = [np.zeros(dim, dtype=complex)]
-        prefixes[0][0] = 1.0
-        for gate in gates:
-            nxt = prefixes[-1].copy()
-            _apply_gate(nxt, qubits, gate)
-            prefixes.append(nxt)
-        fault_ps = np.array([g[3] for g in gates])
-        clean_prob = float(np.prod(1.0 - fault_ps))
-
-        counts = np.zeros(dim)
-        n_faulty = int(rng.binomial(shots, 1.0 - clean_prob)) if clean_prob < 1.0 else 0
-        clean_dist = np.abs(prefixes[-1]) ** 2
-        clean_dist /= clean_dist.sum()
-        if confusion is not None:
-            clean_dist = clean_dist @ confusion
-        counts += rng.multinomial(shots - n_faulty, clean_dist)
-
-        if n_faulty:
-            survive = np.concatenate(([1.0], np.cumprod(1.0 - fault_ps)[:-1]))
-            first_fault = fault_ps * survive
-            first_fault /= first_fault.sum()
-            for g_first in rng.choice(len(gates), size=n_faulty, p=first_fault):
-                state = prefixes[g_first + 1].copy()
-                _inject_fault(state, qubits, gates[g_first], rng)
-                for later in range(g_first + 1, len(gates)):
-                    _apply_gate(state, qubits, gates[later])
-                    if rng.random() < fault_ps[later]:
-                        _inject_fault(state, qubits, gates[later], rng)
-                dist = np.abs(state) ** 2
-                dist /= dist.sum()
-                if confusion is not None:
-                    dist = dist @ confusion
-                counts[rng.choice(dim, p=dist)] += 1.0
-
+    distributions = _noisy_distributions(ansatz, values, noise, settings)
+    for (_, outcomes), probs in zip(settings, distributions):
+        counts = rng.multinomial(shots, probs)
         if mitigate and inverse is not None:
             freq = counts / shots @ inverse
             freq = np.clip(freq, 0.0, None)
             counts = shots * freq / freq.sum()
-        mean, var = _tally(counts, _outcome_values(operator, members, dim), shots)
+        mean, var = _tally(counts, outcomes, shots)
         value += mean
         variance += var
         used += shots
@@ -533,11 +533,7 @@ def embed_params(ansatz: AnsatzSpec, params) -> np.ndarray:
     a CNOT control, so the enlarged circuit prepares |0> (x) |previous>
     and expectation values over a nested operator block are unchanged.
     """
-    values = np.asarray(params, dtype=float).ravel()
-    if values.size != ansatz.parameter_count:
-        raise ValueError(
-            f"expected {ansatz.parameter_count} parameters, got {values.size}"
-        )
+    values = _parameter_vector(ansatz, params)
     q = ansatz.qubits
     out = []
     for block in range(ansatz.depth + 1):

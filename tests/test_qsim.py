@@ -8,13 +8,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
+from rotorvqe import qsim
 from rotorvqe.chain import (
     build_chain_matrix,
     build_composite_basis,
     pad_matrix,
     reference_spectrum,
 )
-from rotorvqe.paulimap import PauliOperator, PauliString, map_operator
+from rotorvqe.paulimap import (
+    PauliOperator,
+    PauliString,
+    group_qubitwise_commuting,
+    map_operator,
+)
 from rotorvqe.potential import BISTABLE, MONOSTABLE, ChainSpec, DihedralSpec
 from rotorvqe.qsim import (
     FULL,
@@ -35,7 +41,11 @@ from rotorvqe.qsim import (
     symmetric_confusion,
 )
 
-from oracles import serial_prepare_state
+from oracles import (
+    kraus_outcome_distribution,
+    serial_prepare_state,
+    trajectory_noisy_expectation,
+)
 
 LADDER = ((4, 2), (4, 4), (8, 4))
 
@@ -359,6 +369,68 @@ def test_noisy_estimate_metadata():
     assert est.std_error > 0
     again = noisy_expectation(ansatz, params, op, 500, noise=NoiseSpec(seed=3))
     assert est == again
+
+
+def test_noisy_distributions_match_kraus_oracle():
+    rng = np.random.default_rng(8)
+    rates = (0.0, 1e-3, 0.2, 1.0)
+    for qubits in (1, 2, 3, 4):
+        labels = ["I" * qubits] + ["".join(rng.choice(list("IXYZ"), qubits)) for _ in range(5)]
+        op = PauliOperator(
+            qubits=qubits,
+            strings=tuple(PauliString.from_label(label) for label in labels),
+            coefficients=tuple(rng.normal(size=len(labels))),
+        )
+        flips = rng.uniform(0.0, 0.3, (qubits, 2))
+        readout = tuple(((1 - e0, e0), (e1, 1 - e1)) for e0, e1 in flips)
+        bases = {
+            True: [
+                PauliString(qubits, g.x, g.z).label
+                for g in group_qubitwise_commuting(op)
+                if any(not op.strings[i].is_identity for i in g.members)
+            ],
+            False: [s.label for s in op.strings if not s.is_identity],
+        }
+        for depth in (0, 1, 2):
+            for shift, entangler in ((0, LINEAR), (3, FULL)):
+                ansatz = AnsatzSpec(qubits=qubits, depth=depth, entangler=entangler)
+                params = rng.uniform(-7.0, 7.0, ansatz.parameter_count)
+                # every (p1, p2) pair of rates occurs across depths and entanglers
+                for i, p1 in enumerate(rates):
+                    p2 = rates[(i + depth + shift) % 4]
+                    grouping = i % 2 == 0
+                    noise = NoiseSpec(p1=p1, p2=p2, readout=readout)
+                    plan = qsim._measurement_plan(op, grouping)[1]
+                    got = qsim._noisy_distributions(ansatz, params, noise, plan)
+                    assert len(got) == len(bases[grouping])
+                    for basis, probs in zip(bases[grouping], got):
+                        want = kraus_outcome_distribution(
+                            qubits, depth, entangler, params, p1, p2, readout, basis
+                        )
+                        np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
+
+
+def test_exact_channel_matches_trajectory_estimator():
+    # Strong noise, so faulty trajectories are a large share of the trajectory estimator's
+    # shots, near |00>, where this noise moves the energy by about 0.45: an exact channel
+    # with p2 swapped for p1 fails the KS test here.
+    _, _, op = chain_problem((4, 2))
+    ansatz = AnsatzSpec(qubits=2, depth=1)
+    params = np.linspace(-0.3, 0.3, ansatz.parameter_count)
+    old = [
+        trajectory_noisy_expectation(
+            ansatz, params, op, 100, NoiseSpec(p1=0.02, p2=0.1, seed=s)
+        )
+        for s in range(300)
+    ]
+    new = [
+        noisy_expectation(
+            ansatz, params, op, 100, NoiseSpec(p1=0.02, p2=0.1, seed=1000 + s)
+        ).value
+        for s in range(300)
+    ]
+    assert stats.ks_2samp(old, new).pvalue > 0.01
+    assert stats.levene(old, new).pvalue > 0.01
 
 
 def test_noise_spec_validation():
