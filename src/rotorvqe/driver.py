@@ -47,11 +47,13 @@ from .qsim import (
     SAMPLED,
     AnsatzSpec,
     NoiseSpec,
+    _noisy_estimates,
     embed_params,
     noisy_expectation,
     prepare_state,
     prepare_states,
     sampled_expectation,
+    sampled_expectations,
 )
 
 SPSA = "spsa"
@@ -231,16 +233,32 @@ def _evaluator(problem: Problem, config: VqeConfig, run_seed: int):
 def _batch_evaluator(problem: Problem, config: VqeConfig, run_seeds):
     """Objective over stacked points[B, P], row i belonging to run i % len(run_seeds).
 
-    Exact mode prepares the whole batch at once.  Statistical modes call the
-    per-point estimator row by row, each run with its own evaluation counter,
-    so every run sees the evaluation seeds it would see alone.
+    Exact and sampled modes evaluate the whole batch in one call; noisy mode
+    calls the per-point estimator row by row.  Each run keeps its own
+    evaluation counter, so every run sees the evaluation seeds it would see
+    alone.
     """
     if config.mode == EXACT:
         return lambda points: _energies(prepare_states(problem.ansatz, points), problem.matrix)
-    singles = [_evaluator(problem, config, seed) for seed in run_seeds]
-    return lambda points: np.array(
-        [singles[i % len(singles)](point)[0] for i, point in enumerate(points)]
-    )
+    if config.mode == NOISY:
+        singles = [_evaluator(problem, config, seed) for seed in run_seeds]
+        return lambda points: np.array(
+            [singles[i % len(singles)](point)[0] for i, point in enumerate(points)]
+        )
+    counters = [0] * len(run_seeds)
+
+    def evaluate(points):
+        seeds = []
+        for i in range(len(points)):
+            run = i % len(run_seeds)
+            seeds.append([run_seeds[run] & _MASK64, counters[run]])
+            counters[run] += 1
+        estimates = sampled_expectations(
+            problem.ansatz, points, problem.operator, config.shots, seeds, grouping=config.grouping
+        )
+        return np.array([est.value for est in estimates])
+
+    return evaluate
 
 
 def _calibrated_gains(evaluate, x0: np.ndarray, config: VqeConfig, run_seeds) -> np.ndarray:
@@ -580,27 +598,19 @@ def run_distribution_study(
         if mode not in (SAMPLED, NOISY):
             raise ValueError(f"distribution study mode must be statistical, got {mode!r}")
         seeds = seed_stream(config.seed + 7919 * (m + 1), repetitions)
-        values = []
-        for rep_seed in seeds:
-            if mode == SAMPLED:
-                est = sampled_expectation(
-                    problem.ansatz,
-                    params,
-                    problem.operator,
-                    config.shots,
-                    grouping=config.grouping,
-                    seed=rep_seed,
+        if mode == SAMPLED:
+            estimates = [
+                sampled_expectation(
+                    problem.ansatz, params, problem.operator, config.shots,
+                    grouping=config.grouping, seed=rep_seed,
                 )
-            else:
-                est = noisy_expectation(
-                    problem.ansatz,
-                    params,
-                    problem.operator,
-                    config.shots,
-                    dataclasses.replace(noise, seed=rep_seed),
-                    mitigate=config.mitigate,
-                    grouping=config.grouping,
-                )
-            values.append(est.value)
-        studies.append(DistributionStudy(mode=mode, values=tuple(values), exact_value=exact_value))
+                for rep_seed in seeds
+            ]
+        else:
+            estimates = _noisy_estimates(
+                problem.ansatz, params, problem.operator, config.shots, noise, seeds,
+                config.mitigate, config.grouping,
+            )
+        values = tuple(est.value for est in estimates)
+        studies.append(DistributionStudy(mode=mode, values=values, exact_value=exact_value))
     return tuple(studies)

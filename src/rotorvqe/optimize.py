@@ -9,7 +9,7 @@ evaluation at the terminal point; Nelder-Mead pays per simplex move.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -268,37 +268,3 @@ def nelder_mead_minimize(
         raise ValueError("budget too small to evaluate the starting point")
     records.append(TraceRecord(len(records), best_seen[0], best_seen[1]))
     return _finish(records, eval_values, termination)
-
-
-def calibrate_spsa_gains(
-    obj: ObjectiveSpec,
-    trials: int = 10,
-    x0=None,
-    config: SpsaConfig = None,
-    target_step: float = 0.1,
-) -> SpsaConfig:
-    """Pick (a, c) so the first SPSA step is about `target_step` radians.
-
-    c becomes the objective's standard-error estimate at the start point
-    (floored at 0.01); a is scaled from the mean two-point gradient
-    magnitude over `trials` Rademacher probes.  Costs 1 + 2*trials
-    evaluations outside the optimizer's own budget.
-    """
-    if trials < 1:
-        raise ValueError("need at least one calibration trial")
-    config = config or SpsaConfig()
-    start = _initial_point(obj, x0)
-    rng = np.random.default_rng([obj.seed, 0xCA1])
-    _, std_error = obj.evaluator(start)
-    c = max(float(std_error), 0.01)
-    magnitudes = []
-    for _ in range(trials):
-        delta = rng.integers(0, 2, size=obj.dimension) * 2.0 - 1.0
-        f_up, _ = obj.evaluator(start + c * delta)
-        f_down, _ = obj.evaluator(start - c * delta)
-        magnitudes.append(abs(f_up - f_down) / (2.0 * c))
-    mean_gradient = float(np.mean(magnitudes))
-    if mean_gradient <= 0.0:
-        return replace(config, c=c)
-    a = target_step * (config.A + 1.0) ** config.alpha / mean_gradient
-    return replace(config, a=a, c=c)

@@ -330,34 +330,108 @@ def _outcome_values(operator: PauliOperator, members, dim: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _measurement_plan(operator: PauliOperator, grouping: bool):
-    """Exact identity offset plus (basis-change gates, outcome values) per sampled setting.
+    """Exact identity offset plus every sampled setting's basis change and outcome values.
 
     A setting is one QWC group, or one string when grouping is off; the
-    identity string is never measured.  Compiled once per operator, so the
-    estimators neither regroup nor rebuild outcome tables on each call.
+    identity string is never measured.  Returns (offset, tails, rotations,
+    outcomes): each setting's basis-change gates, for the noisy channel;
+    the same gates stacked per qubit as rotations[k] = (qubit, gates[2, 2, S, 1]),
+    where a setting that does not rotate the qubit takes the identity, for
+    the sampled batch; and the outcome-value table outcomes[S, 2^Q].
+    Compiled once per operator, so the estimators neither regroup nor
+    rebuild outcome tables on each call.
     """
     qubits, strings = operator.qubits, operator.strings
     if grouping:
         settings = [(g.x, g.z, g.members) for g in group_qubitwise_commuting(operator)]
     else:
         settings = [(s.x, s.z, (i,)) for i, s in enumerate(strings)]
-    plan = []
+    tails, outcomes = [], []
     for x, z, members in settings:
         members = [i for i in members if not strings[i].is_identity]
         if members:
-            gates = _basis_change_gates(x, z, qubits)
-            plan.append((gates, _outcome_values(operator, members, 1 << qubits)))
-    return operator.identity_offset, tuple(plan)
+            tails.append(_basis_change_gates(x, z, qubits))
+            outcomes.append(_outcome_values(operator, members, 1 << qubits))
+    stacked = {}
+    for s, tail in enumerate(tails):
+        for (q,), gate in tail:
+            if q not in stacked:
+                stacked[q] = np.zeros((2, 2, len(tails), 1), dtype=complex)
+                stacked[q][0, 0] = stacked[q][1, 1] = 1.0
+            stacked[q][:, :, s, 0] = gate
+    rotations = tuple((q, stacked[q]) for q in sorted(stacked))
+    table = np.array(outcomes).reshape(len(tails), 1 << qubits)
+    for array in [table] + [gates for _, gates in rotations]:
+        array.flags.writeable = False
+    return operator.identity_offset, tuple(tails), rotations, table
 
 
-def _tally(counts: np.ndarray, values: np.ndarray, shots: int):
-    mean = float(counts @ values) / shots
+def _tally(counts: np.ndarray, outcomes: np.ndarray, shots: int, offset: float):
+    """Estimates and their variances from counts[..., S, 2^Q] of every setting.
+
+    Each setting contributes its sample mean of outcomes[S, 2^Q] over the
+    shots and that mean's variance; the settings are summed in order onto
+    the offset, as a running sum would.  Every (1, 2^Q) @ (2^Q, 1) product
+    and the sequential `cumsum` make each row's figures independent of the
+    rows beside it.
+    """
+    counts = np.asarray(counts, dtype=float)[..., None, :]
+    mean = np.matmul(counts, outcomes[:, :, None])[..., 0, 0] / shots
     if shots > 1:
-        second = float(counts @ values**2)
-        variance = max(second - shots * mean * mean, 0.0) / (shots - 1)
+        second = np.matmul(counts, outcomes[:, :, None] ** 2)[..., 0, 0]
+        variance = np.maximum(second - shots * mean * mean, 0.0) / (shots - 1) / shots
     else:
-        variance = 0.0
-    return mean, variance / shots
+        variance = np.zeros_like(mean)
+    start = np.zeros(mean.shape[:-1] + (1,))
+    value = np.cumsum(np.concatenate((start + offset, mean), axis=-1), axis=-1)[..., -1]
+    variance = np.cumsum(np.concatenate((start, variance), axis=-1), axis=-1)[..., -1]
+    return value, variance
+
+
+def _estimates(value: np.ndarray, variance: np.ndarray, shots_used: int, mode: str) -> tuple:
+    return tuple(
+        ExpectationEstimate(value=float(v), std_error=math.sqrt(e), shots_used=shots_used, mode=mode)
+        for v, e in zip(value, variance)
+    )
+
+
+def sampled_expectations(
+    ansatz: AnsatzSpec,
+    points,
+    operator: PauliOperator,
+    shots: int,
+    seeds,
+    grouping: bool = True,
+) -> tuple:
+    """`sampled_expectation` of every row of points[B, P], row b seeded by seeds[b].
+
+    The states are prepared as one batch, and each qubit's basis-change
+    rotations act on all rows and settings at once, with the same complex
+    products as on one state (an identity where a setting does not rotate,
+    which changes no amplitude's magnitude).  Each row draws all its
+    settings' counts in one multinomial from its own generator, so row b is
+    bit-identical to the point estimated alone, whatever its neighbours.
+    """
+    if ansatz.qubits != operator.qubits:
+        raise ValueError("ansatz and operator registers differ")
+    if shots < 1:
+        raise ValueError("need at least one shot")
+    states = prepare_states(ansatz, points)
+    if len(seeds) != len(states):
+        raise ValueError(f"expected one seed per point, got {len(seeds)} for {len(states)}")
+    offset, _, rotations, outcomes = _measurement_plan(operator, grouping)
+    rotated = np.repeat(states[:, None, :], len(outcomes), axis=1)
+    for q, ((g00, g01), (g10, g11)) in rotations:
+        j0, j1 = _pair_indices(ansatz.qubits, q)
+        a = rotated[..., j0]
+        b = rotated[..., j1]
+        rotated[..., j0] = g00 * a + g01 * b
+        rotated[..., j1] = g10 * a + g11 * b
+    probs = np.abs(rotated) ** 2
+    probs /= probs.sum(axis=-1, keepdims=True)
+    counts = [np.random.default_rng(seed).multinomial(shots, p) for seed, p in zip(seeds, probs)]
+    value, variance = _tally(np.array(counts), outcomes, shots, offset)
+    return _estimates(value, variance, len(outcomes) * shots, SAMPLED)
 
 
 def sampled_expectation(
@@ -368,30 +442,9 @@ def sampled_expectation(
     grouping: bool = True,
     seed=None,
 ) -> ExpectationEstimate:
-    """Estimate <operator> from finite measurement statistics."""
-    if ansatz.qubits != operator.qubits:
-        raise ValueError("ansatz and operator registers differ")
-    if shots < 1:
-        raise ValueError("need at least one shot")
-    rng = np.random.default_rng(seed)
-    state = prepare_state(ansatz, params)
-    offset, settings = _measurement_plan(operator, grouping)
-    value = offset
-    variance = 0.0
-    used = 0
-    for gates, outcomes in settings:
-        rotated = state.copy()
-        for (q,), gate in gates:
-            _apply_single(rotated, ansatz.qubits, q, gate)
-        probs = np.abs(rotated) ** 2
-        counts = rng.multinomial(shots, probs / probs.sum())
-        mean, var = _tally(counts, outcomes, shots)
-        value += mean
-        variance += var
-        used += shots
-    return ExpectationEstimate(
-        value=float(value), std_error=math.sqrt(variance), shots_used=used, mode=SAMPLED
-    )
+    """Estimate <operator> from finite measurement statistics (one row of `sampled_expectations`)."""
+    values = _parameter_vector(ansatz, params)
+    return sampled_expectations(ansatz, values[None, :], operator, shots, [seed], grouping)[0]
 
 
 @lru_cache(maxsize=256)
@@ -442,8 +495,8 @@ def _evolve(rho: np.ndarray, qubits: int, gates, noise: NoiseSpec) -> None:
             _depolarize(rho, qubits, touched, noise.p1)
 
 
-def _noisy_distributions(ansatz: AnsatzSpec, values: np.ndarray, noise: NoiseSpec, settings):
-    """Exact measured-outcome distribution of every setting of a plan, readout included.
+def _noisy_distributions(ansatz: AnsatzSpec, values: np.ndarray, noise: NoiseSpec, tails):
+    """Exact measured-outcome distribution of every setting, readout included: probs[S, 2^Q].
 
     The ansatz is evolved once; each setting then applies only its own
     basis-change tail, which is as fault-prone as the ansatz's gates.
@@ -461,14 +514,41 @@ def _noisy_distributions(ansatz: AnsatzSpec, values: np.ndarray, noise: NoiseSpe
     _evolve(rho, qubits, circuit, noise)
     readout = noise.readout_matrices(qubits)
     confusion = None if readout is None else _total_confusion(readout)
-    distributions = []
-    for gates, _ in settings:
+    distributions = np.empty((len(tails), dim))
+    for s, gates in enumerate(tails):
         tail = rho.copy()
         _evolve(tail, qubits, gates, noise)
         probs = np.clip(tail.diagonal().real, 0.0, None)
         probs /= probs.sum()
-        distributions.append(probs if confusion is None else probs @ confusion)
+        distributions[s] = probs if confusion is None else probs @ confusion
     return distributions
+
+
+def _noisy_estimates(ansatz, params, operator, shots, noise, seeds, mitigate, grouping) -> tuple:
+    """`noisy_expectation` once per seed in `seeds`, in place of `noise.seed`; evolves rho once."""
+    if ansatz.qubits != operator.qubits:
+        raise ValueError("ansatz and operator registers differ")
+    if shots < 1:
+        raise ValueError("need at least one shot")
+    values = _parameter_vector(ansatz, params)
+    readout = noise.readout_matrices(ansatz.qubits)
+    inverse = None
+    if readout is not None:
+        try:
+            inverse = _total_confusion([np.linalg.inv(m) for m in readout])
+        except np.linalg.LinAlgError as err:
+            raise ValueError("readout confusion matrix is singular") from err
+
+    offset, tails, _, outcomes = _measurement_plan(operator, grouping)
+    probs = _noisy_distributions(ansatz, values, noise, tails)
+    counts = np.array([np.random.default_rng(seed).multinomial(shots, probs) for seed in seeds])
+    if mitigate and inverse is not None:
+        # one (1, 2^Q) @ (2^Q, 2^Q) product per setting, as for a single setting
+        freq = np.matmul((counts / shots)[..., None, :], inverse)[..., 0, :]
+        freq = np.clip(freq, 0.0, None)
+        counts = shots * freq / freq.sum(axis=-1, keepdims=True)
+    value, variance = _tally(counts, outcomes, shots, offset)
+    return _estimates(value, variance, len(tails) * shots, NOISY)
 
 
 def noisy_expectation(
@@ -486,43 +566,12 @@ def noisy_expectation(
     chosen non-identity Pauli strikes the gate's qubits with probability
     p1 (rotations) or p2 (CNOTs).  The density matrix is evolved through
     this channel exactly, the readout confusion maps its diagonal to each
-    setting's outcome distribution, and the setting's counts are one
-    multinomial draw from it, seeded by `noise.seed`.  Mitigation inverts
+    setting's outcome distribution, and the settings' counts are one
+    multinomial draw from them, seeded by `noise.seed`.  Mitigation inverts
     the readout confusion on the measured frequencies, clipping negative
     entries and renormalizing.
     """
-    if ansatz.qubits != operator.qubits:
-        raise ValueError("ansatz and operator registers differ")
-    if shots < 1:
-        raise ValueError("need at least one shot")
-    values = _parameter_vector(ansatz, params)
-    rng = np.random.default_rng(noise.seed)
-    readout = noise.readout_matrices(ansatz.qubits)
-    inverse = None
-    if readout is not None:
-        try:
-            inverse = _total_confusion([np.linalg.inv(m) for m in readout])
-        except np.linalg.LinAlgError as err:
-            raise ValueError("readout confusion matrix is singular") from err
-
-    offset, settings = _measurement_plan(operator, grouping)
-    value = offset
-    variance = 0.0
-    used = 0
-    distributions = _noisy_distributions(ansatz, values, noise, settings)
-    for (_, outcomes), probs in zip(settings, distributions):
-        counts = rng.multinomial(shots, probs)
-        if mitigate and inverse is not None:
-            freq = counts / shots @ inverse
-            freq = np.clip(freq, 0.0, None)
-            counts = shots * freq / freq.sum()
-        mean, var = _tally(counts, outcomes, shots)
-        value += mean
-        variance += var
-        used += shots
-    return ExpectationEstimate(
-        value=float(value), std_error=math.sqrt(variance), shots_used=used, mode=NOISY
-    )
+    return _noisy_estimates(ansatz, params, operator, shots, noise, [noise.seed], mitigate, grouping)[0]
 
 
 def embed_params(ansatz: AnsatzSpec, params) -> np.ndarray:

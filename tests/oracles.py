@@ -4,8 +4,10 @@ Everything here deliberately avoids the package's analytic trig-identity and
 bitmask code paths: matrix elements come from dense trapezoid quadrature on a
 periodic grid (spectrally accurate), potential derivatives are written out by
 hand, and Pauli reconstruction uses literal 2x2 matrices with np.kron, as
-does the Kraus-sum noisy channel.  The trajectory noisy estimator is the one
-exception: a reference for a sampling law, it reuses the package's kernels.
+does the Kraus-sum noisy channel.  The two serial estimators are the
+exceptions: the trajectory noisy estimator, a reference for a sampling law,
+and the one-point sampled estimator, a bit-for-bit reference for the batched
+one, reuse the package's kernels.
 """
 
 from __future__ import annotations
@@ -271,6 +273,33 @@ def kraus_outcome_distribution(
     return probs
 
 
+def serial_sampled_expectation(ansatz, params, operator, shots, grouping=True, seed=None):
+    """(value, std_error, shots_used) of one point, one setting at a time.
+
+    Each setting's basis change acts on its own copy of the state, gate by
+    gate, its counts are their own multinomial draw from the one generator,
+    and its tally is a pair of scalar dot products added to running sums.
+    The batched estimator must reproduce this bit for bit.
+    """
+    state = qsim.prepare_state(ansatz, params)
+    offset, tails, _, outcomes = qsim._measurement_plan(operator, grouping)
+    rng = np.random.default_rng(seed)
+    value, variance = offset, 0.0
+    for tail, values in zip(tails, outcomes):
+        rotated = state.copy()
+        for (qubit,), gate in tail:
+            qsim._apply_single(rotated, ansatz.qubits, qubit, gate)
+        probs = np.abs(rotated) ** 2
+        counts = rng.multinomial(shots, probs / probs.sum())
+        mean = float(counts @ values) / shots
+        var = 0.0
+        if shots > 1:
+            var = max(float(counts @ values**2) - shots * mean * mean, 0.0) / (shots - 1)
+        value += mean
+        variance += var / shots
+    return float(value), math.sqrt(variance), len(tails) * shots
+
+
 def trajectory_noisy_expectation(ansatz, params, operator, shots, noise, mitigate=True, grouping=True):
     """The noisy estimator as a Monte Carlo unravelling of its Pauli channel.
 
@@ -325,9 +354,9 @@ def trajectory_noisy_expectation(ansatz, params, operator, shots, noise, mitigat
     if readout is not None:
         confusion = qsim._total_confusion(readout)
         inverse = qsim._total_confusion([np.linalg.inv(m) for m in readout])
-    offset, settings = qsim._measurement_plan(operator, grouping)
-    value, variance = offset, 0.0
-    for tail, outcomes in settings:
+    offset, tails, _, outcomes = qsim._measurement_plan(operator, grouping)
+    tallied = np.zeros((len(tails), dim))
+    for s, tail in enumerate(tails):
         gates = base + [(touched, matrix, noise.p1) for touched, matrix in tail]
         prefixes = [np.zeros(dim, dtype=complex)]
         prefixes[0][0] = 1.0
@@ -365,7 +394,6 @@ def trajectory_noisy_expectation(ansatz, params, operator, shots, noise, mitigat
         if mitigate and inverse is not None:
             freq = np.clip(counts / shots @ inverse, 0.0, None)
             counts = shots * freq / freq.sum()
-        mean, var = qsim._tally(counts, outcomes, shots)
-        value += mean
-        variance += var
-    return value
+        tallied[s] = counts
+    value, _ = qsim._tally(tallied, outcomes, shots, offset)
+    return float(value)

@@ -19,8 +19,17 @@ from rotorvqe.driver import (
     run_vqe,
     seed_stream,
 )
-from rotorvqe import driver
-from rotorvqe.qsim import NOISY, SAMPLED, prepare_state, sampled_expectation
+from rotorvqe import driver, qsim
+from rotorvqe.qsim import (
+    NOISY,
+    SAMPLED,
+    NoiseSpec,
+    noisy_expectation,
+    prepare_state,
+    sampled_expectation,
+    sampled_expectations,
+    symmetric_confusion,
+)
 
 from conftest import LADDER, make_chain
 
@@ -148,11 +157,14 @@ def test_ensemble_worker_count_does_not_change_results(q2_problem):
 def test_sampled_ladder_never_reuses_an_evaluation_seed(monkeypatch):
     seen = []
 
-    def spy(*args, seed=None, **kwargs):
-        seen.append(tuple(seed))
-        return sampled_expectation(*args, seed=seed, **kwargs)
+    def spy(ansatz, points, operator, shots, seeds, grouping=True):
+        seen.extend(tuple(seed) for seed in seeds)
+        return sampled_expectations(ansatz, points, operator, shots, seeds, grouping)
 
-    monkeypatch.setattr(driver, "sampled_expectation", spy)
+    # batches reach the batched estimator through the driver's reference, and
+    # one-point estimates through `qsim.sampled_expectation`
+    monkeypatch.setattr(driver, "sampled_expectations", spy)
+    monkeypatch.setattr(qsim, "sampled_expectations", spy)
     config = quick_config(mode=SAMPLED, shots=200, iterations=5, restarts=2)
     run_hierarchical(LADDER[:2], config)
     # cold rung: 50 calibration probes + 11 SPSA evaluations per run; warm rung:
@@ -234,6 +246,29 @@ def test_distribution_study_statistics(q2_problem):
     assert spread < 6 * sampled.std / math.sqrt(24)
     again, _ = run_distribution_study(config, params, repetitions=24, problem=q2_problem)
     assert again.values == sampled.values
+
+
+@pytest.mark.parametrize("mitigate, grouping", [(True, True), (False, False)])
+def test_distribution_study_matches_per_repetition_estimates(q2_problem, mitigate, grouping):
+    # the noise model's own seed is replaced by each repetition's seed
+    noise = NoiseSpec(p1=0.01, p2=0.05, readout=symmetric_confusion(0.1), seed=99)
+    config = quick_config(shots=700, noise=noise, mitigate=mitigate, grouping=grouping)
+    params = np.linspace(-1.0, 2.0, 8)
+    sampled, noisy = run_distribution_study(config, params, repetitions=5, problem=q2_problem)
+    ansatz, op = q2_problem.ansatz, q2_problem.operator
+    want_sampled = [
+        sampled_expectation(ansatz, params, op, 700, grouping=grouping, seed=seed).value
+        for seed in seed_stream(config.seed + 7919, 5)
+    ]
+    want_noisy = [
+        noisy_expectation(
+            ansatz, params, op, 700, dataclasses.replace(noise, seed=seed),
+            mitigate=mitigate, grouping=grouping,
+        ).value
+        for seed in seed_stream(config.seed + 2 * 7919, 5)
+    ]
+    assert [v.hex() for v in sampled.values] == [v.hex() for v in want_sampled]
+    assert [v.hex() for v in noisy.values] == [v.hex() for v in want_noisy]
 
 
 def test_distribution_study_validation(q2_problem):

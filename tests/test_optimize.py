@@ -8,7 +8,6 @@ from rotorvqe.optimize import (
     ObjectiveSpec,
     OptTrace,
     SpsaConfig,
-    calibrate_spsa_gains,
     nelder_mead_minimize,
     spsa_minimize,
     trace_to_csv,
@@ -117,45 +116,3 @@ def test_trace_csv_round_trip_fields():
     assert int(first[0]) == trace.records[0].iteration
     assert float(first[1]) == trace.records[0].value
     assert tuple(float(v) for v in first[2:]) == trace.records[0].params
-
-
-def test_calibration_rules():
-    noiseless = ObjectiveSpec(quadratic(np.ones(3)), dimension=3, budget=10, seed=0)
-    gains = calibrate_spsa_gains(noiseless, trials=5)
-    assert gains.c == pytest.approx(0.01)
-    assert gains.a > 0
-
-    noisy = ObjectiveSpec(
-        quadratic(np.ones(3), noise=0.05), dimension=3, budget=10, seed=0
-    )
-    assert calibrate_spsa_gains(noisy, trials=5).c == pytest.approx(0.05)
-
-    with pytest.raises(ValueError):
-        calibrate_spsa_gains(noiseless, trials=0)
-
-    flat = ObjectiveSpec(lambda p: (1.0, 0.0), dimension=3, budget=10, seed=0)
-    assert calibrate_spsa_gains(flat, trials=3).a == SpsaConfig().a
-
-
-def first_hit(trace, threshold):
-    for i, value in enumerate(trace.eval_values):
-        if value < threshold:
-            return i
-    return len(trace.eval_values)
-
-
-def test_calibration_speeds_up_badly_scaled_problem():
-    # steep bowl, start near the bottom: default first steps overshoot,
-    # calibrated ones stay on the 0.1-rad scale and settle quickly
-    target = np.full(4, 2.0)
-    threshold = 20.0 * 1e-4  # value when within 1e-2 of the optimum
-    wins = 0
-    for seed in range(10):
-        x0 = target + np.random.default_rng(1000 + seed).normal(0, 0.3, 4)
-        obj = ObjectiveSpec(quadratic(target, scale=20.0), dimension=4, budget=1201, seed=seed)
-        default_trace = spsa_minimize(obj, x0=x0)
-        gains = calibrate_spsa_gains(obj, trials=10, x0=x0)
-        calibrated_trace = spsa_minimize(obj, config=gains, x0=x0)
-        if first_hit(calibrated_trace, threshold) < first_hit(default_trace, threshold):
-            wins += 1
-    assert wins >= 6

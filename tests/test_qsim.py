@@ -38,12 +38,14 @@ from rotorvqe.qsim import (
     prepare_states,
     sample_bitstrings,
     sampled_expectation,
+    sampled_expectations,
     symmetric_confusion,
 )
 
 from oracles import (
     kraus_outcome_distribution,
     serial_prepare_state,
+    serial_sampled_expectation,
     trajectory_noisy_expectation,
 )
 
@@ -224,6 +226,68 @@ def test_sampled_identity_operator_is_exact():
     assert est.std_error == 0.0
     assert est.shots_used == 0
     assert est.mode == SAMPLED
+
+
+def _bits(estimate):
+    return estimate.value.hex(), estimate.std_error.hex(), estimate.shots_used
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    qubits=st.integers(1, 4),
+    depth=st.integers(0, 2),
+    entangler=st.sampled_from([LINEAR, FULL]),
+    grouping=st.booleans(),
+    batch=st.sampled_from([1, 2, 37]),
+    data=st.data(),
+)
+def test_sampled_expectations_rows_match_single_estimates_bit_for_bit(
+    qubits, depth, entangler, grouping, batch, data
+):
+    ansatz = AnsatzSpec(qubits=qubits, depth=depth, entangler=entangler)
+    labels = data.draw(
+        st.lists(st.text("IXYZ", min_size=qubits, max_size=qubits), min_size=1, max_size=12, unique=True)
+    )
+    coefficients = data.draw(st.lists(st.floats(-3, 3), min_size=len(labels), max_size=len(labels)))
+    op = PauliOperator(
+        qubits=qubits,
+        strings=tuple(PauliString.from_label(label) for label in labels),
+        coefficients=tuple(coefficients),
+    )
+    points = data.draw(
+        arrays(np.float64, (batch, ansatz.parameter_count), elements=st.floats(-50, 50))
+    )
+    seeds = data.draw(
+        st.lists(st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 1300)), min_size=batch, max_size=batch)
+    )
+    shots = data.draw(st.sampled_from([1, 2, 20000]) | st.integers(1, 5000))
+    order = data.draw(st.permutations(range(batch)))
+
+    rows = sampled_expectations(ansatz, points, op, shots, seeds, grouping=grouping)
+    shuffled = sampled_expectations(
+        ansatz, points[order], op, shots, [seeds[i] for i in order], grouping=grouping
+    )
+    assert len(rows) == batch
+    for b in range(batch):
+        alone = sampled_expectation(ansatz, points[b], op, shots, grouping=grouping, seed=seeds[b])
+        assert alone.mode == rows[b].mode == SAMPLED
+        assert _bits(rows[b]) == _bits(alone)
+        assert _bits(shuffled[order.index(b)]) == _bits(alone)
+        value, std_error, used = serial_sampled_expectation(
+            ansatz, points[b], op, shots, grouping=grouping, seed=seeds[b]
+        )
+        assert _bits(alone) == (value.hex(), std_error.hex(), used)
+
+
+def test_sampled_expectations_validation():
+    ansatz = AnsatzSpec(qubits=1, depth=0)
+    points = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="one seed per point"):
+        sampled_expectations(ansatz, points, single_z(), 10, [1, 2])
+    with pytest.raises(ValueError):
+        sampled_expectations(ansatz, np.zeros((3, 3)), single_z(), 10, [1, 2, 3])
+    with pytest.raises(ValueError):
+        sampled_expectations(ansatz, points, single_z(), 0, [1, 2, 3])
 
 
 def test_sampled_expectation_reproducible_and_unbiased():
