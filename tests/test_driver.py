@@ -21,6 +21,7 @@ from rotorvqe.driver import (
 )
 from rotorvqe import driver, qsim
 from rotorvqe.qsim import (
+    EXACT,
     NOISY,
     SAMPLED,
     NoiseSpec,
@@ -118,6 +119,16 @@ def test_run_vqe_statistical_modes(q2_problem):
         assert run.trace.n_evaluations == 41
     again = run_vqe(quick_config(mode=SAMPLED, shots=256, iterations=20), q2_problem)
     assert sampled.value == again.value
+
+
+@pytest.mark.parametrize("mode", [EXACT, SAMPLED, NOISY])
+@pytest.mark.parametrize("gain_policy", [CALIBRATED, FIXED])
+def test_run_vqe_is_the_first_run_of_a_one_restart_ensemble(q2_problem, mode, gain_policy):
+    config = quick_config(mode=mode, gain_policy=gain_policy, shots=256, iterations=20)
+    run = run_vqe(config, q2_problem)
+    stats = run_ensemble(dataclasses.replace(config, restarts=1), q2_problem)
+    assert run.value.hex() == stats.values[0].hex()
+    assert [p.hex() for p in run.params] == [p.hex() for p in stats.best_params]
 
 
 def test_nelder_mead_runs_under_same_budget(q2_problem):
