@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -43,6 +44,11 @@ def _emit(path, rows, header) -> None:
     if path is None:
         return
     if str(path).endswith(".json"):
+        # JSON has no NaN: a missing value, such as a cold rung's start, is null
+        rows = [
+            {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in row.items()}
+            for row in rows
+        ]
         _write(path, json.dumps(rows, indent=2) + "\n")
         return
     lines = [",".join(header)]
@@ -255,8 +261,13 @@ def _cmd_hierarchical(args, settings) -> int:
 def _cmd_dist_study(args, settings) -> int:
     config, problem = _problem(settings)
     if args.params:
-        with open(args.params, encoding="utf-8") as handle:
-            params = json.load(handle)
+        try:
+            with open(args.params, encoding="utf-8") as handle:
+                params = json.load(handle)
+        except OSError as exc:
+            raise ConfigError(f"cannot read params {args.params}: {exc}") from None
+        if not isinstance(params, list):
+            raise ValueError(f"params file {args.params} must hold a JSON list of angles")
     else:
         params = run_ensemble(config, problem).best_params
     studies = run_distribution_study(

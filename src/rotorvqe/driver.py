@@ -6,10 +6,14 @@ count.  Cold-start SPSA runs calibrate the step gain per run by probing the
 objective at the initial point; warm-started runs keep the configured gains,
 because a gradient probe at an already-converged point is degenerate.
 
-The SPSA runs of an ensemble or of a warm-start rung go through the optimizer
-in lockstep: one batch for all calibration probes, then one batch of every
-run's probe pair per iteration.  Each run keeps its own random streams and
-evaluation seeds, so its result is bit-identical to the run made alone.
+Every SPSA run goes through the optimizer as a lockstep batch: the restarts
+of an ensemble or of a warm-start rung together, and a single `vqe` run as a
+batch of one.  A batch makes one evaluation for all calibration probes, then
+one of every run's probe pair per iteration, `iterations` times, and one of
+the terminal points.  Each run keeps its own random streams and evaluation
+seeds, so its result is bit-identical to the run made alone.  One batch
+evaluator serves every mode and every caller; Nelder-Mead and the warm-start
+probe pass it one row at a time.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ from .optimize import (
     ObjectiveSpec,
     OptTrace,
     SpsaConfig,
+    TraceRecord,
+    finish_trace,
     nelder_mead_minimize,
     spsa_lockstep,
-    spsa_minimize,
 )
 from .paulimap import PauliOperator, map_operator
 from .potential import ChainSpec, DihedralSpec
@@ -49,7 +54,6 @@ from .qsim import (
     NoiseSpec,
     _noisy_estimates,
     embed_params,
-    noisy_expectation,
     prepare_state,
     prepare_states,
     sampled_expectation,
@@ -190,61 +194,17 @@ def _energies(states: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return np.matmul(bra, states[:, :, None])[:, 0, 0].real
 
 
-def _evaluator(problem: Problem, config: VqeConfig, run_seed: int):
-    """Objective closure for one run; statistical modes reseed per evaluation."""
-    if config.mode == EXACT:
-
-        def evaluate(params):
-            states = prepare_states(problem.ansatz, np.asarray(params, dtype=float)[None, :])
-            return float(_energies(states, problem.matrix)[0]), 0.0
-
-        return evaluate
-
-    counter = [0]
-
-    def evaluate(params):
-        eval_seed = [run_seed & _MASK64, counter[0]]
-        counter[0] += 1
-        if config.mode == SAMPLED:
-            est = sampled_expectation(
-                problem.ansatz,
-                params,
-                problem.operator,
-                config.shots,
-                grouping=config.grouping,
-                seed=eval_seed,
-            )
-        else:
-            noise = dataclasses.replace(config.noise, seed=tuple(eval_seed))
-            est = noisy_expectation(
-                problem.ansatz,
-                params,
-                problem.operator,
-                config.shots,
-                noise,
-                mitigate=config.mitigate,
-                grouping=config.grouping,
-            )
-        return est.value, est.std_error
-
-    return evaluate
-
-
 def _batch_evaluator(problem: Problem, config: VqeConfig, run_seeds):
     """Objective over stacked points[B, P], row i belonging to run i % len(run_seeds).
 
-    Exact and sampled modes evaluate the whole batch in one call; noisy mode
-    calls the per-point estimator row by row.  Each run keeps its own
-    evaluation counter, so every run sees the evaluation seeds it would see
-    alone.
+    The one way to evaluate an objective: a single point is a batch of one
+    row.  Exact and sampled modes evaluate the whole batch in one call; noisy
+    mode evolves each row's density matrix in turn.  Statistical modes seed
+    every evaluation with [run seed, run's evaluation count], so every run
+    sees the evaluation seeds it would see alone.
     """
     if config.mode == EXACT:
         return lambda points: _energies(prepare_states(problem.ansatz, points), problem.matrix)
-    if config.mode == NOISY:
-        singles = [_evaluator(problem, config, seed) for seed in run_seeds]
-        return lambda points: np.array(
-            [singles[i % len(singles)](point)[0] for i, point in enumerate(points)]
-        )
     counters = [0] * len(run_seeds)
 
     def evaluate(points):
@@ -253,9 +213,18 @@ def _batch_evaluator(problem: Problem, config: VqeConfig, run_seeds):
             run = i % len(run_seeds)
             seeds.append([run_seeds[run] & _MASK64, counters[run]])
             counters[run] += 1
-        estimates = sampled_expectations(
-            problem.ansatz, points, problem.operator, config.shots, seeds, grouping=config.grouping
-        )
+        if config.mode == SAMPLED:
+            estimates = sampled_expectations(
+                problem.ansatz, points, problem.operator, config.shots, seeds, grouping=config.grouping
+            )
+        else:
+            estimates = [
+                _noisy_estimates(
+                    problem.ansatz, point, problem.operator, config.shots, config.noise, [seed],
+                    config.mitigate, config.grouping,
+                )[0]
+                for point, seed in zip(points, seeds)
+            ]
         return np.array([est.value for est in estimates])
 
     return evaluate
@@ -293,16 +262,6 @@ def _calibrated_gains(evaluate, x0: np.ndarray, config: VqeConfig, run_seeds) ->
     return np.array([cfg.a if g <= 0.0 else step / float(g) for g in gradient_scale])
 
 
-def _calibrated_gain(evaluate, x0: np.ndarray, config: VqeConfig, run_seed: int) -> SpsaConfig:
-    """`_calibrated_gains` for one run and its per-point objective."""
-
-    def evaluate_batch(points):
-        return [evaluate(point)[0] for point in points]
-
-    (a,) = _calibrated_gains(evaluate_batch, np.asarray(x0, dtype=float)[None, :], config, (run_seed,))
-    return dataclasses.replace(config.spsa, a=float(a))
-
-
 @dataclass(frozen=True)
 class VqeRun:
     """Outcome of a single variational optimization."""
@@ -334,18 +293,57 @@ def _start_points(problem: Problem, run_seeds, x0=None) -> np.ndarray:
     )
 
 
+def _lockstep_runs(
+    problem: Problem, config: VqeConfig, run_seeds, x0=None, calibrate=None, observe=None, spent=None
+):
+    """SPSA runs for `run_seeds` in lockstep; (value, params) per run, in seed order.
+
+    Each run keeps its own direction stream, calibrated gain, evaluation seeds
+    and running best, so its result is bit-identical to the run made alone.
+    `observe` goes to `spsa_lockstep`, and `spent(values)` sees every batch
+    of values the descent evaluates; calibration probes reach neither.
+    """
+    evaluate = _batch_evaluator(problem, config, run_seeds)
+    starts = _start_points(problem, run_seeds, x0)
+    if calibrate is None:
+        calibrate = config.gain_policy == CALIBRATED
+    gains = _calibrated_gains(evaluate, starts, config, run_seeds) if calibrate else None
+
+    def descend(points):
+        values = evaluate(points)
+        if spent is not None:
+            spent(values)
+        return values
+
+    values, params = spsa_lockstep(
+        descend, starts, run_seeds, config.iterations, config.spsa, a=gains, observe=observe
+    )
+    return [(float(value), tuple(point)) for value, point in zip(values, params)]
+
+
 def _single_run(problem: Problem, config: VqeConfig, run_seed: int, x0=None, calibrate=None) -> VqeRun:
-    evaluate = _evaluator(problem, config, run_seed)
-    dim = problem.ansatz.parameter_count
-    (x0,) = _start_points(problem, (run_seed,), x0)
-    obj = ObjectiveSpec(evaluate, dim, config.budget, seed=run_seed)
+    """One run: an SPSA lockstep batch of one, or Nelder-Mead on a one-row objective."""
     if config.optimizer == NELDER_MEAD:
-        trace = nelder_mead_minimize(obj, config.nelder_mead, x0=x0)
+        evaluate = _batch_evaluator(problem, config, (run_seed,))
+        (start,) = _start_points(problem, (run_seed,), x0)
+        obj = ObjectiveSpec(
+            lambda point: float(evaluate(np.asarray(point, dtype=float)[None, :])[0]),
+            problem.ansatz.parameter_count,
+            config.budget,
+            seed=run_seed,
+        )
+        trace = nelder_mead_minimize(obj, config.nelder_mead, x0=start)
     else:
-        if calibrate is None:
-            calibrate = config.gain_policy == CALIBRATED
-        gains = _calibrated_gain(evaluate, x0, config, run_seed) if calibrate else config.spsa
-        trace = spsa_minimize(obj, gains, x0=x0)
+        records, eval_values = [], []
+
+        def observe(k, points, values):
+            records.append(TraceRecord(k, tuple(points[0]), float(values[0])))
+
+        _lockstep_runs(
+            problem, config, (run_seed,), x0, calibrate, observe,
+            lambda values: eval_values.extend(values.tolist()),
+        )
+        trace = finish_trace(records, eval_values, "budget")
     return VqeRun(
         value=trace.best_value,
         params=trace.best_params,
@@ -392,23 +390,6 @@ class EnsembleStats:
     @property
     def eps_avg(self) -> float:
         return 100.0 * (self.mean - self.reference) / self.reference
-
-
-def _lockstep_runs(problem: Problem, config: VqeConfig, run_seeds, x0=None, calibrate=None):
-    """SPSA runs for `run_seeds` in lockstep; (value, params) per run, in seed order.
-
-    Each run keeps its own direction stream, calibrated gain, evaluation seeds
-    and running best, so its result is bit-identical to the run made alone.
-    """
-    evaluate = _batch_evaluator(problem, config, run_seeds)
-    starts = _start_points(problem, run_seeds, x0)
-    if calibrate is None:
-        calibrate = config.gain_policy == CALIBRATED
-    gains = _calibrated_gains(evaluate, starts, config, run_seeds) if calibrate else None
-    values, params = spsa_lockstep(
-        evaluate, starts, run_seeds, config.iterations, config.spsa, a=gains
-    )
-    return [(float(value), tuple(point)) for value, point in zip(values, params)]
 
 
 def _run_chunk(args):
@@ -533,7 +514,7 @@ def run_hierarchical(ladder, config: VqeConfig) -> tuple:
             # the probe takes the seed after the runs' seeds, so its evaluation
             # seeds are not those of run 0's first probe
             probe_seed = seed_stream(config.seed + i, config.restarts + 1)[-1]
-            start_value = _evaluator(problem, rung_config, probe_seed)(x0)[0]
+            start_value = float(_batch_evaluator(problem, rung_config, (probe_seed,))(x0[None, :])[0])
             results = _run_batch(problem, rung_config, seeds, x0=x0, calibrate=False)
             results.append((start_value, tuple(float(v) for v in x0)))
         value, best_params = min(results, key=lambda pair: pair[0])

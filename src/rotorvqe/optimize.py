@@ -1,9 +1,12 @@
 """Derivative-free minimizers for the variational loop.
 
-Both optimizers charge every objective call against a shared evaluation
-budget, so runs with different algorithms are directly comparable.  An
-SPSA iteration costs two evaluations (the +/- probe pair) plus one final
-evaluation at the terminal point; Nelder-Mead pays per simplex move.
+SPSA runs in lockstep batches: `spsa_lockstep` steps every run of a batch
+together, one run being a batch of one, for a budget of `iterations`.  Each
+iteration costs two evaluations (the +/- probe pair), and one final
+evaluation at the terminal point follows, so `iterations` buys
+2*iterations + 1 evaluations.  Nelder-Mead pays per simplex move and stops
+at `ObjectiveSpec.budget` evaluations, so the driver gives it the same
+2*iterations + 1 and runs with either algorithm are directly comparable.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """A stochastic objective: params -> (value, std_error)."""
+    """A possibly stochastic objective: params -> value."""
 
     evaluator: Callable
     dimension: int
@@ -86,7 +89,8 @@ def trace_to_csv(trace: OptTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _finish(records, eval_values, termination):
+def finish_trace(records, eval_values, termination) -> OptTrace:
+    """The trace of a finished run; its best is the lowest record, the first one on ties."""
     best = min(records, key=lambda r: r.value)
     return OptTrace(
         records=tuple(records),
@@ -155,36 +159,6 @@ def spsa_lockstep(
     return best_values, best_params
 
 
-def spsa_minimize(obj: ObjectiveSpec, config: SpsaConfig = None, x0=None) -> OptTrace:
-    """Simultaneous-perturbation stochastic approximation descent.
-
-    Each iteration draws a Rademacher direction, probes x +/- c_k*delta,
-    and steps along the two-point gradient estimate.  The trace records
-    the better probe of every iteration and a final evaluation at the
-    terminal iterate.  This is the one-run case of `spsa_lockstep`.
-    """
-    eval_values = []
-    records = []
-
-    def evaluate(points):
-        values = [float(obj.evaluator(point)[0]) for point in points]
-        eval_values.extend(values)
-        return values
-
-    def observe(k, points, values):
-        records.append(TraceRecord(k, tuple(points[0]), float(values[0])))
-
-    spsa_lockstep(
-        evaluate,
-        _initial_point(obj, x0),
-        (obj.seed,),
-        (obj.budget - 1) // 2,
-        config,
-        observe=observe,
-    )
-    return _finish(records, eval_values, "budget")
-
-
 class _BudgetExhausted(Exception):
     pass
 
@@ -203,8 +177,7 @@ def nelder_mead_minimize(
     def call(point):
         if len(eval_values) >= obj.budget:
             raise _BudgetExhausted
-        value, _ = obj.evaluator(point)
-        value = float(value)
+        value = float(obj.evaluator(point))
         eval_values.append(value)
         if value < best_seen[1]:
             best_seen[0], best_seen[1] = tuple(point), value
@@ -267,4 +240,4 @@ def nelder_mead_minimize(
     if best_seen[0] is None:
         raise ValueError("budget too small to evaluate the starting point")
     records.append(TraceRecord(len(records), best_seen[0], best_seen[1]))
-    return _finish(records, eval_values, termination)
+    return finish_trace(records, eval_values, termination)

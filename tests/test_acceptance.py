@@ -22,12 +22,12 @@ from rotorvqe.chain import (
 )
 from rotorvqe.driver import (
     VqeConfig,
-    _calibrated_gain,
+    _single_run,
     build_problem,
     run_distribution_study,
     run_hierarchical,
 )
-from rotorvqe.optimize import ObjectiveSpec, nelder_mead_minimize, spsa_minimize
+from rotorvqe.optimize import ObjectiveSpec, nelder_mead_minimize
 from rotorvqe.paulimap import map_operator
 from rotorvqe.qsim import SAMPLED, prepare_state
 
@@ -211,7 +211,7 @@ def test_criterion_10_spsa_beats_nelder_mead_to_one_percent():
     config = production_config(kept=(4, 4), ladder=LADDER[:2])
 
     def evaluate(params):
-        return _exact_value(problem, params), 0.0
+        return _exact_value(problem, params)
 
     def crossing(values, offset=0):
         for i, value in enumerate(values):
@@ -225,8 +225,7 @@ def test_criterion_10_spsa_beats_nelder_mead_to_one_percent():
         dim = problem.ansatz.parameter_count
         x0 = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, dim)
         obj = ObjectiveSpec(evaluate, dim, budget=2 * 600 + 1, seed=seed)
-        gains = _calibrated_gain(evaluate, x0, config, seed)
-        spsa_cross = crossing(spsa_minimize(obj, gains, x0=x0).eval_values, offset=50)
+        spsa_cross = crossing(_single_run(problem, config, seed).trace.eval_values, offset=50)
         nm_cross = crossing(nelder_mead_minimize(obj, x0=x0).eval_values)
         if spsa_cross is not None and (nm_cross is None or spsa_cross < nm_cross):
             wins += 1

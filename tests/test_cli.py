@@ -122,6 +122,22 @@ def test_hierarchical_csv(tmp_path, quick_cfg):
     assert best[1] <= best[0] + 1e-12
 
 
+def test_hierarchical_json_is_strict(tmp_path, quick_cfg):
+    out = tmp_path / "ladder.json"
+    assert main([
+        "hierarchical", "--config", quick_cfg, "--set", "ladder=4,2;4,4",
+        "--set", "iterations=5", "--out", str(out),
+    ]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    rungs = json.loads(out.read_text(), parse_constant=reject)
+    # the cold rung has no start value
+    assert rungs[0]["start_value"] is None
+    assert isinstance(rungs[1]["start_value"], float)
+
+
 def test_dist_study_with_params_file(tmp_path, quick_cfg, capsys):
     params = tmp_path / "angles.json"
     params.write_text(json.dumps([0.3] * 8))
@@ -142,12 +158,19 @@ def test_exit_code_config_error(capsys):
     assert "unknown key" in capsys.readouterr().err
     assert main(["vqe", "--config", "/nonexistent.cfg"]) == 2
     assert main(["ensemble", "--set", "mode=warp"]) == 2
+    assert main(["dist-study", "--params", "/nonexistent.json"]) == 2
+    assert "cannot read params" in capsys.readouterr().err
 
 
-def test_exit_code_validation_error(capsys):
+def test_exit_code_validation_error(tmp_path, capsys):
     assert main(["reference", "--set", "diffusion=1,1"]) == 3
     assert "invalid value" in capsys.readouterr().err
     assert main(["hierarchical", "--set", "ladder=4,4;4,2", "--set", "iterations=1", "--set", "restarts=1"]) == 3
+    params = tmp_path / "angles.json"
+    params.write_text(json.dumps({"angles": [0.3] * 8}))
+    capsys.readouterr()
+    assert main(["dist-study", "--params", str(params)]) == 3
+    assert "JSON list" in capsys.readouterr().err
 
 
 def test_argparse_exits_are_returned(capsys):

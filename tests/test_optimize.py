@@ -3,64 +3,90 @@ import math
 import numpy as np
 import pytest
 
+from rotorvqe.driver import VqeConfig, run_vqe
 from rotorvqe.optimize import (
     NelderMeadConfig,
     ObjectiveSpec,
     OptTrace,
     SpsaConfig,
     nelder_mead_minimize,
-    spsa_minimize,
+    spsa_lockstep,
     trace_to_csv,
 )
 
+from conftest import make_chain
 
-def quadratic(target, scale=1.0, noise=0.0):
+
+def quadratic(target, scale=1.0):
     center = np.asarray(target, dtype=float)
 
     def evaluator(params):
-        return scale * float(np.sum((np.asarray(params) - center) ** 2)), noise
+        return scale * float(np.sum((np.asarray(params) - center) ** 2))
 
     return evaluator
 
 
+def one_run(evaluator, x0, seed, iterations):
+    """One SPSA run through `spsa_lockstep`: (best value, best params, evaluations, records)."""
+    evaluations = []
+    records = []
+
+    def evaluate(points):
+        values = [evaluator(point) for point in points]
+        evaluations.extend(values)
+        return values
+
+    def observe(k, points, values):
+        records.append((k, tuple(points[0]), float(values[0])))
+
+    values, params = spsa_lockstep(evaluate, x0, (seed,), iterations, observe=observe)
+    return float(values[0]), tuple(params[0]), evaluations, records
+
+
+def run_config(**overrides) -> VqeConfig:
+    base = dict(chain=make_chain(), kept_counts=(4, 2), restarts=1, seed=5)
+    base.update(overrides)
+    return VqeConfig(**base)
+
+
 def test_objective_validation():
     with pytest.raises(ValueError):
-        ObjectiveSpec(evaluator=lambda p: (0.0, 0.0), dimension=0, budget=10)
+        ObjectiveSpec(evaluator=lambda p: 0.0, dimension=0, budget=10)
     with pytest.raises(ValueError):
-        ObjectiveSpec(evaluator=lambda p: (0.0, 0.0), dimension=2, budget=0)
+        ObjectiveSpec(evaluator=lambda p: 0.0, dimension=2, budget=0)
     with pytest.raises(ValueError):
         SpsaConfig(a=0.0)
 
 
 def test_spsa_reaches_quadratic_optimum():
     target = np.linspace(1.0, 4.5, 8)
-    obj = ObjectiveSpec(quadratic(target), dimension=8, budget=2 * 600 + 1, seed=3)
-    trace = spsa_minimize(obj)
-    assert trace.n_evaluations == 1201
-    distance = math.sqrt(trace.best_value)
-    assert distance < 1e-2
-    assert trace.termination == "budget"
+    x0 = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, 8)
+    value, _, evaluations, _ = one_run(quadratic(target), x0, seed=3, iterations=600)
+    assert len(evaluations) == 2 * 600 + 1
+    assert math.sqrt(value) < 1e-2
 
 
 def test_spsa_budget_one_returns_start():
-    obj = ObjectiveSpec(quadratic([1.0, 1.0]), dimension=2, budget=1, seed=0)
     x0 = np.array([0.25, 0.75])
-    trace = spsa_minimize(obj, x0=x0)
-    assert trace.n_evaluations == 1
-    assert trace.best_params == (0.25, 0.75)
-    assert trace.best_value == pytest.approx(quadratic([1.0, 1.0])(x0)[0])
+    value, params, evaluations, records = one_run(quadratic([1.0, 1.0]), x0, seed=0, iterations=0)
+    assert len(evaluations) == 1
+    assert params == (0.25, 0.75)
+    assert value == pytest.approx(quadratic([1.0, 1.0])(x0))
+    assert records == [(0, (0.25, 0.75), value)]
 
 
 def test_spsa_deterministic():
-    obj = ObjectiveSpec(quadratic(np.ones(4)), dimension=4, budget=101, seed=11)
-    assert spsa_minimize(obj) == spsa_minimize(obj)
+    x0 = np.random.default_rng(11).uniform(0.0, 2.0 * math.pi, 4)
+    assert one_run(quadratic(np.ones(4)), x0, 11, 50) == one_run(quadratic(np.ones(4)), x0, 11, 50)
 
 
-def test_spsa_trace_bookkeeping():
-    obj = ObjectiveSpec(quadratic(np.ones(4) * 2), dimension=4, budget=241, seed=5)
-    trace = spsa_minimize(obj)
+def test_spsa_trace_bookkeeping(q2_problem):
+    trace = run_vqe(run_config(iterations=120), q2_problem).trace
+    assert isinstance(trace, OptTrace)
     assert len(trace.eval_values) == trace.n_evaluations == 241
     assert len(trace.records) == 120 + 1
+    assert [r.iteration for r in trace.records] == list(range(121))
+    assert trace.termination == "budget"
     assert trace.best_value == min(trace.eval_values)
     assert trace.best_value == min(r.value for r in trace.records)
     running = np.minimum.accumulate([r.value for r in trace.records])
@@ -68,14 +94,20 @@ def test_spsa_trace_bookkeeping():
 
 
 def test_spsa_iterates_stay_finite():
-    def bounded(params):
-        return float(np.sum(np.sin(params))), 0.0
+    # 100 runs in one lockstep batch, each from its own seed
+    seeds = tuple(range(100))
+    x0 = np.array([np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, 3) for seed in seeds])
+    seen = []
 
-    for seed in range(100):
-        obj = ObjectiveSpec(bounded, dimension=3, budget=41, seed=seed)
-        trace = spsa_minimize(obj)
-        assert np.all(np.isfinite(trace.best_params))
-        assert np.all(np.isfinite(trace.eval_values))
+    def observe(k, points, values):
+        seen.append((points.copy(), values.copy()))
+
+    values, params = spsa_lockstep(
+        lambda points: np.sum(np.sin(points), axis=1), x0, seeds, 20, observe=observe
+    )
+    assert len(seen) == 21
+    assert all(np.all(np.isfinite(points)) and np.all(np.isfinite(v)) for points, v in seen)
+    assert np.all(np.isfinite(values)) and np.all(np.isfinite(params))
 
 
 def test_nelder_mead_two_dim_quadratic():
@@ -105,12 +137,11 @@ def test_nelder_mead_deterministic():
     assert nelder_mead_minimize(obj) == nelder_mead_minimize(obj)
 
 
-def test_trace_csv_round_trip_fields():
-    obj = ObjectiveSpec(quadratic([1.0, 2.0]), dimension=2, budget=21, seed=7)
-    trace = spsa_minimize(obj)
+def test_trace_csv_round_trip_fields(q2_problem):
+    trace = run_vqe(run_config(iterations=10, seed=7), q2_problem).trace
     text = trace_to_csv(trace)
     lines = text.strip().split("\n")
-    assert lines[0] == "iteration,value,p0,p1"
+    assert lines[0] == "iteration,value," + ",".join(f"p{i}" for i in range(8))
     assert len(lines) == len(trace.records) + 1
     first = lines[1].split(",")
     assert int(first[0]) == trace.records[0].iteration
