@@ -24,7 +24,6 @@ what lets a small-register optimization warm-start a larger one.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -222,39 +221,3 @@ def rate_constant(lambda1: float) -> float:
     if lambda1 < -1e-12:
         raise ValueError(f"relaxation eigenvalue must be >= 0, got {lambda1}")
     return 0.5 * lambda1
-
-
-def propagate_distribution(matrix: np.ndarray, coefficients, tau: float) -> np.ndarray:
-    """Relax an initial coefficient vector for time tau: exp(-tau*G) @ c."""
-    if tau < 0.0:
-        raise ValueError("tau must be >= 0")
-    coefficients = np.asarray(coefficients, dtype=float)
-    if coefficients.shape != (matrix.shape[0],):
-        raise ValueError(
-            f"coefficient vector of length {matrix.shape[0]} expected, got {coefficients.shape}"
-        )
-    w, v = reference_spectrum(matrix)
-    return v @ (np.exp(-w * tau) * (v.T @ coefficients))
-
-
-def matrix_to_text(matrix: np.ndarray) -> str:
-    """Row-major plain text dump, 17 significant digits per entry."""
-    lines = [" ".join(f"{x:.17g}" for x in row) for row in np.asarray(matrix, dtype=float)]
-    return "\n".join(lines) + "\n"
-
-
-def matrix_to_json(matrix: np.ndarray) -> str:
-    """JSON dump {"dimension": J, "rows": [...]}, 17 significant digits."""
-    matrix = np.asarray(matrix, dtype=float)
-    rows = ",\n    ".join(
-        "[" + ", ".join(f"{x:.17g}" for x in row) + "]" for row in matrix
-    )
-    return '{\n  "dimension": %d,\n  "rows": [\n    %s\n  ]\n}\n' % (matrix.shape[0], rows)
-
-
-def matrix_from_json(text: str) -> np.ndarray:
-    data = json.loads(text)
-    out = np.array(data["rows"], dtype=float)
-    if out.shape != (data["dimension"], data["dimension"]):
-        raise ValueError("dimension field does not match row data")
-    return out

@@ -43,36 +43,6 @@ _DEGENERACY_TOL = 1e-9
 _CONVERGENCE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class FourierBasis:
-    """Truncated orthonormal Fourier basis with `harmonics` harmonics."""
-
-    harmonics: int
-
-    def __post_init__(self):
-        if self.harmonics < 1:
-            raise ValueError("need at least one harmonic")
-
-    @property
-    def size(self) -> int:
-        return 2 * self.harmonics + 1
-
-    def parities(self) -> np.ndarray:
-        return fourier_parities(self.harmonics)
-
-    def evaluate(self, index: int, theta):
-        """Value of one normalized basis function at `theta`."""
-        if not 0 <= index < self.size:
-            raise ValueError(f"basis index {index} out of range")
-        theta = np.asarray(theta, dtype=float)
-        if index == 0:
-            return np.full_like(theta, 1.0 / math.sqrt(2.0 * math.pi))
-        n = (index + 1) // 2
-        if index % 2 == 1:
-            return np.cos(n * theta) / math.sqrt(math.pi)
-        return np.sin(n * theta) / math.sqrt(math.pi)
-
-
 def fourier_parities(harmonics: int) -> np.ndarray:
     """Parity under theta -> -theta of each basis function (+1 or -1)."""
     p = np.ones(2 * harmonics + 1, dtype=int)

@@ -571,6 +571,8 @@ def run_distribution_study(
         raise ValueError(
             f"expected {problem.ansatz.parameter_count} parameters, got {len(params)}"
         )
+    if not np.isfinite(params).all():
+        raise ValueError("every parameter must be a finite angle")
     state = prepare_state(problem.ansatz, params)
     exact_value = float(_energies(state[None, :], problem.matrix)[0])
     noise = config.noise if config.noise is not None else NoiseSpec()

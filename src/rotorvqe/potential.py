@@ -102,19 +102,3 @@ def potential_d2(spec: DihedralSpec, theta):
     series = cosine_series(spec)
     out = sum(-n * n * c * np.cos(n * np.asarray(theta, dtype=float)) for n, c in series.items())
     return float(out) if np.isscalar(theta) else out
-
-
-def boltzmann_weight(chain: ChainSpec, thetas) -> float:
-    """Unnormalized equilibrium weight exp(-sum_k U_k(theta_k)).
-
-    `thetas` must supply one angle per dihedral.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.shape != (chain.n_dihedrals,):
-        raise ValueError(
-            f"expected {chain.n_dihedrals} dihedral angles, got shape {thetas.shape}"
-        )
-    total = sum(
-        potential_value(spec, float(t)) for spec, t in zip(chain.dihedrals, thetas)
-    )
-    return math.exp(-total)

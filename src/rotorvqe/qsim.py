@@ -205,9 +205,10 @@ def prepare_states(ansatz: AnsatzSpec, params) -> np.ndarray:
         states = states.reshape(batch, -1)
     states = states.take(final, axis=1)
     norms = np.sum(np.abs(states) ** 2, axis=1)
-    drifted = np.abs(norms - 1.0) > _NORM_TOL
-    if np.any(drifted):
-        raise RuntimeError(f"state norm drifted to {float(norms[drifted][0])}")
+    # written so that a NaN norm, from a non-finite angle, fails too
+    within = np.abs(norms - 1.0) <= _NORM_TOL
+    if not within.all():
+        raise RuntimeError(f"state norm drifted to {float(norms[~within][0])}")
     return states
 
 
@@ -261,13 +262,12 @@ class NoiseSpec:
 
     `readout` is either None (ideal), one 2x2 row-stochastic matrix
     P(measured|true) shared by all qubits, or a per-qubit tuple of such
-    matrices.  The seed drives every stochastic choice of a noisy run.
+    matrices.
     """
 
     p1: float = 2e-4
     p2: float = 7e-3
     readout: tuple = symmetric_confusion(2e-2)
-    seed: int = 0
 
     def __post_init__(self):
         for name, p in (("p1", self.p1), ("p2", self.p2)):
@@ -525,7 +525,7 @@ def _noisy_distributions(ansatz: AnsatzSpec, values: np.ndarray, noise: NoiseSpe
 
 
 def _noisy_estimates(ansatz, params, operator, shots, noise, seeds, mitigate, grouping) -> tuple:
-    """`noisy_expectation` once per seed in `seeds`, in place of `noise.seed`; evolves rho once."""
+    """`noisy_expectation` once per seed in `seeds`; evolves rho once."""
     if ansatz.qubits != operator.qubits:
         raise ValueError("ansatz and operator registers differ")
     if shots < 1:
@@ -559,6 +559,7 @@ def noisy_expectation(
     noise: NoiseSpec,
     mitigate: bool = True,
     grouping: bool = True,
+    seed=None,
 ) -> ExpectationEstimate:
     """Estimate <operator> under depolarizing gate faults and readout error.
 
@@ -567,11 +568,11 @@ def noisy_expectation(
     p1 (rotations) or p2 (CNOTs).  The density matrix is evolved through
     this channel exactly, the readout confusion maps its diagonal to each
     setting's outcome distribution, and the settings' counts are one
-    multinomial draw from them, seeded by `noise.seed`.  Mitigation inverts
+    multinomial draw from them, seeded by `seed`.  Mitigation inverts
     the readout confusion on the measured frequencies, clipping negative
     entries and renormalizing.
     """
-    return _noisy_estimates(ansatz, params, operator, shots, noise, [noise.seed], mitigate, grouping)[0]
+    return _noisy_estimates(ansatz, params, operator, shots, noise, [seed], mitigate, grouping)[0]
 
 
 def embed_params(ansatz: AnsatzSpec, params) -> np.ndarray:

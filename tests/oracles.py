@@ -300,7 +300,9 @@ def serial_sampled_expectation(ansatz, params, operator, shots, grouping=True, s
     return float(value), math.sqrt(variance), len(tails) * shots
 
 
-def trajectory_noisy_expectation(ansatz, params, operator, shots, noise, mitigate=True, grouping=True):
+def trajectory_noisy_expectation(
+    ansatz, params, operator, shots, noise, mitigate=True, grouping=True, seed=None
+):
     """The noisy estimator as a Monte Carlo unravelling of its Pauli channel.
 
     Shots are split into a fault-free bulk (one multinomial draw from the
@@ -315,7 +317,7 @@ def trajectory_noisy_expectation(ansatz, params, operator, shots, noise, mitigat
     qubits = ansatz.qubits
     dim = 1 << qubits
     angles = [float(v) for v in np.asarray(params, dtype=float).ravel()]
-    rng = np.random.default_rng(noise.seed)
+    rng = np.random.default_rng(seed)
     paulis = [None, PAULI_1Q["X"], PAULI_1Q["Y"], PAULI_1Q["Z"]]
 
     def rotation(kind, theta):

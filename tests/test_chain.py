@@ -1,17 +1,10 @@
-import io
-import math
-
 import numpy as np
 import pytest
 
 from rotorvqe.chain import (
     build_chain_matrix,
     build_composite_basis,
-    matrix_from_json,
-    matrix_to_json,
-    matrix_to_text,
     pad_matrix,
-    propagate_distribution,
     rate_constant,
     reference_spectrum,
 )
@@ -174,24 +167,6 @@ def test_rate_constant():
         rate_constant(-1.0)
 
 
-def test_propagation():
-    basis = build_composite_basis(standard_chain(), (4, 2), ladder=ladder_for((4, 2)))
-    mat = build_chain_matrix(basis)
-    w, v = reference_spectrum(mat)
-    c0 = np.array([1.0, 0.2, -0.1, 0.05])
-    assert np.allclose(propagate_distribution(mat, c0, 0.0), c0, atol=1e-10)
-    # a pure relaxation mode decays with its own eigenvalue
-    tau = 0.7
-    out = propagate_distribution(mat, v[:, 0], tau)
-    assert np.allclose(out, math.exp(-w[0] * tau) * v[:, 0], atol=1e-10)
-    # everything decays eventually (no zero mode in the odd sector)
-    assert np.linalg.norm(propagate_distribution(mat, c0, 50.0)) < 1e-6
-    with pytest.raises(ValueError):
-        propagate_distribution(mat, c0, -1.0)
-    with pytest.raises(ValueError):
-        propagate_distribution(mat, c0[:3], 1.0)
-
-
 def test_padding():
     chain = standard_chain()
     basis = build_composite_basis(chain, (3, 2))
@@ -211,15 +186,6 @@ def test_padding():
     assert np.array_equal(pad_matrix(fmat, 2), fmat)
     with pytest.raises(ValueError):
         pad_matrix(fmat, 1)
-
-
-def test_matrix_exports_round_trip():
-    basis = build_composite_basis(standard_chain(), (4, 2), ladder=ladder_for((4, 2)))
-    mat = build_chain_matrix(basis)
-    parsed_text = np.loadtxt(io.StringIO(matrix_to_text(mat)))
-    assert np.array_equal(parsed_text, mat)
-    parsed_json = matrix_from_json(matrix_to_json(mat))
-    assert np.array_equal(parsed_json, mat)
 
 
 def test_basis_validation():

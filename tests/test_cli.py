@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,17 @@ from rotorvqe.cli import main
 from rotorvqe.paulimap import operator_from_text
 
 from oracles import dense_from_labels
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# acceptance criterion 01's pinned eigenvalues, keyed by shipped config file
+# (None: the built-in defaults)
+PINNED_LAMBDA1 = {
+    None: 1.51562,
+    "q3.cfg": 1.47537,
+    "q4.cfg": 1.47531,
+    "barrier3.cfg": 0.33310,
+}
+SHIPPED = sorted({p.name for p in CONFIG_DIR.glob("*.cfg")} | (PINNED_LAMBDA1.keys() - {None}))
 
 
 @pytest.fixture
@@ -35,6 +47,18 @@ def test_reference_csv(tmp_path):
     fields = row.split(",")
     assert fields[0] == "4/4" and fields[2] == "3"
     assert float(fields[3]) == pytest.approx(1.4753736, rel=1e-5)
+
+
+@pytest.mark.parametrize("name", [None] + SHIPPED)
+def test_shipped_configs_reproduce_pinned_eigenvalues(tmp_path, name):
+    assert name in PINNED_LAMBDA1, f"configs/{name} has no pinned eigenvalue"
+    out = tmp_path / "ref.json"
+    argv = ["reference", "--out", str(out)]
+    if name is not None:
+        argv += ["--config", str(CONFIG_DIR / name)]
+    assert main(argv) == 0  # a pinned config missing from configs/ exits 2
+    lambda1 = json.loads(out.read_text())[0]["lambda1"]
+    assert lambda1 == pytest.approx(PINNED_LAMBDA1[name], rel=5e-4)
 
 
 def test_map_writes_loadable_operator(tmp_path, capsys):
@@ -171,6 +195,11 @@ def test_exit_code_validation_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["dist-study", "--params", str(params)]) == 3
     assert "JSON list" in capsys.readouterr().err
+    # JSON null loads as NaN and Infinity as inf; neither is an angle
+    for text in ("[" + ", ".join(["null"] * 8) + "]", "[Infinity" + ", 0.3" * 7 + "]"):
+        params.write_text(text)
+        assert main(["dist-study", "--params", str(params)]) == 3
+        assert "finite angle" in capsys.readouterr().err
 
 
 def test_argparse_exits_are_returned(capsys):

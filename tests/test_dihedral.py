@@ -6,7 +6,6 @@ import pytest
 import oracles
 from rotorvqe.dihedral import (
     DihedralEigenbasis,
-    FourierBasis,
     build_single_dihedral_matrix,
     derivative_matrix_elements,
     diagonalize_dihedral,
@@ -29,28 +28,12 @@ CASES = [
 ]
 
 
-def test_basis_size_and_parities():
-    basis = FourierBasis(harmonics=3)
-    assert basis.size == 7
-    assert list(basis.parities()) == [1, 1, -1, 1, -1, 1, -1]
-    with pytest.raises(ValueError):
-        FourierBasis(harmonics=0)
-
-
-def test_basis_orthonormal_by_quadrature():
-    basis = FourierBasis(harmonics=4)
-    theta = oracles.grid(2048)
-    for i in range(basis.size):
-        fi = basis.evaluate(i, theta)
-        for j in range(i, basis.size):
-            overlap = oracles.integrate(fi * basis.evaluate(j, theta))
-            assert overlap == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
-
-
 def test_free_rotor_matrix_is_exact_diagonal():
     for kind in (MONOSTABLE, BISTABLE):
         mat = build_single_dihedral_matrix(DihedralSpec(kind, 0.0), 2.0, harmonics=3)
         assert np.array_equal(mat, np.diag([0.0, 2.0, 2.0, 8.0, 8.0, 18.0, 18.0]))
+    # the constant and the cosines are even, the sines odd
+    assert list(fourier_parities(3)) == [1, 1, -1, 1, -1, 1, -1]
 
 
 def test_constant_element_monostable():

@@ -261,8 +261,7 @@ def test_distribution_study_statistics(q2_problem):
 
 @pytest.mark.parametrize("mitigate, grouping", [(True, True), (False, False)])
 def test_distribution_study_matches_per_repetition_estimates(q2_problem, mitigate, grouping):
-    # the noise model's own seed is replaced by each repetition's seed
-    noise = NoiseSpec(p1=0.01, p2=0.05, readout=symmetric_confusion(0.1), seed=99)
+    noise = NoiseSpec(p1=0.01, p2=0.05, readout=symmetric_confusion(0.1))
     config = quick_config(shots=700, noise=noise, mitigate=mitigate, grouping=grouping)
     params = np.linspace(-1.0, 2.0, 8)
     sampled, noisy = run_distribution_study(config, params, repetitions=5, problem=q2_problem)
@@ -273,8 +272,7 @@ def test_distribution_study_matches_per_repetition_estimates(q2_problem, mitigat
     ]
     want_noisy = [
         noisy_expectation(
-            ansatz, params, op, 700, dataclasses.replace(noise, seed=seed),
-            mitigate=mitigate, grouping=grouping,
+            ansatz, params, op, 700, noise, mitigate=mitigate, grouping=grouping, seed=seed,
         ).value
         for seed in seed_stream(config.seed + 2 * 7919, 5)
     ]

@@ -9,7 +9,6 @@ from rotorvqe.potential import (
     MONOSTABLE,
     ChainSpec,
     DihedralSpec,
-    boltzmann_weight,
     cosine_series,
     potential_d1,
     potential_d2,
@@ -89,18 +88,6 @@ def test_chain_validation():
     assert chain.n_rotors == 3
 
 
-def test_boltzmann_weight_at_minima():
-    chain = ChainSpec(
-        dihedrals=(DihedralSpec(BISTABLE, 0.5), DihedralSpec(MONOSTABLE, 1.0)),
-        diffusion=(1.0, 1.0, 1.0),
-    )
-    assert boltzmann_weight(chain, [math.pi / 2, 0.0]) == pytest.approx(1.0)
-    expected = math.exp(-(0.5 + 1.0))
-    assert boltzmann_weight(chain, [0.0, math.pi]) == pytest.approx(expected)
-    with pytest.raises(ValueError):
-        boltzmann_weight(chain, [0.0])
-
-
 @given(kinds, barriers, angles)
 def test_first_derivative_consistent(kind, barrier, theta):
     spec = DihedralSpec(kind, barrier)
@@ -125,10 +112,3 @@ def test_even_and_periodic(kind, barrier, theta):
     assert potential_value(spec, theta) == pytest.approx(
         potential_value(spec, theta + 2 * math.pi), abs=tol
     )
-
-
-@given(kinds, barriers, angles)
-def test_weight_positive_and_bounded(kind, barrier, theta):
-    chain = ChainSpec(dihedrals=(DihedralSpec(kind, barrier),), diffusion=(1.0, 1.0))
-    w = boltzmann_weight(chain, [theta])
-    assert 0.0 < w <= 1.0 + 1e-12

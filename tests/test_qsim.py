@@ -178,6 +178,19 @@ def test_prepare_states_validates_shape():
         prepare_states(ansatz, np.zeros((3, 7)))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # cos(inf)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_prepare_states_rejects_non_finite_angles(bad):
+    # a NaN norm compares False against any tolerance, so the guard must fail it too
+    ansatz = AnsatzSpec(qubits=2)
+    with pytest.raises(RuntimeError, match="norm drifted"):
+        prepare_state(ansatz, [bad] + [0.0] * 7)
+    batch = np.zeros((3, 8))
+    batch[1, 4] = bad
+    with pytest.raises(RuntimeError, match="norm drifted"):
+        prepare_states(ansatz, batch)
+
+
 def test_exact_expectation_basics():
     zero = np.array([1.0, 0.0])
     assert exact_expectation(zero, single_z()) == pytest.approx(1.0)
@@ -353,7 +366,7 @@ def test_zero_noise_matches_sampled_distribution():
     ]
     noisy = [
         noisy_expectation(
-            ansatz, params, op, 2000, noise=NoiseSpec(p1=0.0, p2=0.0, readout=None, seed=s)
+            ansatz, params, op, 2000, noise=NoiseSpec(p1=0.0, p2=0.0, readout=None), seed=s
         ).value
         for s in range(150)
     ]
@@ -368,7 +381,7 @@ def test_depolarizing_pulls_toward_mixed_state():
     op = single_z()
     values = [
         noisy_expectation(
-            ansatz, params, op, 20000, noise=NoiseSpec(p1=0.05, p2=0.0, readout=None, seed=s)
+            ansatz, params, op, 20000, noise=NoiseSpec(p1=0.05, p2=0.0, readout=None), seed=s
         ).value
         for s in range(100)
     ]
@@ -385,14 +398,14 @@ def test_readout_mitigation_recovers_exact_value():
     mitigated = [
         noisy_expectation(
             ansatz, params, op, 20000,
-            noise=NoiseSpec(p1=0.0, p2=0.0, readout=flip, seed=s), mitigate=True,
+            noise=NoiseSpec(p1=0.0, p2=0.0, readout=flip), mitigate=True, seed=s,
         ).value
         for s in range(60)
     ]
     raw = [
         noisy_expectation(
             ansatz, params, op, 20000,
-            noise=NoiseSpec(p1=0.0, p2=0.0, readout=flip, seed=s), mitigate=False,
+            noise=NoiseSpec(p1=0.0, p2=0.0, readout=flip), mitigate=False, seed=s,
         ).value
         for s in range(60)
     ]
@@ -414,7 +427,7 @@ def test_mitigation_amplifies_shot_noise():
         [
             noisy_expectation(
                 ansatz, params, op, 5000,
-                noise=NoiseSpec(p1=0.0, p2=0.0, readout=symmetric_confusion(0.15), seed=s),
+                noise=NoiseSpec(p1=0.0, p2=0.0, readout=symmetric_confusion(0.15)), seed=s,
             ).value
             for s in range(100)
         ]
@@ -427,11 +440,11 @@ def test_noisy_estimate_metadata():
     _, _, op = chain_problem((4, 2))
     ansatz = AnsatzSpec(qubits=2, depth=1)
     params = np.linspace(0.1, 1.9, ansatz.parameter_count)
-    est = noisy_expectation(ansatz, params, op, 500, noise=NoiseSpec(seed=3))
+    est = noisy_expectation(ansatz, params, op, 500, noise=NoiseSpec(), seed=3)
     assert est.mode == NOISY
     assert est.shots_used >= 500
     assert est.std_error > 0
-    again = noisy_expectation(ansatz, params, op, 500, noise=NoiseSpec(seed=3))
+    again = noisy_expectation(ansatz, params, op, 500, noise=NoiseSpec(), seed=3)
     assert est == again
 
 
@@ -483,13 +496,13 @@ def test_exact_channel_matches_trajectory_estimator():
     params = np.linspace(-0.3, 0.3, ansatz.parameter_count)
     old = [
         trajectory_noisy_expectation(
-            ansatz, params, op, 100, NoiseSpec(p1=0.02, p2=0.1, seed=s)
+            ansatz, params, op, 100, NoiseSpec(p1=0.02, p2=0.1), seed=s
         )
         for s in range(300)
     ]
     new = [
         noisy_expectation(
-            ansatz, params, op, 100, NoiseSpec(p1=0.02, p2=0.1, seed=1000 + s)
+            ansatz, params, op, 100, NoiseSpec(p1=0.02, p2=0.1), seed=1000 + s
         ).value
         for s in range(300)
     ]
