@@ -44,7 +44,7 @@ from .optimize import (
     spsa_lockstep,
 )
 from .paulimap import PauliOperator, map_operator
-from .potential import ChainSpec, DihedralSpec
+from .potential import ChainSpec
 from .qsim import (
     EXACT,
     LINEAR,

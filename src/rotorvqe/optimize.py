@@ -18,6 +18,9 @@ from typing import Callable
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# iterations of SPSA directions drawn per generator call; one (block, dim)
+# draw yields the same bits as block successive (dim,) draws
+_DIRECTION_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -116,10 +119,11 @@ def spsa_lockstep(
 ):
     """Run one SPSA descent per row of x0[R, P], all R in step.
 
-    Run r draws its Rademacher directions from `default_rng(seeds[r])` and
-    steps with gain a[r] (default `config.a`); the rest of the schedule is
-    shared.  `evaluate(points[B, P]) -> values[B]` gets every run's probes
-    at once, row i belonging to run i % R: the + probes of all runs, then
+    Run r draws its Rademacher directions from `default_rng(seeds[r])`,
+    one `_DIRECTION_BLOCK` of iterations per call, and steps with gain a[r]
+    (default `config.a`); the rest of the schedule is shared.
+    `evaluate(points[B, P]) -> values[B]` gets every run's probes at once,
+    row i belonging to run i % R: the + probes of all runs, then
     the - probes, then, after the last iteration, the terminal iterates.
     Each iteration records the better probe, the end records the terminal
     iterate, and `observe(k, points, values)` sees every record.  Returns
@@ -141,8 +145,13 @@ def spsa_lockstep(
             observe(k, points, values)
 
     for k in range(iterations):
+        if k % _DIRECTION_BLOCK == 0:
+            block = min(_DIRECTION_BLOCK, iterations - k)
+            # directions[i, r] is run r's draw at iteration k + i
+            directions = np.stack([rng.integers(0, 2, size=(block, dim)) for rng in rngs], axis=1)
+            directions = directions * 2.0 - 1.0
         c_k = config.c / (k + 1) ** config.gamma
-        delta = np.array([rng.integers(0, 2, size=dim) for rng in rngs]) * 2.0 - 1.0
+        delta = directions[k % _DIRECTION_BLOCK]
         probes = np.concatenate((x + c_k * delta, x - c_k * delta))
         values = np.asarray(evaluate(probes), dtype=float)
         f_up, f_down = values[:runs], values[runs:]

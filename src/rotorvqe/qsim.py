@@ -2,13 +2,14 @@
 
 Qubit 1 is the most significant bit of a computational-basis index,
 matching `paulimap`.  Rotation gates follow the half-angle convention
-exp(-i theta sigma / 2).  Expectation values of a PauliOperator come in
-three flavours: exact (amplitude traversal), shot-sampled, and sampled
-under a parametric noise model.  The noisy estimator evolves the density
-matrix exactly through every gate and its depolarizing channel, applies
-the readout confusion to the measured distribution, and draws each
-setting's counts in one multinomial (optionally undoing the confusion by
-linear inversion).  A measurement plan is compiled once per operator.
+exp(-i theta sigma / 2).  Expectation values of a PauliOperator are
+estimated from shots, either ideal or under a parametric noise model;
+exact energies are contracted against the dense matrix in `driver`.  The
+noisy estimator evolves the density matrix exactly through every gate and
+its depolarizing channel, applies the readout confusion to the measured
+distribution, and draws each setting's counts in one multinomial
+(optionally undoing the confusion by linear inversion).  A measurement
+plan is compiled once per operator.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ SAMPLED = "sampled"
 NOISY = "noisy"
 
 _NORM_TOL = 1e-10
-_I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
 @dataclass(frozen=True)
@@ -131,15 +131,15 @@ def _apply_cnot(state: np.ndarray, qubits: int, control: int, target: int) -> No
 
 @lru_cache(maxsize=64)
 def _batch_program(ansatz: AnsatzSpec):
-    """The circuit as one gather per rotation on a batch kept in a running column order.
+    """The circuit as one gather per rotation on a batch kept in a running row order.
 
-    Column k of the working batch holds amplitude order[k].  A rotation on a
-    qubit with amplitude pairs (j0, j1) gathers a = (x[j0], x[j0]) and
-    b = (x[j1], x[j1]) as (2, len(j0)) blocks, so one product per side gives
-    both new halves, stored in the order (j0, j1).  A CNOT only relabels the
-    order, being its own inverse.  Returns (is_rz, steps, final): a mask of
-    the Rz parameters, (parameter, a gather, b gather) per rotation, and the
-    gather that restores the computational-basis order.
+    Row k of the working batch holds amplitude order[k].  A rotation on a
+    qubit with amplitude pairs (j0, j1) gathers ((x[j0], x[j0]), (x[j1], x[j1]))
+    with one stacked index of shape (2, 2, len(j0)), so one product per side
+    gives both new halves, stored in the order (j0, j1).  A CNOT only
+    relabels the order, being its own inverse.  Returns (is_rz, steps,
+    final): a mask of the Rz parameters, (parameter, gather) per rotation,
+    and the gather that restores the computational-basis order.
     """
     qubits = ansatz.qubits
     order = np.arange(1 << qubits)
@@ -150,12 +150,12 @@ def _batch_program(ansatz: AnsatzSpec):
             order = _cnot_table(qubits, op[1], op[2])[order]
             continue
         is_rz[op[2]] = op[0] == "rz"
-        column = np.argsort(order)
+        row = np.argsort(order)
         j0, j1 = _pair_indices(qubits, op[1])
-        steps.append((op[2], column[np.stack((j0, j0))], column[np.stack((j1, j1))]))
+        steps.append((op[2], row[np.stack(((j0, j0), (j1, j1)))]))
         order = np.concatenate((j0, j1))
     final = np.argsort(order)
-    for table in [is_rz, final] + [index for step in steps for index in step[1:]]:
+    for table in [is_rz, final] + [index for _, index in steps]:
         table.flags.writeable = False
     return is_rz, tuple(steps), final
 
@@ -183,11 +183,16 @@ def _rotation_gates(is_rz: np.ndarray, values: np.ndarray) -> np.ndarray:
 def prepare_states(ansatz: AnsatzSpec, params) -> np.ndarray:
     """Run the circuit on |0...0> once per row of params[B, P]; returns states[B, 2^Q].
 
-    Each gate acts on the whole batch at once, with the same complex products
-    and sums as on a single state, so row b is bit-identical to the state of
-    params[b] prepared alone.  The batch stays C-contiguous (`take` rather
-    than `states[:, table]`), which the bit-identical energy contraction in
-    `driver` relies on.
+    The working batch is held batch-minor, as (2^Q, B): one row per
+    amplitude, one column per params row.  Each rotation gathers its a and b
+    halves along axis 0 in one `take` and multiplies them by the gate
+    entries held as gates[param, j, i, 1, B], so every complex multiply-add
+    runs with the batch as its innermost, contiguous axis.  The arithmetic
+    is the full 2x2 product g[i, 0] a + g[i, 1] b of a single state, zero
+    entries included, so column b is bit-identical to the state of params[b]
+    prepared alone; `tests/oracles.py::serial_prepare_state` checks this.
+    The result is C-contiguous, which the bit-identical energy contraction
+    in `driver` relies on.
     """
     values = np.asarray(params, dtype=float)
     if values.ndim != 2 or values.shape[1] != ansatz.parameter_count:
@@ -195,15 +200,20 @@ def prepare_states(ansatz: AnsatzSpec, params) -> np.ndarray:
             f"expected rows of {ansatz.parameter_count} parameters, got shape {values.shape}"
         )
     is_rz, steps, final = _batch_program(ansatz)
-    gates = _rotation_gates(is_rz, values)
-    left, right = gates[..., :1], gates[..., 1:]  # per row, (g00, g10) and (g01, g11)
-    batch = len(values)
-    states = np.zeros((batch, 1 << ansatz.qubits), dtype=complex)
-    states[:, 0] = 1.0
-    for p, a_index, b_index in steps:
-        states = left[p] * states.take(a_index, axis=1) + right[p] * states.take(b_index, axis=1)
-        states = states.reshape(batch, -1)
-    states = states.take(final, axis=1)
+    gates = np.ascontiguousarray(_rotation_gates(is_rz, values).transpose(0, 3, 2, 1))
+    gates = gates[:, :, :, None, :]
+    dim = 1 << ansatz.qubits
+    states = np.zeros((dim, len(values)), dtype=complex)
+    states[0] = 1.0
+    halves = states.reshape(2, dim // 2, -1)
+    terms = np.empty((2, 2, dim // 2, len(values)), dtype=complex)
+    for p, index in steps:
+        # terms = ((g00 a, g10 a), (g01 b, g11 b)), then their sums in place;
+        # every index is in range, and "clip" skips the copy "raise" buffers
+        states.take(index, axis=0, out=terms, mode="clip")
+        np.multiply(gates[p], terms, out=terms)
+        np.add(terms[0], terms[1], out=halves)
+    states = np.ascontiguousarray(states.take(final, axis=0).T)
     norms = np.sum(np.abs(states) ** 2, axis=1)
     # written so that a NaN norm, from a non-finite angle, fails too
     within = np.abs(norms - 1.0) <= _NORM_TOL
@@ -223,22 +233,6 @@ def prepare_state(ansatz: AnsatzSpec, params) -> np.ndarray:
     """Run the circuit on |0...0> and return the 2^Q statevector."""
     values = _parameter_vector(ansatz, params)
     return prepare_states(ansatz, values[None, :])[0]
-
-
-def exact_expectation(state: np.ndarray, operator: PauliOperator) -> float:
-    """<psi| operator |psi> by mask-indexed amplitude traversal."""
-    psi = np.asarray(state, dtype=complex).ravel()
-    if psi.size != 1 << operator.qubits:
-        raise ValueError("state dimension does not match the operator register")
-    idx = np.arange(psi.size)
-    total = 0.0 + 0.0j
-    for string, coef in operator:
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & string.z) & 1)
-        phase = _I_POW[(string.x & string.z).bit_count() & 3]
-        total += coef * phase * np.sum(np.conj(psi[idx ^ string.x]) * signs * psi)
-    if abs(total.imag) > 1e-10 * max(1.0, abs(total.real)):
-        raise RuntimeError("expectation of a Hermitian operator came out complex")
-    return float(total.real)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,13 @@ Everything here deliberately avoids the package's analytic trig-identity and
 bitmask code paths: matrix elements come from dense trapezoid quadrature on a
 periodic grid (spectrally accurate), potential derivatives are written out by
 hand, and Pauli reconstruction uses literal 2x2 matrices with np.kron, as
-does the Kraus-sum noisy channel.  The two serial estimators are the
-exceptions: the trajectory noisy estimator, a reference for a sampling law,
-and the one-point sampled estimator, a bit-for-bit reference for the batched
-one, reuse the package's kernels.
+does the Kraus-sum noisy channel.  The exceptions: the trajectory noisy
+estimator, a reference for a sampling law, and the one-point sampled
+estimator, a bit-for-bit reference for the batched one, reuse the package's
+kernels; the amplitude-traversal `exact_expectation` uses the package's
+bitmask convention and is itself checked against dense matrices; and
+`serial_spsa` is the one-run SPSA loop that the lockstep batch reproduces
+bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 from rotorvqe import qsim
 
 TWO_PI = 2.0 * math.pi
+_I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
 def grid(npts: int = 2048) -> np.ndarray:
@@ -189,6 +193,50 @@ def serial_prepare_state(qubits: int, depth: int, entangler: str, params) -> np.
                 flip = (idx >> (qubits - control)) & 1
                 state = state[idx ^ (flip << (qubits - target))]
     return state
+
+
+def exact_expectation(state: np.ndarray, operator) -> float:
+    """<psi| operator |psi> of a PauliOperator by mask-indexed amplitude traversal."""
+    psi = np.asarray(state, dtype=complex).ravel()
+    if psi.size != 1 << operator.qubits:
+        raise ValueError("state dimension does not match the operator register")
+    idx = np.arange(psi.size)
+    total = 0.0 + 0.0j
+    for string, coef in operator:
+        signs = 1.0 - 2.0 * (np.bitwise_count(idx & string.z) & 1)
+        phase = _I_POW[(string.x & string.z).bit_count() & 3]
+        total += coef * phase * np.sum(np.conj(psi[idx ^ string.x]) * signs * psi)
+    if abs(total.imag) > 1e-10 * max(1.0, abs(total.real)):
+        raise RuntimeError("expectation of a Hermitian operator came out complex")
+    return float(total.real)
+
+
+def serial_spsa(evaluate, x0, seed, iterations, config, a=None):
+    """One SPSA run, one point per objective call: (records, best value, best params).
+
+    Each iteration draws its Rademacher direction with its own
+    `rng.integers(0, 2, size=dim)` call, probes x +/- c_k delta, steps by
+    the gain a_k (a defaults to `config.a`) times the two-point gradient,
+    and records the better probe, the + probe on ties; the end records the
+    terminal iterate.  records[k] is (k, params, value), and the best is the
+    first lowest record.  `spsa_lockstep` must reproduce this bit for bit,
+    for every run of a batch.
+    """
+    rng = np.random.default_rng(seed)
+    x = np.array(x0, dtype=float)
+    gain = config.a if a is None else a
+    records = []
+    for k in range(iterations):
+        c_k = config.c / (k + 1) ** config.gamma
+        delta = rng.integers(0, 2, size=x.size) * 2.0 - 1.0
+        up, down = x + c_k * delta, x - c_k * delta
+        f_up, f_down = float(evaluate(up)), float(evaluate(down))
+        gradient = (f_up - f_down) / (2.0 * c_k) * delta
+        x = x - gain / (config.A + k + 1) ** config.alpha * gradient
+        records.append((k, tuple(up), f_up) if f_up <= f_down else (k, tuple(down), f_down))
+    records.append((iterations, tuple(x), float(evaluate(x))))
+    best = min(records, key=lambda record: record[2])
+    return records, best[2], best[1]
 
 
 def _register_operator(qubits: int, factors: dict) -> np.ndarray:

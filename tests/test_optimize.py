@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import oracles
 from rotorvqe.driver import VqeConfig, run_vqe
 from rotorvqe.optimize import (
+    _DIRECTION_BLOCK,
     NelderMeadConfig,
     ObjectiveSpec,
     OptTrace,
@@ -108,6 +113,57 @@ def test_spsa_iterates_stay_finite():
     assert len(seen) == 21
     assert all(np.all(np.isfinite(points)) and np.all(np.isfinite(v)) for points, v in seen)
     assert np.all(np.isfinite(values)) and np.all(np.isfinite(params))
+
+
+def wavy(point):
+    """A nonconvex objective of one point, summed in scalar float arithmetic."""
+    return sum(math.cos((i + 1) * v) + 0.05 * v * v for i, v in enumerate(point))
+
+
+def record_bits(records):
+    return [
+        (k, np.array(params).tobytes(), np.float64(value).tobytes())
+        for k, params, value in records
+    ]
+
+
+@pytest.mark.parametrize(
+    "iterations",
+    [0, 1, _DIRECTION_BLOCK - 1, _DIRECTION_BLOCK, _DIRECTION_BLOCK + 1, 2 * _DIRECTION_BLOCK + 3],
+)
+@pytest.mark.parametrize("runs, dim", [(1, 3), (1, 4), (3, 5), (3, 16)])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_spsa_lockstep_matches_serial_oracle_bit_for_bit(iterations, runs, dim, data):
+    # directions are drawn a block of iterations at a time; the counts above
+    # put the end of the run on either side of a block boundary
+    seeds = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=runs, max_size=runs))
+    x0 = data.draw(arrays(np.float64, (runs, dim), elements=st.floats(-10, 10)))
+    gains = data.draw(st.lists(st.floats(0.01, 2.0), min_size=runs, max_size=runs))
+    config = SpsaConfig(c=data.draw(st.floats(0.01, 0.5)), A=data.draw(st.floats(0.0, 50.0)))
+    observed = [[] for _ in range(runs)]
+
+    def observe(k, points, values):
+        for r in range(runs):
+            observed[r].append((k, tuple(points[r]), float(values[r])))
+
+    values, params = spsa_lockstep(
+        lambda points: [wavy(point) for point in points],
+        x0,
+        seeds,
+        iterations,
+        config,
+        a=gains,
+        observe=observe,
+    )
+    for r in range(runs):
+        records, best_value, best_params = oracles.serial_spsa(
+            wavy, x0[r], seeds[r], iterations, config, a=gains[r]
+        )
+        assert len(observed[r]) == iterations + 1
+        assert record_bits(observed[r]) == record_bits(records)
+        assert values[r].tobytes() == np.float64(best_value).tobytes()
+        assert params[r].tobytes() == np.array(best_params).tobytes()
 
 
 def test_nelder_mead_two_dim_quadratic():

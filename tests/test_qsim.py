@@ -31,7 +31,6 @@ from rotorvqe.qsim import (
     NoiseSpec,
     embed_params,
     entangler_pairs,
-    exact_expectation,
     format_bitstrings,
     noisy_expectation,
     prepare_state,
@@ -43,6 +42,7 @@ from rotorvqe.qsim import (
 )
 
 from oracles import (
+    exact_expectation,
     kraus_outcome_distribution,
     serial_prepare_state,
     serial_sampled_expectation,
