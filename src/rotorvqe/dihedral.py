@@ -111,17 +111,34 @@ def _tp_diff(a: dict) -> dict:
     return out
 
 
-def _tp_integral(a: dict) -> float:
-    """Integral over one full period [0, 2*pi)."""
-    return 2.0 * math.pi * a.get(("c", 0), 0.0)
-
-
 def _basis_poly(index: int) -> dict:
     if index == 0:
         return {("c", 0): 1.0 / math.sqrt(2.0 * math.pi)}
     n = (index + 1) // 2
     kind = "c" if index % 2 == 1 else "s"
     return {(kind, n): 1.0 / math.sqrt(math.pi)}
+
+
+def _basis_index(key: tuple) -> int:
+    kind, n = key
+    if n == 0:
+        return 0
+    return 2 * n - 1 if kind == "c" else 2 * n
+
+
+def _overlap(coeff: float, index: int) -> float:
+    """2*pi times the constant term of {key: coeff} times basis function `index`.
+
+    `key` is the basis function's own key, the only one whose product with
+    it reaches the constant. Bit for bit the dict product's result:
+    0.5*(coeff*b) is accumulated once (twice for the constant function), and
+    a zero term is never stored, so a half of 0.0 gives +0.0.
+    """
+    (b,) = _basis_poly(index).values()
+    half = 0.5 * (coeff * b)
+    if half == 0.0:
+        return 0.0
+    return 2.0 * math.pi * (half + half if index == 0 else half)
 
 
 def _potential_poly(spec: DihedralSpec) -> dict:
@@ -140,27 +157,27 @@ def multiplication_matrix(poly: dict, harmonics: int) -> np.ndarray:
     """Matrix of pointwise multiplication by `poly` in the Fourier basis."""
     size = 2 * harmonics + 1
     out = np.zeros((size, size))
-    if not poly:
-        return out
-    polys = [_basis_poly(i) for i in range(size)]
     for i in range(size):
-        fi = _tp_mul(polys[i], poly)
-        for j in range(i, size):
-            val = _tp_integral(_tp_mul(fi, polys[j]))
-            out[i, j] = val
-            out[j, i] = val
+        for key, coeff in _tp_mul(_basis_poly(i), poly).items():
+            j = _basis_index(key)
+            if i <= j < size:
+                out[i, j] = out[j, i] = _overlap(coeff, j)
     return out
 
 
+@lru_cache(maxsize=8)
 def fourier_derivative_matrix(harmonics: int) -> np.ndarray:
-    """Matrix of d/dtheta in the Fourier basis (antisymmetric)."""
+    """Matrix of d/dtheta in the Fourier basis (antisymmetric).
+
+    Cached and shared between callers, so the returned array is read-only.
+    """
     size = 2 * harmonics + 1
     out = np.zeros((size, size))
-    polys = [_basis_poly(i) for i in range(size)]
-    for j in range(size):
-        dj = _tp_diff(polys[j])
-        for i in range(size):
-            out[i, j] = _tp_integral(_tp_mul(polys[i], dj))
+    for j in range(1, size):
+        ((key, coeff),) = _tp_diff(_basis_poly(j)).items()
+        i = _basis_index(key)
+        out[i, j] = _overlap(coeff, i)
+    out.setflags(write=False)
     return out
 
 
@@ -205,25 +222,17 @@ class DihedralEigenbasis:
         return len(self.eigenvalues)
 
 
-def diagonalize_dihedral(
-    spec: DihedralSpec, prefactor: float, n_keep: int, harmonics: int = 16
-) -> DihedralEigenbasis:
-    """Diagonalize one dihedral's generator and keep the lowest n_keep modes.
+@lru_cache(maxsize=4)
+def _spectrum(spec: DihedralSpec, prefactor: float, harmonics: int):
+    """Every mode of one dihedral's generator, ordered as `diagonalize_dihedral` keeps them.
 
-    The even and odd parity blocks are diagonalized independently, so every
-    eigenvector has definite parity by construction. Merged ordering is by
-    ascending eigenvalue; exactly degenerate pairs are resolved odd-before-
-    even, then by dominant Fourier index. Eigenvector signs are fixed so the
-    largest-magnitude coefficient is positive.
-
-    The odd-first tie-break matters: the monostable potential's excited
-    spectrum is exactly doubly degenerate (one even, one odd state per level),
-    and keeping the odd member of a split pair is what makes truncated sets
-    alternate in parity, which the composite odd-sector dimensions rely on.
+    Returns read-only (eigenvalues, vectors, parities) with vectors[:, i] the
+    i-th eigenfunction. Four entries hold a two-dihedral chain's spectra at
+    the cutoff and at twice the cutoff, which every kept count on a ladder
+    shares; a scan moves on to fresh specs, so a larger cache only holds
+    memory (a 2h spectrum is 65 vectors of 65 floats).
     """
     size = 2 * harmonics + 1
-    if not 1 <= n_keep <= size:
-        raise ValueError(f"n_keep must be in [1, {size}], got {n_keep}")
     matrix = build_single_dihedral_matrix(spec, prefactor, harmonics)
     parities = fourier_parities(harmonics)
 
@@ -251,14 +260,46 @@ def diagonalize_dihedral(
         ordered.extend(cluster)
         pos = end
 
-    kept = ordered[:n_keep]
+    spectrum = (
+        np.array([e[0] for e in ordered]),
+        np.column_stack([e[2] for e in ordered]),
+        np.array([e[1] for e in ordered], dtype=int),
+    )
+    for array in spectrum:
+        array.setflags(write=False)
+    return spectrum
+
+
+def diagonalize_dihedral(
+    spec: DihedralSpec, prefactor: float, n_keep: int, harmonics: int = 16
+) -> DihedralEigenbasis:
+    """Diagonalize one dihedral's generator and keep the lowest n_keep modes.
+
+    The even and odd parity blocks are diagonalized independently, so every
+    eigenvector has definite parity by construction. Merged ordering is by
+    ascending eigenvalue; exactly degenerate pairs are resolved odd-before-
+    even, then by dominant Fourier index. Eigenvector signs are fixed so the
+    largest-magnitude coefficient is positive.
+
+    The odd-first tie-break matters: the monostable potential's excited
+    spectrum is exactly doubly degenerate (one even, one odd state per level),
+    and keeping the odd member of a split pair is what makes truncated sets
+    alternate in parity, which the composite odd-sector dimensions rely on.
+
+    The full spectrum is computed once per (spec, prefactor, harmonics) and
+    shared; the returned arrays are fresh copies of its first n_keep modes.
+    """
+    size = 2 * harmonics + 1
+    if not 1 <= n_keep <= size:
+        raise ValueError(f"n_keep must be in [1, {size}], got {n_keep}")
+    eigenvalues, vectors, parities = _spectrum(spec, prefactor, harmonics)
     return DihedralEigenbasis(
         spec=spec,
         prefactor=prefactor,
         harmonics=harmonics,
-        eigenvalues=np.array([e[0] for e in kept]),
-        vectors=np.column_stack([e[2] for e in kept]),
-        parities=np.array([e[1] for e in kept], dtype=int),
+        eigenvalues=eigenvalues[:n_keep].copy(),
+        vectors=vectors[:, :n_keep].copy(),
+        parities=parities[:n_keep].copy(),
     )
 
 
@@ -274,17 +315,19 @@ def solve_dihedral(
 
     With guard=True the problem is re-solved at twice the cutoff and the kept
     eigenvalues must agree to 1e-8, otherwise a ValueError asks for a larger
-    basis. Returns a shared cached object; treat it as read-only.
+    basis. Returns a shared cached object whose arrays are read-only.
     """
     basis = diagonalize_dihedral(spec, prefactor, n_keep, harmonics)
     if guard:
-        refined = diagonalize_dihedral(spec, prefactor, n_keep, 2 * harmonics)
-        drift = float(np.max(np.abs(basis.eigenvalues - refined.eigenvalues)))
+        refined = _spectrum(spec, prefactor, 2 * harmonics)[0][:n_keep]
+        drift = float(np.max(np.abs(basis.eigenvalues - refined)))
         if drift >= _CONVERGENCE_TOL:
             raise ValueError(
                 f"eigenvalues drift by {drift:.3e} when doubling harmonics={harmonics}; "
                 "increase the cutoff"
             )
+    for array in (basis.eigenvalues, basis.vectors, basis.parities):
+        array.setflags(write=False)
     return basis
 
 

@@ -9,6 +9,8 @@ matrices of order-one entries that is an absolute 1e-12.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 OFFDIAG_TOL = 1e-12
@@ -40,7 +42,10 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = OFFDIAG_TOL, max_sweeps: int = 
         return np.zeros(n), np.eye(n)
     thresh = tol * scale
 
-    v = np.eye(n)
+    # rows 0..n-1 hold the matrix and rows n..2n-1 the eigenvector matrix,
+    # so one rotation of columns p and q turns both
+    stacked = np.vstack((a, np.eye(n)))
+    a = stacked[:n]
     # rotations below this are pointless at double precision
     skip = thresh / max(n, 2)
     for _ in range(max_sweeps):
@@ -48,37 +53,34 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = OFFDIAG_TOL, max_sweeps: int = 
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = a.item(p, q)
                 if abs(apq) <= skip:
                     continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0.0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                app, aqq = a.item(p, p), a.item(q, q)
+                tau = (aqq - app) / (2.0 * apq)
+                t = 1.0
+                if tau != 0.0:
+                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
 
-                app, aqq = a[p, p], a[q, q]
+                # rotate whole columns, mirror the matrix part into rows p
+                # and q, then overwrite the four pivot entries
+                cp = stacked[:, p].copy()
+                cq = stacked[:, q].copy()
+                stacked[:, p] = c * cp - s * cq
+                stacked[:, q] = s * cp + c * cq
+                a[p, :] = a[:, p]
+                a[q, :] = a[:, q]
                 a[p, p] = app - t * apq
                 a[q, q] = aqq + t * apq
                 a[p, q] = a[q, p] = 0.0
-
-                rows = np.arange(n)
-                mask = (rows != p) & (rows != q)
-                arp = a[mask, p].copy()
-                arq = a[mask, q].copy()
-                a[mask, p] = c * arp - s * arq
-                a[mask, q] = s * arp + c * arq
-                a[p, mask] = a[mask, p]
-                a[q, mask] = a[mask, q]
-
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
     else:
         raise ValueError(
             f"Jacobi sweep limit ({max_sweeps}) exceeded; "
             f"residual off-diagonal norm {_offdiag_norm(a):.3e}"
         )
-    return np.diag(a).copy(), v
+    return np.diag(a).copy(), stacked[n:].copy()
 
 
 def canonical_sign(vec: np.ndarray) -> np.ndarray:

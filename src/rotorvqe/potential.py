@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 MONOSTABLE = "monostable"
 BISTABLE = "bistable"
 
@@ -81,24 +79,3 @@ def cosine_series(spec: DihedralSpec) -> dict[int, float]:
     if spec.kind == MONOSTABLE:
         return {0: half, 1: -half}
     return {0: half, 2: half}
-
-
-def potential_value(spec: DihedralSpec, theta):
-    """U(theta) in k_B*T. Accepts scalars or numpy arrays."""
-    series = cosine_series(spec)
-    out = sum(c * np.cos(n * np.asarray(theta, dtype=float)) for n, c in series.items())
-    return float(out) if np.isscalar(theta) else out
-
-
-def potential_d1(spec: DihedralSpec, theta):
-    """dU/dtheta."""
-    series = cosine_series(spec)
-    out = sum(-n * c * np.sin(n * np.asarray(theta, dtype=float)) for n, c in series.items())
-    return float(out) if np.isscalar(theta) else out
-
-
-def potential_d2(spec: DihedralSpec, theta):
-    """d^2 U / dtheta^2."""
-    series = cosine_series(spec)
-    out = sum(-n * n * c * np.cos(n * np.asarray(theta, dtype=float)) for n, c in series.items())
-    return float(out) if np.isscalar(theta) else out

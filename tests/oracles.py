@@ -8,9 +8,13 @@ does the Kraus-sum noisy channel.  The exceptions: the trajectory noisy
 estimator, a reference for a sampling law, and the one-point sampled
 estimator, a bit-for-bit reference for the batched one, reuse the package's
 kernels; the amplitude-traversal `exact_expectation` uses the package's
-bitmask convention and is itself checked against dense matrices; and
+bitmask convention and is itself checked against dense matrices;
 `serial_spsa` is the one-run SPSA loop that the lockstep batch reproduces
-bit for bit.
+bit for bit; `pairwise_multiplication_matrix`, `pairwise_derivative_matrix`
+and `masked_jacobi_eigh` are the former dict-product matrix builders and
+masked Jacobi rotation loop, which the package's versions reproduce bit for
+bit; and `potential_value`, `potential_d1` and `potential_d2` evaluate the
+package's cosine series pointwise.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ import math
 import numpy as np
 
 from rotorvqe import qsim
+from rotorvqe.dihedral import _basis_poly, _tp_diff, _tp_mul
+from rotorvqe.linalg import OFFDIAG_TOL, _offdiag_norm
+from rotorvqe.potential import cosine_series
 
 TWO_PI = 2.0 * math.pi
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -66,6 +73,118 @@ def potential_derivatives(kind: str, barrier: float, theta: np.ndarray):
     else:
         raise ValueError(kind)
     return u, u1, u2
+
+
+def potential_value(spec, theta):
+    """U(theta) in k_B*T. Accepts scalars or numpy arrays."""
+    series = cosine_series(spec)
+    out = sum(c * np.cos(n * np.asarray(theta, dtype=float)) for n, c in series.items())
+    return float(out) if np.isscalar(theta) else out
+
+
+def potential_d1(spec, theta):
+    """dU/dtheta."""
+    series = cosine_series(spec)
+    out = sum(-n * c * np.sin(n * np.asarray(theta, dtype=float)) for n, c in series.items())
+    return float(out) if np.isscalar(theta) else out
+
+
+def potential_d2(spec, theta):
+    """d^2 U / dtheta^2."""
+    series = cosine_series(spec)
+    out = sum(-n * n * c * np.cos(n * np.asarray(theta, dtype=float)) for n, c in series.items())
+    return float(out) if np.isscalar(theta) else out
+
+
+def _tp_integral(a: dict) -> float:
+    """Integral over one full period [0, 2*pi)."""
+    return 2.0 * math.pi * a.get(("c", 0), 0.0)
+
+
+def pairwise_multiplication_matrix(poly: dict, harmonics: int) -> np.ndarray:
+    """Multiplication by `poly`: the full dict product for every (i, j >= i) pair."""
+    size = 2 * harmonics + 1
+    out = np.zeros((size, size))
+    if not poly:
+        return out
+    polys = [_basis_poly(i) for i in range(size)]
+    for i in range(size):
+        fi = _tp_mul(polys[i], poly)
+        for j in range(i, size):
+            val = _tp_integral(_tp_mul(fi, polys[j]))
+            out[i, j] = val
+            out[j, i] = val
+    return out
+
+
+def pairwise_derivative_matrix(harmonics: int) -> np.ndarray:
+    """d/dtheta in the Fourier basis: the full dict product for every (i, j) pair."""
+    size = 2 * harmonics + 1
+    out = np.zeros((size, size))
+    polys = [_basis_poly(i) for i in range(size)]
+    for j in range(size):
+        dj = _tp_diff(polys[j])
+        for i in range(size):
+            out[i, j] = _tp_integral(_tp_mul(polys[i], dj))
+    return out
+
+
+def masked_jacobi_eigh(matrix: np.ndarray, tol: float = OFFDIAG_TOL, max_sweeps: int = 100):
+    """Cyclic Jacobi with numpy scalar pivots and masked off-pivot updates."""
+    a = np.array(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    n = a.shape[0]
+    if n == 0:
+        raise ValueError("empty matrix")
+    if not np.allclose(a, a.T, rtol=0.0, atol=1e-10 * max(1.0, np.abs(a).max())):
+        raise ValueError("matrix is not symmetric")
+    a = 0.5 * (a + a.T)
+
+    scale = float(np.linalg.norm(a))
+    if scale == 0.0:
+        return np.zeros(n), np.eye(n)
+    thresh = tol * scale
+
+    v = np.eye(n)
+    # rotations below this are pointless at double precision
+    skip = thresh / max(n, 2)
+    for _ in range(max_sweeps):
+        if _offdiag_norm(a) <= thresh:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= skip:
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0.0 else 1.0
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+
+                app, aqq = a[p, p], a[q, q]
+                a[p, p] = app - t * apq
+                a[q, q] = aqq + t * apq
+                a[p, q] = a[q, p] = 0.0
+
+                rows = np.arange(n)
+                mask = (rows != p) & (rows != q)
+                arp = a[mask, p].copy()
+                arq = a[mask, q].copy()
+                a[mask, p] = c * arp - s * arq
+                a[mask, q] = s * arp + c * arq
+                a[p, mask] = a[mask, p]
+                a[q, mask] = a[mask, q]
+
+                vp = v[:, p].copy()
+                v[:, p] = c * vp - s * v[:, q]
+                v[:, q] = s * vp + c * v[:, q]
+    else:
+        raise ValueError(
+            f"Jacobi sweep limit ({max_sweeps}) exceeded; "
+            f"residual off-diagonal norm {_offdiag_norm(a):.3e}"
+        )
+    return np.diag(a).copy(), v
 
 
 def quadrature_dihedral_matrix(

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from rotorvqe.dihedral import (
     DihedralEigenbasis,
+    _effective_well_poly,
+    _potential_poly,
+    _tp_diff,
     build_single_dihedral_matrix,
     derivative_matrix_elements,
     diagonalize_dihedral,
@@ -161,8 +165,6 @@ def test_uprime_matrix_matches_quadrature():
     theta = oracles.grid(2048)
     for kind, barrier in [(MONOSTABLE, 1.0), (BISTABLE, 0.5)]:
         _, u1, _ = oracles.potential_derivatives(kind, barrier, theta)
-        from rotorvqe.dihedral import _potential_poly, _tp_diff
-
         poly = _tp_diff(_potential_poly(DihedralSpec(kind, barrier)))
         mat = multiplication_matrix(poly, 6)
         oracle = oracles.quadrature_multiplication_matrix(u1, 6, theta)
@@ -172,3 +174,65 @@ def test_uprime_matrix_matches_quadrature():
 def test_uprime_zero_for_free_rotor():
     basis = diagonalize_dihedral(DihedralSpec(BISTABLE, 0.0), 2.0, n_keep=4, harmonics=4)
     assert np.abs(uprime_matrix_elements(basis)).max() == 0.0
+
+
+# exactly-zero coefficients, and subnormal ones whose matrix element
+# underflows to a signed zero, exercise the dict algebra's rule that a zero
+# term is never stored
+coefficients = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -3e-323, 2e-323, 1e-300]),
+)
+trig_terms = st.one_of(
+    st.tuples(st.just("c"), st.integers(0, 8), coefficients),
+    st.tuples(st.just("s"), st.integers(1, 8), coefficients),
+)
+trig_polys = st.lists(trig_terms, max_size=5).map(lambda terms: {(k, n): v for k, n, v in terms})
+kinds = st.sampled_from([MONOSTABLE, BISTABLE])
+specs = st.builds(DihedralSpec, kinds, st.floats(0.0, 8.0))
+spec_polys = st.one_of(
+    specs.map(_effective_well_poly), specs.map(lambda spec: _tp_diff(_potential_poly(spec)))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly=st.one_of(trig_polys, spec_polys), harmonics=st.integers(1, 32))
+def test_multiplication_matrix_matches_pairwise_oracle_bit_for_bit(poly, harmonics):
+    mat = multiplication_matrix(poly, harmonics)
+    assert mat.tobytes() == oracles.pairwise_multiplication_matrix(poly, harmonics).tobytes()
+
+
+def test_fourier_derivative_matrix_matches_pairwise_oracle_bit_for_bit():
+    for harmonics in range(1, 33):
+        mat = fourier_derivative_matrix(harmonics)
+        assert mat.tobytes() == oracles.pairwise_derivative_matrix(harmonics).tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(kind=kinds, barrier=st.floats(0.0, 4.0), n_keep=st.integers(1, 8), extra=st.integers(0, 4))
+def test_solve_dihedral_is_a_bitwise_prefix_of_larger_kept_sets(kind, barrier, n_keep, extra):
+    spec = DihedralSpec(kind, barrier)
+    small = solve_dihedral(spec, 2.0, n_keep)
+    large = solve_dihedral(spec, 2.0, n_keep + extra)
+    assert small.eigenvalues.tobytes() == large.eigenvalues[:n_keep].tobytes()
+    assert small.vectors.tobytes() == large.vectors[:, :n_keep].tobytes()
+    assert small.parities.tobytes() == large.parities[:n_keep].tobytes()
+
+
+def test_shared_caches_cannot_be_written_through_results():
+    with pytest.raises(ValueError):
+        fourier_derivative_matrix(4)[1, 2] = 5.0
+    spec = DihedralSpec(BISTABLE, 1.25)
+    shared = solve_dihedral(spec, 2.0, 4)
+    for array in (shared.eigenvalues, shared.vectors, shared.parities):
+        with pytest.raises(ValueError):
+            array[0] = 7
+    # a fresh diagonalization hands out copies of the cached spectrum
+    first = diagonalize_dihedral(spec, 2.0, 6)
+    expected = [first.eigenvalues.copy(), first.vectors.copy(), first.parities.copy()]
+    for array in (first.eigenvalues, first.vectors, first.parities):
+        array[...] = 0
+    again = diagonalize_dihedral(spec, 2.0, 6)
+    assert again.eigenvalues.tobytes() == expected[0].tobytes()
+    assert again.vectors.tobytes() == expected[1].tobytes()
+    assert again.parities.tobytes() == expected[2].tobytes()

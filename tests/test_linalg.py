@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from rotorvqe.linalg import canonical_sign, jacobi_eigh
 
 
@@ -50,3 +52,25 @@ def test_canonical_sign():
     assert np.allclose(canonical_sign(-v), canonical_sign(v) * -1.0 * -1.0)
     w = np.array([0.5, -0.5])
     assert canonical_sign(w)[0] == pytest.approx(0.5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    size=st.integers(1, 33),
+    seed=st.integers(0, 2**32 - 1),
+    zero_fraction=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    paired=st.booleans(),
+)
+def test_matches_masked_rotation_oracle_bit_for_bit(size, seed, zero_fraction, paired):
+    rng = np.random.default_rng(seed)
+    order = (size + 1) // 2 if paired else size
+    b = rng.normal(size=(order, order))
+    b[rng.random((order, order)) < zero_fraction] = 0.0
+    b = b + b.T
+    # two copies of one block: exactly degenerate eigenvalue pairs for even
+    # sizes and exactly zero off-diagonal blocks
+    a = np.kron(np.eye(2), b)[:size, :size] if paired else b
+    w, v = jacobi_eigh(a)
+    expected_w, expected_v = oracles.masked_jacobi_eigh(a)
+    assert w.tobytes() == expected_w.tobytes()
+    assert v.tobytes() == expected_v.tobytes()

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import potential_d1, potential_d2, potential_value
 from rotorvqe.potential import (
     BISTABLE,
     MONOSTABLE,
     ChainSpec,
     DihedralSpec,
     cosine_series,
-    potential_d1,
-    potential_d2,
-    potential_value,
 )
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)
