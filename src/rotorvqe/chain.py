@@ -149,37 +149,35 @@ def build_composite_basis(
 
 
 def build_chain_matrix(basis: CompositeBasis) -> np.ndarray:
-    """Dense symmetric matrix of the chain generator over the composite basis."""
-    chain = basis.chain
-    n_dih = chain.n_dihedrals
-    evals = [b.eigenvalues for b in basis.dihedral_bases]
-    dmats = [derivative_matrix_elements(b) for b in basis.dihedral_bases]
-    umats = [uprime_matrix_elements(b) for b in basis.dihedral_bases]
+    """Dense symmetric matrix of the chain generator over the composite basis.
 
-    states = basis.states
+    The coupling of every state pair is summed from 0.0 over the adjacent
+    dihedral pairs in ascending order, skipping a pair whose spectator
+    indices differ; the upper triangle is computed and mirrored.
+    """
+    chain = basis.chain
+    bases = basis.dihedral_bases
+    states = np.array(basis.states)
     size = len(states)
-    out = np.zeros((size, size))
-    for r in range(size):
-        m = states[r]
-        out[r, r] = float(sum(evals[k][m[k]] for k in range(n_dih)))
-        for c in range(r, size):
-            n = states[c]
-            acc = 0.0
-            for k in range(n_dih - 1):
-                if any(m[j] != n[j] for j in range(n_dih) if j not in (k, k + 1)):
-                    continue
-                shared = chain.diffusion[k + 1]
-                acc += (
-                    2.0
-                    * shared
-                    * (
-                        dmats[k][m[k], n[k]] * dmats[k + 1][m[k + 1], n[k + 1]]
-                        - 0.25 * umats[k][m[k], n[k]] * umats[k + 1][m[k + 1], n[k + 1]]
-                    )
-                )
-            out[r, c] += acc
-            if c != r:
-                out[c, r] += acc
+    dmats = [derivative_matrix_elements(b) for b in bases]
+    umats = [uprime_matrix_elements(b) for b in bases]
+
+    diagonal = np.zeros(size)
+    for k, b in enumerate(bases):
+        diagonal = diagonal + b.eigenvalues[states[:, k]]
+    coupling = np.zeros((size, size))
+    for k in range(chain.n_dihedrals - 1):
+        left, right = (np.ix_(states[:, j], states[:, j]) for j in (k, k + 1))
+        term = 2.0 * chain.diffusion[k + 1] * (
+            dmats[k][left] * dmats[k + 1][right] - 0.25 * umats[k][left] * umats[k + 1][right]
+        )
+        spectators = np.delete(states, (k, k + 1), axis=1)
+        same = np.all(spectators[:, None, :] == spectators[None, :, :], axis=-1)
+        coupling = np.where(same, coupling + term, coupling)
+
+    upper = np.triu(coupling, 1)
+    out = upper + upper.T
+    np.fill_diagonal(out, diagonal + np.diagonal(coupling))
     return out
 
 
@@ -214,6 +212,12 @@ def reference_spectrum(matrix: np.ndarray):
     for i in range(v.shape[1]):
         v[:, i] = canonical_sign(v[:, i])
     return w, v
+
+
+def lowest_eigenvalue(matrix: np.ndarray) -> float:
+    """Smallest eigenvalue, bit for bit `reference_spectrum(matrix)[0][0]`."""
+    w, _ = jacobi_eigh(matrix)
+    return float(w[np.argmin(w)])
 
 
 def rate_constant(lambda1: float) -> float:

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .chain import build_chain_matrix, build_composite_basis, rate_constant, reference_spectrum
+from .chain import build_chain_matrix, build_composite_basis, lowest_eigenvalue, rate_constant
 from .config import ConfigError, build_vqe_config, resolve_settings
 from .driver import (
     build_problem,
@@ -83,7 +83,7 @@ def _cmd_reference(args, settings) -> int:
         config.chain, config.kept_counts, harmonics=config.harmonics, ladder=config.ladder
     )
     matrix = build_chain_matrix(basis)
-    eigenvalue = float(reference_spectrum(matrix)[0][0])
+    eigenvalue = lowest_eigenvalue(matrix)
     rate = rate_constant(eigenvalue)
     print(f"kept counts : {_fmt_kept(config.kept_counts)}")
     print(f"basis size  : {len(basis.states)}")

@@ -181,6 +181,17 @@ def fourier_derivative_matrix(harmonics: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
+def fourier_uprime_matrix(spec: DihedralSpec, harmonics: int) -> np.ndarray:
+    """Matrix of multiplication by U'(theta) in the Fourier basis (symmetric).
+
+    Cached and shared between callers, so the returned array is read-only.
+    """
+    out = multiplication_matrix(_tp_diff(_potential_poly(spec)), harmonics)
+    out.setflags(write=False)
+    return out
+
+
 def build_single_dihedral_matrix(
     spec: DihedralSpec, prefactor: float, harmonics: int = 16
 ) -> np.ndarray:
@@ -347,6 +358,5 @@ def uprime_matrix_elements(basis: DihedralEigenbasis) -> np.ndarray:
     U' is odd under theta -> -theta, so this too only connects opposite
     parity eigenfunctions.
     """
-    u1 = _tp_diff(_potential_poly(basis.spec))
-    mat = multiplication_matrix(u1, basis.harmonics)
+    mat = fourier_uprime_matrix(basis.spec, basis.harmonics)
     return basis.vectors.T @ mat @ basis.vectors

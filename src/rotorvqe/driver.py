@@ -29,9 +29,9 @@ from .chain import (
     CompositeBasis,
     build_chain_matrix,
     build_composite_basis,
+    lowest_eigenvalue,
     pad_matrix,
     rate_constant,
-    reference_spectrum,
 )
 from .optimize import (
     NelderMeadConfig,
@@ -114,7 +114,7 @@ def build_problem(
     matrix = pad_matrix(build_chain_matrix(basis), basis.qubits)
     operator = map_operator(matrix)
     ansatz = AnsatzSpec(qubits=basis.qubits, depth=depth, entangler=entangler)
-    reference = float(reference_spectrum(matrix)[0][0])
+    reference = lowest_eigenvalue(matrix)
     return Problem(basis=basis, matrix=matrix, operator=operator, ansatz=ansatz, reference=reference)
 
 

@@ -42,16 +42,17 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = OFFDIAG_TOL, max_sweeps: int = 
         return np.zeros(n), np.eye(n)
     thresh = tol * scale
 
-    # rows 0..n-1 hold the matrix and rows n..2n-1 the eigenvector matrix,
-    # so one rotation of columns p and q turns both
-    stacked = np.vstack((a, np.eye(n)))
-    a = stacked[:n]
+    # row i holds column i of the matrix followed by eigenvector i, so the
+    # two vectors one rotation turns are contiguous rows p and q
+    stacked = np.hstack((a, np.eye(n)))
+    a = stacked[:, :n]
     # rotations below this are pointless at double precision
     skip = thresh / max(n, 2)
     for _ in range(max_sweeps):
         if _offdiag_norm(a) <= thresh:
             break
         for p in range(n - 1):
+            x = stacked[p]
             for q in range(p + 1, n):
                 apq = a.item(p, q)
                 if abs(apq) <= skip:
@@ -64,14 +65,18 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = OFFDIAG_TOL, max_sweeps: int = 
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
 
-                # rotate whole columns, mirror the matrix part into rows p
-                # and q, then overwrite the four pivot entries
-                cp = stacked[:, p].copy()
-                cq = stacked[:, q].copy()
-                stacked[:, p] = c * cp - s * cq
-                stacked[:, q] = s * cp + c * cq
-                a[p, :] = a[:, p]
-                a[q, :] = a[:, q]
+                # turn rows p and q in place into c*x - s*y and s*x + c*y
+                # (x*c and y*c + s*x round exactly as c*x and s*x + c*y),
+                # mirror the matrix part into columns p and q, then
+                # overwrite the four pivot entries
+                y = stacked[q]
+                sx = s * x
+                x *= c
+                x -= s * y
+                y *= c
+                y += sx
+                a[:, p] = x[:n]
+                a[:, q] = y[:n]
                 a[p, p] = app - t * apq
                 a[q, q] = aqq + t * apq
                 a[p, q] = a[q, p] = 0.0
@@ -80,7 +85,7 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = OFFDIAG_TOL, max_sweeps: int = 
             f"Jacobi sweep limit ({max_sweeps}) exceeded; "
             f"residual off-diagonal norm {_offdiag_norm(a):.3e}"
         )
-    return np.diag(a).copy(), stacked[n:].copy()
+    return np.diag(a).copy(), stacked[:, n:].T.copy()
 
 
 def canonical_sign(vec: np.ndarray) -> np.ndarray:

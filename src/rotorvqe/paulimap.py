@@ -10,6 +10,7 @@ string contains an even number of Y letters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -109,26 +110,35 @@ class PauliOperator:
         return total
 
 
-def map_element(row: int, col: int, value: float, qubits: int) -> dict:
-    """Expand value * |row><col| over the Pauli basis.
+@lru_cache(maxsize=4)
+def _expansion_tables(qubits: int):
+    """Read-only tables for one register: row signs, phases and ordered strings.
 
-    Returns {(x, z): complex coefficient} with x fixed to row XOR col.
+    signs[z, row] is (-1)^{|row AND z|}, and phases[x, z] holds the real and
+    imaginary parts of i^{|x AND z|}. order lists the flat keys x * dim + z
+    by label, and strings[k] is the string of flat key k.
     """
     dim = 1 << qubits
-    if not (0 <= row < dim and 0 <= col < dim):
-        raise ValueError("basis index out of range")
-    x = row ^ col
-    scale = value / dim
-    out = {}
-    for z in range(dim):
-        phase = _I_POW[(x & z).bit_count() & 3]
-        sign = -1.0 if ((row & z).bit_count() & 1) else 1.0
-        out[(x, z)] = scale * sign * phase
-    return out
+    idx = np.arange(dim)
+    masks = idx[:, None] & idx
+    signs = 1.0 - 2.0 * (np.bitwise_count(masks) & 1)
+    powers = np.bitwise_count(masks) & 3
+    phases = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])[powers]
+    strings = tuple(PauliString(qubits=qubits, x=x, z=z) for x in range(dim) for z in range(dim))
+    order = np.array(sorted(range(dim * dim), key=lambda k: strings[k].label))
+    for array in (signs, phases, order):
+        array.setflags(write=False)
+    return signs, phases, order, strings
 
 
 def map_operator(matrix: np.ndarray, tol: float = PRUNE_TOL) -> PauliOperator:
-    """Expand a real symmetric matrix of power-of-two dimension exactly."""
+    """Expand a real symmetric matrix of power-of-two dimension exactly.
+
+    The weight of P(x, z) is i^{|x AND z|} times the sum over rows of
+    mat[row, row XOR x] / dim * (-1)^{|row AND z|}. The rows are added in
+    ascending order by a cumulative sum, one rounding per term; `np.sum`
+    adds pairwise and would round differently.
+    """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
@@ -141,28 +151,28 @@ def map_operator(matrix: np.ndarray, tol: float = PRUNE_TOL) -> PauliOperator:
     # symmetrizing makes the imaginary parts cancel exactly in floating point
     mat = 0.5 * (mat + mat.T)
     qubits = dim.bit_length() - 1
+    signs, phases, order, strings = _expansion_tables(qubits)
 
-    accum: dict = {}
-    rows, cols = np.nonzero(mat)
-    for row, col in zip(rows.tolist(), cols.tolist()):
-        for key, coef in map_element(row, col, mat[row, col], qubits).items():
-            accum[key] = accum.get(key, 0.0 + 0.0j) + coef
+    idx = np.arange(dim)
+    # values[x, row] = mat[row, row XOR x]
+    values = mat[idx, idx[:, None] ^ idx]
+    terms = (values / dim)[:, None, :] * signs
+    totals = np.cumsum(terms, axis=-1)[..., -1]
+    # adding 0.0 turns -0.0 into the 0.0 that a sum started at 0.0 gives
+    real = totals * phases[..., 0] + 0.0
+    imag = totals * phases[..., 1]
+    magnitude = np.hypot(real, imag)
+    # a shift x with no nonzero element contributes no strings at all
+    kept = ~(magnitude <= tol) & np.any(values != 0.0, axis=1)[:, None]
+    if np.any(np.abs(imag[kept]) > 1e-9 * np.maximum(magnitude[kept], 1.0)):
+        raise ValueError("expansion of a symmetric matrix produced a complex weight")
 
-    strings = []
-    coefficients = []
-    for (x, z), coef in accum.items():
-        if abs(coef) <= tol:
-            continue
-        if abs(coef.imag) > 1e-9 * max(abs(coef), 1.0):
-            raise ValueError("expansion of a symmetric matrix produced a complex weight")
-        strings.append(PauliString(qubits=qubits, x=x, z=z))
-        coefficients.append(float(coef.real))
-
-    order = sorted(range(len(strings)), key=lambda i: strings[i].label)
+    keys = order[kept.ravel()[order]]
+    flat = real.ravel()
     return PauliOperator(
         qubits=qubits,
-        strings=tuple(strings[i] for i in order),
-        coefficients=tuple(coefficients[i] for i in order),
+        strings=tuple(strings[k] for k in keys.tolist()),
+        coefficients=tuple(flat[keys].tolist()),
     )
 
 

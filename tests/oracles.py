@@ -12,8 +12,10 @@ bitmask convention and is itself checked against dense matrices;
 `serial_spsa` is the one-run SPSA loop that the lockstep batch reproduces
 bit for bit; `pairwise_multiplication_matrix`, `pairwise_derivative_matrix`
 and `masked_jacobi_eigh` are the former dict-product matrix builders and
-masked Jacobi rotation loop, which the package's versions reproduce bit for
-bit; and `potential_value`, `potential_d1` and `potential_d2` evaluate the
+masked Jacobi rotation loop, and `map_element`, `elementwise_map_operator`
+and `loop_chain_matrix` the former per-element Pauli expansion and
+per-state-pair chain assembly, which the package's versions reproduce bit
+for bit; and `potential_value`, `potential_d1` and `potential_d2` evaluate the
 package's cosine series pointwise.
 """
 
@@ -27,8 +29,15 @@ import math
 import numpy as np
 
 from rotorvqe import qsim
-from rotorvqe.dihedral import _basis_poly, _tp_diff, _tp_mul
+from rotorvqe.dihedral import (
+    _basis_poly,
+    _tp_diff,
+    _tp_mul,
+    derivative_matrix_elements,
+    uprime_matrix_elements,
+)
 from rotorvqe.linalg import OFFDIAG_TOL, _offdiag_norm
+from rotorvqe.paulimap import PRUNE_TOL, PauliOperator, PauliString
 from rotorvqe.potential import cosine_series
 
 TWO_PI = 2.0 * math.pi
@@ -185,6 +194,98 @@ def masked_jacobi_eigh(matrix: np.ndarray, tol: float = OFFDIAG_TOL, max_sweeps:
             f"residual off-diagonal norm {_offdiag_norm(a):.3e}"
         )
     return np.diag(a).copy(), v
+
+
+def map_element(row: int, col: int, value: float, qubits: int) -> dict:
+    """Expand value * |row><col| over the Pauli basis.
+
+    Returns {(x, z): complex coefficient} with x fixed to row XOR col.
+    """
+    dim = 1 << qubits
+    if not (0 <= row < dim and 0 <= col < dim):
+        raise ValueError("basis index out of range")
+    x = row ^ col
+    scale = value / dim
+    out = {}
+    for z in range(dim):
+        phase = _I_POW[(x & z).bit_count() & 3]
+        sign = -1.0 if ((row & z).bit_count() & 1) else 1.0
+        out[(x, z)] = scale * sign * phase
+    return out
+
+
+def elementwise_map_operator(matrix: np.ndarray, tol: float = PRUNE_TOL) -> PauliOperator:
+    """Pauli expansion accumulated one nonzero matrix element at a time."""
+    mat = np.asarray(matrix, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError("matrix must be square")
+    dim = mat.shape[0]
+    if dim < 2 or dim & (dim - 1):
+        raise ValueError("matrix dimension must be a power of two, at least 2")
+    scale = float(np.max(np.abs(mat))) or 1.0
+    if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * scale):
+        raise ValueError("matrix must be symmetric")
+    # symmetrizing makes the imaginary parts cancel exactly in floating point
+    mat = 0.5 * (mat + mat.T)
+    qubits = dim.bit_length() - 1
+
+    accum: dict = {}
+    rows, cols = np.nonzero(mat)
+    for row, col in zip(rows.tolist(), cols.tolist()):
+        for key, coef in map_element(row, col, mat[row, col], qubits).items():
+            accum[key] = accum.get(key, 0.0 + 0.0j) + coef
+
+    strings = []
+    coefficients = []
+    for (x, z), coef in accum.items():
+        if abs(coef) <= tol:
+            continue
+        if abs(coef.imag) > 1e-9 * max(abs(coef), 1.0):
+            raise ValueError("expansion of a symmetric matrix produced a complex weight")
+        strings.append(PauliString(qubits=qubits, x=x, z=z))
+        coefficients.append(float(coef.real))
+
+    order = sorted(range(len(strings)), key=lambda i: strings[i].label)
+    return PauliOperator(
+        qubits=qubits,
+        strings=tuple(strings[i] for i in order),
+        coefficients=tuple(coefficients[i] for i in order),
+    )
+
+
+def loop_chain_matrix(basis) -> np.ndarray:
+    """Chain generator matrix assembled one state pair and one dihedral pair at a time."""
+    chain = basis.chain
+    n_dih = chain.n_dihedrals
+    evals = [b.eigenvalues for b in basis.dihedral_bases]
+    dmats = [derivative_matrix_elements(b) for b in basis.dihedral_bases]
+    umats = [uprime_matrix_elements(b) for b in basis.dihedral_bases]
+
+    states = basis.states
+    size = len(states)
+    out = np.zeros((size, size))
+    for r in range(size):
+        m = states[r]
+        out[r, r] = float(sum(evals[k][m[k]] for k in range(n_dih)))
+        for c in range(r, size):
+            n = states[c]
+            acc = 0.0
+            for k in range(n_dih - 1):
+                if any(m[j] != n[j] for j in range(n_dih) if j not in (k, k + 1)):
+                    continue
+                shared = chain.diffusion[k + 1]
+                acc += (
+                    2.0
+                    * shared
+                    * (
+                        dmats[k][m[k], n[k]] * dmats[k + 1][m[k + 1], n[k + 1]]
+                        - 0.25 * umats[k][m[k], n[k]] * umats[k + 1][m[k + 1], n[k + 1]]
+                    )
+                )
+            out[r, c] += acc
+            if c != r:
+                out[c, r] += acc
+    return out
 
 
 def quadrature_dihedral_matrix(

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+import oracles
 from rotorvqe.chain import (
     build_chain_matrix,
     build_composite_basis,
+    lowest_eigenvalue,
     pad_matrix,
     rate_constant,
     reference_spectrum,
 )
+from rotorvqe.driver import build_problem
 from rotorvqe.potential import BISTABLE, MONOSTABLE, ChainSpec, DihedralSpec
 
 LADDER = ((4, 2), (4, 4), (8, 4))
@@ -147,6 +150,45 @@ def test_non_adjacent_dihedrals_do_not_couple():
                 assert mat[i, j] == 0.0
                 checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("barrier", [0.0, 0.5, 3.0, 6.5])
+def test_chain_matrix_matches_loop_oracle_bit_for_bit(barrier):
+    for kept in [(4, 2), (4, 4), (8, 4), (3, 2), (6, 5)]:
+        basis = build_composite_basis(standard_chain(barrier), kept)
+        expected = oracles.loop_chain_matrix(basis)
+        assert build_chain_matrix(basis).tobytes() == expected.tobytes()
+    # unequal diffusion coefficients reach the shared-rotor factor
+    chain = ChainSpec(
+        dihedrals=(DihedralSpec(MONOSTABLE, barrier), DihedralSpec(BISTABLE, 1.5)),
+        diffusion=(0.7, 1.3, 0.4),
+    )
+    basis = build_composite_basis(chain, (4, 4))
+    assert build_chain_matrix(basis).tobytes() == oracles.loop_chain_matrix(basis).tobytes()
+
+
+def test_three_dihedral_chain_matrix_matches_loop_oracle_bit_for_bit():
+    # a pair is skipped whenever the third, spectator dihedral's index differs
+    chain = ChainSpec(
+        dihedrals=(
+            DihedralSpec(BISTABLE, 0.5),
+            DihedralSpec(MONOSTABLE, 1.0),
+            DihedralSpec(BISTABLE, 2.0),
+        ),
+        diffusion=(1.0, 0.8, 1.2, 0.9),
+    )
+    for kept in [(4, 2, 2), (4, 3, 3), (2, 2, 4)]:
+        basis = build_composite_basis(chain, kept)
+        assert build_chain_matrix(basis).tobytes() == oracles.loop_chain_matrix(basis).tobytes()
+
+
+@pytest.mark.parametrize("barrier", [0.5, 3.0])
+def test_problem_reference_is_the_lowest_spectrum_value_bit_for_bit(barrier):
+    for i, rung in enumerate(LADDER):
+        problem = build_problem(standard_chain(barrier), rung, ladder=LADDER[: i + 1])
+        expected = float(reference_spectrum(problem.matrix)[0][0])
+        assert np.float64(problem.reference).tobytes() == np.float64(expected).tobytes()
+        assert lowest_eigenvalue(problem.matrix) == expected
 
 
 def test_barrier_monotonicity():

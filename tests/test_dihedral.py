@@ -13,6 +13,7 @@ from rotorvqe.dihedral import (
     diagonalize_dihedral,
     fourier_derivative_matrix,
     fourier_parities,
+    fourier_uprime_matrix,
     multiplication_matrix,
     solve_dihedral,
     uprime_matrix_elements,
@@ -236,3 +237,23 @@ def test_shared_caches_cannot_be_written_through_results():
     assert again.eigenvalues.tobytes() == expected[0].tobytes()
     assert again.vectors.tobytes() == expected[1].tobytes()
     assert again.parities.tobytes() == expected[2].tobytes()
+
+
+def test_uprime_matrix_is_cached_read_only_and_bitwise_fresh():
+    # a spec no other test builds, so the first call below is a miss
+    spec = DihedralSpec(MONOSTABLE, 2.375)
+    before = fourier_uprime_matrix.cache_info()
+    shared = fourier_uprime_matrix(spec, 16)
+    with pytest.raises(ValueError):
+        shared[1, 2] = 5.0
+    fresh = multiplication_matrix(_tp_diff(_potential_poly(spec)), 16)
+    assert shared.tobytes() == fresh.tobytes()
+    assert fourier_uprime_matrix.cache_info().misses == before.misses + 1
+    # a second build of the same spec reads the cached matrix
+    basis = solve_dihedral(spec, 2.0, 4)
+    first = uprime_matrix_elements(basis)
+    second = uprime_matrix_elements(basis)
+    assert first.tobytes() == second.tobytes()
+    assert fourier_uprime_matrix.cache_info().hits >= before.hits + 2
+    assert fourier_uprime_matrix.cache_info().misses == before.misses + 1
+

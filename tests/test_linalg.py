@@ -3,7 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from rotorvqe.chain import build_chain_matrix, build_composite_basis, pad_matrix
+from rotorvqe.dihedral import build_single_dihedral_matrix, fourier_parities
 from rotorvqe.linalg import canonical_sign, jacobi_eigh
+from rotorvqe.potential import BISTABLE, MONOSTABLE, ChainSpec, DihedralSpec
+
+LADDER = ((4, 2), (4, 4), (8, 4))
+
+
+def assert_matches_masked_oracle(a):
+    w, v = jacobi_eigh(a)
+    expected_w, expected_v = oracles.masked_jacobi_eigh(a)
+    assert w.tobytes() == expected_w.tobytes()
+    assert v.tobytes() == expected_v.tobytes()
 
 
 @pytest.mark.parametrize("size", [2, 5, 16, 33, 65])
@@ -70,7 +82,29 @@ def test_matches_masked_rotation_oracle_bit_for_bit(size, seed, zero_fraction, p
     # two copies of one block: exactly degenerate eigenvalue pairs for even
     # sizes and exactly zero off-diagonal blocks
     a = np.kron(np.eye(2), b)[:size, :size] if paired else b
-    w, v = jacobi_eigh(a)
-    expected_w, expected_v = oracles.masked_jacobi_eigh(a)
-    assert w.tobytes() == expected_w.tobytes()
-    assert v.tobytes() == expected_v.tobytes()
+    assert_matches_masked_oracle(a)
+
+
+@pytest.mark.parametrize("harmonics", [16, 32])
+@pytest.mark.parametrize("kind,barrier", [(BISTABLE, 0.5), (BISTABLE, 3.0), (BISTABLE, 7.0), (MONOSTABLE, 1.0)])
+def test_matches_masked_rotation_oracle_on_dihedral_parity_blocks(kind, barrier, harmonics):
+    # the banded blocks every dihedral spectrum diagonalizes: orders 17 and
+    # 16 at the cutoff, 33 and 32 at the doubled cutoff of the guard
+    matrix = build_single_dihedral_matrix(DihedralSpec(kind, barrier), 2.0, harmonics)
+    parities = fourier_parities(harmonics)
+    for parity in (1, -1):
+        idx = np.flatnonzero(parities == parity)
+        assert_matches_masked_oracle(matrix[np.ix_(idx, idx)])
+
+
+@pytest.mark.parametrize("barrier", [0.5, 3.0])
+def test_matches_masked_rotation_oracle_on_padded_chain_matrices(barrier):
+    chain = ChainSpec(
+        dihedrals=(DihedralSpec(BISTABLE, barrier), DihedralSpec(MONOSTABLE, 1.0)),
+        diffusion=(1.0, 1.0, 1.0),
+    )
+    # every ladder rung, and a 3-state basis whose padding adds a penalty row
+    cases = [(rung, LADDER[: i + 1]) for i, rung in enumerate(LADDER)] + [((3, 2), None)]
+    for kept, ladder in cases:
+        basis = build_composite_basis(chain, kept, ladder=ladder)
+        assert_matches_masked_oracle(pad_matrix(build_chain_matrix(basis), basis.qubits))

@@ -1,13 +1,18 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from rotorvqe.chain import build_chain_matrix, build_composite_basis, pad_matrix
+from rotorvqe.driver import build_problem
 from rotorvqe.paulimap import (
+    PRUNE_TOL,
     MeasurementGroup,
     PauliOperator,
     PauliString,
     group_qubitwise_commuting,
-    map_element,
     map_operator,
     operator_from_text,
     operator_to_text,
@@ -15,7 +20,12 @@ from rotorvqe.paulimap import (
 )
 from rotorvqe.potential import BISTABLE, MONOSTABLE, ChainSpec, DihedralSpec
 
-from oracles import PAULI_1Q, dense_from_labels
+from oracles import PAULI_1Q, dense_from_labels, map_element
+
+LADDER = ((4, 2), (4, 4), (8, 4))
+# exact and signed zeros, subnormals, the smallest normal, and values whose
+# share of a coefficient lands on either side of the 1e-12 prune line
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2e-323, 2.2250738585072014e-308, 1e-300, 1e-12, -1e-12, 1.0)
 
 
 def operator_from_labels(pairs):
@@ -24,11 +34,15 @@ def operator_from_labels(pairs):
     return PauliOperator(qubits=strings[0].qubits, strings=strings, coefficients=coefficients)
 
 
-def standard_operator(kept):
-    chain = ChainSpec(
-        dihedrals=(DihedralSpec(BISTABLE, 0.5), DihedralSpec(MONOSTABLE, 1.0)),
+def standard_chain(barrier=0.5):
+    return ChainSpec(
+        dihedrals=(DihedralSpec(BISTABLE, barrier), DihedralSpec(MONOSTABLE, 1.0)),
         diffusion=(1.0, 1.0, 1.0),
     )
+
+
+def standard_operator(kept):
+    chain = standard_chain()
     basis = build_composite_basis(chain, kept)
     mat = pad_matrix(build_chain_matrix(basis), basis.qubits)
     return mat, map_operator(mat)
@@ -128,6 +142,82 @@ def test_map_operator_rejects_bad_input():
         map_operator(np.zeros((2, 4)))
     with pytest.raises(ValueError):
         map_operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def assert_matches_elementwise_oracle(matrix, tol=PRUNE_TOL):
+    try:
+        expected = oracles.elementwise_map_operator(matrix, tol)
+    except ValueError as error:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+            map_operator(matrix, tol)
+        return
+    got = map_operator(matrix, tol)
+    assert got.qubits == expected.qubits
+    assert got.strings == expected.strings
+    assert np.array(got.coefficients).tobytes() == np.array(expected.coefficients).tobytes()
+
+
+def symmetric_from_upper(raw):
+    # mirror the upper triangle so signed zeros survive on both sides
+    upper = np.triu(raw)
+    return np.where(np.tri(len(raw), k=-1, dtype=bool), upper.T, upper)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    qubits=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    style=st.sampled_from(["range", "special", "prune"]),
+    zero_fraction=st.sampled_from([0.0, 0.5, 0.9]),
+    # 0.0 keeps every nonzero weight and -1.0 every string of a present shift
+    tol=st.sampled_from([PRUNE_TOL, 0.0, -1.0]),
+)
+def test_map_operator_matches_elementwise_oracle_bit_for_bit(qubits, seed, style, zero_fraction, tol):
+    dim = 1 << qubits
+    rng = np.random.default_rng(seed)
+    if style == "range":
+        raw = rng.normal(size=(dim, dim)) * 10.0 ** rng.uniform(-300.0, 3.0, size=(dim, dim))
+    elif style == "special":
+        raw = rng.choice(SPECIAL, size=(dim, dim)) * rng.choice([1.0, float(dim)], size=(dim, dim))
+    else:
+        raw = rng.choice([-1.0, 1.0], size=(dim, dim)) * 1e-12 * rng.uniform(0.5, 2.0, size=(dim, dim))
+    zeros = rng.random((dim, dim)) < zero_fraction
+    raw[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    assert_matches_elementwise_oracle(symmetric_from_upper(raw), tol)
+
+
+def test_map_operator_matches_elementwise_oracle_at_the_prune_line():
+    # the identity weight of diag(1e-12, 1e-12) is 1e-12 exactly, which is pruned
+    for matrix in (np.diag([1e-12, 1e-12]), np.diag([1e-12, 1e-12]) * (1.0 + 2.0**-52)):
+        assert_matches_elementwise_oracle(matrix)
+    assert len(map_operator(np.diag([1e-12, 1e-12]))) == 0
+
+
+@pytest.mark.parametrize("barrier", [0.5, 3.0])
+def test_map_operator_matches_elementwise_oracle_on_every_rung(barrier):
+    for i, rung in enumerate(LADDER):
+        problem = build_problem(standard_chain(barrier), rung, ladder=LADDER[: i + 1])
+        expected = oracles.elementwise_map_operator(problem.matrix)
+        assert problem.operator.strings == expected.strings
+        assert np.array(problem.operator.coefficients).tobytes() == np.array(expected.coefficients).tobytes()
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.array([[0.0, 1.0], [0.0, 0.0]]),
+        np.array([[1.0, 2.0, 0.0, 0.0], [2.0 + 1e-9, 1.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4]),
+        np.zeros((3, 3)),
+        np.zeros((2, 4)),
+        np.zeros((1, 1)),
+    ],
+)
+def test_map_operator_rejects_what_the_elementwise_oracle_rejects(matrix):
+    with pytest.raises(ValueError) as expected:
+        oracles.elementwise_map_operator(matrix)
+    with pytest.raises(ValueError) as got:
+        map_operator(matrix)
+    assert str(got.value) == str(expected.value)
 
 
 def test_grouping_examples():
