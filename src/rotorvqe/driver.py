@@ -56,7 +56,6 @@ from .qsim import (
     embed_params,
     prepare_state,
     prepare_states,
-    sampled_expectation,
     sampled_expectations,
 )
 
@@ -198,8 +197,9 @@ def _batch_evaluator(problem: Problem, config: VqeConfig, run_seeds):
     """Objective over stacked points[B, P], row i belonging to run i % len(run_seeds).
 
     The one way to evaluate an objective: a single point is a batch of one
-    row.  Exact and sampled modes evaluate the whole batch in one call; noisy
-    mode evolves each row's density matrix in turn.  Statistical modes seed
+    row.  Exact and sampled modes evaluate the whole batch in one call (the
+    study's sampled half calls the same `sampled_expectations`); noisy mode
+    evolves each row's density matrix in turn.  Statistical modes seed
     every evaluation with [run seed, run's evaluation count], so every run
     sees the evaluation seeds it would see alone.
     """
@@ -561,9 +561,16 @@ def run_distribution_study(
     repetitions: int = 200,
     problem: Problem = None,
 ) -> tuple:
-    """Re-measure a fixed parameter set many times per mode (histogram data)."""
+    """Re-measure a fixed parameter set many times per mode (histogram data).
+
+    Each mode estimates all its repetitions in one batched call, repetition
+    k seeded by the k-th seed of the mode's stream, as a lone estimate would be.
+    """
     if repetitions < 2:
         raise ValueError("need at least two repetitions for spread statistics")
+    for mode in modes:
+        if mode not in (SAMPLED, NOISY):
+            raise ValueError(f"distribution study mode must be statistical, got {mode!r}")
     if problem is None:
         problem = _build(config)
     params = np.asarray(params, dtype=float)
@@ -578,17 +585,12 @@ def run_distribution_study(
     noise = config.noise if config.noise is not None else NoiseSpec()
     studies = []
     for m, mode in enumerate(modes):
-        if mode not in (SAMPLED, NOISY):
-            raise ValueError(f"distribution study mode must be statistical, got {mode!r}")
         seeds = seed_stream(config.seed + 7919 * (m + 1), repetitions)
         if mode == SAMPLED:
-            estimates = [
-                sampled_expectation(
-                    problem.ansatz, params, problem.operator, config.shots,
-                    grouping=config.grouping, seed=rep_seed,
-                )
-                for rep_seed in seeds
-            ]
+            estimates = sampled_expectations(
+                problem.ansatz, np.tile(params, (repetitions, 1)), problem.operator, config.shots,
+                seeds, grouping=config.grouping,
+            )
         else:
             estimates = _noisy_estimates(
                 problem.ansatz, params, problem.operator, config.shots, noise, seeds,

@@ -91,6 +91,11 @@ class PauliOperator:
         for string in self.strings:
             if string.qubits != self.qubits:
                 raise ValueError("all strings must act on the same register")
+        # hashed once, for the plan cache; int and float hashes agree across processes
+        object.__setattr__(self, "_hash", hash((self.qubits, self.strings, self.coefficients)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.strings)

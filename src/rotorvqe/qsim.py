@@ -129,35 +129,56 @@ def _apply_cnot(state: np.ndarray, qubits: int, control: int, target: int) -> No
     state[:] = state[_cnot_table(qubits, control, target)]
 
 
-@lru_cache(maxsize=64)
-def _batch_program(ansatz: AnsatzSpec):
-    """The circuit as one gather per rotation on a batch kept in a running row order.
+def _compile(qubits: int, ops) -> tuple:
+    """A gate program as one gather per rotation on a batch kept in a running row order.
 
-    Row k of the working batch holds amplitude order[k].  A rotation on a
-    qubit with amplitude pairs (j0, j1) gathers ((x[j0], x[j0]), (x[j1], x[j1]))
-    with one stacked index of shape (2, 2, len(j0)), so one product per side
-    gives both new halves, stored in the order (j0, j1).  A CNOT only
-    relabels the order, being its own inverse.  Returns (is_rz, steps,
-    final): a mask of the Rz parameters, (parameter, gather) per rotation,
-    and the gather that restores the computational-basis order.
+    Row k of the working batch holds amplitude order[k].  A rotation
+    (name, qubit, key) with amplitude pairs (j0, j1) gathers
+    ((x[j0], x[j0]), (x[j1], x[j1])) with one stacked index of shape
+    (2, 2, len(j0)), so one product per side gives both new halves, stored
+    in the order (j0, j1).  A ("cx", control, target) only relabels the
+    order, being its own inverse.  Returns (steps, final): (key, gather) per
+    rotation, and the gather that restores the computational-basis order.
     """
-    qubits = ansatz.qubits
     order = np.arange(1 << qubits)
-    is_rz = np.zeros(ansatz.parameter_count, dtype=bool)
     steps = []
-    for op in ansatz_operations(ansatz):
+    for op in ops:
         if op[0] == "cx":
             order = _cnot_table(qubits, op[1], op[2])[order]
             continue
-        is_rz[op[2]] = op[0] == "rz"
         row = np.argsort(order)
         j0, j1 = _pair_indices(qubits, op[1])
         steps.append((op[2], row[np.stack(((j0, j0), (j1, j1)))]))
         order = np.concatenate((j0, j1))
     final = np.argsort(order)
-    for table in [is_rz, final] + [index for _, index in steps]:
+    for table in [final] + [index for _, index in steps]:
         table.flags.writeable = False
-    return is_rz, tuple(steps), final
+    return tuple(steps), final
+
+
+def _run_gathers(work: np.ndarray, steps) -> None:
+    """Run compiled (gate, gather) steps in place on a C-contiguous work[2^Q, ...].
+
+    Gate entries are held as gate[j, i, 1, ...], broadcast over work's trailing axes.
+    """
+    halves = work.reshape((2, len(work) // 2) + work.shape[1:])
+    terms = np.empty((2,) + halves.shape, dtype=complex)
+    for gate, index in steps:
+        # terms = ((g00 a, g10 a), (g01 b, g11 b)), then their sums in place;
+        # every index is in range, and "clip" skips the copy "raise" buffers
+        work.take(index, axis=0, out=terms, mode="clip")
+        np.multiply(gate, terms, out=terms)
+        np.add(terms[0], terms[1], out=halves)
+
+
+@lru_cache(maxsize=64)
+def _batch_program(ansatz: AnsatzSpec):
+    """(is_rz, steps, final): the Rz parameter mask and the circuit compiled by `_compile`."""
+    ops = ansatz_operations(ansatz)
+    is_rz = np.zeros(ansatz.parameter_count, dtype=bool)
+    is_rz[[op[2] for op in ops if op[0] == "rz"]] = True
+    is_rz.flags.writeable = False
+    return (is_rz,) + _compile(ansatz.qubits, ops)
 
 
 def _rotation_gates(is_rz: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -183,16 +204,14 @@ def _rotation_gates(is_rz: np.ndarray, values: np.ndarray) -> np.ndarray:
 def prepare_states(ansatz: AnsatzSpec, params) -> np.ndarray:
     """Run the circuit on |0...0> once per row of params[B, P]; returns states[B, 2^Q].
 
-    The working batch is held batch-minor, as (2^Q, B): one row per
-    amplitude, one column per params row.  Each rotation gathers its a and b
-    halves along axis 0 in one `take` and multiplies them by the gate
-    entries held as gates[param, j, i, 1, B], so every complex multiply-add
-    runs with the batch as its innermost, contiguous axis.  The arithmetic
-    is the full 2x2 product g[i, 0] a + g[i, 1] b of a single state, zero
-    entries included, so column b is bit-identical to the state of params[b]
-    prepared alone; `tests/oracles.py::serial_prepare_state` checks this.
-    The result is C-contiguous, which the bit-identical energy contraction
-    in `driver` relies on.
+    The working batch is held batch-minor, as (2^Q, B), so each complex
+    multiply-add of `_run_gathers` runs with the batch as its innermost,
+    contiguous axis.  The arithmetic is the full 2x2 product
+    g[i, 0] a + g[i, 1] b of a single state, zero entries included, so column
+    b is bit-identical to the state of params[b] prepared alone;
+    `tests/oracles.py::serial_prepare_state` checks this.  The result is
+    C-contiguous, which the bit-identical energy contraction in `driver`
+    relies on.
     """
     values = np.asarray(params, dtype=float)
     if values.ndim != 2 or values.shape[1] != ansatz.parameter_count:
@@ -202,17 +221,9 @@ def prepare_states(ansatz: AnsatzSpec, params) -> np.ndarray:
     is_rz, steps, final = _batch_program(ansatz)
     gates = np.ascontiguousarray(_rotation_gates(is_rz, values).transpose(0, 3, 2, 1))
     gates = gates[:, :, :, None, :]
-    dim = 1 << ansatz.qubits
-    states = np.zeros((dim, len(values)), dtype=complex)
+    states = np.zeros((1 << ansatz.qubits, len(values)), dtype=complex)
     states[0] = 1.0
-    halves = states.reshape(2, dim // 2, -1)
-    terms = np.empty((2, 2, dim // 2, len(values)), dtype=complex)
-    for p, index in steps:
-        # terms = ((g00 a, g10 a), (g01 b, g11 b)), then their sums in place;
-        # every index is in range, and "clip" skips the copy "raise" buffers
-        states.take(index, axis=0, out=terms, mode="clip")
-        np.multiply(gates[p], terms, out=terms)
-        np.add(terms[0], terms[1], out=halves)
+    _run_gathers(states, [(gates[p], index) for p, index in steps])
     states = np.ascontiguousarray(states.take(final, axis=0).T)
     norms = np.sum(np.abs(states) ** 2, axis=1)
     # written so that a NaN norm, from a non-finite angle, fails too
@@ -327,13 +338,14 @@ def _measurement_plan(operator: PauliOperator, grouping: bool):
     """Exact identity offset plus every sampled setting's basis change and outcome values.
 
     A setting is one QWC group, or one string when grouping is off; the
-    identity string is never measured.  Returns (offset, tails, rotations,
+    identity string is never measured.  Returns (offset, tails, compiled,
     outcomes): each setting's basis-change gates, for the noisy channel;
-    the same gates stacked per qubit as rotations[k] = (qubit, gates[2, 2, S, 1]),
-    where a setting that does not rotate the qubit takes the identity, for
-    the sampled batch; and the outcome-value table outcomes[S, 2^Q].
-    Compiled once per operator, so the estimators neither regroup nor
-    rebuild outcome tables on each call.
+    (steps, final, column, square): every setting's basis change compiled
+    by `_compile`, one step per rotated qubit with gates[j, i, 1, S, 1] (an
+    identity where a setting does not rotate it), and the outcome values
+    as a column [S, 2^Q, 1] and its square, for `_tally`; and the table
+    outcomes[S, 2^Q].  Compiled once per operator, so no estimate
+    regroups or rebuilds gates or outcome tables.
     """
     qubits, strings = operator.qubits, operator.strings
     if grouping:
@@ -346,33 +358,33 @@ def _measurement_plan(operator: PauliOperator, grouping: bool):
         if members:
             tails.append(_basis_change_gates(x, z, qubits))
             outcomes.append(_outcome_values(operator, members, 1 << qubits))
-    stacked = {}
-    for s, tail in enumerate(tails):
-        for (q,), gate in tail:
-            if q not in stacked:
-                stacked[q] = np.zeros((2, 2, len(tails), 1), dtype=complex)
-                stacked[q][0, 0] = stacked[q][1, 1] = 1.0
-            stacked[q][:, :, s, 0] = gate
-    rotations = tuple((q, stacked[q]) for q in sorted(stacked))
+    ops = []
+    for q in sorted({q for tail in tails for (q,), _ in tail}):
+        stack = np.array([dict(tail).get((q,), np.eye(2)) for tail in tails], dtype=complex)
+        ops.append(("basis", q, np.ascontiguousarray(stack.T[:, :, None, :, None])))
+    steps, final = _compile(qubits, ops)
     table = np.array(outcomes).reshape(len(tails), 1 << qubits)
-    for array in [table] + [gates for _, gates in rotations]:
+    column = table[:, :, None]
+    square = column**2
+    for array in [table, column, square] + [gates for gates, _ in steps]:
         array.flags.writeable = False
-    return operator.identity_offset, tuple(tails), rotations, table
+    return operator.identity_offset, tuple(tails), (steps, final, column, square), table
 
 
-def _tally(counts: np.ndarray, outcomes: np.ndarray, shots: int, offset: float):
-    """Estimates and their variances from counts[..., S, 2^Q] of every setting.
+def _tally(counts: np.ndarray, plan, shots: int):
+    """Estimates and their variances from counts[..., S, 2^Q] of a measurement plan's settings.
 
-    Each setting contributes its sample mean of outcomes[S, 2^Q] over the
+    Each setting contributes its sample mean of the outcome values over the
     shots and that mean's variance; the settings are summed in order onto
     the offset, as a running sum would.  Every (1, 2^Q) @ (2^Q, 1) product
     and the sequential `cumsum` make each row's figures independent of the
     rows beside it.
     """
+    offset, _, (_, _, column, square), _ = plan
     counts = np.asarray(counts, dtype=float)[..., None, :]
-    mean = np.matmul(counts, outcomes[:, :, None])[..., 0, 0] / shots
+    mean = np.matmul(counts, column)[..., 0, 0] / shots
     if shots > 1:
-        second = np.matmul(counts, outcomes[:, :, None] ** 2)[..., 0, 0]
+        second = np.matmul(counts, square)[..., 0, 0]
         variance = np.maximum(second - shots * mean * mean, 0.0) / (shots - 1) / shots
     else:
         variance = np.zeros_like(mean)
@@ -399,33 +411,30 @@ def sampled_expectations(
 ) -> tuple:
     """`sampled_expectation` of every row of points[B, P], row b seeded by seeds[b].
 
-    The states are prepared as one batch, and each qubit's basis-change
-    rotations act on all rows and settings at once, with the same complex
-    products as on one state (an identity where a setting does not rotate,
-    which changes no amplitude's magnitude).  Each row draws all its
-    settings' counts in one multinomial from its own generator, so row b is
-    bit-identical to the point estimated alone, whatever its neighbours.
+    The states are prepared as one batch, held as (2^Q, S, B), and the plan's
+    compiled basis changes act on all rows and settings at once, with the
+    same complex products as on one state (an identity where a setting does
+    not rotate, which changes no amplitude's magnitude).  Each row draws all
+    its settings' counts in one multinomial from its own generator, so row b
+    is bit-identical to the point estimated alone, whatever its neighbours.
     """
     if ansatz.qubits != operator.qubits:
         raise ValueError("ansatz and operator registers differ")
     if shots < 1:
         raise ValueError("need at least one shot")
+    if len(seeds) != len(points):
+        raise ValueError(f"expected one seed per point, got {len(seeds)} for {len(points)}")
     states = prepare_states(ansatz, points)
-    if len(seeds) != len(states):
-        raise ValueError(f"expected one seed per point, got {len(seeds)} for {len(states)}")
-    offset, _, rotations, outcomes = _measurement_plan(operator, grouping)
-    rotated = np.repeat(states[:, None, :], len(outcomes), axis=1)
-    for q, ((g00, g01), (g10, g11)) in rotations:
-        j0, j1 = _pair_indices(ansatz.qubits, q)
-        a = rotated[..., j0]
-        b = rotated[..., j1]
-        rotated[..., j0] = g00 * a + g01 * b
-        rotated[..., j1] = g10 * a + g11 * b
+    plan = _measurement_plan(operator, grouping)
+    _, tails, (steps, final, _, _), _ = plan
+    work = np.repeat(states.T[:, None, :], len(tails), axis=1)
+    _run_gathers(work, steps)
+    rotated = work.transpose(2, 1, 0).take(final, axis=2)
     probs = np.abs(rotated) ** 2
     probs /= probs.sum(axis=-1, keepdims=True)
     counts = [np.random.default_rng(seed).multinomial(shots, p) for seed, p in zip(seeds, probs)]
-    value, variance = _tally(np.array(counts), outcomes, shots, offset)
-    return _estimates(value, variance, len(outcomes) * shots, SAMPLED)
+    value, variance = _tally(np.array(counts), plan, shots)
+    return _estimates(value, variance, len(tails) * shots, SAMPLED)
 
 
 def sampled_expectation(
@@ -533,16 +542,16 @@ def _noisy_estimates(ansatz, params, operator, shots, noise, seeds, mitigate, gr
         except np.linalg.LinAlgError as err:
             raise ValueError("readout confusion matrix is singular") from err
 
-    offset, tails, _, outcomes = _measurement_plan(operator, grouping)
-    probs = _noisy_distributions(ansatz, values, noise, tails)
+    plan = _measurement_plan(operator, grouping)
+    probs = _noisy_distributions(ansatz, values, noise, plan[1])
     counts = np.array([np.random.default_rng(seed).multinomial(shots, probs) for seed in seeds])
     if mitigate and inverse is not None:
         # one (1, 2^Q) @ (2^Q, 2^Q) product per setting, as for a single setting
         freq = np.matmul((counts / shots)[..., None, :], inverse)[..., 0, :]
         freq = np.clip(freq, 0.0, None)
         counts = shots * freq / freq.sum(axis=-1, keepdims=True)
-    value, variance = _tally(counts, outcomes, shots, offset)
-    return _estimates(value, variance, len(tails) * shots, NOISY)
+    value, variance = _tally(counts, plan, shots)
+    return _estimates(value, variance, len(plan[1]) * shots, NOISY)
 
 
 def noisy_expectation(

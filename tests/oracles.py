@@ -5,8 +5,10 @@ bitmask code paths: matrix elements come from dense trapezoid quadrature on a
 periodic grid (spectrally accurate), potential derivatives are written out by
 hand, and Pauli reconstruction uses literal 2x2 matrices with np.kron, as
 does the Kraus-sum noisy channel.  The exceptions: the trajectory noisy
-estimator, a reference for a sampling law, and the one-point sampled
-estimator, a bit-for-bit reference for the batched one, reuse the package's
+estimator, a reference for a sampling law, the one-point sampled
+estimator, a bit-for-bit reference for the batched one, and
+`gather_sampled_expectations`, the former gather-and-scatter basis change
+that the compiled one reproduces bit for bit, reuse the package's
 kernels; the amplitude-traversal `exact_expectation` uses the package's
 bitmask convention and is itself checked against dense matrices;
 `serial_spsa` is the one-run SPSA loop that the lockstep batch reproduces
@@ -568,6 +570,40 @@ def serial_sampled_expectation(ansatz, params, operator, shots, grouping=True, s
     return float(value), math.sqrt(variance), len(tails) * shots
 
 
+def gather_sampled_expectations(ansatz, points, operator, shots, seeds, grouping=True):
+    """The former batched sampled estimator: basis changes by fancy-index gathers and scatters.
+
+    Every setting's gates are stacked per qubit, with the identity where a
+    setting does not rotate the qubit, and each qubit's rotation gathers the
+    (j0, j1) amplitude halves of every row and setting and scatters
+    g00 a + g01 b and g10 a + g11 b back.  The package's compiled gather
+    kernel must reproduce it bit for bit.
+    """
+    plan = qsim._measurement_plan(operator, grouping)
+    tails = plan[1]
+    stacked = {}
+    for s, tail in enumerate(tails):
+        for (q,), gate in tail:
+            if q not in stacked:
+                stacked[q] = np.zeros((2, 2, len(tails), 1), dtype=complex)
+                stacked[q][0, 0] = stacked[q][1, 1] = 1.0
+            stacked[q][:, :, s, 0] = gate
+    states = qsim.prepare_states(ansatz, points)
+    rotated = np.repeat(states[:, None, :], len(tails), axis=1)
+    for q in sorted(stacked):
+        (g00, g01), (g10, g11) = stacked[q]
+        j0, j1 = qsim._pair_indices(ansatz.qubits, q)
+        a = rotated[..., j0]
+        b = rotated[..., j1]
+        rotated[..., j0] = g00 * a + g01 * b
+        rotated[..., j1] = g10 * a + g11 * b
+    probs = np.abs(rotated) ** 2
+    probs /= probs.sum(axis=-1, keepdims=True)
+    counts = [np.random.default_rng(seed).multinomial(shots, p) for seed, p in zip(seeds, probs)]
+    value, variance = qsim._tally(np.array(counts), plan, shots)
+    return qsim._estimates(value, variance, len(tails) * shots, qsim.SAMPLED)
+
+
 def trajectory_noisy_expectation(
     ansatz, params, operator, shots, noise, mitigate=True, grouping=True, seed=None
 ):
@@ -624,7 +660,8 @@ def trajectory_noisy_expectation(
     if readout is not None:
         confusion = qsim._total_confusion(readout)
         inverse = qsim._total_confusion([np.linalg.inv(m) for m in readout])
-    offset, tails, _, outcomes = qsim._measurement_plan(operator, grouping)
+    plan = qsim._measurement_plan(operator, grouping)
+    tails = plan[1]
     tallied = np.zeros((len(tails), dim))
     for s, tail in enumerate(tails):
         gates = base + [(touched, matrix, noise.p1) for touched, matrix in tail]
@@ -665,5 +702,5 @@ def trajectory_noisy_expectation(
             freq = np.clip(counts / shots @ inverse, 0.0, None)
             counts = shots * freq / freq.sum()
         tallied[s] = counts
-    value, _ = qsim._tally(tallied, outcomes, shots, offset)
+    value, _ = qsim._tally(tallied, plan, shots)
     return float(value)

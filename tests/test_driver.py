@@ -280,6 +280,42 @@ def test_distribution_study_matches_per_repetition_estimates(q2_problem, mitigat
     assert [v.hex() for v in noisy.values] == [v.hex() for v in want_noisy]
 
 
+@pytest.fixture(scope="module")
+def rung_problems():
+    return {rung: build_problem(make_chain(), rung, ladder=LADDER[: i + 1]) for i, rung in enumerate(LADDER)}
+
+
+@pytest.mark.parametrize("rung", LADDER)
+@pytest.mark.parametrize("grouping", [True, False])
+@pytest.mark.parametrize("shots", [1, 20000])
+def test_distribution_study_sampled_batch_matches_one_row_loop(rung_problems, rung, grouping, shots):
+    problem = rung_problems[rung]
+    ladder = LADDER[: LADDER.index(rung) + 1]
+    config = quick_config(kept_counts=rung, ladder=ladder, shots=shots, grouping=grouping)
+    params = np.random.default_rng(sum(rung)).uniform(-7.0, 7.0, problem.ansatz.parameter_count)
+    (study,) = run_distribution_study(config, params, modes=(SAMPLED,), repetitions=20, problem=problem)
+    want = [
+        sampled_expectation(
+            problem.ansatz, params, problem.operator, shots, grouping=grouping, seed=rep_seed
+        ).value
+        for rep_seed in seed_stream(config.seed + 7919, 20)
+    ]
+    assert [v.hex() for v in study.values] == [v.hex() for v in want]
+
+
+def test_distribution_study_checks_every_mode_before_estimating(q2_problem, monkeypatch):
+    def estimate(*args, **kwargs):
+        raise AssertionError("estimated before every mode was checked")
+
+    for name in ("prepare_state", "sampled_expectations", "_noisy_estimates"):
+        monkeypatch.setattr(driver, name, estimate)
+    monkeypatch.setattr(qsim, "sampled_expectations", estimate)
+    with pytest.raises(ValueError, match="must be statistical, got 'exact'"):
+        run_distribution_study(
+            quick_config(), np.zeros(8), modes=(SAMPLED, "exact"), repetitions=4, problem=q2_problem
+        )
+
+
 def test_distribution_study_validation(q2_problem):
     config = quick_config()
     with pytest.raises(ValueError):

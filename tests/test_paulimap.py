@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from rotorvqe import qsim
 from rotorvqe.chain import build_chain_matrix, build_composite_basis, pad_matrix
 from rotorvqe.driver import build_problem
 from rotorvqe.paulimap import (
@@ -263,6 +265,24 @@ def test_resource_report():
     assert report.n_terms == len(op)
     assert report.n_groups == len(group_qubitwise_commuting(op))
     assert 0 < report.max_weight <= 2
+
+
+def test_operator_hash_is_computed_once_and_survives_pickling(monkeypatch):
+    matrix, op = standard_operator((8, 4))
+    twin = map_operator(matrix)
+    copy = pickle.loads(pickle.dumps(op))
+    assert twin is not op and twin == op and hash(twin) == hash(op)
+    assert copy == op and hash(copy) == hash(op)
+
+    def rehash(string):
+        raise AssertionError("operator hash recomputed from its strings")
+
+    plan = qsim._measurement_plan(op, True)
+    monkeypatch.setattr(PauliString, "__hash__", rehash)
+    hits = qsim._measurement_plan.cache_info().hits
+    for other in (op, twin, copy, op):
+        assert qsim._measurement_plan(other, True) is plan
+    assert qsim._measurement_plan.cache_info().hits == hits + 4
 
 
 def test_text_export_and_parse():

@@ -43,6 +43,7 @@ from rotorvqe.qsim import (
 
 from oracles import (
     exact_expectation,
+    gather_sampled_expectations,
     kraus_outcome_distribution,
     serial_prepare_state,
     serial_sampled_expectation,
@@ -280,8 +281,10 @@ def test_sampled_expectations_rows_match_single_estimates_bit_for_bit(
     shuffled = sampled_expectations(
         ansatz, points[order], op, shots, [seeds[i] for i in order], grouping=grouping
     )
-    assert len(rows) == batch
+    gathered = gather_sampled_expectations(ansatz, points, op, shots, seeds, grouping=grouping)
+    assert len(rows) == len(gathered) == batch
     for b in range(batch):
+        assert _bits(rows[b]) == _bits(gathered[b])
         alone = sampled_expectation(ansatz, points[b], op, shots, grouping=grouping, seed=seeds[b])
         assert alone.mode == rows[b].mode == SAMPLED
         assert _bits(rows[b]) == _bits(alone)
@@ -301,6 +304,15 @@ def test_sampled_expectations_validation():
         sampled_expectations(ansatz, np.zeros((3, 3)), single_z(), 10, [1, 2, 3])
     with pytest.raises(ValueError):
         sampled_expectations(ansatz, points, single_z(), 0, [1, 2, 3])
+
+
+def test_sampled_expectations_checks_seed_count_before_preparing_states(monkeypatch):
+    def prepare(*args):
+        raise AssertionError("states prepared before the seed count was checked")
+
+    monkeypatch.setattr(qsim, "prepare_states", prepare)
+    with pytest.raises(ValueError, match="one seed per point"):
+        sampled_expectations(AnsatzSpec(qubits=1, depth=0), np.zeros((3, 2)), single_z(), 10, [1, 2])
 
 
 def test_sampled_expectation_reproducible_and_unbiased():
