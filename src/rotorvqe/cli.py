@@ -19,7 +19,7 @@ import numpy as np
 from .chain import build_chain_matrix, build_composite_basis, lowest_eigenvalue, rate_constant
 from .config import ConfigError, build_vqe_config, resolve_settings
 from .driver import (
-    build_problem,
+    _build,
     run_barrier_scan,
     run_distribution_study,
     run_ensemble,
@@ -67,14 +67,7 @@ def _fmt_kept(kept) -> str:
 
 def _problem(settings):
     config = build_vqe_config(settings)
-    return config, build_problem(
-        config.chain,
-        config.kept_counts,
-        harmonics=config.harmonics,
-        ladder=config.ladder,
-        depth=config.depth,
-        entangler=config.entangler,
-    )
+    return config, _build(config)
 
 
 def _cmd_reference(args, settings) -> int:

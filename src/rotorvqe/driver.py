@@ -52,11 +52,10 @@ from .qsim import (
     SAMPLED,
     AnsatzSpec,
     NoiseSpec,
-    _noisy_estimates,
     embed_params,
+    estimate_expectations,
     prepare_state,
     prepare_states,
-    sampled_expectations,
 )
 
 SPSA = "spsa"
@@ -156,7 +155,7 @@ class VqeConfig:
             raise ValueError("need at least one worker")
         if self.shots < 1:
             raise ValueError("need at least one shot")
-        if self.mode == NOISY and self.noise is None:
+        if self.noise is None:
             object.__setattr__(self, "noise", NoiseSpec())
         kept = tuple(int(c) for c in self.kept_counts)
         object.__setattr__(self, "kept_counts", kept)
@@ -197,15 +196,17 @@ def _batch_evaluator(problem: Problem, config: VqeConfig, run_seeds):
     """Objective over stacked points[B, P], row i belonging to run i % len(run_seeds).
 
     The one way to evaluate an objective: a single point is a batch of one
-    row.  Exact and sampled modes evaluate the whole batch in one call (the
-    study's sampled half calls the same `sampled_expectations`); noisy mode
-    evolves each row's density matrix in turn.  Statistical modes seed
-    every evaluation with [run seed, run's evaluation count], so every run
-    sees the evaluation seeds it would see alone.
+    row, and every batch is one call.  Exact mode contracts the prepared
+    states against the matrix; the statistical modes call
+    `estimate_expectations`, as the distribution study does, with the
+    configured noise model in noisy mode and none in sampled mode.  They
+    seed every evaluation with [run seed, run's evaluation count], so every
+    run sees the evaluation seeds it would see alone.
     """
     if config.mode == EXACT:
         return lambda points: _energies(prepare_states(problem.ansatz, points), problem.matrix)
     counters = [0] * len(run_seeds)
+    noise = config.noise if config.mode == NOISY else None
 
     def evaluate(points):
         seeds = []
@@ -213,18 +214,10 @@ def _batch_evaluator(problem: Problem, config: VqeConfig, run_seeds):
             run = i % len(run_seeds)
             seeds.append([run_seeds[run] & _MASK64, counters[run]])
             counters[run] += 1
-        if config.mode == SAMPLED:
-            estimates = sampled_expectations(
-                problem.ansatz, points, problem.operator, config.shots, seeds, grouping=config.grouping
-            )
-        else:
-            estimates = [
-                _noisy_estimates(
-                    problem.ansatz, point, problem.operator, config.shots, config.noise, [seed],
-                    config.mitigate, config.grouping,
-                )[0]
-                for point, seed in zip(points, seeds)
-            ]
+        estimates = estimate_expectations(
+            problem.ansatz, points, problem.operator, config.shots, seeds, noise,
+            config.mitigate, config.grouping,
+        )
         return np.array([est.value for est in estimates])
 
     return evaluate
@@ -563,8 +556,10 @@ def run_distribution_study(
 ) -> tuple:
     """Re-measure a fixed parameter set many times per mode (histogram data).
 
-    Each mode estimates all its repetitions in one batched call, repetition
-    k seeded by the k-th seed of the mode's stream, as a lone estimate would be.
+    Each mode estimates all its repetitions in one call of
+    `estimate_expectations`: the mode's outcome distributions are made once,
+    from the one parameter row, and repetition k draws from them with the
+    k-th seed of the mode's stream, as a lone estimate would.
     """
     if repetitions < 2:
         raise ValueError("need at least two repetitions for spread statistics")
@@ -582,20 +577,14 @@ def run_distribution_study(
         raise ValueError("every parameter must be a finite angle")
     state = prepare_state(problem.ansatz, params)
     exact_value = float(_energies(state[None, :], problem.matrix)[0])
-    noise = config.noise if config.noise is not None else NoiseSpec()
     studies = []
     for m, mode in enumerate(modes):
         seeds = seed_stream(config.seed + 7919 * (m + 1), repetitions)
-        if mode == SAMPLED:
-            estimates = sampled_expectations(
-                problem.ansatz, np.tile(params, (repetitions, 1)), problem.operator, config.shots,
-                seeds, grouping=config.grouping,
-            )
-        else:
-            estimates = _noisy_estimates(
-                problem.ansatz, params, problem.operator, config.shots, noise, seeds,
-                config.mitigate, config.grouping,
-            )
+        noise = config.noise if mode == NOISY else None
+        estimates = estimate_expectations(
+            problem.ansatz, params[None, :], problem.operator, config.shots, seeds, noise,
+            config.mitigate, config.grouping,
+        )
         values = tuple(est.value for est in estimates)
         studies.append(DistributionStudy(mode=mode, values=values, exact_value=exact_value))
     return tuple(studies)

@@ -2,18 +2,21 @@
 
 Qubit 1 is the most significant bit of a computational-basis index,
 matching `paulimap`.  Rotation gates follow the half-angle convention
-exp(-i theta sigma / 2).  Expectation values of a PauliOperator are
-estimated from shots, either ideal or under a parametric noise model;
-exact energies are contracted against the dense matrix in `driver`.  The
-noisy estimator evolves the density matrix exactly through every gate and
-its depolarizing channel, applies the readout confusion to the measured
-distribution, and draws each setting's counts in one multinomial
-(optionally undoing the confusion by linear inversion).  A measurement
-plan is compiled once per operator.
+exp(-i theta sigma / 2).  Exact energies are contracted against the dense
+matrix in `driver`; `estimate_expectations` estimates a PauliOperator from
+shots, ideal (sampled) or under a parametric noise model (noisy).  The two
+modes differ only in how each setting's measured-outcome distribution is
+made: from the pure state, or by evolving the density matrix exactly
+through every gate and its depolarizing channel and applying the readout
+confusion.  Both then draw each setting's counts in one multinomial per
+seed and tally them the same way (a noisy estimate optionally undoing the
+confusion by linear inversion first).  A measurement plan is compiled once
+per operator.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -213,11 +216,7 @@ def prepare_states(ansatz: AnsatzSpec, params) -> np.ndarray:
     C-contiguous, which the bit-identical energy contraction in `driver`
     relies on.
     """
-    values = np.asarray(params, dtype=float)
-    if values.ndim != 2 or values.shape[1] != ansatz.parameter_count:
-        raise ValueError(
-            f"expected rows of {ansatz.parameter_count} parameters, got shape {values.shape}"
-        )
+    values = _parameter_rows(ansatz, params)
     is_rz, steps, final = _batch_program(ansatz)
     gates = np.ascontiguousarray(_rotation_gates(is_rz, values).transpose(0, 3, 2, 1))
     gates = gates[:, :, :, None, :]
@@ -231,6 +230,15 @@ def prepare_states(ansatz: AnsatzSpec, params) -> np.ndarray:
     if not within.all():
         raise RuntimeError(f"state norm drifted to {float(norms[~within][0])}")
     return states
+
+
+def _parameter_rows(ansatz: AnsatzSpec, params) -> np.ndarray:
+    values = np.asarray(params, dtype=float)
+    if values.ndim != 2 or values.shape[1] != ansatz.parameter_count:
+        raise ValueError(
+            f"expected rows of {ansatz.parameter_count} parameters, got shape {values.shape}"
+        )
+    return values
 
 
 def _parameter_vector(ansatz: AnsatzSpec, params) -> np.ndarray:
@@ -279,26 +287,31 @@ class NoiseSpec:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability")
         if self.readout is not None:
-            for row in self._flat_rows():
-                if min(row) < -1e-12 or abs(sum(row) - 1.0) > 1e-9:
-                    raise ValueError("confusion rows must be probabilities summing to 1")
+            rows = self._matrices().reshape(-1, 2)
+            # written so that a NaN entry fails too
+            if not ((rows >= -1e-12).all() and (np.abs(rows.sum(axis=1) - 1.0) <= 1e-9).all()):
+                raise ValueError("confusion rows must be probabilities summing to 1")
 
-    def _flat_rows(self):
-        first = self.readout[0]
-        matrices = (self.readout,) if np.isscalar(first[0]) else self.readout
-        return [tuple(row) for mat in matrices for row in mat]
+    def _matrices(self) -> np.ndarray:
+        """`readout` as one shared matrix[2, 2] or a per-qubit stack[Q, 2, 2]."""
+        try:
+            matrices = np.asarray(self.readout, dtype=float)
+        except (TypeError, ValueError) as err:
+            raise ValueError("readout must be one 2x2 matrix or one per qubit") from err
+        if matrices.ndim not in (2, 3) or matrices.shape[-2:] != (2, 2):
+            raise ValueError("readout must be one 2x2 matrix or one per qubit")
+        return matrices
 
     def readout_matrices(self, qubits: int):
         """Per-qubit confusion matrices (qubit 1 first), or None if ideal."""
         if self.readout is None:
             return None
-        first = self.readout[0]
-        if np.isscalar(first[0]):
-            mat = np.asarray(self.readout, dtype=float)
-            return [mat] * qubits
-        if len(self.readout) != qubits:
+        matrices = self._matrices()
+        if matrices.ndim == 2:
+            return [matrices] * qubits
+        if len(matrices) != qubits:
             raise ValueError("per-qubit readout list does not match register size")
-        return [np.asarray(m, dtype=float) for m in self.readout]
+        return list(matrices)
 
 
 def _total_confusion(matrices) -> np.ndarray:
@@ -401,55 +414,6 @@ def _estimates(value: np.ndarray, variance: np.ndarray, shots_used: int, mode: s
     )
 
 
-def sampled_expectations(
-    ansatz: AnsatzSpec,
-    points,
-    operator: PauliOperator,
-    shots: int,
-    seeds,
-    grouping: bool = True,
-) -> tuple:
-    """`sampled_expectation` of every row of points[B, P], row b seeded by seeds[b].
-
-    The states are prepared as one batch, held as (2^Q, S, B), and the plan's
-    compiled basis changes act on all rows and settings at once, with the
-    same complex products as on one state (an identity where a setting does
-    not rotate, which changes no amplitude's magnitude).  Each row draws all
-    its settings' counts in one multinomial from its own generator, so row b
-    is bit-identical to the point estimated alone, whatever its neighbours.
-    """
-    if ansatz.qubits != operator.qubits:
-        raise ValueError("ansatz and operator registers differ")
-    if shots < 1:
-        raise ValueError("need at least one shot")
-    if len(seeds) != len(points):
-        raise ValueError(f"expected one seed per point, got {len(seeds)} for {len(points)}")
-    states = prepare_states(ansatz, points)
-    plan = _measurement_plan(operator, grouping)
-    _, tails, (steps, final, _, _), _ = plan
-    work = np.repeat(states.T[:, None, :], len(tails), axis=1)
-    _run_gathers(work, steps)
-    rotated = work.transpose(2, 1, 0).take(final, axis=2)
-    probs = np.abs(rotated) ** 2
-    probs /= probs.sum(axis=-1, keepdims=True)
-    counts = [np.random.default_rng(seed).multinomial(shots, p) for seed, p in zip(seeds, probs)]
-    value, variance = _tally(np.array(counts), plan, shots)
-    return _estimates(value, variance, len(tails) * shots, SAMPLED)
-
-
-def sampled_expectation(
-    ansatz: AnsatzSpec,
-    params,
-    operator: PauliOperator,
-    shots: int,
-    grouping: bool = True,
-    seed=None,
-) -> ExpectationEstimate:
-    """Estimate <operator> from finite measurement statistics (one row of `sampled_expectations`)."""
-    values = _parameter_vector(ansatz, params)
-    return sampled_expectations(ansatz, values[None, :], operator, shots, [seed], grouping)[0]
-
-
 @lru_cache(maxsize=256)
 def _diagonal_blocks(qubits: int, touched: tuple) -> tuple:
     """Index of each block of rho, viewed on 2Q bit axes, diagonal on the touched qubits."""
@@ -527,55 +491,72 @@ def _noisy_distributions(ansatz: AnsatzSpec, values: np.ndarray, noise: NoiseSpe
     return distributions
 
 
-def _noisy_estimates(ansatz, params, operator, shots, noise, seeds, mitigate, grouping) -> tuple:
-    """`noisy_expectation` once per seed in `seeds`; evolves rho once."""
+def estimate_expectations(
+    ansatz: AnsatzSpec,
+    points,
+    operator: PauliOperator,
+    shots: int,
+    seeds,
+    noise: NoiseSpec = None,
+    mitigate: bool = True,
+    grouping: bool = True,
+) -> tuple:
+    """Estimate <operator> from `shots` per measurement setting, once per seed in `seeds`.
+
+    points[B, P] holds one row per seed, or one row that every seed shares.
+    Each row's measured-outcome distribution of every setting is made once:
+    from its pure state when `noise` is None (mode SAMPLED), else from its
+    density matrix under `noise` (mode NOISY).  Estimate k then draws all
+    its settings' counts in one multinomial from the generator seeded by
+    seeds[k]; when noisy and `mitigate`, the inverted readout confusion is
+    applied to the measured frequencies, clipping negative entries and
+    renormalizing.  Each estimate is bit-identical to its row and seed
+    estimated alone, whatever its neighbours.
+
+    Sampled rows are prepared as one batch, held as (2^Q, S, B), and the
+    plan's compiled basis changes act on all rows and settings at once, with
+    the same complex products as on one state (an identity where a setting
+    does not rotate, which changes no amplitude's magnitude).  Under noise,
+    after every gate, including the basis-change rotations, a uniformly
+    chosen non-identity Pauli strikes the gate's qubits with probability p1
+    (rotations) or p2 (CNOTs); the density matrix is evolved through this
+    channel exactly, row by row, and the readout confusion maps its diagonal
+    to each setting's outcome distribution.
+    """
     if ansatz.qubits != operator.qubits:
         raise ValueError("ansatz and operator registers differ")
     if shots < 1:
         raise ValueError("need at least one shot")
-    values = _parameter_vector(ansatz, params)
-    readout = noise.readout_matrices(ansatz.qubits)
+    values = _parameter_rows(ansatz, points)
+    if len(seeds) < 1 or len(values) not in (1, len(seeds)):
+        raise ValueError(f"expected one seed per point, got {len(seeds)} for {len(values)}")
+    readout = None if noise is None else noise.readout_matrices(ansatz.qubits)
     inverse = None
-    if readout is not None:
+    if mitigate and readout is not None:
         try:
             inverse = _total_confusion([np.linalg.inv(m) for m in readout])
         except np.linalg.LinAlgError as err:
             raise ValueError("readout confusion matrix is singular") from err
 
     plan = _measurement_plan(operator, grouping)
-    probs = _noisy_distributions(ansatz, values, noise, plan[1])
-    counts = np.array([np.random.default_rng(seed).multinomial(shots, probs) for seed in seeds])
-    if mitigate and inverse is not None:
+    _, tails, (steps, final, _, _), _ = plan
+    if noise is None:
+        work = np.repeat(prepare_states(ansatz, values).T[:, None, :], len(tails), axis=1)
+        _run_gathers(work, steps)
+        probs = np.abs(work.transpose(2, 1, 0).take(final, axis=2)) ** 2
+        probs /= probs.sum(axis=-1, keepdims=True)
+    else:
+        probs = np.array([_noisy_distributions(ansatz, row, noise, tails) for row in values])
+    # one row per seed, or one row that every seed shares
+    rows = zip(seeds, itertools.cycle(probs))
+    counts = np.array([np.random.default_rng(seed).multinomial(shots, p) for seed, p in rows])
+    if inverse is not None:
         # one (1, 2^Q) @ (2^Q, 2^Q) product per setting, as for a single setting
         freq = np.matmul((counts / shots)[..., None, :], inverse)[..., 0, :]
         freq = np.clip(freq, 0.0, None)
         counts = shots * freq / freq.sum(axis=-1, keepdims=True)
     value, variance = _tally(counts, plan, shots)
-    return _estimates(value, variance, len(plan[1]) * shots, NOISY)
-
-
-def noisy_expectation(
-    ansatz: AnsatzSpec,
-    params,
-    operator: PauliOperator,
-    shots: int,
-    noise: NoiseSpec,
-    mitigate: bool = True,
-    grouping: bool = True,
-    seed=None,
-) -> ExpectationEstimate:
-    """Estimate <operator> under depolarizing gate faults and readout error.
-
-    After every gate, including the basis-change rotations, a uniformly
-    chosen non-identity Pauli strikes the gate's qubits with probability
-    p1 (rotations) or p2 (CNOTs).  The density matrix is evolved through
-    this channel exactly, the readout confusion maps its diagonal to each
-    setting's outcome distribution, and the settings' counts are one
-    multinomial draw from them, seeded by `seed`.  Mitigation inverts
-    the readout confusion on the measured frequencies, clipping negative
-    entries and renormalizing.
-    """
-    return _noisy_estimates(ansatz, params, operator, shots, noise, [seed], mitigate, grouping)[0]
+    return _estimates(value, variance, len(tails) * shots, SAMPLED if noise is None else NOISY)
 
 
 def embed_params(ansatz: AnsatzSpec, params) -> np.ndarray:

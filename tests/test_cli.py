@@ -177,6 +177,18 @@ def test_dist_study_with_params_file(tmp_path, quick_cfg, capsys):
     assert len(rows) == 1 + 2 * 4
 
 
+def test_dist_study_unmitigated_singular_readout(tmp_path, quick_cfg, capsys):
+    # a flip probability of 0.5 makes the readout confusion singular, which
+    # only matters when mitigation inverts it
+    params = tmp_path / "angles.json"
+    params.write_text(json.dumps([0.3] * 8))
+    assert main([
+        "dist-study", "--config", quick_cfg, "--params", str(params), "--set", "repetitions=4",
+        "--set", "readout_flip=0.5", "--set", "mitigate=false",
+    ]) == 0
+    assert "noisy" in capsys.readouterr().out
+
+
 def test_exit_code_config_error(capsys):
     assert main(["vqe", "--set", "bogus=1"]) == 2
     assert "unknown key" in capsys.readouterr().err

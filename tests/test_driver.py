@@ -25,10 +25,9 @@ from rotorvqe.qsim import (
     NOISY,
     SAMPLED,
     NoiseSpec,
-    noisy_expectation,
+    estimate_expectations,
     prepare_state,
-    sampled_expectation,
-    sampled_expectations,
+    prepare_states,
     symmetric_confusion,
 )
 
@@ -82,8 +81,8 @@ def test_config_validation():
 
 
 def test_noisy_mode_gets_default_noise_model():
-    config = quick_config(mode=NOISY)
-    assert config.noise is not None
+    for mode in (EXACT, SAMPLED, NOISY):
+        assert quick_config(mode=mode).noise == NoiseSpec()
 
 
 def test_zero_iterations_returns_start_value(q2_problem):
@@ -168,14 +167,11 @@ def test_ensemble_worker_count_does_not_change_results(q2_problem):
 def test_sampled_ladder_never_reuses_an_evaluation_seed(monkeypatch):
     seen = []
 
-    def spy(ansatz, points, operator, shots, seeds, grouping=True):
+    def spy(ansatz, points, operator, shots, seeds, *args):
         seen.extend(tuple(seed) for seed in seeds)
-        return sampled_expectations(ansatz, points, operator, shots, seeds, grouping)
+        return estimate_expectations(ansatz, points, operator, shots, seeds, *args)
 
-    # batches reach the batched estimator through the driver's reference, and
-    # one-point estimates through `qsim.sampled_expectation`
-    monkeypatch.setattr(driver, "sampled_expectations", spy)
-    monkeypatch.setattr(qsim, "sampled_expectations", spy)
+    monkeypatch.setattr(driver, "estimate_expectations", spy)
     config = quick_config(mode=SAMPLED, shots=200, iterations=5, restarts=2)
     run_hierarchical(LADDER[:2], config)
     # cold rung: 50 calibration probes + 11 SPSA evaluations per run; warm rung:
@@ -267,13 +263,13 @@ def test_distribution_study_matches_per_repetition_estimates(q2_problem, mitigat
     sampled, noisy = run_distribution_study(config, params, repetitions=5, problem=q2_problem)
     ansatz, op = q2_problem.ansatz, q2_problem.operator
     want_sampled = [
-        sampled_expectation(ansatz, params, op, 700, grouping=grouping, seed=seed).value
+        estimate_expectations(ansatz, params[None, :], op, 700, [seed], grouping=grouping)[0].value
         for seed in seed_stream(config.seed + 7919, 5)
     ]
     want_noisy = [
-        noisy_expectation(
-            ansatz, params, op, 700, noise, mitigate=mitigate, grouping=grouping, seed=seed,
-        ).value
+        estimate_expectations(
+            ansatz, params[None, :], op, 700, [seed], noise, mitigate=mitigate, grouping=grouping
+        )[0].value
         for seed in seed_stream(config.seed + 2 * 7919, 5)
     ]
     assert [v.hex() for v in sampled.values] == [v.hex() for v in want_sampled]
@@ -295,9 +291,9 @@ def test_distribution_study_sampled_batch_matches_one_row_loop(rung_problems, ru
     params = np.random.default_rng(sum(rung)).uniform(-7.0, 7.0, problem.ansatz.parameter_count)
     (study,) = run_distribution_study(config, params, modes=(SAMPLED,), repetitions=20, problem=problem)
     want = [
-        sampled_expectation(
-            problem.ansatz, params, problem.operator, shots, grouping=grouping, seed=rep_seed
-        ).value
+        estimate_expectations(
+            problem.ansatz, params[None, :], problem.operator, shots, [rep_seed], grouping=grouping
+        )[0].value
         for rep_seed in seed_stream(config.seed + 7919, 20)
     ]
     assert [v.hex() for v in study.values] == [v.hex() for v in want]
@@ -307,13 +303,24 @@ def test_distribution_study_checks_every_mode_before_estimating(q2_problem, monk
     def estimate(*args, **kwargs):
         raise AssertionError("estimated before every mode was checked")
 
-    for name in ("prepare_state", "sampled_expectations", "_noisy_estimates"):
+    for name in ("prepare_state", "estimate_expectations"):
         monkeypatch.setattr(driver, name, estimate)
-    monkeypatch.setattr(qsim, "sampled_expectations", estimate)
     with pytest.raises(ValueError, match="must be statistical, got 'exact'"):
         run_distribution_study(
             quick_config(), np.zeros(8), modes=(SAMPLED, "exact"), repetitions=4, problem=q2_problem
         )
+
+
+def test_distribution_study_prepares_one_row_per_call(q2_problem, monkeypatch):
+    rows = []
+
+    def prepare(ansatz, params):
+        rows.append(len(params))
+        return prepare_states(ansatz, params)
+
+    monkeypatch.setattr(qsim, "prepare_states", prepare)
+    run_distribution_study(quick_config(shots=200), np.full(8, 0.4), repetitions=50, problem=q2_problem)
+    assert rows and set(rows) == {1}
 
 
 def test_distribution_study_validation(q2_problem):

@@ -31,13 +31,11 @@ from rotorvqe.qsim import (
     NoiseSpec,
     embed_params,
     entangler_pairs,
+    estimate_expectations,
     format_bitstrings,
-    noisy_expectation,
     prepare_state,
     prepare_states,
     sample_bitstrings,
-    sampled_expectation,
-    sampled_expectations,
     symmetric_confusion,
 )
 
@@ -235,7 +233,7 @@ def test_variational_bound_on_random_states():
 
 def test_sampled_identity_operator_is_exact():
     op = PauliOperator(qubits=2, strings=(PauliString.from_label("II"),), coefficients=(3.7,))
-    est = sampled_expectation(AnsatzSpec(qubits=2), np.zeros(8), op, shots=100, seed=1)
+    (est,) = estimate_expectations(AnsatzSpec(qubits=2), np.zeros((1, 8)), op, 100, [1])
     assert est.value == pytest.approx(3.7)
     assert est.std_error == 0.0
     assert est.shots_used == 0
@@ -253,11 +251,21 @@ def _bits(estimate):
     entangler=st.sampled_from([LINEAR, FULL]),
     grouping=st.booleans(),
     batch=st.sampled_from([1, 2, 37]),
+    noisy=st.booleans(),
     data=st.data(),
 )
 def test_sampled_expectations_rows_match_single_estimates_bit_for_bit(
-    qubits, depth, entangler, grouping, batch, data
+    qubits, depth, entangler, grouping, batch, noisy, data
 ):
+    noise, mitigate = None, True
+    if noisy:
+        # density matrices cost far more than states: keep the noisy examples small
+        qubits, batch = min(qubits, 3), min(batch, 4)
+        rates = st.sampled_from([0.0, 1e-3, 0.2])
+        flips = st.lists(st.tuples(st.floats(0, 0.3), st.floats(0, 0.3)), min_size=qubits, max_size=qubits)
+        readout = data.draw(st.none() | flips.map(lambda f: tuple(((1 - a, a), (b, 1 - b)) for a, b in f)))
+        noise = NoiseSpec(p1=data.draw(rates), p2=data.draw(rates), readout=readout)
+        mitigate = data.draw(st.booleans())
     ansatz = AnsatzSpec(qubits=qubits, depth=depth, entangler=entangler)
     labels = data.draw(
         st.lists(st.text("IXYZ", min_size=qubits, max_size=qubits), min_size=1, max_size=12, unique=True)
@@ -277,33 +285,47 @@ def test_sampled_expectations_rows_match_single_estimates_bit_for_bit(
     shots = data.draw(st.sampled_from([1, 2, 20000]) | st.integers(1, 5000))
     order = data.draw(st.permutations(range(batch)))
 
-    rows = sampled_expectations(ansatz, points, op, shots, seeds, grouping=grouping)
-    shuffled = sampled_expectations(
-        ansatz, points[order], op, shots, [seeds[i] for i in order], grouping=grouping
-    )
-    gathered = gather_sampled_expectations(ansatz, points, op, shots, seeds, grouping=grouping)
-    assert len(rows) == len(gathered) == batch
+    def estimate(rows, row_seeds):
+        return estimate_expectations(ansatz, rows, op, shots, row_seeds, noise, mitigate, grouping)
+
+    rows = estimate(points, seeds)
+    shuffled = estimate(points[order], [seeds[i] for i in order])
+    # one row shared by every seed is that row tiled once per seed
+    shared = estimate(points[:1], seeds)
+    tiled = estimate(np.repeat(points[:1], batch, axis=0), seeds)
+    assert len(rows) == len(shared) == batch
+    assert [_bits(e) for e in shared] == [_bits(e) for e in tiled]
+    assert _bits(shared[0]) == _bits(rows[0])
+    if not noisy:
+        gathered = gather_sampled_expectations(ansatz, points, op, shots, seeds, grouping=grouping)
+        assert [_bits(e) for e in rows] == [_bits(e) for e in gathered]
     for b in range(batch):
-        assert _bits(rows[b]) == _bits(gathered[b])
-        alone = sampled_expectation(ansatz, points[b], op, shots, grouping=grouping, seed=seeds[b])
-        assert alone.mode == rows[b].mode == SAMPLED
+        (alone,) = estimate(points[b : b + 1], [seeds[b]])
+        assert alone.mode == rows[b].mode == shared[b].mode == (NOISY if noisy else SAMPLED)
         assert _bits(rows[b]) == _bits(alone)
         assert _bits(shuffled[order.index(b)]) == _bits(alone)
-        value, std_error, used = serial_sampled_expectation(
-            ansatz, points[b], op, shots, grouping=grouping, seed=seeds[b]
-        )
-        assert _bits(alone) == (value.hex(), std_error.hex(), used)
+        if not noisy:
+            value, std_error, used = serial_sampled_expectation(
+                ansatz, points[b], op, shots, grouping=grouping, seed=seeds[b]
+            )
+            assert _bits(alone) == (value.hex(), std_error.hex(), used)
 
 
 def test_sampled_expectations_validation():
     ansatz = AnsatzSpec(qubits=1, depth=0)
     points = np.zeros((3, 2))
     with pytest.raises(ValueError, match="one seed per point"):
-        sampled_expectations(ansatz, points, single_z(), 10, [1, 2])
+        estimate_expectations(ansatz, points, single_z(), 10, [1, 2])
+    with pytest.raises(ValueError, match="one seed per point"):
+        estimate_expectations(ansatz, points[:2], single_z(), 10, [1], noise=NoiseSpec())
+    with pytest.raises(ValueError, match="one seed per point"):
+        estimate_expectations(ansatz, points[:1], single_z(), 10, [])
     with pytest.raises(ValueError):
-        sampled_expectations(ansatz, np.zeros((3, 3)), single_z(), 10, [1, 2, 3])
+        estimate_expectations(ansatz, np.zeros((3, 3)), single_z(), 10, [1, 2, 3])
     with pytest.raises(ValueError):
-        sampled_expectations(ansatz, points, single_z(), 0, [1, 2, 3])
+        estimate_expectations(ansatz, np.zeros(2), single_z(), 10, [1], noise=NoiseSpec())
+    with pytest.raises(ValueError):
+        estimate_expectations(ansatz, points, single_z(), 0, [1, 2, 3])
 
 
 def test_sampled_expectations_checks_seed_count_before_preparing_states(monkeypatch):
@@ -312,7 +334,7 @@ def test_sampled_expectations_checks_seed_count_before_preparing_states(monkeypa
 
     monkeypatch.setattr(qsim, "prepare_states", prepare)
     with pytest.raises(ValueError, match="one seed per point"):
-        sampled_expectations(AnsatzSpec(qubits=1, depth=0), np.zeros((3, 2)), single_z(), 10, [1, 2])
+        estimate_expectations(AnsatzSpec(qubits=1, depth=0), np.zeros((3, 2)), single_z(), 10, [1, 2])
 
 
 def test_sampled_expectation_reproducible_and_unbiased():
@@ -322,14 +344,11 @@ def test_sampled_expectation_reproducible_and_unbiased():
     params = rng.uniform(0, 2 * math.pi, ansatz.parameter_count)
     exact = exact_expectation(prepare_state(ansatz, params), op)
 
-    one = sampled_expectation(ansatz, params, op, shots=4000, seed=7)
-    two = sampled_expectation(ansatz, params, op, shots=4000, seed=7)
+    one, two = estimate_expectations(ansatz, params[None, :], op, 4000, [7, 7])
     assert one == two
     assert one.shots_used > 0
 
-    estimates = [
-        sampled_expectation(ansatz, params, op, shots=20000, seed=s) for s in range(100)
-    ]
+    estimates = estimate_expectations(ansatz, params[None, :], op, 20000, range(100))
     values = np.array([e.value for e in estimates])
     combined_se = math.sqrt(sum(e.std_error**2 for e in estimates)) / len(estimates)
     assert abs(values.mean() - exact) < 3 * combined_se
@@ -341,12 +360,12 @@ def test_sampled_without_grouping_agrees():
     params = np.linspace(0.3, 2.1, ansatz.parameter_count)
     exact = exact_expectation(prepare_state(ansatz, params), op)
     grouped = [
-        sampled_expectation(ansatz, params, op, shots=20000, grouping=True, seed=s).value
-        for s in range(60)
+        est.value
+        for est in estimate_expectations(ansatz, params[None, :], op, 20000, range(60), grouping=True)
     ]
     single = [
-        sampled_expectation(ansatz, params, op, shots=20000, grouping=False, seed=s).value
-        for s in range(60)
+        est.value
+        for est in estimate_expectations(ansatz, params[None, :], op, 20000, range(60), grouping=False)
     ]
     assert abs(np.mean(grouped) - exact) < 0.02
     assert abs(np.mean(single) - exact) < 0.02
@@ -357,12 +376,12 @@ def test_shot_noise_scaling():
     ansatz = AnsatzSpec(qubits=2, depth=1)
     params = np.linspace(0.2, 2.8, ansatz.parameter_count)
     coarse = np.std(
-        [sampled_expectation(ansatz, params, op, 5000, seed=s).value for s in range(200)]
+        [est.value for est in estimate_expectations(ansatz, params[None, :], op, 5000, range(200))]
     )
     fine = np.std(
         [
-            sampled_expectation(ansatz, params, op, 20000, seed=1000 + s).value
-            for s in range(200)
+            est.value
+            for est in estimate_expectations(ansatz, params[None, :], op, 20000, range(1000, 1200))
         ]
     )
     assert coarse / fine == pytest.approx(2.0, rel=0.2)
@@ -374,13 +393,11 @@ def test_zero_noise_matches_sampled_distribution():
     params = np.linspace(0.4, 2.4, ansatz.parameter_count)
     quiet = NoiseSpec(p1=0.0, p2=0.0, readout=None)
     sampled = [
-        sampled_expectation(ansatz, params, op, 2000, seed=s).value for s in range(150)
+        est.value for est in estimate_expectations(ansatz, params[None, :], op, 2000, range(150))
     ]
     noisy = [
-        noisy_expectation(
-            ansatz, params, op, 2000, noise=NoiseSpec(p1=0.0, p2=0.0, readout=None), seed=s
-        ).value
-        for s in range(150)
+        est.value
+        for est in estimate_expectations(ansatz, params[None, :], op, 2000, range(150), noise=quiet)
     ]
     assert stats.ks_2samp(sampled, noisy).pvalue > 0.01
     assert quiet.readout_matrices(2) is None
@@ -389,13 +406,13 @@ def test_zero_noise_matches_sampled_distribution():
 def test_depolarizing_pulls_toward_mixed_state():
     # <Z> = 0.5 at theta = pi/3; strong depolarizing drags it toward 0
     ansatz = AnsatzSpec(qubits=1, depth=0)
-    params = [math.pi / 3, 0.0]
+    params = [[math.pi / 3, 0.0]]
     op = single_z()
     values = [
-        noisy_expectation(
-            ansatz, params, op, 20000, noise=NoiseSpec(p1=0.05, p2=0.0, readout=None), seed=s
-        ).value
-        for s in range(100)
+        est.value
+        for est in estimate_expectations(
+            ansatz, params, op, 20000, range(100), noise=NoiseSpec(p1=0.05, p2=0.0, readout=None)
+        )
     ]
     se_mean = np.std(values) / math.sqrt(len(values))
     assert np.mean(values) < 0.5 - 3 * se_mean
@@ -403,23 +420,17 @@ def test_depolarizing_pulls_toward_mixed_state():
 
 def test_readout_mitigation_recovers_exact_value():
     ansatz = AnsatzSpec(qubits=1, depth=0)
-    params = [math.pi / 3, 0.0]
+    params = [[math.pi / 3, 0.0]]
     op = single_z()
-    flip = symmetric_confusion(0.02)
+    noise = NoiseSpec(p1=0.0, p2=0.0, readout=symmetric_confusion(0.02))
 
     mitigated = [
-        noisy_expectation(
-            ansatz, params, op, 20000,
-            noise=NoiseSpec(p1=0.0, p2=0.0, readout=flip), mitigate=True, seed=s,
-        ).value
-        for s in range(60)
+        est.value
+        for est in estimate_expectations(ansatz, params, op, 20000, range(60), noise, mitigate=True)
     ]
     raw = [
-        noisy_expectation(
-            ansatz, params, op, 20000,
-            noise=NoiseSpec(p1=0.0, p2=0.0, readout=flip), mitigate=False, seed=s,
-        ).value
-        for s in range(60)
+        est.value
+        for est in estimate_expectations(ansatz, params, op, 20000, range(60), noise, mitigate=False)
     ]
     se = np.std(mitigated) / math.sqrt(len(mitigated))
     assert abs(np.mean(mitigated) - 0.5) < 3 * se
@@ -430,18 +441,16 @@ def test_readout_mitigation_recovers_exact_value():
 
 def test_mitigation_amplifies_shot_noise():
     ansatz = AnsatzSpec(qubits=1, depth=0)
-    params = [math.pi / 3, 0.0]
+    params = [[math.pi / 3, 0.0]]
     op = single_z()
-    clean = np.std(
-        [sampled_expectation(ansatz, params, op, 5000, seed=s).value for s in range(100)]
-    )
+    clean = np.std([est.value for est in estimate_expectations(ansatz, params, op, 5000, range(100))])
     flipped = np.std(
         [
-            noisy_expectation(
-                ansatz, params, op, 5000,
-                noise=NoiseSpec(p1=0.0, p2=0.0, readout=symmetric_confusion(0.15)), seed=s,
-            ).value
-            for s in range(100)
+            est.value
+            for est in estimate_expectations(
+                ansatz, params, op, 5000, range(100),
+                noise=NoiseSpec(p1=0.0, p2=0.0, readout=symmetric_confusion(0.15)),
+            )
         ]
     )
     # inversion divides by (1 - 2*flip) = 0.7, inflating the spread
@@ -451,12 +460,11 @@ def test_mitigation_amplifies_shot_noise():
 def test_noisy_estimate_metadata():
     _, _, op = chain_problem((4, 2))
     ansatz = AnsatzSpec(qubits=2, depth=1)
-    params = np.linspace(0.1, 1.9, ansatz.parameter_count)
-    est = noisy_expectation(ansatz, params, op, 500, noise=NoiseSpec(), seed=3)
+    params = np.linspace(0.1, 1.9, ansatz.parameter_count)[None, :]
+    est, again = estimate_expectations(ansatz, params, op, 500, [3, 3], noise=NoiseSpec())
     assert est.mode == NOISY
     assert est.shots_used >= 500
     assert est.std_error > 0
-    again = noisy_expectation(ansatz, params, op, 500, noise=NoiseSpec(), seed=3)
     assert est == again
 
 
@@ -513,10 +521,10 @@ def test_exact_channel_matches_trajectory_estimator():
         for s in range(300)
     ]
     new = [
-        noisy_expectation(
-            ansatz, params, op, 100, NoiseSpec(p1=0.02, p2=0.1), seed=1000 + s
-        ).value
-        for s in range(300)
+        est.value
+        for est in estimate_expectations(
+            ansatz, params[None, :], op, 100, range(1000, 1300), NoiseSpec(p1=0.02, p2=0.1)
+        )
     ]
     assert stats.ks_2samp(old, new).pvalue > 0.01
     assert stats.levene(old, new).pvalue > 0.01
@@ -530,13 +538,35 @@ def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(readout=((0.7, 0.2), (0.2, 0.8)))
     with pytest.raises(ValueError):
+        NoiseSpec(readout=((float("nan"), 1.0), (0.0, 1.0)))
+    # only 2x2 confusion matrices, shared or one per qubit
+    flip = symmetric_confusion(0.1)
+    for readout in (
+        ((1.0,),),
+        (),
+        ((0.5, 0.5, 0.0), (0.0, 0.5, 0.5)),
+        ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+        (flip, ((1.0,),)),
+        (flip, (1.0, 0.0)),
+        ((flip,),),
+    ):
+        with pytest.raises(ValueError):
+            NoiseSpec(readout=readout)
+    with pytest.raises(ValueError, match="register size"):
+        NoiseSpec(readout=(flip, flip)).readout_matrices(3)
+    with pytest.raises(ValueError):
         symmetric_confusion(1.2)
     singular = NoiseSpec(p1=0.0, p2=0.0, readout=symmetric_confusion(0.5))
     _, _, op = chain_problem((4, 2))
     with pytest.raises(ValueError):
-        noisy_expectation(
-            AnsatzSpec(qubits=2), np.zeros(8), op, 10, noise=singular
+        estimate_expectations(
+            AnsatzSpec(qubits=2), np.zeros((1, 8)), op, 10, [None], noise=singular
         )
+    # without mitigation nothing is inverted, so a singular confusion is fine
+    unmitigated = estimate_expectations(
+        AnsatzSpec(qubits=2), np.zeros((1, 8)), op, 10, [1, 2], noise=singular, mitigate=False
+    )
+    assert all(math.isfinite(est.value) and math.isfinite(est.std_error) for est in unmitigated)
 
 
 def test_embedding_reproduces_smaller_register():
