@@ -4,14 +4,15 @@ Qubit 1 is the most significant bit of a computational-basis index,
 matching `paulimap`.  Rotation gates follow the half-angle convention
 exp(-i theta sigma / 2).  Exact energies are contracted against the dense
 matrix in `driver`; `estimate_expectations` estimates a PauliOperator from
-shots, ideal (sampled) or under a parametric noise model (noisy).  The two
-modes differ only in how each setting's measured-outcome distribution is
-made: from the pure state, or by evolving the density matrix exactly
-through every gate and its depolarizing channel and applying the readout
-confusion.  Both then draw each setting's counts in one multinomial per
-seed and tally them the same way (a noisy estimate optionally undoing the
-confusion by linear inversion first).  A measurement plan is compiled once
-per operator.
+shots, ideal (sampled) or under a parametric noise model (noisy).  Every
+circuit runs on one gate compiler, `_compile`: a pure state as a register
+of Q qubits, a density matrix with each gate's depolarizing channel as a
+superket of 2Q.  The two modes differ only in how each setting's
+measured-outcome distribution is made: from the pure state, or from the
+density matrix's diagonal through the readout confusion.  Both then draw
+each setting's counts in one multinomial per seed and tally them the same
+way (a noisy estimate optionally undoing the confusion by linear inversion
+first).  A measurement plan is compiled once per operator.
 """
 
 from __future__ import annotations
@@ -99,49 +100,41 @@ def _rx(theta: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
-@lru_cache(maxsize=256)
 def _pair_indices(qubits: int, qubit: int):
     bit = 1 << (qubits - qubit)
     idx = np.arange(1 << qubits)
     j0 = idx[(idx & bit) == 0]
-    j1 = j0 | bit
-    j0.flags.writeable = False
-    j1.flags.writeable = False
-    return j0, j1
+    return j0, j0 | bit
 
 
-@lru_cache(maxsize=256)
 def _cnot_table(qubits: int, control: int, target: int):
     idx = np.arange(1 << qubits)
     cbit = 1 << (qubits - control)
     tbit = 1 << (qubits - target)
-    table = np.where(idx & cbit, idx ^ tbit, idx)
-    table.flags.writeable = False
-    return table
+    return np.where(idx & cbit, idx ^ tbit, idx)
 
 
-def _apply_single(state: np.ndarray, qubits: int, qubit: int, gate: np.ndarray) -> None:
-    j0, j1 = _pair_indices(qubits, qubit)
-    a = state[j0]
-    b = state[j1]
-    state[j0] = gate[0, 0] * a + gate[0, 1] * b
-    state[j1] = gate[1, 0] * a + gate[1, 1] * b
-
-
-def _apply_cnot(state: np.ndarray, qubits: int, control: int, target: int) -> None:
-    state[:] = state[_cnot_table(qubits, control, target)]
+def _mix_blocks(qubits: int, pairs) -> np.ndarray:
+    """blocks[b]: each index, in increasing order, where both qubits of pairs[i] read bit i of b."""
+    idx = np.arange(1 << qubits)
+    bits = [[(idx >> (qubits - q)) & 1 for q in pair] for pair in pairs]
+    same = np.all([a == b for a, b in bits], axis=0)
+    label = sum(a << i for i, (a, _) in enumerate(bits))
+    return np.array([idx[same & (label == b)] for b in range(1 << len(pairs))])
 
 
 def _compile(qubits: int, ops) -> tuple:
-    """A gate program as one gather per rotation on a batch kept in a running row order.
+    """A gate program as one gather per step on a batch kept in a running row order.
 
     Row k of the working batch holds amplitude order[k].  A rotation
     (name, qubit, key) with amplitude pairs (j0, j1) gathers
     ((x[j0], x[j0]), (x[j1], x[j1])) with one stacked index of shape
     (2, 2, len(j0)), so one product per side gives both new halves, stored
-    in the order (j0, j1).  A ("cx", control, target) only relabels the
-    order, being its own inverse.  Returns (steps, final): (key, gather) per
-    rotation, and the gather that restores the computational-basis order.
+    in the order (j0, j1).  A ("mix", pairs, key) gathers its 2^k diagonal
+    blocks (`_mix_blocks`) as one index[2^k, n] and keeps the order.  A
+    ("cx", control, target) only relabels the order, being its own inverse.
+    Returns (steps, final): (key, gather) per rotation or mix, and the
+    gather that restores the computational-basis order.
     """
     order = np.arange(1 << qubits)
     steps = []
@@ -150,6 +143,9 @@ def _compile(qubits: int, ops) -> tuple:
             order = _cnot_table(qubits, op[1], op[2])[order]
             continue
         row = np.argsort(order)
+        if op[0] == "mix":
+            steps.append((op[2], row[_mix_blocks(qubits, op[1])]))
+            continue
         j0, j1 = _pair_indices(qubits, op[1])
         steps.append((op[2], row[np.stack(((j0, j0), (j1, j1)))]))
         order = np.concatenate((j0, j1))
@@ -160,18 +156,31 @@ def _compile(qubits: int, ops) -> tuple:
 
 
 def _run_gathers(work: np.ndarray, steps) -> None:
-    """Run compiled (gate, gather) steps in place on a C-contiguous work[2^Q, ...].
+    """Run compiled (value, gather) steps in place on a C-contiguous work[2^Q, ...].
 
-    Gate entries are held as gate[j, i, 1, ...], broadcast over work's trailing axes.
+    A rotation's value is its gate, held as gate[j, i, 1, ...], and a mix's
+    its fault probability p, both broadcast over work's trailing axes.  A
+    mix on a superket's k (q, Q + q) pairs strikes those qubits with a
+    uniformly chosen non-identity Pauli with probability p, which is
+    (1 - w) rho + w (I/2^k (x) Tr_k rho), w = p 4^k / (4^k - 1) (Nielsen &
+    Chuang, ch. 8): each of the 2^k diagonal blocks gains w/2^k times their sum.
     """
     halves = work.reshape((2, len(work) // 2) + work.shape[1:])
     terms = np.empty((2,) + halves.shape, dtype=complex)
-    for gate, index in steps:
-        # terms = ((g00 a, g10 a), (g01 b, g11 b)), then their sums in place;
-        # every index is in range, and "clip" skips the copy "raise" buffers
-        work.take(index, axis=0, out=terms, mode="clip")
-        np.multiply(gate, terms, out=terms)
-        np.add(terms[0], terms[1], out=halves)
+    for value, index in steps:
+        if index.ndim == 3:
+            # terms = ((g00 a, g10 a), (g01 b, g11 b)), then their sums in place;
+            # every index is in range, and "clip" skips the copy "raise" buffers
+            work.take(index, axis=0, out=terms, mode="clip")
+            np.multiply(value, terms, out=terms)
+            np.add(terms[0], terms[1], out=halves)
+        elif np.any(value):
+            size = len(index) ** 2
+            weight = value * size / (size - 1)
+            mixed = sum(work.take(index, axis=0, mode="clip")) * (weight / len(index))
+            work *= 1.0 - weight
+            for rows in index:
+                work[rows] += mixed
 
 
 @lru_cache(maxsize=64)
@@ -184,24 +193,56 @@ def _batch_program(ansatz: AnsatzSpec):
     return (is_rz,) + _compile(ansatz.qubits, ops)
 
 
-def _rotation_gates(is_rz: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Every rotation's 2x2 matrix for every row of values[B, P]: gates[param, row, i, j].
+@lru_cache(maxsize=64)
+def _superket_program(ansatz: AnsatzSpec):
+    """(steps, final): the noisy circuit on a density matrix, compiled by `_compile`.
 
-    The entries are those of the scalar gate matrices, bit for bit: Ry takes
-    cos and sin of theta/2, as `_ry` does, and Rz the phase exp(-i theta/2),
-    which is cos(-theta/2) + i sin(-theta/2), and its conjugate.
+    rho, flattened in C order, is a register of 2Q qubits (a superket): row
+    qubit q is qubit q and column qubit q is qubit Q + q.  So U rho U^dagger
+    is the gate on q, then its conjugate on Q + q; a CNOT acts on both
+    halves; and each gate's depolarizing channel follows as a mix over its
+    qubits' (q, Q + q) pairs.  A rotation's key indexes the P gates, then
+    their P conjugates; a mix's names its rate, "p1" or "p2".
+    """
+    qubits, count = ansatz.qubits, ansatz.parameter_count
+    ops = []
+    for op in ansatz_operations(ansatz):
+        if op[0] == "cx":
+            _, control, target = op
+            pairs = ((control, qubits + control), (target, qubits + target))
+            ops += [op, ("cx", qubits + control, qubits + target), ("mix", pairs, "p2")]
+        else:
+            name, q, p = op
+            ops += [op, (name, qubits + q, count + p), ("mix", ((q, qubits + q),), "p1")]
+    return _compile(2 * qubits, ops)
+
+
+def _rotation_gates(is_rz: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Every rotation's 2x2 matrix g for every row of values[B, P], held as `_run_gathers` takes it.
+
+    gates[param, j, i, 0, row] is g[i, j].  The entries are those of the
+    scalar gate matrices, bit for bit: Ry takes cos and sin of theta/2, as
+    `_ry` does, and Rz the phase exp(-i theta/2), which is
+    cos(-theta/2) + i sin(-theta/2), and its conjugate.
     """
     half = values.T / 2.0
     rz = is_rz[:, None]
     angle = np.where(rz, -half, half)
     cos, sin = np.cos(angle), np.sin(angle)
-    gates = np.empty(half.shape + (2, 2), dtype=complex)
-    gates[..., 0, 0].real = gates[..., 1, 1].real = cos
-    gates[..., 0, 0].imag = np.where(rz, sin, 0.0)
-    gates[..., 1, 1].imag = np.where(rz, -sin, 0.0)
-    gates[..., 0, 1] = np.where(rz, 0.0, -sin)
-    gates[..., 1, 0] = np.where(rz, 0.0, sin)
+    gates = np.empty((len(half), 2, 2, 1, half.shape[1]), dtype=complex)
+    gates[:, 0, 0, 0].real = gates[:, 1, 1, 0].real = cos
+    gates[:, 0, 0, 0].imag = np.where(rz, sin, 0.0)
+    gates[:, 1, 1, 0].imag = np.where(rz, -sin, 0.0)
+    gates[:, 1, 0, 0] = np.where(rz, 0.0, -sin)
+    gates[:, 0, 1, 0] = np.where(rz, 0.0, sin)
     return gates
+
+
+def _check_norms(norms: np.ndarray) -> None:
+    # written so that a NaN norm, from a non-finite angle, fails too
+    within = np.abs(norms - 1.0) <= _NORM_TOL
+    if not within.all():
+        raise RuntimeError(f"state norm drifted to {float(norms[~within][0])}")
 
 
 def prepare_states(ansatz: AnsatzSpec, params) -> np.ndarray:
@@ -218,17 +259,12 @@ def prepare_states(ansatz: AnsatzSpec, params) -> np.ndarray:
     """
     values = _parameter_rows(ansatz, params)
     is_rz, steps, final = _batch_program(ansatz)
-    gates = np.ascontiguousarray(_rotation_gates(is_rz, values).transpose(0, 3, 2, 1))
-    gates = gates[:, :, :, None, :]
+    gates = _rotation_gates(is_rz, values)
     states = np.zeros((1 << ansatz.qubits, len(values)), dtype=complex)
     states[0] = 1.0
     _run_gathers(states, [(gates[p], index) for p, index in steps])
     states = np.ascontiguousarray(states.take(final, axis=0).T)
-    norms = np.sum(np.abs(states) ** 2, axis=1)
-    # written so that a NaN norm, from a non-finite angle, fails too
-    within = np.abs(norms - 1.0) <= _NORM_TOL
-    if not within.all():
-        raise RuntimeError(f"state norm drifted to {float(norms[~within][0])}")
+    _check_norms(np.sum(np.abs(states) ** 2, axis=1))
     return states
 
 
@@ -352,13 +388,14 @@ def _measurement_plan(operator: PauliOperator, grouping: bool):
 
     A setting is one QWC group, or one string when grouping is off; the
     identity string is never measured.  Returns (offset, tails, compiled,
-    outcomes): each setting's basis-change gates, for the noisy channel;
-    (steps, final, column, square): every setting's basis change compiled
-    by `_compile`, one step per rotated qubit with gates[j, i, 1, S, 1] (an
-    identity where a setting does not rotate it), and the outcome values
-    as a column [S, 2^Q, 1] and its square, for `_tally`; and the table
-    outcomes[S, 2^Q].  Compiled once per operator, so no estimate
-    regroups or rebuilds gates or outcome tables.
+    superket, outcomes): each setting's basis-change gates; (steps, final,
+    column, square): every setting's basis change compiled by `_compile`,
+    one step per rotated qubit with gates[j, i, 1, S, 1] (an identity where
+    a setting does not rotate it), and the outcome values as a column
+    [S, 2^Q, 1] and its square, for `_tally`; (steps, diagonal): the same
+    for a superket, each gate and its conjugate followed by a mix keyed 1.0
+    where a setting rotates the qubit, else 0.0, and the diagonal's gather;
+    and the table outcomes[S, 2^Q].  Compiled once per operator.
     """
     qubits, strings = operator.qubits, operator.strings
     if grouping:
@@ -371,17 +408,25 @@ def _measurement_plan(operator: PauliOperator, grouping: bool):
         if members:
             tails.append(_basis_change_gates(x, z, qubits))
             outcomes.append(_outcome_values(operator, members, 1 << qubits))
-    ops = []
-    for q in sorted({q for tail in tails for (q,), _ in tail}):
-        stack = np.array([dict(tail).get((q,), np.eye(2)) for tail in tails], dtype=complex)
-        ops.append(("basis", q, np.ascontiguousarray(stack.T[:, :, None, :, None])))
+    ops, superket = [], []
+    changes = [dict(tail) for tail in tails]
+    for q in sorted({q for change in changes for (q,) in change}):
+        stack = np.array([change.get((q,), np.eye(2)) for change in changes], dtype=complex)
+        gates = np.ascontiguousarray(stack.T[:, :, None, :, None])
+        rotates = np.array([[(q,) in change] for change in changes], dtype=float)
+        ops.append(("basis", q, gates))
+        pairs = ((q, qubits + q),)
+        superket += [ops[-1], ("basis", qubits + q, gates.conj()), ("mix", pairs, rotates)]
     steps, final = _compile(qubits, ops)
+    superket, order = _compile(2 * qubits, superket)
+    diagonal = order[:: (1 << qubits) + 1]
     table = np.array(outcomes).reshape(len(tails), 1 << qubits)
     column = table[:, :, None]
     square = column**2
-    for array in [table, column, square] + [gates for gates, _ in steps]:
+    for array in [diagonal, table, column, square] + [key for key, _ in steps + superket]:
         array.flags.writeable = False
-    return operator.identity_offset, tuple(tails), (steps, final, column, square), table
+    compiled = (steps, final, column, square)
+    return operator.identity_offset, tuple(tails), compiled, (superket, diagonal), table
 
 
 def _tally(counts: np.ndarray, plan, shots: int):
@@ -393,7 +438,7 @@ def _tally(counts: np.ndarray, plan, shots: int):
     and the sequential `cumsum` make each row's figures independent of the
     rows beside it.
     """
-    offset, _, (_, _, column, square), _ = plan
+    offset, _, (_, _, column, square), _, _ = plan
     counts = np.asarray(counts, dtype=float)[..., None, :]
     mean = np.matmul(counts, column)[..., 0, 0] / shots
     if shots > 1:
@@ -414,81 +459,43 @@ def _estimates(value: np.ndarray, variance: np.ndarray, shots_used: int, mode: s
     )
 
 
-@lru_cache(maxsize=256)
-def _diagonal_blocks(qubits: int, touched: tuple) -> tuple:
-    """Index of each block of rho, viewed on 2Q bit axes, diagonal on the touched qubits."""
-    blocks = []
-    for bits in range(1 << len(touched)):
-        index = [slice(None)] * (2 * qubits)
-        for k, q in enumerate(touched):
-            index[q - 1] = index[qubits + q - 1] = (bits >> k) & 1
-        blocks.append(tuple(index))
-    return tuple(blocks)
+def _distributions(ansatz: AnsatzSpec, values: np.ndarray, plan, noise: NoiseSpec) -> np.ndarray:
+    """Every row's measured-outcome distribution of every setting: probs[B, S, 2^Q].
 
-
-def _depolarize(rho: np.ndarray, qubits: int, touched: tuple, p: float) -> None:
-    """With probability p, a uniformly chosen non-identity Pauli on the touched qubits.
-
-    For k touched qubits that is (1 - w) rho + w (I/2^k (x) Tr_touched rho)
-    with w = p 4^k / (4^k - 1) (Nielsen & Chuang, ch. 8).  Acts in place,
-    through a view, so rho must be C-contiguous.
+    Without noise, each row's state, held as (2^Q, S, B) after the plan's
+    basis changes, gives its squared amplitudes.  Under noise, each row's
+    superket, held as (4^Q, B) through `_superket_program` and as
+    (4^Q, S, B) through the plan's superket basis changes, gives its
+    diagonal, mapped through the readout confusion.  Each row gets the
+    complex products it would get alone, whatever its neighbours.
     """
-    if p == 0.0:
-        return
-    size = 4 ** len(touched)
-    weight = p * size / (size - 1)
-    view = rho.reshape((2,) * (2 * qubits))
-    blocks = _diagonal_blocks(qubits, touched)
-    mixed = sum(view[block] for block in blocks) * (weight / (1 << len(touched)))
-    view *= 1.0 - weight
-    for block in blocks:
-        view[block] += mixed
-
-
-def _evolve(rho: np.ndarray, qubits: int, gates, noise: NoiseSpec) -> None:
-    """Each (touched, matrix) gate as U rho U^dagger, then its depolarizing channel.
-
-    A matrix of None is a CNOT on touched = (control, target).  Rows are
-    transformed first, then the columns through the transposed view.
-    """
-    for touched, matrix in gates:
-        if matrix is None:
-            for view in (rho, rho.T):
-                _apply_cnot(view, qubits, *touched)
-            _depolarize(rho, qubits, touched, noise.p2)
-        else:
-            _apply_single(rho, qubits, touched[0], matrix)
-            _apply_single(rho.T, qubits, touched[0], matrix.conj())
-            _depolarize(rho, qubits, touched, noise.p1)
-
-
-def _noisy_distributions(ansatz: AnsatzSpec, values: np.ndarray, noise: NoiseSpec, tails):
-    """Exact measured-outcome distribution of every setting, readout included: probs[S, 2^Q].
-
-    The ansatz is evolved once; each setting then applies only its own
-    basis-change tail, which is as fault-prone as the ansatz's gates.
-    """
-    qubits = ansatz.qubits
-    is_rz = _batch_program(ansatz)[0]
-    rotations = _rotation_gates(is_rz, values[None, :])[:, 0]
-    circuit = [
-        (op[1:], None) if op[0] == "cx" else ((op[1],), rotations[op[2]])
-        for op in ansatz_operations(ansatz)
-    ]
-    dim = 1 << qubits
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
-    _evolve(rho, qubits, circuit, noise)
-    readout = noise.readout_matrices(qubits)
-    confusion = None if readout is None else _total_confusion(readout)
-    distributions = np.empty((len(tails), dim))
-    for s, gates in enumerate(tails):
-        tail = rho.copy()
-        _evolve(tail, qubits, gates, noise)
-        probs = np.clip(tail.diagonal().real, 0.0, None)
-        probs /= probs.sum()
-        distributions[s] = probs if confusion is None else probs @ confusion
-    return distributions
+    _, _, (steps, final, _, _), (superket, diagonal), table = plan
+    if noise is None:
+        start, tail, taken = prepare_states(ansatz, values).T, steps, final
+    else:
+        program, order = _superket_program(ansatz)
+        gates = _rotation_gates(_batch_program(ansatz)[0], values)
+        gates = np.concatenate((gates, gates.conj()))
+        rho = np.zeros((len(order), len(values)), dtype=complex)
+        rho[0] = 1.0
+        _run_gathers(rho, [(getattr(noise, k) if i.ndim == 2 else gates[k], i) for k, i in program])
+        start = rho.take(order, axis=0)
+        _check_norms(start[:: (1 << ansatz.qubits) + 1].real.sum(axis=0))
+        # a tail mix's key is 1.0 for the settings that rotate its qubit
+        tail = [(k * noise.p1 if i.ndim == 2 else k, i) for k, i in superket]
+        taken = diagonal
+    work = np.repeat(start[:, None, :], len(table), axis=1)
+    _run_gathers(work, tail)
+    measured = work.take(taken, axis=0)
+    probs = np.abs(measured) ** 2 if noise is None else np.clip(measured.real, 0.0, None)
+    # C order makes each row's sum the one a lone distribution gets
+    probs = np.ascontiguousarray(probs.transpose(2, 1, 0))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    readout = None if noise is None else noise.readout_matrices(ansatz.qubits)
+    if readout is None:
+        return probs
+    # one (1, 2^Q) @ (2^Q, 2^Q) product per setting, as for a single setting
+    return np.matmul(probs[..., None, :], _total_confusion(readout))[..., 0, :]
 
 
 def estimate_expectations(
@@ -513,15 +520,10 @@ def estimate_expectations(
     renormalizing.  Each estimate is bit-identical to its row and seed
     estimated alone, whatever its neighbours.
 
-    Sampled rows are prepared as one batch, held as (2^Q, S, B), and the
-    plan's compiled basis changes act on all rows and settings at once, with
-    the same complex products as on one state (an identity where a setting
-    does not rotate, which changes no amplitude's magnitude).  Under noise,
-    after every gate, including the basis-change rotations, a uniformly
-    chosen non-identity Pauli strikes the gate's qubits with probability p1
-    (rotations) or p2 (CNOTs); the density matrix is evolved through this
-    channel exactly, row by row, and the readout confusion maps its diagonal
-    to each setting's outcome distribution.
+    Under noise, after every gate, the basis-change rotations included, a
+    uniformly chosen non-identity Pauli strikes the gate's qubits with
+    probability p1 (rotations) or p2 (CNOTs); `_distributions` evolves all
+    rows' density matrices through this channel exactly, as one batch.
     """
     if ansatz.qubits != operator.qubits:
         raise ValueError("ansatz and operator registers differ")
@@ -539,14 +541,7 @@ def estimate_expectations(
             raise ValueError("readout confusion matrix is singular") from err
 
     plan = _measurement_plan(operator, grouping)
-    _, tails, (steps, final, _, _), _ = plan
-    if noise is None:
-        work = np.repeat(prepare_states(ansatz, values).T[:, None, :], len(tails), axis=1)
-        _run_gathers(work, steps)
-        probs = np.abs(work.transpose(2, 1, 0).take(final, axis=2)) ** 2
-        probs /= probs.sum(axis=-1, keepdims=True)
-    else:
-        probs = np.array([_noisy_distributions(ansatz, row, noise, tails) for row in values])
+    probs = _distributions(ansatz, values, plan, noise)
     # one row per seed, or one row that every seed shares
     rows = zip(seeds, itertools.cycle(probs))
     counts = np.array([np.random.default_rng(seed).multinomial(shots, p) for seed, p in rows])
@@ -556,7 +551,7 @@ def estimate_expectations(
         freq = np.clip(freq, 0.0, None)
         counts = shots * freq / freq.sum(axis=-1, keepdims=True)
     value, variance = _tally(counts, plan, shots)
-    return _estimates(value, variance, len(tails) * shots, SAMPLED if noise is None else NOISY)
+    return _estimates(value, variance, len(plan[-1]) * shots, SAMPLED if noise is None else NOISY)
 
 
 def embed_params(ansatz: AnsatzSpec, params) -> np.ndarray:

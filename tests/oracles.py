@@ -4,21 +4,25 @@ Everything here deliberately avoids the package's analytic trig-identity and
 bitmask code paths: matrix elements come from dense trapezoid quadrature on a
 periodic grid (spectrally accurate), potential derivatives are written out by
 hand, and Pauli reconstruction uses literal 2x2 matrices with np.kron, as
-does the Kraus-sum noisy channel.  The exceptions: the trajectory noisy
-estimator, a reference for a sampling law, the one-point sampled
-estimator, a bit-for-bit reference for the batched one, and
-`gather_sampled_expectations`, the former gather-and-scatter basis change
-that the compiled one reproduces bit for bit, reuse the package's
-kernels; the amplitude-traversal `exact_expectation` uses the package's
-bitmask convention and is itself checked against dense matrices;
-`serial_spsa` is the one-run SPSA loop that the lockstep batch reproduces
-bit for bit; `pairwise_multiplication_matrix`, `pairwise_derivative_matrix`
-and `masked_jacobi_eigh` are the former dict-product matrix builders and
-masked Jacobi rotation loop, and `map_element`, `elementwise_map_operator`
-and `loop_chain_matrix` the former per-element Pauli expansion and
+does the Kraus-sum noisy channel.  The exceptions: `_apply_single` and
+`_apply_cnot`, the former one-gate kernels, index with the package's pair
+and CNOT tables, and three oracles run on them and reuse the package's
+measurement plan: the trajectory noisy estimator, a reference for a
+sampling law; the one-point sampled estimator, a bit-for-bit reference
+for the batched one; and `serial_noisy_distributions`, the former
+row-by-row density-matrix evolution, which the batched superket table
+reproduces bit for bit.  `gather_sampled_expectations` is the former
+gather-and-scatter basis change that the compiled one reproduces bit for
+bit; the amplitude-traversal `exact_expectation` uses the package's bitmask
+convention and is itself checked against dense matrices; `serial_spsa` is
+the one-run SPSA loop that the lockstep batch reproduces bit for bit;
+`pairwise_multiplication_matrix`, `pairwise_derivative_matrix` and
+`masked_jacobi_eigh` are the former dict-product matrix builders and masked
+Jacobi rotation loop, and `map_element`, `elementwise_map_operator` and
+`loop_chain_matrix` the former per-element Pauli expansion and
 per-state-pair chain assembly, which the package's versions reproduce bit
-for bit; and `potential_value`, `potential_d1` and `potential_d2` evaluate the
-package's cosine series pointwise.
+for bit; and `potential_value`, `potential_d1` and `potential_d2` evaluate
+the package's cosine series pointwise.
 """
 
 from __future__ import annotations
@@ -484,26 +488,26 @@ def _kraus_depolarize(rho: np.ndarray, qubits: int, touched: tuple, p: float) ->
     return (1.0 - p) * rho + p / len(paulis) * sum(P @ rho @ P.conj().T for P in paulis)
 
 
-def kraus_outcome_distribution(
-    qubits: int, depth: int, entangler: str, params, p1: float, p2: float, readout, basis: str
+def kraus_outcome_distributions(
+    qubits: int, depth: int, entangler: str, params, p1: float, p2: float, readout, bases
 ) -> np.ndarray:
-    """Measured-outcome distribution of the noisy RyRz circuit, from dense Kraus sums.
+    """Measured-outcome distributions of the noisy RyRz circuit, from dense Kraus sums.
 
     Every gate is a full 2^Q x 2^Q matrix built with np.kron and followed by
     its depolarizing channel written as a sum over Pauli operators: p1 after
-    a rotation, p2 after a CNOT.  `basis` names the measured Pauli per qubit
-    (qubit 1 first); X is rotated to Z by Ry(-pi/2), Y by Rx(pi/2), each a
-    noisy rotation too.  `readout` is None or one 2x2 P(measured|true)
-    matrix per qubit.
+    a rotation, p2 after a CNOT.  Each of `bases` names the measured Pauli
+    per qubit (qubit 1 first); X is rotated to Z by Ry(-pi/2), Y by
+    Rx(pi/2), each a noisy rotation too, on a copy of the circuit's density
+    matrix.  `readout` is None or one 2x2 P(measured|true) matrix per qubit.
+    Returns probs[len(bases), 2^Q].
     """
     dim = 1 << qubits
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
 
-    def rotate(q, gate):
-        nonlocal rho
+    def rotate(rho, q, gate):
         full = _register_operator(qubits, {q: gate})
-        rho = _kraus_depolarize(full @ rho @ full.conj().T, qubits, (q,), p1)
+        return _kraus_depolarize(full @ rho @ full.conj().T, qubits, (q,), p1)
 
     def ry(theta):
         c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
@@ -518,29 +522,123 @@ def kraus_outcome_distribution(
     for block in range(depth + 1):
         base = 2 * qubits * block
         for q in range(1, qubits + 1):
-            rotate(q, ry(angles[base + q - 1]))
+            rho = rotate(rho, q, ry(angles[base + q - 1]))
         for q in range(1, qubits + 1):
             phase = cmath.exp(-0.5j * angles[base + qubits + q - 1])
-            rotate(q, np.diag([phase, phase.conjugate()]))
+            rho = rotate(rho, q, np.diag([phase, phase.conjugate()]))
         if block < depth:
             for control, target in pairs:
                 cnot = _register_operator(qubits, {control: up}) + _register_operator(
                     qubits, {control: down, target: PAULI_1Q["X"]}
                 )
                 rho = _kraus_depolarize(cnot @ rho @ cnot.T, qubits, (control, target), p2)
-    for q, letter in enumerate(basis, start=1):
-        if letter == "X":
-            rotate(q, ry(-math.pi / 2))
-        elif letter == "Y":
-            c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
-            rotate(q, np.array([[c, -1j * s], [-1j * s, c]]))
-    probs = np.real(np.diag(rho))
+    confusion = None
     if readout is not None:
         confusion = np.array([[1.0]])
         for mat in readout:
             confusion = np.kron(confusion, np.asarray(mat, dtype=float))
-        probs = probs @ confusion
-    return probs
+    out = []
+    for basis in bases:
+        measured = rho
+        for q, letter in enumerate(basis, start=1):
+            if letter == "X":
+                measured = rotate(measured, q, ry(-math.pi / 2))
+            elif letter == "Y":
+                c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+                measured = rotate(measured, q, np.array([[c, -1j * s], [-1j * s, c]]))
+        probs = np.real(np.diag(measured))
+        out.append(probs if confusion is None else probs @ confusion)
+    return np.array(out).reshape(len(bases), dim)
+
+
+# the trajectory oracle applies these kernels once per gate of every replayed shot
+_pair_indices = functools.lru_cache(maxsize=None)(qsim._pair_indices)
+_cnot_table = functools.lru_cache(maxsize=None)(qsim._cnot_table)
+
+
+def _apply_single(state: np.ndarray, qubits: int, qubit: int, gate: np.ndarray) -> None:
+    """gate on `qubit` of the rows of state, as g[i, 0] a + g[i, 1] b of each amplitude pair."""
+    j0, j1 = _pair_indices(qubits, qubit)
+    a = state[j0]
+    b = state[j1]
+    state[j0] = gate[0, 0] * a + gate[0, 1] * b
+    state[j1] = gate[1, 0] * a + gate[1, 1] * b
+
+
+def _apply_cnot(state: np.ndarray, qubits: int, control: int, target: int) -> None:
+    state[:] = state[_cnot_table(qubits, control, target)]
+
+
+def _rotation(kind: str, theta: float) -> np.ndarray:
+    """Ry or Rz(theta) from scalar math/cmath trig."""
+    if kind == "ry":
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        return np.array([[c, -s], [s, c]], dtype=complex)
+    phase = cmath.exp(-0.5j * theta)
+    return np.array([[phase, 0.0], [0.0, phase.conjugate()]], dtype=complex)
+
+
+def serial_noisy_distributions(ansatz, params, noise, tails) -> np.ndarray:
+    """Exact measured-outcome distribution of every setting, readout included: probs[S, 2^Q].
+
+    The density matrix of one parameter row is evolved one gate at a time:
+    U rho U^dagger as the gate on the rows, then its conjugate on the
+    columns through the transposed view, then the gate's depolarizing
+    channel, (1 - w) rho + w (I/2^k (x) Tr_touched rho) with
+    w = p 4^k / (4^k - 1), on the bit-axis view of rho.  The ansatz is
+    evolved once; each setting then evolves its own copy through its
+    basis-change tail, as fault-prone as the ansatz's gates.  The batched
+    superket table must reproduce this bit for bit.
+    """
+    qubits = ansatz.qubits
+    dim = 1 << qubits
+
+    def depolarize(rho, touched, p):
+        if p == 0.0:
+            return
+        size = 4 ** len(touched)
+        weight = p * size / (size - 1)
+        view = rho.reshape((2,) * (2 * qubits))
+        blocks = []
+        for bits in range(1 << len(touched)):
+            index = [slice(None)] * (2 * qubits)
+            for k, q in enumerate(touched):
+                index[q - 1] = index[qubits + q - 1] = (bits >> k) & 1
+            blocks.append(tuple(index))
+        mixed = sum(view[block] for block in blocks) * (weight / (1 << len(touched)))
+        view *= 1.0 - weight
+        for block in blocks:
+            view[block] += mixed
+
+    def evolve(rho, gates):
+        for touched, matrix in gates:
+            if matrix is None:
+                for view in (rho, rho.T):
+                    _apply_cnot(view, qubits, *touched)
+                depolarize(rho, touched, noise.p2)
+            else:
+                _apply_single(rho, qubits, touched[0], matrix)
+                _apply_single(rho.T, qubits, touched[0], matrix.conj())
+                depolarize(rho, touched, noise.p1)
+
+    angles = [float(v) for v in np.asarray(params, dtype=float).ravel()]
+    circuit = [
+        (op[1:], None) if op[0] == "cx" else ((op[1],), _rotation(op[0], angles[op[2]]))
+        for op in qsim.ansatz_operations(ansatz)
+    ]
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0] = 1.0
+    evolve(rho, circuit)
+    readout = noise.readout_matrices(qubits)
+    confusion = None if readout is None else qsim._total_confusion(readout)
+    distributions = np.empty((len(tails), dim))
+    for s, gates in enumerate(tails):
+        tail = rho.copy()
+        evolve(tail, gates)
+        probs = np.clip(tail.diagonal().real, 0.0, None)
+        probs /= probs.sum()
+        distributions[s] = probs if confusion is None else probs @ confusion
+    return distributions
 
 
 def serial_sampled_expectation(ansatz, params, operator, shots, grouping=True, seed=None):
@@ -552,13 +650,13 @@ def serial_sampled_expectation(ansatz, params, operator, shots, grouping=True, s
     The batched estimator must reproduce this bit for bit.
     """
     state = qsim.prepare_state(ansatz, params)
-    offset, tails, _, outcomes = qsim._measurement_plan(operator, grouping)
+    offset, tails, _, _, outcomes = qsim._measurement_plan(operator, grouping)
     rng = np.random.default_rng(seed)
     value, variance = offset, 0.0
     for tail, values in zip(tails, outcomes):
         rotated = state.copy()
         for (qubit,), gate in tail:
-            qsim._apply_single(rotated, ansatz.qubits, qubit, gate)
+            _apply_single(rotated, ansatz.qubits, qubit, gate)
         probs = np.abs(rotated) ** 2
         counts = rng.multinomial(shots, probs / probs.sum())
         mean = float(counts @ values) / shots
@@ -615,8 +713,9 @@ def trajectory_noisy_expectation(
     faults on every later gate.  This samples the same counts law as the
     exact channel with a different use of the random stream, so it serves
     as a two-sample reference.  Unlike the other oracles it reuses the
-    package's measurement plan, gate kernels and tally, since it checks the
-    noise channel and sampling law, not those.
+    package's measurement plan and tally, and runs on `_apply_single` and
+    `_apply_cnot`, since it checks the noise channel and sampling law, not
+    those.
     """
     qubits = ansatz.qubits
     dim = 1 << qubits
@@ -624,36 +723,29 @@ def trajectory_noisy_expectation(
     rng = np.random.default_rng(seed)
     paulis = [None, PAULI_1Q["X"], PAULI_1Q["Y"], PAULI_1Q["Z"]]
 
-    def rotation(kind, theta):
-        if kind == "ry":
-            c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-            return np.array([[c, -s], [s, c]], dtype=complex)
-        phase = cmath.exp(-0.5j * theta)
-        return np.array([[phase, 0.0], [0.0, phase.conjugate()]], dtype=complex)
-
     base = [
         ((op[1], op[2]), None, noise.p2)
         if op[0] == "cx"
-        else ((op[1],), rotation(op[0], angles[op[2]]), noise.p1)
+        else ((op[1],), _rotation(op[0], angles[op[2]]), noise.p1)
         for op in qsim.ansatz_operations(ansatz)
     ]
 
     def apply(state, gate):
         touched, matrix, _ = gate
         if matrix is None:
-            qsim._apply_cnot(state, qubits, *touched)
+            _apply_cnot(state, qubits, *touched)
         else:
-            qsim._apply_single(state, qubits, touched[0], matrix)
+            _apply_single(state, qubits, touched[0], matrix)
 
     def fault(state, gate):
         touched = gate[0]
         if len(touched) == 1:
-            qsim._apply_single(state, qubits, touched[0], paulis[rng.integers(1, 4)])
+            _apply_single(state, qubits, touched[0], paulis[rng.integers(1, 4)])
         else:
             pick = int(rng.integers(1, 16))
             for qubit, letter in zip(touched, (pick >> 2, pick & 3)):
                 if letter:
-                    qsim._apply_single(state, qubits, qubit, paulis[letter])
+                    _apply_single(state, qubits, qubit, paulis[letter])
 
     readout = noise.readout_matrices(qubits)
     confusion = inverse = None

@@ -42,7 +42,8 @@ from rotorvqe.qsim import (
 from oracles import (
     exact_expectation,
     gather_sampled_expectations,
-    kraus_outcome_distribution,
+    kraus_outcome_distributions,
+    serial_noisy_distributions,
     serial_prepare_state,
     serial_sampled_expectation,
     trajectory_noisy_expectation,
@@ -188,6 +189,10 @@ def test_prepare_states_rejects_non_finite_angles(bad):
     batch[1, 4] = bad
     with pytest.raises(RuntimeError, match="norm drifted"):
         prepare_states(ansatz, batch)
+    # the density matrix's trace is its norm, so noisy mode fails alike
+    _, _, op = chain_problem((4, 2))
+    with pytest.raises(RuntimeError, match="norm drifted"):
+        estimate_expectations(ansatz, batch, op, 100, [1, 2, 3], noise=NoiseSpec())
 
 
 def test_exact_expectation_basics():
@@ -232,12 +237,15 @@ def test_variational_bound_on_random_states():
 
 
 def test_sampled_identity_operator_is_exact():
+    # no setting to measure: both modes' distribution tables have an empty settings axis
     op = PauliOperator(qubits=2, strings=(PauliString.from_label("II"),), coefficients=(3.7,))
-    (est,) = estimate_expectations(AnsatzSpec(qubits=2), np.zeros((1, 8)), op, 100, [1])
-    assert est.value == pytest.approx(3.7)
-    assert est.std_error == 0.0
-    assert est.shots_used == 0
-    assert est.mode == SAMPLED
+    points = np.linspace(0.1, 1.5, 16).reshape(2, 8)
+    for noise, mode in ((None, SAMPLED), (NoiseSpec(), NOISY)):
+        for est in estimate_expectations(AnsatzSpec(qubits=2), points, op, 100, [1, 2], noise):
+            assert est.value == pytest.approx(3.7)
+            assert est.std_error == 0.0
+            assert est.shots_used == 0
+            assert est.mode == mode
 
 
 def _bits(estimate):
@@ -259,8 +267,6 @@ def test_sampled_expectations_rows_match_single_estimates_bit_for_bit(
 ):
     noise, mitigate = None, True
     if noisy:
-        # density matrices cost far more than states: keep the noisy examples small
-        qubits, batch = min(qubits, 3), min(batch, 4)
         rates = st.sampled_from([0.0, 1e-3, 0.2])
         flips = st.lists(st.tuples(st.floats(0, 0.3), st.floats(0, 0.3)), min_size=qubits, max_size=qubits)
         readout = data.draw(st.none() | flips.map(lambda f: tuple(((1 - a, a), (b, 1 - b)) for a, b in f)))
@@ -296,7 +302,12 @@ def test_sampled_expectations_rows_match_single_estimates_bit_for_bit(
     assert len(rows) == len(shared) == batch
     assert [_bits(e) for e in shared] == [_bits(e) for e in tiled]
     assert _bits(shared[0]) == _bits(rows[0])
-    if not noisy:
+    if noisy:
+        plan = qsim._measurement_plan(op, grouping)
+        table = qsim._distributions(ansatz, points, plan, noise)
+        for row, probs in zip(points, table):
+            assert np.array_equal(probs, serial_noisy_distributions(ansatz, row, noise, plan[1]))
+    else:
         gathered = gather_sampled_expectations(ansatz, points, op, shots, seeds, grouping=grouping)
         assert [_bits(e) for e in rows] == [_bits(e) for e in gathered]
     for b in range(batch):
@@ -491,20 +502,20 @@ def test_noisy_distributions_match_kraus_oracle():
         for depth in (0, 1, 2):
             for shift, entangler in ((0, LINEAR), (3, FULL)):
                 ansatz = AnsatzSpec(qubits=qubits, depth=depth, entangler=entangler)
-                params = rng.uniform(-7.0, 7.0, ansatz.parameter_count)
+                rows = rng.uniform(-7.0, 7.0, (3, ansatz.parameter_count))
                 # every (p1, p2) pair of rates occurs across depths and entanglers
                 for i, p1 in enumerate(rates):
                     p2 = rates[(i + depth + shift) % 4]
                     grouping = i % 2 == 0
                     noise = NoiseSpec(p1=p1, p2=p2, readout=readout)
-                    plan = qsim._measurement_plan(op, grouping)[1]
-                    got = qsim._noisy_distributions(ansatz, params, noise, plan)
-                    assert len(got) == len(bases[grouping])
-                    for basis, probs in zip(bases[grouping], got):
-                        want = kraus_outcome_distribution(
-                            qubits, depth, entangler, params, p1, p2, readout, basis
+                    plan = qsim._measurement_plan(op, grouping)
+                    table = qsim._distributions(ansatz, rows, plan, noise)
+                    assert table.shape == (len(rows), len(bases[grouping]), 1 << qubits)
+                    for params, got in zip(rows, table):
+                        want = kraus_outcome_distributions(
+                            qubits, depth, entangler, params, p1, p2, readout, bases[grouping]
                         )
-                        np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
+                        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_exact_channel_matches_trajectory_estimator():
