@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -155,28 +155,32 @@ def _compile(qubits: int, ops) -> tuple:
     return tuple(steps), final
 
 
-def _run_gathers(work: np.ndarray, steps) -> None:
-    """Run compiled (value, gather) steps in place on a C-contiguous work[2^Q, ...].
+def _run_gathers(work: np.ndarray, steps, gates, noise: NoiseSpec = None) -> None:
+    """Run compiled (key, gather) steps in place on a C-contiguous work[2^Q, ...].
 
-    A rotation's value is its gate, held as gate[j, i, 1, ...], and a mix's
-    its fault probability p, both broadcast over work's trailing axes.  A
-    mix on a superket's k (q, Q + q) pairs strikes those qubits with a
-    uniformly chosen non-identity Pauli with probability p, which is
-    (1 - w) rho + w (I/2^k (x) Tr_k rho), w = p 4^k / (4^k - 1) (Nielsen &
-    Chuang, ch. 8): each of the 2^k diagonal blocks gains w/2^k times their sum.
+    A rotation's key indexes `gates`, each held as gate[j, i, 1, ...]; a
+    mix's key (rate, mask) gives its fault probability p, the mask times
+    noise.p1 or noise.p2, broadcast over work's trailing axes.  A mix on a
+    superket's k (q, Q + q) pairs strikes those qubits with a uniformly
+    chosen non-identity Pauli with probability p, which is (1 - w) rho +
+    w (I/2^k (x) Tr_k rho), w = p 4^k / (4^k - 1) (Nielsen & Chuang, ch. 8):
+    each of the 2^k diagonal blocks gains w/2^k times their sum.
     """
     halves = work.reshape((2, len(work) // 2) + work.shape[1:])
     terms = np.empty((2,) + halves.shape, dtype=complex)
-    for value, index in steps:
+    for key, index in steps:
         if index.ndim == 3:
             # terms = ((g00 a, g10 a), (g01 b, g11 b)), then their sums in place;
             # every index is in range, and "clip" skips the copy "raise" buffers
             work.take(index, axis=0, out=terms, mode="clip")
-            np.multiply(value, terms, out=terms)
+            np.multiply(gates[key], terms, out=terms)
             np.add(terms[0], terms[1], out=halves)
-        elif np.any(value):
+            continue
+        rate, mask = key
+        p = getattr(noise, rate) * mask
+        if np.any(p):
             size = len(index) ** 2
-            weight = value * size / (size - 1)
+            weight = p * size / (size - 1)
             mixed = sum(work.take(index, axis=0, mode="clip")) * (weight / len(index))
             work *= 1.0 - weight
             for rows in index:
@@ -202,7 +206,8 @@ def _superket_program(ansatz: AnsatzSpec):
     is the gate on q, then its conjugate on Q + q; a CNOT acts on both
     halves; and each gate's depolarizing channel follows as a mix over its
     qubits' (q, Q + q) pairs.  A rotation's key indexes the P gates, then
-    their P conjugates; a mix's names its rate, "p1" or "p2".
+    their P conjugates; a mix's is ("p1", 1.0) after a rotation and
+    ("p2", 1.0) after a CNOT (see `_run_gathers`).
     """
     qubits, count = ansatz.qubits, ansatz.parameter_count
     ops = []
@@ -210,10 +215,10 @@ def _superket_program(ansatz: AnsatzSpec):
         if op[0] == "cx":
             _, control, target = op
             pairs = ((control, qubits + control), (target, qubits + target))
-            ops += [op, ("cx", qubits + control, qubits + target), ("mix", pairs, "p2")]
+            ops += [op, ("cx", qubits + control, qubits + target), ("mix", pairs, ("p2", 1.0))]
         else:
             name, q, p = op
-            ops += [op, (name, qubits + q, count + p), ("mix", ((q, qubits + q),), "p1")]
+            ops += [op, (name, qubits + q, count + p), ("mix", ((q, qubits + q),), ("p1", 1.0))]
     return _compile(2 * qubits, ops)
 
 
@@ -238,13 +243,6 @@ def _rotation_gates(is_rz: np.ndarray, values: np.ndarray) -> np.ndarray:
     return gates
 
 
-def _check_norms(norms: np.ndarray) -> None:
-    # written so that a NaN norm, from a non-finite angle, fails too
-    within = np.abs(norms - 1.0) <= _NORM_TOL
-    if not within.all():
-        raise RuntimeError(f"state norm drifted to {float(norms[~within][0])}")
-
-
 def prepare_states(ansatz: AnsatzSpec, params) -> np.ndarray:
     """Run the circuit on |0...0> once per row of params[B, P]; returns states[B, 2^Q].
 
@@ -257,15 +255,28 @@ def prepare_states(ansatz: AnsatzSpec, params) -> np.ndarray:
     C-contiguous, which the bit-identical energy contraction in `driver`
     relies on.
     """
-    values = _parameter_rows(ansatz, params)
+    return np.ascontiguousarray(_evolved(ansatz, _parameter_rows(ansatz, params)).T)
+
+
+def _evolved(ansatz: AnsatzSpec, values: np.ndarray, noise: NoiseSpec = None) -> np.ndarray:
+    """Each row of values[B, P] run as a state (2^Q, B), or under noise as a superket (4^Q, B)."""
     is_rz, steps, final = _batch_program(ansatz)
     gates = _rotation_gates(is_rz, values)
-    states = np.zeros((1 << ansatz.qubits, len(values)), dtype=complex)
-    states[0] = 1.0
-    _run_gathers(states, [(gates[p], index) for p, index in steps])
-    states = np.ascontiguousarray(states.take(final, axis=0).T)
-    _check_norms(np.sum(np.abs(states) ** 2, axis=1))
-    return states
+    if noise is not None:
+        steps, final = _superket_program(ansatz)
+        gates = np.concatenate((gates, gates.conj()))
+    work = np.zeros((len(final), len(values)), dtype=complex)
+    work[0] = 1.0
+    _run_gathers(work, steps, gates, noise)
+    work = work.take(final, axis=0)
+    # a density matrix's norm is its trace; written so that a NaN norm, from
+    # a non-finite angle, fails too
+    diagonal = np.abs(work) ** 2 if noise is None else work[:: (1 << ansatz.qubits) + 1].real
+    norms = diagonal.sum(axis=0)
+    within = np.abs(norms - 1.0) <= _NORM_TOL
+    if not within.all():
+        raise RuntimeError(f"state norm drifted to {float(norms[~within][0])}")
+    return work
 
 
 def _parameter_rows(ansatz: AnsatzSpec, params) -> np.ndarray:
@@ -286,8 +297,7 @@ def _parameter_vector(ansatz: AnsatzSpec, params) -> np.ndarray:
 
 def prepare_state(ansatz: AnsatzSpec, params) -> np.ndarray:
     """Run the circuit on |0...0> and return the 2^Q statevector."""
-    values = _parameter_vector(ansatz, params)
-    return prepare_states(ansatz, values[None, :])[0]
+    return prepare_states(ansatz, _parameter_vector(ansatz, params)[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -351,10 +361,7 @@ class NoiseSpec:
 
 
 def _total_confusion(matrices) -> np.ndarray:
-    total = np.array([[1.0]])
-    for mat in matrices:
-        total = np.kron(total, mat)
-    return total
+    return reduce(np.kron, matrices, np.array([[1.0]]))
 
 
 def _basis_change_gates(x: int, z: int, qubits: int) -> tuple:
@@ -382,21 +389,29 @@ def _outcome_values(operator: PauliOperator, members, dim: int) -> np.ndarray:
     return values
 
 
-@lru_cache(maxsize=64)
-def _measurement_plan(operator: PauliOperator, grouping: bool):
+@dataclass(frozen=True, eq=False)
+class _MeasurementPlan:
     """Exact identity offset plus every sampled setting's basis change and outcome values.
 
     A setting is one QWC group, or one string when grouping is off; the
-    identity string is never measured.  Returns (offset, tails, compiled,
-    superket, outcomes): each setting's basis-change gates; (steps, final,
-    column, square): every setting's basis change compiled by `_compile`,
-    one step per rotated qubit with gates[j, i, 1, S, 1] (an identity where
-    a setting does not rotate it), and the outcome values as a column
-    [S, 2^Q, 1] and its square, for `_tally`; (steps, diagonal): the same
-    for a superket, each gate and its conjugate followed by a mix keyed 1.0
-    where a setting rotates the qubit, else 0.0, and the diagonal's gather;
-    and the table outcomes[S, 2^Q].  Compiled once per operator.
+    identity string is never measured.  Setting s has basis-change gates
+    tails[s], as ((qubit,), rotation), and outcome values outcomes[s].
+    `pure` and `superket` hold all settings' basis changes compiled for a
+    state and a density matrix, as (steps, gates, measured gather): per
+    rotated qubit, gates[r] (an identity for a setting that does not rotate
+    it) and for a superket its conjugate and a mix keyed ("p1", mask 0/1).
     """
+
+    offset: float
+    tails: tuple
+    outcomes: np.ndarray
+    pure: tuple
+    superket: tuple
+
+
+@lru_cache(maxsize=64)
+def _measurement_plan(operator: PauliOperator, grouping: bool) -> _MeasurementPlan:
+    """The operator's `_MeasurementPlan`, compiled once per operator."""
     qubits, strings = operator.qubits, operator.strings
     if grouping:
         settings = [(g.x, g.z, g.members) for g in group_qubitwise_commuting(operator)]
@@ -408,25 +423,27 @@ def _measurement_plan(operator: PauliOperator, grouping: bool):
         if members:
             tails.append(_basis_change_gates(x, z, qubits))
             outcomes.append(_outcome_values(operator, members, 1 << qubits))
-    ops, superket = [], []
     changes = [dict(tail) for tail in tails]
-    for q in sorted({q for change in changes for (q,) in change}):
-        stack = np.array([change.get((q,), np.eye(2)) for change in changes], dtype=complex)
-        gates = np.ascontiguousarray(stack.T[:, :, None, :, None])
+    rotated = sorted({q for change in changes for (q,) in change})
+    stack = [[change.get((q,), np.eye(2)) for change in changes] for q in rotated]
+    stack = np.array(stack, dtype=complex).reshape(len(rotated), len(tails), 2, 2)
+    gates = np.ascontiguousarray(stack.transpose(0, 3, 2, 1)[:, :, :, None, :, None])
+    both = np.concatenate((gates, gates.conj()))
+    ops, superket = [], []
+    for r, q in enumerate(rotated):
         rotates = np.array([[(q,) in change] for change in changes], dtype=float)
-        ops.append(("basis", q, gates))
+        rotates.flags.writeable = False
+        ops.append(("basis", q, r))
         pairs = ((q, qubits + q),)
-        superket += [ops[-1], ("basis", qubits + q, gates.conj()), ("mix", pairs, rotates)]
+        superket += [ops[-1], ("basis", qubits + q, len(rotated) + r), ("mix", pairs, ("p1", rotates))]
     steps, final = _compile(qubits, ops)
     superket, order = _compile(2 * qubits, superket)
     diagonal = order[:: (1 << qubits) + 1]
     table = np.array(outcomes).reshape(len(tails), 1 << qubits)
-    column = table[:, :, None]
-    square = column**2
-    for array in [diagonal, table, column, square] + [key for key, _ in steps + superket]:
+    for array in (diagonal, gates, both, table):
         array.flags.writeable = False
-    compiled = (steps, final, column, square)
-    return operator.identity_offset, tuple(tails), compiled, (superket, diagonal), table
+    pure, superket = (steps, gates, final), (superket, both, diagonal)
+    return _MeasurementPlan(operator.identity_offset, tuple(tails), table, pure, superket)
 
 
 def _tally(counts: np.ndarray, plan, shots: int):
@@ -438,16 +455,16 @@ def _tally(counts: np.ndarray, plan, shots: int):
     and the sequential `cumsum` make each row's figures independent of the
     rows beside it.
     """
-    offset, _, (_, _, column, square), _, _ = plan
+    column = plan.outcomes[:, :, None]
     counts = np.asarray(counts, dtype=float)[..., None, :]
     mean = np.matmul(counts, column)[..., 0, 0] / shots
     if shots > 1:
-        second = np.matmul(counts, square)[..., 0, 0]
+        second = np.matmul(counts, column**2)[..., 0, 0]
         variance = np.maximum(second - shots * mean * mean, 0.0) / (shots - 1) / shots
     else:
         variance = np.zeros_like(mean)
     start = np.zeros(mean.shape[:-1] + (1,))
-    value = np.cumsum(np.concatenate((start + offset, mean), axis=-1), axis=-1)[..., -1]
+    value = np.cumsum(np.concatenate((start + plan.offset, mean), axis=-1), axis=-1)[..., -1]
     variance = np.cumsum(np.concatenate((start, variance), axis=-1), axis=-1)[..., -1]
     return value, variance
 
@@ -459,37 +476,31 @@ def _estimates(value: np.ndarray, variance: np.ndarray, shots_used: int, mode: s
     )
 
 
+# complex entries of one block of rows' working array in `_distributions`
+# (4 MB); its gathers hold about three times that besides
+_BLOCK_ENTRIES = 1 << 18
+
+
 def _distributions(ansatz: AnsatzSpec, values: np.ndarray, plan, noise: NoiseSpec) -> np.ndarray:
     """Every row's measured-outcome distribution of every setting: probs[B, S, 2^Q].
 
-    Without noise, each row's state, held as (2^Q, S, B) after the plan's
-    basis changes, gives its squared amplitudes.  Under noise, each row's
-    superket, held as (4^Q, B) through `_superket_program` and as
-    (4^Q, S, B) through the plan's superket basis changes, gives its
-    diagonal, mapped through the readout confusion.  Each row gets the
-    complex products it would get alone, whatever its neighbours.
+    Each row's state, or under noise its superket, is held as (2^Q or 4^Q,
+    S, B) through the plan's basis changes; its squared amplitudes, or its
+    diagonal mapped through the readout confusion, are the distribution.
+    Rows run in blocks of at most `_BLOCK_ENTRIES` working entries (or one
+    row), and each row gets the products it would get alone.
     """
-    _, _, (steps, final, _, _), (superket, diagonal), table = plan
-    if noise is None:
-        start, tail, taken = prepare_states(ansatz, values).T, steps, final
-    else:
-        program, order = _superket_program(ansatz)
-        gates = _rotation_gates(_batch_program(ansatz)[0], values)
-        gates = np.concatenate((gates, gates.conj()))
-        rho = np.zeros((len(order), len(values)), dtype=complex)
-        rho[0] = 1.0
-        _run_gathers(rho, [(getattr(noise, k) if i.ndim == 2 else gates[k], i) for k, i in program])
-        start = rho.take(order, axis=0)
-        _check_norms(start[:: (1 << ansatz.qubits) + 1].real.sum(axis=0))
-        # a tail mix's key is 1.0 for the settings that rotate its qubit
-        tail = [(k * noise.p1 if i.ndim == 2 else k, i) for k, i in superket]
-        taken = diagonal
-    work = np.repeat(start[:, None, :], len(table), axis=1)
-    _run_gathers(work, tail)
-    measured = work.take(taken, axis=0)
-    probs = np.abs(measured) ** 2 if noise is None else np.clip(measured.real, 0.0, None)
-    # C order makes each row's sum the one a lone distribution gets
-    probs = np.ascontiguousarray(probs.transpose(2, 1, 0))
+    steps, gates, measured = plan.pure if noise is None else plan.superket
+    settings = len(plan.outcomes)
+    width = max(1, settings) << (ansatz.qubits * (1 if noise is None else 2))
+    size = max(1, _BLOCK_ENTRIES // width)
+    probs = np.empty((len(values), settings, len(measured)))
+    for i in range(0, len(values), size):
+        work = np.repeat(_evolved(ansatz, values[i : i + size], noise)[:, None, :], settings, axis=1)
+        _run_gathers(work, steps, gates, noise)
+        work = work.take(measured, axis=0)
+        # stored in C order, which makes each row's sum the one a lone distribution gets
+        probs[i : i + size] = (np.abs(work) ** 2 if noise is None else np.clip(work.real, 0.0, None)).T
     probs /= probs.sum(axis=-1, keepdims=True)
     readout = None if noise is None else noise.readout_matrices(ansatz.qubits)
     if readout is None:
@@ -523,7 +534,7 @@ def estimate_expectations(
     Under noise, after every gate, the basis-change rotations included, a
     uniformly chosen non-identity Pauli strikes the gate's qubits with
     probability p1 (rotations) or p2 (CNOTs); `_distributions` evolves all
-    rows' density matrices through this channel exactly, as one batch.
+    rows' density matrices through this channel exactly, in blocks of rows.
     """
     if ansatz.qubits != operator.qubits:
         raise ValueError("ansatz and operator registers differ")
@@ -551,7 +562,7 @@ def estimate_expectations(
         freq = np.clip(freq, 0.0, None)
         counts = shots * freq / freq.sum(axis=-1, keepdims=True)
     value, variance = _tally(counts, plan, shots)
-    return _estimates(value, variance, len(plan[-1]) * shots, SAMPLED if noise is None else NOISY)
+    return _estimates(value, variance, len(plan.outcomes) * shots, SAMPLED if noise is None else NOISY)
 
 
 def embed_params(ansatz: AnsatzSpec, params) -> np.ndarray:
@@ -562,16 +573,9 @@ def embed_params(ansatz: AnsatzSpec, params) -> np.ndarray:
     a CNOT control, so the enlarged circuit prepares |0> (x) |previous>
     and expectation values over a nested operator block are unchanged.
     """
-    values = _parameter_vector(ansatz, params)
-    q = ansatz.qubits
-    out = []
-    for block in range(ansatz.depth + 1):
-        base = 2 * q * block
-        out.append(0.0)
-        out.extend(values[base : base + q])
-        out.append(0.0)
-        out.extend(values[base + q : base + 2 * q])
-    return np.asarray(out, dtype=float)
+    # each block's Ry layer, then its Rz layer, gains a leading zero angle
+    layers = _parameter_vector(ansatz, params).reshape(ansatz.depth + 1, 2, ansatz.qubits)
+    return np.pad(layers, ((0, 0), (0, 0), (1, 0))).ravel()
 
 
 def sample_bitstrings(state: np.ndarray, shots: int, seed=None) -> np.ndarray:

@@ -650,7 +650,8 @@ def serial_sampled_expectation(ansatz, params, operator, shots, grouping=True, s
     The batched estimator must reproduce this bit for bit.
     """
     state = qsim.prepare_state(ansatz, params)
-    offset, tails, _, _, outcomes = qsim._measurement_plan(operator, grouping)
+    plan = qsim._measurement_plan(operator, grouping)
+    offset, tails, outcomes = plan.offset, plan.tails, plan.outcomes
     rng = np.random.default_rng(seed)
     value, variance = offset, 0.0
     for tail, values in zip(tails, outcomes):
@@ -678,7 +679,7 @@ def gather_sampled_expectations(ansatz, points, operator, shots, seeds, grouping
     kernel must reproduce it bit for bit.
     """
     plan = qsim._measurement_plan(operator, grouping)
-    tails = plan[1]
+    tails = plan.tails
     stacked = {}
     for s, tail in enumerate(tails):
         for (q,), gate in tail:
@@ -753,7 +754,7 @@ def trajectory_noisy_expectation(
         confusion = qsim._total_confusion(readout)
         inverse = qsim._total_confusion([np.linalg.inv(m) for m in readout])
     plan = qsim._measurement_plan(operator, grouping)
-    tails = plan[1]
+    tails = plan.tails
     tallied = np.zeros((len(tails), dim))
     for s, tail in enumerate(tails):
         gates = base + [(touched, matrix, noise.p1) for touched, matrix in tail]

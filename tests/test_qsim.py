@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,7 +307,7 @@ def test_sampled_expectations_rows_match_single_estimates_bit_for_bit(
         plan = qsim._measurement_plan(op, grouping)
         table = qsim._distributions(ansatz, points, plan, noise)
         for row, probs in zip(points, table):
-            assert np.array_equal(probs, serial_noisy_distributions(ansatz, row, noise, plan[1]))
+            assert np.array_equal(probs, serial_noisy_distributions(ansatz, row, noise, plan.tails))
     else:
         gathered = gather_sampled_expectations(ansatz, points, op, shots, seeds, grouping=grouping)
         assert [_bits(e) for e in rows] == [_bits(e) for e in gathered]
@@ -320,6 +321,35 @@ def test_sampled_expectations_rows_match_single_estimates_bit_for_bit(
                 ansatz, points[b], op, shots, grouping=grouping, seed=seeds[b]
             )
             assert _bits(alone) == (value.hex(), std_error.hex(), used)
+
+
+def test_distribution_tables_run_in_bounded_blocks(monkeypatch):
+    # 200 noisy rows of 30 settings at 4 qubits fill a 94 MB superket array
+    # if evolved at once; in blocks the table needs a fraction of that
+    rng = np.random.default_rng(3)
+    labels = sorted({"".join(rng.choice(list("XYZ"), 4)) for _ in range(40)})[:30]
+    op = PauliOperator(
+        qubits=4,
+        strings=tuple(PauliString.from_label(label) for label in labels),
+        coefficients=tuple(rng.normal(size=len(labels))),
+    )
+    ansatz = AnsatzSpec(qubits=4)
+    plan = qsim._measurement_plan(op, False)
+    rows = rng.uniform(-3, 3, (200, ansatz.parameter_count))
+    qsim._distributions(ansatz, rows[:1], plan, NoiseSpec())
+    tracemalloc.start()
+    try:
+        qsim._distributions(ansatz, rows, plan, NoiseSpec())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+    # a row's distributions do not depend on where the blocks split
+    for noise in (None, NoiseSpec()):
+        blocked = qsim._distributions(ansatz, rows[:40], plan, noise)
+        monkeypatch.setattr(qsim, "_BLOCK_ENTRIES", 1)
+        assert np.array_equal(qsim._distributions(ansatz, rows[:40], plan, noise), blocked)
+        monkeypatch.undo()
 
 
 def test_sampled_expectations_validation():
