@@ -85,7 +85,6 @@ def build_composite_basis(
     kept_counts,
     harmonics: int = 16,
     ladder=None,
-    guard: bool = True,
 ) -> CompositeBasis:
     """Solve every dihedral and assemble the ordered odd-parity product basis.
 
@@ -106,7 +105,6 @@ def build_composite_basis(
             chain.diffusion[k] + chain.diffusion[k + 1],
             kept_counts[k],
             harmonics,
-            guard,
         )
         for k, spec in enumerate(chain.dihedrals)
     )

@@ -19,7 +19,9 @@ Everything here is expanded over the orthonormal Fourier basis on [0, 2*pi):
 
 Because U is a finite cosine series, all matrix elements reduce to
 product-to-sum trigonometric identities and are computed exactly (up to
-float rounding); no quadrature is involved.
+float rounding); no quadrature is involved. Each matrix is built by
+applying those identities as index arithmetic over all basis functions at
+once, and W and U' are written down from the potential's one harmonic.
 
 The basis functions are parity eigenstates under theta -> -theta: the
 constant and the cosines are even (+1), the sines odd (-1). U is even, so G
@@ -50,118 +52,84 @@ def fourier_parities(harmonics: int) -> np.ndarray:
     return p
 
 
-# ---------------------------------------------------------------------------
-# Exact algebra on finite trigonometric polynomials.
-#
-# A polynomial is a dict {(kind, n): coefficient} with kind 'c' for cos(n t)
-# (n >= 0; ('c', 0) is the constant 1) and 's' for sin(n t) (n >= 1).
-# ---------------------------------------------------------------------------
+# A trigonometric polynomial is a dict {(kind, n): coefficient} with kind 'c'
+# for cos(n t) (n >= 0; ('c', 0) is the constant 1) and 's' for sin(n t).
+# Coefficients are rounded in the order of the product-to-sum expansion that
+# tests/oracles.py writes out pairwise, so both give the same bits.
 
 
-def _tp_accumulate(poly: dict, kind: str, n: int, coeff: float) -> None:
-    if coeff == 0.0:
-        return
-    if kind == "s" and n == 0:
-        return
-    key = (kind, n)
-    poly[key] = poly.get(key, 0.0) + coeff
+def _harmonic(spec: DihedralSpec) -> tuple[int, float]:
+    """(n, a) with U = const + a*cos(n*theta)."""
+    series = cosine_series(spec)
+    n = max(series)
+    return n, series[n]
 
 
-def _tp_scale(poly: dict, factor: float) -> dict:
-    return {k: v * factor for k, v in poly.items()}
-
-def _tp_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for (kind, n), v in b.items():
-        _tp_accumulate(out, kind, n, v)
-    return out
-
-
-def _tp_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for (k1, n1), v1 in a.items():
-        for (k2, n2), v2 in b.items():
-            w = v1 * v2
-            if k1 == "c" and k2 == "c":
-                _tp_accumulate(out, "c", n1 + n2, 0.5 * w)
-                _tp_accumulate(out, "c", abs(n1 - n2), 0.5 * w)
-            elif k1 == "s" and k2 == "s":
-                _tp_accumulate(out, "c", abs(n1 - n2), 0.5 * w)
-                _tp_accumulate(out, "c", n1 + n2, -0.5 * w)
-            else:
-                # exactly one sine factor; put it first
-                ns, nc = (n1, n2) if k1 == "s" else (n2, n1)
-                _tp_accumulate(out, "s", ns + nc, 0.5 * w)
-                if ns > nc:
-                    _tp_accumulate(out, "s", ns - nc, 0.5 * w)
-                elif nc > ns:
-                    _tp_accumulate(out, "s", nc - ns, -0.5 * w)
-    return out
-
-
-def _tp_diff(a: dict) -> dict:
-    out: dict = {}
-    for (kind, n), v in a.items():
-        if n == 0:
-            continue
-        if kind == "c":
-            _tp_accumulate(out, "s", n, -n * v)
-        else:
-            _tp_accumulate(out, "c", n, n * v)
-    return out
-
-
-def _basis_poly(index: int) -> dict:
-    if index == 0:
-        return {("c", 0): 1.0 / math.sqrt(2.0 * math.pi)}
-    n = (index + 1) // 2
-    kind = "c" if index % 2 == 1 else "s"
-    return {(kind, n): 1.0 / math.sqrt(math.pi)}
-
-
-def _basis_index(key: tuple) -> int:
-    kind, n = key
-    if n == 0:
-        return 0
-    return 2 * n - 1 if kind == "c" else 2 * n
-
-
-def _overlap(coeff: float, index: int) -> float:
-    """2*pi times the constant term of {key: coeff} times basis function `index`.
-
-    `key` is the basis function's own key, the only one whose product with
-    it reaches the constant. Bit for bit the dict product's result:
-    0.5*(coeff*b) is accumulated once (twice for the constant function), and
-    a zero term is never stored, so a half of 0.0 gives +0.0.
-    """
-    (b,) = _basis_poly(index).values()
-    half = 0.5 * (coeff * b)
-    if half == 0.0:
-        return 0.0
-    return 2.0 * math.pi * (half + half if index == 0 else half)
-
-
-def _potential_poly(spec: DihedralSpec) -> dict:
-    return {("c", n): v for n, v in cosine_series(spec).items()}
+def _uprime_poly(spec: DihedralSpec) -> dict:
+    """U' = -n*a*sin(n*theta); empty for a flat potential."""
+    n, a = _harmonic(spec)
+    return {("s", n): -n * a} if a else {}
 
 
 def _effective_well_poly(spec: DihedralSpec) -> dict:
-    """W = U''/2 - (U')^2/4, the effective potential of the symmetrized form."""
-    u = _potential_poly(spec)
-    u1 = _tp_diff(u)
-    u2 = _tp_diff(u1)
-    return _tp_add(_tp_scale(u2, 0.5), _tp_scale(_tp_mul(u1, u1), -0.25))
+    """W = U''/2 - (U')^2/4, the effective potential of the symmetrized form.
+
+    With U' = d1*sin(n t) and sin^2 = (1 - cos 2nt)/2, W is n*d1/2 cos(n t)
+    plus -d1^2/8 and +d1^2/8 cos(2n t). The U''/2 term stays even where its
+    halving underflows; the square's terms are left out where they round to 0.
+    """
+    n, a = _harmonic(spec)
+    if not a:
+        return {}
+    d1 = -n * a
+    square = d1 * d1
+    well = {("c", n): (n * d1) * 0.5}
+    for key, coeff in ((("c", 0), (0.5 * square) * -0.25), (("c", 2 * n), (-0.5 * square) * -0.25)):
+        if coeff:
+            well[key] = coeff
+    return well
 
 
 def multiplication_matrix(poly: dict, harmonics: int) -> np.ndarray:
-    """Matrix of pointwise multiplication by `poly` in the Fourier basis."""
+    """Matrix of pointwise multiplication by `poly` in the Fourier basis.
+
+    Every basis function times each term of `poly` is expanded by the
+    product-to-sum identities, as index arithmetic over all rows at once;
+    entry (i, j) is 2*pi times the constant term of that expansion times
+    basis function j.
+    """
     size = 2 * harmonics + 1
-    out = np.zeros((size, size))
-    for i in range(size):
-        for key, coeff in _tp_mul(_basis_poly(i), poly).items():
-            j = _basis_index(key)
-            if i <= j < size:
-                out[i, j] = out[j, i] = _overlap(coeff, j)
+    rows = np.arange(size)
+    freq = (rows + 1) // 2
+    sine = (rows % 2 == 0) & (rows > 0)
+    norms = np.full(size, 1.0 / math.sqrt(math.pi))
+    norms[0] = 1.0 / math.sqrt(2.0 * math.pi)
+    # coeff[i, j]: coefficient of basis function j's key in basis function i times poly
+    coeff = np.zeros((size, size))
+    for (kind, n), value in poly.items():
+        half = 0.5 * (norms * value)
+        total, gap = freq + n, freq - n
+        # (output is a sine, output frequency, sign) of each identity's two terms
+        if kind == "c":
+            # cos cos = c(sum) + c(|gap|); sin cos = s(sum) + sign(gap) s(|gap|)
+            slots = ((sine, total, 1.0), (sine, abs(gap), np.where(sine, np.sign(gap), 1.0)))
+        else:
+            # cos sin = s(sum) - sign(gap) s(|gap|); sin sin = c(|gap|) - c(sum)
+            slots = (
+                (~sine, np.where(sine, abs(gap), total), 1.0),
+                (~sine, np.where(sine, total, abs(gap)), np.where(sine, -1.0, -np.sign(gap))),
+            )
+        for out_sine, out_freq, sign in slots:
+            cols = np.where(out_sine, 2 * out_freq, np.maximum(2 * out_freq - 1, 0))
+            keep = (cols < size) & (sign != 0) & ~(out_sine & (out_freq == 0))
+            coeff[rows[keep], cols[keep]] += (sign * half)[keep]
+    half = 0.5 * (coeff * norms)
+    # times the constant function, the constant key is reached twice: c(0 + 0) and c(|0 - 0|)
+    entries = 2.0 * math.pi * np.where(rows == 0, half + half, half)
+    entries[half == 0.0] = 0.0
+    out = np.triu(entries)
+    lower = np.tril_indices(size, -1)
+    out[lower] = out.T[lower]
     return out
 
 
@@ -172,11 +140,11 @@ def fourier_derivative_matrix(harmonics: int) -> np.ndarray:
     Cached and shared between callers, so the returned array is read-only.
     """
     size = 2 * harmonics + 1
+    n = np.arange(1, harmonics + 1)
+    norm = 1.0 / math.sqrt(math.pi)
     out = np.zeros((size, size))
-    for j in range(1, size):
-        ((key, coeff),) = _tp_diff(_basis_poly(j)).items()
-        i = _basis_index(key)
-        out[i, j] = _overlap(coeff, i)
+    out[2 * n, 2 * n - 1] = 2.0 * math.pi * (0.5 * ((-n * norm) * norm))
+    out[2 * n - 1, 2 * n] = 2.0 * math.pi * (0.5 * ((n * norm) * norm))
     out.setflags(write=False)
     return out
 
@@ -187,7 +155,7 @@ def fourier_uprime_matrix(spec: DihedralSpec, harmonics: int) -> np.ndarray:
 
     Cached and shared between callers, so the returned array is read-only.
     """
-    out = multiplication_matrix(_tp_diff(_potential_poly(spec)), harmonics)
+    out = multiplication_matrix(_uprime_poly(spec), harmonics)
     out.setflags(write=False)
     return out
 
@@ -204,7 +172,7 @@ def build_single_dihedral_matrix(
     if not (prefactor > 0.0 and math.isfinite(prefactor)):
         raise ValueError(f"prefactor must be finite and > 0, got {prefactor}")
     if harmonics < 1:
-        raise ValueError("need at least one harmonic")
+        raise ValueError(f"need at least one harmonic, got harmonics={harmonics}")
     size = 2 * harmonics + 1
     kinetic = np.zeros(size)
     for n in range(1, harmonics + 1):
@@ -227,10 +195,6 @@ class DihedralEigenbasis:
     eigenvalues: np.ndarray
     vectors: np.ndarray
     parities: np.ndarray
-
-    @property
-    def n_kept(self) -> int:
-        return len(self.eigenvalues)
 
 
 @lru_cache(maxsize=4)
@@ -300,6 +264,8 @@ def diagonalize_dihedral(
     The full spectrum is computed once per (spec, prefactor, harmonics) and
     shared; the returned arrays are fresh copies of its first n_keep modes.
     """
+    if harmonics < 1:
+        raise ValueError(f"need at least one harmonic, got harmonics={harmonics}")
     size = 2 * harmonics + 1
     if not 1 <= n_keep <= size:
         raise ValueError(f"n_keep must be in [1, {size}], got {n_keep}")
@@ -316,27 +282,22 @@ def diagonalize_dihedral(
 
 @lru_cache(maxsize=256)
 def solve_dihedral(
-    spec: DihedralSpec,
-    prefactor: float,
-    n_keep: int,
-    harmonics: int = 16,
-    guard: bool = True,
+    spec: DihedralSpec, prefactor: float, n_keep: int, harmonics: int = 16
 ) -> DihedralEigenbasis:
-    """Cached diagonalization with an optional cutoff-convergence guard.
+    """Cached diagonalization, checked for convergence in the cutoff.
 
-    With guard=True the problem is re-solved at twice the cutoff and the kept
-    eigenvalues must agree to 1e-8, otherwise a ValueError asks for a larger
-    basis. Returns a shared cached object whose arrays are read-only.
+    The problem is re-solved at twice the cutoff and the kept eigenvalues must
+    agree to 1e-8, otherwise a ValueError asks for a larger basis. Returns a
+    shared cached object whose arrays are read-only.
     """
     basis = diagonalize_dihedral(spec, prefactor, n_keep, harmonics)
-    if guard:
-        refined = _spectrum(spec, prefactor, 2 * harmonics)[0][:n_keep]
-        drift = float(np.max(np.abs(basis.eigenvalues - refined)))
-        if drift >= _CONVERGENCE_TOL:
-            raise ValueError(
-                f"eigenvalues drift by {drift:.3e} when doubling harmonics={harmonics}; "
-                "increase the cutoff"
-            )
+    refined = _spectrum(spec, prefactor, 2 * harmonics)[0][:n_keep]
+    drift = float(np.max(np.abs(basis.eigenvalues - refined)))
+    if drift >= _CONVERGENCE_TOL:
+        raise ValueError(
+            f"eigenvalues drift by {drift:.3e} when doubling harmonics={harmonics}; "
+            "increase the cutoff"
+        )
     for array in (basis.eigenvalues, basis.vectors, basis.parities):
         array.setflags(write=False)
     return basis

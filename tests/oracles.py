@@ -21,8 +21,12 @@ the one-run SPSA loop that the lockstep batch reproduces bit for bit;
 Jacobi rotation loop, and `map_element`, `elementwise_map_operator` and
 `loop_chain_matrix` the former per-element Pauli expansion and
 per-state-pair chain assembly, which the package's versions reproduce bit
-for bit; and `potential_value`, `potential_d1` and `potential_d2` evaluate
-the package's cosine series pointwise.
+for bit.  The pairwise builders, `dict_uprime_poly` and
+`dict_effective_well_poly` run on this module's own copy of the package's
+former dict trig-polynomial algebra (`_tp_mul`, `_tp_diff` and friends),
+so they share no code with the index arithmetic they check; and
+`potential_value`, `potential_d1` and `potential_d2` evaluate the
+package's cosine series pointwise.
 """
 
 from __future__ import annotations
@@ -35,13 +39,7 @@ import math
 import numpy as np
 
 from rotorvqe import qsim
-from rotorvqe.dihedral import (
-    _basis_poly,
-    _tp_diff,
-    _tp_mul,
-    derivative_matrix_elements,
-    uprime_matrix_elements,
-)
+from rotorvqe.dihedral import derivative_matrix_elements, uprime_matrix_elements
 from rotorvqe.linalg import OFFDIAG_TOL, _offdiag_norm
 from rotorvqe.paulimap import PRUNE_TOL, PauliOperator, PauliString
 from rotorvqe.potential import cosine_series
@@ -109,6 +107,88 @@ def potential_d2(spec, theta):
     series = cosine_series(spec)
     out = sum(-n * n * c * np.cos(n * np.asarray(theta, dtype=float)) for n, c in series.items())
     return float(out) if np.isscalar(theta) else out
+
+
+# Exact algebra on finite trigonometric polynomials, the package's former
+# implementation. A polynomial is a dict {(kind, n): coefficient} with kind 'c'
+# for cos(n t) (n >= 0; ('c', 0) is the constant 1) and 's' for sin(n t).
+
+
+def _tp_accumulate(poly: dict, kind: str, n: int, coeff: float) -> None:
+    if coeff == 0.0:
+        return
+    if kind == "s" and n == 0:
+        return
+    key = (kind, n)
+    poly[key] = poly.get(key, 0.0) + coeff
+
+
+def _tp_scale(poly: dict, factor: float) -> dict:
+    return {k: v * factor for k, v in poly.items()}
+
+
+def _tp_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for (kind, n), v in b.items():
+        _tp_accumulate(out, kind, n, v)
+    return out
+
+
+def _tp_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (k1, n1), v1 in a.items():
+        for (k2, n2), v2 in b.items():
+            w = v1 * v2
+            if k1 == "c" and k2 == "c":
+                _tp_accumulate(out, "c", n1 + n2, 0.5 * w)
+                _tp_accumulate(out, "c", abs(n1 - n2), 0.5 * w)
+            elif k1 == "s" and k2 == "s":
+                _tp_accumulate(out, "c", abs(n1 - n2), 0.5 * w)
+                _tp_accumulate(out, "c", n1 + n2, -0.5 * w)
+            else:
+                # exactly one sine factor; put it first
+                ns, nc = (n1, n2) if k1 == "s" else (n2, n1)
+                _tp_accumulate(out, "s", ns + nc, 0.5 * w)
+                if ns > nc:
+                    _tp_accumulate(out, "s", ns - nc, 0.5 * w)
+                elif nc > ns:
+                    _tp_accumulate(out, "s", nc - ns, -0.5 * w)
+    return out
+
+
+def _tp_diff(a: dict) -> dict:
+    out: dict = {}
+    for (kind, n), v in a.items():
+        if n == 0:
+            continue
+        if kind == "c":
+            _tp_accumulate(out, "s", n, -n * v)
+        else:
+            _tp_accumulate(out, "c", n, n * v)
+    return out
+
+
+def _basis_poly(index: int) -> dict:
+    if index == 0:
+        return {("c", 0): 1.0 / math.sqrt(2.0 * math.pi)}
+    n = (index + 1) // 2
+    kind = "c" if index % 2 == 1 else "s"
+    return {(kind, n): 1.0 / math.sqrt(math.pi)}
+
+
+def _potential_poly(spec) -> dict:
+    return {("c", n): v for n, v in cosine_series(spec).items()}
+
+
+def dict_uprime_poly(spec) -> dict:
+    """U' by the dict algebra."""
+    return _tp_diff(_potential_poly(spec))
+
+
+def dict_effective_well_poly(spec) -> dict:
+    """W = U''/2 - (U')^2/4 by the dict algebra."""
+    u1 = dict_uprime_poly(spec)
+    return _tp_add(_tp_scale(_tp_diff(u1), 0.5), _tp_scale(_tp_mul(u1, u1), -0.25))
 
 
 def _tp_integral(a: dict) -> float:

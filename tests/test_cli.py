@@ -201,6 +201,9 @@ def test_exit_code_config_error(capsys):
 def test_exit_code_validation_error(tmp_path, capsys):
     assert main(["reference", "--set", "diffusion=1,1"]) == 3
     assert "invalid value" in capsys.readouterr().err
+    # the cutoff is named before the kept counts it bounds
+    assert main(["reference", "--set", "harmonics=0"]) == 3
+    assert "at least one harmonic, got harmonics=0" in capsys.readouterr().err
     assert main(["hierarchical", "--set", "ladder=4,4;4,2", "--set", "iterations=1", "--set", "restarts=1"]) == 3
     params = tmp_path / "angles.json"
     params.write_text(json.dumps({"angles": [0.3] * 8}))

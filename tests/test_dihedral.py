@@ -6,8 +6,7 @@ import oracles
 from rotorvqe.dihedral import (
     DihedralEigenbasis,
     _effective_well_poly,
-    _potential_poly,
-    _tp_diff,
+    _uprime_poly,
     build_single_dihedral_matrix,
     derivative_matrix_elements,
     diagonalize_dihedral,
@@ -130,6 +129,10 @@ def test_n_keep_validation():
         diagonalize_dihedral(spec, 2.0, n_keep=0)
     with pytest.raises(ValueError):
         diagonalize_dihedral(spec, 2.0, n_keep=10, harmonics=4)
+    # a cutoff below one harmonic is named before the kept count it bounds
+    for harmonics in (0, -2):
+        with pytest.raises(ValueError, match=f"at least one harmonic, got harmonics={harmonics}"):
+            solve_dihedral(spec, 2.0, 4, harmonics=harmonics)
 
 
 def test_derivative_matrix_free_rotor():
@@ -166,8 +169,7 @@ def test_uprime_matrix_matches_quadrature():
     theta = oracles.grid(2048)
     for kind, barrier in [(MONOSTABLE, 1.0), (BISTABLE, 0.5)]:
         _, u1, _ = oracles.potential_derivatives(kind, barrier, theta)
-        poly = _tp_diff(_potential_poly(DihedralSpec(kind, barrier)))
-        mat = multiplication_matrix(poly, 6)
+        mat = multiplication_matrix(_uprime_poly(DihedralSpec(kind, barrier)), 6)
         oracle = oracles.quadrature_multiplication_matrix(u1, 6, theta)
         assert np.allclose(mat, oracle, atol=1e-10)
 
@@ -179,10 +181,11 @@ def test_uprime_zero_for_free_rotor():
 
 # exactly-zero coefficients, and subnormal ones whose matrix element
 # underflows to a signed zero, exercise the dict algebra's rule that a zero
-# term is never stored
+# term is never stored; full-range ones reach overflow to inf and inf - inf
 coefficients = st.one_of(
     st.floats(-1e3, 1e3, allow_nan=False),
     st.sampled_from([0.0, -0.0, 5e-324, -3e-323, 2e-323, 1e-300]),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
 trig_terms = st.one_of(
     st.tuples(st.just("c"), st.integers(0, 8), coefficients),
@@ -191,16 +194,30 @@ trig_terms = st.one_of(
 trig_polys = st.lists(trig_terms, max_size=5).map(lambda terms: {(k, n): v for k, n, v in terms})
 kinds = st.sampled_from([MONOSTABLE, BISTABLE])
 specs = st.builds(DihedralSpec, kinds, st.floats(0.0, 8.0))
-spec_polys = st.one_of(
-    specs.map(_effective_well_poly), specs.map(lambda spec: _tp_diff(_potential_poly(spec)))
-)
+spec_polys = st.one_of(specs.map(_effective_well_poly), specs.map(_uprime_poly))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(poly=st.one_of(trig_polys, spec_polys), harmonics=st.integers(1, 32))
 def test_multiplication_matrix_matches_pairwise_oracle_bit_for_bit(poly, harmonics):
     mat = multiplication_matrix(poly, harmonics)
     assert mat.tobytes() == oracles.pairwise_multiplication_matrix(poly, harmonics).tobytes()
+
+
+# 1e-323 is the monostable barrier whose U''/2 term halves to zero
+barriers = st.one_of(st.sampled_from([0.0, 5e-324, 1e-323, 1e-300, 1e6]), st.floats(0.0, 1e6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=kinds, barrier=barriers)
+def test_closed_form_polynomials_match_dict_algebra_bit_for_bit(kind, barrier):
+    spec = DihedralSpec(kind, barrier)
+    for closed, oracle in (
+        (_effective_well_poly, oracles.dict_effective_well_poly),
+        (_uprime_poly, oracles.dict_uprime_poly),
+    ):
+        got = [(key, value.hex()) for key, value in closed(spec).items()]
+        assert got == [(key, value.hex()) for key, value in oracle(spec).items()]
 
 
 def test_fourier_derivative_matrix_matches_pairwise_oracle_bit_for_bit():
@@ -246,7 +263,7 @@ def test_uprime_matrix_is_cached_read_only_and_bitwise_fresh():
     shared = fourier_uprime_matrix(spec, 16)
     with pytest.raises(ValueError):
         shared[1, 2] = 5.0
-    fresh = multiplication_matrix(_tp_diff(_potential_poly(spec)), 16)
+    fresh = multiplication_matrix(_uprime_poly(spec), 16)
     assert shared.tobytes() == fresh.tobytes()
     assert fourier_uprime_matrix.cache_info().misses == before.misses + 1
     # a second build of the same spec reads the cached matrix
