@@ -268,7 +268,10 @@ def diagonalize_dihedral(
         raise ValueError(f"need at least one harmonic, got harmonics={harmonics}")
     size = 2 * harmonics + 1
     if not 1 <= n_keep <= size:
-        raise ValueError(f"n_keep must be in [1, {size}], got {n_keep}")
+        raise ValueError(
+            f"kept must be in [1, 2*harmonics + 1] = [1, {size}] at harmonics={harmonics},"
+            f" got kept={n_keep}; lower kept or raise harmonics"
+        )
     eigenvalues, vectors, parities = _spectrum(spec, prefactor, harmonics)
     return DihedralEigenbasis(
         spec=spec,

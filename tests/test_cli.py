@@ -204,6 +204,10 @@ def test_exit_code_validation_error(tmp_path, capsys):
     # the cutoff is named before the kept counts it bounds
     assert main(["reference", "--set", "harmonics=0"]) == 3
     assert "at least one harmonic, got harmonics=0" in capsys.readouterr().err
+    # a kept count above the cutoff's 2*harmonics + 1 modes names both keys and the bound
+    assert main(["reference", "--set", "kept=8,4", "--set", "harmonics=3"]) == 3
+    err = capsys.readouterr().err
+    assert "kept must be in [1, 2*harmonics + 1] = [1, 7] at harmonics=3, got kept=8" in err
     assert main(["hierarchical", "--set", "ladder=4,4;4,2", "--set", "iterations=1", "--set", "restarts=1"]) == 3
     params = tmp_path / "angles.json"
     params.write_text(json.dumps({"angles": [0.3] * 8}))

@@ -127,7 +127,7 @@ def test_n_keep_validation():
     spec = DihedralSpec(MONOSTABLE, 1.0)
     with pytest.raises(ValueError):
         diagonalize_dihedral(spec, 2.0, n_keep=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\[1, 9\] at harmonics=4, got kept=10"):
         diagonalize_dihedral(spec, 2.0, n_keep=10, harmonics=4)
     # a cutoff below one harmonic is named before the kept count it bounds
     for harmonics in (0, -2):

@@ -369,6 +369,61 @@ def test_sampled_expectations_validation():
         estimate_expectations(ansatz, points, single_z(), 0, [1, 2, 3])
 
 
+EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**63 - 1)
+
+
+@pytest.mark.parametrize(
+    "seed, error",
+    [(seed, ValueError) for seed in (-1, [3, -1], (2**40, -7), np.int64(-2))]
+    + [(seed, TypeError) for seed in (1.5, 2.0, [3, 0.5], np.float64(4.0), "7")],
+)
+def test_bad_seeds_fail_as_in_numpy(seed, error):
+    with pytest.raises(error):
+        np.random.default_rng(seed)
+    with pytest.raises(error):
+        estimate_expectations(AnsatzSpec(qubits=1, depth=0), np.zeros((1, 2)), single_z(), 10, [seed])
+
+
+@pytest.mark.parametrize("settings_count", [1, 8, 9, 36])
+def test_counts_match_default_rng_multinomial(settings_count):
+    # one 1-D draw per setting up to qsim._ROW_DRAWS settings, one 2-D draw
+    # past it; numpy's own 2-D draw is the reference
+    rng = np.random.default_rng(settings_count)
+    seeds = EDGE_SEEDS + ([5, 0], [2**63 - 1, 12])
+    for outcomes in (2, 16):
+        tables = rng.dirichlet(np.ones(outcomes), size=(len(seeds), settings_count))
+        tables[:, 0, : outcomes // 2] = 0.0
+        tables[:, 0] /= tables[:, 0].sum(axis=-1, keepdims=True)
+        for shots in (1, 777, 20000):
+            # one table per seed, or one that every seed shares
+            for probs in (tables, tables[:1]):
+                counts = qsim._counts(seeds, shots, probs)
+                for k, seed in enumerate(seeds):
+                    expected = np.random.default_rng(seed).multinomial(shots, probs[k % len(probs)])
+                    assert counts.dtype == expected.dtype and np.array_equal(counts[k], expected)
+
+
+def test_list_readout_noise_spec_estimates():
+    # a NoiseSpec keeps its readout as nested tuples, so it is hashable (the
+    # register confusion is cached per spec) however the readout was given
+    def tuples(x):
+        return tuple(map(tuples, x)) if np.ndim(x) else float(x)
+
+    _, _, op = chain_problem((4, 2))
+    ansatz = AnsatzSpec(qubits=2, depth=1)
+    params = np.random.default_rng(8).uniform(0, 2 * math.pi, (3, ansatz.parameter_count))
+    flips = [[0.97, 0.03], [0.05, 0.95]]
+    for readout in (flips, [flips, [[0.9, 0.1], [0.0, 1.0]]], np.array(flips)):
+        given = NoiseSpec(p1=0.01, p2=0.02, readout=readout)
+        nested = NoiseSpec(p1=0.01, p2=0.02, readout=tuples(readout))
+        assert given.readout == nested.readout == tuples(readout)
+        assert given == nested and hash(given) == hash(nested)
+        for mitigate in (True, False):
+            got = estimate_expectations(ansatz, params, op, 500, [1, 2, 3], given, mitigate)
+            assert len(got) == 3 and all(est.mode == NOISY for est in got)
+            assert got == estimate_expectations(ansatz, params, op, 500, [1, 2, 3], nested, mitigate)
+
+
 def test_sampled_expectations_checks_seed_count_before_preparing_states(monkeypatch):
     def prepare(*args):
         raise AssertionError("states prepared before the seed count was checked")
