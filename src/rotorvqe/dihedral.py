@@ -197,15 +197,14 @@ class DihedralEigenbasis:
     parities: np.ndarray
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=2)
 def _spectrum(spec: DihedralSpec, prefactor: float, harmonics: int):
     """Every mode of one dihedral's generator, ordered as `diagonalize_dihedral` keeps them.
 
     Returns read-only (eigenvalues, vectors, parities) with vectors[:, i] the
-    i-th eigenfunction. Four entries hold a two-dihedral chain's spectra at
-    the cutoff and at twice the cutoff, which every kept count on a ladder
-    shares; a scan moves on to fresh specs, so a larger cache only holds
-    memory (a 2h spectrum is 65 vectors of 65 floats).
+    i-th eigenfunction. Two entries hold a two-dihedral chain's spectra at
+    the cutoff, which every kept count on a ladder shares; a scan moves on to
+    fresh specs, so a larger cache only holds memory.
     """
     size = 2 * harmonics + 1
     matrix = build_single_dihedral_matrix(spec, prefactor, harmonics)
@@ -243,6 +242,25 @@ def _spectrum(spec: DihedralSpec, prefactor: float, harmonics: int):
     for array in spectrum:
         array.setflags(write=False)
     return spectrum
+
+
+@lru_cache(maxsize=2)
+def _parity_eigenvalues(spec: DihedralSpec, prefactor: float, harmonics: int):
+    """Read-only ascending (even, odd) block eigenvalues from numpy's `eigvalsh`.
+
+    They only bound the cutoff error, so they need not match `_spectrum` bit
+    for bit. Two entries hold a two-dihedral chain's, which every kept count
+    on a ladder shares.
+    """
+    matrix = build_single_dihedral_matrix(spec, prefactor, harmonics)
+    parities = fourier_parities(harmonics)
+    blocks = []
+    for parity in (1, -1):
+        idx = np.flatnonzero(parities == parity)
+        values = np.linalg.eigvalsh(matrix[np.ix_(idx, idx)])
+        values.setflags(write=False)
+        blocks.append(values)
+    return tuple(blocks)
 
 
 def diagonalize_dihedral(
@@ -289,13 +307,20 @@ def solve_dihedral(
 ) -> DihedralEigenbasis:
     """Cached diagonalization, checked for convergence in the cutoff.
 
-    The problem is re-solved at twice the cutoff and the kept eigenvalues must
-    agree to 1e-8, otherwise a ValueError asks for a larger basis. Returns a
-    shared cached object whose arrays are read-only.
+    The kept eigenvalues of each parity, in ascending order, must agree to
+    1e-8 with the lowest ones of the same parity block at twice the cutoff,
+    otherwise a ValueError asks for a larger basis. The doubled basis holds
+    the original one and the blocks decouple, so each block's k-th eigenvalue
+    can only fall as the cutoff grows, and pairing by parity and rank never
+    depends on how degenerate pairs happen to be ordered. Returns a shared
+    cached object whose arrays are read-only.
     """
     basis = diagonalize_dihedral(spec, prefactor, n_keep, harmonics)
-    refined = _spectrum(spec, prefactor, 2 * harmonics)[0][:n_keep]
-    drift = float(np.max(np.abs(basis.eigenvalues - refined)))
+    gaps = []
+    for parity, refined in zip((1, -1), _parity_eigenvalues(spec, prefactor, 2 * harmonics)):
+        kept = np.sort(basis.eigenvalues[basis.parities == parity])
+        gaps.append(np.abs(kept - refined[: kept.size]))
+    drift = float(np.max(np.concatenate(gaps)))
     if drift >= _CONVERGENCE_TOL:
         raise ValueError(
             f"eigenvalues drift by {drift:.3e} when doubling harmonics={harmonics}; "

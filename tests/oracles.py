@@ -26,7 +26,10 @@ for bit.  The pairwise builders, `dict_uprime_poly` and
 former dict trig-polynomial algebra (`_tp_mul`, `_tp_diff` and friends),
 so they share no code with the index arithmetic they check; and
 `potential_value`, `potential_d1` and `potential_d2` evaluate the
-package's cosine series pointwise.
+package's cosine series pointwise.  `jacobi_parity_eigenvalues` diagonalizes
+the package's generator blocks with its own Jacobi solver, which the masked
+loop above checks bit for bit, as a reference for the cutoff guard's LAPACK
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -39,8 +42,13 @@ import math
 import numpy as np
 
 from rotorvqe import qsim
-from rotorvqe.dihedral import derivative_matrix_elements, uprime_matrix_elements
-from rotorvqe.linalg import OFFDIAG_TOL, _offdiag_norm
+from rotorvqe.dihedral import (
+    build_single_dihedral_matrix,
+    derivative_matrix_elements,
+    fourier_parities,
+    uprime_matrix_elements,
+)
+from rotorvqe.linalg import OFFDIAG_TOL, _offdiag_norm, jacobi_eigh
 from rotorvqe.paulimap import PRUNE_TOL, PauliOperator, PauliString
 from rotorvqe.potential import cosine_series
 
@@ -280,6 +288,17 @@ def masked_jacobi_eigh(matrix: np.ndarray, tol: float = OFFDIAG_TOL, max_sweeps:
             f"residual off-diagonal norm {_offdiag_norm(a):.3e}"
         )
     return np.diag(a).copy(), v
+
+
+def jacobi_parity_eigenvalues(spec, prefactor: float, harmonics: int) -> tuple:
+    """Ascending Jacobi eigenvalues of the generator's even and odd blocks."""
+    matrix = build_single_dihedral_matrix(spec, prefactor, harmonics)
+    parities = fourier_parities(harmonics)
+    blocks = []
+    for parity in (1, -1):
+        idx = np.flatnonzero(parities == parity)
+        blocks.append(np.sort(jacobi_eigh(matrix[np.ix_(idx, idx)])[0]))
+    return tuple(blocks)
 
 
 def map_element(row: int, col: int, value: float, qubits: int) -> dict:

@@ -6,6 +6,7 @@ import oracles
 from rotorvqe.dihedral import (
     DihedralEigenbasis,
     _effective_well_poly,
+    _parity_eigenvalues,
     _uprime_poly,
     build_single_dihedral_matrix,
     derivative_matrix_elements,
@@ -119,8 +120,37 @@ def test_solve_dihedral_guard():
     basis = solve_dihedral(DihedralSpec(BISTABLE, 0.5), 2.0, 4, harmonics=16)
     assert isinstance(basis, DihedralEigenbasis)
     # a harmonic cutoff this small cannot hold the barrier-3 eigenfunctions
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="increase the cutoff"):
         solve_dihedral(DihedralSpec(BISTABLE, 3.0), 2.0, 4, harmonics=2)
+
+
+# Near these barriers an even and an odd mode lie about 1e-7 to 1e-6 apart:
+# the degeneracy window, relative to the largest eigenvalue, orders them by
+# eigenvalue at the cutoff and odd-first at twice the cutoff.  Both orders
+# hold converged values, so pairing per parity and rank accepts them.
+@pytest.mark.parametrize(
+    "barrier,harmonics,n_keep",
+    [(0.03, 16, 6), (0.03, 16, 8), (0.04, 16, 6), (0.04, 16, 8), (0.02, 8, 6), (0.02, 8, 8)],
+)
+def test_solve_dihedral_accepts_converged_near_degenerate_pairs(barrier, harmonics, n_keep):
+    spec = DihedralSpec(BISTABLE, barrier)
+    basis = solve_dihedral(spec, 2.0, n_keep, harmonics)
+    fresh = diagonalize_dihedral(spec, 2.0, n_keep, harmonics)
+    assert basis.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+    assert basis.vectors.tobytes() == fresh.vectors.tobytes()
+    assert basis.parities.tobytes() == fresh.parities.tobytes()
+
+
+@pytest.mark.parametrize("kind", [MONOSTABLE, BISTABLE])
+@pytest.mark.parametrize("barrier", [0.0, 0.5, 3.0, 7.0])
+def test_guard_eigenvalues_match_jacobi_oracle(kind, barrier):
+    # the doubled cutoff of the default 16 harmonics: blocks of order 33 and 32
+    spec = DihedralSpec(kind, barrier)
+    got = _parity_eigenvalues(spec, 2.0, 32)
+    expected = oracles.jacobi_parity_eigenvalues(spec, 2.0, 32)
+    assert [len(values) for values in got] == [33, 32]
+    for values, oracle in zip(got, expected):
+        assert np.max(np.abs(values - oracle)) <= 1e-10
 
 
 def test_n_keep_validation():
@@ -243,6 +273,16 @@ def test_shared_caches_cannot_be_written_through_results():
     spec = DihedralSpec(BISTABLE, 1.25)
     shared = solve_dihedral(spec, 2.0, 4)
     for array in (shared.eigenvalues, shared.vectors, shared.parities):
+        with pytest.raises(ValueError):
+            array[0] = 7
+    # the guard's doubled-cutoff eigenvalues are shared by every kept count;
+    # the unwrapped solver runs the guard even where solve_dihedral's cache hits
+    before = _parity_eigenvalues.cache_info()
+    for n_keep in (6, 8):
+        solve_dihedral.__wrapped__(spec, 2.0, n_keep)
+    assert _parity_eigenvalues.cache_info().misses == before.misses
+    assert _parity_eigenvalues.cache_info().hits == before.hits + 2
+    for array in _parity_eigenvalues(spec, 2.0, 32):
         with pytest.raises(ValueError):
             array[0] = 7
     # a fresh diagonalization hands out copies of the cached spectrum

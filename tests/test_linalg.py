@@ -89,7 +89,7 @@ def test_matches_masked_rotation_oracle_bit_for_bit(size, seed, zero_fraction, p
 @pytest.mark.parametrize("kind,barrier", [(BISTABLE, 0.5), (BISTABLE, 3.0), (BISTABLE, 7.0), (MONOSTABLE, 1.0)])
 def test_matches_masked_rotation_oracle_on_dihedral_parity_blocks(kind, barrier, harmonics):
     # the banded blocks every dihedral spectrum diagonalizes: orders 17 and
-    # 16 at the cutoff, 33 and 32 at the doubled cutoff of the guard
+    # 16 at the default cutoff, 33 and 32 at a cutoff of 32 harmonics
     matrix = build_single_dihedral_matrix(DihedralSpec(kind, barrier), 2.0, harmonics)
     parities = fourier_parities(harmonics)
     for parity in (1, -1):
