@@ -14,14 +14,18 @@ each seed's counts from `default_rng(seed)`'s stream, one multinomial per
 setting up to 8 settings and one 2-D multinomial over all settings past
 that (the same counts either way), and tally them the same way (a noisy
 estimate optionally undoing the confusion by linear inversion first).  A
-measurement plan is compiled once per operator, and a noise model's
-register confusion and its inverse once per register size.
+call of a few seeds builds one `default_rng` per seed; a larger one builds
+one generator and sets it to each seed's PCG64 state in turn, hashed for
+all its seeds at once by numpy's SeedSequence algorithm, which is the same
+stream.  A measurement plan is compiled once per operator, and a noise
+model's register confusion and its inverse once per register size.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -541,25 +545,163 @@ def _distributions(ansatz: AnsatzSpec, values: np.ndarray, plan, noise: NoiseSpe
 # 0.1-1.5 us per setting and a 1-D call 1.3-2.9 us, so they cross at 8-10
 _ROW_DRAWS = 8
 
+# seeds per `_counts` call from which one generator set to each seed's state
+# by `_pcg64_states` beats one `default_rng` per seed.  Seeding alone, from
+# the same words, it ran 0.38x as fast at 2 seeds, 0.79-0.80x at 5,
+# 0.90-0.92x at 6, 1.00-1.02x at 7, 1.10-1.11x at 8 and 3.0x at 120 (int
+# seeds and [s, k] pairs): a fixed cost of about six default_rng calls
+_HASHED_SEEDS = 7
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) with its default
+# pool of four 32-bit words, and PCG64's 128-bit LCG multiplier
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# 0-d arrays, which numpy applies without the cast a Python int operand costs
+_MIX_L, _MIX_R, _XSHIFT = (np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
+
+
+def _hash_constants(init: int, mult: int, count: int) -> tuple:
+    """(xors, mults): the constants of `count` successive SeedSequence hashes from `init`.
+
+    Each hash xors its value with the running constant, multiplies the
+    constant by `mult` and the value by the new constant.
+    """
+    running = [init]
+    for _ in range(count):
+        running.append(running[-1] * mult & _MASK32)
+    return np.array(running[:-1], dtype=np.uint32), np.array(running[1:], dtype=np.uint32)
+
+
+def _entropy_hashes() -> tuple:
+    """(xors, mults)[1 + _POOL, _POOL]: mix_entropy's hash constants, one step per row.
+
+    Step 0 hashes each pool word.  Step 1 + src hashes word src once per
+    other word, in order, to mix into that word; its own slot takes the
+    zero constants, and its result is never used.
+    """
+    xors, mults = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
+    mixes = iter(range(_POOL, _POOL * _POOL))
+    slots = [list(range(_POOL))] + [
+        [_POOL * _POOL if dst == src else next(mixes) for dst in range(_POOL)] for src in range(_POOL)
+    ]
+    return tuple(np.append(table, np.uint32(0))[slots] for table in (xors, mults))
+
+
+_ENTROPY_HASHES = _entropy_hashes()
+# generate_state's: one per output word, two passes over the pool
+_STATE_HASHES = tuple(t.reshape(2, _POOL) for t in _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
+
+
+def _hashed(values: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of each value: xor, multiply, then xorshift by 16."""
+    values = (values ^ xors) * mults
+    values ^= values >> _XSHIFT
+    return values
+
+
+def _seed_words(seed) -> list:
+    """A seed's SeedSequence entropy, zero-padded to the pool: `_POOL` 32-bit words.
+
+    A seed is a non-negative integer (read with `operator.index`) or a
+    list, tuple or range of them; each value gives its little-endian 32-bit
+    words, one for 0, and they may total at most `_POOL` (128 bits).
+    numpy hashes a missing pool word as a zero word.  A negative value
+    raises ValueError and a float or string TypeError, as `default_rng`
+    does; a wider seed raises ValueError.
+    """
+    words = []
+    for value in seed if isinstance(seed, (list, tuple, range)) else (seed,):
+        value = operator.index(value)
+        # checked before the word loop, which a negative value never ends
+        if value < 0:
+            raise ValueError(f"seed values must be non-negative, got {value}")
+        words.append(value & _MASK32)
+        while (value := value >> 32) and len(words) <= _POOL:
+            words.append(value & _MASK32)
+    if len(words) > _POOL:
+        raise ValueError(f"a seed may hold at most 128 bits, the SeedSequence pool of {_POOL} words")
+    return words + [0] * (_POOL - len(words))
+
+
+def _pcg64_states(words: np.ndarray) -> list:
+    """(state, inc) of `PCG64(SeedSequence(entropy))` for each row of words[K, _POOL].
+
+    numpy's SeedSequence hash runs as uint32 arithmetic on all rows at
+    once.  mix_entropy hashes each pool word, then mixes every source
+    word's hash into each other word: mix(x, y) = L x - R y, xorshifted.
+    The source is none of its targets, so its three mixes are one step
+    over the whole pool, the source's own word kept.  generate_state(4,
+    uint64) hashes the pool twice over into 8 words, paired little-endian
+    into (initstate_hi, initstate_lo, initseq_hi, initseq_lo), and PCG64
+    seeds from them: inc = 2 initseq + 1, state = ((inc + initstate) M +
+    inc) mod 2^128.
+    """
+    xors, mults = _ENTROPY_HASHES
+    pool = _hashed(words, xors[0], mults[0])
+    for src in range(_POOL):
+        hashes = _hashed(pool[:, src, None], xors[1 + src], mults[1 + src])
+        hashes *= _MIX_R
+        mixed = pool * _MIX_L
+        mixed -= hashes
+        mixed ^= mixed >> _XSHIFT
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    state = _hashed(pool[:, None], *_STATE_HASHES).astype("<u4").view("<u8").reshape(-1, _POOL)
+    states = []
+    for a, b, c, d in state.tolist():
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        states.append((((a << 64 | b) + inc) * _PCG64_MULT + inc & _MASK128, inc))
+    return states
+
+
+def _hashed_generators(words: np.ndarray):
+    """One Generator, set in turn to where `default_rng(seed)` starts for each row of `_seed_words`.
+
+    Each is the same Generator, so draw from one before taking the next.
+    """
+    rng = np.random.default_rng(0)  # its state is replaced before each draw
+    for state, inc in _pcg64_states(words):
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
 
 def _counts(seeds, shots: int, probs: np.ndarray) -> np.ndarray:
     """counts[K, S, 2^Q], row k bit for bit `default_rng(seeds[k]).multinomial(shots, probs[k])`.
 
     probs[B, S, 2^Q] holds one table per seed, or one that every seed
-    shares.  numpy draws a 2-D multinomial row by row from one stream, so up
-    to `_ROW_DRAWS` settings one 1-D call per setting on the seed's generator
+    shares.  Every seed is checked (`_seed_words`) before any generator is
+    built.  Below `_HASHED_SEEDS` seeds each gets its own `default_rng`
+    of those words; from `_HASHED_SEEDS` on, one Generator is set in turn
+    to each seed's PCG64 state, hashed for all seeds at once
+    (`_pcg64_states`), which starts the stream `default_rng(seed)` starts.
+    numpy draws a 2-D multinomial row by row from one stream, so up to
+    `_ROW_DRAWS` settings one 1-D call per setting on the seed's generator
     gives the same counts without the 2-D call's set-up; past it the one
     2-D call is cheaper.
     """
+    words = np.array([_seed_words(seed) for seed in seeds], dtype=np.uint32)
+    if len(seeds) < _HASHED_SEEDS:
+        # a uint32 array is numpy's cheapest entropy to read, and padding
+        # does not change it, so each row is its seed's default_rng stream
+        generators = map(np.random.default_rng, words)
+    else:
+        generators = _hashed_generators(words)
     counts = np.empty((len(seeds),) + probs.shape[1:], dtype=np.int64)
     if probs.shape[1] > _ROW_DRAWS:
-        for k, (seed, table) in enumerate(zip(seeds, itertools.cycle(probs))):
-            counts[k] = np.random.default_rng(seed).multinomial(shots, table)
+        for k, (rng, table) in enumerate(zip(generators, itertools.cycle(probs))):
+            counts[k] = rng.multinomial(shots, table)
         return counts
     # each table's rows are made once, not once per seed
     tables = [list(table) for table in probs]
-    for k, (seed, rows) in enumerate(zip(seeds, itertools.cycle(tables))):
-        rng = np.random.default_rng(seed)
+    for k, (rng, rows) in enumerate(zip(generators, itertools.cycle(tables))):
         for s, row in enumerate(rows):
             counts[k, s] = rng.multinomial(shots, row)
     return counts
@@ -578,6 +720,12 @@ def estimate_expectations(
     """Estimate <operator> from `shots` per measurement setting, once per seed in `seeds`.
 
     points[B, P] holds one row per seed, or one row that every seed shares.
+    A seed is a non-negative integer (a numpy integer scalar will do) or a
+    list, tuple or range of them, whose little-endian 32-bit words total at
+    most 4 (128 bits, numpy's SeedSequence pool); every seed is checked
+    before any is drawn from, whatever the number of seeds.  A negative
+    value raises ValueError and a float or string TypeError, as
+    `numpy.random.default_rng` does; a wider seed raises ValueError.
     Each row's measured-outcome distribution of every setting is made once:
     from its pure state when `noise` is None (mode SAMPLED), else from its
     density matrix under `noise` (mode NOISY).  Estimate k then draws its

@@ -372,6 +372,26 @@ def test_sampled_expectations_validation():
 EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**63 - 1)
 
 
+def random_seeds(rng, count: int) -> list:
+    """Seeded-random ints of 0-128 bits and [s, k] pairs of 2-4 32-bit words in all."""
+
+    def value(words):
+        return int.from_bytes(rng.bytes(4 * words), "little") >> int(rng.integers(0, 32))
+
+    seeds = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            seeds.append(value(4) >> int(rng.integers(0, 97)))
+        else:
+            first = int(rng.integers(1, 4))
+            seeds.append([value(first), value(int(rng.integers(1, 5 - first)))])
+    return seeds
+
+
+def estimate_with_seeds(seeds):
+    return estimate_expectations(AnsatzSpec(qubits=1, depth=0), np.zeros((1, 2)), single_z(), 10, seeds)
+
+
 @pytest.mark.parametrize(
     "seed, error",
     [(seed, ValueError) for seed in (-1, [3, -1], (2**40, -7), np.int64(-2))]
@@ -380,27 +400,56 @@ EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**63 - 1)
 def test_bad_seeds_fail_as_in_numpy(seed, error):
     with pytest.raises(error):
         np.random.default_rng(seed)
-    with pytest.raises(error):
-        estimate_expectations(AnsatzSpec(qubits=1, depth=0), np.zeros((1, 2)), single_z(), 10, [seed])
+    # alone, and among enough good seeds to take the hashed seeding
+    good = list(range(qsim._HASHED_SEEDS))
+    for seeds in ([seed], good[:3] + [seed] + good[3:]):
+        with pytest.raises(error):
+            estimate_with_seeds(seeds)
+
+
+@pytest.mark.parametrize("seed", [2**128, [1, 2, 3, 4, 5], [2**64, 2**32], (2**96, 0), range(5)])
+def test_seeds_wider_than_the_seed_sequence_pool_fail(seed):
+    good = list(range(qsim._HASHED_SEEDS))
+    for seeds in ([seed], good + [seed]):
+        with pytest.raises(ValueError, match="128 bits"):
+            estimate_with_seeds(seeds)
+
+
+def test_hashed_seeding_matches_default_rng():
+    # the one generator _counts reseeds takes each seed's default_rng state;
+    # a uint32 drawn between seeds leaves a half-used word the reseed clears
+    edges = list(EDGE_SEEDS) + [
+        2**64 - 1, 2**128 - 1, np.int64(11), np.uint64(2**64 - 1), [0, 0], [5, 0],
+        [2**64 - 1, 2**64 - 1], [], (7,), range(4),
+    ]
+    seeds = edges + random_seeds(np.random.default_rng(17), 1000)
+    words = np.array([qsim._seed_words(seed) for seed in seeds], dtype=np.uint32)
+    generators = qsim._hashed_generators(words)
+    for seed, rng in zip(seeds, generators, strict=True):
+        assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state, seed
+        rng.integers(2**32, dtype=np.uint32)
 
 
 @pytest.mark.parametrize("settings_count", [1, 8, 9, 36])
 def test_counts_match_default_rng_multinomial(settings_count):
     # one 1-D draw per setting up to qsim._ROW_DRAWS settings, one 2-D draw
-    # past it; numpy's own 2-D draw is the reference
+    # past it; numpy's own 2-D draw is the reference.  Below
+    # qsim._HASHED_SEEDS seeds each takes its own default_rng, from it they
+    # share one reseeded generator
     rng = np.random.default_rng(settings_count)
-    seeds = EDGE_SEEDS + ([5, 0], [2**63 - 1, 12])
-    for outcomes in (2, 16):
-        tables = rng.dirichlet(np.ones(outcomes), size=(len(seeds), settings_count))
-        tables[:, 0, : outcomes // 2] = 0.0
-        tables[:, 0] /= tables[:, 0].sum(axis=-1, keepdims=True)
-        for shots in (1, 777, 20000):
-            # one table per seed, or one that every seed shares
-            for probs in (tables, tables[:1]):
-                counts = qsim._counts(seeds, shots, probs)
-                for k, seed in enumerate(seeds):
-                    expected = np.random.default_rng(seed).multinomial(shots, probs[k % len(probs)])
-                    assert counts.dtype == expected.dtype and np.array_equal(counts[k], expected)
+    edges = list(EDGE_SEEDS) + [[5, 0], [2**63 - 1, 12]]
+    for seeds in (edges[: qsim._HASHED_SEEDS - 1], edges + random_seeds(rng, 34)):
+        for outcomes in (2, 16):
+            tables = rng.dirichlet(np.ones(outcomes), size=(len(seeds), settings_count))
+            tables[:, 0, : outcomes // 2] = 0.0
+            tables[:, 0] /= tables[:, 0].sum(axis=-1, keepdims=True)
+            for shots in (1, 777, 20000):
+                # one table per seed, or one that every seed shares
+                for probs in (tables, tables[:1]):
+                    counts = qsim._counts(seeds, shots, probs)
+                    for k, seed in enumerate(seeds):
+                        expected = np.random.default_rng(seed).multinomial(shots, probs[k % len(probs)])
+                        assert counts.dtype == expected.dtype and np.array_equal(counts[k], expected)
 
 
 def test_list_readout_noise_spec_estimates():
