@@ -167,7 +167,7 @@ def build_single_dihedral_matrix(
 
     `prefactor` is the sum of the diffusion coefficients of the two rotors
     joined by this dihedral. The result is symmetric, positive semidefinite,
-    and block diagonal in parity.
+    and block diagonal in parity; one whose norm overflows raises ValueError.
     """
     if not (prefactor > 0.0 and math.isfinite(prefactor)):
         raise ValueError(f"prefactor must be finite and > 0, got {prefactor}")
@@ -177,8 +177,12 @@ def build_single_dihedral_matrix(
     kinetic = np.zeros(size)
     for n in range(1, harmonics + 1):
         kinetic[2 * n - 1] = kinetic[2 * n] = float(n * n)
-    well = multiplication_matrix(_effective_well_poly(spec), harmonics)
-    return prefactor * (np.diag(kinetic) - well)
+    with np.errstate(over="ignore", invalid="ignore"):
+        well = multiplication_matrix(_effective_well_poly(spec), harmonics)
+        matrix = prefactor * (np.diag(kinetic) - well)
+        if not math.isfinite(np.linalg.norm(matrix)):
+            raise ValueError(f"{spec} overflows its generator matrix; lower the barrier")
+    return matrix
 
 
 @dataclass

@@ -52,8 +52,8 @@ from .qsim import (
     SAMPLED,
     AnsatzSpec,
     NoiseSpec,
+    _estimate,
     embed_params,
-    estimate_expectations,
     prepare_state,
     prepare_states,
 )
@@ -71,17 +71,12 @@ _MASK64 = (1 << 64) - 1
 
 
 def seed_stream(master_seed: int, count: int) -> tuple:
-    """Expand a master seed into `count` independent 63-bit seeds (splitmix64)."""
-    state = master_seed & _MASK64
-    out = []
-    for _ in range(count):
-        state = (state + _SPLITMIX_GAMMA) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        z ^= z >> 31
-        out.append(z >> 1)
-    return tuple(out)
+    """Expand a master seed into `count` independent 63-bit seeds (splitmix64, in uint64 arrays)."""
+    z = np.arange(1, count + 1, dtype=np.uint64) * _SPLITMIX_GAMMA + np.uint64(master_seed & _MASK64)
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    z ^= z >> 31
+    return tuple((z >> 1).tolist())
 
 
 @dataclass(frozen=True)
@@ -197,11 +192,11 @@ def _batch_evaluator(problem: Problem, config: VqeConfig, run_seeds):
 
     The one way to evaluate an objective: a single point is a batch of one
     row, and every batch is one call.  Exact mode contracts the prepared
-    states against the matrix; the statistical modes call
-    `estimate_expectations`, as the distribution study does, with the
-    configured noise model in noisy mode and none in sampled mode.  They
-    seed every evaluation with [run seed, run's evaluation count], so every
-    run sees the evaluation seeds it would see alone.
+    states against the matrix; the statistical modes call the array core of
+    `estimate_expectations`, `qsim._estimate`, with the configured noise
+    model in noisy mode.  They seed every evaluation with [run seed, run's
+    evaluation count], so every run sees the evaluation seeds it would see
+    alone.
     """
     if config.mode == EXACT:
         return lambda points: _energies(prepare_states(problem.ansatz, points), problem.matrix)
@@ -214,11 +209,10 @@ def _batch_evaluator(problem: Problem, config: VqeConfig, run_seeds):
             run = i % len(run_seeds)
             seeds.append([run_seeds[run] & _MASK64, counters[run]])
             counters[run] += 1
-        estimates = estimate_expectations(
+        return _estimate(
             problem.ansatz, points, problem.operator, config.shots, seeds, noise,
             config.mitigate, config.grouping,
-        )
-        return np.array([est.value for est in estimates])
+        )[0]
 
     return evaluate
 
@@ -556,10 +550,10 @@ def run_distribution_study(
 ) -> tuple:
     """Re-measure a fixed parameter set many times per mode (histogram data).
 
-    Each mode estimates all its repetitions in one call of
-    `estimate_expectations`: the mode's outcome distributions are made once,
-    from the one parameter row, and repetition k draws from them with the
-    k-th seed of the mode's stream, as a lone estimate would.
+    Each mode estimates all its repetitions in one call of `qsim._estimate`:
+    the mode's outcome distributions are made once, from the one parameter
+    row, and repetition k draws from them with the k-th seed of the mode's
+    stream, as a lone estimate would.
     """
     if repetitions < 2:
         raise ValueError("need at least two repetitions for spread statistics")
@@ -581,10 +575,10 @@ def run_distribution_study(
     for m, mode in enumerate(modes):
         seeds = seed_stream(config.seed + 7919 * (m + 1), repetitions)
         noise = config.noise if mode == NOISY else None
-        estimates = estimate_expectations(
+        values, _ = _estimate(
             problem.ansatz, params[None, :], problem.operator, config.shots, seeds, noise,
             config.mitigate, config.grouping,
         )
-        values = tuple(est.value for est in estimates)
+        values = tuple(values.tolist())
         studies.append(DistributionStudy(mode=mode, values=values, exact_value=exact_value))
     return tuple(studies)

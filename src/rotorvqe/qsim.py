@@ -1,24 +1,16 @@
 """Statevector and density-matrix simulation of RyRz variational circuits.
 
 Qubit 1 is the most significant bit of a computational-basis index,
-matching `paulimap`.  Rotation gates follow the half-angle convention
-exp(-i theta sigma / 2).  Exact energies are contracted against the dense
-matrix in `driver`; `estimate_expectations` estimates a PauliOperator from
-shots, ideal (sampled) or under a parametric noise model (noisy).  Every
-circuit runs on one gate compiler, `_compile`: a pure state as a register
-of Q qubits, a density matrix with each gate's depolarizing channel as a
-superket of 2Q.  The two modes differ only in how each setting's
-measured-outcome distribution is made: from the pure state, or from the
-density matrix's diagonal through the readout confusion.  Both then draw
-each seed's counts from `default_rng(seed)`'s stream, one multinomial per
-setting up to 8 settings and one 2-D multinomial over all settings past
-that (the same counts either way), and tally them the same way (a noisy
-estimate optionally undoing the confusion by linear inversion first).  A
-call of a few seeds builds one `default_rng` per seed; a larger one builds
-one generator and sets it to each seed's PCG64 state in turn, hashed for
-all its seeds at once by numpy's SeedSequence algorithm, which is the same
-stream.  A measurement plan is compiled once per operator, and a noise
-model's register confusion and its inverse once per register size.
+matching `paulimap`.  Rotation gates follow exp(-i theta sigma / 2).
+`estimate_expectations` estimates a PauliOperator from shots, ideal
+(sampled) or under a parametric noise model (noisy); exact energies are
+contracted in `driver`.  Every circuit runs on one gate compiler,
+`_compile`: a pure state as a register of Q qubits, a density matrix with
+each gate's depolarizing channel as a superket of 2Q.  Each setting's
+outcome distribution comes off the pure state through its basis change, or
+off the density matrix through one precomputed map (`_folded_map`).  Both
+modes draw each seed's counts as `default_rng(seed)` would and tally them
+alike (a noisy estimate optionally undoing readout confusion first).
 """
 
 from __future__ import annotations
@@ -26,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -166,9 +159,8 @@ def _run_gathers(work: np.ndarray, steps, gates, noise: NoiseSpec = None) -> Non
     """Run compiled (key, gather) steps in place on a C-contiguous work[2^Q, ...].
 
     A rotation's key indexes `gates`, each held as gate[j, i, 1, ...]; a
-    mix's key (rate, mask) gives its fault probability p, the mask times
-    noise.p1 or noise.p2, broadcast over work's trailing axes.  A mix on a
-    superket's k (q, Q + q) pairs strikes those qubits with a uniformly
+    mix's key names its fault probability p, noise.p1 or noise.p2.  A mix on
+    a superket's k (q, Q + q) pairs strikes those qubits with a uniformly
     chosen non-identity Pauli with probability p, which is (1 - w) rho +
     w (I/2^k (x) Tr_k rho), w = p 4^k / (4^k - 1) (Nielsen & Chuang, ch. 8):
     each of the 2^k diagonal blocks gains w/2^k times their sum.
@@ -183,9 +175,7 @@ def _run_gathers(work: np.ndarray, steps, gates, noise: NoiseSpec = None) -> Non
             np.multiply(gates[key], terms, out=terms)
             np.add(terms[0], terms[1], out=halves)
             continue
-        rate, mask = key
-        p = getattr(noise, rate) * mask
-        if p.any() if isinstance(p, np.ndarray) else p:
+        if p := getattr(noise, key):
             size = len(index) ** 2
             weight = p * size / (size - 1)
             mixed = sum(work.take(index, axis=0, mode="clip")) * (weight / len(index))
@@ -212,9 +202,8 @@ def _superket_program(ansatz: AnsatzSpec):
     qubit q is qubit q and column qubit q is qubit Q + q.  So U rho U^dagger
     is the gate on q, then its conjugate on Q + q; a CNOT acts on both
     halves; and each gate's depolarizing channel follows as a mix over its
-    qubits' (q, Q + q) pairs.  A rotation's key indexes the P gates, then
-    their P conjugates; a mix's is ("p1", 1.0) after a rotation and
-    ("p2", 1.0) after a CNOT (see `_run_gathers`).
+    qubits' (q, Q + q) pairs, keyed "p1" or "p2" (see `_run_gathers`).  A
+    rotation's key indexes the P gates, then their P conjugates.
     """
     qubits, count = ansatz.qubits, ansatz.parameter_count
     ops = []
@@ -222,10 +211,10 @@ def _superket_program(ansatz: AnsatzSpec):
         if op[0] == "cx":
             _, control, target = op
             pairs = ((control, qubits + control), (target, qubits + target))
-            ops += [op, ("cx", qubits + control, qubits + target), ("mix", pairs, ("p2", 1.0))]
+            ops += [op, ("cx", qubits + control, qubits + target), ("mix", pairs, "p2")]
         else:
             name, q, p = op
-            ops += [op, (name, qubits + q, count + p), ("mix", ((q, qubits + q),), ("p1", 1.0))]
+            ops += [op, (name, qubits + q, count + p), ("mix", ((q, qubits + q),), "p1")]
     return _compile(2 * qubits, ops)
 
 
@@ -373,22 +362,16 @@ def _nested_tuples(items):
     return tuple(map(_nested_tuples, items)) if isinstance(items, list) else items
 
 
-def _total_confusion(matrices) -> np.ndarray:
-    return reduce(np.kron, matrices, np.array([[1.0]]))
-
-
 @lru_cache(maxsize=64)
-def _readout(noise: NoiseSpec, qubits: int, inverse: bool) -> np.ndarray:
-    """The register's readout confusion, or with `inverse` its inverse; None if ideal."""
+def _inverse_readout(noise: NoiseSpec, qubits: int) -> np.ndarray:
+    """The inverse of the register's readout confusion; None if ideal."""
     matrices = noise.readout_matrices(qubits)
     if matrices is None:
         return None
-    if inverse:
-        try:
-            matrices = [np.linalg.inv(m) for m in matrices]
-        except np.linalg.LinAlgError as err:
-            raise ValueError("readout confusion matrix is singular") from err
-    total = _total_confusion(matrices)
+    try:
+        total = reduce(np.kron, [np.linalg.inv(m) for m in matrices])
+    except np.linalg.LinAlgError as err:
+        raise ValueError("readout confusion matrix is singular") from err
     total.flags.writeable = False
     return total
 
@@ -425,11 +408,8 @@ class _MeasurementPlan:
     A setting is one QWC group, or one string when grouping is off; the
     identity string is never measured.  Setting s has basis-change gates
     tails[s], as ((qubit,), rotation), outcome values outcomes[s] and their
-    squares squares[s].
-    `pure` and `superket` hold all settings' basis changes compiled for a
-    state and a density matrix, as (steps, gates, measured gather): per
-    rotated qubit, gates[r] (an identity for a setting that does not rotate
-    it) and for a superket its conjugate and a mix keyed ("p1", mask 0/1).
+    squares squares[s].  `pure` holds them all compiled for a state, as
+    (steps, gates, measured gather), an identity for a qubit not rotated.
     """
 
     offset: float
@@ -437,7 +417,6 @@ class _MeasurementPlan:
     outcomes: np.ndarray
     squares: np.ndarray
     pure: tuple
-    superket: tuple
 
 
 @lru_cache(maxsize=64)
@@ -459,33 +438,57 @@ def _measurement_plan(operator: PauliOperator, grouping: bool) -> _MeasurementPl
     stack = [[change.get((q,), np.eye(2)) for change in changes] for q in rotated]
     stack = np.array(stack, dtype=complex).reshape(len(rotated), len(tails), 2, 2)
     gates = np.ascontiguousarray(stack.transpose(0, 3, 2, 1)[:, :, :, None, :, None])
-    both = np.concatenate((gates, gates.conj()))
-    ops, superket = [], []
-    for r, q in enumerate(rotated):
-        rotates = np.array([[(q,) in change] for change in changes], dtype=float)
-        rotates.flags.writeable = False
-        ops.append(("basis", q, r))
-        pairs = ((q, qubits + q),)
-        superket += [ops[-1], ("basis", qubits + q, len(rotated) + r), ("mix", pairs, ("p1", rotates))]
-    steps, final = _compile(qubits, ops)
-    superket, order = _compile(2 * qubits, superket)
-    diagonal = order[:: (1 << qubits) + 1]
+    steps, final = _compile(qubits, [("basis", q, r) for r, q in enumerate(rotated)])
     table = np.array(outcomes).reshape(len(tails), 1 << qubits)
     squares = table**2
-    for array in (diagonal, gates, both, table, squares):
+    for array in (gates, table, squares):
         array.flags.writeable = False
-    pure, superket = (steps, gates, final), (superket, both, diagonal)
-    return _MeasurementPlan(operator.identity_offset, tuple(tails), table, squares, pure, superket)
+    pure = (steps, gates, final)
+    return _MeasurementPlan(operator.identity_offset, tuple(tails), table, squares, pure)
+
+
+# a map is up to 7 MB at 4 qubits, and a process uses a noise model or two
+@lru_cache(maxsize=8)
+def _folded_map(plan: _MeasurementPlan, p1: float, readout) -> np.ndarray:
+    """The noisy measurement as one real map[2 4^Q, S 2^Q] from a density matrix.
+
+    Setting s reads outcome m with probability Tr(E rho), E the product over
+    qubits of e(m_q) = (1 - w) U^dagger |m><m| U + w I/2, w = 4 p1 / 3, where
+    its basis change rotates the qubit by U and depolarizes it, else |m><m|.
+    Readout confusion C acts per qubit, so the map is a Kronecker product of
+    2 x 4 maps sum_m C[m, m'] e(m)[j, i] from rho_q[i, j] (Greenbaum,
+    arXiv:1509.02921).  Rows take rho in C order as (real, imaginary) float
+    pairs; columns are (setting, outcome).
+    """
+    qubits, settings = plan.outcomes.shape[1].bit_length() - 1, len(plan.tails)
+    confusion = NoiseSpec(p1, 0.0, readout).readout_matrices(qubits) or [np.eye(2)] * qubits
+    weight = 4.0 * p1 / 3.0
+    projectors, mixed = np.eye(2)[:, :, None] * np.eye(2)[:, None, :], weight / 2 * np.eye(2)
+    folded = np.ones((settings, 1, 1, 1), dtype=complex)
+    for q, mix in enumerate(confusion, start=1):
+        # effects[s, m, i, j]: the coefficient of rho_q[i, j] in setting s's outcome m
+        gates = [dict(tail).get((q,)) for tail in plan.tails]
+        effects = [
+            projectors if gate is None else (1 - weight) * gate.T @ projectors @ gate.conj() + mixed
+            for gate in gates
+        ]
+        effects = np.einsum("mn,smij->snij", mix, np.reshape(effects, (settings, 2, 2, 2)))
+        folded = folded[:, :, None, :, None, :, None] * effects[:, None, :, None, :, None, :]
+        folded = folded.reshape(settings, 2 << (q - 1), 2 << (q - 1), 2 << (q - 1))
+    # Re(f rho) = Re f Re rho - Im f Im rho
+    pairs = np.stack((folded.real, -folded.imag), axis=-1).transpose(2, 3, 4, 0, 1)
+    pairs = np.ascontiguousarray(pairs).reshape(2 << (2 * qubits), settings << qubits)
+    pairs.flags.writeable = False
+    return pairs
 
 
 def _tally(counts: np.ndarray, plan, shots: int):
     """Estimates and their variances from counts[..., S, 2^Q] of a measurement plan's settings.
 
-    Each setting contributes its sample mean of the outcome values over the
-    shots and that mean's variance; the settings are summed in order onto
-    the offset, as a running sum would.  Every (1, 2^Q) @ (2^Q, 1) product
-    and the sequential `cumsum` make each row's figures independent of the
-    rows beside it.
+    Each setting's sample mean of the outcome values and that mean's
+    variance are summed in order onto the offset, as a running sum would;
+    every (1, 2^Q) @ (2^Q, 1) product and the sequential `cumsum` keep each
+    row's figures independent of the rows beside it.
     """
     counts = np.asarray(counts, dtype=float)[..., None, :]
     mean = np.matmul(counts, plan.outcomes[:, :, None])[..., 0, 0] / shots
@@ -500,13 +503,6 @@ def _tally(counts: np.ndarray, plan, shots: int):
     return value, variance
 
 
-def _estimates(value: np.ndarray, variance: np.ndarray, shots_used: int, mode: str) -> tuple:
-    return tuple(
-        ExpectationEstimate(value=float(v), std_error=math.sqrt(e), shots_used=shots_used, mode=mode)
-        for v, e in zip(value, variance)
-    )
-
-
 # complex entries of one block of rows' working array in `_distributions`
 # (4 MB); its gathers hold about three times that besides
 _BLOCK_ENTRIES = 1 << 18
@@ -515,29 +511,35 @@ _BLOCK_ENTRIES = 1 << 18
 def _distributions(ansatz: AnsatzSpec, values: np.ndarray, plan, noise: NoiseSpec) -> np.ndarray:
     """Every row's measured-outcome distribution of every setting: probs[B, S, 2^Q].
 
-    Each row's state, or under noise its superket, is held as (2^Q or 4^Q,
-    S, B) through the plan's basis changes; its squared amplitudes, or its
-    diagonal mapped through the readout confusion, are the distribution.
-    Rows run in blocks of at most `_BLOCK_ENTRIES` working entries (or one
-    row), and each row gets the products it would get alone.
+    A row's state is held as (2^Q, S, B) through the plan's basis changes,
+    or its density matrix mapped by `_folded_map` and clipped at 0.  Rows run
+    in blocks of at most `_BLOCK_ENTRIES` working entries (or one row), and
+    each row gets the products it would get alone.
     """
-    steps, gates, measured = plan.pure if noise is None else plan.superket
-    settings = len(plan.outcomes)
-    width = max(1, settings) << (ansatz.qubits * (1 if noise is None else 2))
+    settings, dim = plan.outcomes.shape
+    if noise is None:
+        steps, gates, measured = plan.pure
+        width = max(1, settings) * dim
+    else:
+        folded = _folded_map(plan, noise.p1, noise.readout)
+        width = dim * dim
     size = max(1, _BLOCK_ENTRIES // width)
-    probs = np.empty((len(values), settings, len(measured)))
+    probs = np.empty((len(values), settings, dim))
     for i in range(0, len(values), size):
-        work = np.repeat(_evolved(ansatz, values[i : i + size], noise)[:, None, :], settings, axis=1)
-        _run_gathers(work, steps, gates, noise)
-        work = work.take(measured, axis=0)
-        # stored in C order, which makes each row's sum the one a lone distribution gets
-        probs[i : i + size] = (np.abs(work) ** 2 if noise is None else np.clip(work.real, 0.0, None)).T
+        block, rows = probs[i : i + size], values[i : i + size]
+        if noise is None:
+            work = np.repeat(_evolved(ansatz, rows)[:, None, :], settings, axis=1)
+            _run_gathers(work, steps, gates)
+            # stored in C order, which makes each row's sum the one a lone distribution gets
+            block[...] = (np.abs(work.take(measured, axis=0)) ** 2).T
+        else:
+            # one (1, 2 4^Q) @ (2 4^Q, S 2^Q) product per row
+            rho = np.ascontiguousarray(_evolved(ansatz, rows, noise).T).view(float)
+            np.matmul(rho[:, None, :], folded, out=block.reshape(len(block), 1, -1))
+    if noise is not None:
+        np.clip(probs, 0.0, None, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    confusion = None if noise is None else _readout(noise, ansatz.qubits, False)
-    if confusion is None:
-        return probs
-    # one (1, 2^Q) @ (2^Q, 2^Q) product per setting, as for a single setting
-    return np.matmul(probs[..., None, :], confusion)[..., 0, :]
+    return probs
 
 
 # settings up to which one 1-D multinomial per setting beats one 2-D call: at
@@ -545,12 +547,11 @@ def _distributions(ansatz: AnsatzSpec, values: np.ndarray, plan, noise: NoiseSpe
 # 0.1-1.5 us per setting and a 1-D call 1.3-2.9 us, so they cross at 8-10
 _ROW_DRAWS = 8
 
-# seeds per `_counts` call from which one generator set to each seed's state
-# by `_pcg64_states` beats one `default_rng` per seed.  Seeding alone, from
-# the same words, it ran 0.38x as fast at 2 seeds, 0.79-0.80x at 5,
-# 0.90-0.92x at 6, 1.00-1.02x at 7, 1.10-1.11x at 8 and 3.0x at 120 (int
-# seeds and [s, k] pairs): a fixed cost of about six default_rng calls
-_HASHED_SEEDS = 7
+# seeds per `_counts` call from which `_hashed_generators` beats a `default_rng`
+# per seed: seeding alone, from the same words, it ran 0.50x as fast at 2
+# seeds, 0.85-0.89x at 4, 0.99-1.02x at 5, 1.10-1.15x at 6 and 1.38-1.40x at
+# 8 (int seeds and [s, k] pairs, medians of 15 rounds)
+_HASHED_SEEDS = 5
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx) with its default
 # pool of four 32-bit words, and PCG64's 128-bit LCG multiplier
@@ -605,12 +606,10 @@ def _hashed(values: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarr
 def _seed_words(seed) -> list:
     """A seed's SeedSequence entropy, zero-padded to the pool: `_POOL` 32-bit words.
 
-    A seed is a non-negative integer (read with `operator.index`) or a
-    list, tuple or range of them; each value gives its little-endian 32-bit
-    words, one for 0, and they may total at most `_POOL` (128 bits).
-    numpy hashes a missing pool word as a zero word.  A negative value
-    raises ValueError and a float or string TypeError, as `default_rng`
-    does; a wider seed raises ValueError.
+    Each value (read with `operator.index`) gives its little-endian 32-bit
+    words, one for 0, at most `_POOL` in all; numpy hashes a missing pool
+    word as a zero word.  The seed errors are those `estimate_expectations`
+    documents.
     """
     words = []
     for value in seed if isinstance(seed, (list, tuple, range)) else (seed,):
@@ -626,18 +625,47 @@ def _seed_words(seed) -> list:
     return words + [0] * (_POOL - len(words))
 
 
-def _pcg64_states(words: np.ndarray) -> list:
-    """(state, inc) of `PCG64(SeedSequence(entropy))` for each row of words[K, _POOL].
+def _word_table(seeds) -> np.ndarray:
+    """words[K, _POOL]: every seed's `_seed_words`, as uint32.
 
-    numpy's SeedSequence hash runs as uint32 arithmetic on all rows at
-    once.  mix_entropy hashes each pool word, then mixes every source
-    word's hash into each other word: mix(x, y) = L x - R y, xorshifted.
-    The source is none of its targets, so its three mixes are one step
-    over the whole pool, the source's own word kept.  generate_state(4,
-    uint64) hashes the pool twice over into 8 words, paired little-endian
-    into (initstate_hi, initstate_lo, initseq_hi, initseq_lo), and PCG64
-    seeds from them: inc = 2 initseq + 1, state = ((inc + initstate) M +
-    inc) mod 2^128.
+    Integers in [0, 2^64), or pairs of them whose first is at least 2^32
+    (seed_stream's seeds and the driver's [run seed, counter] pairs), are
+    each value's low then high 32-bit word, zero-padded, so a batch of
+    `_HASHED_SEEDS` or more such seeds is laid out as one array.  Any other
+    batch goes seed by seed through `_seed_words`, which raises the
+    documented errors; a smaller one's seeds each get a `default_rng` anyway.
+    """
+    values = np.empty(0, dtype=object)
+    if len(seeds) >= _HASHED_SEEDS:
+        try:
+            values = np.asarray(seeds)
+        except (TypeError, ValueError):  # a ragged batch
+            pass
+    rows = values.ndim == 1 or values.ndim == 2 and set(map(type, seeds)) <= {list, tuple, range}
+    if values.dtype.kind in "iu" and rows and not (values < 0).any():
+        pairs = values.astype("<u8").reshape(len(values), -1).view("<u4")
+        # a first value below 2^32 would drop its zero high word and shift the rest
+        if pairs.shape[1] <= _POOL and pairs[:, 1:-1:2].all():
+            words = np.zeros((len(values), _POOL), dtype=np.uint32)
+            words[:, : pairs.shape[1]] = pairs
+            return words
+    return np.array([_seed_words(seed) for seed in seeds], dtype=np.uint32).reshape(-1, _POOL)
+
+
+_THREAD = threading.local()
+
+
+def _hashed_generators(words: np.ndarray):
+    """The calling thread's one Generator, set in turn to each seed's `default_rng` start.
+
+    `PCG64(SeedSequence(entropy))` runs as uint32 arithmetic on all rows of
+    words[K, _POOL] at once.  mix_entropy hashes each pool word, then mixes
+    every source word's hash into each other word: mix(x, y) = L x - R y,
+    xorshifted, the three mixes from one source in one step.
+    generate_state(4, uint64) hashes the pool twice over into 8 words, paired
+    little-endian into (initstate_hi, initstate_lo, initseq_hi, initseq_lo),
+    and PCG64 seeds from them: inc = 2 initseq + 1, state = ((inc +
+    initstate) M + inc) mod 2^128.  Draw from each before taking the next.
     """
     xors, mults = _ENTROPY_HASHES
     pool = _hashed(words, xors[0], mults[0])
@@ -649,100 +677,41 @@ def _pcg64_states(words: np.ndarray) -> list:
         mixed ^= mixed >> _XSHIFT
         mixed[:, src] = pool[:, src]
         pool = mixed
-    state = _hashed(pool[:, None], *_STATE_HASHES).astype("<u4").view("<u8").reshape(-1, _POOL)
-    states = []
-    for a, b, c, d in state.tolist():
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        states.append((((a << 64 | b) + inc) * _PCG64_MULT + inc & _MASK128, inc))
-    return states
-
-
-def _hashed_generators(words: np.ndarray):
-    """One Generator, set in turn to where `default_rng(seed)` starts for each row of `_seed_words`.
-
-    Each is the same Generator, so draw from one before taking the next.
-    """
-    rng = np.random.default_rng(0)  # its state is replaced before each draw
-    for state, inc in _pcg64_states(words):
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    seeded = _hashed(pool[:, None], *_STATE_HASHES).astype("<u4").view("<u8").reshape(-1, _POOL)
+    if not hasattr(_THREAD, "rng"):
+        _THREAD.rng = np.random.default_rng(0)  # its state is replaced before each draw
+    # the setter only reads the dict, so one serves every seed
+    rng, pcg = _THREAD.rng, {}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for a, b, c, d in seeded.tolist():
+        pcg["inc"] = inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        pcg["state"] = ((a << 64 | b) + inc) * _PCG64_MULT + inc & _MASK128
+        rng.bit_generator.state = state
         yield rng
 
 
-def _counts(seeds, shots: int, probs: np.ndarray) -> np.ndarray:
-    """counts[K, S, 2^Q], row k bit for bit `default_rng(seeds[k]).multinomial(shots, probs[k])`.
+def _counts(words: np.ndarray, shots: int, probs: np.ndarray) -> np.ndarray:
+    """counts[K, S, 2^Q], row k bit for bit `default_rng(seed k).multinomial(shots, probs[k])`.
 
-    probs[B, S, 2^Q] holds one table per seed, or one that every seed
-    shares.  Every seed is checked (`_seed_words`) before any generator is
-    built.  Below `_HASHED_SEEDS` seeds each gets its own `default_rng`
-    of those words; from `_HASHED_SEEDS` on, one Generator is set in turn
-    to each seed's PCG64 state, hashed for all seeds at once
-    (`_pcg64_states`), which starts the stream `default_rng(seed)` starts.
+    words[K, _POOL] holds the seeds' `_word_table` words, probs[B, S, 2^Q]
+    a table per seed or one for all.  Below `_HASHED_SEEDS` seeds each gets
+    its own `default_rng`, else `_hashed_generators` gives the same streams.
     numpy draws a 2-D multinomial row by row from one stream, so up to
-    `_ROW_DRAWS` settings one 1-D call per setting on the seed's generator
-    gives the same counts without the 2-D call's set-up; past it the one
-    2-D call is cheaper.
+    `_ROW_DRAWS` settings 1-D draws per setting give the same counts.
     """
-    words = np.array([_seed_words(seed) for seed in seeds], dtype=np.uint32)
-    if len(seeds) < _HASHED_SEEDS:
-        # a uint32 array is numpy's cheapest entropy to read, and padding
-        # does not change it, so each row is its seed's default_rng stream
-        generators = map(np.random.default_rng, words)
-    else:
-        generators = _hashed_generators(words)
-    counts = np.empty((len(seeds),) + probs.shape[1:], dtype=np.int64)
-    if probs.shape[1] > _ROW_DRAWS:
-        for k, (rng, table) in enumerate(zip(generators, itertools.cycle(probs))):
-            counts[k] = rng.multinomial(shots, table)
-        return counts
-    # each table's rows are made once, not once per seed
-    tables = [list(table) for table in probs]
-    for k, (rng, rows) in enumerate(zip(generators, itertools.cycle(tables))):
-        for s, row in enumerate(rows):
-            counts[k, s] = rng.multinomial(shots, row)
-    return counts
+    # a uint32 array is numpy's cheapest entropy to read, and padding does not
+    # change it, so each row's default_rng is its seed's stream
+    hashed = len(words) >= _HASHED_SEEDS
+    generators = _hashed_generators(words) if hashed else map(np.random.default_rng, words)
+    # each table's draw inputs (its rows, or itself past _ROW_DRAWS) are listed once, not once per seed
+    split = probs.shape[1] <= _ROW_DRAWS
+    inputs = itertools.cycle([list(table) if split else [table] for table in probs])
+    draws = [rng.multinomial(shots, p) for rng, ps in zip(generators, inputs) for p in ps]
+    return np.array(draws, dtype=np.int64).reshape((len(words),) + probs.shape[1:])
 
 
-def estimate_expectations(
-    ansatz: AnsatzSpec,
-    points,
-    operator: PauliOperator,
-    shots: int,
-    seeds,
-    noise: NoiseSpec = None,
-    mitigate: bool = True,
-    grouping: bool = True,
-) -> tuple:
-    """Estimate <operator> from `shots` per measurement setting, once per seed in `seeds`.
-
-    points[B, P] holds one row per seed, or one row that every seed shares.
-    A seed is a non-negative integer (a numpy integer scalar will do) or a
-    list, tuple or range of them, whose little-endian 32-bit words total at
-    most 4 (128 bits, numpy's SeedSequence pool); every seed is checked
-    before any is drawn from, whatever the number of seeds.  A negative
-    value raises ValueError and a float or string TypeError, as
-    `numpy.random.default_rng` does; a wider seed raises ValueError.
-    Each row's measured-outcome distribution of every setting is made once:
-    from its pure state when `noise` is None (mode SAMPLED), else from its
-    density matrix under `noise` (mode NOISY).  Estimate k then draws its
-    settings' counts as `default_rng(seeds[k]).multinomial(shots, p)` over
-    its row's distributions p[S, 2^Q] would (`_counts`): one 1-D
-    multinomial per setting on that generator up to `_ROW_DRAWS` = 8
-    settings, else the one 2-D call.  When noisy and `mitigate`, the
-    inverted readout confusion is applied to the measured frequencies,
-    clipping negative entries and renormalizing.  Each estimate is
-    bit-identical to its row and seed estimated alone, whatever its
-    neighbours.
-
-    Under noise, after every gate, the basis-change rotations included, a
-    uniformly chosen non-identity Pauli strikes the gate's qubits with
-    probability p1 (rotations) or p2 (CNOTs); `_distributions` evolves all
-    rows' density matrices through this channel exactly, in blocks of rows.
-    """
+def _estimate(ansatz, points, operator, shots, seeds, noise=None, mitigate=True, grouping=True):
+    """`estimate_expectations` as arrays (value[K], variance[K]), bit for bit its estimates'."""
     if ansatz.qubits != operator.qubits:
         raise ValueError("ansatz and operator registers differ")
     if shots < 1:
@@ -750,18 +719,49 @@ def estimate_expectations(
     values = _parameter_rows(ansatz, points)
     if len(seeds) < 1 or len(values) not in (1, len(seeds)):
         raise ValueError(f"expected one seed per point, got {len(seeds)} for {len(values)}")
-    inverse = _readout(noise, ansatz.qubits, True) if noise is not None and mitigate else None
-
+    inverse = _inverse_readout(noise, ansatz.qubits) if noise is not None and mitigate else None
+    words = _word_table(seeds)
     plan = _measurement_plan(operator, grouping)
-    probs = _distributions(ansatz, values, plan, noise)
-    counts = _counts(seeds, shots, probs)
+    counts = _counts(words, shots, _distributions(ansatz, values, plan, noise))
     if inverse is not None:
         # one (1, 2^Q) @ (2^Q, 2^Q) product per setting, as for a single setting
         freq = np.matmul((counts / shots)[..., None, :], inverse)[..., 0, :]
         freq = np.clip(freq, 0.0, None)
         counts = shots * freq / freq.sum(axis=-1, keepdims=True)
-    value, variance = _tally(counts, plan, shots)
-    return _estimates(value, variance, len(plan.outcomes) * shots, SAMPLED if noise is None else NOISY)
+    return _tally(counts, plan, shots)
+
+
+def estimate_expectations(
+    ansatz: AnsatzSpec, points, operator: PauliOperator, shots: int, seeds,
+    noise: NoiseSpec = None, mitigate: bool = True, grouping: bool = True,
+) -> tuple:
+    """Estimate <operator> from `shots` per measurement setting, once per seed in `seeds`.
+
+    points[B, P] holds one row per seed, or one row that every seed shares.
+    A seed is a non-negative integer (a numpy integer scalar will do) or a
+    list, tuple or range of them, whose little-endian 32-bit words total at
+    most 4 (128 bits, numpy's SeedSequence pool).  Every seed is checked
+    before any state is prepared: a negative value raises ValueError and a
+    float or string TypeError, as `numpy.random.default_rng` does, and a
+    wider seed ValueError.  Each row's measured-outcome distribution of
+    every setting is made once, from its pure state when `noise` is None
+    (mode SAMPLED), else from its density matrix under `noise` (mode NOISY),
+    and estimate k draws its settings' counts from its row's as
+    `default_rng(seeds[k]).multinomial` would (`_counts`).  When noisy and
+    `mitigate`, the inverted readout confusion is applied to the measured
+    frequencies, clipping negative entries and renormalizing.  Each
+    estimate is bit-identical to its row and seed estimated alone.
+
+    Under noise, after every gate, the basis-change rotations included, a
+    uniformly chosen non-identity Pauli strikes the gate's qubits with
+    probability p1 (rotations) or p2 (CNOTs), exactly as a channel on the
+    density matrix (`_distributions`).
+    """
+    value, variance = _estimate(ansatz, points, operator, shots, seeds, noise, mitigate, grouping)
+    used = len(_measurement_plan(operator, grouping).outcomes) * shots
+    mode = SAMPLED if noise is None else NOISY
+    pairs = zip(value.tolist(), variance.tolist())
+    return tuple(ExpectationEstimate(v, math.sqrt(e), used, mode) for v, e in pairs)
 
 
 def embed_params(ansatz: AnsatzSpec, params) -> np.ndarray:

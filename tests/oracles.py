@@ -10,15 +10,16 @@ and CNOT tables, and three oracles run on them and reuse the package's
 measurement plan: the trajectory noisy estimator, a reference for a
 sampling law; the one-point sampled estimator, a bit-for-bit reference
 for the batched one; and `serial_noisy_distributions`, the former
-row-by-row density-matrix evolution, which the batched superket table
-reproduces bit for bit.  `gather_sampled_expectations` is the former
-gather-and-scatter basis change that the compiled one reproduces bit for
-bit; the amplitude-traversal `exact_expectation` uses the package's bitmask
-convention and is itself checked against dense matrices; `serial_spsa` is
-the one-run SPSA loop that the lockstep batch reproduces bit for bit;
-`pairwise_multiplication_matrix`, `pairwise_derivative_matrix` and
-`masked_jacobi_eigh` are the former dict-product matrix builders and masked
-Jacobi rotation loop, and `map_element`, `elementwise_map_operator` and
+row-by-row density-matrix evolution, which the folded measurement map
+reproduces within a stated tolerance.  `gather_sampled_expectations` is the
+former gather-and-scatter basis change that the compiled one reproduces bit
+for bit; the amplitude-traversal `exact_expectation` uses the package's
+bitmask convention and is itself checked against dense matrices;
+`serial_spsa` is the one-run SPSA loop that the lockstep batch reproduces
+bit for bit, and `serial_seed_stream` the Python-int splitmix64 loop that
+the uint64 `seed_stream` reproduces; `pairwise_multiplication_matrix`,
+`pairwise_derivative_matrix` and `masked_jacobi_eigh` are the former
+dict-product matrix builders and masked Jacobi rotation loop, and `map_element`, `elementwise_map_operator` and
 `loop_chain_matrix` the former per-element Pauli expansion and
 per-state-pair chain assembly, which the package's versions reproduce bit
 for bit.  The pairwise builders, `dict_uprime_poly` and
@@ -536,6 +537,21 @@ def exact_expectation(state: np.ndarray, operator) -> float:
     return float(total.real)
 
 
+def serial_seed_stream(master_seed: int, count: int) -> tuple:
+    """The former `seed_stream`: splitmix64 one seed at a time, in Python ints masked to 64 bits."""
+    mask = (1 << 64) - 1
+    state = master_seed & mask
+    out = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+        out.append(z >> 1)
+    return tuple(out)
+
+
 def serial_spsa(evaluate, x0, seed, iterations, config, a=None):
     """One SPSA run, one point per objective call: (records, best value, best params).
 
@@ -562,6 +578,11 @@ def serial_spsa(evaluate, x0, seed, iterations, config, a=None):
     records.append((iterations, tuple(x), float(evaluate(x))))
     best = min(records, key=lambda record: record[2])
     return records, best[2], best[1]
+
+
+def _kron_all(matrices) -> np.ndarray:
+    """The Kronecker product of the matrices, first one leftmost."""
+    return functools.reduce(np.kron, matrices, np.array([[1.0]]))
 
 
 def _register_operator(qubits: int, factors: dict) -> np.ndarray:
@@ -686,8 +707,8 @@ def serial_noisy_distributions(ansatz, params, noise, tails) -> np.ndarray:
     channel, (1 - w) rho + w (I/2^k (x) Tr_touched rho) with
     w = p 4^k / (4^k - 1), on the bit-axis view of rho.  The ansatz is
     evolved once; each setting then evolves its own copy through its
-    basis-change tail, as fault-prone as the ansatz's gates.  The batched
-    superket table must reproduce this bit for bit.
+    basis-change tail, as fault-prone as the ansatz's gates.  The folded
+    measurement map must reproduce this within a stated tolerance.
     """
     qubits = ansatz.qubits
     dim = 1 << qubits
@@ -729,7 +750,7 @@ def serial_noisy_distributions(ansatz, params, noise, tails) -> np.ndarray:
     rho[0, 0] = 1.0
     evolve(rho, circuit)
     readout = noise.readout_matrices(qubits)
-    confusion = None if readout is None else qsim._total_confusion(readout)
+    confusion = None if readout is None else _kron_all(readout)
     distributions = np.empty((len(tails), dim))
     for s, gates in enumerate(tails):
         tail = rho.copy()
@@ -799,7 +820,10 @@ def gather_sampled_expectations(ansatz, points, operator, shots, seeds, grouping
     probs /= probs.sum(axis=-1, keepdims=True)
     counts = [np.random.default_rng(seed).multinomial(shots, p) for seed, p in zip(seeds, probs)]
     value, variance = qsim._tally(np.array(counts), plan, shots)
-    return qsim._estimates(value, variance, len(tails) * shots, qsim.SAMPLED)
+    return tuple(
+        qsim.ExpectationEstimate(float(v), math.sqrt(e), len(tails) * shots, qsim.SAMPLED)
+        for v, e in zip(value, variance)
+    )
 
 
 def trajectory_noisy_expectation(
@@ -850,8 +874,8 @@ def trajectory_noisy_expectation(
     readout = noise.readout_matrices(qubits)
     confusion = inverse = None
     if readout is not None:
-        confusion = qsim._total_confusion(readout)
-        inverse = qsim._total_confusion([np.linalg.inv(m) for m in readout])
+        confusion = _kron_all(readout)
+        inverse = _kron_all([np.linalg.inv(m) for m in readout])
     plan = qsim._measurement_plan(operator, grouping)
     tails = plan.tails
     tallied = np.zeros((len(tails), dim))

@@ -208,6 +208,9 @@ def test_exit_code_validation_error(tmp_path, capsys):
     assert main(["reference", "--set", "kept=8,4", "--set", "harmonics=3"]) == 3
     err = capsys.readouterr().err
     assert "kept must be in [1, 2*harmonics + 1] = [1, 7] at harmonics=3, got kept=8" in err
+    # a barrier that overflows its Fourier matrix is named
+    assert main(["reference", "--set", "dihedrals=bistable:1e200,monostable:1"]) == 3
+    assert "barrier=1e+200) overflows its generator matrix" in capsys.readouterr().err
     assert main(["hierarchical", "--set", "ladder=4,4;4,2", "--set", "iterations=1", "--set", "restarts=1"]) == 3
     params = tmp_path / "angles.json"
     params.write_text(json.dumps({"angles": [0.3] * 8}))

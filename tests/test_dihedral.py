@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,8 +233,24 @@ spec_polys = st.one_of(specs.map(_effective_well_poly), specs.map(_uprime_poly))
 @settings(max_examples=150, deadline=None)
 @given(poly=st.one_of(trig_polys, spec_polys), harmonics=st.integers(1, 32))
 def test_multiplication_matrix_matches_pairwise_oracle_bit_for_bit(poly, harmonics):
-    mat = multiplication_matrix(poly, harmonics)
-    assert mat.tobytes() == oracles.pairwise_multiplication_matrix(poly, harmonics).tobytes()
+    # full-range coefficients overflow on purpose (see `coefficients`)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = multiplication_matrix(poly, harmonics)
+        assert mat.tobytes() == oracles.pairwise_multiplication_matrix(poly, harmonics).tobytes()
+
+
+@pytest.mark.parametrize("barrier", [1e200, 1e150, 1e100])
+def test_overflowing_barrier_fails_fast_naming_the_dihedral(barrier):
+    # 1e200 overflows the matrix entries, 1e150 and 1e100 only the norm
+    spec = DihedralSpec(BISTABLE, barrier)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (
+            lambda: build_single_dihedral_matrix(spec, 2.0),
+            lambda: solve_dihedral(spec, 2.0, 4, harmonics=16),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"{spec} overflows its generator matrix")):
+                build()
 
 
 # 1e-323 is the monostable barrier whose U''/2 term halves to zero

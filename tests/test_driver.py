@@ -33,7 +33,7 @@ from rotorvqe.qsim import (
 
 from conftest import LADDER, make_chain
 
-from oracles import dense_from_labels
+from oracles import dense_from_labels, serial_seed_stream
 
 
 def quick_config(**overrides) -> VqeConfig:
@@ -50,6 +50,14 @@ def test_seed_stream_is_deterministic_and_distinct():
     assert seed_stream(2021, 100) != seed_stream(2022, 100)
     # prefix property: extending the stream never changes earlier entries
     assert seed_stream(2021, 10) == seed_stream(2021, 100)[:10]
+
+
+@pytest.mark.parametrize("master", [0, -1, 2021, 2**64 - 1])
+@pytest.mark.parametrize("count", [0, 1, 100])
+def test_seed_stream_matches_serial_splitmix(master, count):
+    seeds = seed_stream(master, count)
+    assert type(seeds) is tuple and all(type(s) is int for s in seeds)
+    assert seeds == serial_seed_stream(master, count)
 
 
 def test_build_problem_is_consistent():
@@ -169,9 +177,9 @@ def test_sampled_ladder_never_reuses_an_evaluation_seed(monkeypatch):
 
     def spy(ansatz, points, operator, shots, seeds, *args):
         seen.extend(tuple(seed) for seed in seeds)
-        return estimate_expectations(ansatz, points, operator, shots, seeds, *args)
+        return qsim._estimate(ansatz, points, operator, shots, seeds, *args)
 
-    monkeypatch.setattr(driver, "estimate_expectations", spy)
+    monkeypatch.setattr(driver, "_estimate", spy)
     config = quick_config(mode=SAMPLED, shots=200, iterations=5, restarts=2)
     run_hierarchical(LADDER[:2], config)
     # cold rung: 50 calibration probes + 11 SPSA evaluations per run; warm rung:
@@ -303,7 +311,7 @@ def test_distribution_study_checks_every_mode_before_estimating(q2_problem, monk
     def estimate(*args, **kwargs):
         raise AssertionError("estimated before every mode was checked")
 
-    for name in ("prepare_state", "estimate_expectations"):
+    for name in ("prepare_state", "_estimate"):
         monkeypatch.setattr(driver, name, estimate)
     with pytest.raises(ValueError, match="must be statistical, got 'exact'"):
         run_distribution_study(
