@@ -9,8 +9,10 @@ contracted in `driver`.  Every circuit runs on one gate compiler,
 each gate's depolarizing channel as a superket of 2Q.  Each setting's
 outcome distribution comes off the pure state through its basis change, or
 off the density matrix through one precomputed map (`_folded_map`).  Both
-modes draw each seed's counts as `default_rng(seed)` would and tally them
-alike (a noisy estimate optionally undoing readout confusion first).
+modes hash a batch's seeds at once to the PCG64 starts `default_rng(seed)`
+would take (`_pcg64_states`), draw each seed's counts from its start and
+tally them alike (a noisy estimate optionally undoing readout confusion
+first).
 """
 
 from __future__ import annotations
@@ -547,12 +549,6 @@ def _distributions(ansatz: AnsatzSpec, values: np.ndarray, plan, noise: NoiseSpe
 # 0.1-1.5 us per setting and a 1-D call 1.3-2.9 us, so they cross at 8-10
 _ROW_DRAWS = 8
 
-# seeds per `_counts` call from which `_hashed_generators` beats a `default_rng`
-# per seed: seeding alone, from the same words, it ran 0.50x as fast at 2
-# seeds, 0.85-0.89x at 4, 0.99-1.02x at 5, 1.10-1.15x at 6 and 1.38-1.40x at
-# 8 (int seeds and [s, k] pairs, medians of 15 rounds)
-_HASHED_SEEDS = 5
-
 # numpy's SeedSequence (numpy/random/bit_generator.pyx) with its default
 # pool of four 32-bit words, and PCG64's 128-bit LCG multiplier
 _POOL = 4
@@ -629,18 +625,15 @@ def _word_table(seeds) -> np.ndarray:
     """words[K, _POOL]: every seed's `_seed_words`, as uint32.
 
     Integers in [0, 2^64), or pairs of them whose first is at least 2^32
-    (seed_stream's seeds and the driver's [run seed, counter] pairs), are
-    each value's low then high 32-bit word, zero-padded, so a batch of
-    `_HASHED_SEEDS` or more such seeds is laid out as one array.  Any other
-    batch goes seed by seed through `_seed_words`, which raises the
-    documented errors; a smaller one's seeds each get a `default_rng` anyway.
+    (seed_stream's seeds and the driver's evaluation seeds), are each
+    value's low then high 32-bit word, zero-padded, so such a batch is laid
+    out as one array.  Any other batch goes seed by seed through
+    `_seed_words`, which raises the documented errors.
     """
-    values = np.empty(0, dtype=object)
-    if len(seeds) >= _HASHED_SEEDS:
-        try:
-            values = np.asarray(seeds)
-        except (TypeError, ValueError):  # a ragged batch
-            pass
+    try:
+        values = np.asarray(seeds)
+    except (TypeError, ValueError):  # a ragged batch
+        values = np.empty(0, dtype=object)
     rows = values.ndim == 1 or values.ndim == 2 and set(map(type, seeds)) <= {list, tuple, range}
     if values.dtype.kind in "iu" and rows and not (values < 0).any():
         pairs = values.astype("<u8").reshape(len(values), -1).view("<u4")
@@ -652,20 +645,16 @@ def _word_table(seeds) -> np.ndarray:
     return np.array([_seed_words(seed) for seed in seeds], dtype=np.uint32).reshape(-1, _POOL)
 
 
-_THREAD = threading.local()
+def _pcg64_states(words: np.ndarray) -> list:
+    """Each seed's `default_rng` start: PCG64 (state, inc) per row of words[K, _POOL].
 
-
-def _hashed_generators(words: np.ndarray):
-    """The calling thread's one Generator, set in turn to each seed's `default_rng` start.
-
-    `PCG64(SeedSequence(entropy))` runs as uint32 arithmetic on all rows of
-    words[K, _POOL] at once.  mix_entropy hashes each pool word, then mixes
-    every source word's hash into each other word: mix(x, y) = L x - R y,
-    xorshifted, the three mixes from one source in one step.
-    generate_state(4, uint64) hashes the pool twice over into 8 words, paired
-    little-endian into (initstate_hi, initstate_lo, initseq_hi, initseq_lo),
-    and PCG64 seeds from them: inc = 2 initseq + 1, state = ((inc +
-    initstate) M + inc) mod 2^128.  Draw from each before taking the next.
+    `PCG64(SeedSequence(entropy))` runs as uint32 arithmetic on all rows at
+    once.  mix_entropy hashes each pool word, then mixes every source word's
+    hash into each other word: mix(x, y) = L x - R y, xorshifted, the three
+    mixes from one source in one step.  generate_state(4, uint64) hashes the
+    pool twice over into 8 words, paired little-endian into (initstate_hi,
+    initstate_lo, initseq_hi, initseq_lo), and PCG64 seeds from them: inc =
+    2 initseq + 1, state = ((inc + initstate) M + inc) mod 2^128.
     """
     xors, mults = _ENTROPY_HASHES
     pool = _hashed(words, xors[0], mults[0])
@@ -678,40 +667,50 @@ def _hashed_generators(words: np.ndarray):
         mixed[:, src] = pool[:, src]
         pool = mixed
     seeded = _hashed(pool[:, None], *_STATE_HASHES).astype("<u4").view("<u8").reshape(-1, _POOL)
+    states = []
+    for a, b, c, d in seeded.tolist():
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        states.append((((a << 64 | b) + inc) * _PCG64_MULT + inc & _MASK128, inc))
+    return states
+
+
+_THREAD = threading.local()
+
+
+def _counts(states, shots: int, probs: np.ndarray) -> np.ndarray:
+    """counts[K, S, 2^Q], row k bit for bit `default_rng(seed k).multinomial(shots, probs[k])`.
+
+    states[K] holds the seeds' PCG64 (state, inc) starts (`_pcg64_states`),
+    probs[B, S, 2^Q] a table per seed or one for all.  The calling thread's
+    one Generator (none is built per call or shared between threads) is set
+    to each start in turn and draws that seed's counts.  numpy draws a 2-D
+    multinomial row by row from one stream, so up to `_ROW_DRAWS` settings
+    1-D draws per setting give the same counts.
+    """
     if not hasattr(_THREAD, "rng"):
         _THREAD.rng = np.random.default_rng(0)  # its state is replaced before each draw
     # the setter only reads the dict, so one serves every seed
     rng, pcg = _THREAD.rng, {}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for a, b, c, d in seeded.tolist():
-        pcg["inc"] = inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        pcg["state"] = ((a << 64 | b) + inc) * _PCG64_MULT + inc & _MASK128
-        rng.bit_generator.state = state
-        yield rng
-
-
-def _counts(words: np.ndarray, shots: int, probs: np.ndarray) -> np.ndarray:
-    """counts[K, S, 2^Q], row k bit for bit `default_rng(seed k).multinomial(shots, probs[k])`.
-
-    words[K, _POOL] holds the seeds' `_word_table` words, probs[B, S, 2^Q]
-    a table per seed or one for all.  Below `_HASHED_SEEDS` seeds each gets
-    its own `default_rng`, else `_hashed_generators` gives the same streams.
-    numpy draws a 2-D multinomial row by row from one stream, so up to
-    `_ROW_DRAWS` settings 1-D draws per setting give the same counts.
-    """
-    # a uint32 array is numpy's cheapest entropy to read, and padding does not
-    # change it, so each row's default_rng is its seed's stream
-    hashed = len(words) >= _HASHED_SEEDS
-    generators = _hashed_generators(words) if hashed else map(np.random.default_rng, words)
     # each table's draw inputs (its rows, or itself past _ROW_DRAWS) are listed once, not once per seed
     split = probs.shape[1] <= _ROW_DRAWS
     inputs = itertools.cycle([list(table) if split else [table] for table in probs])
-    draws = [rng.multinomial(shots, p) for rng, ps in zip(generators, inputs) for p in ps]
-    return np.array(draws, dtype=np.int64).reshape((len(words),) + probs.shape[1:])
+    draws = []
+    for (pcg["state"], pcg["inc"]), ps in zip(states, inputs):
+        rng.bit_generator.state = state
+        draws += [rng.multinomial(shots, p) for p in ps]
+    return np.array(draws, dtype=np.int64).reshape((len(states),) + probs.shape[1:])
 
 
-def _estimate(ansatz, points, operator, shots, seeds, noise=None, mitigate=True, grouping=True):
-    """`estimate_expectations` as arrays (value[K], variance[K]), bit for bit its estimates'."""
+def _estimate(
+    ansatz, points, operator, shots, seeds, noise=None, mitigate=True, grouping=True, hashed=False
+):
+    """`estimate_expectations` as arrays (value[K], variance[K]), bit for bit its estimates'.
+
+    Once the other arguments are checked, every seed is checked and hashed
+    to its PCG64 start, before any distribution is made.  With `hashed`,
+    seeds[K] are those starts already, as `_pcg64_states` gives them.
+    """
     if ansatz.qubits != operator.qubits:
         raise ValueError("ansatz and operator registers differ")
     if shots < 1:
@@ -720,9 +719,9 @@ def _estimate(ansatz, points, operator, shots, seeds, noise=None, mitigate=True,
     if len(seeds) < 1 or len(values) not in (1, len(seeds)):
         raise ValueError(f"expected one seed per point, got {len(seeds)} for {len(values)}")
     inverse = _inverse_readout(noise, ansatz.qubits) if noise is not None and mitigate else None
-    words = _word_table(seeds)
+    states = seeds if hashed else _pcg64_states(_word_table(seeds))
     plan = _measurement_plan(operator, grouping)
-    counts = _counts(words, shots, _distributions(ansatz, values, plan, noise))
+    counts = _counts(states, shots, _distributions(ansatz, values, plan, noise))
     if inverse is not None:
         # one (1, 2^Q) @ (2^Q, 2^Q) product per setting, as for a single setting
         freq = np.matmul((counts / shots)[..., None, :], inverse)[..., 0, :]

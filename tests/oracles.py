@@ -17,8 +17,11 @@ for bit; the amplitude-traversal `exact_expectation` uses the package's
 bitmask convention and is itself checked against dense matrices;
 `serial_spsa` is the one-run SPSA loop that the lockstep batch reproduces
 bit for bit, and `serial_seed_stream` the Python-int splitmix64 loop that
-the uint64 `seed_stream` reproduces; `pairwise_multiplication_matrix`,
-`pairwise_derivative_matrix` and `masked_jacobi_eigh` are the former
+the uint64 `seed_stream` reproduces; `serial_counts` the one
+`default_rng` per seed that the hashed PCG64 starts reproduce, and
+`per_evaluation_evaluator` the driver's statistical objective with a
+`default_rng` built per evaluation, which its prefetched starts reproduce;
+`pairwise_multiplication_matrix`, `pairwise_derivative_matrix` and `masked_jacobi_eigh` are the former
 dict-product matrix builders and masked Jacobi rotation loop, and `map_element`, `elementwise_map_operator` and
 `loop_chain_matrix` the former per-element Pauli expansion and
 per-state-pair chain assembly, which the package's versions reproduce bit
@@ -42,7 +45,7 @@ import math
 
 import numpy as np
 
-from rotorvqe import qsim
+from rotorvqe import driver, qsim
 from rotorvqe.dihedral import (
     build_single_dihedral_matrix,
     derivative_matrix_elements,
@@ -550,6 +553,51 @@ def serial_seed_stream(master_seed: int, count: int) -> tuple:
         z ^= z >> 31
         out.append(z >> 1)
     return tuple(out)
+
+
+def serial_counts(words, shots: int, probs) -> np.ndarray:
+    """The former per-seed `_counts`: counts[K, S, 2^Q] from one `default_rng` per seed.
+
+    words[K, 4] holds each seed's `_seed_words`; numpy reads a uint32 word
+    array as the entropy the seed itself gives, so row k draws
+    `default_rng(seed k).multinomial(shots, probs[k % len(probs)])`, all of
+    its settings in one 2-D draw.
+    """
+    draws = [
+        np.random.default_rng(row).multinomial(shots, probs[k % len(probs)])
+        for k, row in enumerate(words)
+    ]
+    return np.array(draws, dtype=np.int64).reshape((len(words),) + np.shape(probs)[1:])
+
+
+def per_evaluation_evaluator(problem, config, run_seeds):
+    """The driver's statistical objective, seeded one evaluation at a time.
+
+    Row i of a batch belongs to run i % len(run_seeds), as in
+    `driver._batch_evaluator`.  Evaluation k of a run builds
+    `default_rng(driver._evaluation_seed(run seed, k))` and is estimated
+    alone from that generator's PCG64 start, so only the seeding differs
+    from the driver's prefetched starts.
+    """
+    noise = config.noise if config.mode == qsim.NOISY else None
+    counters = [0] * len(run_seeds)
+
+    def evaluate(points):
+        values = []
+        for i, point in enumerate(points):
+            run = i % len(run_seeds)
+            seed = driver._evaluation_seed(run_seeds[run], counters[run])
+            counters[run] += 1
+            start = np.random.default_rng(seed).bit_generator.state["state"]
+            value, _ = qsim._estimate(
+                problem.ansatz, point[None, :], problem.operator, config.shots,
+                [(start["state"], start["inc"])], noise, config.mitigate, config.grouping,
+                hashed=True,
+            )
+            values.append(value[0])
+        return np.array(values)
+
+    return evaluate
 
 
 def serial_spsa(evaluate, x0, seed, iterations, config, a=None):

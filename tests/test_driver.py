@@ -33,7 +33,7 @@ from rotorvqe.qsim import (
 
 from conftest import LADDER, make_chain
 
-from oracles import dense_from_labels, serial_seed_stream
+from oracles import dense_from_labels, per_evaluation_evaluator, serial_seed_stream
 
 
 def quick_config(**overrides) -> VqeConfig:
@@ -175,9 +175,10 @@ def test_ensemble_worker_count_does_not_change_results(q2_problem):
 def test_sampled_ladder_never_reuses_an_evaluation_seed(monkeypatch):
     seen = []
 
-    def spy(ansatz, points, operator, shots, seeds, *args):
+    # the driver passes each evaluation seed hashed to its PCG64 start
+    def spy(ansatz, points, operator, shots, seeds, *args, **kwargs):
         seen.extend(tuple(seed) for seed in seeds)
-        return qsim._estimate(ansatz, points, operator, shots, seeds, *args)
+        return qsim._estimate(ansatz, points, operator, shots, seeds, *args, **kwargs)
 
     monkeypatch.setattr(driver, "_estimate", spy)
     config = quick_config(mode=SAMPLED, shots=200, iterations=5, restarts=2)
@@ -186,6 +187,77 @@ def test_sampled_ladder_never_reuses_an_evaluation_seed(monkeypatch):
     # one start probe + 11 evaluations per run
     assert len(seen) == 2 * 61 + 1 + 2 * 11
     assert len(set(seen)) == len(seen)
+
+
+# run seeds below 2^32 make [run seed, k] take SeedSequence's packed word
+# layout, not the (low, high) words of a 63-bit seed_stream seed; the last
+# puts both layouts in one prefetch pass
+SMALL_RUN_SEEDS = (0, 2**32 - 1, 2**40 + 7)
+
+
+def prefetched_and_per_evaluation(monkeypatch, run, small_seeds, block=7):
+    """run() with the driver's prefetched evaluation seeds, then with per_evaluation_evaluator."""
+    with monkeypatch.context() as patch:
+        patch.setattr(driver, "_SEED_BLOCK", block)
+        if small_seeds:
+            patch.setattr(driver, "seed_stream", lambda master, count: SMALL_RUN_SEEDS[:count])
+        got = run()
+        patch.setattr(driver, "_batch_evaluator", per_evaluation_evaluator)
+        return got, run()
+
+
+def hexes(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("small_seeds", [False, True])
+@pytest.mark.parametrize("restarts", [1, 2, 3])
+@pytest.mark.parametrize("mode", [SAMPLED, NOISY])
+def test_prefetched_states_match_per_evaluation_seeding(
+    q2_problem, monkeypatch, mode, restarts, small_seeds
+):
+    # 50 calibration probes per run in one call, then 25 SPSA evaluations in
+    # twos, across blocks of 7 that leave one seed over between refills
+    config = quick_config(mode=mode, shots=200, iterations=12, restarts=restarts)
+    got, want = prefetched_and_per_evaluation(
+        monkeypatch, lambda: run_ensemble(config, q2_problem), small_seeds
+    )
+    assert hexes(got.values) == hexes(want.values)
+    assert hexes(got.best_params) == hexes(want.best_params)
+
+
+def test_prefetched_states_cross_full_blocks(q2_problem, monkeypatch):
+    # 50 + 2 * 240 + 1 evaluations per run take three passes of _SEED_BLOCK
+    config = quick_config(mode=SAMPLED, shots=200, iterations=240, restarts=2)
+    assert 2 * driver._SEED_BLOCK < 50 + config.budget
+    got, want = prefetched_and_per_evaluation(
+        monkeypatch, lambda: run_ensemble(config, q2_problem), False, driver._SEED_BLOCK
+    )
+    assert hexes(got.values + got.best_params) == hexes(want.values + want.best_params)
+
+
+@pytest.mark.parametrize("small_seeds", [False, True])
+def test_prefetched_states_match_in_nelder_mead(q2_problem, monkeypatch, small_seeds):
+    config = quick_config(mode=SAMPLED, shots=200, iterations=10, optimizer=NELDER_MEAD)
+    got, want = prefetched_and_per_evaluation(
+        monkeypatch, lambda: run_vqe(config, q2_problem), small_seeds
+    )
+    # one row per call, 21 evaluations across blocks of 7
+    assert len(got.trace.eval_values) > 2 * 7
+    assert hexes(got.trace.eval_values) == hexes(want.trace.eval_values)
+    assert hexes((got.value,) + got.params) == hexes((want.value,) + want.params)
+
+
+@pytest.mark.parametrize("small_seeds", [False, True])
+def test_prefetched_states_match_in_warm_start_ladder(monkeypatch, small_seeds):
+    config = quick_config(mode=SAMPLED, shots=200, iterations=5, restarts=2)
+    got, want = prefetched_and_per_evaluation(
+        monkeypatch, lambda: run_hierarchical(LADDER[:2], config), small_seeds
+    )
+    for one, two in zip(got, want, strict=True):
+        # the warm rung's start value is the probe's one evaluation
+        assert hexes((one.start_value, one.best_value)) == hexes((two.start_value, two.best_value))
+        assert hexes(one.best_params) == hexes(two.best_params)
 
 
 def test_production_q2_ensemble_band(q2_stats):

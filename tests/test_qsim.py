@@ -47,6 +47,7 @@ from oracles import (
     exact_expectation,
     gather_sampled_expectations,
     kraus_outcome_distributions,
+    serial_counts,
     serial_noisy_distributions,
     serial_prepare_state,
     serial_sampled_expectation,
@@ -410,9 +411,9 @@ def estimate_with_seeds(seeds):
 def test_bad_seeds_fail_as_in_numpy(seed, error):
     with pytest.raises(error):
         np.random.default_rng(seed)
-    # alone, and among enough good seeds to take the hashed seeding
-    good = list(range(qsim._HASHED_SEEDS))
-    for seeds in ([seed], good[:3] + [seed] + good[3:]):
+    # alone, and in batches of 2, 4 and 6
+    good = [0, 1, 2, 3, 4]
+    for seeds in ([seed], [7, seed], good[:3] + [seed], good[:3] + [seed] + good[3:]):
         with pytest.raises(error):
             estimate_with_seeds(seeds)
 
@@ -421,25 +422,36 @@ def test_bad_seeds_fail_as_in_numpy(seed, error):
     "seed", [2**128, [1, 2, 3, 4, 5], [2**64, 2**32], (2**96, 0), range(5), [2**32, 2**32, 1]]
 )
 def test_seeds_wider_than_the_seed_sequence_pool_fail(seed):
-    good = list(range(qsim._HASHED_SEEDS))
-    for seeds in ([seed], good + [seed], [seed] * len(good)):
+    good = [0, 1, 2, 3, 4]
+    for seeds in (
+        [seed], [7, seed], good[:3] + [seed], good + [seed], [seed] * 2, [seed] * len(good),
+    ):
         with pytest.raises(ValueError, match="128 bits"):
             estimate_with_seeds(seeds)
 
 
 def test_hashed_seeding_matches_default_rng():
-    # the one generator _counts reseeds takes each seed's default_rng state;
-    # a uint32 drawn between seeds leaves a half-used word the reseed clears
+    # the vectorized hash gives each seed its default_rng's PCG64 start
     edges = list(EDGE_SEEDS) + [
         2**64 - 1, 2**128 - 1, np.int64(11), np.uint64(2**64 - 1), [0, 0], [5, 0],
         [2**64 - 1, 2**64 - 1], [], (7,), range(4),
     ]
     seeds = edges + random_seeds(np.random.default_rng(17), 1000)
     words = np.array([qsim._seed_words(seed) for seed in seeds], dtype=np.uint32)
-    generators = qsim._hashed_generators(words)
-    for seed, rng in zip(seeds, generators, strict=True):
-        assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state, seed
-        rng.integers(2**32, dtype=np.uint32)
+    states = qsim._pcg64_states(words)
+    for seed, (state, inc) in zip(seeds, states, strict=True):
+        expected = np.random.default_rng(seed).bit_generator.state["state"]
+        assert {"state": state, "inc": inc} == expected, seed
+    # the one generator _counts reseeds takes each start whole: a uint32 drawn
+    # before a call leaves a half-used word the reseed clears
+    probs = np.random.default_rng(3).dirichlet(np.ones(4), size=(1, 2))
+    qsim._counts(states[:1], 1, probs)
+    for seed, state in zip(seeds[:50], states):
+        qsim._THREAD.rng.integers(2**32, dtype=np.uint32)
+        counts = qsim._counts([state], 777, probs)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(counts[0], rng.multinomial(777, probs[0])), seed
+        assert qsim._THREAD.rng.bit_generator.state == rng.bit_generator.state, seed
 
 
 @pytest.mark.parametrize(
@@ -455,15 +467,19 @@ def test_seed_errors_come_before_any_draw(seed, error, monkeypatch):
         raise AssertionError("distributions made before every seed was checked")
 
     monkeypatch.setattr(qsim, "_distributions", table)
-    good = list(range(qsim._HASHED_SEEDS))
-    for seeds in ([seed], good + [seed], [[s, 7] for s in good] + [seed], [seed] * len(good)):
+    good = [0, 1, 2, 3, 4]
+    pairs = [[s, 7] for s in good]
+    for seeds in (
+        [seed], [7, seed], good[:3] + [seed], pairs[:3] + [seed], good + [seed], pairs + [seed],
+        [seed] * len(good),
+    ):
         with pytest.raises(error):
             estimate_with_seeds(seeds)
 
 
 def test_word_table_matches_seed_words(monkeypatch):
-    # batches of qsim._HASHED_SEEDS or more ints, or of pairs whose first
-    # value has a high word, are laid out in one pass; others seed by seed
+    # batches of ints, or of pairs whose first value has a high word, are
+    # laid out in one pass at any size; others seed by seed
     stream = seed_stream(2021, 50)
     one_pass = [
         [0, 2**32 - 1, 2**32, 2**63 - 1, 1],
@@ -474,6 +490,10 @@ def test_word_table_matches_seed_words(monkeypatch):
         [(2**64 - 1, 2**63), [2**63, 2**64 - 1]] * 3,
         [range(2**32, 2**32 + 2)] * 5,
         [[0], [2**32], [7], [2**62], [5]],
+        [5],
+        [2**63, 2**64 - 1],
+        [[2**32, 0], [2**40, 3]],
+        [(2**62, 1)] * 4,
         range(100),
         stream,
         [[s, k] for k, s in enumerate(stream)],
@@ -487,7 +507,8 @@ def test_word_table_matches_seed_words(monkeypatch):
         [[0, 0], [5, 0], [7, 1], [0, 2**32], [1, 2]],
         [[1, 2, 3, 4], [0, 2**32 - 1, 0, 5]] * 3,
         [[2**32, 1, 2]] * 5,
-        [2**63, 2**64 - 1],
+        [[7, 0]],
+        [[5, 1], [2**40, 2]],
         random_seeds(np.random.default_rng(5), 300),
     ]
     want = [np.array([qsim._seed_words(seed) for seed in batch], dtype=np.uint32) for batch in one_pass]
@@ -510,13 +531,14 @@ def test_hashed_counts_in_threads_match_serial_counts():
     # interleave one another's streams
     rng = np.random.default_rng(41)
     tables = rng.dirichlet(np.ones(4), size=(1, 2))
-    batches = [qsim._word_table(random_seeds(rng, 40)) for _ in range(16)]
-    want = [qsim._counts(words, 777, tables) for words in batches]
+    words = [qsim._word_table(random_seeds(rng, 40)) for _ in range(16)]
+    want = [serial_counts(batch, 777, tables) for batch in words]
+    batches = [qsim._pcg64_states(batch) for batch in words]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(qsim._counts, words, 777, tables) for words in batches * 4]
+            futures = [pool.submit(qsim._counts, states, 777, tables) for states in batches * 4]
             done, pending = concurrent.futures.wait(futures, timeout=120)
     finally:
         sys.setswitchinterval(interval)
@@ -546,12 +568,12 @@ def test_array_core_matches_estimates_bit_for_bit(noisy, mitigate, grouping):
 @pytest.mark.parametrize("settings_count", [1, 8, 9, 36])
 def test_counts_match_default_rng_multinomial(settings_count):
     # one 1-D draw per setting up to qsim._ROW_DRAWS settings, one 2-D draw
-    # past it; numpy's own 2-D draw is the reference.  Below
-    # qsim._HASHED_SEEDS seeds each takes its own default_rng, from it they
-    # share one reseeded generator
+    # past it; numpy's own 2-D draw is the reference, from one default_rng
+    # per seed as in serial_counts.  Every batch size shares one reseeded
+    # generator
     rng = np.random.default_rng(settings_count)
     edges = list(EDGE_SEEDS) + [[5, 0], [2**63 - 1, 12]]
-    for seeds in (edges[: qsim._HASHED_SEEDS - 1], edges + random_seeds(rng, 34)):
+    for seeds in (edges[:1], edges[4:], edges[:4], edges[2:], edges + random_seeds(rng, 34)):
         for outcomes in (2, 16):
             tables = rng.dirichlet(np.ones(outcomes), size=(len(seeds), settings_count))
             tables[:, 0, : outcomes // 2] = 0.0
@@ -559,7 +581,9 @@ def test_counts_match_default_rng_multinomial(settings_count):
             for shots in (1, 777, 20000):
                 # one table per seed, or one that every seed shares
                 for probs in (tables, tables[:1]):
-                    counts = qsim._counts(qsim._word_table(seeds), shots, probs)
+                    words = qsim._word_table(seeds)
+                    counts = qsim._counts(qsim._pcg64_states(words), shots, probs)
+                    assert np.array_equal(counts, serial_counts(words, shots, probs))
                     for k, seed in enumerate(seeds):
                         expected = np.random.default_rng(seed).multinomial(shots, probs[k % len(probs)])
                         assert counts.dtype == expected.dtype and np.array_equal(counts[k], expected)
