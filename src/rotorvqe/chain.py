@@ -35,7 +35,7 @@ from .dihedral import (
     solve_dihedral,
     uprime_matrix_elements,
 )
-from .linalg import canonical_sign, jacobi_eigh
+from .linalg import _checked_symmetric, canonical_sign
 from .potential import ChainSpec
 
 PAD_PENALTY_FACTOR = 10.0
@@ -203,19 +203,20 @@ def pad_matrix(matrix: np.ndarray, qubits: int) -> np.ndarray:
 
 def reference_spectrum(matrix: np.ndarray):
     """Full classical eigensolution: ascending eigenvalues, eigenvector columns."""
-    w, v = jacobi_eigh(matrix)
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
+    w, v = np.linalg.eigh(_checked_symmetric(matrix))
     for i in range(v.shape[1]):
         v[:, i] = canonical_sign(v[:, i])
     return w, v
 
 
 def lowest_eigenvalue(matrix: np.ndarray) -> float:
-    """Smallest eigenvalue, bit for bit `reference_spectrum(matrix)[0][0]`."""
-    w, _ = jacobi_eigh(matrix)
-    return float(w[np.argmin(w)])
+    """Smallest eigenvalue, bit for bit `reference_spectrum(matrix)[0][0]`.
+
+    It reads the same LAPACK `eigh` call: `eigvalsh` can differ in the last
+    bit.
+    """
+    w, _ = np.linalg.eigh(_checked_symmetric(matrix))
+    return float(w[0])
 
 
 def rate_constant(lambda1: float) -> float:

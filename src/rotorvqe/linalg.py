@@ -1,10 +1,12 @@
-"""Dense symmetric eigensolver: cyclic Jacobi rotations.
+"""Dense symmetric eigensolvers: input checks and cyclic Jacobi rotations.
 
 Matrices in this package are small (at most 65x65 for the spectral basis,
-at most 16x16 for composite operators), so a classic cyclic Jacobi sweep is
-plenty and keeps the reference pipeline self-contained. Off-diagonal mass is
-driven below a tolerance relative to the Frobenius norm of the input; for
-matrices of order-one entries that is an absolute 1e-12.
+at most 16x16 for composite operators). The dihedral blocks go through a
+classic cyclic Jacobi sweep, whose eigenvector bits define every chain
+matrix; the chain's own spectrum comes from LAPACK (`numpy.linalg.eigh`)
+behind the same input checks. Jacobi drives the off-diagonal mass below a
+tolerance relative to the Frobenius norm of the input; for matrices of
+order-one entries that is an absolute 1e-12.
 """
 
 from __future__ import annotations
@@ -20,6 +22,23 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0))
 
 
+def _checked_symmetric(matrix) -> np.ndarray:
+    """The input as a float array, averaged with its transpose.
+
+    Raises ValueError unless it is square, non-empty and symmetric to
+    1e-10 * max(1, max|a|); a NaN fails the symmetry check. LAPACK reads one
+    triangle only, so it would take a non-symmetric input silently.
+    """
+    a = np.array(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise ValueError("empty matrix")
+    if not np.allclose(a, a.T, rtol=0.0, atol=1e-10 * max(1.0, np.abs(a).max())):
+        raise ValueError("matrix is not symmetric")
+    return 0.5 * (a + a.T)
+
+
 def jacobi_eigh(matrix: np.ndarray, tol: float = OFFDIAG_TOL, max_sweeps: int = 100):
     """Eigenvalues and eigenvectors of a real symmetric matrix.
 
@@ -27,16 +46,8 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = OFFDIAG_TOL, max_sweeps: int = 
     order. Raises ValueError if the input is not square/symmetric or if the
     sweep limit is exceeded.
     """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = _checked_symmetric(matrix)
     n = a.shape[0]
-    if n == 0:
-        raise ValueError("empty matrix")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-10 * max(1.0, np.abs(a).max())):
-        raise ValueError("matrix is not symmetric")
-    a = 0.5 * (a + a.T)
-
     scale = float(np.linalg.norm(a))
     if scale == 0.0:
         return np.zeros(n), np.eye(n)

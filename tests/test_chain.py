@@ -11,6 +11,7 @@ from rotorvqe.chain import (
     reference_spectrum,
 )
 from rotorvqe.driver import build_problem
+from rotorvqe.linalg import jacobi_eigh
 from rotorvqe.potential import BISTABLE, MONOSTABLE, ChainSpec, DihedralSpec
 
 LADDER = ((4, 2), (4, 4), (8, 4))
@@ -189,6 +190,54 @@ def test_problem_reference_is_the_lowest_spectrum_value_bit_for_bit(barrier):
         expected = float(reference_spectrum(problem.matrix)[0][0])
         assert np.float64(problem.reference).tobytes() == np.float64(expected).tobytes()
         assert lowest_eigenvalue(problem.matrix) == expected
+
+
+# both ends of a barrier scan plus seeded heights in between
+SCAN_BARRIERS = (0.5, 3.0, *np.random.default_rng(20).uniform(0.5, 3.0, 6))
+# LAPACK and Jacobi round differently. Over 42 barriers x 3 rungs lambda1
+# moved by at most 6.8e-16 of itself and any eigenvalue by at most 1.2e-15
+# of the spectral radius.
+LAMBDA1_RTOL = 2e-15
+SPECTRUM_RTOL = 4e-15
+
+
+@pytest.mark.parametrize("barrier", SCAN_BARRIERS, ids=lambda b: f"{b:.4f}")
+def test_reference_spectrum_matches_jacobi_oracle_within_tolerance(barrier):
+    for i, rung in enumerate(LADDER):
+        matrix = build_problem(standard_chain(barrier), rung, ladder=LADDER[: i + 1]).matrix
+        expected = np.sort(jacobi_eigh(matrix)[0])
+        w, v = reference_spectrum(matrix)
+        assert np.all(np.diff(w) >= 0.0)
+        for value in (lowest_eigenvalue(matrix), w[0]):
+            assert abs(value - expected[0]) <= LAMBDA1_RTOL * abs(expected[0])
+        assert np.max(np.abs(w - expected)) <= SPECTRUM_RTOL * np.max(np.abs(expected))
+        residuals = np.linalg.norm(matrix @ v - v * w, axis=0)
+        assert np.all(residuals <= 1e-12 * np.linalg.norm(matrix, 2))
+        assert np.max(np.abs(v.T @ v - np.eye(len(w)))) <= 1e-12
+        columns = np.arange(len(w))
+        assert np.all(v[np.argmax(np.abs(v), axis=0), columns] > 0.0)
+
+
+# bare LAPACK returns an empty spectrum, reads one triangle of the
+# non-symmetric matrix and returns a NaN eigenvalue, and raises its own
+# message on the non-square one
+BAD_MATRICES = {
+    "non-square": np.zeros((2, 3)),
+    "empty": np.zeros((0, 0)),
+    "non-symmetric": np.array([[0.0, 1.0], [2.0, 0.0]]),
+    "nan": np.array([[np.nan, 0.0], [0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("solver", [reference_spectrum, lowest_eigenvalue])
+@pytest.mark.parametrize("kind", BAD_MATRICES)
+def test_chain_solvers_reject_what_jacobi_rejects(solver, kind):
+    matrix = BAD_MATRICES[kind]
+    with pytest.raises(ValueError) as jacobi_error:
+        jacobi_eigh(matrix)
+    with pytest.raises(ValueError) as error:
+        solver(matrix)
+    assert str(error.value) == str(jacobi_error.value)
 
 
 def test_barrier_monotonicity():
