@@ -18,10 +18,8 @@ probe pass it one row at a time.
 
 from __future__ import annotations
 
-import collections
 import concurrent.futures
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -207,41 +205,38 @@ def _batch_evaluator(problem: Problem, config: VqeConfig, run_seeds):
 
     The one way to evaluate an objective: a single point is a batch of one
     row, and every batch is one call.  Exact mode contracts the prepared
-    states against the matrix; the statistical modes call the array core of
-    `estimate_expectations`, `qsim._estimate`, with the configured noise
-    model in noisy mode.  They seed a run's k-th evaluation with
-    `_evaluation_seed(run seed, k)`, so every run sees the evaluation seeds
-    it would see alone.  Those seeds are known in advance: a run with too
-    few left for a call gets its next `_SEED_BLOCK` (more if the call needs
-    more) hashed to PCG64 starts, in one `qsim._pcg64_states` pass with every
-    other such run's, and each call only sets a generator per row.
+    states against the matrix; the statistical modes call the shot
+    estimator, `qsim._estimate`, with the configured noise model in noisy
+    mode.  They seed a run's k-th evaluation with `_evaluation_seed(run
+    seed, k)`, so every run sees the evaluation seeds it would see alone.
+    Every call gives each run the same number of rows (its calibration
+    probes, an SPSA pair, a final point or one Nelder-Mead point), so the
+    rows' PCG64 starts are read in call order from one table at one shared
+    cursor.  When the table runs short, every run's next `_SEED_BLOCK`
+    evaluation seeds (more if a call needs more) are hashed onto it in one
+    `qsim._pcg64_states` pass, evaluation by evaluation, run by run.
     """
     if config.mode == EXACT:
         return lambda points: _energies(prepare_states(problem.ansatz, points), problem.matrix)
-    runs = len(run_seeds)
-    queued = [collections.deque() for _ in run_seeds]
-    fetched = [0] * runs  # evaluations each run has had seeds hashed for
     noise = config.noise if config.mode == NOISY else None
+    table, cursor, fetched = [], 0, 0  # fetched: evaluations per run hashed so far
 
     def evaluate(points):
-        short = [
-            run for run in range(runs) if len(queued[run]) < len(range(run, len(points), runs))
-        ]
-        if short:
-            size = max(_SEED_BLOCK, -(-len(points) // runs))
+        nonlocal table, cursor, fetched
+        if cursor + len(points) > len(table):
+            size = max(_SEED_BLOCK, len(points) // len(run_seeds))
             seeds = [
-                _evaluation_seed(run_seeds[run], k)
-                for run in short
-                for k in range(fetched[run], fetched[run] + size)
+                _evaluation_seed(run_seed, k)
+                for k in range(fetched, fetched + size)
+                for run_seed in run_seeds
             ]
-            states = iter(_pcg64_states(_word_table(seeds)))
-            for run in short:
-                queued[run].extend(itertools.islice(states, size))
-                fetched[run] += size
-        states = [queued[i % runs].popleft() for i in range(len(points))]
+            table, cursor = table[cursor:] + _pcg64_states(_word_table(seeds)), 0
+            fetched += size
+        starts = table[cursor : cursor + len(points)]
+        cursor += len(points)
         return _estimate(
-            problem.ansatz, points, problem.operator, config.shots, states, noise,
-            config.mitigate, config.grouping, hashed=True,
+            problem.ansatz, points, problem.operator, config.shots, starts, noise,
+            config.mitigate, config.grouping,
         )[0]
 
     return evaluate
@@ -582,8 +577,10 @@ def run_distribution_study(
 
     Each mode estimates all its repetitions in one call of `qsim._estimate`:
     the mode's outcome distributions are made once, from the one parameter
-    row, and repetition k draws from them with the k-th seed of the mode's
-    stream, as a lone estimate would.
+    row, and repetition k draws from them with the PCG64 start of the k-th
+    seed of the mode's stream, hashed as the driver's evaluation seeds are
+    (`qsim._pcg64_states(qsim._word_table(seeds))`), as a lone estimate
+    would.
     """
     if repetitions < 2:
         raise ValueError("need at least two repetitions for spread statistics")
@@ -603,10 +600,10 @@ def run_distribution_study(
     exact_value = float(_energies(state[None, :], problem.matrix)[0])
     studies = []
     for m, mode in enumerate(modes):
-        seeds = seed_stream(config.seed + 7919 * (m + 1), repetitions)
+        starts = _pcg64_states(_word_table(seed_stream(config.seed + 7919 * (m + 1), repetitions)))
         noise = config.noise if mode == NOISY else None
         values, _ = _estimate(
-            problem.ansatz, params[None, :], problem.operator, config.shots, seeds, noise,
+            problem.ansatz, params[None, :], problem.operator, config.shots, starts, noise,
             config.mitigate, config.grouping,
         )
         values = tuple(values.tolist())

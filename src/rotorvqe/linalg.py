@@ -34,7 +34,12 @@ def _checked_symmetric(matrix) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValueError("empty matrix")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-10 * max(1.0, np.abs(a).max())):
+    # equal pairs pass, infinities included; any other pair must be finite,
+    # even where an infinite entry makes the tolerance infinite
+    unequal = a != a.T
+    diff = np.subtract(a, a.T, out=np.zeros_like(a), where=unequal)
+    tol = 1e-10 * max(1.0, np.abs(a).max())
+    if not (np.abs(diff).max() <= tol and np.isfinite(a[unequal]).all()):
         raise ValueError("matrix is not symmetric")
     return 0.5 * (a + a.T)
 

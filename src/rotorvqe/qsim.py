@@ -2,16 +2,16 @@
 
 Qubit 1 is the most significant bit of a computational-basis index,
 matching `paulimap`.  Rotation gates follow exp(-i theta sigma / 2).
-`estimate_expectations` estimates a PauliOperator from shots, ideal
-(sampled) or under a parametric noise model (noisy); exact energies are
-contracted in `driver`.  Every circuit runs on one gate compiler,
-`_compile`: a pure state as a register of Q qubits, a density matrix with
-each gate's depolarizing channel as a superket of 2Q.  Each setting's
-outcome distribution comes off the pure state through its basis change, or
-off the density matrix through one precomputed map (`_folded_map`).  Both
-modes hash a batch's seeds at once to the PCG64 starts `default_rng(seed)`
-would take (`_pcg64_states`), draw each seed's counts from its start and
-tally them alike (a noisy estimate optionally undoing readout confusion
+`_estimate` estimates a PauliOperator from shots, ideal (sampled) or under
+a parametric noise model (noisy); exact energies are contracted in
+`driver`.  Every circuit runs on one gate compiler, `_compile`: a pure
+state as a register of Q qubits, a density matrix with each gate's
+depolarizing channel as a superket of 2Q.  Each setting's outcome
+distribution comes off the pure state through its basis change, or off the
+density matrix through one precomputed map (`_folded_map`).  Callers hash a
+batch's seeds at once to the PCG64 starts `default_rng(seed)` would take
+(`_pcg64_states(_word_table(seeds))`); both modes draw each start's counts
+and tally them alike (a noisy estimate optionally undoing readout confusion
 first).
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import threading
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -298,14 +297,6 @@ def prepare_state(ansatz: AnsatzSpec, params) -> np.ndarray:
     return prepare_states(ansatz, _parameter_vector(ansatz, params)[None, :])[0]
 
 
-@dataclass(frozen=True)
-class ExpectationEstimate:
-    value: float
-    std_error: float
-    shots_used: int
-    mode: str
-
-
 def symmetric_confusion(flip: float) -> tuple:
     """2x2 readout confusion with equal 0->1 and 1->0 flip probability."""
     if not 0.0 <= flip <= 1.0:
@@ -378,16 +369,16 @@ def _inverse_readout(noise: NoiseSpec, qubits: int) -> np.ndarray:
     return total
 
 
-def _basis_change_gates(x: int, z: int, qubits: int) -> tuple:
-    """((qubit,), rotation) taking the setting's basis to the Z basis, per measured qubit."""
-    gates = []
+def _basis_change_gates(x: int, z: int, qubits: int) -> dict:
+    """{qubit: rotation} taking the setting's basis to the Z basis, per rotated qubit."""
+    gates = {}
     for q in range(1, qubits + 1):
         bit = 1 << (qubits - q)
         if x & bit:
             gate = _rx(math.pi / 2) if z & bit else _ry(-math.pi / 2)
             gate.flags.writeable = False
-            gates.append(((q,), gate))
-    return tuple(gates)
+            gates[q] = gate
+    return gates
 
 
 def _outcome_values(operator: PauliOperator, members, dim: int) -> np.ndarray:
@@ -409,7 +400,7 @@ class _MeasurementPlan:
 
     A setting is one QWC group, or one string when grouping is off; the
     identity string is never measured.  Setting s has basis-change gates
-    tails[s], as ((qubit,), rotation), outcome values outcomes[s] and their
+    tails[s], as {qubit: rotation}, outcome values outcomes[s] and their
     squares squares[s].  `pure` holds them all compiled for a state, as
     (steps, gates, measured gather), an identity for a qubit not rotated.
     """
@@ -435,9 +426,8 @@ def _measurement_plan(operator: PauliOperator, grouping: bool) -> _MeasurementPl
         if members:
             tails.append(_basis_change_gates(x, z, qubits))
             outcomes.append(_outcome_values(operator, members, 1 << qubits))
-    changes = [dict(tail) for tail in tails]
-    rotated = sorted({q for change in changes for (q,) in change})
-    stack = [[change.get((q,), np.eye(2)) for change in changes] for q in rotated]
+    rotated = sorted({q for tail in tails for q in tail})
+    stack = [[tail.get(q, np.eye(2)) for tail in tails] for q in rotated]
     stack = np.array(stack, dtype=complex).reshape(len(rotated), len(tails), 2, 2)
     gates = np.ascontiguousarray(stack.transpose(0, 3, 2, 1)[:, :, :, None, :, None])
     steps, final = _compile(qubits, [("basis", q, r) for r, q in enumerate(rotated)])
@@ -469,10 +459,9 @@ def _folded_map(plan: _MeasurementPlan, p1: float, readout) -> np.ndarray:
     folded = np.ones((settings, 1, 1, 1), dtype=complex)
     for q, mix in enumerate(confusion, start=1):
         # effects[s, m, i, j]: the coefficient of rho_q[i, j] in setting s's outcome m
-        gates = [dict(tail).get((q,)) for tail in plan.tails]
         effects = [
             projectors if gate is None else (1 - weight) * gate.T @ projectors @ gate.conj() + mixed
-            for gate in gates
+            for gate in (tail.get(q) for tail in plan.tails)
         ]
         effects = np.einsum("mn,smij->snij", mix, np.reshape(effects, (settings, 2, 2, 2)))
         folded = folded[:, :, None, :, None, :, None] * effects[:, None, :, None, :, None, :]
@@ -599,50 +588,24 @@ def _hashed(values: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarr
     return values
 
 
-def _seed_words(seed) -> list:
-    """A seed's SeedSequence entropy, zero-padded to the pool: `_POOL` 32-bit words.
-
-    Each value (read with `operator.index`) gives its little-endian 32-bit
-    words, one for 0, at most `_POOL` in all; numpy hashes a missing pool
-    word as a zero word.  The seed errors are those `estimate_expectations`
-    documents.
-    """
-    words = []
-    for value in seed if isinstance(seed, (list, tuple, range)) else (seed,):
-        value = operator.index(value)
-        # checked before the word loop, which a negative value never ends
-        if value < 0:
-            raise ValueError(f"seed values must be non-negative, got {value}")
-        words.append(value & _MASK32)
-        while (value := value >> 32) and len(words) <= _POOL:
-            words.append(value & _MASK32)
-    if len(words) > _POOL:
-        raise ValueError(f"a seed may hold at most 128 bits, the SeedSequence pool of {_POOL} words")
-    return words + [0] * (_POOL - len(words))
-
-
 def _word_table(seeds) -> np.ndarray:
-    """words[K, _POOL]: every seed's `_seed_words`, as uint32.
+    """words[K, _POOL]: the SeedSequence entropy of every seed the package makes, as uint32.
 
-    Integers in [0, 2^64), or pairs of them whose first is at least 2^32
-    (seed_stream's seeds and the driver's evaluation seeds), are each
-    value's low then high 32-bit word, zero-padded, so such a batch is laid
-    out as one array.  Any other batch goes seed by seed through
-    `_seed_words`, which raises the documented errors.
+    A seed is an integer in [0, 2^64) (`seed_stream`'s) or a pair [s, k] of
+    them (`driver._evaluation_seed`'s).  SeedSequence reads each value as
+    its little-endian 32-bit words, a single word below 2^32, and hashes a
+    missing pool word as 0.  So a pair whose s is below 2^32 moves k one
+    word down: [5, 3] is the words [5, 3, 0, 0], not [5, 0, 3, 0].
     """
-    try:
-        values = np.asarray(seeds)
-    except (TypeError, ValueError):  # a ragged batch
-        values = np.empty(0, dtype=object)
-    rows = values.ndim == 1 or values.ndim == 2 and set(map(type, seeds)) <= {list, tuple, range}
-    if values.dtype.kind in "iu" and rows and not (values < 0).any():
-        pairs = values.astype("<u8").reshape(len(values), -1).view("<u4")
-        # a first value below 2^32 would drop its zero high word and shift the rest
-        if pairs.shape[1] <= _POOL and pairs[:, 1:-1:2].all():
-            words = np.zeros((len(values), _POOL), dtype=np.uint32)
-            words[:, : pairs.shape[1]] = pairs
-            return words
-    return np.array([_seed_words(seed) for seed in seeds], dtype=np.uint32).reshape(-1, _POOL)
+    values = np.asarray(seeds, dtype="<u8")
+    words = np.zeros((len(values), _POOL), dtype=np.uint32)
+    split = values.reshape(len(values), -1).view("<u4")
+    words[:, : split.shape[1]] = split
+    if values.ndim == 2:
+        short = split[:, 1] == 0
+        words[short, 1:3] = split[short, 2:]
+        words[short, 3] = 0
+    return words
 
 
 def _pcg64_states(words: np.ndarray) -> list:
@@ -702,65 +665,41 @@ def _counts(states, shots: int, probs: np.ndarray) -> np.ndarray:
     return np.array(draws, dtype=np.int64).reshape((len(states),) + probs.shape[1:])
 
 
-def _estimate(
-    ansatz, points, operator, shots, seeds, noise=None, mitigate=True, grouping=True, hashed=False
-):
-    """`estimate_expectations` as arrays (value[K], variance[K]), bit for bit its estimates'.
+def _estimate(ansatz, points, operator, shots, starts, noise=None, mitigate=True, grouping=True):
+    """Estimate <operator> from `shots` per measurement setting, once per PCG64 start.
 
-    Once the other arguments are checked, every seed is checked and hashed
-    to its PCG64 start, before any distribution is made.  With `hashed`,
-    seeds[K] are those starts already, as `_pcg64_states` gives them.
-    """
-    if ansatz.qubits != operator.qubits:
-        raise ValueError("ansatz and operator registers differ")
-    if shots < 1:
-        raise ValueError("need at least one shot")
-    values = _parameter_rows(ansatz, points)
-    if len(seeds) < 1 or len(values) not in (1, len(seeds)):
-        raise ValueError(f"expected one seed per point, got {len(seeds)} for {len(values)}")
-    inverse = _inverse_readout(noise, ansatz.qubits) if noise is not None and mitigate else None
-    states = seeds if hashed else _pcg64_states(_word_table(seeds))
-    plan = _measurement_plan(operator, grouping)
-    counts = _counts(states, shots, _distributions(ansatz, values, plan, noise))
-    if inverse is not None:
-        # one (1, 2^Q) @ (2^Q, 2^Q) product per setting, as for a single setting
-        freq = np.matmul((counts / shots)[..., None, :], inverse)[..., 0, :]
-        freq = np.clip(freq, 0.0, None)
-        counts = shots * freq / freq.sum(axis=-1, keepdims=True)
-    return _tally(counts, plan, shots)
-
-
-def estimate_expectations(
-    ansatz: AnsatzSpec, points, operator: PauliOperator, shots: int, seeds,
-    noise: NoiseSpec = None, mitigate: bool = True, grouping: bool = True,
-) -> tuple:
-    """Estimate <operator> from `shots` per measurement setting, once per seed in `seeds`.
-
-    points[B, P] holds one row per seed, or one row that every seed shares.
-    A seed is a non-negative integer (a numpy integer scalar will do) or a
-    list, tuple or range of them, whose little-endian 32-bit words total at
-    most 4 (128 bits, numpy's SeedSequence pool).  Every seed is checked
-    before any state is prepared: a negative value raises ValueError and a
-    float or string TypeError, as `numpy.random.default_rng` does, and a
-    wider seed ValueError.  Each row's measured-outcome distribution of
-    every setting is made once, from its pure state when `noise` is None
-    (mode SAMPLED), else from its density matrix under `noise` (mode NOISY),
-    and estimate k draws its settings' counts from its row's as
-    `default_rng(seeds[k]).multinomial` would (`_counts`).  When noisy and
-    `mitigate`, the inverted readout confusion is applied to the measured
-    frequencies, clipping negative entries and renormalizing.  Each
-    estimate is bit-identical to its row and seed estimated alone.
+    points[B, P] holds one row per start, or one row that every start
+    shares; starts[K] are (state, inc) pairs, as `_pcg64_states` gives them.
+    Each row's measured-outcome distribution of every setting is made once,
+    from its pure state when `noise` is None (sampled), else from its
+    density matrix under `noise` (noisy), and estimate k draws its
+    settings' counts from its row's as `default_rng` at start k would
+    (`_counts`).  When noisy and `mitigate`, the inverted readout confusion
+    is applied to the measured frequencies, clipping negative entries and
+    renormalizing.  Returns (value[K], variance[K]), each bit-identical to
+    its row and start estimated alone.
 
     Under noise, after every gate, the basis-change rotations included, a
     uniformly chosen non-identity Pauli strikes the gate's qubits with
     probability p1 (rotations) or p2 (CNOTs), exactly as a channel on the
     density matrix (`_distributions`).
     """
-    value, variance = _estimate(ansatz, points, operator, shots, seeds, noise, mitigate, grouping)
-    used = len(_measurement_plan(operator, grouping).outcomes) * shots
-    mode = SAMPLED if noise is None else NOISY
-    pairs = zip(value.tolist(), variance.tolist())
-    return tuple(ExpectationEstimate(v, math.sqrt(e), used, mode) for v, e in pairs)
+    if ansatz.qubits != operator.qubits:
+        raise ValueError("ansatz and operator registers differ")
+    if shots < 1:
+        raise ValueError("need at least one shot")
+    values = _parameter_rows(ansatz, points)
+    if len(starts) < 1 or len(values) not in (1, len(starts)):
+        raise ValueError(f"expected one seed per point, got {len(starts)} for {len(values)}")
+    inverse = _inverse_readout(noise, ansatz.qubits) if noise is not None and mitigate else None
+    plan = _measurement_plan(operator, grouping)
+    counts = _counts(starts, shots, _distributions(ansatz, values, plan, noise))
+    if inverse is not None:
+        # one (1, 2^Q) @ (2^Q, 2^Q) product per setting, as for a single setting
+        freq = np.matmul((counts / shots)[..., None, :], inverse)[..., 0, :]
+        freq = np.clip(freq, 0.0, None)
+        counts = shots * freq / freq.sum(axis=-1, keepdims=True)
+    return _tally(counts, plan, shots)
 
 
 def embed_params(ansatz: AnsatzSpec, params) -> np.ndarray:

@@ -18,7 +18,8 @@ bitmask convention and is itself checked against dense matrices;
 `serial_spsa` is the one-run SPSA loop that the lockstep batch reproduces
 bit for bit, and `serial_seed_stream` the Python-int splitmix64 loop that
 the uint64 `seed_stream` reproduces; `serial_counts` the one
-`default_rng` per seed that the hashed PCG64 starts reproduce, and
+`default_rng` per seed that the hashed PCG64 starts reproduce,
+`numpy_starts` the PCG64 starts numpy itself gives a seed, and
 `per_evaluation_evaluator` the driver's statistical objective with a
 `default_rng` built per evaluation, which its prefetched starts reproduce;
 `pairwise_multiplication_matrix`, `pairwise_derivative_matrix` and `masked_jacobi_eigh` are the former
@@ -558,16 +559,22 @@ def serial_seed_stream(master_seed: int, count: int) -> tuple:
 def serial_counts(words, shots: int, probs) -> np.ndarray:
     """The former per-seed `_counts`: counts[K, S, 2^Q] from one `default_rng` per seed.
 
-    words[K, 4] holds each seed's `_seed_words`; numpy reads a uint32 word
-    array as the entropy the seed itself gives, so row k draws
-    `default_rng(seed k).multinomial(shots, probs[k % len(probs)])`, all of
-    its settings in one 2-D draw.
+    words[K, 4] holds SeedSequence entropy words (`qsim._word_table`, or
+    any 128-bit pool); numpy reads a uint32 word array as that entropy, so
+    row k draws `default_rng(words[k]).multinomial(shots, probs[k % len(probs)])`,
+    all of its settings in one 2-D draw.
     """
     draws = [
         np.random.default_rng(row).multinomial(shots, probs[k % len(probs)])
         for k, row in enumerate(words)
     ]
     return np.array(draws, dtype=np.int64).reshape((len(words),) + np.shape(probs)[1:])
+
+
+def numpy_starts(seeds) -> list:
+    """Each seed's PCG64 (state, inc) start, read off `np.random.default_rng(seed)`."""
+    states = [np.random.default_rng(seed).bit_generator.state["state"] for seed in seeds]
+    return [(state["state"], state["inc"]) for state in states]
 
 
 def per_evaluation_evaluator(problem, config, run_seeds):
@@ -588,11 +595,9 @@ def per_evaluation_evaluator(problem, config, run_seeds):
             run = i % len(run_seeds)
             seed = driver._evaluation_seed(run_seeds[run], counters[run])
             counters[run] += 1
-            start = np.random.default_rng(seed).bit_generator.state["state"]
             value, _ = qsim._estimate(
                 problem.ansatz, point[None, :], problem.operator, config.shots,
-                [(start["state"], start["inc"])], noise, config.mitigate, config.grouping,
-                hashed=True,
+                numpy_starts([seed]), noise, config.mitigate, config.grouping,
             )
             values.append(value[0])
         return np.array(values)
@@ -802,7 +807,7 @@ def serial_noisy_distributions(ansatz, params, noise, tails) -> np.ndarray:
     distributions = np.empty((len(tails), dim))
     for s, gates in enumerate(tails):
         tail = rho.copy()
-        evolve(tail, gates)
+        evolve(tail, [((q,), gate) for q, gate in gates.items()])
         probs = np.clip(tail.diagonal().real, 0.0, None)
         probs /= probs.sum()
         distributions[s] = probs if confusion is None else probs @ confusion
@@ -824,7 +829,7 @@ def serial_sampled_expectation(ansatz, params, operator, shots, grouping=True, s
     value, variance = offset, 0.0
     for tail, values in zip(tails, outcomes):
         rotated = state.copy()
-        for (qubit,), gate in tail:
+        for qubit, gate in tail.items():
             _apply_single(rotated, ansatz.qubits, qubit, gate)
         probs = np.abs(rotated) ** 2
         counts = rng.multinomial(shots, probs / probs.sum())
@@ -843,14 +848,14 @@ def gather_sampled_expectations(ansatz, points, operator, shots, seeds, grouping
     Every setting's gates are stacked per qubit, with the identity where a
     setting does not rotate the qubit, and each qubit's rotation gathers the
     (j0, j1) amplitude halves of every row and setting and scatters
-    g00 a + g01 b and g10 a + g11 b back.  The package's compiled gather
-    kernel must reproduce it bit for bit.
+    g00 a + g01 b and g10 a + g11 b back; returns (value[K], variance[K]).
+    The package's compiled gather kernel must reproduce it bit for bit.
     """
     plan = qsim._measurement_plan(operator, grouping)
     tails = plan.tails
     stacked = {}
     for s, tail in enumerate(tails):
-        for (q,), gate in tail:
+        for q, gate in tail.items():
             if q not in stacked:
                 stacked[q] = np.zeros((2, 2, len(tails), 1), dtype=complex)
                 stacked[q][0, 0] = stacked[q][1, 1] = 1.0
@@ -867,11 +872,7 @@ def gather_sampled_expectations(ansatz, points, operator, shots, seeds, grouping
     probs = np.abs(rotated) ** 2
     probs /= probs.sum(axis=-1, keepdims=True)
     counts = [np.random.default_rng(seed).multinomial(shots, p) for seed, p in zip(seeds, probs)]
-    value, variance = qsim._tally(np.array(counts), plan, shots)
-    return tuple(
-        qsim.ExpectationEstimate(float(v), math.sqrt(e), len(tails) * shots, qsim.SAMPLED)
-        for v, e in zip(value, variance)
-    )
+    return qsim._tally(np.array(counts), plan, shots)
 
 
 def trajectory_noisy_expectation(
@@ -928,7 +929,7 @@ def trajectory_noisy_expectation(
     tails = plan.tails
     tallied = np.zeros((len(tails), dim))
     for s, tail in enumerate(tails):
-        gates = base + [(touched, matrix, noise.p1) for touched, matrix in tail]
+        gates = base + [((q,), matrix, noise.p1) for q, matrix in tail.items()]
         prefixes = [np.zeros(dim, dtype=complex)]
         prefixes[0][0] = 1.0
         for gate in gates:

@@ -25,7 +25,6 @@ from rotorvqe.qsim import (
     NOISY,
     SAMPLED,
     NoiseSpec,
-    estimate_expectations,
     prepare_state,
     prepare_states,
     symmetric_confusion,
@@ -33,7 +32,7 @@ from rotorvqe.qsim import (
 
 from conftest import LADDER, make_chain
 
-from oracles import dense_from_labels, per_evaluation_evaluator, serial_seed_stream
+from oracles import dense_from_labels, numpy_starts, per_evaluation_evaluator, serial_seed_stream
 
 
 def quick_config(**overrides) -> VqeConfig:
@@ -343,17 +342,17 @@ def test_distribution_study_matches_per_repetition_estimates(q2_problem, mitigat
     sampled, noisy = run_distribution_study(config, params, repetitions=5, problem=q2_problem)
     ansatz, op = q2_problem.ansatz, q2_problem.operator
     want_sampled = [
-        estimate_expectations(ansatz, params[None, :], op, 700, [seed], grouping=grouping)[0].value
+        qsim._estimate(ansatz, params[None, :], op, 700, numpy_starts([seed]), grouping=grouping)[0]
         for seed in seed_stream(config.seed + 7919, 5)
     ]
     want_noisy = [
-        estimate_expectations(
-            ansatz, params[None, :], op, 700, [seed], noise, mitigate=mitigate, grouping=grouping
-        )[0].value
+        qsim._estimate(
+            ansatz, params[None, :], op, 700, numpy_starts([seed]), noise, mitigate, grouping
+        )[0]
         for seed in seed_stream(config.seed + 2 * 7919, 5)
     ]
-    assert [v.hex() for v in sampled.values] == [v.hex() for v in want_sampled]
-    assert [v.hex() for v in noisy.values] == [v.hex() for v in want_noisy]
+    assert [v.hex() for v in sampled.values] == [float(v[0]).hex() for v in want_sampled]
+    assert [v.hex() for v in noisy.values] == [float(v[0]).hex() for v in want_noisy]
 
 
 @pytest.fixture(scope="module")
@@ -371,12 +370,13 @@ def test_distribution_study_sampled_batch_matches_one_row_loop(rung_problems, ru
     params = np.random.default_rng(sum(rung)).uniform(-7.0, 7.0, problem.ansatz.parameter_count)
     (study,) = run_distribution_study(config, params, modes=(SAMPLED,), repetitions=20, problem=problem)
     want = [
-        estimate_expectations(
-            problem.ansatz, params[None, :], problem.operator, shots, [rep_seed], grouping=grouping
-        )[0].value
+        qsim._estimate(
+            problem.ansatz, params[None, :], problem.operator, shots, numpy_starts([rep_seed]),
+            grouping=grouping,
+        )[0]
         for rep_seed in seed_stream(config.seed + 7919, 20)
     ]
-    assert [v.hex() for v in study.values] == [v.hex() for v in want]
+    assert [v.hex() for v in study.values] == [float(v[0]).hex() for v in want]
 
 
 def test_distribution_study_checks_every_mode_before_estimating(q2_problem, monkeypatch):

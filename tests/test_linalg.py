@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from rotorvqe.chain import build_chain_matrix, build_composite_basis, pad_matrix
 from rotorvqe.dihedral import build_single_dihedral_matrix, fourier_parities
-from rotorvqe.linalg import canonical_sign, jacobi_eigh
+from rotorvqe.linalg import _checked_symmetric, canonical_sign, jacobi_eigh
 from rotorvqe.potential import BISTABLE, MONOSTABLE, ChainSpec, DihedralSpec
 
 LADDER = ((4, 2), (4, 4), (8, 4))
@@ -56,6 +56,44 @@ def test_rejects_bad_input():
         jacobi_eigh(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         jacobi_eigh(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+INF = np.inf
+NOT_SQUARE = "expected a square matrix"
+ASYMMETRIC = "matrix is not symmetric"
+
+
+@pytest.mark.parametrize(
+    "matrix, error",
+    [
+        pytest.param(np.zeros((2, 3)), NOT_SQUARE, id="wide"),
+        pytest.param(np.zeros(4), NOT_SQUARE, id="vector"),
+        pytest.param(np.zeros((2, 2, 2)), NOT_SQUARE, id="stack"),
+        pytest.param(np.zeros((0, 0)), "empty matrix", id="empty"),
+        pytest.param([[np.nan, 0.0], [0.0, 1.0]], ASYMMETRIC, id="nan-diagonal"),
+        pytest.param([[0.0, np.nan], [np.nan, 0.0]], ASYMMETRIC, id="nan-pair"),
+        pytest.param([[INF, np.nan], [np.nan, 0.0]], ASYMMETRIC, id="nan-beside-inf"),
+        pytest.param([[0.0, 1.0], [1.0 + 3e-10, 0.0]], ASYMMETRIC, id="beyond-unit-tol"),
+        pytest.param([[1e4, 1.0], [1.0 + 2e-6, 0.0]], ASYMMETRIC, id="beyond-scaled-tol"),
+        pytest.param([[0.0, 1.0], [2.0, 0.0]], ASYMMETRIC, id="asymmetric"),
+        pytest.param([[0.0, INF], [1.0, 0.0]], ASYMMETRIC, id="inf-against-finite"),
+        pytest.param([[0.0, INF], [-INF, 0.0]], ASYMMETRIC, id="inf-against-minus-inf"),
+        pytest.param([[0.0, 1.0], [1.0 + 5e-11, 0.0]], None, id="within-unit-tol"),
+        pytest.param([[-1e4, 1.0], [1.0 + 5e-7, 0.0]], None, id="within-scaled-tol"),
+        pytest.param([[INF, 1.0], [1.0, 0.0]], None, id="inf-diagonal"),
+        pytest.param([[0.0, -INF], [-INF, INF]], None, id="symmetric-infs"),
+        # an infinite entry makes the tolerance infinite for the finite pairs
+        pytest.param([[INF, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 2.0, 0.0]], None, id="inf-bound"),
+        pytest.param([[3.0]], None, id="scalar"),
+    ],
+)
+def test_checked_symmetric_accepts_and_rejects(matrix, error):
+    if error is not None:
+        with pytest.raises(ValueError, match=error):
+            _checked_symmetric(matrix)
+        return
+    a = np.array(matrix, dtype=float)
+    assert np.array_equal(_checked_symmetric(matrix), 0.5 * (a + a.T))
 
 
 def test_canonical_sign():

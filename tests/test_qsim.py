@@ -29,13 +29,10 @@ from rotorvqe.potential import BISTABLE, MONOSTABLE, ChainSpec, DihedralSpec
 from rotorvqe.qsim import (
     FULL,
     LINEAR,
-    NOISY,
-    SAMPLED,
     AnsatzSpec,
     NoiseSpec,
     embed_params,
     entangler_pairs,
-    estimate_expectations,
     format_bitstrings,
     prepare_state,
     prepare_states,
@@ -47,6 +44,7 @@ from oracles import (
     exact_expectation,
     gather_sampled_expectations,
     kraus_outcome_distributions,
+    numpy_starts,
     serial_counts,
     serial_noisy_distributions,
     serial_prepare_state,
@@ -72,6 +70,16 @@ def single_z(coef=1.0):
     return PauliOperator(
         qubits=1, strings=(PauliString.from_label("Z"),), coefficients=(coef,)
     )
+
+
+def seeded_estimate(ansatz, points, op, shots, seeds, noise=None, mitigate=True, grouping=True):
+    """`qsim._estimate` from each seed's `default_rng` start: (value[K], variance[K])."""
+    return qsim._estimate(ansatz, points, op, shots, numpy_starts(seeds), noise, mitigate, grouping)
+
+
+def _bits(value, variance) -> list:
+    """Each estimate's value and standard error, as exact hex strings."""
+    return [(v.hex(), math.sqrt(e).hex()) for v, e in zip(value.tolist(), variance.tolist())]
 
 
 def test_parameter_count_and_validation():
@@ -197,7 +205,7 @@ def test_prepare_states_rejects_non_finite_angles(bad):
     # the density matrix's trace is its norm, so noisy mode fails alike
     _, _, op = chain_problem((4, 2))
     with pytest.raises(RuntimeError, match="norm drifted"):
-        estimate_expectations(ansatz, batch, op, 100, [1, 2, 3], noise=NoiseSpec())
+        seeded_estimate(ansatz, batch, op, 100, [1, 2, 3], NoiseSpec())
 
 
 def test_exact_expectation_basics():
@@ -245,20 +253,15 @@ def test_sampled_identity_operator_is_exact():
     # no setting to measure: both modes' distribution tables have an empty settings axis
     op = PauliOperator(qubits=2, strings=(PauliString.from_label("II"),), coefficients=(3.7,))
     points = np.linspace(0.1, 1.5, 16).reshape(2, 8)
-    for noise, mode in ((None, SAMPLED), (NoiseSpec(), NOISY)):
-        for est in estimate_expectations(AnsatzSpec(qubits=2), points, op, 100, [1, 2], noise):
-            assert est.value == pytest.approx(3.7)
-            assert est.std_error == 0.0
-            assert est.shots_used == 0
-            assert est.mode == mode
+    assert len(qsim._measurement_plan(op, True).outcomes) == 0
+    for noise in (None, NoiseSpec()):
+        value, variance = seeded_estimate(AnsatzSpec(qubits=2), points, op, 100, [1, 2], noise)
+        assert value.tolist() == pytest.approx([3.7, 3.7])
+        assert variance.tolist() == [0.0, 0.0]
 
 
 # how far a noisy distribution table may lie from serial_noisy_distributions
 NOISY_TABLE_TOL = 1e-14
-
-
-def _bits(estimate):
-    return estimate.value.hex(), estimate.std_error.hex(), estimate.shots_used
 
 
 @settings(max_examples=60, deadline=None)
@@ -301,7 +304,7 @@ def test_sampled_expectations_rows_match_single_estimates_bit_for_bit(
     order = data.draw(st.permutations(range(batch)))
 
     def estimate(rows, row_seeds):
-        return estimate_expectations(ansatz, rows, op, shots, row_seeds, noise, mitigate, grouping)
+        return _bits(*seeded_estimate(ansatz, rows, op, shots, row_seeds, noise, mitigate, grouping))
 
     rows = estimate(points, seeds)
     shuffled = estimate(points[order], [seeds[i] for i in order])
@@ -309,8 +312,8 @@ def test_sampled_expectations_rows_match_single_estimates_bit_for_bit(
     shared = estimate(points[:1], seeds)
     tiled = estimate(np.repeat(points[:1], batch, axis=0), seeds)
     assert len(rows) == len(shared) == batch
-    assert [_bits(e) for e in shared] == [_bits(e) for e in tiled]
-    assert _bits(shared[0]) == _bits(rows[0])
+    assert shared == tiled
+    assert shared[0] == rows[0]
     if noisy:
         # the folded measurement map sums a row's terms in another order than
         # the serial evolution; the largest gap seen was 3.9e-16
@@ -321,17 +324,17 @@ def test_sampled_expectations_rows_match_single_estimates_bit_for_bit(
             np.testing.assert_allclose(probs, want, rtol=0, atol=NOISY_TABLE_TOL)
     else:
         gathered = gather_sampled_expectations(ansatz, points, op, shots, seeds, grouping=grouping)
-        assert [_bits(e) for e in rows] == [_bits(e) for e in gathered]
+        assert rows == _bits(*gathered)
     for b in range(batch):
         (alone,) = estimate(points[b : b + 1], [seeds[b]])
-        assert alone.mode == rows[b].mode == shared[b].mode == (NOISY if noisy else SAMPLED)
-        assert _bits(rows[b]) == _bits(alone)
-        assert _bits(shuffled[order.index(b)]) == _bits(alone)
+        assert rows[b] == alone
+        assert shuffled[order.index(b)] == alone
         if not noisy:
             value, std_error, used = serial_sampled_expectation(
                 ansatz, points[b], op, shots, grouping=grouping, seed=seeds[b]
             )
-            assert _bits(alone) == (value.hex(), std_error.hex(), used)
+            assert alone == (value.hex(), std_error.hex())
+            assert used == len(qsim._measurement_plan(op, grouping).outcomes) * shots
 
 
 def test_distribution_tables_run_in_bounded_blocks(monkeypatch):
@@ -367,163 +370,94 @@ def test_sampled_expectations_validation():
     ansatz = AnsatzSpec(qubits=1, depth=0)
     points = np.zeros((3, 2))
     with pytest.raises(ValueError, match="one seed per point"):
-        estimate_expectations(ansatz, points, single_z(), 10, [1, 2])
+        seeded_estimate(ansatz, points, single_z(), 10, [1, 2])
     with pytest.raises(ValueError, match="one seed per point"):
-        estimate_expectations(ansatz, points[:2], single_z(), 10, [1], noise=NoiseSpec())
+        seeded_estimate(ansatz, points[:2], single_z(), 10, [1], noise=NoiseSpec())
     with pytest.raises(ValueError, match="one seed per point"):
-        estimate_expectations(ansatz, points[:1], single_z(), 10, [])
+        seeded_estimate(ansatz, points[:1], single_z(), 10, [])
     with pytest.raises(ValueError):
-        estimate_expectations(ansatz, np.zeros((3, 3)), single_z(), 10, [1, 2, 3])
+        seeded_estimate(ansatz, np.zeros((3, 3)), single_z(), 10, [1, 2, 3])
     with pytest.raises(ValueError):
-        estimate_expectations(ansatz, np.zeros(2), single_z(), 10, [1], noise=NoiseSpec())
+        seeded_estimate(ansatz, np.zeros(2), single_z(), 10, [1], noise=NoiseSpec())
     with pytest.raises(ValueError):
-        estimate_expectations(ansatz, points, single_z(), 0, [1, 2, 3])
+        seeded_estimate(ansatz, points, single_z(), 0, [1, 2, 3])
 
 
-EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**63 - 1)
+# integers the package seeds with, as seed_stream makes them (below 2^63)
+# and at the uint64 edges; a pair's first value below 2^32 gives
+# SeedSequence one word, so such pairs shift the rest of the row
+EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1)
+EDGE_PAIRS = [[s, k] for s in EDGE_SEEDS for k in (0, 1, 2**32 - 1)]
 
 
-def random_seeds(rng, count: int) -> list:
-    """Seeded-random ints of 0-128 bits and [s, k] pairs of 2-4 32-bit words in all."""
+def package_seeds(rng, count: int) -> tuple:
+    """Seeded-random integers of 0-64 bits, and as many [s, k] pairs of them."""
 
-    def value(words):
-        return int.from_bytes(rng.bytes(4 * words), "little") >> int(rng.integers(0, 32))
+    def value():
+        return int(rng.integers(0, 2**64, dtype=np.uint64)) >> int(rng.integers(0, 65))
 
-    seeds = []
-    for _ in range(count):
-        if rng.random() < 0.5:
-            seeds.append(value(4) >> int(rng.integers(0, 97)))
-        else:
-            first = int(rng.integers(1, 4))
-            seeds.append([value(first), value(int(rng.integers(1, 5 - first)))])
-    return seeds
+    return [value() for _ in range(count)], [[value(), value()] for _ in range(count)]
 
 
-def estimate_with_seeds(seeds):
-    return estimate_expectations(AnsatzSpec(qubits=1, depth=0), np.zeros((1, 2)), single_z(), 10, seeds)
-
-
-@pytest.mark.parametrize(
-    "seed, error",
-    [(seed, ValueError) for seed in (-1, [3, -1], (2**40, -7), np.int64(-2))]
-    + [(seed, TypeError) for seed in (1.5, 2.0, [3, 0.5], np.float64(4.0), "7")],
-)
-def test_bad_seeds_fail_as_in_numpy(seed, error):
-    with pytest.raises(error):
-        np.random.default_rng(seed)
-    # alone, and in batches of 2, 4 and 6
-    good = [0, 1, 2, 3, 4]
-    for seeds in ([seed], [7, seed], good[:3] + [seed], good[:3] + [seed] + good[3:]):
-        with pytest.raises(error):
-            estimate_with_seeds(seeds)
-
-
-@pytest.mark.parametrize(
-    "seed", [2**128, [1, 2, 3, 4, 5], [2**64, 2**32], (2**96, 0), range(5), [2**32, 2**32, 1]]
-)
-def test_seeds_wider_than_the_seed_sequence_pool_fail(seed):
-    good = [0, 1, 2, 3, 4]
-    for seeds in (
-        [seed], [7, seed], good[:3] + [seed], good + [seed], [seed] * 2, [seed] * len(good),
-    ):
-        with pytest.raises(ValueError, match="128 bits"):
-            estimate_with_seeds(seeds)
+def random_words(rng, count: int) -> np.ndarray:
+    """Seeded-random SeedSequence pools: words[count, 4] of 0-32 bits each, a quarter of them 0."""
+    words = rng.integers(0, 2**32, size=(count, 4), dtype=np.uint32)
+    words >>= rng.integers(0, 32, size=(count, 4), dtype=np.uint32)
+    words[rng.random((count, 4)) < 0.25] = 0
+    return words
 
 
 def test_hashed_seeding_matches_default_rng():
-    # the vectorized hash gives each seed its default_rng's PCG64 start
-    edges = list(EDGE_SEEDS) + [
-        2**64 - 1, 2**128 - 1, np.int64(11), np.uint64(2**64 - 1), [0, 0], [5, 0],
-        [2**64 - 1, 2**64 - 1], [], (7,), range(4),
-    ]
-    seeds = edges + random_seeds(np.random.default_rng(17), 1000)
-    words = np.array([qsim._seed_words(seed) for seed in seeds], dtype=np.uint32)
-    states = qsim._pcg64_states(words)
-    for seed, (state, inc) in zip(seeds, states, strict=True):
-        expected = np.random.default_rng(seed).bit_generator.state["state"]
-        assert {"state": state, "inc": inc} == expected, seed
+    # the word layout and vectorized hash give every seed the package makes
+    # its default_rng's PCG64 start, small and large pair heads in one batch
+    ints, pairs = package_seeds(np.random.default_rng(17), 500)
+    stream = seed_stream(2021, 50)
+    for seeds in (
+        list(EDGE_SEEDS) + ints, EDGE_PAIRS + pairs, stream, [[s, k] for k, s in enumerate(stream)],
+    ):
+        states = qsim._pcg64_states(qsim._word_table(seeds))
+        for seed, state, expected in zip(seeds, states, numpy_starts(seeds), strict=True):
+            assert state == expected, seed
+    # the hash itself covers the whole 128-bit pool
+    words = random_words(np.random.default_rng(18), 1000)
+    assert qsim._pcg64_states(words) == numpy_starts(words)
     # the one generator _counts reseeds takes each start whole: a uint32 drawn
     # before a call leaves a half-used word the reseed clears
     probs = np.random.default_rng(3).dirichlet(np.ones(4), size=(1, 2))
-    qsim._counts(states[:1], 1, probs)
-    for seed, state in zip(seeds[:50], states):
-        qsim._THREAD.rng.integers(2**32, dtype=np.uint32)
-        counts = qsim._counts([state], 777, probs)
-        rng = np.random.default_rng(seed)
-        assert np.array_equal(counts[0], rng.multinomial(777, probs[0])), seed
-        assert qsim._THREAD.rng.bit_generator.state == rng.bit_generator.state, seed
+    for seeds in (list(EDGE_SEEDS) + ints[:30], EDGE_PAIRS):
+        states = qsim._pcg64_states(qsim._word_table(seeds))
+        qsim._counts(states[:1], 1, probs)
+        for seed, state in zip(seeds, states):
+            qsim._THREAD.rng.integers(2**32, dtype=np.uint32)
+            counts = qsim._counts([state], 777, probs)
+            rng = np.random.default_rng(seed)
+            assert np.array_equal(counts[0], rng.multinomial(777, probs[0])), seed
+            assert qsim._THREAD.rng.bit_generator.state == rng.bit_generator.state, seed
 
 
-@pytest.mark.parametrize(
-    "seed, error",
-    [(seed, ValueError) for seed in (-1, [3, -1], np.int64(-2), 2**128, [1, 2, 3, 4, 5], [2**64, 2**32])]
-    + [(seed, TypeError) for seed in (1.5, [3, 0.5], np.float64(4.0), "7")]
-    # numpy takes an array as one seed; the documented seed forms do not include it
-    + [(np.array([2**40, 2]), TypeError)],
-)
-def test_seed_errors_come_before_any_draw(seed, error, monkeypatch):
-    # a draw needs the distribution table, which every seed is checked before
-    def table(*args):
-        raise AssertionError("distributions made before every seed was checked")
-
-    monkeypatch.setattr(qsim, "_distributions", table)
-    good = [0, 1, 2, 3, 4]
-    pairs = [[s, 7] for s in good]
-    for seeds in (
-        [seed], [7, seed], good[:3] + [seed], pairs[:3] + [seed], good + [seed], pairs + [seed],
-        [seed] * len(good),
-    ):
-        with pytest.raises(error):
-            estimate_with_seeds(seeds)
-
-
-def test_word_table_matches_seed_words(monkeypatch):
-    # batches of ints, or of pairs whose first value has a high word, are
-    # laid out in one pass at any size; others seed by seed
+def test_word_table_matches_seed_words():
+    # each row is the entropy SeedSequence takes from its seed, so numpy
+    # seeded with the row starts where numpy seeded with the seed does
+    ints, pairs = package_seeds(np.random.default_rng(5), 300)
     stream = seed_stream(2021, 50)
-    one_pass = [
-        [0, 2**32 - 1, 2**32, 2**63 - 1, 1],
-        [2**63, 2**64 - 1, 2**63 + 5, 2**64 - 2**32, 2**63 + 2**32],
-        [np.int64(11), np.int64(0), np.uint32(7), np.int64(2**40), np.int8(3)],
-        [np.uint64(2**64 - 1), np.uint64(2**32)] * 3,
-        [[2**32, 0], [2**63 - 1, 12], [2**32, 2**32 - 1], [2**40, 2**32], (2**62, 1)],
-        [(2**64 - 1, 2**63), [2**63, 2**64 - 1]] * 3,
-        [range(2**32, 2**32 + 2)] * 5,
-        [[0], [2**32], [7], [2**62], [5]],
+    batches = [
+        list(EDGE_SEEDS),
+        EDGE_PAIRS,
         [5],
-        [2**63, 2**64 - 1],
-        [[2**32, 0], [2**40, 3]],
-        [(2**62, 1)] * 4,
+        [[5, 3]],
+        [[2**40, 3]],
+        [[0, 0], [2**32, 0], [7, 2**40]],
         range(100),
         stream,
         [[s, k] for k, s in enumerate(stream)],
+        [[k, s] for k, s in enumerate(stream)],
+        ints,
+        pairs,
     ]
-    seed_by_seed = [
-        [0, 2**64 - 1, [5, 0], (7,), range(4), [2**64 - 1, 2**64 - 1]],
-        [2**128 - 1, 2**64, 3, 4, 5],
-        [2**63, 5, 6, 7, 8],
-        [[1, 2], [3]] * 3,
-        [np.uint64(2**64 - 1), np.int64(5)] * 3,
-        [[0, 0], [5, 0], [7, 1], [0, 2**32], [1, 2]],
-        [[1, 2, 3, 4], [0, 2**32 - 1, 0, 5]] * 3,
-        [[2**32, 1, 2]] * 5,
-        [[7, 0]],
-        [[5, 1], [2**40, 2]],
-        random_seeds(np.random.default_rng(5), 300),
-    ]
-    want = [np.array([qsim._seed_words(seed) for seed in batch], dtype=np.uint32) for batch in one_pass]
-    for batch in seed_by_seed:
-        expected = np.array([qsim._seed_words(seed) for seed in batch], dtype=np.uint32)
-        got = qsim._word_table(batch)
-        assert got.dtype == np.uint32 and np.array_equal(got, expected), batch
-
-    def one_by_one(seed):
-        raise AssertionError("a batch of one integer array went seed by seed")
-
-    monkeypatch.setattr(qsim, "_seed_words", one_by_one)
-    for batch, expected in zip(one_pass, want):
-        got = qsim._word_table(batch)
-        assert got.dtype == np.uint32 and np.array_equal(got, expected), batch
+    for batch in batches:
+        words = qsim._word_table(batch)
+        assert words.dtype == np.uint32 and words.shape == (len(batch), 4), batch
+        assert numpy_starts(words) == numpy_starts(batch), batch
 
 
 def test_hashed_counts_in_threads_match_serial_counts():
@@ -531,7 +465,7 @@ def test_hashed_counts_in_threads_match_serial_counts():
     # interleave one another's streams
     rng = np.random.default_rng(41)
     tables = rng.dirichlet(np.ones(4), size=(1, 2))
-    words = [qsim._word_table(random_seeds(rng, 40)) for _ in range(16)]
+    words = [random_words(rng, 40) for _ in range(16)]
     want = [serial_counts(batch, 777, tables) for batch in words]
     batches = [qsim._pcg64_states(batch) for batch in words]
     interval = sys.getswitchinterval()
@@ -550,19 +484,27 @@ def test_hashed_counts_in_threads_match_serial_counts():
 @pytest.mark.parametrize("noisy, mitigate", [(False, True), (True, True), (True, False)])
 @pytest.mark.parametrize("grouping", [True, False])
 def test_array_core_matches_estimates_bit_for_bit(noisy, mitigate, grouping):
+    # the package's hashed starts of evaluation seeds, run seeds below and
+    # above 2^32 among them, are numpy's, and the array core estimates each
+    # of them in a batch as it does alone
     _, _, op = chain_problem((4, 4))
     ansatz = AnsatzSpec(qubits=3)
     noise = NoiseSpec(p1=0.01, p2=0.03, readout=symmetric_confusion(0.05)) if noisy else None
-    rng = np.random.default_rng(29)
-    rows = rng.uniform(-7.0, 7.0, (12, ansatz.parameter_count))
-    seeds = random_seeds(rng, 12)
+    rows = np.random.default_rng(29).uniform(-7.0, 7.0, (12, ansatz.parameter_count))
+    seeds = [[s, k] for s in (0, 2**32 - 1, 2**32, 2**63 - 1) for k in (0, 1, 1300)]
+    starts = qsim._pcg64_states(qsim._word_table(seeds))
+    assert starts == numpy_starts(seeds)
     # one row per seed, and one row every seed shares
     for points in (rows, rows[:1]):
-        value, variance = qsim._estimate(ansatz, points, op, 777, seeds, noise, mitigate, grouping)
-        estimates = estimate_expectations(ansatz, points, op, 777, seeds, noise, mitigate, grouping)
+        value, variance = qsim._estimate(ansatz, points, op, 777, starts, noise, mitigate, grouping)
         assert value.shape == variance.shape == (12,)
-        assert [v.hex() for v in value.tolist()] == [e.value.hex() for e in estimates]
-        assert [math.sqrt(e).hex() for e in variance.tolist()] == [e.std_error.hex() for e in estimates]
+        alone = [
+            qsim._estimate(
+                ansatz, points[k % len(points)][None, :], op, 777, [start], noise, mitigate, grouping
+            )
+            for k, start in enumerate(starts)
+        ]
+        assert _bits(value, variance) == [_bits(*estimate)[0] for estimate in alone]
 
 
 @pytest.mark.parametrize("settings_count", [1, 8, 9, 36])
@@ -572,21 +514,19 @@ def test_counts_match_default_rng_multinomial(settings_count):
     # per seed as in serial_counts.  Every batch size shares one reseeded
     # generator
     rng = np.random.default_rng(settings_count)
-    edges = list(EDGE_SEEDS) + [[5, 0], [2**63 - 1, 12]]
-    for seeds in (edges[:1], edges[4:], edges[:4], edges[2:], edges + random_seeds(rng, 34)):
+    edges = np.concatenate((qsim._word_table(EDGE_SEEDS), qsim._word_table([[5, 0], [2**63 - 1, 12]])))
+    pools = np.concatenate((edges, random_words(rng, 34)))
+    for words in (edges[:1], edges[4:], edges[:4], edges[2:], pools):
         for outcomes in (2, 16):
-            tables = rng.dirichlet(np.ones(outcomes), size=(len(seeds), settings_count))
+            tables = rng.dirichlet(np.ones(outcomes), size=(len(words), settings_count))
             tables[:, 0, : outcomes // 2] = 0.0
             tables[:, 0] /= tables[:, 0].sum(axis=-1, keepdims=True)
             for shots in (1, 777, 20000):
                 # one table per seed, or one that every seed shares
                 for probs in (tables, tables[:1]):
-                    words = qsim._word_table(seeds)
                     counts = qsim._counts(qsim._pcg64_states(words), shots, probs)
+                    assert counts.dtype == np.int64
                     assert np.array_equal(counts, serial_counts(words, shots, probs))
-                    for k, seed in enumerate(seeds):
-                        expected = np.random.default_rng(seed).multinomial(shots, probs[k % len(probs)])
-                        assert counts.dtype == expected.dtype and np.array_equal(counts[k], expected)
 
 
 def test_list_readout_noise_spec_estimates():
@@ -605,18 +545,20 @@ def test_list_readout_noise_spec_estimates():
         assert given.readout == nested.readout == tuples(readout)
         assert given == nested and hash(given) == hash(nested)
         for mitigate in (True, False):
-            got = estimate_expectations(ansatz, params, op, 500, [1, 2, 3], given, mitigate)
-            assert len(got) == 3 and all(est.mode == NOISY for est in got)
-            assert got == estimate_expectations(ansatz, params, op, 500, [1, 2, 3], nested, mitigate)
+            got = seeded_estimate(ansatz, params, op, 500, [1, 2, 3], given, mitigate)
+            assert got[0].shape == got[1].shape == (3,)
+            want = seeded_estimate(ansatz, params, op, 500, [1, 2, 3], nested, mitigate)
+            assert _bits(*got) == _bits(*want)
 
 
 def test_sampled_expectations_checks_seed_count_before_preparing_states(monkeypatch):
     def prepare(*args):
         raise AssertionError("states prepared before the seed count was checked")
 
-    monkeypatch.setattr(qsim, "prepare_states", prepare)
+    for name in ("prepare_states", "_evolved"):
+        monkeypatch.setattr(qsim, name, prepare)
     with pytest.raises(ValueError, match="one seed per point"):
-        estimate_expectations(AnsatzSpec(qubits=1, depth=0), np.zeros((3, 2)), single_z(), 10, [1, 2])
+        seeded_estimate(AnsatzSpec(qubits=1, depth=0), np.zeros((3, 2)), single_z(), 10, [1, 2])
 
 
 def test_sampled_expectation_reproducible_and_unbiased():
@@ -626,13 +568,12 @@ def test_sampled_expectation_reproducible_and_unbiased():
     params = rng.uniform(0, 2 * math.pi, ansatz.parameter_count)
     exact = exact_expectation(prepare_state(ansatz, params), op)
 
-    one, two = estimate_expectations(ansatz, params[None, :], op, 4000, [7, 7])
+    one, two = _bits(*seeded_estimate(ansatz, params[None, :], op, 4000, [7, 7]))
     assert one == two
-    assert one.shots_used > 0
+    assert len(qsim._measurement_plan(op, True).outcomes) > 0
 
-    estimates = estimate_expectations(ansatz, params[None, :], op, 20000, range(100))
-    values = np.array([e.value for e in estimates])
-    combined_se = math.sqrt(sum(e.std_error**2 for e in estimates)) / len(estimates)
+    values, variances = seeded_estimate(ansatz, params[None, :], op, 20000, range(100))
+    combined_se = math.sqrt(sum(variances.tolist())) / len(values)
     assert abs(values.mean() - exact) < 3 * combined_se
 
 
@@ -641,14 +582,8 @@ def test_sampled_without_grouping_agrees():
     ansatz = AnsatzSpec(qubits=2, depth=1)
     params = np.linspace(0.3, 2.1, ansatz.parameter_count)
     exact = exact_expectation(prepare_state(ansatz, params), op)
-    grouped = [
-        est.value
-        for est in estimate_expectations(ansatz, params[None, :], op, 20000, range(60), grouping=True)
-    ]
-    single = [
-        est.value
-        for est in estimate_expectations(ansatz, params[None, :], op, 20000, range(60), grouping=False)
-    ]
+    grouped, _ = seeded_estimate(ansatz, params[None, :], op, 20000, range(60), grouping=True)
+    single, _ = seeded_estimate(ansatz, params[None, :], op, 20000, range(60), grouping=False)
     assert abs(np.mean(grouped) - exact) < 0.02
     assert abs(np.mean(single) - exact) < 0.02
 
@@ -657,15 +592,8 @@ def test_shot_noise_scaling():
     _, _, op = chain_problem((4, 2))
     ansatz = AnsatzSpec(qubits=2, depth=1)
     params = np.linspace(0.2, 2.8, ansatz.parameter_count)
-    coarse = np.std(
-        [est.value for est in estimate_expectations(ansatz, params[None, :], op, 5000, range(200))]
-    )
-    fine = np.std(
-        [
-            est.value
-            for est in estimate_expectations(ansatz, params[None, :], op, 20000, range(1000, 1200))
-        ]
-    )
+    coarse = np.std(seeded_estimate(ansatz, params[None, :], op, 5000, range(200))[0])
+    fine = np.std(seeded_estimate(ansatz, params[None, :], op, 20000, range(1000, 1200))[0])
     assert coarse / fine == pytest.approx(2.0, rel=0.2)
 
 
@@ -674,13 +602,8 @@ def test_zero_noise_matches_sampled_distribution():
     ansatz = AnsatzSpec(qubits=2, depth=1)
     params = np.linspace(0.4, 2.4, ansatz.parameter_count)
     quiet = NoiseSpec(p1=0.0, p2=0.0, readout=None)
-    sampled = [
-        est.value for est in estimate_expectations(ansatz, params[None, :], op, 2000, range(150))
-    ]
-    noisy = [
-        est.value
-        for est in estimate_expectations(ansatz, params[None, :], op, 2000, range(150), noise=quiet)
-    ]
+    sampled, _ = seeded_estimate(ansatz, params[None, :], op, 2000, range(150))
+    noisy, _ = seeded_estimate(ansatz, params[None, :], op, 2000, range(150), noise=quiet)
     assert stats.ks_2samp(sampled, noisy).pvalue > 0.01
     assert quiet.readout_matrices(2) is None
 
@@ -690,12 +613,9 @@ def test_depolarizing_pulls_toward_mixed_state():
     ansatz = AnsatzSpec(qubits=1, depth=0)
     params = [[math.pi / 3, 0.0]]
     op = single_z()
-    values = [
-        est.value
-        for est in estimate_expectations(
-            ansatz, params, op, 20000, range(100), noise=NoiseSpec(p1=0.05, p2=0.0, readout=None)
-        )
-    ]
+    values, _ = seeded_estimate(
+        ansatz, params, op, 20000, range(100), noise=NoiseSpec(p1=0.05, p2=0.0, readout=None)
+    )
     se_mean = np.std(values) / math.sqrt(len(values))
     assert np.mean(values) < 0.5 - 3 * se_mean
 
@@ -706,14 +626,8 @@ def test_readout_mitigation_recovers_exact_value():
     op = single_z()
     noise = NoiseSpec(p1=0.0, p2=0.0, readout=symmetric_confusion(0.02))
 
-    mitigated = [
-        est.value
-        for est in estimate_expectations(ansatz, params, op, 20000, range(60), noise, mitigate=True)
-    ]
-    raw = [
-        est.value
-        for est in estimate_expectations(ansatz, params, op, 20000, range(60), noise, mitigate=False)
-    ]
+    mitigated, _ = seeded_estimate(ansatz, params, op, 20000, range(60), noise, mitigate=True)
+    raw, _ = seeded_estimate(ansatz, params, op, 20000, range(60), noise, mitigate=False)
     se = np.std(mitigated) / math.sqrt(len(mitigated))
     assert abs(np.mean(mitigated) - 0.5) < 3 * se
     # unmitigated readout shrinks the expectation by 1 - 2*flip
@@ -725,15 +639,12 @@ def test_mitigation_amplifies_shot_noise():
     ansatz = AnsatzSpec(qubits=1, depth=0)
     params = [[math.pi / 3, 0.0]]
     op = single_z()
-    clean = np.std([est.value for est in estimate_expectations(ansatz, params, op, 5000, range(100))])
+    clean = np.std(seeded_estimate(ansatz, params, op, 5000, range(100))[0])
     flipped = np.std(
-        [
-            est.value
-            for est in estimate_expectations(
-                ansatz, params, op, 5000, range(100),
-                noise=NoiseSpec(p1=0.0, p2=0.0, readout=symmetric_confusion(0.15)),
-            )
-        ]
+        seeded_estimate(
+            ansatz, params, op, 5000, range(100),
+            noise=NoiseSpec(p1=0.0, p2=0.0, readout=symmetric_confusion(0.15)),
+        )[0]
     )
     # inversion divides by (1 - 2*flip) = 0.7, inflating the spread
     assert flipped / clean > 1.2
@@ -743,10 +654,10 @@ def test_noisy_estimate_metadata():
     _, _, op = chain_problem((4, 2))
     ansatz = AnsatzSpec(qubits=2, depth=1)
     params = np.linspace(0.1, 1.9, ansatz.parameter_count)[None, :]
-    est, again = estimate_expectations(ansatz, params, op, 500, [3, 3], noise=NoiseSpec())
-    assert est.mode == NOISY
-    assert est.shots_used >= 500
-    assert est.std_error > 0
+    value, variance = seeded_estimate(ansatz, params, op, 500, [3, 3], noise=NoiseSpec())
+    est, again = _bits(value, variance)
+    assert len(qsim._measurement_plan(op, True).outcomes) * 500 >= 500
+    assert math.sqrt(variance[0]) > 0
     assert est == again
 
 
@@ -802,12 +713,9 @@ def test_exact_channel_matches_trajectory_estimator():
         )
         for s in range(300)
     ]
-    new = [
-        est.value
-        for est in estimate_expectations(
-            ansatz, params[None, :], op, 100, range(1000, 1300), NoiseSpec(p1=0.02, p2=0.1)
-        )
-    ]
+    new, _ = seeded_estimate(
+        ansatz, params[None, :], op, 100, range(1000, 1300), NoiseSpec(p1=0.02, p2=0.1)
+    )
     assert stats.ks_2samp(old, new).pvalue > 0.01
     assert stats.levene(old, new).pvalue > 0.01
 
@@ -841,14 +749,12 @@ def test_noise_spec_validation():
     singular = NoiseSpec(p1=0.0, p2=0.0, readout=symmetric_confusion(0.5))
     _, _, op = chain_problem((4, 2))
     with pytest.raises(ValueError):
-        estimate_expectations(
-            AnsatzSpec(qubits=2), np.zeros((1, 8)), op, 10, [None], noise=singular
-        )
+        seeded_estimate(AnsatzSpec(qubits=2), np.zeros((1, 8)), op, 10, [None], noise=singular)
     # without mitigation nothing is inverted, so a singular confusion is fine
-    unmitigated = estimate_expectations(
+    unmitigated = seeded_estimate(
         AnsatzSpec(qubits=2), np.zeros((1, 8)), op, 10, [1, 2], noise=singular, mitigate=False
     )
-    assert all(math.isfinite(est.value) and math.isfinite(est.std_error) for est in unmitigated)
+    assert all(math.isfinite(v) and math.isfinite(math.sqrt(e)) for v, e in zip(*unmitigated))
 
 
 def test_embedding_reproduces_smaller_register():
