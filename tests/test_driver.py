@@ -342,17 +342,17 @@ def test_distribution_study_matches_per_repetition_estimates(q2_problem, mitigat
     sampled, noisy = run_distribution_study(config, params, repetitions=5, problem=q2_problem)
     ansatz, op = q2_problem.ansatz, q2_problem.operator
     want_sampled = [
-        qsim._estimate(ansatz, params[None, :], op, 700, numpy_starts([seed]), grouping=grouping)[0]
+        qsim._estimate(ansatz, params[None, :], op, 700, numpy_starts([seed]), grouping=grouping)[0][0]
         for seed in seed_stream(config.seed + 7919, 5)
     ]
     want_noisy = [
         qsim._estimate(
             ansatz, params[None, :], op, 700, numpy_starts([seed]), noise, mitigate, grouping
-        )[0]
+        )[0][0]
         for seed in seed_stream(config.seed + 2 * 7919, 5)
     ]
-    assert [v.hex() for v in sampled.values] == [float(v[0]).hex() for v in want_sampled]
-    assert [v.hex() for v in noisy.values] == [float(v[0]).hex() for v in want_noisy]
+    assert [v.hex() for v in sampled.values] == [v.hex() for v in want_sampled]
+    assert [v.hex() for v in noisy.values] == [v.hex() for v in want_noisy]
 
 
 @pytest.fixture(scope="module")
@@ -373,10 +373,10 @@ def test_distribution_study_sampled_batch_matches_one_row_loop(rung_problems, ru
         qsim._estimate(
             problem.ansatz, params[None, :], problem.operator, shots, numpy_starts([rep_seed]),
             grouping=grouping,
-        )[0]
+        )[0][0]
         for rep_seed in seed_stream(config.seed + 7919, 20)
     ]
-    assert [v.hex() for v in study.values] == [float(v[0]).hex() for v in want]
+    assert [v.hex() for v in study.values] == [v.hex() for v in want]
 
 
 def test_distribution_study_checks_every_mode_before_estimating(q2_problem, monkeypatch):

@@ -330,11 +330,10 @@ def test_sampled_expectations_rows_match_single_estimates_bit_for_bit(
         assert rows[b] == alone
         assert shuffled[order.index(b)] == alone
         if not noisy:
-            value, std_error, used = serial_sampled_expectation(
+            value, std_error, _ = serial_sampled_expectation(
                 ansatz, points[b], op, shots, grouping=grouping, seed=seeds[b]
             )
             assert alone == (value.hex(), std_error.hex())
-            assert used == len(qsim._measurement_plan(op, grouping).outcomes) * shots
 
 
 def test_distribution_tables_run_in_bounded_blocks(monkeypatch):
