@@ -25,7 +25,7 @@ from .driver import (
     run_qubit_scan,
     run_vqe,
 )
-from .optimize import NelderMeadConfig, ObjectiveSpec, SpsaConfig
+from .optimize import SpsaConfig
 from .paulimap import map_operator
 from .potential import BISTABLE, MONOSTABLE, ChainSpec, DihedralSpec
 from .qsim import EXACT, FULL, LINEAR, NOISY, SAMPLED, AnsatzSpec, NoiseSpec
@@ -47,9 +47,7 @@ __all__ = [
     "CompositeBasis",
     "DihedralSpec",
     "EnsembleStats",
-    "NelderMeadConfig",
     "NoiseSpec",
-    "ObjectiveSpec",
     "Problem",
     "SpsaConfig",
     "VqeConfig",

@@ -20,6 +20,7 @@ from .chain import build_chain_matrix, build_composite_basis, lowest_eigenvalue,
 from .config import ConfigError, build_vqe_config, resolve_settings
 from .driver import (
     _build,
+    _check_study,
     run_barrier_scan,
     run_distribution_study,
     run_ensemble,
@@ -262,6 +263,7 @@ def _cmd_dist_study(args, settings) -> int:
         if not isinstance(params, list):
             raise ValueError(f"params file {args.params} must hold a JSON list of angles")
     else:
+        _check_study(settings["repetitions"])
         params = run_ensemble(config, problem).best_params
     studies = run_distribution_study(
         config, params, repetitions=settings["repetitions"], problem=problem

@@ -10,7 +10,10 @@ length) surface later as ``ValueError`` when the run config is built.
 
 from __future__ import annotations
 
-from .driver import CALIBRATED, FIXED, NELDER_MEAD, SPSA, VqeConfig
+import dataclasses
+import inspect
+
+from .driver import CALIBRATED, FIXED, NELDER_MEAD, SPSA, VqeConfig, run_distribution_study
 from .potential import BISTABLE, MONOSTABLE, ChainSpec, DihedralSpec
 from .qsim import EXACT, FULL, LINEAR, NOISY, SAMPLED, NoiseSpec, symmetric_confusion
 
@@ -93,55 +96,39 @@ def _choice(options):
     return parse
 
 
-_PARSERS = {
-    "dihedrals": _parse_dihedrals,
-    "diffusion": _parse_floats,
-    "kept": _parse_ints,
-    "ladder": _parse_ladder,
-    "harmonics": _parse_int,
-    "depth": _parse_int,
-    "entangler": _choice((LINEAR, FULL)),
-    "mode": _choice((EXACT, SAMPLED, NOISY)),
-    "shots": _parse_int,
-    "grouping": _parse_bool,
-    "mitigate": _parse_bool,
-    "p1": _parse_float,
-    "p2": _parse_float,
-    "readout_flip": _parse_float,
-    "optimizer": _choice((SPSA, NELDER_MEAD)),
-    "gain_policy": _choice((FIXED, CALIBRATED)),
-    "iterations": _parse_int,
-    "restarts": _parse_int,
-    "seed": _parse_int,
-    "workers": _parse_int,
-    "barriers": _parse_floats,
-    "repetitions": _parse_int,
+_VQE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(VqeConfig)}
+_NOISE_DEFAULTS = NoiseSpec()
+
+# key -> (parser, default); a key named after a VqeConfig field takes its default
+_SETTINGS = {
+    "dihedrals": (_parse_dihedrals, (DihedralSpec(BISTABLE, 0.5), DihedralSpec(MONOSTABLE, 1.0))),
+    "diffusion": (_parse_floats, (1.0, 1.0, 1.0)),
+    "kept": (_parse_ints, (4, 2)),
+    "ladder": (_parse_ladder, _VQE_DEFAULTS["ladder"]),
+    "harmonics": (_parse_int, _VQE_DEFAULTS["harmonics"]),
+    "depth": (_parse_int, _VQE_DEFAULTS["depth"]),
+    "entangler": (_choice((LINEAR, FULL)), _VQE_DEFAULTS["entangler"]),
+    "mode": (_choice((EXACT, SAMPLED, NOISY)), _VQE_DEFAULTS["mode"]),
+    "shots": (_parse_int, _VQE_DEFAULTS["shots"]),
+    "grouping": (_parse_bool, _VQE_DEFAULTS["grouping"]),
+    "mitigate": (_parse_bool, _VQE_DEFAULTS["mitigate"]),
+    "p1": (_parse_float, _NOISE_DEFAULTS.p1),
+    "p2": (_parse_float, _NOISE_DEFAULTS.p2),
+    "readout_flip": (_parse_float, _NOISE_DEFAULTS.readout[0][1]),
+    "optimizer": (_choice((SPSA, NELDER_MEAD)), _VQE_DEFAULTS["optimizer"]),
+    "gain_policy": (_choice((FIXED, CALIBRATED)), _VQE_DEFAULTS["gain_policy"]),
+    "iterations": (_parse_int, _VQE_DEFAULTS["iterations"]),
+    "restarts": (_parse_int, _VQE_DEFAULTS["restarts"]),
+    "seed": (_parse_int, _VQE_DEFAULTS["seed"]),
+    "workers": (_parse_int, _VQE_DEFAULTS["workers"]),
+    "barriers": (_parse_floats, (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)),
+    "repetitions": (
+        _parse_int,
+        inspect.signature(run_distribution_study).parameters["repetitions"].default,
+    ),
 }
 
-DEFAULT_SETTINGS = {
-    "dihedrals": (DihedralSpec(BISTABLE, 0.5), DihedralSpec(MONOSTABLE, 1.0)),
-    "diffusion": (1.0, 1.0, 1.0),
-    "kept": (4, 2),
-    "ladder": None,
-    "harmonics": 16,
-    "depth": 1,
-    "entangler": LINEAR,
-    "mode": EXACT,
-    "shots": 20000,
-    "grouping": True,
-    "mitigate": True,
-    "p1": 2e-4,
-    "p2": 7e-3,
-    "readout_flip": 0.02,
-    "optimizer": SPSA,
-    "gain_policy": CALIBRATED,
-    "iterations": 600,
-    "restarts": 60,
-    "seed": 2021,
-    "workers": 1,
-    "barriers": (0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
-    "repetitions": 200,
-}
+DEFAULT_SETTINGS = {key: default for key, (_, default) in _SETTINGS.items()}
 
 
 def parse_assignment(text: str, where: str) -> tuple:
@@ -150,10 +137,10 @@ def parse_assignment(text: str, where: str) -> tuple:
     if not sep:
         raise ConfigError(f"{where}: expected key=value, got {text.strip()!r}")
     key = key.strip().lower()
-    if key not in _PARSERS:
+    if key not in _SETTINGS:
         raise ConfigError(f"{where}: unknown key {key!r}")
     try:
-        return key, _PARSERS[key](value)
+        return key, _SETTINGS[key][0](value)
     except ValueError as exc:
         raise ConfigError(f"{where}: {key}: {exc}") from None
 
@@ -208,19 +195,6 @@ def build_vqe_config(settings: dict) -> VqeConfig:
     return VqeConfig(
         chain=chain,
         kept_counts=settings["kept"],
-        ladder=settings["ladder"],
-        harmonics=settings["harmonics"],
-        depth=settings["depth"],
-        entangler=settings["entangler"],
-        mode=settings["mode"],
-        shots=settings["shots"],
         noise=noise,
-        mitigate=settings["mitigate"],
-        grouping=settings["grouping"],
-        optimizer=settings["optimizer"],
-        iterations=settings["iterations"],
-        gain_policy=settings["gain_policy"],
-        restarts=settings["restarts"],
-        seed=settings["seed"],
-        workers=settings["workers"],
+        **{key: settings[key] for key in _SETTINGS if key in _VQE_DEFAULTS},
     )

@@ -34,8 +34,6 @@ from .chain import (
     rate_constant,
 )
 from .optimize import (
-    NelderMeadConfig,
-    ObjectiveSpec,
     OptTrace,
     SpsaConfig,
     TraceRecord,
@@ -132,7 +130,6 @@ class VqeConfig:
     iterations: int = 600
     gain_policy: str = CALIBRATED
     spsa: SpsaConfig = field(default_factory=SpsaConfig)
-    nelder_mead: NelderMeadConfig = field(default_factory=NelderMeadConfig)
     restarts: int = 60
     seed: int = 2021
     workers: int = 1
@@ -338,13 +335,9 @@ def _single_run(problem: Problem, config: VqeConfig, run_seed: int, x0=None, cal
     if config.optimizer == NELDER_MEAD:
         evaluate = _batch_evaluator(problem, config, (run_seed,))
         (start,) = _start_points(problem, (run_seed,), x0)
-        obj = ObjectiveSpec(
-            lambda point: float(evaluate(np.asarray(point, dtype=float)[None, :])[0]),
-            problem.ansatz.parameter_count,
-            config.budget,
-            seed=run_seed,
+        trace = nelder_mead_minimize(
+            lambda point: float(evaluate(point[None, :])[0]), start, config.budget
         )
-        trace = nelder_mead_minimize(obj, config.nelder_mead, x0=start)
     else:
         records, eval_values = [], []
 
@@ -452,29 +445,33 @@ def run_ensemble(config: VqeConfig, problem: Problem = None) -> EnsembleStats:
 
 
 def run_barrier_scan(config: VqeConfig, barriers) -> tuple:
-    """One ensemble per bistable barrier height; returns (barrier, stats) pairs."""
+    """One ensemble per bistable barrier height, all built first; (barrier, stats) pairs."""
     barriers = tuple(float(b) for b in barriers)
     if not barriers:
         raise ValueError("need at least one barrier height")
-    out = []
+    scans = []
     for barrier in barriers:
         first = dataclasses.replace(config.chain.dihedrals[0], barrier=barrier)
         chain = dataclasses.replace(
             config.chain, dihedrals=(first,) + config.chain.dihedrals[1:]
         )
         scan_config = dataclasses.replace(config, chain=chain)
-        out.append((barrier, run_ensemble(scan_config)))
-    return tuple(out)
+        scans.append((barrier, scan_config, _build(scan_config)))
+    return tuple((barrier, run_ensemble(c, problem)) for barrier, c, problem in scans)
+
+
+def _rung_problems(config: VqeConfig, ladder):
+    """Each rung's config and problem along a nested ladder, in rung order."""
+    for i, rung in enumerate(ladder):
+        rung_config = dataclasses.replace(config, kept_counts=rung, ladder=ladder[: i + 1])
+        yield rung_config, _build(rung_config)
 
 
 def run_qubit_scan(config: VqeConfig, ladder) -> tuple:
-    """Ensembles along a nested basis ladder; returns (kept_counts, stats) pairs."""
+    """Ensembles along a nested basis ladder, all built first; (kept_counts, stats) pairs."""
     ladder = tuple(tuple(int(c) for c in rung) for rung in ladder)
-    out = []
-    for i, rung in enumerate(ladder):
-        rung_config = dataclasses.replace(config, kept_counts=rung, ladder=ladder[: i + 1])
-        out.append((rung, run_ensemble(rung_config)))
-    return tuple(out)
+    rungs = list(_rung_problems(config, ladder))
+    return tuple((c.kept_counts, run_ensemble(c, problem)) for c, problem in rungs)
 
 
 @dataclass(frozen=True)
@@ -495,7 +492,8 @@ def run_hierarchical(ladder, config: VqeConfig) -> tuple:
     the previous state is reproduced exactly) and runs a restart ensemble from
     that point with the configured fixed gains; the embedded value itself
     participates in the minimum, which makes rung minima non-increasing by
-    construction.
+    construction.  Every rung's problem is built, and checked to add one
+    qubit, before the first ensemble runs.
     """
     ladder = tuple(tuple(int(c) for c in rung) for rung in ladder)
     if len(ladder) < 2:
@@ -505,44 +503,39 @@ def run_hierarchical(ladder, config: VqeConfig) -> tuple:
             raise ValueError(f"ladder rungs must be nested: {small} then {large}")
         if small == large:
             raise ValueError("consecutive ladder rungs must strictly grow")
-
     rungs = []
-    params = None
-    best = math.inf
-    for i, rung in enumerate(ladder):
-        rung_config = dataclasses.replace(config, kept_counts=rung, ladder=ladder[: i + 1])
-        problem = _build(rung_config)
+    for rung_config, problem in _rung_problems(config, ladder):
+        if rungs and problem.qubits != rungs[-1][1].qubits + 1:
+            raise ValueError("ladder rungs must grow by one qubit at a time")
+        rungs.append((rung_config, problem))
+
+    out = []
+    for i, (rung_config, problem) in enumerate(rungs):
         seeds = seed_stream(config.seed + i, config.restarts)
         if i == 0:
             results = _run_batch(problem, rung_config, seeds)
             start_value = math.nan
         else:
-            if problem.ansatz.parameter_count != len(params) + 2 * config.depth + 2:
-                raise ValueError("ladder rungs must grow by one qubit at a time")
-            smaller = AnsatzSpec(
-                qubits=problem.qubits - 1, depth=config.depth, entangler=config.entangler
-            )
-            x0 = embed_params(smaller, np.asarray(params, dtype=float))
+            # the previous rung's ansatz is this one's less its new qubit
+            x0 = embed_params(rungs[i - 1][1].ansatz, np.asarray(params, dtype=float))
             # the probe takes the seed after the runs' seeds, so its evaluation
             # seeds are not those of run 0's first probe
             probe_seed = seed_stream(config.seed + i, config.restarts + 1)[-1]
             start_value = float(_batch_evaluator(problem, rung_config, (probe_seed,))(x0[None, :])[0])
             results = _run_batch(problem, rung_config, seeds, x0=x0, calibrate=False)
             results.append((start_value, tuple(float(v) for v in x0)))
-        value, best_params = min(results, key=lambda pair: pair[0])
-        best = min(best, value)
-        params = best_params
-        rungs.append(
+        value, params = min(results, key=lambda pair: pair[0])
+        out.append(
             RungResult(
-                kept_counts=rung,
+                kept_counts=rung_config.kept_counts,
                 qubits=problem.qubits,
                 start_value=start_value,
                 best_value=value,
-                best_params=best_params,
+                best_params=params,
                 reference=problem.reference,
             )
         )
-    return tuple(rungs)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -566,10 +559,22 @@ class DistributionStudy:
         return min(self.values)
 
 
+_STUDY_MODES = (SAMPLED, NOISY)
+
+
+def _check_study(repetitions: int, modes=_STUDY_MODES) -> None:
+    """Reject a distribution study's repetitions or modes before anything runs."""
+    if repetitions < 2:
+        raise ValueError("need at least two repetitions for spread statistics")
+    for mode in modes:
+        if mode not in _STUDY_MODES:
+            raise ValueError(f"distribution study mode must be statistical, got {mode!r}")
+
+
 def run_distribution_study(
     config: VqeConfig,
     params,
-    modes=(SAMPLED, NOISY),
+    modes=_STUDY_MODES,
     repetitions: int = 200,
     problem: Problem = None,
 ) -> tuple:
@@ -582,11 +587,7 @@ def run_distribution_study(
     (`qsim._pcg64_states(qsim._word_table(seeds))`), as a lone estimate
     would.
     """
-    if repetitions < 2:
-        raise ValueError("need at least two repetitions for spread statistics")
-    for mode in modes:
-        if mode not in (SAMPLED, NOISY):
-            raise ValueError(f"distribution study mode must be statistical, got {mode!r}")
+    _check_study(repetitions, modes)
     if problem is None:
         problem = _build(config)
     params = np.asarray(params, dtype=float)

@@ -5,7 +5,7 @@ together, one run being a batch of one, for a budget of `iterations`.  Each
 iteration costs two evaluations (the +/- probe pair), and one final
 evaluation at the terminal point follows, so `iterations` buys
 2*iterations + 1 evaluations.  Nelder-Mead pays per simplex move and stops
-at `ObjectiveSpec.budget` evaluations, so the driver gives it the same
+after the `budget` evaluations it is given, so the driver gives it the same
 2*iterations + 1 and runs with either algorithm are directly comparable.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -21,22 +20,14 @@ TWO_PI = 2.0 * math.pi
 # iterations of SPSA directions drawn per generator call; one (block, dim)
 # draw yields the same bits as block successive (dim,) draws
 _DIRECTION_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class ObjectiveSpec:
-    """A possibly stochastic objective: params -> value."""
-
-    evaluator: Callable
-    dimension: int
-    budget: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("objective dimension must be at least 1")
-        if self.budget < 1:
-            raise ValueError("evaluation budget must be at least 1")
+# Nelder-Mead: the start simplex's edge along each axis, the reflect, expand,
+# contract and shrink coefficients, and the simplex diameter that ends a run
+_NM_STEP = 0.1
+_NM_REFLECTION = 1.0
+_NM_EXPANSION = 2.0
+_NM_CONTRACTION = 0.5
+_NM_SHRINK = 0.5
+_NM_DIAMETER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -52,16 +43,6 @@ class SpsaConfig:
     def __post_init__(self):
         if self.a <= 0 or self.c <= 0:
             raise ValueError("SPSA gains a and c must be positive")
-
-
-@dataclass(frozen=True)
-class NelderMeadConfig:
-    step: float = 0.1
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
-    diameter_tol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -103,15 +84,6 @@ def finish_trace(records, eval_values, termination) -> OptTrace:
         n_evaluations=len(eval_values),
         termination=termination,
     )
-
-
-def _initial_point(obj: ObjectiveSpec, x0) -> np.ndarray:
-    if x0 is None:
-        return np.random.default_rng(obj.seed).uniform(0.0, TWO_PI, obj.dimension)
-    start = np.asarray(x0, dtype=float).ravel()
-    if start.size != obj.dimension:
-        raise ValueError("starting point does not match the objective dimension")
-    return start
 
 
 def spsa_lockstep(
@@ -172,21 +144,25 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def nelder_mead_minimize(
-    obj: ObjectiveSpec, config: NelderMeadConfig = None, x0=None
-) -> OptTrace:
-    """Downhill simplex with standard reflect/expand/contract/shrink moves."""
-    config = config or NelderMeadConfig()
-    start = _initial_point(obj, x0)
-    dim = obj.dimension
+def nelder_mead_minimize(evaluate, x0, budget: int) -> OptTrace:
+    """Downhill simplex from x0 with standard reflect/expand/contract/shrink moves.
+
+    `evaluate(point) -> value` is called at most `budget` times.
+    """
+    start = np.asarray(x0, dtype=float).ravel()
+    dim = start.size
+    if dim < 1:
+        raise ValueError("objective dimension must be at least 1")
+    if budget < 1:
+        raise ValueError("evaluation budget must be at least 1")
     eval_values = []
     records = []
     best_seen = [None, math.inf]
 
     def call(point):
-        if len(eval_values) >= obj.budget:
+        if len(eval_values) >= budget:
             raise _BudgetExhausted
-        value = float(obj.evaluator(point))
+        value = float(evaluate(point))
         eval_values.append(value)
         if value < best_seen[1]:
             best_seen[0], best_seen[1] = tuple(point), value
@@ -195,32 +171,29 @@ def nelder_mead_minimize(
     simplex = [start.copy()]
     for i in range(dim):
         vertex = start.copy()
-        vertex[i] += config.step
+        vertex[i] += _NM_STEP
         simplex.append(vertex)
-    values = []
     termination = "budget"
     try:
-        for vertex in simplex:
-            values.append(call(vertex))
-        iteration = 0
+        values = [call(vertex) for vertex in simplex]
         while True:
             order = np.argsort(values, kind="stable")
             simplex = [simplex[i] for i in order]
             values = [values[i] for i in order]
-            records.append(TraceRecord(iteration, tuple(simplex[0]), values[0]))
+            records.append(TraceRecord(len(records), tuple(simplex[0]), values[0]))
             diameter = max(
                 float(np.linalg.norm(v - simplex[0])) for v in simplex[1:]
             )
-            if diameter < config.diameter_tol:
+            if diameter < _NM_DIAMETER_TOL:
                 termination = "converged"
                 break
 
             centroid = np.mean(simplex[:-1], axis=0)
             worst = simplex[-1]
-            reflected = centroid + config.reflection * (centroid - worst)
+            reflected = centroid + _NM_REFLECTION * (centroid - worst)
             f_reflected = call(reflected)
             if f_reflected < values[0]:
-                expanded = centroid + config.expansion * (centroid - worst)
+                expanded = centroid + _NM_EXPANSION * (centroid - worst)
                 f_expanded = call(expanded)
                 if f_expanded < f_reflected:
                     simplex[-1], values[-1] = expanded, f_expanded
@@ -230,19 +203,16 @@ def nelder_mead_minimize(
                 simplex[-1], values[-1] = reflected, f_reflected
             else:
                 if f_reflected < values[-1]:
-                    contracted = centroid + config.contraction * (centroid - worst)
+                    contracted = centroid + _NM_CONTRACTION * (centroid - worst)
                 else:
-                    contracted = centroid - config.contraction * (centroid - worst)
+                    contracted = centroid - _NM_CONTRACTION * (centroid - worst)
                 f_contracted = call(contracted)
                 if f_contracted < min(f_reflected, values[-1]):
                     simplex[-1], values[-1] = contracted, f_contracted
                 else:
                     for i in range(1, dim + 1):
-                        simplex[i] = simplex[0] + config.shrink * (
-                            simplex[i] - simplex[0]
-                        )
+                        simplex[i] = simplex[0] + _NM_SHRINK * (simplex[i] - simplex[0])
                         values[i] = call(simplex[i])
-            iteration += 1
     except _BudgetExhausted:
         pass
 

@@ -27,7 +27,7 @@ from rotorvqe.driver import (
     run_distribution_study,
     run_hierarchical,
 )
-from rotorvqe.optimize import ObjectiveSpec, nelder_mead_minimize
+from rotorvqe.optimize import nelder_mead_minimize
 from rotorvqe.paulimap import map_operator
 from rotorvqe.qsim import SAMPLED, prepare_state
 
@@ -224,9 +224,8 @@ def test_criterion_10_spsa_beats_nelder_mead_to_one_percent():
     for seed in range(10):
         dim = problem.ansatz.parameter_count
         x0 = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, dim)
-        obj = ObjectiveSpec(evaluate, dim, budget=2 * 600 + 1, seed=seed)
         spsa_cross = crossing(_single_run(problem, config, seed).trace.eval_values, offset=50)
-        nm_cross = crossing(nelder_mead_minimize(obj, x0=x0).eval_values)
+        nm_cross = crossing(nelder_mead_minimize(evaluate, x0, 2 * 600 + 1).eval_values)
         if spsa_cross is not None and (nm_cross is None or spsa_cross < nm_cross):
             wins += 1
         details.append(f"seed {seed}: spsa {spsa_cross} vs nm {nm_cross}")

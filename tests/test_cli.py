@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rotorvqe import cli
 from rotorvqe.cli import main
 from rotorvqe.paulimap import operator_from_text
 
@@ -222,6 +223,19 @@ def test_exit_code_validation_error(tmp_path, capsys):
         params.write_text(text)
         assert main(["dist-study", "--params", str(params)]) == 3
         assert "finite angle" in capsys.readouterr().err
+
+
+def test_dist_study_refuses_repetitions_before_its_ensemble(monkeypatch, capsys):
+    ensembles = []
+
+    def run_ensemble(*args, **kwargs):
+        ensembles.append(args)
+        raise AssertionError("the study's ensemble ran before its repetitions were checked")
+
+    monkeypatch.setattr(cli, "run_ensemble", run_ensemble)
+    assert main(["dist-study", "--set", "repetitions=1"]) == 3
+    assert "need at least two repetitions" in capsys.readouterr().err
+    assert ensembles == []
 
 
 def test_argparse_exits_are_returned(capsys):

@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import pytest
 
 from rotorvqe.config import (
@@ -10,9 +13,11 @@ from rotorvqe.config import (
     parse_config,
     resolve_settings,
 )
-from rotorvqe.driver import CALIBRATED, NELDER_MEAD
+from rotorvqe.driver import CALIBRATED, NELDER_MEAD, VqeConfig, run_distribution_study
 from rotorvqe.potential import BISTABLE, MONOSTABLE, DihedralSpec
-from rotorvqe.qsim import NOISY, SAMPLED
+from rotorvqe.qsim import NOISY, SAMPLED, NoiseSpec
+
+from conftest import make_chain
 
 
 def test_defaults_cover_every_key():
@@ -23,6 +28,18 @@ def test_defaults_cover_every_key():
         if key == "ladder":
             continue  # optional by design
         assert settings[key] is not None
+
+
+def test_default_run_is_the_library_default():
+    # the CLI's defaults name the library's: the default chain and kept counts,
+    # VqeConfig's field defaults, NoiseSpec's rates and the study's repetitions
+    config = build_vqe_config(resolve_settings())
+    library = VqeConfig(chain=make_chain(), kept_counts=(4, 2))
+    for field in dataclasses.fields(VqeConfig):
+        assert getattr(config, field.name) == getattr(library, field.name), field.name
+    assert config.noise == NoiseSpec()
+    repetitions = inspect.signature(run_distribution_study).parameters["repetitions"].default
+    assert DEFAULT_SETTINGS["repetitions"] == repetitions
 
 
 def test_parse_config_basics():

@@ -283,6 +283,40 @@ def test_barrier_scan_references_decrease():
         run_barrier_scan(config, ())
 
 
+def refuse_ensembles(monkeypatch):
+    """Make any ensemble batch fail, so a test sees that bad input is refused before one runs."""
+
+    def run_batch(*args, **kwargs):
+        raise AssertionError("an ensemble ran before the input was refused")
+
+    monkeypatch.setattr(driver, "_run_batch", run_batch)
+
+
+def test_barrier_scan_refuses_a_bad_height_before_any_ensemble(monkeypatch):
+    refuse_ensembles(monkeypatch)
+    with pytest.raises(ValueError, match="barrier must be finite and >= 0, got -1.0"):
+        run_barrier_scan(quick_config(iterations=5, restarts=1), (0.5, 1.0, -1.0))
+
+
+def test_qubit_scan_refuses_a_bad_rung_before_any_ensemble(monkeypatch):
+    refuse_ensembles(monkeypatch)
+    with pytest.raises(ValueError, match="got kept=40"):
+        run_qubit_scan(quick_config(iterations=5, restarts=1), ((4, 2), (4, 4), (40, 4)))
+
+
+@pytest.mark.parametrize(
+    "ladder, message",
+    [
+        (((4, 2), (4, 4), (40, 4)), "got kept=40"),
+        (((4, 2), (4, 4), (16, 4)), "grow by one qubit at a time"),
+    ],
+)
+def test_hierarchical_refuses_a_bad_rung_before_any_ensemble(monkeypatch, ladder, message):
+    refuse_ensembles(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        run_hierarchical(ladder, quick_config(iterations=5, restarts=1))
+
+
 def test_qubit_scan_covers_ladder():
     config = quick_config(iterations=10, restarts=1)
     results = run_qubit_scan(config, LADDER)

@@ -10,8 +10,6 @@ import oracles
 from rotorvqe.driver import VqeConfig, run_vqe
 from rotorvqe.optimize import (
     _DIRECTION_BLOCK,
-    NelderMeadConfig,
-    ObjectiveSpec,
     OptTrace,
     SpsaConfig,
     nelder_mead_minimize,
@@ -55,10 +53,10 @@ def run_config(**overrides) -> VqeConfig:
 
 
 def test_objective_validation():
-    with pytest.raises(ValueError):
-        ObjectiveSpec(evaluator=lambda p: 0.0, dimension=0, budget=10)
-    with pytest.raises(ValueError):
-        ObjectiveSpec(evaluator=lambda p: 0.0, dimension=2, budget=0)
+    with pytest.raises(ValueError, match="objective dimension must be at least 1"):
+        nelder_mead_minimize(lambda p: 0.0, np.zeros(0), 10)
+    with pytest.raises(ValueError, match="evaluation budget must be at least 1"):
+        nelder_mead_minimize(lambda p: 0.0, np.zeros(2), 0)
     with pytest.raises(ValueError):
         SpsaConfig(a=0.0)
 
@@ -167,30 +165,29 @@ def test_spsa_lockstep_matches_serial_oracle_bit_for_bit(iterations, runs, dim, 
 
 
 def test_nelder_mead_two_dim_quadratic():
-    obj = ObjectiveSpec(quadratic([0.7, -1.3]), dimension=2, budget=800, seed=1)
-    trace = nelder_mead_minimize(obj, x0=np.zeros(2))
+    trace = nelder_mead_minimize(quadratic([0.7, -1.3]), np.zeros(2), 800)
     assert trace.termination == "converged"
     assert trace.best_value < 1e-10
     assert np.allclose(trace.best_params, [0.7, -1.3], atol=1e-4)
 
 
 def test_nelder_mead_one_dim():
-    obj = ObjectiveSpec(quadratic([2.0]), dimension=1, budget=300, seed=2)
-    trace = nelder_mead_minimize(obj, x0=np.array([0.5]))
+    trace = nelder_mead_minimize(quadratic([2.0]), np.array([0.5]), 300)
     assert trace.best_params[0] == pytest.approx(2.0, abs=1e-3)
 
 
 def test_nelder_mead_respects_budget():
-    obj = ObjectiveSpec(quadratic(np.ones(8)), dimension=8, budget=10, seed=4)
-    trace = nelder_mead_minimize(obj)
+    x0 = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi, 8)
+    trace = nelder_mead_minimize(quadratic(np.ones(8)), x0, 10)
     assert trace.n_evaluations <= 10
     assert trace.termination == "budget"
     assert trace.best_value == min(trace.eval_values)
 
 
 def test_nelder_mead_deterministic():
-    obj = ObjectiveSpec(quadratic(np.ones(3)), dimension=3, budget=200, seed=9)
-    assert nelder_mead_minimize(obj) == nelder_mead_minimize(obj)
+    x0 = np.random.default_rng(9).uniform(0.0, 2.0 * math.pi, 3)
+    evaluate = quadratic(np.ones(3))
+    assert nelder_mead_minimize(evaluate, x0, 200) == nelder_mead_minimize(evaluate, x0, 200)
 
 
 def test_trace_csv_round_trip_fields(q2_problem):
