@@ -42,7 +42,7 @@ from .optimize import (
     spsa_lockstep,
 )
 from .paulimap import PauliOperator, map_operator
-from .potential import ChainSpec
+from .potential import BISTABLE, ChainSpec
 from .qsim import (
     EXACT,
     LINEAR,
@@ -445,13 +445,19 @@ def run_ensemble(config: VqeConfig, problem: Problem = None) -> EnsembleStats:
 
 
 def run_barrier_scan(config: VqeConfig, barriers) -> tuple:
-    """One ensemble per bistable barrier height, all built first; (barrier, stats) pairs."""
+    """One ensemble per height of the first dihedral's barrier, all built first; (barrier, stats) pairs.
+
+    The scanned dihedral must be bistable: its barrier is the reactive one.
+    """
     barriers = tuple(float(b) for b in barriers)
     if not barriers:
         raise ValueError("need at least one barrier height")
+    scanned = config.chain.dihedrals[0]
+    if scanned.kind != BISTABLE:
+        raise ValueError(f"barrier scan needs a bistable first dihedral, got {scanned.kind}")
     scans = []
     for barrier in barriers:
-        first = dataclasses.replace(config.chain.dihedrals[0], barrier=barrier)
+        first = dataclasses.replace(scanned, barrier=barrier)
         chain = dataclasses.replace(
             config.chain, dihedrals=(first,) + config.chain.dihedrals[1:]
         )

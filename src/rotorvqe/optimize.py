@@ -217,6 +217,8 @@ def nelder_mead_minimize(evaluate, x0, budget: int) -> OptTrace:
         pass
 
     if best_seen[0] is None:
-        raise ValueError("budget too small to evaluate the starting point")
+        raise ValueError(
+            f"no evaluation returned a comparable value: all {len(eval_values)} were NaN or +inf"
+        )
     records.append(TraceRecord(len(records), best_seen[0], best_seen[1]))
     return finish_trace(records, eval_values, termination)

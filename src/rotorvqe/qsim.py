@@ -6,13 +6,16 @@ matching `paulimap`.  Rotation gates follow exp(-i theta sigma / 2).
 a parametric noise model (noisy); exact energies are contracted in
 `driver`.  Every circuit runs on one gate compiler, `_compile`: a pure
 state as a register of Q qubits, a density matrix with each gate's
-depolarizing channel as a superket of 2Q.  Each setting's outcome
-distribution comes off the pure state through its basis change, or off the
-density matrix through one precomputed map (`_folded_map`).  Callers hash a
-batch's seeds at once to the PCG64 starts `default_rng(seed)` would take
-(`_pcg64_states(_word_table(seeds))`); both modes draw each start's counts
-and tally them alike (a noisy estimate optionally undoing readout confusion
-first).
+depolarizing channel as a superket of 2Q.  A pure state skips the products
+with an exact zero: its first Ry layer is a product of cos and sin, and
+every Rz one phase multiply.  Rows that end with a part exactly 0 rerun
+every gate as a 2x2 product, so each row is that product's state bit for
+bit.  Each setting's outcome distribution comes off the pure state through
+its basis change, or off the density matrix through one precomputed map
+(`_folded_map`).  Callers hash a batch's seeds at once to the PCG64 starts
+`default_rng(seed)` would take (`_pcg64_states(_word_table(seeds))`); both
+modes draw each start's counts and tally them alike (a noisy estimate
+optionally undoing readout confusion first).
 """
 
 from __future__ import annotations
@@ -131,17 +134,22 @@ def _compile(qubits: int, ops) -> tuple:
     (name, qubit, key) with amplitude pairs (j0, j1) gathers
     ((x[j0], x[j0]), (x[j1], x[j1])) with one stacked index of shape
     (2, 2, len(j0)), so one product per side gives both new halves, stored
-    in the order (j0, j1).  A ("mix", pairs, key) gathers its 2^k diagonal
-    blocks (`_mix_blocks`) as one index[2^k, n] and keeps the order.  A
+    in the order (j0, j1).  A ("phase", qubit, key), a diagonal gate, keeps
+    the order and holds each row's bit of the qubit, bits[2^Q], which picks
+    the row's phase.  A ("mix", pairs, key) gathers its 2^k diagonal blocks
+    (`_mix_blocks`) as one index[2^k, n] and keeps the order.  A
     ("cx", control, target) only relabels the order, being its own inverse.
-    Returns (steps, final): (key, gather) per rotation or mix, and the
-    gather that restores the computational-basis order.
+    Returns (steps, final): (key, gather) per rotation, phase or mix, and
+    the gather that restores the computational-basis order.
     """
     order = np.arange(1 << qubits)
     steps = []
     for op in ops:
         if op[0] == "cx":
             order = _cnot_table(qubits, op[1], op[2])[order]
+            continue
+        if op[0] == "phase":
+            steps.append((op[2], (order >> (qubits - op[1])) & 1))
             continue
         row = np.argsort(order)
         if op[0] == "mix":
@@ -156,15 +164,19 @@ def _compile(qubits: int, ops) -> tuple:
     return tuple(steps), final
 
 
-def _run_gathers(work: np.ndarray, steps, gates, noise: NoiseSpec = None) -> None:
+def _run_gathers(work: np.ndarray, steps, gates, noise: NoiseSpec = None, phases=None) -> None:
     """Run compiled (key, gather) steps in place on a C-contiguous work[2^Q, ...].
 
     A rotation's key indexes `gates`, each held as gate[j, i, 1, ...]; a
-    mix's key names its fault probability p, noise.p1 or noise.p2.  A mix on
-    a superket's k (q, Q + q) pairs strikes those qubits with a uniformly
-    chosen non-identity Pauli with probability p, which is (1 - w) rho +
-    w (I/2^k (x) Tr_k rho), w = p 4^k / (4^k - 1) (Nielsen & Chuang, ch. 8):
-    each of the 2^k diagonal blocks gains w/2^k times their sum.
+    phase's key indexes `phases`, each held as phase[bit, ...]; a mix's key
+    names its fault probability p, noise.p1 or noise.p2.  Every product
+    takes the gate first, as the 2x2 product does: numpy's complex kernel
+    rounds its cross terms in operand order, so swapping them moves last
+    bits.  A mix on a superket's k (q, Q + q) pairs strikes those qubits
+    with a uniformly chosen non-identity Pauli with probability p, which is
+    (1 - w) rho + w (I/2^k (x) Tr_k rho), w = p 4^k / (4^k - 1) (Nielsen &
+    Chuang, ch. 8): each of the 2^k diagonal blocks gains w/2^k times their
+    sum.
     """
     halves = work.reshape((2, len(work) // 2) + work.shape[1:])
     terms = np.empty((2,) + halves.shape, dtype=complex)
@@ -175,6 +187,9 @@ def _run_gathers(work: np.ndarray, steps, gates, noise: NoiseSpec = None) -> Non
             work.take(index, axis=0, out=terms, mode="clip")
             np.multiply(gates[key], terms, out=terms)
             np.add(terms[0], terms[1], out=halves)
+            continue
+        if index.ndim == 1:
+            np.multiply(phases[key].take(index, axis=0), work, out=work)
             continue
         if p := getattr(noise, key):
             size = len(index) ** 2
@@ -187,12 +202,32 @@ def _run_gathers(work: np.ndarray, steps, gates, noise: NoiseSpec = None) -> Non
 
 @lru_cache(maxsize=64)
 def _batch_program(ansatz: AnsatzSpec):
-    """(is_rz, steps, final): the Rz parameter mask and the circuit compiled by `_compile`."""
-    ops = ansatz_operations(ansatz)
+    """(is_rz, fast, gathers): the Rz parameter mask and the pure-state circuit, compiled twice.
+
+    `gathers` is the whole circuit compiled by `_compile`, every rotation a
+    2x2 gather.  `fast` = (first, steps, final) skips the products with an
+    exact zero.  The first Ry layer acts on |0...0>, so amplitude k is the
+    real product, in qubit order, of each qubit's cos or sin as its bit of
+    k picks: first[q - 1, k] indexes that factor among the layer's rows
+    (cos, sin).  `_compile` runs the rest, each Rz as a diagonal ("phase")
+    step keyed (block, qubit - 1) and each later Ry as a gather keyed
+    (block - 1, qubit - 1).
+    """
+    qubits, ops = ansatz.qubits, ansatz_operations(ansatz)
     is_rz = np.zeros(ansatz.parameter_count, dtype=bool)
     is_rz[[op[2] for op in ops if op[0] == "rz"]] = True
     is_rz.flags.writeable = False
-    return (is_rz,) + _compile(ansatz.qubits, ops)
+    later = []
+    for op in ops[qubits:]:
+        name, q, p = op
+        if name != "cx":
+            block = p // (2 * qubits)
+            op = ("phase", q, (block, q - 1)) if name == "rz" else (name, q, (block - 1, q - 1))
+        later.append(op)
+    bits = (np.arange(1 << qubits) >> np.arange(qubits - 1, -1, -1)[:, None]) & 1
+    first = bits * qubits + np.arange(qubits)[:, None]
+    first.flags.writeable = False
+    return is_rz, (first,) + _compile(qubits, later), _compile(qubits, ops)
 
 
 @lru_cache(maxsize=64)
@@ -219,19 +254,25 @@ def _superket_program(ansatz: AnsatzSpec):
     return _compile(2 * qubits, ops)
 
 
-def _rotation_gates(is_rz: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Every rotation's 2x2 matrix g for every row of values[B, P], held as `_run_gathers` takes it.
+def _half_angles(is_rz: np.ndarray, values: np.ndarray) -> tuple:
+    """(cos, sin)[P, B] of every gate's half angle for every row of values[B, P].
 
-    gates[param, j, i, 0, row] is g[i, j].  The entries are those of the
-    scalar gate matrices, bit for bit: Ry takes cos and sin of theta/2, as
-    `_ry` does, and Rz the phase exp(-i theta/2), which is
-    cos(-theta/2) + i sin(-theta/2), and its conjugate.
+    These are the entries of the scalar gate matrices, bit for bit: Ry takes
+    cos and sin of theta/2, as `_ry` does, and Rz the phase exp(-i theta/2),
+    which is cos(-theta/2) + i sin(-theta/2), and its conjugate.
     """
     half = values.T / 2.0
+    angle = np.where(is_rz[:, None], -half, half)
+    return np.cos(angle), np.sin(angle)
+
+
+def _rotation_gates(is_rz: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Every rotation's 2x2 matrix g from `_half_angles`, held as `_run_gathers` takes it.
+
+    gates[param, j, i, 0, row] is g[i, j].
+    """
     rz = is_rz[:, None]
-    angle = np.where(rz, -half, half)
-    cos, sin = np.cos(angle), np.sin(angle)
-    gates = np.empty((len(half), 2, 2, 1, half.shape[1]), dtype=complex)
+    gates = np.empty((len(cos), 2, 2, 1, cos.shape[1]), dtype=complex)
     gates[:, 0, 0, 0].real = gates[:, 1, 1, 0].real = cos
     gates[:, 0, 0, 0].imag = np.where(rz, sin, 0.0)
     gates[:, 1, 1, 0].imag = np.where(rz, -sin, 0.0)
@@ -244,28 +285,37 @@ def prepare_states(ansatz: AnsatzSpec, params) -> np.ndarray:
     """Run the circuit on |0...0> once per row of params[B, P]; returns states[B, 2^Q].
 
     The working batch is held batch-minor, as (2^Q, B), so each complex
-    multiply-add of `_run_gathers` runs with the batch as its innermost,
-    contiguous axis.  The arithmetic is the full 2x2 product
-    g[i, 0] a + g[i, 1] b of a single state, zero entries included, so column
-    b is bit-identical to the state of params[b] prepared alone;
-    `tests/oracles.py::serial_prepare_state` checks this.  The result is
-    C-contiguous, which the bit-identical energy contraction in `driver`
-    relies on.
+    product of `_evolved` runs with the batch as its innermost, contiguous
+    axis.  Column b is bit-identical to the state of params[b] prepared
+    alone by the full 2x2 product g[i, 0] a + g[i, 1] b of every gate, zero
+    entries included; `tests/oracles.py::serial_prepare_state` checks this.
+    The result is C-contiguous, which the bit-identical energy contraction
+    in `driver` relies on.
     """
     return np.ascontiguousarray(_evolved(ansatz, _parameter_rows(ansatz, params)).T)
 
 
 def _evolved(ansatz: AnsatzSpec, values: np.ndarray, noise: NoiseSpec = None) -> np.ndarray:
-    """Each row of values[B, P] run as a state (2^Q, B), or under noise as a superket (4^Q, B)."""
-    is_rz, steps, final = _batch_program(ansatz)
-    gates = _rotation_gates(is_rz, values)
+    """Each row of values[B, P] run as a state (2^Q, B), or under noise as a superket (4^Q, B).
+
+    A state runs `_batch_program`'s fast program: the first Ry layer as a
+    product, every Rz as one phase multiply, each later Ry as a gather.
+    What it skips is x * 0 terms, and adding one of those to a sum only
+    ever changes the sign of a sum that is exactly 0.  So the rows where a
+    real or imaginary part ends exactly 0 rerun the full gathers (angles of
+    +-0, say), and every row is the full 2x2 products' state bit for bit.
+    """
+    is_rz, fast, gathers = _batch_program(ansatz)
+    cos, sin = _half_angles(is_rz, values)
     if noise is not None:
-        steps, final = _superket_program(ansatz)
-        gates = np.concatenate((gates, gates.conj()))
-    work = np.zeros((len(final), len(values)), dtype=complex)
-    work[0] = 1.0
-    _run_gathers(work, steps, gates, noise)
-    work = work.take(final, axis=0)
+        gates = _rotation_gates(is_rz, cos, sin)
+        work = _gathered(_superket_program(ansatz), np.concatenate((gates, gates.conj())), noise)
+    else:
+        work = _fast_states(fast, cos, sin)
+        parts = work.view(float)
+        if np.count_nonzero(parts) < parts.size:
+            rows = np.flatnonzero((parts.reshape(len(work), -1, 2) == 0.0).any(axis=(0, 2)))
+            work[:, rows] = _gathered(gathers, _rotation_gates(is_rz, cos[:, rows], sin[:, rows]))
     # a density matrix's norm is its trace; written so that a NaN norm, from
     # a non-finite angle, fails too
     diagonal = np.abs(work) ** 2 if noise is None else work[:: (1 << ansatz.qubits) + 1].real
@@ -274,6 +324,36 @@ def _evolved(ansatz: AnsatzSpec, values: np.ndarray, noise: NoiseSpec = None) ->
     if not within.all():
         raise RuntimeError(f"state norm drifted to {float(norms[~within][0])}")
     return work
+
+
+def _gathered(program, gates: np.ndarray, noise: NoiseSpec = None) -> np.ndarray:
+    """A (steps, final) program of `_compile` run on |0...0> for each column of gates[..., B]."""
+    steps, final = program
+    work = np.zeros((len(final), gates.shape[-1]), dtype=complex)
+    work[0] = 1.0
+    _run_gathers(work, steps, gates, noise)
+    return work.take(final, axis=0)
+
+
+def _fast_states(program, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """`_batch_program`'s fast program on `_half_angles`' cos and sin[P, B]; states (2^Q, B)."""
+    first, steps, final = program
+    qubits, (count, rows) = first.shape[0], cos.shape
+    # [block, 0 for Ry or 1 for Rz, qubit - 1, row]
+    cos, sin = (t.reshape(count // (2 * qubits), 2, qubits, rows) for t in (cos, sin))
+    # the reduction multiplies in axis order, ((f1 f2) f3) ..., as the layer's gates do
+    product = np.multiply.reduce(np.concatenate((cos[0, 0], sin[0, 0])).take(first, axis=0))
+    phases = np.empty((len(cos), qubits, 2, rows), dtype=complex)
+    phases.real = cos[:, 1, :, None]
+    phases[:, :, 0].imag = sin[:, 1]
+    phases[:, :, 1].imag = -sin[:, 1]
+    gates = np.empty((len(cos) - 1, qubits, 2, 2, 1, rows), dtype=complex)
+    gates[:, :, 0, 0, 0] = gates[:, :, 1, 1, 0] = cos[1:, 0]
+    gates[:, :, 1, 0, 0] = -sin[1:, 0]
+    gates[:, :, 0, 1, 0] = sin[1:, 0]
+    work = product.astype(complex)
+    _run_gathers(work, steps, gates, phases=phases)
+    return work.take(final, axis=0)
 
 
 def _parameter_rows(ansatz: AnsatzSpec, params) -> np.ndarray:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rotorvqe import cli
+from rotorvqe import cli, driver
 from rotorvqe.cli import main
 from rotorvqe.paulimap import operator_from_text
 
@@ -235,6 +235,22 @@ def test_dist_study_refuses_repetitions_before_its_ensemble(monkeypatch, capsys)
     monkeypatch.setattr(cli, "run_ensemble", run_ensemble)
     assert main(["dist-study", "--set", "repetitions=1"]) == 3
     assert "need at least two repetitions" in capsys.readouterr().err
+    assert ensembles == []
+
+
+def test_barrier_scan_refuses_a_monostable_first_dihedral(monkeypatch, capsys):
+    ensembles = []
+
+    def run_batch(*args, **kwargs):
+        ensembles.append(args)
+        raise AssertionError("an ensemble ran before the scanned dihedral was checked")
+
+    monkeypatch.setattr(driver, "_run_batch", run_batch)
+    assert main([
+        "barrier-scan", "--set", "dihedrals=monostable:1,bistable:0.5", "--set", "barriers=0.5,3",
+        "--set", "restarts=1", "--set", "iterations=5",
+    ]) == 3
+    assert "barrier scan needs a bistable first dihedral, got monostable" in capsys.readouterr().err
     assert ensembles == []
 
 

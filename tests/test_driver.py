@@ -1,10 +1,12 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rotorvqe.chain import reference_spectrum
+from rotorvqe.config import build_vqe_config, resolve_settings
 from rotorvqe.driver import (
     CALIBRATED,
     FIXED,
@@ -20,6 +22,7 @@ from rotorvqe.driver import (
     seed_stream,
 )
 from rotorvqe import driver, qsim
+from rotorvqe.potential import BISTABLE, MONOSTABLE, ChainSpec, DihedralSpec
 from rotorvqe.qsim import (
     EXACT,
     NOISY,
@@ -32,7 +35,15 @@ from rotorvqe.qsim import (
 
 from conftest import LADDER, make_chain
 
-from oracles import dense_from_labels, numpy_starts, per_evaluation_evaluator, serial_seed_stream
+from oracles import (
+    dense_from_labels,
+    numpy_starts,
+    per_evaluation_evaluator,
+    serial_prepare_state,
+    serial_seed_stream,
+)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def quick_config(**overrides) -> VqeConfig:
@@ -259,6 +270,26 @@ def test_prefetched_states_match_in_warm_start_ladder(monkeypatch, small_seeds):
         assert hexes(one.best_params) == hexes(two.best_params)
 
 
+def test_exact_ensemble_matches_serial_state_preparation_bit_for_bit(monkeypatch):
+    # every value and the best parameters, hex for hex, against the same
+    # ensemble with each state prepared alone by the oracle; no hex is
+    # recorded, so the check holds on any platform and numpy
+    config = build_vqe_config(resolve_settings(CONFIG_DIR / "q4.cfg"))
+    config = dataclasses.replace(config, restarts=3, iterations=30, gain_policy=CALIBRATED)
+    batched = run_ensemble(config)
+
+    def serial_states(ansatz, points):
+        return np.array([
+            serial_prepare_state(ansatz.qubits, ansatz.depth, ansatz.entangler, row) for row in points
+        ])
+
+    monkeypatch.setattr(driver, "prepare_states", serial_states)
+    alone = run_ensemble(config)
+    assert len(batched.best_params) == 16  # four qubits, depth 1
+    assert [v.hex() for v in batched.values] == [v.hex() for v in alone.values]
+    assert [p.hex() for p in batched.best_params] == [p.hex() for p in alone.best_params]
+
+
 def test_production_q2_ensemble_band(q2_stats):
     # documented behavior of the default protocol on the 2-qubit problem
     assert q2_stats.eps_min <= 0.5
@@ -296,6 +327,18 @@ def test_barrier_scan_refuses_a_bad_height_before_any_ensemble(monkeypatch):
     refuse_ensembles(monkeypatch)
     with pytest.raises(ValueError, match="barrier must be finite and >= 0, got -1.0"):
         run_barrier_scan(quick_config(iterations=5, restarts=1), (0.5, 1.0, -1.0))
+
+
+def test_barrier_scan_refuses_a_monostable_first_dihedral_before_any_build(monkeypatch):
+    refuse_ensembles(monkeypatch)
+    monkeypatch.setattr(driver, "_build", lambda config: pytest.fail("a scan problem was built"))
+    chain = ChainSpec(
+        dihedrals=(DihedralSpec(MONOSTABLE, 1.0), DihedralSpec(BISTABLE, 0.5)),
+        diffusion=(1.0, 1.0, 1.0),
+    )
+    config = quick_config(chain=chain, iterations=5, restarts=1)
+    with pytest.raises(ValueError, match="needs a bistable first dihedral, got monostable"):
+        run_barrier_scan(config, (0.5, 3.0))
 
 
 def test_qubit_scan_refuses_a_bad_rung_before_any_ensemble(monkeypatch):

@@ -61,6 +61,19 @@ def test_objective_validation():
         SpsaConfig(a=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nelder_mead_refuses_an_objective_with_no_comparable_value(bad):
+    calls = []
+
+    def evaluate(point):
+        calls.append(point)
+        return bad
+
+    with pytest.raises(ValueError, match="no evaluation returned a comparable value: all 50 were"):
+        nelder_mead_minimize(evaluate, np.zeros(2), 50)
+    assert len(calls) == 50
+
+
 def test_spsa_reaches_quadratic_optimum():
     target = np.linspace(1.0, 4.5, 8)
     x0 = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, 8)

@@ -183,6 +183,75 @@ def test_prepare_states_rows_match_single_states_bit_for_bit(qubits, depth, enta
     assert np.sin(-half).tolist() == [p.imag for p in phases]
 
 
+def zero_angle_rows(ansatz, rng):
+    """Rows whose gates leave parts exactly 0: all +0, all -0, and generic rows with +-0 angles.
+
+    The +-0 angles fall on Ry slots in half the rows and on Rz slots in the rest.
+    """
+    count, qubits = ansatz.parameter_count, ansatz.qubits
+    slots = np.arange(count).reshape(-1, 2, qubits)
+    rows = [np.zeros(count), np.full(count, -0.0)]
+    for kind in (0, 1, 0, 1):
+        row = rng.uniform(-7.0, 7.0, count)
+        picked = rng.choice(slots[:, kind].ravel(), size=max(1, qubits // 2), replace=False)
+        row[picked] = rng.choice([0.0, -0.0], size=len(picked))
+        rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("entangler", [LINEAR, FULL])
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+def test_prepare_states_zero_angles_match_single_states_bit_for_bit(monkeypatch, qubits, entangler):
+    # the fast program skips x * 0 terms, so a part that ends exactly 0 may
+    # carry the wrong sign there; its row reruns the full gathers
+    rerun = []
+    gathered = qsim._gathered
+
+    def spy(program, gates, noise=None):
+        rerun.append(gates.shape[-1])
+        return gathered(program, gates, noise)
+
+    monkeypatch.setattr(qsim, "_gathered", spy)
+    rng = np.random.default_rng(qubits)
+    for depth in (0, 1, 2):
+        ansatz = AnsatzSpec(qubits=qubits, depth=depth, entangler=entangler)
+        generic = rng.uniform(-50.0, 50.0, (3, ansatz.parameter_count))
+        zeros = zero_angle_rows(ansatz, rng)
+        # zero and generic rows interleaved in one batch
+        rows = np.concatenate((generic, zeros))[rng.permutation(len(generic) + len(zeros))]
+        rerun.clear()
+        states = prepare_states(ansatz, rows)
+        assert 2 <= sum(rerun) <= len(zeros)
+        for row, state in zip(rows, states):
+            expected = serial_prepare_state(qubits, depth, entangler, row).tobytes()
+            assert state.tobytes() == expected
+            assert prepare_state(ansatz, row).tobytes() == expected
+
+
+@pytest.mark.parametrize("entangler", [LINEAR, FULL])
+def test_prepare_states_runs_generic_rows_without_the_gather_fallback(monkeypatch, entangler):
+    full_gathers = qsim._gathered
+
+    def refuse(program, gates, noise=None):
+        raise AssertionError("generic rows reran the full gathers")
+
+    monkeypatch.setattr(qsim, "_gathered", refuse)
+    rng = np.random.default_rng(23)
+    for qubits in (1, 2, 3, 4):
+        for depth in (0, 1, 2):
+            ansatz = AnsatzSpec(qubits=qubits, depth=depth, entangler=entangler)
+            rows = rng.uniform(-50.0, 50.0, (5, ansatz.parameter_count))
+            for row, state in zip(rows, prepare_states(ansatz, rows)):
+                assert state.tobytes() == serial_prepare_state(qubits, depth, entangler, row).tobytes()
+            assert prepare_states(ansatz, rows[:0]).shape == (0, 1 << qubits)
+    # a calibration-sized batch against the full gathers, which the rows above tie to the oracle
+    ansatz = AnsatzSpec(qubits=4, depth=1, entangler=entangler)
+    rows = rng.uniform(0.0, 2.0 * math.pi, (3000, ansatz.parameter_count))
+    is_rz, _, gathers = qsim._batch_program(ansatz)
+    expected = full_gathers(gathers, qsim._rotation_gates(is_rz, *qsim._half_angles(is_rz, rows)))
+    assert prepare_states(ansatz, rows).tobytes() == np.ascontiguousarray(expected.T).tobytes()
+
+
 def test_prepare_states_validates_shape():
     ansatz = AnsatzSpec(qubits=2, depth=1)
     with pytest.raises(ValueError):
