@@ -6,16 +6,16 @@ matching `paulimap`.  Rotation gates follow exp(-i theta sigma / 2).
 a parametric noise model (noisy); exact energies are contracted in
 `driver`.  Every circuit runs on one gate compiler, `_compile`: a pure
 state as a register of Q qubits, a density matrix with each gate's
-depolarizing channel as a superket of 2Q.  A pure state skips the products
-with an exact zero: its first Ry layer is a product of cos and sin, and
-every Rz one phase multiply.  Rows that end with a part exactly 0 rerun
-every gate as a 2x2 product, so each row is that product's state bit for
-bit.  Each setting's outcome distribution comes off the pure state through
-its basis change, or off the density matrix through one precomputed map
-(`_folded_map`).  Callers hash a batch's seeds at once to the PCG64 starts
-`default_rng(seed)` would take (`_pcg64_states(_word_table(seeds))`); both
-modes draw each start's counts and tally them alike (a noisy estimate
-optionally undoing readout confusion first).
+depolarizing channel as a superket of 2Q, both from one gate table
+(`_rotations`): every Rz a phase multiply, every Ry a 2x2 gather and a pure
+state's first Ry layer a product.  Against full 2x2 products, only the sign
+of a part exactly 0 can differ.  Each setting's outcome distribution
+comes off the pure state through its basis change, or off the density
+matrix through one precomputed map (`_folded_map`).  Callers hash a batch's
+seeds at once to the PCG64 starts `default_rng(seed)` would take
+(`_pcg64_states(_word_table(seeds))`); both modes draw each start's counts
+and tally them alike (a noisy estimate optionally undoing readout confusion
+first).
 """
 
 from __future__ import annotations
@@ -202,32 +202,20 @@ def _run_gathers(work: np.ndarray, steps, gates, noise: NoiseSpec = None, phases
 
 @lru_cache(maxsize=64)
 def _batch_program(ansatz: AnsatzSpec):
-    """(is_rz, fast, gathers): the Rz parameter mask and the pure-state circuit, compiled twice.
+    """(factors, steps, final): the pure-state circuit.
 
-    `gathers` is the whole circuit compiled by `_compile`, every rotation a
-    2x2 gather.  `fast` = (first, steps, final) skips the products with an
-    exact zero.  The first Ry layer acts on |0...0>, so amplitude k is the
-    real product, in qubit order, of each qubit's cos or sin as its bit of
-    k picks: first[q - 1, k] indexes that factor among the layer's rows
-    (cos, sin).  `_compile` runs the rest, each Rz as a diagonal ("phase")
-    step keyed (block, qubit - 1) and each later Ry as a gather keyed
-    (block - 1, qubit - 1).
+    The first Ry layer acts on |0...0>, so amplitude k is the real product,
+    in qubit order, of each qubit's cos or sin as its bit of k picks:
+    factors[q - 1, k] indexes that factor among the layer's rows (cos, sin).
+    `_compile` runs the rest, each Rz as a phase step and each later Ry as a
+    gather, keyed by parameter index into `_rotations`' tables.
     """
     qubits, ops = ansatz.qubits, ansatz_operations(ansatz)
-    is_rz = np.zeros(ansatz.parameter_count, dtype=bool)
-    is_rz[[op[2] for op in ops if op[0] == "rz"]] = True
-    is_rz.flags.writeable = False
-    later = []
-    for op in ops[qubits:]:
-        name, q, p = op
-        if name != "cx":
-            block = p // (2 * qubits)
-            op = ("phase", q, (block, q - 1)) if name == "rz" else (name, q, (block - 1, q - 1))
-        later.append(op)
+    later = [("phase",) + op[1:] if op[0] == "rz" else op for op in ops[qubits:]]
     bits = (np.arange(1 << qubits) >> np.arange(qubits - 1, -1, -1)[:, None]) & 1
-    first = bits * qubits + np.arange(qubits)[:, None]
-    first.flags.writeable = False
-    return is_rz, (first,) + _compile(qubits, later), _compile(qubits, ops)
+    factors = bits * qubits + np.arange(qubits)[:, None]
+    factors.flags.writeable = False
+    return (factors,) + _compile(qubits, later)
 
 
 @lru_cache(maxsize=64)
@@ -239,46 +227,60 @@ def _superket_program(ansatz: AnsatzSpec):
     is the gate on q, then its conjugate on Q + q; a CNOT acts on both
     halves; and each gate's depolarizing channel follows as a mix over its
     qubits' (q, Q + q) pairs, keyed "p1" or "p2" (see `_run_gathers`).  A
-    rotation's key indexes the P gates, then their P conjugates.
+    rotation is keyed by parameter index into `_rotations`' tables, as in
+    `_batch_program`.  Ry is real, so its conjugate is the same gate.
     """
-    qubits, count = ansatz.qubits, ansatz.parameter_count
-    ops = []
+    qubits, ops = ansatz.qubits, []
     for op in ansatz_operations(ansatz):
         if op[0] == "cx":
             _, control, target = op
             pairs = ((control, qubits + control), (target, qubits + target))
             ops += [op, ("cx", qubits + control, qubits + target), ("mix", pairs, "p2")]
-        else:
-            name, q, p = op
-            ops += [op, (name, qubits + q, count + p), ("mix", ((q, qubits + q),), "p1")]
+            continue
+        name, q, p = op
+        conjugate = (name, qubits + q, p)
+        if name == "rz":
+            # conj(c + i s) = c - i s, bit for bit: the phase row with its bits swapped
+            op, conjugate = ("phase", q, p), ("phase", qubits + q, (p, slice(None, None, -1)))
+        ops += [op, conjugate, ("mix", ((q, qubits + q),), "p1")]
     return _compile(2 * qubits, ops)
 
 
-def _half_angles(is_rz: np.ndarray, values: np.ndarray) -> tuple:
-    """(cos, sin)[P, B] of every gate's half angle for every row of values[B, P].
+def _half_angles(ansatz: AnsatzSpec, values: np.ndarray) -> tuple:
+    """(cos, sin)[block, 0 for Ry or 1 for Rz, qubit - 1, row] of each row of values[B, P].
 
     These are the entries of the scalar gate matrices, bit for bit: Ry takes
     cos and sin of theta/2, as `_ry` does, and Rz the phase exp(-i theta/2),
     which is cos(-theta/2) + i sin(-theta/2), and its conjugate.
     """
-    half = values.T / 2.0
-    angle = np.where(is_rz[:, None], -half, half)
-    return np.cos(angle), np.sin(angle)
+    half = values.T.reshape(ansatz.depth + 1, 2, ansatz.qubits, len(values)) / 2.0
+    half[:, 1] = -half[:, 1]
+    return np.cos(half), np.sin(half)
 
 
-def _rotation_gates(is_rz: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Every rotation's 2x2 matrix g from `_half_angles`, held as `_run_gathers` takes it.
+def _rotations(cos: np.ndarray, sin: np.ndarray, first: int) -> tuple:
+    """(phases, gates)[P, ...]: each Rz's phase row and each Ry's 2x2 gate from Ry layer `first` on.
 
-    gates[param, j, i, 0, row] is g[i, j].
+    phases[p, bit, row] is Rz p's diagonal entry for its qubit's bit, and
+    gates[p, j, i, 0, row] is Ry p's g[i, j], as `_run_gathers` takes them.
+    The entries of the other kind, and of Ry layers before `first`, are
+    left unset; no step reads them.
     """
-    rz = is_rz[:, None]
-    gates = np.empty((len(cos), 2, 2, 1, cos.shape[1]), dtype=complex)
-    gates[:, 0, 0, 0].real = gates[:, 1, 1, 0].real = cos
-    gates[:, 0, 0, 0].imag = np.where(rz, sin, 0.0)
-    gates[:, 1, 1, 0].imag = np.where(rz, -sin, 0.0)
-    gates[:, 1, 0, 0] = np.where(rz, 0.0, -sin)
-    gates[:, 0, 1, 0] = np.where(rz, 0.0, sin)
-    return gates
+    blocks, _, qubits, rows = cos.shape
+    phases = np.empty((blocks, 2, qubits, 2, rows), dtype=complex)
+    rz = phases[:, 1]
+    rz.real = cos[:, 1, :, None]
+    rz[:, :, 0].imag = sin[:, 1]
+    # negated into a temporary: numpy 2.4.6's np.negative(out=) wrote wrong
+    # values with both operands strided along 3,000 rows
+    rz[:, :, 1].imag = -sin[:, 1]
+    gates = np.empty((blocks, 2, qubits, 2, 2, 1, rows), dtype=complex)
+    ry = gates[first:, 0]
+    ry[:, :, 0, 0, 0] = ry[:, :, 1, 1, 0] = cos[first:, 0]
+    ry[:, :, 1, 0, 0] = -sin[first:, 0]
+    ry[:, :, 0, 1, 0] = sin[first:, 0]
+    count = 2 * blocks * qubits
+    return phases.reshape(count, 2, rows), gates.reshape(count, 2, 2, 1, rows)
 
 
 def prepare_states(ansatz: AnsatzSpec, params) -> np.ndarray:
@@ -286,11 +288,11 @@ def prepare_states(ansatz: AnsatzSpec, params) -> np.ndarray:
 
     The working batch is held batch-minor, as (2^Q, B), so each complex
     product of `_evolved` runs with the batch as its innermost, contiguous
-    axis.  Column b is bit-identical to the state of params[b] prepared
-    alone by the full 2x2 product g[i, 0] a + g[i, 1] b of every gate, zero
-    entries included; `tests/oracles.py::serial_prepare_state` checks this.
-    The result is C-contiguous, which the bit-identical energy contraction
-    in `driver` relies on.
+    axis.  Column b is bit-identical to params[b] prepared alone, and to the
+    full 2x2 products g[i, 0] a + g[i, 1] b of every gate but for the sign of
+    a part exactly 0 (`tests/oracles.py::serial_prepare_state`).  The result
+    is C-contiguous, which the bit-identical energy contraction in `driver`
+    relies on.
     """
     return np.ascontiguousarray(_evolved(ansatz, _parameter_rows(ansatz, params)).T)
 
@@ -298,24 +300,27 @@ def prepare_states(ansatz: AnsatzSpec, params) -> np.ndarray:
 def _evolved(ansatz: AnsatzSpec, values: np.ndarray, noise: NoiseSpec = None) -> np.ndarray:
     """Each row of values[B, P] run as a state (2^Q, B), or under noise as a superket (4^Q, B).
 
-    A state runs `_batch_program`'s fast program: the first Ry layer as a
-    product, every Rz as one phase multiply, each later Ry as a gather.
-    What it skips is x * 0 terms, and adding one of those to a sum only
-    ever changes the sign of a sum that is exactly 0.  So the rows where a
-    real or imaginary part ends exactly 0 rerun the full gathers (angles of
-    +-0, say), and every row is the full 2x2 products' state bit for bit.
+    A state runs `_batch_program`: the first Ry layer as a product, every Rz
+    as one phase multiply, each later Ry as a gather.  A superket runs
+    `_superket_program` from |0...0><0...0|.  Both skip the products with an
+    exact zero entry of a 2x2 gate.  As x + (+-0) = x and x (+-0) = +-0, that
+    changes only the sign of a part that ends exactly 0 (angles of +-0, say),
+    and nothing downstream divides by one.
     """
-    is_rz, fast, gathers = _batch_program(ansatz)
-    cos, sin = _half_angles(is_rz, values)
-    if noise is not None:
-        gates = _rotation_gates(is_rz, cos, sin)
-        work = _gathered(_superket_program(ansatz), np.concatenate((gates, gates.conj())), noise)
+    cos, sin = _half_angles(ansatz, values)
+    if noise is None:
+        factors, steps, final = _batch_program(ansatz)
+        # the reduction multiplies in axis order, ((f1 f2) f3) ..., as the layer's gates do
+        work = np.multiply.reduce(np.concatenate((cos[0, 0], sin[0, 0])).take(factors, axis=0))
+        work = work.astype(complex)
     else:
-        work = _fast_states(fast, cos, sin)
-        parts = work.view(float)
-        if np.count_nonzero(parts) < parts.size:
-            rows = np.flatnonzero((parts.reshape(len(work), -1, 2) == 0.0).any(axis=(0, 2)))
-            work[:, rows] = _gathered(gathers, _rotation_gates(is_rz, cos[:, rows], sin[:, rows]))
+        steps, final = _superket_program(ansatz)
+        work = np.zeros((len(final), len(values)), dtype=complex)
+        work[0] = 1.0
+    # a state's first Ry layer is the product above, so it takes no gates
+    phases, gates = _rotations(cos, sin, 1 if noise is None else 0)
+    _run_gathers(work, steps, gates, noise, phases)
+    work = work.take(final, axis=0)
     # a density matrix's norm is its trace; written so that a NaN norm, from
     # a non-finite angle, fails too
     diagonal = np.abs(work) ** 2 if noise is None else work[:: (1 << ansatz.qubits) + 1].real
@@ -324,36 +329,6 @@ def _evolved(ansatz: AnsatzSpec, values: np.ndarray, noise: NoiseSpec = None) ->
     if not within.all():
         raise RuntimeError(f"state norm drifted to {float(norms[~within][0])}")
     return work
-
-
-def _gathered(program, gates: np.ndarray, noise: NoiseSpec = None) -> np.ndarray:
-    """A (steps, final) program of `_compile` run on |0...0> for each column of gates[..., B]."""
-    steps, final = program
-    work = np.zeros((len(final), gates.shape[-1]), dtype=complex)
-    work[0] = 1.0
-    _run_gathers(work, steps, gates, noise)
-    return work.take(final, axis=0)
-
-
-def _fast_states(program, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """`_batch_program`'s fast program on `_half_angles`' cos and sin[P, B]; states (2^Q, B)."""
-    first, steps, final = program
-    qubits, (count, rows) = first.shape[0], cos.shape
-    # [block, 0 for Ry or 1 for Rz, qubit - 1, row]
-    cos, sin = (t.reshape(count // (2 * qubits), 2, qubits, rows) for t in (cos, sin))
-    # the reduction multiplies in axis order, ((f1 f2) f3) ..., as the layer's gates do
-    product = np.multiply.reduce(np.concatenate((cos[0, 0], sin[0, 0])).take(first, axis=0))
-    phases = np.empty((len(cos), qubits, 2, rows), dtype=complex)
-    phases.real = cos[:, 1, :, None]
-    phases[:, :, 0].imag = sin[:, 1]
-    phases[:, :, 1].imag = -sin[:, 1]
-    gates = np.empty((len(cos) - 1, qubits, 2, 2, 1, rows), dtype=complex)
-    gates[:, :, 0, 0, 0] = gates[:, :, 1, 1, 0] = cos[1:, 0]
-    gates[:, :, 1, 0, 0] = -sin[1:, 0]
-    gates[:, :, 0, 1, 0] = sin[1:, 0]
-    work = product.astype(complex)
-    _run_gathers(work, steps, gates, phases=phases)
-    return work.take(final, axis=0)
 
 
 def _parameter_rows(ansatz: AnsatzSpec, params) -> np.ndarray:

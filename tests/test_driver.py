@@ -270,6 +270,13 @@ def test_prefetched_states_match_in_warm_start_ladder(monkeypatch, small_seeds):
         assert hexes(one.best_params) == hexes(two.best_params)
 
 
+def serial_states(ansatz, points):
+    """`prepare_states` as the oracle's one state per row."""
+    return np.array([
+        serial_prepare_state(ansatz.qubits, ansatz.depth, ansatz.entangler, row) for row in points
+    ])
+
+
 def test_exact_ensemble_matches_serial_state_preparation_bit_for_bit(monkeypatch):
     # every value and the best parameters, hex for hex, against the same
     # ensemble with each state prepared alone by the oracle; no hex is
@@ -277,17 +284,33 @@ def test_exact_ensemble_matches_serial_state_preparation_bit_for_bit(monkeypatch
     config = build_vqe_config(resolve_settings(CONFIG_DIR / "q4.cfg"))
     config = dataclasses.replace(config, restarts=3, iterations=30, gain_policy=CALIBRATED)
     batched = run_ensemble(config)
-
-    def serial_states(ansatz, points):
-        return np.array([
-            serial_prepare_state(ansatz.qubits, ansatz.depth, ansatz.entangler, row) for row in points
-        ])
-
     monkeypatch.setattr(driver, "prepare_states", serial_states)
     alone = run_ensemble(config)
     assert len(batched.best_params) == 16  # four qubits, depth 1
     assert [v.hex() for v in batched.values] == [v.hex() for v in alone.values]
     assert [p.hex() for p in batched.best_params] == [p.hex() for p in alone.best_params]
+
+
+def test_exact_warm_start_ladder_matches_serial_state_preparation_bit_for_bit(monkeypatch):
+    # the warm rung's embedded start leaves its new qubit in |0>, so half its
+    # amplitudes are exactly 0, and their sign may differ from the oracle's;
+    # no energy may move
+    config = quick_config(iterations=20, restarts=2)
+    zero_parts = []
+
+    def batched_states(ansatz, points):
+        states = prepare_states(ansatz, points)
+        zero_parts.append(bool((states.view(float) == 0.0).any()))
+        return states
+
+    monkeypatch.setattr(driver, "prepare_states", batched_states)
+    batched = run_hierarchical(LADDER[:2], config)
+    assert any(zero_parts)
+    monkeypatch.setattr(driver, "prepare_states", serial_states)
+    alone = run_hierarchical(LADDER[:2], config)
+    for one, two in zip(batched, alone, strict=True):
+        assert hexes((one.start_value, one.best_value)) == hexes((two.start_value, two.best_value))
+        assert hexes(one.best_params) == hexes(two.best_params)
 
 
 def test_production_q2_ensemble_band(q2_stats):
