@@ -25,7 +25,6 @@ from .driver import (
     run_qubit_scan,
     run_vqe,
 )
-from .optimize import SpsaConfig
 from .paulimap import map_operator
 from .potential import BISTABLE, MONOSTABLE, ChainSpec, DihedralSpec
 from .qsim import EXACT, FULL, LINEAR, NOISY, SAMPLED, AnsatzSpec, NoiseSpec
@@ -49,7 +48,6 @@ __all__ = [
     "EnsembleStats",
     "NoiseSpec",
     "Problem",
-    "SpsaConfig",
     "VqeConfig",
     "VqeRun",
     "build_chain_matrix",

@@ -2,9 +2,10 @@
 
 Ensembles derive per-run seeds from a master seed with a splitmix64 stream, so
 every experiment is a pure function of (config, seed) regardless of worker
-count.  Cold-start SPSA runs calibrate the step gain per run by probing the
-objective at the initial point; warm-started runs keep the configured gains,
-because a gradient probe at an already-converged point is degenerate.
+count.  Under the calibrated gain policy, cold-start SPSA runs calibrate the
+step gain per run by probing the objective at the initial point;
+warm-started runs always keep SPSA's fixed gain, because a gradient probe at
+an already-converged point is degenerate.
 
 Every SPSA run goes through the optimizer as a lockstep batch: the restarts
 of an ensemble or of a warm-start rung together, and a single `vqe` run as a
@@ -35,8 +36,8 @@ from .chain import (
 )
 from .optimize import (
     OptTrace,
-    SpsaConfig,
     TraceRecord,
+    calibrated_gains,
     finish_trace,
     nelder_mead_minimize,
     spsa_lockstep,
@@ -62,9 +63,6 @@ SPSA = "spsa"
 NELDER_MEAD = "nelder-mead"
 FIXED = "fixed"
 CALIBRATED = "calibrated"
-
-_CALIBRATION_TRIALS = 25
-_CALIBRATION_STEP = 2.0 * math.pi / 10.0
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -129,7 +127,6 @@ class VqeConfig:
     optimizer: str = SPSA
     iterations: int = 600
     gain_policy: str = CALIBRATED
-    spsa: SpsaConfig = field(default_factory=SpsaConfig)
     restarts: int = 60
     seed: int = 2021
     workers: int = 1
@@ -239,38 +236,6 @@ def _batch_evaluator(problem: Problem, config: VqeConfig, run_seeds):
     return evaluate
 
 
-def _calibrated_gains(evaluate, x0: np.ndarray, config: VqeConfig, run_seeds) -> np.ndarray:
-    """Per-run SPSA step gains `a` so each first update moves ~2pi/10 per angle.
-
-    Mirrors the self-calibration of era-typical SPSA drivers: probe the
-    objective along random Rademacher directions at each run's start point
-    x0[r] and set `a` from the mean finite-difference magnitude; a run whose
-    probes show no slope keeps the configured `a`.  All runs' probes go to
-    `evaluate` as one batch, ordered so that row i belongs to run i % R and
-    each run's probes come in its own (+, -) trial order.  The probe budget
-    is bookkept separately from the optimization budget.
-    """
-    cfg = config.spsa
-    runs, dim = x0.shape
-    delta = np.stack(
-        [
-            np.random.default_rng([seed & _MASK64, 0xCA11]).integers(
-                0, 2, size=(_CALIBRATION_TRIALS, dim)
-            )
-            for seed in run_seeds
-        ],
-        axis=1,
-    ) * 2.0 - 1.0
-    probes = np.stack((x0 + cfg.c * delta, x0 - cfg.c * delta), axis=1)
-    values = np.asarray(evaluate(probes.reshape(-1, dim)), dtype=float)
-    acc = np.zeros(runs)
-    for up, down in values.reshape(_CALIBRATION_TRIALS, 2, runs):
-        acc += np.abs(up - down) / _CALIBRATION_TRIALS
-    gradient_scale = acc / (2.0 * cfg.c)
-    step = _CALIBRATION_STEP * (cfg.A + 1.0) ** cfg.alpha
-    return np.array([cfg.a if g <= 0.0 else step / float(g) for g in gradient_scale])
-
-
 @dataclass(frozen=True)
 class VqeRun:
     """Outcome of a single variational optimization."""
@@ -302,21 +267,20 @@ def _start_points(problem: Problem, run_seeds, x0=None) -> np.ndarray:
     )
 
 
-def _lockstep_runs(
-    problem: Problem, config: VqeConfig, run_seeds, x0=None, calibrate=None, observe=None, spent=None
-):
+def _lockstep_runs(problem: Problem, config: VqeConfig, run_seeds, x0=None, observe=None, spent=None):
     """SPSA runs for `run_seeds` in lockstep; (value, params) per run, in seed order.
 
-    Each run keeps its own direction stream, calibrated gain, evaluation seeds
-    and running best, so its result is bit-identical to the run made alone.
-    `observe` goes to `spsa_lockstep`, and `spent(values)` sees every batch
-    of values the descent evaluates; calibration probes reach neither.
+    Each run keeps its own direction stream, gain, evaluation seeds and
+    running best, so its result is bit-identical to the run made alone.
+    Cold starts calibrate their gains under the calibrated policy; a warm
+    start (a given x0) keeps the fixed gain.  `observe` goes to
+    `spsa_lockstep`, and `spent(values)` sees every batch of values the
+    descent evaluates; calibration probes reach neither.
     """
     evaluate = _batch_evaluator(problem, config, run_seeds)
     starts = _start_points(problem, run_seeds, x0)
-    if calibrate is None:
-        calibrate = config.gain_policy == CALIBRATED
-    gains = _calibrated_gains(evaluate, starts, config, run_seeds) if calibrate else None
+    calibrate = config.gain_policy == CALIBRATED and x0 is None
+    gains = calibrated_gains(evaluate, starts, run_seeds) if calibrate else None
 
     def descend(points):
         values = evaluate(points)
@@ -325,12 +289,12 @@ def _lockstep_runs(
         return values
 
     values, params = spsa_lockstep(
-        descend, starts, run_seeds, config.iterations, config.spsa, a=gains, observe=observe
+        descend, starts, run_seeds, config.iterations, a=gains, observe=observe
     )
     return [(float(value), tuple(point)) for value, point in zip(values, params)]
 
 
-def _single_run(problem: Problem, config: VqeConfig, run_seed: int, x0=None, calibrate=None) -> VqeRun:
+def _single_run(problem: Problem, config: VqeConfig, run_seed: int, x0=None) -> VqeRun:
     """One run: an SPSA lockstep batch of one, or Nelder-Mead on a one-row objective."""
     if config.optimizer == NELDER_MEAD:
         evaluate = _batch_evaluator(problem, config, (run_seed,))
@@ -345,7 +309,7 @@ def _single_run(problem: Problem, config: VqeConfig, run_seed: int, x0=None, cal
             records.append(TraceRecord(k, tuple(points[0]), float(values[0])))
 
         _lockstep_runs(
-            problem, config, (run_seed,), x0, calibrate, observe,
+            problem, config, (run_seed,), x0, observe,
             lambda values: eval_values.extend(values.tolist()),
         )
         trace = finish_trace(records, eval_values, "budget")
@@ -398,11 +362,11 @@ class EnsembleStats:
 
 
 def _run_chunk(args):
-    problem, config, run_seeds, x0, calibrate = args
+    problem, config, run_seeds, x0 = args
     if config.optimizer == NELDER_MEAD:
-        runs = (_single_run(problem, config, seed, x0=x0, calibrate=calibrate) for seed in run_seeds)
+        runs = (_single_run(problem, config, seed, x0=x0) for seed in run_seeds)
         return [(run.value, run.params) for run in runs]
-    return _lockstep_runs(problem, config, run_seeds, x0=x0, calibrate=calibrate)
+    return _lockstep_runs(problem, config, run_seeds, x0=x0)
 
 
 def _chunks(items, count: int) -> list:
@@ -414,7 +378,7 @@ def _chunks(items, count: int) -> list:
     return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _run_batch(problem: Problem, config: VqeConfig, run_seeds, x0=None, calibrate=None):
+def _run_batch(problem: Problem, config: VqeConfig, run_seeds, x0=None):
     """One run per seed; reduction is ordered by run index regardless of workers.
 
     SPSA runs go through the optimizer in lockstep, as one batch per worker:
@@ -425,7 +389,7 @@ def _run_batch(problem: Problem, config: VqeConfig, run_seeds, x0=None, calibrat
         chunks = [(seed,) for seed in run_seeds]
     else:
         chunks = _chunks(run_seeds, min(config.workers, len(run_seeds)))
-    jobs = [(problem, config, chunk, x0, calibrate) for chunk in chunks]
+    jobs = [(problem, config, chunk, x0) for chunk in chunks]
     if config.workers == 1 or len(jobs) == 1:
         results = list(map(_run_chunk, jobs))
     else:
@@ -496,10 +460,10 @@ def run_hierarchical(ladder, config: VqeConfig) -> tuple:
     The first rung is a cold restart ensemble.  Each later rung embeds the
     previous best parameters (new most-significant qubit at zero rotation, so
     the previous state is reproduced exactly) and runs a restart ensemble from
-    that point with the configured fixed gains; the embedded value itself
-    participates in the minimum, which makes rung minima non-increasing by
-    construction.  Every rung's problem is built, and checked to add one
-    qubit, before the first ensemble runs.
+    that point with SPSA's fixed gain under either gain policy; the embedded
+    value itself participates in the minimum, which makes rung minima
+    non-increasing by construction.  Every rung's problem is built, and
+    checked to add one qubit, before the first ensemble runs.
     """
     ladder = tuple(tuple(int(c) for c in rung) for rung in ladder)
     if len(ladder) < 2:
@@ -528,7 +492,7 @@ def run_hierarchical(ladder, config: VqeConfig) -> tuple:
             # seeds are not those of run 0's first probe
             probe_seed = seed_stream(config.seed + i, config.restarts + 1)[-1]
             start_value = float(_batch_evaluator(problem, rung_config, (probe_seed,))(x0[None, :])[0])
-            results = _run_batch(problem, rung_config, seeds, x0=x0, calibrate=False)
+            results = _run_batch(problem, rung_config, seeds, x0=x0)
             results.append((start_value, tuple(float(v) for v in x0)))
         value, params = min(results, key=lambda pair: pair[0])
         out.append(

@@ -4,7 +4,8 @@ SPSA runs in lockstep batches: `spsa_lockstep` steps every run of a batch
 together, one run being a batch of one, for a budget of `iterations`.  Each
 iteration costs two evaluations (the +/- probe pair), and one final
 evaluation at the terminal point follows, so `iterations` buys
-2*iterations + 1 evaluations.  Nelder-Mead pays per simplex move and stops
+2*iterations + 1 evaluations; `calibrated_gains` sets each run's gain a
+from probes at its start point.  Nelder-Mead pays per simplex move and stops
 after the `budget` evaluations it is given, so the driver gives it the same
 2*iterations + 1 and runs with either algorithm are directly comparable.
 """
@@ -28,21 +29,18 @@ _NM_EXPANSION = 2.0
 _NM_CONTRACTION = 0.5
 _NM_SHRINK = 0.5
 _NM_DIAMETER_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class SpsaConfig:
-    """Gain schedule a_k = a/(A+k+1)^alpha, c_k = c/(k+1)^gamma."""
-
-    a: float = TWO_PI / 10.0
-    c: float = 0.1
-    A: float = 0.0
-    alpha: float = 0.602
-    gamma: float = 0.101
-
-    def __post_init__(self):
-        if self.a <= 0 or self.c <= 0:
-            raise ValueError("SPSA gains a and c must be positive")
+# SPSA's gain schedule a_k = a/(A+k+1)^alpha, c_k = c/(k+1)^gamma: the gain a,
+# the probe half-width c, the stability constant A and Spall's exponents
+# (IEEE TAES 34(3), 1998)
+_SPSA_GAIN = TWO_PI / 10.0
+_SPSA_PERTURBATION = 0.1
+_SPSA_STABILITY = 0.0
+_SPSA_ALPHA = 0.602
+_SPSA_GAMMA = 0.101
+# calibration: Rademacher probe pairs per run, and the first step per angle
+_CALIBRATION_TRIALS = 25
+_CALIBRATION_STEP = TWO_PI / 10.0
+_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -58,8 +56,11 @@ class OptTrace:
     eval_values: tuple
     best_params: tuple
     best_value: float
-    n_evaluations: int
     termination: str
+
+    @property
+    def n_evaluations(self) -> int:
+        return len(self.eval_values)
 
 
 def trace_to_csv(trace: OptTrace) -> str:
@@ -81,19 +82,50 @@ def finish_trace(records, eval_values, termination) -> OptTrace:
         eval_values=tuple(eval_values),
         best_params=best.params,
         best_value=best.value,
-        n_evaluations=len(eval_values),
         termination=termination,
     )
 
 
-def spsa_lockstep(
-    evaluate, x0, seeds, iterations: int, config: SpsaConfig = None, a=None, observe=None
-):
+def calibrated_gains(evaluate, x0: np.ndarray, seeds) -> np.ndarray:
+    """Per-run SPSA step gains `a` so each first update moves ~2pi/10 per angle.
+
+    Mirrors the self-calibration of era-typical SPSA drivers: probe the
+    objective along `_CALIBRATION_TRIALS` Rademacher directions, drawn from
+    `default_rng([seeds[r], 0xCA11])`, at each run's start point x0[r] and
+    set `a` from the mean finite-difference magnitude; a run whose probes
+    show no slope keeps `_SPSA_GAIN`.  All runs' probes go to `evaluate` as one
+    batch, ordered so that row i belongs to run i % R and each run's probes
+    come in its own (+, -) trial order.  The probe budget is bookkept
+    separately from the optimization budget.
+    """
+    runs, dim = x0.shape
+    delta = np.stack(
+        [
+            np.random.default_rng([seed & _MASK64, 0xCA11]).integers(
+                0, 2, size=(_CALIBRATION_TRIALS, dim)
+            )
+            for seed in seeds
+        ],
+        axis=1,
+    ) * 2.0 - 1.0
+    probes = np.stack(
+        (x0 + _SPSA_PERTURBATION * delta, x0 - _SPSA_PERTURBATION * delta), axis=1
+    )
+    values = np.asarray(evaluate(probes.reshape(-1, dim)), dtype=float)
+    acc = np.zeros(runs)
+    for up, down in values.reshape(_CALIBRATION_TRIALS, 2, runs):
+        acc += np.abs(up - down) / _CALIBRATION_TRIALS
+    gradient_scale = acc / (2.0 * _SPSA_PERTURBATION)
+    step = _CALIBRATION_STEP * (_SPSA_STABILITY + 1.0) ** _SPSA_ALPHA
+    return np.array([_SPSA_GAIN if g <= 0.0 else step / float(g) for g in gradient_scale])
+
+
+def spsa_lockstep(evaluate, x0, seeds, iterations: int, a=None, observe=None):
     """Run one SPSA descent per row of x0[R, P], all R in step.
 
     Run r draws its Rademacher directions from `default_rng(seeds[r])`,
     one `_DIRECTION_BLOCK` of iterations per call, and steps with gain a[r]
-    (default `config.a`); the rest of the schedule is shared.
+    (default `_SPSA_GAIN`); the rest of the schedule is shared.
     `evaluate(points[B, P]) -> values[B]` gets every run's probes at once,
     row i belonging to run i % R: the + probes of all runs, then
     the - probes, then, after the last iteration, the terminal iterates.
@@ -101,10 +133,9 @@ def spsa_lockstep(
     iterate, and `observe(k, points, values)` sees every record.  Returns
     each run's best record as (values[R], params[R, P]), the first one on ties.
     """
-    config = config or SpsaConfig()
     x = np.array(x0, dtype=float, ndmin=2)
     runs, dim = x.shape
-    gains = np.full(runs, config.a) if a is None else np.asarray(a, dtype=float)
+    gains = np.full(runs, _SPSA_GAIN) if a is None else np.asarray(a, dtype=float)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     best_values = np.full(runs, math.inf)
     best_params = x.copy()
@@ -122,13 +153,13 @@ def spsa_lockstep(
             # directions[i, r] is run r's draw at iteration k + i
             directions = np.stack([rng.integers(0, 2, size=(block, dim)) for rng in rngs], axis=1)
             directions = directions * 2.0 - 1.0
-        c_k = config.c / (k + 1) ** config.gamma
+        c_k = _SPSA_PERTURBATION / (k + 1) ** _SPSA_GAMMA
         delta = directions[k % _DIRECTION_BLOCK]
         probes = np.concatenate((x + c_k * delta, x - c_k * delta))
         values = np.asarray(evaluate(probes), dtype=float)
         f_up, f_down = values[:runs], values[runs:]
         gradient = ((f_up - f_down) / (2.0 * c_k))[:, None] * delta
-        a_k = gains / (config.A + k + 1) ** config.alpha
+        a_k = gains / (_SPSA_STABILITY + k + 1) ** _SPSA_ALPHA
         x = x - a_k[:, None] * gradient
         up_wins = f_up <= f_down
         record(

@@ -15,10 +15,11 @@ reproduces within a stated tolerance.  `gather_sampled_expectations` is the
 former gather-and-scatter basis change that the compiled one reproduces bit
 for bit; the amplitude-traversal `exact_expectation` uses the package's
 bitmask convention and is itself checked against dense matrices;
-`serial_spsa` is the one-run SPSA loop that the lockstep batch reproduces
-bit for bit, and `serial_seed_stream` the Python-int splitmix64 loop that
-the uint64 `seed_stream` reproduces; `serial_counts` the one
-`default_rng` per seed that the hashed PCG64 starts reproduce,
+`serial_spsa` is the one-run SPSA loop, its gain schedule written out, that
+the lockstep batch reproduces bit for bit, and `serial_seed_stream` the
+Python-int splitmix64 loop that the uint64 `seed_stream` reproduces;
+`serial_counts` the one `default_rng` per seed that the hashed PCG64
+starts reproduce,
 `numpy_starts` the PCG64 starts numpy itself gives a seed, and
 `per_evaluation_evaluator` the driver's statistical objective with a
 `default_rng` built per evaluation, which its prefetched starts reproduce;
@@ -605,28 +606,32 @@ def per_evaluation_evaluator(problem, config, run_seeds):
     return evaluate
 
 
-def serial_spsa(evaluate, x0, seed, iterations, config, a=None):
+def serial_spsa(evaluate, x0, seed, iterations, a=None):
     """One SPSA run, one point per objective call: (records, best value, best params).
 
-    Each iteration draws its Rademacher direction with its own
-    `rng.integers(0, 2, size=dim)` call, probes x +/- c_k delta, steps by
-    the gain a_k (a defaults to `config.a`) times the two-point gradient,
-    and records the better probe, the + probe on ties; the end records the
-    terminal iterate.  records[k] is (k, params, value), and the best is the
-    first lowest record.  `spsa_lockstep` must reproduce this bit for bit,
-    for every run of a batch.
+    The gain schedule is written out here, not read from the package:
+    a_k = a/(A+k+1)^alpha and c_k = c/(k+1)^gamma with a = 2pi/10 (unless
+    given), c = 0.1, A = 0 and Spall's alpha = 0.602, gamma = 0.101 (IEEE
+    TAES 34(3), 1998).  Each iteration draws its Rademacher direction with
+    its own `rng.integers(0, 2, size=dim)` call, probes x +/- c_k delta,
+    steps by a_k times the two-point gradient, and records the better
+    probe, the + probe on ties; the end records the terminal iterate.
+    records[k] is (k, params, value), and the best is the first lowest
+    record.  `spsa_lockstep` must reproduce this bit for bit, for every run
+    of a batch.
     """
+    gain = 2.0 * math.pi / 10.0 if a is None else a
+    c, stability, alpha, gamma = 0.1, 0.0, 0.602, 0.101
     rng = np.random.default_rng(seed)
     x = np.array(x0, dtype=float)
-    gain = config.a if a is None else a
     records = []
     for k in range(iterations):
-        c_k = config.c / (k + 1) ** config.gamma
+        c_k = c / (k + 1) ** gamma
         delta = rng.integers(0, 2, size=x.size) * 2.0 - 1.0
         up, down = x + c_k * delta, x - c_k * delta
         f_up, f_down = float(evaluate(up)), float(evaluate(down))
         gradient = (f_up - f_down) / (2.0 * c_k) * delta
-        x = x - gain / (config.A + k + 1) ** config.alpha * gradient
+        x = x - gain / (stability + k + 1) ** alpha * gradient
         records.append((k, tuple(up), f_up) if f_up <= f_down else (k, tuple(down), f_down))
     records.append((iterations, tuple(x), float(evaluate(x))))
     best = min(records, key=lambda record: record[2])

@@ -21,7 +21,7 @@ from rotorvqe.driver import (
     run_vqe,
     seed_stream,
 )
-from rotorvqe import driver, qsim
+from rotorvqe import driver, optimize, qsim
 from rotorvqe.potential import BISTABLE, MONOSTABLE, ChainSpec, DihedralSpec
 from rotorvqe.qsim import (
     EXACT,
@@ -517,6 +517,27 @@ def test_gain_policies_differ(q2_problem):
     fixed = run_vqe(quick_config(gain_policy=FIXED, iterations=30), q2_problem)
     calibrated = run_vqe(quick_config(gain_policy=CALIBRATED, iterations=30), q2_problem)
     assert fixed.value != calibrated.value
+
+
+def test_calibration_runs_once_per_cold_lockstep_batch(q2_problem, monkeypatch):
+    calls = []
+
+    def spy(evaluate, x0, seeds):
+        calls.append((x0.shape, tuple(seeds)))
+        return optimize.calibrated_gains(evaluate, x0, seeds)
+
+    monkeypatch.setattr(driver, "calibrated_gains", spy)
+    # one lockstep batch, calibrated in one call for all its runs
+    config = quick_config(iterations=5, restarts=3)
+    run_ensemble(config, q2_problem)
+    assert calls == [((3, 8), seed_stream(config.seed, 3))]
+    calls.clear()
+    run_ensemble(dataclasses.replace(config, gain_policy=FIXED), q2_problem)
+    run_hierarchical(LADDER[:2], dataclasses.replace(config, gain_policy=FIXED))
+    assert calls == []
+    # the warm rung (three qubits, 12 angles) starts from the embedded x0
+    run_hierarchical(LADDER[:2], config)
+    assert calls == [((3, 8), seed_stream(config.seed, 3))]
 
 
 def test_replace_config_reruns_cleanly(q2_problem):
