@@ -6,16 +6,17 @@ matching `paulimap`.  Rotation gates follow exp(-i theta sigma / 2).
 a parametric noise model (noisy); exact energies are contracted in
 `driver`.  Every circuit runs on one gate compiler, `_compile`: a pure
 state as a register of Q qubits, a density matrix with each gate's
-depolarizing channel as a superket of 2Q, both from one gate table
-(`_rotations`): every Rz a phase multiply, every Ry a 2x2 gather and a pure
-state's first Ry layer a product.  Against full 2x2 products, only the sign
-of a part exactly 0 can differ.  Each setting's outcome distribution
-comes off the pure state through its basis change, or off the density
-matrix through one precomputed map (`_folded_map`).  Callers hash a batch's
-seeds at once to the PCG64 starts `default_rng(seed)` would take
-(`_pcg64_states(_word_table(seeds))`); both modes draw each start's counts
-and tally them alike (a noisy estimate optionally undoing readout confusion
-first).
+depolarizing channel as a superket of 2Q.  Both run in bounded row blocks,
+each building its gate entries at once (`_Program`): every Rz a phase
+multiply, every Ry a 2x2 gather and a pure state's first Ry layer a
+product, each product with the gate or phase first.  Against full 2x2
+products, only the sign of a part exactly 0 can differ.  Each setting's
+outcome distribution comes off the pure state through its basis change, or
+off the density matrix through one precomputed map (`_folded_map`).
+Callers hash a batch's seeds at once to the PCG64 starts `default_rng(seed)`
+would take (`_pcg64_states(_word_table(seeds))`); both modes draw each
+start's counts and tally them alike (a noisy estimate optionally undoing
+readout confusion first).
 """
 
 from __future__ import annotations
@@ -168,11 +169,12 @@ def _run_gathers(work: np.ndarray, steps, gates, noise: NoiseSpec = None, phases
     """Run compiled (key, gather) steps in place on a C-contiguous work[2^Q, ...].
 
     A rotation's key indexes `gates`, each held as gate[j, i, 1, ...]; a
-    phase's key indexes `phases`, each held as phase[bit, ...]; a mix's key
-    names its fault probability p, noise.p1 or noise.p2.  Every product
-    takes the gate first, as the 2x2 product does: numpy's complex kernel
-    rounds its cross terms in operand order, so swapping them moves last
-    bits.  A mix on a superket's k (q, Q + q) pairs strikes those qubits
+    phase's key indexes `phases`, each held as phase[bit, ...] that the
+    step's bits gather, or as phase[2^Q, ...] for a step with no bits; a
+    mix's key names its fault probability p, noise.p1 or noise.p2.  Every
+    product takes the gate first, as the 2x2 product does: numpy's complex
+    kernel rounds its cross terms in operand order, so swapping them moves
+    last bits.  A mix on a superket's k (q, Q + q) pairs strikes those qubits
     with a uniformly chosen non-identity Pauli with probability p, which is
     (1 - w) rho + w (I/2^k (x) Tr_k rho), w = p 4^k / (4^k - 1) (Nielsen &
     Chuang, ch. 8): each of the 2^k diagonal blocks gains w/2^k times their
@@ -180,13 +182,17 @@ def _run_gathers(work: np.ndarray, steps, gates, noise: NoiseSpec = None, phases
     """
     halves = work.reshape((2, len(work) // 2) + work.shape[1:])
     terms = np.empty((2,) + halves.shape, dtype=complex)
+    first, second = terms
     for key, index in steps:
+        if index is None:
+            np.multiply(phases[key], work, out=work)
+            continue
         if index.ndim == 3:
             # terms = ((g00 a, g10 a), (g01 b, g11 b)), then their sums in place;
             # every index is in range, and "clip" skips the copy "raise" buffers
             work.take(index, axis=0, out=terms, mode="clip")
             np.multiply(gates[key], terms, out=terms)
-            np.add(terms[0], terms[1], out=halves)
+            np.add(first, second, out=halves)
             continue
         if index.ndim == 1:
             np.multiply(phases[key].take(index, axis=0), work, out=work)
@@ -200,37 +206,99 @@ def _run_gathers(work: np.ndarray, steps, gates, noise: NoiseSpec = None, phases
             work[index] += mixed
 
 
+# rows of one block of `_evolved`: a 60-restart lockstep batch (120 rows) is
+# one block, and at 4 qubits a block's phase tables stay at 256 KB, where
+# fresh pages and cache misses made 3,000 rows in one block cost 1.7-1.9
+# times more per row than 1,000
+_STATE_ROWS = 128
+
+
+@dataclass(frozen=True, eq=False)
+class _Program:
+    """A circuit compiled for `_evolved`: its steps and where their entries come from.
+
+    A block of rows values[B, P] builds one float table[3P + 1, B]: the cos,
+    the sin and the negated sin of every signed half angle, values[:, p]
+    times signs[p], then a row of zeros.  Ry takes cos and sin of theta/2,
+    as `_ry` does, and Rz the phase exp(-i theta/2) = cos(-theta/2) + i
+    sin(-theta/2) and its conjugate, so these are the gate entries bit for
+    bit.  Entry n is table[real[n]] + i table[imag[n]]: first each of the
+    `gates` Ry gates as gate[j, i, 0] = g[i, j], then each phase's pair of
+    entries, which one gather by `phases` makes the phase tables.
+    `steps` key both in order (see `_run_gathers`).  factors[Q, 2^Q], for a
+    pure state only, picks the first Ry layer's product factors.
+    """
+
+    signs: np.ndarray
+    factors: np.ndarray
+    real: np.ndarray
+    imag: np.ndarray
+    gates: int
+    phases: np.ndarray
+    steps: tuple
+    final: np.ndarray
+
+
+def _program(ansatz, gates, phases, steps, final, factors=None) -> _Program:
+    """Lay out the entries of gates[n], an Ry's parameter, and phases[n], an Rz's (parameter, bits).
+
+    Phase n has its own pair of entries, cos + i sin for bit 0 and cos - i
+    sin for bit 1, and is gathered as the entry of each of its bits.
+    """
+    count, ry = ansatz.parameter_count, np.array(gates, dtype=int)
+    rz = np.array([p for p, _ in phases])
+    # an Ry's entries g00, g10, g01, g11 are cos, sin, -sin and cos, each + 0i
+    real = np.concatenate(((ry[:, None] + count * np.array([0, 1, 2, 0])).ravel(), np.repeat(rz, 2)))
+    imag = np.concatenate((np.full(4 * len(ry), 3 * count), (rz[:, None] + count * np.array([1, 2])).ravel()))
+    phases = np.array([4 * len(ry) + 2 * n + bits for n, (_, bits) in enumerate(phases)])
+    # theta/2 for each Ry, -theta/2 for each Rz
+    signs = np.tile(np.repeat([0.5, -0.5], ansatz.qubits), ansatz.depth + 1)[:, None]
+    for table in (signs, factors, real, imag, phases):
+        if table is not None:
+            table.flags.writeable = False
+    return _Program(signs, factors, real, imag, len(ry), phases, steps, final)
+
+
 @lru_cache(maxsize=64)
-def _batch_program(ansatz: AnsatzSpec):
-    """(factors, steps, final): the pure-state circuit.
+def _state_program(ansatz: AnsatzSpec) -> _Program:
+    """The pure-state circuit, as a `_Program`.
 
     The first Ry layer acts on |0...0>, so amplitude k is the real product,
-    in qubit order, of each qubit's cos or sin as its bit of k picks:
-    factors[q - 1, k] indexes that factor among the layer's rows (cos, sin).
+    in qubit order, of each qubit's cos or sin as its bit of k picks.
     `_compile` runs the rest, each Rz as a phase step and each later Ry as a
-    gather, keyed by parameter index into `_rotations`' tables.
+    gather.  Phase step n multiplies by row n of the phase table[n, 2^Q],
+    its Rz's entry for each working row's bit, so the step holds no bits.
     """
     qubits, ops = ansatz.qubits, ansatz_operations(ansatz)
     later = [("phase",) + op[1:] if op[0] == "rz" else op for op in ops[qubits:]]
+    compiled, final = _compile(qubits, later)
+    steps, gates, phases = [], [], []
+    for key, index in compiled:
+        if index.ndim == 1:
+            steps.append((len(phases), None))
+            phases.append((key, index))
+        else:
+            steps.append((len(gates), index))
+            gates.append(key)
     bits = (np.arange(1 << qubits) >> np.arange(qubits - 1, -1, -1)[:, None]) & 1
-    factors = bits * qubits + np.arange(qubits)[:, None]
-    factors.flags.writeable = False
-    return (factors,) + _compile(qubits, later)
+    factors = np.arange(qubits)[:, None] + ansatz.parameter_count * bits
+    return _program(ansatz, gates, phases, tuple(steps), final, factors)
 
 
 @lru_cache(maxsize=64)
-def _superket_program(ansatz: AnsatzSpec):
-    """(steps, final): the noisy circuit on a density matrix, compiled by `_compile`.
+def _superket_program(ansatz: AnsatzSpec) -> _Program:
+    """The noisy circuit on a density matrix, compiled by `_compile`, as a `_Program`.
 
     rho, flattened in C order, is a register of 2Q qubits (a superket): row
     qubit q is qubit q and column qubit q is qubit Q + q.  So U rho U^dagger
     is the gate on q, then its conjugate on Q + q; a CNOT acts on both
     halves; and each gate's depolarizing channel follows as a mix over its
-    qubits' (q, Q + q) pairs, keyed "p1" or "p2" (see `_run_gathers`).  A
-    rotation is keyed by parameter index into `_rotations`' tables, as in
-    `_batch_program`.  Ry is real, so its conjugate is the same gate.
+    qubits' (q, Q + q) pairs, keyed "p1" or "p2" (see `_run_gathers`).
+    Each Rz keys two phase rows[2], its phase and, for the conjugate, the
+    same entries with the bits swapped: conj(c + i s) = c - i s, bit for
+    bit.  Ry is real, so its conjugate is the same gate.
     """
-    qubits, ops = ansatz.qubits, []
+    qubits, ops, phases, gates = ansatz.qubits, [], [], []
     for op in ansatz_operations(ansatz):
         if op[0] == "cx":
             _, control, target = op
@@ -238,97 +306,81 @@ def _superket_program(ansatz: AnsatzSpec):
             ops += [op, ("cx", qubits + control, qubits + target), ("mix", pairs, "p2")]
             continue
         name, q, p = op
-        conjugate = (name, qubits + q, p)
         if name == "rz":
-            # conj(c + i s) = c - i s, bit for bit: the phase row with its bits swapped
-            op, conjugate = ("phase", q, p), ("phase", qubits + q, (p, slice(None, None, -1)))
+            op, conjugate = ("phase", q, len(phases)), ("phase", qubits + q, len(phases) + 1)
+            phases += [(p, np.array([0, 1])), (p, np.array([1, 0]))]
+        else:
+            op, conjugate = (name, q, len(gates)), (name, qubits + q, len(gates))
+            gates.append(p)
         ops += [op, conjugate, ("mix", ((q, qubits + q),), "p1")]
-    return _compile(2 * qubits, ops)
-
-
-def _half_angles(ansatz: AnsatzSpec, values: np.ndarray) -> tuple:
-    """(cos, sin)[block, 0 for Ry or 1 for Rz, qubit - 1, row] of each row of values[B, P].
-
-    These are the entries of the scalar gate matrices, bit for bit: Ry takes
-    cos and sin of theta/2, as `_ry` does, and Rz the phase exp(-i theta/2),
-    which is cos(-theta/2) + i sin(-theta/2), and its conjugate.
-    """
-    half = values.T.reshape(ansatz.depth + 1, 2, ansatz.qubits, len(values)) / 2.0
-    half[:, 1] = -half[:, 1]
-    return np.cos(half), np.sin(half)
-
-
-def _rotations(cos: np.ndarray, sin: np.ndarray, first: int) -> tuple:
-    """(phases, gates)[P, ...]: each Rz's phase row and each Ry's 2x2 gate from Ry layer `first` on.
-
-    phases[p, bit, row] is Rz p's diagonal entry for its qubit's bit, and
-    gates[p, j, i, 0, row] is Ry p's g[i, j], as `_run_gathers` takes them.
-    The entries of the other kind, and of Ry layers before `first`, are
-    left unset; no step reads them.
-    """
-    blocks, _, qubits, rows = cos.shape
-    phases = np.empty((blocks, 2, qubits, 2, rows), dtype=complex)
-    rz = phases[:, 1]
-    rz.real = cos[:, 1, :, None]
-    rz[:, :, 0].imag = sin[:, 1]
-    # negated into a temporary: numpy 2.4.6's np.negative(out=) wrote wrong
-    # values with both operands strided along 3,000 rows
-    rz[:, :, 1].imag = -sin[:, 1]
-    gates = np.empty((blocks, 2, qubits, 2, 2, 1, rows), dtype=complex)
-    ry = gates[first:, 0]
-    ry[:, :, 0, 0, 0] = ry[:, :, 1, 1, 0] = cos[first:, 0]
-    ry[:, :, 1, 0, 0] = -sin[first:, 0]
-    ry[:, :, 0, 1, 0] = sin[first:, 0]
-    count = 2 * blocks * qubits
-    return phases.reshape(count, 2, rows), gates.reshape(count, 2, 2, 1, rows)
+    return _program(ansatz, gates, phases, *_compile(2 * qubits, ops))
 
 
 def prepare_states(ansatz: AnsatzSpec, params) -> np.ndarray:
     """Run the circuit on |0...0> once per row of params[B, P]; returns states[B, 2^Q].
 
-    The working batch is held batch-minor, as (2^Q, B), so each complex
-    product of `_evolved` runs with the batch as its innermost, contiguous
-    axis.  Column b is bit-identical to params[b] prepared alone, and to the
-    full 2x2 products g[i, 0] a + g[i, 1] b of every gate but for the sign of
-    a part exactly 0 (`tests/oracles.py::serial_prepare_state`).  The result
-    is C-contiguous, which the bit-identical energy contraction in `driver`
+    Row b is bit-identical to params[b] prepared alone, and to the full 2x2
+    products g[i, 0] a + g[i, 1] b of every gate but for the sign of a part
+    exactly 0 (`tests/oracles.py::serial_prepare_state`).  The result is
+    C-contiguous, which the bit-identical energy contraction in `driver`
     relies on.
     """
-    return np.ascontiguousarray(_evolved(ansatz, _parameter_rows(ansatz, params)).T)
+    return _evolved(ansatz, _parameter_rows(ansatz, params))
 
 
 def _evolved(ansatz: AnsatzSpec, values: np.ndarray, noise: NoiseSpec = None) -> np.ndarray:
-    """Each row of values[B, P] run as a state (2^Q, B), or under noise as a superket (4^Q, B).
+    """Each row of values[B, P] run as a state[B, 2^Q], or under noise as a superket[B, 4^Q].
 
-    A state runs `_batch_program`: the first Ry layer as a product, every Rz
-    as one phase multiply, each later Ry as a gather.  A superket runs
-    `_superket_program` from |0...0><0...0|.  Both skip the products with an
-    exact zero entry of a 2x2 gate.  As x + (+-0) = x and x (+-0) = +-0, that
-    changes only the sign of a part that ends exactly 0 (angles of +-0, say),
-    and nothing downstream divides by one.
+    Rows run in blocks of at most `_STATE_ROWS`, so a large batch costs no
+    more per row than a small one.  A block is held batch-minor, as
+    work[2^Q or 4^Q, rows], so each complex product runs with the rows as
+    its innermost, contiguous axis.  It builds its entries once
+    (`_Program`): one multiply, one cos and one sin, one gather of the real
+    parts and one of the imaginary parts, then one gather of every phase
+    table.  A state runs `_state_program`: the first Ry layer as a product,
+    every Rz as one phase multiply, each later Ry as a gather.  A superket runs
+    `_superket_program` from |0...0><0...0|.  Every product takes the gate
+    or phase first, as the 2x2 product does: numpy's complex kernel rounds
+    its cross terms in operand order.  Both skip the products with an exact
+    zero entry of a 2x2 gate.  As x + (+-0) = x and x (+-0) = +-0, that
+    changes only the sign of a part that ends exactly 0 (angles of +-0,
+    say), and nothing downstream divides by one.  Each block is written
+    into the C-contiguous result.
     """
-    cos, sin = _half_angles(ansatz, values)
-    if noise is None:
-        factors, steps, final = _batch_program(ansatz)
-        # the reduction multiplies in axis order, ((f1 f2) f3) ..., as the layer's gates do
-        work = np.multiply.reduce(np.concatenate((cos[0, 0], sin[0, 0])).take(factors, axis=0))
-        work = work.astype(complex)
-    else:
-        steps, final = _superket_program(ansatz)
-        work = np.zeros((len(final), len(values)), dtype=complex)
-        work[0] = 1.0
-    # a state's first Ry layer is the product above, so it takes no gates
-    phases, gates = _rotations(cos, sin, 1 if noise is None else 0)
-    _run_gathers(work, steps, gates, noise, phases)
-    work = work.take(final, axis=0)
-    # a density matrix's norm is its trace; written so that a NaN norm, from
-    # a non-finite angle, fails too
-    diagonal = np.abs(work) ** 2 if noise is None else work[:: (1 << ansatz.qubits) + 1].real
-    norms = diagonal.sum(axis=0)
-    within = np.abs(norms - 1.0) <= _NORM_TOL
-    if not within.all():
-        raise RuntimeError(f"state norm drifted to {float(norms[~within][0])}")
-    return work
+    program = _state_program(ansatz) if noise is None else _superket_program(ansatz)
+    count = len(program.signs)
+    states = np.empty((len(values), len(program.final)), dtype=complex)
+    for start in range(0, len(values), _STATE_ROWS):
+        rows = values[start : start + _STATE_ROWS]
+        # in C order, which numpy's cos and sin run fastest on
+        half = np.multiply(program.signs, rows.T, order="C")
+        table = np.empty((3 * count + 1, len(rows)))
+        np.cos(half, out=table[:count])
+        sin = np.sin(half, out=table[count : 2 * count])
+        # negated into a temporary: numpy 2.4.6's np.negative(out=) wrote wrong
+        # values with both operands strided along 3,000 rows
+        table[2 * count : 3 * count] = -sin
+        table[3 * count] = 0.0
+        entries = np.empty((len(program.real), len(rows)), dtype=complex)
+        entries.real = table.take(program.real, axis=0)
+        entries.imag = table.take(program.imag, axis=0)
+        if noise is None:
+            # the reduction multiplies in axis order, ((f1 f2) f3) ..., as the layer's gates do
+            work = np.multiply.reduce(table.take(program.factors, axis=0)).astype(complex)
+        else:
+            work = np.zeros((len(program.final), len(rows)), dtype=complex)
+            work[0] = 1.0
+        gates = entries[: 4 * program.gates].reshape(program.gates, 2, 2, 1, len(rows))
+        _run_gathers(work, program.steps, gates, noise, entries.take(program.phases, axis=0))
+        block = states[start : start + len(rows)]
+        work.T.take(program.final, axis=1, out=block, mode="clip")
+        # a density matrix's norm is its trace; written so that a NaN norm, from
+        # a non-finite angle, fails too
+        norms = np.vecdot(block, block) if noise is None else block[:, :: (1 << ansatz.qubits) + 1].sum(1)
+        drift = np.abs(norms.real - 1.0)
+        if not np.maximum.reduce(drift) <= _NORM_TOL:
+            raise RuntimeError(f"state norm drifted to {float(norms.real[~(drift <= _NORM_TOL)][0])}")
+    return states
 
 
 def _parameter_rows(ansatz: AnsatzSpec, params) -> np.ndarray:
@@ -574,13 +626,13 @@ def _distributions(ansatz: AnsatzSpec, values: np.ndarray, plan, noise: NoiseSpe
     for i in range(0, len(values), size):
         block, rows = probs[i : i + size], values[i : i + size]
         if noise is None:
-            work = np.repeat(_evolved(ansatz, rows)[:, None, :], settings, axis=1)
+            work = np.repeat(_evolved(ansatz, rows).T[:, None, :], settings, axis=1)
             _run_gathers(work, steps, gates)
             # stored in C order, which makes each row's sum the one a lone distribution gets
             block[...] = (np.abs(work.take(measured, axis=0)) ** 2).T
         else:
             # one (1, 2 4^Q) @ (2 4^Q, S 2^Q) product per row
-            rho = np.ascontiguousarray(_evolved(ansatz, rows, noise).T).view(float)
+            rho = _evolved(ansatz, rows, noise).view(float)
             np.matmul(rho[:, None, :], folded, out=block.reshape(len(block), 1, -1))
     if noise is not None:
         np.clip(probs, 0.0, None, out=probs)

@@ -239,6 +239,52 @@ def test_prepare_states_generic_rows_match_serial_states_bit_for_bit(entangler):
     assert prepare_states(ansatz, rows).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("entangler", [LINEAR, FULL])
+def test_prepare_states_block_edges_match_single_states_bit_for_bit(entangler):
+    # batches on either side of one, two and many row blocks; each row is
+    # drawn from a pool of 300 (generic, +-0 and +-pi angles), so that the
+    # lone and serial references are each run once per pool row
+    block = qsim._STATE_ROWS
+    rng = np.random.default_rng(31)
+    for qubits in (1, 2, 3, 4, 5):
+        ansatz = AnsatzSpec(qubits=qubits, depth=1, entangler=entangler)
+        pool = rng.uniform(-50.0, 50.0, (300, ansatz.parameter_count))
+        special = rng.random(pool.shape) < 0.2
+        pool[special] = rng.choice([0.0, -0.0, math.pi, -math.pi], size=special.sum())
+        pool[:4] = [[0.0], [-0.0], [math.pi], [-math.pi]]
+        alone = np.array([prepare_state(ansatz, row) for row in pool])
+        serial = np.array([serial_prepare_state(qubits, 1, entangler, row) for row in pool])
+        for size in (block - 1, block, block + 1, 2 * block + 1, 3000):
+            picks = rng.integers(len(pool), size=size)
+            states = prepare_states(ansatz, pool[picks])
+            assert states.flags.c_contiguous
+            assert states.tobytes() == alone[picks].tobytes()
+            assert (states + 0.0).tobytes() == (serial[picks] + 0.0).tobytes()
+
+
+def test_cached_programs_are_read_only():
+    # every lru-cached program hands the same arrays to every caller
+    def arrays(item):
+        if isinstance(item, np.ndarray):
+            yield item
+        elif isinstance(item, (tuple, list, dict)):
+            for part in item.values() if isinstance(item, dict) else item:
+                yield from arrays(part)
+        elif hasattr(item, "__dataclass_fields__"):
+            yield from arrays([getattr(item, name) for name in item.__dataclass_fields__])
+
+    _, _, op = chain_problem((4, 2))
+    noise = NoiseSpec(readout=[symmetric_confusion(0.02), symmetric_confusion(0.05)])
+    plan = qsim._measurement_plan(op, True)
+    cached = [plan, qsim._folded_map(plan, noise.p1, noise.readout), qsim._inverse_readout(noise, 2)]
+    for qubits, depth, entangler in ((1, 0, LINEAR), (2, 1, LINEAR), (3, 2, FULL)):
+        ansatz = AnsatzSpec(qubits=qubits, depth=depth, entangler=entangler)
+        cached += [qsim._state_program(ansatz), qsim._superket_program(ansatz)]
+    found = list(arrays(cached))
+    assert len(found) > 20
+    assert not any(array.flags.writeable for array in found)
+
+
 def test_prepare_states_validates_shape():
     ansatz = AnsatzSpec(qubits=2, depth=1)
     with pytest.raises(ValueError):
