@@ -4,15 +4,15 @@ Qubit 1 is the most significant bit of a computational-basis index,
 matching `paulimap`.  Rotation gates follow exp(-i theta sigma / 2).
 `_estimate` estimates a PauliOperator from shots, ideal (sampled) or under
 a parametric noise model (noisy); exact energies are contracted in
-`driver`.  Every circuit runs on one gate compiler, `_compile`: a pure
-state as a register of Q qubits, a density matrix with each gate's
-depolarizing channel as a superket of 2Q.  Both run in bounded row blocks,
-each building its gate entries at once (`_Program`): every Rz a phase
-multiply, every Ry a 2x2 gather and a pure state's first Ry layer a
-product, each product with the gate or phase first.  Against full 2x2
-products, only the sign of a part exactly 0 can differ.  Each setting's
-outcome distribution comes off the pure state through its basis change, or
-off the density matrix through one precomputed map (`_folded_map`).
+`driver`.  A pure state runs on one gate compiler, `_compile`, in bounded
+row blocks, each building its gate entries at once (`_Program`): the first
+Ry layer a product, every Rz a phase multiply and every later Ry a 2x2
+gather, each product with the gate or phase first.  Against full 2x2
+products, only the sign of a part exactly 0 can differ.  A noisy state runs
+as its 4^Q real Pauli components (`_components`), each gate and its
+depolarizing channel one real step.  Each setting's outcome distribution
+comes off the pure state through its basis change, or off the components
+through one gather, a Walsh-Hadamard transform and the readout confusion.
 Callers hash a batch's seeds at once to the PCG64 starts `default_rng(seed)`
 would take (`_pcg64_states(_word_table(seeds))`); both modes draw each
 start's counts and tally them alike (a noisy estimate optionally undoing
@@ -119,13 +119,9 @@ def _cnot_table(qubits: int, control: int, target: int):
     return np.where(idx & cbit, idx ^ tbit, idx)
 
 
-def _mix_blocks(qubits: int, pairs) -> np.ndarray:
-    """blocks[b]: each index, in increasing order, where both qubits of pairs[i] read bit i of b."""
-    idx = np.arange(1 << qubits)
-    bits = [[(idx >> (qubits - q)) & 1 for q in pair] for pair in pairs]
-    same = np.all([a == b for a, b in bits], axis=0)
-    label = sum(a << i for i, (a, _) in enumerate(bits))
-    return np.array([idx[same & (label == b)] for b in range(1 << len(pairs))])
+def _bits(qubits: int) -> np.ndarray:
+    """bits[Q, 2^Q]: each qubit's bit of every basis index, qubit 1 first."""
+    return (np.arange(1 << qubits) >> np.arange(qubits - 1, -1, -1)[:, None]) & 1
 
 
 def _compile(qubits: int, ops) -> tuple:
@@ -137,11 +133,10 @@ def _compile(qubits: int, ops) -> tuple:
     (2, 2, len(j0)), so one product per side gives both new halves, stored
     in the order (j0, j1).  A ("phase", qubit, key), a diagonal gate, keeps
     the order and holds each row's bit of the qubit, bits[2^Q], which picks
-    the row's phase.  A ("mix", pairs, key) gathers its 2^k diagonal blocks
-    (`_mix_blocks`) as one index[2^k, n] and keeps the order.  A
-    ("cx", control, target) only relabels the order, being its own inverse.
-    Returns (steps, final): (key, gather) per rotation, phase or mix, and
-    the gather that restores the computational-basis order.
+    the row's phase.  A ("cx", control, target) only relabels the order,
+    being its own inverse.  Returns (steps, final): (key, gather) per
+    rotation or phase, and the gather that restores the computational-basis
+    order.
     """
     order = np.arange(1 << qubits)
     steps = []
@@ -153,9 +148,6 @@ def _compile(qubits: int, ops) -> tuple:
             steps.append((op[2], (order >> (qubits - op[1])) & 1))
             continue
         row = np.argsort(order)
-        if op[0] == "mix":
-            steps.append((op[2], row[_mix_blocks(qubits, op[1])]))
-            continue
         j0, j1 = _pair_indices(qubits, op[1])
         steps.append((op[2], row[np.stack(((j0, j0), (j1, j1)))]))
         order = np.concatenate((j0, j1))
@@ -165,20 +157,14 @@ def _compile(qubits: int, ops) -> tuple:
     return tuple(steps), final
 
 
-def _run_gathers(work: np.ndarray, steps, gates, noise: NoiseSpec = None, phases=None) -> None:
+def _run_gathers(work: np.ndarray, steps, gates, phases=None) -> None:
     """Run compiled (key, gather) steps in place on a C-contiguous work[2^Q, ...].
 
     A rotation's key indexes `gates`, each held as gate[j, i, 1, ...]; a
-    phase's key indexes `phases`, each held as phase[bit, ...] that the
-    step's bits gather, or as phase[2^Q, ...] for a step with no bits; a
-    mix's key names its fault probability p, noise.p1 or noise.p2.  Every
-    product takes the gate first, as the 2x2 product does: numpy's complex
-    kernel rounds its cross terms in operand order, so swapping them moves
-    last bits.  A mix on a superket's k (q, Q + q) pairs strikes those qubits
-    with a uniformly chosen non-identity Pauli with probability p, which is
-    (1 - w) rho + w (I/2^k (x) Tr_k rho), w = p 4^k / (4^k - 1) (Nielsen &
-    Chuang, ch. 8): each of the 2^k diagonal blocks gains w/2^k times their
-    sum.
+    phase step, one with no gather, multiplies by phases[key], held as
+    phase[2^Q, ...].  Every product takes the gate first, as the 2x2 product
+    does: numpy's complex kernel rounds its cross terms in operand order, so
+    swapping them moves last bits.
     """
     halves = work.reshape((2, len(work) // 2) + work.shape[1:])
     terms = np.empty((2,) + halves.shape, dtype=complex)
@@ -187,23 +173,11 @@ def _run_gathers(work: np.ndarray, steps, gates, noise: NoiseSpec = None, phases
         if index is None:
             np.multiply(phases[key], work, out=work)
             continue
-        if index.ndim == 3:
-            # terms = ((g00 a, g10 a), (g01 b, g11 b)), then their sums in place;
-            # every index is in range, and "clip" skips the copy "raise" buffers
-            work.take(index, axis=0, out=terms, mode="clip")
-            np.multiply(gates[key], terms, out=terms)
-            np.add(first, second, out=halves)
-            continue
-        if index.ndim == 1:
-            np.multiply(phases[key].take(index, axis=0), work, out=work)
-            continue
-        if p := getattr(noise, key):
-            size = len(index) ** 2
-            weight = p * size / (size - 1)
-            mixed = sum(work.take(index, axis=0, mode="clip")) * (weight / len(index))
-            work *= 1.0 - weight
-            # the blocks are disjoint, so one fancy-index update adds to each once
-            work[index] += mixed
+        # terms = ((g00 a, g10 a), (g01 b, g11 b)), then their sums in place;
+        # every index is in range, and "clip" skips the copy "raise" buffers
+        work.take(index, axis=0, out=terms, mode="clip")
+        np.multiply(gates[key], terms, out=terms)
+        np.add(first, second, out=halves)
 
 
 # rows of one block of `_evolved`: a 60-restart lockstep batch (120 rows) is
@@ -215,7 +189,7 @@ _STATE_ROWS = 128
 
 @dataclass(frozen=True, eq=False)
 class _Program:
-    """A circuit compiled for `_evolved`: its steps and where their entries come from.
+    """The pure-state circuit compiled for `_evolved`: its steps and where their entries come from.
 
     A block of rows values[B, P] builds one float table[3P + 1, B]: the cos,
     the sin and the negated sin of every signed half angle, values[:, p]
@@ -225,8 +199,8 @@ class _Program:
     bit.  Entry n is table[real[n]] + i table[imag[n]]: first each of the
     `gates` Ry gates as gate[j, i, 0] = g[i, j], then each phase's pair of
     entries, which one gather by `phases` makes the phase tables.
-    `steps` key both in order (see `_run_gathers`).  factors[Q, 2^Q], for a
-    pure state only, picks the first Ry layer's product factors.
+    `steps` key both in order (see `_run_gathers`).  factors[Q, 2^Q] picks
+    the first Ry layer's product factors.
     """
 
     signs: np.ndarray
@@ -239,26 +213,6 @@ class _Program:
     final: np.ndarray
 
 
-def _program(ansatz, gates, phases, steps, final, factors=None) -> _Program:
-    """Lay out the entries of gates[n], an Ry's parameter, and phases[n], an Rz's (parameter, bits).
-
-    Phase n has its own pair of entries, cos + i sin for bit 0 and cos - i
-    sin for bit 1, and is gathered as the entry of each of its bits.
-    """
-    count, ry = ansatz.parameter_count, np.array(gates, dtype=int)
-    rz = np.array([p for p, _ in phases])
-    # an Ry's entries g00, g10, g01, g11 are cos, sin, -sin and cos, each + 0i
-    real = np.concatenate(((ry[:, None] + count * np.array([0, 1, 2, 0])).ravel(), np.repeat(rz, 2)))
-    imag = np.concatenate((np.full(4 * len(ry), 3 * count), (rz[:, None] + count * np.array([1, 2])).ravel()))
-    phases = np.array([4 * len(ry) + 2 * n + bits for n, (_, bits) in enumerate(phases)])
-    # theta/2 for each Ry, -theta/2 for each Rz
-    signs = np.tile(np.repeat([0.5, -0.5], ansatz.qubits), ansatz.depth + 1)[:, None]
-    for table in (signs, factors, real, imag, phases):
-        if table is not None:
-            table.flags.writeable = False
-    return _Program(signs, factors, real, imag, len(ry), phases, steps, final)
-
-
 @lru_cache(maxsize=64)
 def _state_program(ansatz: AnsatzSpec) -> _Program:
     """The pure-state circuit, as a `_Program`.
@@ -266,54 +220,33 @@ def _state_program(ansatz: AnsatzSpec) -> _Program:
     The first Ry layer acts on |0...0>, so amplitude k is the real product,
     in qubit order, of each qubit's cos or sin as its bit of k picks.
     `_compile` runs the rest, each Rz as a phase step and each later Ry as a
-    gather.  Phase step n multiplies by row n of the phase table[n, 2^Q],
-    its Rz's entry for each working row's bit, so the step holds no bits.
+    gather.  Phase step n multiplies by row n of the phase table[n, 2^Q]:
+    its Rz's own pair of entries, cos + i sin for bit 0 and cos - i sin for
+    bit 1, gathered by each working row's bit, so the step holds no bits.
     """
-    qubits, ops = ansatz.qubits, ansatz_operations(ansatz)
+    qubits, count, ops = ansatz.qubits, ansatz.parameter_count, ansatz_operations(ansatz)
     later = [("phase",) + op[1:] if op[0] == "rz" else op for op in ops[qubits:]]
     compiled, final = _compile(qubits, later)
-    steps, gates, phases = [], [], []
+    steps, ry, rz, bits = [], [], [], []
     for key, index in compiled:
         if index.ndim == 1:
-            steps.append((len(phases), None))
-            phases.append((key, index))
+            steps.append((len(rz), None))
+            rz.append(key)
+            bits.append(index)
         else:
-            steps.append((len(gates), index))
-            gates.append(key)
-    bits = (np.arange(1 << qubits) >> np.arange(qubits - 1, -1, -1)[:, None]) & 1
-    factors = np.arange(qubits)[:, None] + ansatz.parameter_count * bits
-    return _program(ansatz, gates, phases, tuple(steps), final, factors)
-
-
-@lru_cache(maxsize=64)
-def _superket_program(ansatz: AnsatzSpec) -> _Program:
-    """The noisy circuit on a density matrix, compiled by `_compile`, as a `_Program`.
-
-    rho, flattened in C order, is a register of 2Q qubits (a superket): row
-    qubit q is qubit q and column qubit q is qubit Q + q.  So U rho U^dagger
-    is the gate on q, then its conjugate on Q + q; a CNOT acts on both
-    halves; and each gate's depolarizing channel follows as a mix over its
-    qubits' (q, Q + q) pairs, keyed "p1" or "p2" (see `_run_gathers`).
-    Each Rz keys two phase rows[2], its phase and, for the conjugate, the
-    same entries with the bits swapped: conj(c + i s) = c - i s, bit for
-    bit.  Ry is real, so its conjugate is the same gate.
-    """
-    qubits, ops, phases, gates = ansatz.qubits, [], [], []
-    for op in ansatz_operations(ansatz):
-        if op[0] == "cx":
-            _, control, target = op
-            pairs = ((control, qubits + control), (target, qubits + target))
-            ops += [op, ("cx", qubits + control, qubits + target), ("mix", pairs, "p2")]
-            continue
-        name, q, p = op
-        if name == "rz":
-            op, conjugate = ("phase", q, len(phases)), ("phase", qubits + q, len(phases) + 1)
-            phases += [(p, np.array([0, 1])), (p, np.array([1, 0]))]
-        else:
-            op, conjugate = (name, q, len(gates)), (name, qubits + q, len(gates))
-            gates.append(p)
-        ops += [op, conjugate, ("mix", ((q, qubits + q),), "p1")]
-    return _program(ansatz, gates, phases, *_compile(2 * qubits, ops))
+            steps.append((len(ry), index))
+            ry.append(key)
+    ry, rz = np.array(ry, dtype=int), np.array(rz)
+    # an Ry's entries g00, g10, g01, g11 are cos, sin, -sin and cos, each + 0i
+    real = np.concatenate(((ry[:, None] + count * np.array([0, 1, 2, 0])).ravel(), np.repeat(rz, 2)))
+    imag = np.concatenate((np.full(4 * len(ry), 3 * count), (rz[:, None] + count * np.array([1, 2])).ravel()))
+    phases = 4 * len(ry) + 2 * np.arange(len(rz))[:, None] + np.array(bits)
+    # theta/2 for each Ry, -theta/2 for each Rz
+    signs = np.tile(np.repeat([0.5, -0.5], qubits), ansatz.depth + 1)[:, None]
+    factors = np.arange(qubits)[:, None] + count * _bits(qubits)
+    for table in (signs, factors, real, imag, phases):
+        table.flags.writeable = False
+    return _Program(signs, factors, real, imag, len(ry), phases, tuple(steps), final)
 
 
 def prepare_states(ansatz: AnsatzSpec, params) -> np.ndarray:
@@ -328,26 +261,32 @@ def prepare_states(ansatz: AnsatzSpec, params) -> np.ndarray:
     return _evolved(ansatz, _parameter_rows(ansatz, params))
 
 
-def _evolved(ansatz: AnsatzSpec, values: np.ndarray, noise: NoiseSpec = None) -> np.ndarray:
-    """Each row of values[B, P] run as a state[B, 2^Q], or under noise as a superket[B, 4^Q].
+def _check_norms(norms: np.ndarray) -> None:
+    """Fail unless every norm lies within `_NORM_TOL` of 1; a NaN norm, from a non-finite angle, fails too."""
+    drift = np.abs(norms - 1.0)
+    if not np.maximum.reduce(drift, axis=None, initial=0.0) <= _NORM_TOL:
+        raise RuntimeError(f"state norm drifted to {float(norms[~(drift <= _NORM_TOL)][0])}")
+
+
+def _evolved(ansatz: AnsatzSpec, values: np.ndarray) -> np.ndarray:
+    """Each row of values[B, P] run as a state[B, 2^Q].
 
     Rows run in blocks of at most `_STATE_ROWS`, so a large batch costs no
     more per row than a small one.  A block is held batch-minor, as
-    work[2^Q or 4^Q, rows], so each complex product runs with the rows as
-    its innermost, contiguous axis.  It builds its entries once
-    (`_Program`): one multiply, one cos and one sin, one gather of the real
-    parts and one of the imaginary parts, then one gather of every phase
-    table.  A state runs `_state_program`: the first Ry layer as a product,
-    every Rz as one phase multiply, each later Ry as a gather.  A superket runs
-    `_superket_program` from |0...0><0...0|.  Every product takes the gate
-    or phase first, as the 2x2 product does: numpy's complex kernel rounds
-    its cross terms in operand order.  Both skip the products with an exact
-    zero entry of a 2x2 gate.  As x + (+-0) = x and x (+-0) = +-0, that
-    changes only the sign of a part that ends exactly 0 (angles of +-0,
-    say), and nothing downstream divides by one.  Each block is written
-    into the C-contiguous result.
+    work[2^Q, rows], so each complex product runs with the rows as its
+    innermost, contiguous axis.  It builds its entries once (`_Program`):
+    one multiply, one cos and one sin, one gather of the real parts and one
+    of the imaginary parts, then one gather of every phase table.  It runs
+    `_state_program`: the first Ry layer as a product, every Rz as one phase
+    multiply, each later Ry as a gather.  Every product takes the gate or
+    phase first, as the 2x2 product does: numpy's complex kernel rounds its
+    cross terms in operand order.  The gathers skip the products with an
+    exact zero entry of a 2x2 gate.  As x + (+-0) = x and x (+-0) = +-0,
+    that changes only the sign of a part that ends exactly 0 (angles of
+    +-0, say), and nothing downstream divides by one.  Each block is
+    written into the C-contiguous result.
     """
-    program = _state_program(ansatz) if noise is None else _superket_program(ansatz)
+    program = _state_program(ansatz)
     count = len(program.signs)
     states = np.empty((len(values), len(program.final)), dtype=complex)
     for start in range(0, len(values), _STATE_ROWS):
@@ -364,23 +303,85 @@ def _evolved(ansatz: AnsatzSpec, values: np.ndarray, noise: NoiseSpec = None) ->
         entries = np.empty((len(program.real), len(rows)), dtype=complex)
         entries.real = table.take(program.real, axis=0)
         entries.imag = table.take(program.imag, axis=0)
-        if noise is None:
-            # the reduction multiplies in axis order, ((f1 f2) f3) ..., as the layer's gates do
-            work = np.multiply.reduce(table.take(program.factors, axis=0)).astype(complex)
-        else:
-            work = np.zeros((len(program.final), len(rows)), dtype=complex)
-            work[0] = 1.0
+        # the reduction multiplies in axis order, ((f1 f2) f3) ..., as the layer's gates do
+        work = np.multiply.reduce(table.take(program.factors, axis=0)).astype(complex)
         gates = entries[: 4 * program.gates].reshape(program.gates, 2, 2, 1, len(rows))
-        _run_gathers(work, program.steps, gates, noise, entries.take(program.phases, axis=0))
+        _run_gathers(work, program.steps, gates, entries.take(program.phases, axis=0))
         block = states[start : start + len(rows)]
         work.T.take(program.final, axis=1, out=block, mode="clip")
-        # a density matrix's norm is its trace; written so that a NaN norm, from
-        # a non-finite angle, fails too
-        norms = np.vecdot(block, block) if noise is None else block[:, :: (1 << ansatz.qubits) + 1].sum(1)
-        drift = np.abs(norms.real - 1.0)
-        if not np.maximum.reduce(drift) <= _NORM_TOL:
-            raise RuntimeError(f"state norm drifted to {float(norms.real[~(drift <= _NORM_TOL)][0])}")
+        _check_norms(np.vecdot(block, block).real)
     return states
+
+
+# component k of a noisy row is r_P = Tr(rho P) of the string P whose qubit q
+# digit, at place 4^(Q - q), is 2x + z: I 0, Z 1, X 2, Y 3.  An Ry turns the
+# pair from digit 1, (Z, X), and scales Y; an Rz turns (X, Y) and scales Z
+_TURNS = {"ry": (1, 3), "rz": (2, 1)}
+
+
+@lru_cache(maxsize=64)
+def _pauli_program(ansatz: AnsatzSpec) -> tuple:
+    """The noisy circuit past its first Ry and Rz layers, as steps on Pauli components.
+
+    A rotation stays its op.  A CNOT (c, t) becomes ("cx", source, sign,
+    touched): r'_P = sign[P] r[source[P]], as C P C = sign[P] source[P] by
+    the tableau rule x_t ^= x_c, z_c ^= z_t, sign (-1)^(x_c z_t (x_t ^ z_c ^
+    1)) (Aaronson & Gottesman, PRA 70, 052328 (2004)); touched[P] is 1
+    where P acts on c or t.
+    """
+    qubits, index = ansatz.qubits, np.arange(4**ansatz.qubits)
+    steps = []
+    for op in ansatz_operations(ansatz)[2 * qubits :]:
+        if op[0] != "cx":
+            steps.append(op)
+            continue
+        shifts = [2 * (qubits - q) for q in op[1:]]
+        (xc, zc), (xt, zt) = [((index >> (shift + 1)) & 1, (index >> shift) & 1) for shift in shifts]
+        source = index ^ (xc << (shifts[1] + 1)) ^ (zt << shifts[0])
+        sign = 1.0 - 2.0 * (xc & zt & (xt ^ zc ^ 1))
+        touched = (xc | zc | xt | zt).astype(float)
+        for table in (source, sign, touched):
+            table.flags.writeable = False
+        steps.append(("cx", source, sign, touched))
+    return tuple(steps)
+
+
+def _components(ansatz: AnsatzSpec, values: np.ndarray, noise: NoiseSpec) -> np.ndarray:
+    """Each row of values[B, P] run under noise as its Pauli components r[4^Q, B].
+
+    A gate's channel, a uniformly chosen non-identity Pauli on its k qubits
+    with probability p, keeps the identity part and scales the rest by
+    1 - p 4^k / (4^k - 1) (Nielsen & Chuang, ch. 8).  So Ry or Rz at angle
+    theta turns its pair (u, v) (`_TURNS`) to (c u - s v, c v + s u), with
+    (c, s) = (1 - 4 p1 / 3) (cos theta, sin theta), and scales the third
+    component by 1 - 4 p1 / 3.  The first Ry and Rz layers leave each qubit
+    (1, Z, X, Y) = (1, (1 - 4 p1 / 3) c, s c', s s'), c' and s' its Rz's,
+    and the row their product.  A CNOT is one signed gather
+    (`_pauli_program`) times 1 - 16 p2 / 15 on the components it touches.
+    Every step is elementwise along the rows.
+    """
+    qubits, rows = ansatz.qubits, len(values)
+    decay = 1.0 - 4.0 * noise.p1 / 3.0
+    cos, sin = decay * np.cos(values.T), decay * np.sin(values.T)
+    ry, rz = slice(0, qubits), slice(qubits, 2 * qubits)
+    layer = np.stack((np.ones((qubits, rows)), decay * cos[ry], sin[ry] * cos[rz], sin[ry] * sin[rz]), axis=1)
+    work = reduce(lambda left, right: (left[:, None] * right).reshape(-1, rows), layer)
+    # each turn adds (-s v, s u) to (c u, c v)
+    signed = sin[:, None, None] * np.reshape([-1.0, 1.0], (2, 1, 1))
+    for step in _pauli_program(ansatz):
+        if step[0] == "cx":
+            _, source, sign, touched = step
+            work = work.take(source, axis=0) * (sign * (1.0 - 16.0 * noise.p2 / 15.0) ** touched)[:, None]
+            continue
+        name, q, p = step
+        view = work.reshape(4 ** (q - 1), 4, -1, rows)
+        first, rest = _TURNS[name]
+        pair = view[:, first : first + 2]
+        swapped = pair[:, ::-1] * signed[p]
+        pair *= cos[p]
+        pair += swapped
+        view[:, rest] *= decay
+    return work
 
 
 def _parameter_rows(ansatz: AnsatzSpec, params) -> np.ndarray:
@@ -463,13 +464,13 @@ def _nested_tuples(items):
 
 
 @lru_cache(maxsize=64)
-def _inverse_readout(noise: NoiseSpec, qubits: int) -> np.ndarray:
-    """The inverse of the register's readout confusion; None if ideal."""
+def _confusion(noise: NoiseSpec, qubits: int, inverse: bool = False) -> np.ndarray:
+    """The register's readout confusion (x)_q C_q, or its inverse; None if ideal."""
     matrices = noise.readout_matrices(qubits)
     if matrices is None:
         return None
     try:
-        total = reduce(np.kron, [np.linalg.inv(m) for m in matrices])
+        total = reduce(np.kron, [np.linalg.inv(m) for m in matrices] if inverse else matrices)
     except np.linalg.LinAlgError as err:
         raise ValueError("readout confusion matrix is singular") from err
     total.flags.writeable = False
@@ -510,6 +511,11 @@ class _MeasurementPlan:
     tails[s], as {qubit: rotation}, outcome values outcomes[s] and their
     squares squares[s].  `pure` holds them all compiled for a state, as
     (steps, gates, measured gather), an identity for a qubit not rotated.
+    `paulis` holds them for Pauli components as (index, turns, hadamard):
+    setting s reads the Z-string on qubit subset T (an index's bits) as
+    component index[s, T] times (1 - 4 p1 / 3) ** turns[s, T], the count
+    of T's qubits it rotates, as Ry(-pi/2) takes X and Rx(pi/2) Y to +Z;
+    hadamard[T, m] is (-1)^(T.m) / 2^Q.
     """
 
     offset: float
@@ -517,6 +523,7 @@ class _MeasurementPlan:
     outcomes: np.ndarray
     squares: np.ndarray
     pure: tuple
+    paulis: tuple
 
 
 @lru_cache(maxsize=64)
@@ -527,12 +534,13 @@ def _measurement_plan(operator: PauliOperator, grouping: bool) -> _MeasurementPl
         settings = [(g.x, g.z, g.members) for g in group_qubitwise_commuting(operator)]
     else:
         settings = [(s.x, s.z, (i,)) for i, s in enumerate(strings)]
-    tails, outcomes = [], []
+    tails, outcomes, bases = [], [], []
     for x, z, members in settings:
         members = [i for i in members if not strings[i].is_identity]
         if members:
             tails.append(_basis_change_gates(x, z, qubits))
             outcomes.append(_outcome_values(operator, members, 1 << qubits))
+            bases.append((x, z))
     rotated = sorted({q for tail in tails for q in tail})
     stack = [[tail.get(q, np.eye(2)) for tail in tails] for q in rotated]
     stack = np.array(stack, dtype=complex).reshape(len(rotated), len(tails), 2, 2)
@@ -540,44 +548,16 @@ def _measurement_plan(operator: PauliOperator, grouping: bool) -> _MeasurementPl
     steps, final = _compile(qubits, [("basis", q, r) for r, q in enumerate(rotated)])
     table = np.array(outcomes).reshape(len(tails), 1 << qubits)
     squares = table**2
-    for array in (gates, table, squares):
+    bits, shifts = _bits(qubits), np.arange(qubits - 1, -1, -1)
+    x, z = (np.array(bases, dtype=np.int64).reshape(-1, 2).T[:, :, None] >> shifts) & 1
+    # a measured qubit reads X (2) where x alone is set, Y (3) where both are, else Z (1)
+    index = ((2 * x + (z | 1 - x)) << 2 * shifts) @ bits
+    turns = x @ bits
+    hadamard = (1.0 - 2.0 * ((bits.T @ bits) & 1)) / (1 << qubits)
+    for array in (gates, table, squares, index, turns, hadamard):
         array.flags.writeable = False
-    pure = (steps, gates, final)
-    return _MeasurementPlan(operator.identity_offset, tuple(tails), table, squares, pure)
-
-
-# a map is up to 7 MB at 4 qubits, and a process uses a noise model or two
-@lru_cache(maxsize=8)
-def _folded_map(plan: _MeasurementPlan, p1: float, readout) -> np.ndarray:
-    """The noisy measurement as one real map[2 4^Q, S 2^Q] from a density matrix.
-
-    Setting s reads outcome m with probability Tr(E rho), E the product over
-    qubits of e(m_q) = (1 - w) U^dagger |m><m| U + w I/2, w = 4 p1 / 3, where
-    its basis change rotates the qubit by U and depolarizes it, else |m><m|.
-    Readout confusion C acts per qubit, so the map is a Kronecker product of
-    2 x 4 maps sum_m C[m, m'] e(m)[j, i] from rho_q[i, j] (Greenbaum,
-    arXiv:1509.02921).  Rows take rho in C order as (real, imaginary) float
-    pairs; columns are (setting, outcome).
-    """
-    qubits, settings = plan.outcomes.shape[1].bit_length() - 1, len(plan.tails)
-    confusion = NoiseSpec(p1, 0.0, readout).readout_matrices(qubits) or [np.eye(2)] * qubits
-    weight = 4.0 * p1 / 3.0
-    projectors, mixed = np.eye(2)[:, :, None] * np.eye(2)[:, None, :], weight / 2 * np.eye(2)
-    folded = np.ones((settings, 1, 1, 1), dtype=complex)
-    for q, mix in enumerate(confusion, start=1):
-        # effects[s, m, i, j]: the coefficient of rho_q[i, j] in setting s's outcome m
-        effects = [
-            projectors if gate is None else (1 - weight) * gate.T @ projectors @ gate.conj() + mixed
-            for gate in (tail.get(q) for tail in plan.tails)
-        ]
-        effects = np.einsum("mn,smij->snij", mix, np.reshape(effects, (settings, 2, 2, 2)))
-        folded = folded[:, :, None, :, None, :, None] * effects[:, None, :, None, :, None, :]
-        folded = folded.reshape(settings, 2 << (q - 1), 2 << (q - 1), 2 << (q - 1))
-    # Re(f rho) = Re f Re rho - Im f Im rho
-    pairs = np.stack((folded.real, -folded.imag), axis=-1).transpose(2, 3, 4, 0, 1)
-    pairs = np.ascontiguousarray(pairs).reshape(2 << (2 * qubits), settings << qubits)
-    pairs.flags.writeable = False
-    return pairs
+    pure, paulis = (steps, gates, final), (index, turns, hadamard)
+    return _MeasurementPlan(operator.identity_offset, tuple(tails), table, squares, pure, paulis)
 
 
 def _tally(counts: np.ndarray, plan, shots: int):
@@ -601,27 +581,32 @@ def _tally(counts: np.ndarray, plan, shots: int):
     return value, variance
 
 
-# complex entries of one block of rows' working array in `_distributions`
-# (4 MB); its gathers hold about three times that besides
+# entries of one block of rows' working arrays in `_distributions` (4 MB as
+# complex): a state's (2^Q, S, rows), or a noisy row's 4^Q components and S
+# 2^Q outcomes; its gathers hold about three times that besides
 _BLOCK_ENTRIES = 1 << 18
 
 
 def _distributions(ansatz: AnsatzSpec, values: np.ndarray, plan, noise: NoiseSpec) -> np.ndarray:
     """Every row's measured-outcome distribution of every setting: probs[B, S, 2^Q].
 
-    A row's state is held as (2^Q, S, B) through the plan's basis changes,
-    or its density matrix mapped by `_folded_map` and clipped at 0.  Rows run
-    in blocks of at most `_BLOCK_ENTRIES` working entries (or one row), and
-    each row gets the products it would get alone.
+    A row's state is held as (2^Q, S, B) through the plan's basis changes.
+    Under noise, each setting gathers its Z-string components
+    (`_MeasurementPlan.paulis`); one (S, 2^Q) @ (2^Q, 2^Q) product per row,
+    a Walsh-Hadamard transform, gives p(m) = sum_T r_T (-1)^(T.m) / 2^Q
+    (Greenbaum, arXiv:1509.02921), whose totals, 1 or NaN from a non-finite
+    angle, are checked; one more applies the readout confusion, then a clip
+    at 0.  Rows run in blocks of at most `_BLOCK_ENTRIES` working entries
+    (or one row), and each row gets the products it would get alone.
     """
     settings, dim = plan.outcomes.shape
     if noise is None:
         steps, gates, measured = plan.pure
-        width = max(1, settings) * dim
     else:
-        folded = _folded_map(plan, noise.p1, noise.readout)
-        width = dim * dim
-    size = max(1, _BLOCK_ENTRIES // width)
+        index, turns, hadamard = plan.paulis
+        weights = (1.0 - 4.0 * noise.p1 / 3.0) ** turns
+        confusion = _confusion(noise, ansatz.qubits)
+    size = max(1, _BLOCK_ENTRIES // (max(1, settings, dim) * dim))
     probs = np.empty((len(values), settings, dim))
     for i in range(0, len(values), size):
         block, rows = probs[i : i + size], values[i : i + size]
@@ -631,11 +616,13 @@ def _distributions(ansatz: AnsatzSpec, values: np.ndarray, plan, noise: NoiseSpe
             # stored in C order, which makes each row's sum the one a lone distribution gets
             block[...] = (np.abs(work.take(measured, axis=0)) ** 2).T
         else:
-            # one (1, 2 4^Q) @ (2 4^Q, S 2^Q) product per row
-            rho = _evolved(ansatz, rows, noise).view(float)
-            np.matmul(rho[:, None, :], folded, out=block.reshape(len(block), 1, -1))
-    if noise is not None:
-        np.clip(probs, 0.0, None, out=probs)
+            outcomes = _components(ansatz, rows, noise).T.take(index, axis=1)
+            outcomes *= weights
+            np.matmul(outcomes, hadamard, out=block)
+            _check_norms(block.sum(axis=-1))
+            if confusion is not None:
+                block[...] = block @ confusion
+            np.clip(block, 0.0, None, out=block)
     probs /= probs.sum(axis=-1, keepdims=True)
     return probs
 
@@ -779,7 +766,7 @@ def _estimate(ansatz, points, operator, shots, starts, noise=None, mitigate=True
     shares; starts[K] are (state, inc) pairs, as `_pcg64_states` gives them.
     Each row's measured-outcome distribution of every setting is made once,
     from its pure state when `noise` is None (sampled), else from its
-    density matrix under `noise` (noisy), and estimate k draws its
+    Pauli components under `noise` (noisy), and estimate k draws its
     settings' counts from its row's as `default_rng` at start k would
     (`_counts`).  When noisy and `mitigate`, the inverted readout confusion
     is applied to the measured frequencies, clipping negative entries and
@@ -789,7 +776,7 @@ def _estimate(ansatz, points, operator, shots, starts, noise=None, mitigate=True
     Under noise, after every gate, the basis-change rotations included, a
     uniformly chosen non-identity Pauli strikes the gate's qubits with
     probability p1 (rotations) or p2 (CNOTs), exactly as a channel on the
-    density matrix (`_distributions`).
+    state's Pauli components (`_components`, `_distributions`).
     """
     if ansatz.qubits != operator.qubits:
         raise ValueError("ansatz and operator registers differ")
@@ -798,7 +785,7 @@ def _estimate(ansatz, points, operator, shots, starts, noise=None, mitigate=True
     values = _parameter_rows(ansatz, points)
     if len(starts) < 1 or len(values) not in (1, len(starts)):
         raise ValueError(f"expected one seed per point, got {len(starts)} for {len(values)}")
-    inverse = _inverse_readout(noise, ansatz.qubits) if noise is not None and mitigate else None
+    inverse = _confusion(noise, ansatz.qubits, True) if noise is not None and mitigate else None
     plan = _measurement_plan(operator, grouping)
     counts = _counts(starts, shots, _distributions(ansatz, values, plan, noise))
     if inverse is not None:

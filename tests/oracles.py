@@ -10,7 +10,7 @@ and CNOT tables, and three oracles run on them and reuse the package's
 measurement plan: the trajectory noisy estimator, a reference for a
 sampling law; the one-point sampled estimator, a bit-for-bit reference
 for the batched one; and `serial_noisy_distributions`, the former
-row-by-row density-matrix evolution, which the folded measurement map
+row-by-row density-matrix evolution, which the Pauli-component engine
 reproduces within a stated tolerance.  `gather_sampled_expectations` is the
 former gather-and-scatter basis change that the compiled one reproduces bit
 for bit; the amplitude-traversal `exact_expectation` uses the package's
@@ -765,8 +765,8 @@ def serial_noisy_distributions(ansatz, params, noise, tails) -> np.ndarray:
     channel, (1 - w) rho + w (I/2^k (x) Tr_touched rho) with
     w = p 4^k / (4^k - 1), on the bit-axis view of rho.  The ansatz is
     evolved once; each setting then evolves its own copy through its
-    basis-change tail, as fault-prone as the ansatz's gates.  The folded
-    measurement map must reproduce this within a stated tolerance.
+    basis-change tail, as fault-prone as the ansatz's gates.  The
+    Pauli-component engine must reproduce this within a stated tolerance.
     """
     qubits = ansatz.qubits
     dim = 1 << qubits

@@ -61,7 +61,7 @@ def chain_problem(kept):
         diffusion=(1.0, 1.0, 1.0),
     )
     ladder = tuple(r for r in LADDER if all(a <= b for a, b in zip(r, kept)))
-    basis = build_composite_basis(chain, kept, ladder=ladder)
+    basis = build_composite_basis(chain, kept, ladder=ladder if kept in LADDER else None)
     matrix = pad_matrix(build_chain_matrix(basis), basis.qubits)
     return basis, matrix, map_operator(matrix)
 
@@ -276,12 +276,14 @@ def test_cached_programs_are_read_only():
     _, _, op = chain_problem((4, 2))
     noise = NoiseSpec(readout=[symmetric_confusion(0.02), symmetric_confusion(0.05)])
     plan = qsim._measurement_plan(op, True)
-    cached = [plan, qsim._folded_map(plan, noise.p1, noise.readout), qsim._inverse_readout(noise, 2)]
+    cached = [plan, qsim._confusion(noise, 2), qsim._confusion(noise, 2, True)]
     for qubits, depth, entangler in ((1, 0, LINEAR), (2, 1, LINEAR), (3, 2, FULL)):
         ansatz = AnsatzSpec(qubits=qubits, depth=depth, entangler=entangler)
-        cached += [qsim._state_program(ansatz), qsim._superket_program(ansatz)]
+        cached += [qsim._state_program(ansatz), qsim._pauli_program(ansatz)]
     found = list(arrays(cached))
-    assert len(found) > 20
+    # the plan's Pauli gather and every CNOT's source, sign and touched tables among them
+    assert any(array is plan.paulis[0] for array in found)
+    assert len(found) > 40
     assert not any(array.flags.writeable for array in found)
 
 
@@ -304,7 +306,7 @@ def test_prepare_states_rejects_non_finite_angles(bad):
     batch[1, 4] = bad
     with pytest.raises(RuntimeError, match="norm drifted"):
         prepare_states(ansatz, batch)
-    # the density matrix's trace is its norm, so noisy mode fails alike
+    # each setting's outcome total, its trace, is the noisy norm, so noisy mode fails alike
     _, _, op = chain_problem((4, 2))
     with pytest.raises(RuntimeError, match="norm drifted"):
         seeded_estimate(ansatz, batch, op, 100, [1, 2, 3], NoiseSpec())
@@ -417,8 +419,8 @@ def test_sampled_expectations_rows_match_single_estimates_bit_for_bit(
     assert shared == tiled
     assert shared[0] == rows[0]
     if noisy:
-        # the folded measurement map sums a row's terms in another order than
-        # the serial evolution; the largest gap seen was 3.9e-16
+        # the Pauli components sum a row's terms in another order than the
+        # serial density-matrix evolution; the largest gap seen was 4.4e-16
         plan = qsim._measurement_plan(op, grouping)
         table = qsim._distributions(ansatz, points, plan, noise)
         for row, probs in zip(points, table):
@@ -439,8 +441,9 @@ def test_sampled_expectations_rows_match_single_estimates_bit_for_bit(
 
 
 def test_distribution_tables_run_in_bounded_blocks(monkeypatch):
-    # 200 noisy rows of 30 settings at 4 qubits fill a 94 MB superket array
-    # if evolved at once; in blocks the table needs a fraction of that
+    # 200 noisy rows of 30 settings at 4 qubits peak at about 2.5 MB as blocks
+    # of Pauli components and outcome gathers, and the sampled table's state
+    # blocks at about 5 MB, so a table that held more per row shows here
     rng = np.random.default_rng(3)
     labels = sorted({"".join(rng.choice(list("XYZ"), 4)) for _ in range(40)})[:30]
     op = PauliOperator(
@@ -764,8 +767,8 @@ def test_noisy_estimate_metadata():
 
 def test_noisy_distributions_match_kraus_oracle():
     rng = np.random.default_rng(8)
-    # rows with parts exactly 0 run the superket's phase steps and shared Ry
-    # gates on them; their own generator leaves the generic rows as they were
+    # rows with angles exactly 0 turn component pairs by exact cos 0 and sin 0;
+    # their own generator leaves the generic rows as they were
     zero_rng = np.random.default_rng(80)
     rates = (0.0, 1e-3, 0.2, 1.0)
     for qubits in (1, 2, 3, 4):
@@ -811,6 +814,50 @@ def test_noisy_distributions_match_kraus_oracle():
                         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
                         want = serial_noisy_distributions(ansatz, params, noise, plan.tails)
                         np.testing.assert_allclose(got, want, rtol=0, atol=NOISY_TABLE_TOL)
+
+
+def test_noisy_counts_match_serial_table_counts():
+    # the tables lie within NOISY_TABLE_TOL of the serial density-matrix
+    # evolution's; on generic rows no count drawn from them moves
+    rng = np.random.default_rng(31)
+    models = (
+        NoiseSpec(),
+        NoiseSpec(p1=0.01, p2=0.05, readout=None),
+        NoiseSpec(p1=0.2, p2=0.0, readout=((0.9, 0.1), (0.05, 0.95))),
+    )
+    for kept in ((4, 2), (4, 4), (8, 4)):
+        _, _, op = chain_problem(kept)
+        ansatz = AnsatzSpec(qubits=op.qubits, entangler=FULL if kept == (4, 4) else LINEAR)
+        plan = qsim._measurement_plan(op, kept != (4, 4))
+        rows = rng.uniform(-7.0, 7.0, (6, ansatz.parameter_count))
+        starts = qsim._pcg64_states(qsim._word_table(rng.integers(0, 2**63, 6, dtype=np.uint64)))
+        for noise in models:
+            table = qsim._distributions(ansatz, rows, plan, noise)
+            serial = np.array([serial_noisy_distributions(ansatz, row, noise, plan.tails) for row in rows])
+            for shots in (1, 777, 20000):
+                assert np.array_equal(qsim._counts(starts, shots, table), qsim._counts(starts, shots, serial))
+
+
+def test_noisy_tables_at_five_qubits_stay_small():
+    # kept=8,8 is 5 qubits and 115 settings: a row is 1,024 Pauli components
+    # and 3,680 gathered outcomes, where a dense (2 4^Q, S 2^Q) measurement map
+    # of the density matrix would take 60 MB
+    _, _, op = chain_problem((8, 8))
+    ansatz = AnsatzSpec(qubits=5)
+    plan = qsim._measurement_plan(op, True)
+    assert plan.outcomes.shape == (115, 32)
+    noise = NoiseSpec()
+    rows = np.random.default_rng(37).uniform(-7.0, 7.0, (20, ansatz.parameter_count))
+    tracemalloc.start()
+    try:
+        table = qsim._distributions(ansatz, rows, plan, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    for row, probs in zip(rows, table):
+        want = serial_noisy_distributions(ansatz, row, noise, plan.tails)
+        np.testing.assert_allclose(probs, want, rtol=0, atol=NOISY_TABLE_TOL)
 
 
 def test_exact_channel_matches_trajectory_estimator():
