@@ -66,6 +66,15 @@ def _fmt_kept(kept) -> str:
     return "/".join(str(c) for c in kept)
 
 
+# an ensemble's summary columns, in output order
+_SUMMARY = ("reference", "minimum", "mean", "eps_min", "eps_avg")
+
+
+def _summary(stats) -> dict:
+    """An `EnsembleStats`'s `_SUMMARY` figures, by name."""
+    return {name: getattr(stats, name) for name in _SUMMARY}
+
+
 def _problem(settings):
     config = build_vqe_config(settings)
     return config, _build(config)
@@ -154,15 +163,7 @@ def _cmd_ensemble(args, settings) -> int:
     print(f"minimum   : {stats.minimum:.6f}  (eps_min {stats.eps_min:.4f} %)")
     print(f"mean      : {stats.mean:.6f}  (eps_avg {stats.eps_avg:.4f} %)")
     if args.out and str(args.out).endswith(".json"):
-        payload = {
-            "reference": stats.reference,
-            "minimum": stats.minimum,
-            "mean": stats.mean,
-            "eps_min": stats.eps_min,
-            "eps_avg": stats.eps_avg,
-            "values": list(stats.values),
-            "best_params": list(stats.best_params),
-        }
+        payload = {**_summary(stats), "values": list(stats.values), "best_params": list(stats.best_params)}
         _write(args.out, json.dumps(payload, indent=2) + "\n")
     else:
         _emit(
@@ -178,21 +179,12 @@ def _cmd_barrier_scan(args, settings) -> int:
     results = run_barrier_scan(config, settings["barriers"])
     rows = []
     for barrier, stats in results:
-        rows.append(
-            {
-                "barrier": float(barrier),
-                "reference": stats.reference,
-                "minimum": stats.minimum,
-                "mean": stats.mean,
-                "eps_min": stats.eps_min,
-                "eps_avg": stats.eps_avg,
-            }
-        )
+        rows.append({"barrier": float(barrier), **_summary(stats)})
         print(
             f"barrier {barrier:5.2f}  ref {stats.reference:.6f}  "
             f"min {stats.minimum:.6f}  eps_min {stats.eps_min:.4f} %"
         )
-    _emit(args.out, rows, ("barrier", "reference", "minimum", "mean", "eps_min", "eps_avg"))
+    _emit(args.out, rows, ("barrier",) + _SUMMARY)
     return 0
 
 
@@ -203,27 +195,13 @@ def _cmd_qubit_scan(args, settings) -> int:
     rows = []
     for kept, stats in results:
         qubits = max(1, (len(stats.best_params) // (2 * (config.depth + 1))))
-        rows.append(
-            {
-                "kept": _fmt_kept(kept),
-                "qubits": qubits,
-                "reference": stats.reference,
-                "minimum": stats.minimum,
-                "mean": stats.mean,
-                "eps_min": stats.eps_min,
-                "eps_avg": stats.eps_avg,
-            }
-        )
+        rows.append({"kept": _fmt_kept(kept), "qubits": qubits, **_summary(stats)})
         print(
             f"kept {_fmt_kept(kept):>6}  ref {stats.reference:.6f}  "
             f"min {stats.minimum:.6f}  eps_min {stats.eps_min:.4f} %  "
             f"eps_avg {stats.eps_avg:.4f} %"
         )
-    _emit(
-        args.out,
-        rows,
-        ("kept", "qubits", "reference", "minimum", "mean", "eps_min", "eps_avg"),
-    )
+    _emit(args.out, rows, ("kept", "qubits") + _SUMMARY)
     return 0
 
 

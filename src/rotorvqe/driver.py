@@ -381,14 +381,10 @@ def _chunks(items, count: int) -> list:
 def _run_batch(problem: Problem, config: VqeConfig, run_seeds, x0=None):
     """One run per seed; reduction is ordered by run index regardless of workers.
 
-    SPSA runs go through the optimizer in lockstep, as one batch per worker:
-    `workers` only splits the seed list into contiguous chunks.  Nelder-Mead
-    branches per run, so each of its runs is a chunk of its own.
+    `workers` only splits the seed list into contiguous chunks, one per
+    worker: SPSA runs a chunk in lockstep, Nelder-Mead one run at a time.
     """
-    if config.optimizer == NELDER_MEAD:
-        chunks = [(seed,) for seed in run_seeds]
-    else:
-        chunks = _chunks(run_seeds, min(config.workers, len(run_seeds)))
+    chunks = _chunks(run_seeds, min(config.workers, len(run_seeds)))
     jobs = [(problem, config, chunk, x0) for chunk in chunks]
     if config.workers == 1 or len(jobs) == 1:
         results = list(map(_run_chunk, jobs))

@@ -95,16 +95,6 @@ def ansatz_operations(ansatz: AnsatzSpec) -> tuple:
     return tuple(ops)
 
 
-def _ry(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _rx(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
 def _pair_indices(qubits: int, qubit: int):
     bit = 1 << (qubits - qubit)
     idx = np.arange(1 << qubits)
@@ -193,12 +183,13 @@ class _Program:
 
     A block of rows values[B, P] builds one float table[3P + 1, B]: the cos,
     the sin and the negated sin of every signed half angle, values[:, p]
-    times signs[p], then a row of zeros.  Ry takes cos and sin of theta/2,
-    as `_ry` does, and Rz the phase exp(-i theta/2) = cos(-theta/2) + i
-    sin(-theta/2) and its conjugate, so these are the gate entries bit for
-    bit.  Entry n is table[real[n]] + i table[imag[n]]: first each of the
-    `gates` Ry gates as gate[j, i, 0] = g[i, j], then each phase's pair of
-    entries, which one gather by `phases` makes the phase tables.
+    times signs[p], then a row of zeros.  Ry(theta) is [[c, -s], [s, c]] in
+    the cos c and sin s of theta/2, and Rz the phase exp(-i theta/2) =
+    cos(-theta/2) + i sin(-theta/2) and its conjugate, so these are the
+    gate entries bit for bit.  Entry n is table[real[n]] + i
+    table[imag[n]]: first each of the `gates` Ry gates as gate[j, i, 0] =
+    g[i, j], then each phase's pair of entries, which one gather by
+    `phases` makes the phase tables.
     `steps` key both in order (see `_run_gathers`).  factors[Q, 2^Q] picks
     the first Ry layer's product factors.
     """
@@ -477,16 +468,11 @@ def _confusion(noise: NoiseSpec, qubits: int, inverse: bool = False) -> np.ndarr
     return total
 
 
-def _basis_change_gates(x: int, z: int, qubits: int) -> dict:
-    """{qubit: rotation} taking the setting's basis to the Z basis, per rotated qubit."""
-    gates = {}
-    for q in range(1, qubits + 1):
-        bit = 1 << (qubits - q)
-        if x & bit:
-            gate = _rx(math.pi / 2) if z & bit else _ry(-math.pi / 2)
-            gate.flags.writeable = False
-            gates[q] = gate
-    return gates
+# the gate taking a measured letter to Z, picked by x + x z of its (x, z)
+# bits: the identity for Z or no letter, Ry(-pi/2) for X, Rx(pi/2) for Y
+_C, _S = math.cos(math.pi / 4), math.sin(math.pi / 4)
+_BASIS_CHANGES = np.array([np.eye(2), [[_C, _S], [-_S, _C]], [[_C, -1j * _S], [-1j * _S, _C]]], dtype=complex)
+_BASIS_CHANGES.flags.writeable = False
 
 
 def _outcome_values(operator: PauliOperator, members, dim: int) -> np.ndarray:
@@ -504,13 +490,14 @@ def _outcome_values(operator: PauliOperator, members, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _MeasurementPlan:
-    """Exact identity offset plus every sampled setting's basis change and outcome values.
+    """Exact identity offset plus every sampled setting's basis and outcome values.
 
     A setting is one QWC group, or one string when grouping is off; the
-    identity string is never measured.  Setting s has basis-change gates
-    tails[s], as {qubit: rotation}, outcome values outcomes[s] and their
-    squares squares[s].  `pure` holds them all compiled for a state, as
-    (steps, gates, measured gather), an identity for a qubit not rotated.
+    identity string is never measured.  Setting s measures the letters of
+    its (x, z) masks bases[s] and has outcome values outcomes[s] and their
+    squares squares[s].  `pure` holds the basis changes compiled for a
+    state, as (steps, gates, measured gather): each qubit some setting
+    rotates takes, per setting, the `_BASIS_CHANGES` gate its letter picks.
     `paulis` holds them for Pauli components as (index, turns, hadamard):
     setting s reads the Z-string on qubit subset T (an index's bits) as
     component index[s, T] times (1 - 4 p1 / 3) ** turns[s, T], the count
@@ -519,7 +506,7 @@ class _MeasurementPlan:
     """
 
     offset: float
-    tails: tuple
+    bases: tuple
     outcomes: np.ndarray
     squares: np.ndarray
     pure: tuple
@@ -534,22 +521,21 @@ def _measurement_plan(operator: PauliOperator, grouping: bool) -> _MeasurementPl
         settings = [(g.x, g.z, g.members) for g in group_qubitwise_commuting(operator)]
     else:
         settings = [(s.x, s.z, (i,)) for i, s in enumerate(strings)]
-    tails, outcomes, bases = [], [], []
+    outcomes, bases = [], []
     for x, z, members in settings:
         members = [i for i in members if not strings[i].is_identity]
         if members:
-            tails.append(_basis_change_gates(x, z, qubits))
             outcomes.append(_outcome_values(operator, members, 1 << qubits))
             bases.append((x, z))
-    rotated = sorted({q for tail in tails for q in tail})
-    stack = [[tail.get(q, np.eye(2)) for tail in tails] for q in rotated]
-    stack = np.array(stack, dtype=complex).reshape(len(rotated), len(tails), 2, 2)
-    gates = np.ascontiguousarray(stack.transpose(0, 3, 2, 1)[:, :, :, None, :, None])
-    steps, final = _compile(qubits, [("basis", q, r) for r, q in enumerate(rotated)])
-    table = np.array(outcomes).reshape(len(tails), 1 << qubits)
+    table = np.array(outcomes).reshape(len(bases), 1 << qubits)
     squares = table**2
     bits, shifts = _bits(qubits), np.arange(qubits - 1, -1, -1)
     x, z = (np.array(bases, dtype=np.int64).reshape(-1, 2).T[:, :, None] >> shifts) & 1
+    # gates[R, 2, 2, 1, S, 1], gate[j, i] of every setting on each rotated qubit
+    rotated = np.flatnonzero(x.any(axis=0)).tolist()
+    stack = _BASIS_CHANGES[(x + x * z)[:, rotated].T]
+    gates = np.ascontiguousarray(stack.transpose(0, 3, 2, 1)[:, :, :, None, :, None])
+    steps, final = _compile(qubits, [("basis", q + 1, r) for r, q in enumerate(rotated)])
     # a measured qubit reads X (2) where x alone is set, Y (3) where both are, else Z (1)
     index = ((2 * x + (z | 1 - x)) << 2 * shifts) @ bits
     turns = x @ bits
@@ -557,7 +543,7 @@ def _measurement_plan(operator: PauliOperator, grouping: bool) -> _MeasurementPl
     for array in (gates, table, squares, index, turns, hadamard):
         array.flags.writeable = False
     pure, paulis = (steps, gates, final), (index, turns, hadamard)
-    return _MeasurementPlan(operator.identity_offset, tuple(tails), table, squares, pure, paulis)
+    return _MeasurementPlan(operator.identity_offset, tuple(bases), table, squares, pure, paulis)
 
 
 def _tally(counts: np.ndarray, plan, shots: int):

@@ -6,15 +6,19 @@ periodic grid (spectrally accurate), potential derivatives are written out by
 hand, and Pauli reconstruction uses literal 2x2 matrices with np.kron, as
 does the Kraus-sum noisy channel.  The exceptions: `_apply_single` and
 `_apply_cnot`, the former one-gate kernels, index with the package's pair
-and CNOT tables, and three oracles run on them and reuse the package's
-measurement plan: the trajectory noisy estimator, a reference for a
-sampling law; the one-point sampled estimator, a bit-for-bit reference
-for the batched one; and `serial_noisy_distributions`, the former
-row-by-row density-matrix evolution, which the Pauli-component engine
-reproduces within a stated tolerance.  `gather_sampled_expectations` is the
-former gather-and-scatter basis change that the compiled one reproduces bit
-for bit; the amplitude-traversal `exact_expectation` uses the package's
-bitmask convention and is itself checked against dense matrices;
+and CNOT tables, and three oracles run on them: the trajectory noisy
+estimator, a reference for a sampling law; the one-point sampled
+estimator, a bit-for-bit reference for the batched one; and
+`serial_noisy_distributions`, the former row-by-row density-matrix
+evolution, which the Pauli-component engine reproduces within a stated
+tolerance.  `gather_sampled_expectations` is the former gather-and-scatter
+basis change that the compiled one reproduces bit for bit.  These four
+read the package's measurement plan only for its settings, the (x, z)
+masks `bases`, and, through `qsim._tally` or directly, its `offset`,
+`outcomes` and `squares`; each builds its own literal basis-change gates
+from the masks (`_basis_change`).  The amplitude-traversal
+`exact_expectation` uses the package's bitmask convention and is itself
+checked against dense matrices;
 `serial_spsa` is the one-run SPSA loop, its gain schedule written out, that
 the lockstep batch reproduces bit for bit, and `serial_seed_stream` the
 Python-int splitmix64 loop that the uint64 `seed_stream` reproduces;
@@ -756,7 +760,18 @@ def _rotation(kind: str, theta: float) -> np.ndarray:
     return np.array([[phase, 0.0], [0.0, phase.conjugate()]], dtype=complex)
 
 
-def serial_noisy_distributions(ansatz, params, noise, tails) -> np.ndarray:
+def _basis_change(qubits: int, x: int, z: int) -> dict:
+    """{qubit: gate} taking a setting's (x, z) letters to Z: Ry(-pi/2) for X, Rx(pi/2) for Y."""
+    c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+    gates = {}
+    for q in range(1, qubits + 1):
+        bit = 1 << (qubits - q)
+        if x & bit:
+            gates[q] = np.array([[c, -1j * s], [-1j * s, c]]) if z & bit else _rotation("ry", -math.pi / 2)
+    return gates
+
+
+def serial_noisy_distributions(ansatz, params, noise, bases) -> np.ndarray:
     """Exact measured-outcome distribution of every setting, readout included: probs[S, 2^Q].
 
     The density matrix of one parameter row is evolved one gate at a time:
@@ -764,9 +779,10 @@ def serial_noisy_distributions(ansatz, params, noise, tails) -> np.ndarray:
     columns through the transposed view, then the gate's depolarizing
     channel, (1 - w) rho + w (I/2^k (x) Tr_touched rho) with
     w = p 4^k / (4^k - 1), on the bit-axis view of rho.  The ansatz is
-    evolved once; each setting then evolves its own copy through its
-    basis-change tail, as fault-prone as the ansatz's gates.  The
-    Pauli-component engine must reproduce this within a stated tolerance.
+    evolved once; each setting, an (x, z) pair of `bases`, then evolves its
+    own copy through its basis change, as fault-prone as the ansatz's
+    gates.  The Pauli-component engine must reproduce this within a stated
+    tolerance.
     """
     qubits = ansatz.qubits
     dim = 1 << qubits
@@ -809,10 +825,10 @@ def serial_noisy_distributions(ansatz, params, noise, tails) -> np.ndarray:
     evolve(rho, circuit)
     readout = noise.readout_matrices(qubits)
     confusion = None if readout is None else _kron_all(readout)
-    distributions = np.empty((len(tails), dim))
-    for s, gates in enumerate(tails):
+    distributions = np.empty((len(bases), dim))
+    for s, (x, z) in enumerate(bases):
         tail = rho.copy()
-        evolve(tail, [((q,), gate) for q, gate in gates.items()])
+        evolve(tail, [((q,), gate) for q, gate in _basis_change(qubits, x, z).items()])
         probs = np.clip(tail.diagonal().real, 0.0, None)
         probs /= probs.sum()
         distributions[s] = probs if confusion is None else probs @ confusion
@@ -829,12 +845,11 @@ def serial_sampled_expectation(ansatz, params, operator, shots, grouping=True, s
     """
     state = qsim.prepare_state(ansatz, params)
     plan = qsim._measurement_plan(operator, grouping)
-    offset, tails, outcomes = plan.offset, plan.tails, plan.outcomes
     rng = np.random.default_rng(seed)
-    value, variance = offset, 0.0
-    for tail, values in zip(tails, outcomes):
+    value, variance = plan.offset, 0.0
+    for (x, z), values in zip(plan.bases, plan.outcomes):
         rotated = state.copy()
-        for qubit, gate in tail.items():
+        for qubit, gate in _basis_change(ansatz.qubits, x, z).items():
             _apply_single(rotated, ansatz.qubits, qubit, gate)
         probs = np.abs(rotated) ** 2
         counts = rng.multinomial(shots, probs / probs.sum())
@@ -844,7 +859,7 @@ def serial_sampled_expectation(ansatz, params, operator, shots, grouping=True, s
             var = max(float(counts @ values**2) - shots * mean * mean, 0.0) / (shots - 1)
         value += mean
         variance += var / shots
-    return float(value), math.sqrt(variance), len(tails) * shots
+    return float(value), math.sqrt(variance), len(plan.bases) * shots
 
 
 def gather_sampled_expectations(ansatz, points, operator, shots, seeds, grouping=True):
@@ -857,16 +872,16 @@ def gather_sampled_expectations(ansatz, points, operator, shots, seeds, grouping
     The package's compiled gather kernel must reproduce it bit for bit.
     """
     plan = qsim._measurement_plan(operator, grouping)
-    tails = plan.tails
+    settings = len(plan.bases)
     stacked = {}
-    for s, tail in enumerate(tails):
-        for q, gate in tail.items():
+    for s, (x, z) in enumerate(plan.bases):
+        for q, gate in _basis_change(ansatz.qubits, x, z).items():
             if q not in stacked:
-                stacked[q] = np.zeros((2, 2, len(tails), 1), dtype=complex)
+                stacked[q] = np.zeros((2, 2, settings, 1), dtype=complex)
                 stacked[q][0, 0] = stacked[q][1, 1] = 1.0
             stacked[q][:, :, s, 0] = gate
     states = qsim.prepare_states(ansatz, points)
-    rotated = np.repeat(states[:, None, :], len(tails), axis=1)
+    rotated = np.repeat(states[:, None, :], settings, axis=1)
     for q in sorted(stacked):
         (g00, g01), (g10, g11) = stacked[q]
         j0, j1 = qsim._pair_indices(ansatz.qubits, q)
@@ -891,9 +906,9 @@ def trajectory_noisy_expectation(
     faults on every later gate.  This samples the same counts law as the
     exact channel with a different use of the random stream, so it serves
     as a two-sample reference.  Unlike the other oracles it reuses the
-    package's measurement plan and tally, and runs on `_apply_single` and
-    `_apply_cnot`, since it checks the noise channel and sampling law, not
-    those.
+    package's measurement settings, outcome values and tally, and runs on
+    `_apply_single` and `_apply_cnot`, since it checks the noise channel and
+    sampling law, not those.
     """
     qubits = ansatz.qubits
     dim = 1 << qubits
@@ -931,10 +946,9 @@ def trajectory_noisy_expectation(
         confusion = _kron_all(readout)
         inverse = _kron_all([np.linalg.inv(m) for m in readout])
     plan = qsim._measurement_plan(operator, grouping)
-    tails = plan.tails
-    tallied = np.zeros((len(tails), dim))
-    for s, tail in enumerate(tails):
-        gates = base + [((q,), matrix, noise.p1) for q, matrix in tail.items()]
+    tallied = np.zeros((len(plan.bases), dim))
+    for s, (x, z) in enumerate(plan.bases):
+        gates = base + [((q,), matrix, noise.p1) for q, matrix in _basis_change(qubits, x, z).items()]
         prefixes = [np.zeros(dim, dtype=complex)]
         prefixes[0][0] = 1.0
         for gate in gates:

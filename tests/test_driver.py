@@ -167,9 +167,11 @@ def test_ensemble_bookkeeping(q2_problem):
 
 
 def test_ensemble_worker_count_does_not_change_results(q2_problem):
-    # workers split the lockstep batch into contiguous chunks, unevenly for 5 runs
+    # workers split the runs into contiguous chunks, unevenly for 5 runs
     sampled = dict(mode=SAMPLED, shots=256, iterations=20)
-    for overrides in (dict(restarts=4), dict(restarts=5), dict(restarts=5, **sampled)):
+    nelder_mead = dict(restarts=5, optimizer=NELDER_MEAD, iterations=40)
+    cases = (dict(restarts=4), dict(restarts=5), dict(restarts=5, **sampled), nelder_mead, {**nelder_mead, **sampled})
+    for overrides in cases:
         serial = run_ensemble(quick_config(workers=1, **overrides), q2_problem)
         parallel = run_ensemble(quick_config(workers=2, **overrides), q2_problem)
         assert serial.values == parallel.values

@@ -276,12 +276,14 @@ def test_cached_programs_are_read_only():
     _, _, op = chain_problem((4, 2))
     noise = NoiseSpec(readout=[symmetric_confusion(0.02), symmetric_confusion(0.05)])
     plan = qsim._measurement_plan(op, True)
-    cached = [plan, qsim._confusion(noise, 2), qsim._confusion(noise, 2, True)]
+    cached = [plan, qsim._BASIS_CHANGES, qsim._confusion(noise, 2), qsim._confusion(noise, 2, True)]
     for qubits, depth, entangler in ((1, 0, LINEAR), (2, 1, LINEAR), (3, 2, FULL)):
         ansatz = AnsatzSpec(qubits=qubits, depth=depth, entangler=entangler)
         cached += [qsim._state_program(ansatz), qsim._pauli_program(ansatz)]
     found = list(arrays(cached))
-    # the plan's Pauli gather and every CNOT's source, sign and touched tables among them
+    # the shared basis changes, the plan's Pauli gather and every CNOT's
+    # source, sign and touched tables among them
+    assert any(array is qsim._BASIS_CHANGES for array in found)
     assert any(array is plan.paulis[0] for array in found)
     assert len(found) > 40
     assert not any(array.flags.writeable for array in found)
@@ -364,6 +366,20 @@ def test_sampled_identity_operator_is_exact():
         assert variance.tolist() == [0.0, 0.0]
 
 
+def test_measurement_bases_read_their_eigenstates_as_one():
+    # every chain operator has an even number of Y letters, so a flipped
+    # Y-basis sign cancels there; one qubit pins X, Y and Z each alone
+    ansatz = AnsatzSpec(qubits=1, depth=0)
+    eigenstates = {"Z": [0.0, 0.0], "X": [math.pi / 2, 0.0], "Y": [math.pi / 2, math.pi / 2]}
+    for letter, params in eigenstates.items():
+        op = PauliOperator(qubits=1, strings=(PauliString.from_label(letter),), coefficients=(1.0,))
+        for noise in (None, NoiseSpec(0.0, 0.0, None)):
+            for shots in (1, 20000):
+                value, variance = seeded_estimate(ansatz, [params], op, shots, range(3), noise)
+                assert value.tolist() == [1.0, 1.0, 1.0], (letter, noise, shots)
+                assert variance.tolist() == [0.0, 0.0, 0.0], (letter, noise, shots)
+
+
 # how far a noisy distribution table may lie from serial_noisy_distributions
 NOISY_TABLE_TOL = 1e-14
 
@@ -424,7 +440,7 @@ def test_sampled_expectations_rows_match_single_estimates_bit_for_bit(
         plan = qsim._measurement_plan(op, grouping)
         table = qsim._distributions(ansatz, points, plan, noise)
         for row, probs in zip(points, table):
-            want = serial_noisy_distributions(ansatz, row, noise, plan.tails)
+            want = serial_noisy_distributions(ansatz, row, noise, plan.bases)
             np.testing.assert_allclose(probs, want, rtol=0, atol=NOISY_TABLE_TOL)
     else:
         gathered = gather_sampled_expectations(ansatz, points, op, shots, seeds, grouping=grouping)
@@ -812,7 +828,7 @@ def test_noisy_distributions_match_kraus_oracle():
                             qubits, depth, entangler, params, p1, p2, readout, bases[grouping]
                         )
                         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-                        want = serial_noisy_distributions(ansatz, params, noise, plan.tails)
+                        want = serial_noisy_distributions(ansatz, params, noise, plan.bases)
                         np.testing.assert_allclose(got, want, rtol=0, atol=NOISY_TABLE_TOL)
 
 
@@ -833,7 +849,7 @@ def test_noisy_counts_match_serial_table_counts():
         starts = qsim._pcg64_states(qsim._word_table(rng.integers(0, 2**63, 6, dtype=np.uint64)))
         for noise in models:
             table = qsim._distributions(ansatz, rows, plan, noise)
-            serial = np.array([serial_noisy_distributions(ansatz, row, noise, plan.tails) for row in rows])
+            serial = np.array([serial_noisy_distributions(ansatz, row, noise, plan.bases) for row in rows])
             for shots in (1, 777, 20000):
                 assert np.array_equal(qsim._counts(starts, shots, table), qsim._counts(starts, shots, serial))
 
@@ -856,7 +872,7 @@ def test_noisy_tables_at_five_qubits_stay_small():
         tracemalloc.stop()
     assert peak < 8 * 2**20
     for row, probs in zip(rows, table):
-        want = serial_noisy_distributions(ansatz, row, noise, plan.tails)
+        want = serial_noisy_distributions(ansatz, row, noise, plan.bases)
         np.testing.assert_allclose(probs, want, rtol=0, atol=NOISY_TABLE_TOL)
 
 
