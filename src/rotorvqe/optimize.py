@@ -5,9 +5,14 @@ together, one run being a batch of one, for a budget of `iterations`.  Each
 iteration costs two evaluations (the +/- probe pair), and one final
 evaluation at the terminal point follows, so `iterations` buys
 2*iterations + 1 evaluations; `calibrated_gains` sets each run's gain a
-from probes at its start point.  Nelder-Mead pays per simplex move and stops
-after the `budget` evaluations it is given, so the driver gives it the same
-2*iterations + 1 and runs with either algorithm are directly comparable.
+from probes at its start point.  The loop works one `_DIRECTION_BLOCK` of
+iterations at a time: it draws the block's directions and builds its gain
+tables once, steps through the block, then picks the block's records,
+updates each run's best once and hands the records to `observe` in
+iteration order, so an exception inside a block leaves that block
+unobserved.  Nelder-Mead pays per simplex move and stops after the `budget`
+evaluations it is given, so the driver gives it the same 2*iterations + 1
+and runs with either algorithm are directly comparable.
 """
 
 from __future__ import annotations
@@ -96,9 +101,12 @@ def calibrated_gains(evaluate, x0: np.ndarray, seeds) -> np.ndarray:
     show no slope keeps `_SPSA_GAIN`.  All runs' probes go to `evaluate` as one
     batch, ordered so that row i belongs to run i % R and each run's probes
     come in its own (+, -) trial order.  The probe budget is bookkept
-    separately from the optimization budget.
+    separately from the optimization budget.  There must be one seed per
+    row of x0.
     """
     runs, dim = x0.shape
+    if len(seeds) != runs:
+        raise ValueError(f"{len(seeds)} seeds for {runs} runs: give one seed per row of x0")
     delta = np.stack(
         [
             np.random.default_rng([seed & _MASK64, 0xCA11]).integers(
@@ -112,10 +120,11 @@ def calibrated_gains(evaluate, x0: np.ndarray, seeds) -> np.ndarray:
         (x0 + _SPSA_PERTURBATION * delta, x0 - _SPSA_PERTURBATION * delta), axis=1
     )
     values = np.asarray(evaluate(probes.reshape(-1, dim)), dtype=float)
-    acc = np.zeros(runs)
-    for up, down in values.reshape(_CALIBRATION_TRIALS, 2, runs):
-        acc += np.abs(up - down) / _CALIBRATION_TRIALS
-    gradient_scale = acc / (2.0 * _SPSA_PERTURBATION)
+    pairs = values.reshape(_CALIBRATION_TRIALS, 2, runs)
+    # the mean |f+ - f-|, summed term by term in trial order
+    terms = np.abs(pairs[:, 0] - pairs[:, 1]) / _CALIBRATION_TRIALS
+    mean_difference = np.cumsum(terms, axis=0)[-1]
+    gradient_scale = mean_difference / (2.0 * _SPSA_PERTURBATION)
     step = _CALIBRATION_STEP * (_SPSA_STABILITY + 1.0) ** _SPSA_ALPHA
     return np.array([_SPSA_GAIN if g <= 0.0 else step / float(g) for g in gradient_scale])
 
@@ -125,49 +134,74 @@ def spsa_lockstep(evaluate, x0, seeds, iterations: int, a=None, observe=None):
 
     Run r draws its Rademacher directions from `default_rng(seeds[r])`,
     one `_DIRECTION_BLOCK` of iterations per call, and steps with gain a[r]
-    (default `_SPSA_GAIN`); the rest of the schedule is shared.
+    (default `_SPSA_GAIN`); the rest of the schedule is shared.  There must
+    be one seed, and one gain when `a` is given, per row of x0.
     `evaluate(points[B, P]) -> values[B]` gets every run's probes at once,
     row i belonging to run i % R: the + probes of all runs, then
     the - probes, then, after the last iteration, the terminal iterates.
     Each iteration records the better probe, the end records the terminal
-    iterate, and `observe(k, points, values)` sees every record.  Returns
-    each run's best record as (values[R], params[R, P]), the first one on ties.
+    iterate, and `observe(k, points, values)` sees every record, in
+    iteration order: a block's records at the end of its block, so an
+    exception inside a block leaves that block unobserved.  Returns each
+    run's best record as (values[R], params[R, P]), the first one on ties.
     """
     x = np.array(x0, dtype=float, ndmin=2)
     runs, dim = x.shape
+    if len(seeds) != runs:
+        raise ValueError(f"{len(seeds)} seeds for {runs} runs: give one seed per row of x0")
     gains = np.full(runs, _SPSA_GAIN) if a is None else np.asarray(a, dtype=float)
+    if gains.shape != (runs,):
+        raise ValueError(f"gains of shape {gains.shape} for {runs} runs: give one gain per row of x0")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     best_values = np.full(runs, math.inf)
     best_params = x.copy()
+    every_run = np.arange(runs)
 
-    def record(k, points, values):
-        better = values < best_values
-        best_values[better] = values[better]
-        best_params[better] = points[better]
-        if observe is not None:
-            observe(k, points, values)
+    for start in range(0, iterations, _DIRECTION_BLOCK):
+        block = min(_DIRECTION_BLOCK, iterations - start)
+        ks = range(start, start + block)
+        # directions[i, r] is run r's draw at iteration start + i; shifts[i]
+        # stacks its + and - probes' offsets, c_k delta and c_k (-delta), and
+        # x + c_k (-delta) is x - c_k delta bit for bit
+        directions = np.stack([rng.integers(0, 2, size=(block, dim)) for rng in rngs], axis=1)
+        directions = directions * 2.0 - 1.0
+        # the schedule's powers are Python's float **, one k at a time: numpy's
+        # vector power rounds about one in twenty of them differently
+        c = _SPSA_PERTURBATION / np.array([(k + 1) ** _SPSA_GAMMA for k in ks])
+        shifts = c[:, None, None, None] * np.stack((directions, -directions), axis=1)
+        two_c = 2.0 * c
+        steps = gains / np.array([(_SPSA_STABILITY + k + 1) ** _SPSA_ALPHA for k in ks])[:, None]
+        probes = np.empty((block, 2 * runs, dim))
+        pairs = probes.reshape(block, 2, runs, dim)
+        values = np.empty((block, 2 * runs))
+        f_up, f_down = values[:, :runs], values[:, runs:]
+        for i in range(block):
+            np.add(x, shifts[i], out=pairs[i])
+            values[i] = evaluate(probes[i])
+            gradient = (f_up[i] - f_down[i]) / two_c[i]
+            # (a_k g) delta is a_k (g delta) bit for bit, delta being +-1
+            x -= (steps[i] * gradient)[:, None] * directions[i]
 
-    for k in range(iterations):
-        if k % _DIRECTION_BLOCK == 0:
-            block = min(_DIRECTION_BLOCK, iterations - k)
-            # directions[i, r] is run r's draw at iteration k + i
-            directions = np.stack([rng.integers(0, 2, size=(block, dim)) for rng in rngs], axis=1)
-            directions = directions * 2.0 - 1.0
-        c_k = _SPSA_PERTURBATION / (k + 1) ** _SPSA_GAMMA
-        delta = directions[k % _DIRECTION_BLOCK]
-        probes = np.concatenate((x + c_k * delta, x - c_k * delta))
-        values = np.asarray(evaluate(probes), dtype=float)
-        f_up, f_down = values[:runs], values[runs:]
-        gradient = ((f_up - f_down) / (2.0 * c_k))[:, None] * delta
-        a_k = gains / (_SPSA_STABILITY + k + 1) ** _SPSA_ALPHA
-        x = x - a_k[:, None] * gradient
         up_wins = f_up <= f_down
-        record(
-            k,
-            np.where(up_wins[:, None], probes[:runs], probes[runs:]),
-            np.where(up_wins, f_up, f_down),
-        )
-    record(iterations, x, np.asarray(evaluate(x), dtype=float))
+        points = np.where(up_wins[..., None], pairs[:, 0], pairs[:, 1])
+        won = np.where(up_wins, f_up, f_down)
+        # a strict < update iteration by iteration keeps the first lowest win
+        # that is not NaN, and only if it undercuts the run's best so far
+        first = np.argmin(np.where(np.isnan(won), math.inf, won), axis=0)
+        low = won[first, every_run]
+        better = low < best_values
+        best_values[better] = low[better]
+        best_params[better] = points[first[better], every_run[better]]
+        if observe is not None:
+            for i, k in enumerate(ks):
+                observe(k, points[i], won[i])
+
+    final = np.asarray(evaluate(x), dtype=float)
+    better = final < best_values
+    best_values[better] = final[better]
+    best_params[better] = x[better]
+    if observe is not None:
+        observe(iterations, x, final)
     return best_values, best_params
 
 

@@ -20,7 +20,9 @@ from the masks (`_basis_change`).  The amplitude-traversal
 `exact_expectation` uses the package's bitmask convention and is itself
 checked against dense matrices;
 `serial_spsa` is the one-run SPSA loop, its gain schedule written out, that
-the lockstep batch reproduces bit for bit, and `serial_seed_stream` the
+the lockstep batch reproduces bit for bit, `serial_calibrated_gain` the
+one-run gain calibration, written out the same way, that
+`calibrated_gains` reproduces bit for bit, and `serial_seed_stream` the
 Python-int splitmix64 loop that the uint64 `seed_stream` reproduces;
 `serial_counts` the one `default_rng` per seed that the hashed PCG64
 starts reproduce,
@@ -640,6 +642,30 @@ def serial_spsa(evaluate, x0, seed, iterations, a=None):
     records.append((iterations, tuple(x), float(evaluate(x))))
     best = min(records, key=lambda record: record[2])
     return records, best[2], best[1]
+
+
+def serial_calibrated_gain(evaluate, x0, seed):
+    """One run's calibrated SPSA gain a, one point per objective call.
+
+    Written out from the calibration rule, not read from the package: 25
+    Rademacher directions delta, one `rng.integers(0, 2, size=dim)` call
+    each from `default_rng([seed, 0xCA11])`, probe x0 +/- c delta with
+    c = 0.1; g is the mean of |f+ - f-|, summed term by term in trial
+    order, over 2c; and a = (2pi/10)(A+1)^alpha / g with A = 0 and
+    alpha = 0.602, or 2pi/10 when g <= 0.  `calibrated_gains` must
+    reproduce this bit for bit for every run of a batch.
+    """
+    c, trials, stability, alpha = 0.1, 25, 0.0, 0.602
+    first_step = 2.0 * math.pi / 10.0
+    rng = np.random.default_rng([seed, 0xCA11])
+    x = np.array(x0, dtype=float)
+    mean = 0.0
+    for _ in range(trials):
+        delta = rng.integers(0, 2, size=x.size) * 2.0 - 1.0
+        f_up, f_down = float(evaluate(x + c * delta)), float(evaluate(x - c * delta))
+        mean += abs(f_up - f_down) / trials
+    g = mean / (2.0 * c)
+    return first_step if g <= 0.0 else first_step * (stability + 1.0) ** alpha / g
 
 
 def _kron_all(matrices) -> np.ndarray:

@@ -11,6 +11,7 @@ from rotorvqe.driver import VqeConfig, run_vqe
 from rotorvqe.optimize import (
     _DIRECTION_BLOCK,
     OptTrace,
+    calibrated_gains,
     nelder_mead_minimize,
     spsa_lockstep,
     trace_to_csv,
@@ -171,6 +172,104 @@ def test_spsa_lockstep_matches_serial_oracle_bit_for_bit(iterations, runs, dim, 
         assert record_bits(observed[r]) == record_bits(records)
         assert values[r].tobytes() == np.float64(best_value).tobytes()
         assert params[r].tobytes() == np.array(best_params).tobytes()
+
+
+def tied(point):
+    """wavy + 2 to one decimal, floored at zero: plateaus of equal values, and
+    zeros of both signs (round gives -0.0 just below zero, and max keeps it)."""
+    return max(round(wavy(point) + 2.0, 1), 0.0)
+
+
+def test_spsa_lockstep_keeps_the_first_lowest_record_on_ties_and_signed_zeros():
+    # the best record is chosen a direction block at a time; on an objective
+    # of plateaus and signed zeros it must still be the first lowest record,
+    # as in the serial loop, with run ends on either side of block edges.
+    # tied_zero_bests collects the sign of each zero best that a later zero
+    # of the other sign ties; the seeds are picked so both signs occur
+    tied_zero_bests = set()
+    for iterations in (63, 64, 65, 129, 200):
+        for runs in (1, 3):
+            seeds = [14 + 1000 * r for r in range(runs)]
+            x0 = np.random.default_rng(10 * iterations + runs).uniform(-4.0, 4.0, (runs, 4))
+            observed = [[] for _ in range(runs)]
+            seen = []
+
+            def observe(k, points, values):
+                seen.append(k)
+                for r in range(runs):
+                    observed[r].append((k, tuple(points[r]), float(values[r])))
+
+            values, params = spsa_lockstep(
+                lambda points: [tied(point) for point in points], x0, seeds, iterations,
+                observe=observe,
+            )
+            assert seen == list(range(iterations + 1))
+            for r in range(runs):
+                records, best_value, best_params = oracles.serial_spsa(
+                    tied, x0[r], seeds[r], iterations
+                )
+                assert record_bits(observed[r]) == record_bits(records)
+                assert values[r].tobytes() == np.float64(best_value).tobytes()
+                assert params[r].tobytes() == np.array(best_params).tobytes()
+                signs = [math.copysign(1.0, v) for _, _, v in records if v == 0.0]
+                if best_value == 0.0 and len(set(signs)) == 2:
+                    tied_zero_bests.add(signs[0])
+    assert tied_zero_bests == {-1.0, 1.0}
+
+
+def test_spsa_lockstep_best_skips_nan_records():
+    # the objective turns NaN below -1, and a NaN gradient makes every later
+    # iterate NaN; the best is what a strict < update, record by record, keeps
+    def capped(point):
+        value = wavy(point)
+        return value if value > -1.0 else math.nan
+
+    runs, iterations = 3, 130
+    seeds = [11, 12, 13]
+    x0 = np.random.default_rng(5).uniform(-4.0, 4.0, (runs, 3))
+    observed = []
+    values, params = spsa_lockstep(
+        lambda points: [capped(point) for point in points], x0, seeds, iterations,
+        observe=lambda k, points, values: observed.append((points.copy(), values.copy())),
+    )
+    best_values, best_params = np.full(runs, math.inf), x0.copy()
+    for points, record in observed:
+        for r in range(runs):
+            if record[r] < best_values[r]:
+                best_values[r], best_params[r] = record[r], points[r]
+    assert any(np.isnan(record).any() for _, record in observed)
+    assert np.all(np.isfinite(values))
+    assert values.tobytes() == best_values.tobytes()
+    assert params.tobytes() == best_params.tobytes()
+
+
+def test_spsa_lockstep_refuses_mismatched_runs():
+    def evaluate(points):
+        return np.zeros(len(points))
+
+    with pytest.raises(ValueError, match="1 seeds for 3 runs"):
+        spsa_lockstep(evaluate, np.zeros((3, 4)), (7,), 10)
+    with pytest.raises(ValueError, match=r"gains of shape \(1,\) for 3 runs"):
+        spsa_lockstep(evaluate, np.zeros((3, 4)), (7, 8, 9), 10, a=[0.5])
+    with pytest.raises(ValueError, match="1 seeds for 3 runs"):
+        calibrated_gains(evaluate, np.zeros((3, 4)), (7,))
+
+
+def flat(point):
+    return 1.5
+
+
+@pytest.mark.parametrize("objective", [wavy, flat])
+@pytest.mark.parametrize("runs", [1, 3, 10])
+def test_calibrated_gains_match_serial_oracle_bit_for_bit(runs, objective):
+    rng = np.random.default_rng(runs)
+    seeds = [int(seed) for seed in rng.integers(0, 2**63, size=runs)]
+    x0 = rng.uniform(0.0, 2.0 * math.pi, (runs, 5))
+    gains = calibrated_gains(lambda points: [objective(point) for point in points], x0, seeds)
+    expected = [oracles.serial_calibrated_gain(objective, x0[r], seeds[r]) for r in range(runs)]
+    assert gains.tobytes() == np.array(expected).tobytes()
+    if objective is flat:
+        assert np.all(gains == 2.0 * math.pi / 10.0)
 
 
 def test_nelder_mead_two_dim_quadratic():
