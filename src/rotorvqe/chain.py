@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,10 +110,12 @@ def build_composite_basis(
         for k, spec in enumerate(chain.dihedrals)
     )
 
+    parities = [b.parities.tolist() for b in bases]
+    eigenvalues = [b.eigenvalues.tolist() for b in bases]
     states = [
         s
         for s in itertools.product(*(range(c) for c in kept_counts))
-        if int(np.prod([bases[k].parities[n] for k, n in enumerate(s)])) == -1
+        if math.prod(parities[k][n] for k, n in enumerate(s)) == -1
     ]
     if not states:
         raise ValueError("no odd-parity product states; enlarge the kept sets")
@@ -131,7 +134,11 @@ def build_composite_basis(
         raise AssertionError("state outside final rung")
 
     def energy(state):
-        return float(sum(bases[k].eigenvalues[n] for k, n in enumerate(state)))
+        # added one by one: from Python 3.12 on, sum() compensates float sums
+        total = 0.0
+        for k, n in enumerate(state):
+            total += eigenvalues[k][n]
+        return total
 
     # Within a tier, ascending uncoupled energy keeps low-lying product states
     # on low register indices, which a shallow variational circuit can reach.
@@ -146,6 +153,15 @@ def build_composite_basis(
     )
 
 
+@lru_cache(maxsize=256)
+def _shared_matrix_elements(basis: DihedralEigenbasis) -> tuple:
+    """Read-only (d/dtheta, U') elements of a basis that `solve_dihedral` shares."""
+    elements = (derivative_matrix_elements(basis), uprime_matrix_elements(basis))
+    for array in elements:
+        array.setflags(write=False)
+    return elements
+
+
 def build_chain_matrix(basis: CompositeBasis) -> np.ndarray:
     """Dense symmetric matrix of the chain generator over the composite basis.
 
@@ -157,8 +173,16 @@ def build_chain_matrix(basis: CompositeBasis) -> np.ndarray:
     bases = basis.dihedral_bases
     states = np.array(basis.states)
     size = len(states)
-    dmats = [derivative_matrix_elements(b) for b in bases]
-    umats = [uprime_matrix_elements(b) for b in bases]
+    # solve_dihedral's bases are read-only and shared by every ladder rung,
+    # so their elements are computed once; any other basis is read afresh
+    dmats, umats = zip(
+        *(
+            (derivative_matrix_elements(b), uprime_matrix_elements(b))
+            if b.vectors.flags.writeable
+            else _shared_matrix_elements(b)
+            for b in bases
+        )
+    )
 
     diagonal = np.zeros(size)
     for k, b in enumerate(bases):

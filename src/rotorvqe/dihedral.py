@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import canonical_sign, jacobi_eigh
+from .linalg import jacobi_eigh
 from .potential import DihedralSpec, cosine_series
 
 # relative clustering width for degenerate eigenvalues (free-rotor pairs)
@@ -90,45 +90,76 @@ def _effective_well_poly(spec: DihedralSpec) -> dict:
     return well
 
 
+@lru_cache(maxsize=64)
+def _product_plan(kind: str, n: int, harmonics: int) -> tuple:
+    """Where each basis function times cos(n t) ('c') or sin(n t) ('s') lands.
+
+    One read-only (rows, cols, signs) per product-to-sum identity term,
+    holding only the terms that reach a basis function: basis function
+    rows[i] times the poly term adds signs[i] times half its coefficient to
+    the coefficient of basis function cols[i].
+    """
+    size = 2 * harmonics + 1
+    rows = np.arange(size)
+    freq = (rows + 1) // 2
+    sine = (rows % 2 == 0) & (rows > 0)
+    total, gap = freq + n, freq - n
+    # (output is a sine, output frequency, sign) of each identity's two terms
+    if kind == "c":
+        # cos cos = c(sum) + c(|gap|); sin cos = s(sum) + sign(gap) s(|gap|)
+        slots = ((sine, total, 1.0), (sine, abs(gap), np.where(sine, np.sign(gap), 1.0)))
+    else:
+        # cos sin = s(sum) - sign(gap) s(|gap|); sin sin = c(|gap|) - c(sum)
+        slots = (
+            (~sine, np.where(sine, abs(gap), total), 1.0),
+            (~sine, np.where(sine, total, abs(gap)), np.where(sine, -1.0, -np.sign(gap))),
+        )
+    plan = []
+    for out_sine, out_freq, sign in slots:
+        sign = np.broadcast_to(sign, (size,))
+        cols = np.where(out_sine, 2 * out_freq, np.maximum(2 * out_freq - 1, 0))
+        keep = (cols < size) & (sign != 0) & ~(out_sine & (out_freq == 0))
+        term = (rows[keep], cols[keep], sign[keep])
+        for array in term:
+            array.setflags(write=False)
+        plan.append(term)
+    return tuple(plan)
+
+
+@lru_cache(maxsize=8)
+def _basis_tables(harmonics: int) -> tuple:
+    """Read-only basis norms and strict lower-triangle indices at a cutoff."""
+    size = 2 * harmonics + 1
+    norms = np.full(size, 1.0 / math.sqrt(math.pi))
+    norms[0] = 1.0 / math.sqrt(2.0 * math.pi)
+    lower = np.tril_indices(size, -1)
+    for array in (norms, *lower):
+        array.setflags(write=False)
+    return norms, lower
+
+
 def multiplication_matrix(poly: dict, harmonics: int) -> np.ndarray:
     """Matrix of pointwise multiplication by `poly` in the Fourier basis.
 
     Every basis function times each term of `poly` is expanded by the
     product-to-sum identities, as index arithmetic over all rows at once;
     entry (i, j) is 2*pi times the constant term of that expansion times
-    basis function j.
+    basis function j. The index arithmetic is planned once per term and
+    cutoff, so a build only does the value arithmetic.
     """
     size = 2 * harmonics + 1
-    rows = np.arange(size)
-    freq = (rows + 1) // 2
-    sine = (rows % 2 == 0) & (rows > 0)
-    norms = np.full(size, 1.0 / math.sqrt(math.pi))
-    norms[0] = 1.0 / math.sqrt(2.0 * math.pi)
+    norms, lower = _basis_tables(harmonics)
     # coeff[i, j]: coefficient of basis function j's key in basis function i times poly
     coeff = np.zeros((size, size))
     for (kind, n), value in poly.items():
         half = 0.5 * (norms * value)
-        total, gap = freq + n, freq - n
-        # (output is a sine, output frequency, sign) of each identity's two terms
-        if kind == "c":
-            # cos cos = c(sum) + c(|gap|); sin cos = s(sum) + sign(gap) s(|gap|)
-            slots = ((sine, total, 1.0), (sine, abs(gap), np.where(sine, np.sign(gap), 1.0)))
-        else:
-            # cos sin = s(sum) - sign(gap) s(|gap|); sin sin = c(|gap|) - c(sum)
-            slots = (
-                (~sine, np.where(sine, abs(gap), total), 1.0),
-                (~sine, np.where(sine, total, abs(gap)), np.where(sine, -1.0, -np.sign(gap))),
-            )
-        for out_sine, out_freq, sign in slots:
-            cols = np.where(out_sine, 2 * out_freq, np.maximum(2 * out_freq - 1, 0))
-            keep = (cols < size) & (sign != 0) & ~(out_sine & (out_freq == 0))
-            coeff[rows[keep], cols[keep]] += (sign * half)[keep]
+        for rows, cols, signs in _product_plan(kind, n, harmonics):
+            coeff[rows, cols] += signs * half[rows]
     half = 0.5 * (coeff * norms)
     # times the constant function, the constant key is reached twice: c(0 + 0) and c(|0 - 0|)
-    entries = 2.0 * math.pi * np.where(rows == 0, half + half, half)
+    entries = 2.0 * math.pi * np.where(np.arange(size) == 0, half + half, half)
     entries[half == 0.0] = 0.0
     out = np.triu(entries)
-    lower = np.tril_indices(size, -1)
     out[lower] = out.T[lower]
     return out
 
@@ -160,6 +191,24 @@ def fourier_uprime_matrix(spec: DihedralSpec, harmonics: int) -> np.ndarray:
     return out
 
 
+def _unchecked_generator(spec: DihedralSpec, prefactor: float, harmonics: int) -> np.ndarray:
+    if not (prefactor > 0.0 and math.isfinite(prefactor)):
+        raise ValueError(f"prefactor must be finite and > 0, got {prefactor}")
+    if harmonics < 1:
+        raise ValueError(f"need at least one harmonic, got harmonics={harmonics}")
+    freq = (np.arange(2 * harmonics + 1) + 1) // 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        well = multiplication_matrix(_effective_well_poly(spec), harmonics)
+        return prefactor * (np.diag((freq * freq).astype(float)) - well)
+
+
+def _check_finite(spec: DihedralSpec, matrix: np.ndarray) -> None:
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = math.isfinite(np.linalg.norm(matrix))
+    if not finite:
+        raise ValueError(f"{spec} overflows its generator matrix; lower the barrier")
+
+
 def build_single_dihedral_matrix(
     spec: DihedralSpec, prefactor: float, harmonics: int = 16
 ) -> np.ndarray:
@@ -169,28 +218,35 @@ def build_single_dihedral_matrix(
     joined by this dihedral. The result is symmetric, positive semidefinite,
     and block diagonal in parity; one whose norm overflows raises ValueError.
     """
-    if not (prefactor > 0.0 and math.isfinite(prefactor)):
-        raise ValueError(f"prefactor must be finite and > 0, got {prefactor}")
-    if harmonics < 1:
-        raise ValueError(f"need at least one harmonic, got harmonics={harmonics}")
-    size = 2 * harmonics + 1
-    kinetic = np.zeros(size)
-    for n in range(1, harmonics + 1):
-        kinetic[2 * n - 1] = kinetic[2 * n] = float(n * n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        well = multiplication_matrix(_effective_well_poly(spec), harmonics)
-        matrix = prefactor * (np.diag(kinetic) - well)
-        if not math.isfinite(np.linalg.norm(matrix)):
-            raise ValueError(f"{spec} overflows its generator matrix; lower the barrier")
+    matrix = _unchecked_generator(spec, prefactor, harmonics)
+    _check_finite(spec, matrix)
     return matrix
 
 
-@dataclass
+@lru_cache(maxsize=2)
+def _generator(spec: DihedralSpec, prefactor: float, harmonics: int) -> np.ndarray:
+    """Read-only `build_single_dihedral_matrix`, not yet checked for overflow.
+
+    Entry (i, j) depends only on basis functions i and j, so the leading
+    (2h+1) x (2h+1) block of the matrix at 2h harmonics is, bit for bit, the
+    matrix at h: one build at twice the cutoff serves both `_spectrum` at
+    the cutoff and the cutoff guard's `_parity_eigenvalues`. Each reader
+    checks its own block for overflow, so the doubled build refuses nothing
+    that the cutoff's own build accepts.
+    """
+    matrix = _unchecked_generator(spec, prefactor, harmonics)
+    matrix.setflags(write=False)
+    return matrix
+
+
+@dataclass(eq=False)
 class DihedralEigenbasis:
     """Lowest eigenfunctions of one dihedral's generator.
 
     vectors[:, i] holds the Fourier coefficients of eigenfunction i;
     eigenvalues are ascending and parities are +1 (even) or -1 (odd).
+    Instances compare and hash by identity, so the shared bases that
+    `solve_dihedral` hands out can key a cache.
     """
 
     spec: DihedralSpec
@@ -211,38 +267,39 @@ def _spectrum(spec: DihedralSpec, prefactor: float, harmonics: int):
     fresh specs, so a larger cache only holds memory.
     """
     size = 2 * harmonics + 1
-    matrix = build_single_dihedral_matrix(spec, prefactor, harmonics)
+    matrix = _generator(spec, prefactor, 2 * harmonics)[:size, :size]
+    _check_finite(spec, matrix)
     parities = fourier_parities(harmonics)
 
-    entries = []
+    # the even block's modes, then the odd block's, each as a full-size column
+    values, mode_parities = [], []
+    vectors = np.zeros((size, size))
     for parity in (1, -1):
         idx = np.flatnonzero(parities == parity)
         w, v = jacobi_eigh(matrix[np.ix_(idx, idx)])
-        for i in range(len(idx)):
-            full = np.zeros(size)
-            full[idx] = v[:, i]
-            entries.append((float(w[i]), parity, canonical_sign(full)))
+        vectors[idx, len(values) : len(values) + idx.size] = v
+        values.extend(w.tolist())
+        mode_parities.extend([parity] * idx.size)
+    values = np.array(values)
+    mode_parities = np.array(mode_parities, dtype=int)
+    # each column's first largest-magnitude entry made positive, zeros included
+    peaks = np.argmax(np.abs(vectors), axis=0)
+    np.negative(vectors, out=vectors, where=vectors[peaks, np.arange(size)] < 0.0)
 
-    entries.sort(key=lambda e: e[0])
-    scale = max(1.0, abs(entries[-1][0]))
-    ordered = []
-    pos = 0
-    while pos < len(entries):
-        end = pos + 1
-        while end < len(entries) and entries[end][0] - entries[pos][0] <= _DEGENERACY_TOL * scale:
-            end += 1
-        cluster = sorted(
-            entries[pos:end],
-            key=lambda e: (e[1], int(np.argmax(np.abs(e[2])))),
-        )
-        ordered.extend(cluster)
-        pos = end
+    # ascending values; a cluster runs while a value lies within the
+    # degeneracy width of the cluster's first one, and orders odd before
+    # even, then by dominant Fourier index
+    order = np.argsort(values, kind="stable")
+    ascending = values[order].tolist()
+    width = _DEGENERACY_TOL * max(1.0, abs(ascending[-1]))
+    clusters, cluster, first = [], 0, ascending[0]
+    for value in ascending:
+        if not value - first <= width:
+            cluster, first = cluster + 1, value
+        clusters.append(cluster)
+    order = order[np.lexsort((peaks[order], mode_parities[order], clusters))]
 
-    spectrum = (
-        np.array([e[0] for e in ordered]),
-        np.column_stack([e[2] for e in ordered]),
-        np.array([e[1] for e in ordered], dtype=int),
-    )
+    spectrum = (values[order], np.ascontiguousarray(vectors[:, order]), mode_parities[order])
     for array in spectrum:
         array.setflags(write=False)
     return spectrum
@@ -256,7 +313,8 @@ def _parity_eigenvalues(spec: DihedralSpec, prefactor: float, harmonics: int):
     for bit. Two entries hold a two-dihedral chain's, which every kept count
     on a ladder shares.
     """
-    matrix = build_single_dihedral_matrix(spec, prefactor, harmonics)
+    matrix = _generator(spec, prefactor, harmonics)
+    _check_finite(spec, matrix)
     parities = fourier_parities(harmonics)
     blocks = []
     for parity in (1, -1):

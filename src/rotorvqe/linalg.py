@@ -12,14 +12,23 @@ order-one entries that is an absolute 1e-12.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 OFFDIAG_TOL = 1e-12
 
 
+@lru_cache(maxsize=8)
+def _strictly_lower(n: int) -> np.ndarray:
+    mask = np.tri(n, n, -1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
 def _offdiag_norm(a: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0))
+    # np.tril(a, -1), on a cached mask: np.tril builds its mask on every call
+    return float(np.sqrt(np.sum(np.where(_strictly_lower(a.shape[0]), a, 0.0) ** 2) * 2.0))
 
 
 def _checked_symmetric(matrix) -> np.ndarray:
@@ -62,18 +71,24 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = OFFDIAG_TOL, max_sweeps: int = 
     # two vectors one rotation turns are contiguous rows p and q
     stacked = np.hstack((a, np.eye(n)))
     a = stacked[:, :n]
+    rows = list(stacked)
+    heads = [row[:n] for row in rows]
+    columns = [a[:, j] for j in range(n)]
+    sx = np.empty(2 * n)
+    sy = np.empty(2 * n)
     # rotations below this are pointless at double precision
     skip = thresh / max(n, 2)
     for _ in range(max_sweeps):
         if _offdiag_norm(a) <= thresh:
             break
         for p in range(n - 1):
-            x = stacked[p]
+            x = rows[p]
             for q in range(p + 1, n):
-                apq = a.item(p, q)
+                apq = x.item(q)
                 if abs(apq) <= skip:
                     continue
-                app, aqq = a.item(p, p), a.item(q, q)
+                y = rows[q]
+                app, aqq = x.item(p), y.item(q)
                 tau = (aqq - app) / (2.0 * apq)
                 t = 1.0
                 if tau != 0.0:
@@ -84,18 +99,19 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = OFFDIAG_TOL, max_sweeps: int = 
                 # turn rows p and q in place into c*x - s*y and s*x + c*y
                 # (x*c and y*c + s*x round exactly as c*x and s*x + c*y),
                 # mirror the matrix part into columns p and q, then
-                # overwrite the four pivot entries
-                y = stacked[q]
-                sx = s * x
+                # overwrite the four pivot entries (a[p, p] is x[p], a[p, q]
+                # is x[q], a[q, p] is y[p] and a[q, q] is y[q])
+                np.multiply(x, s, out=sx)
                 x *= c
-                x -= s * y
+                np.multiply(y, s, out=sy)
+                x -= sy
                 y *= c
                 y += sx
-                a[:, p] = x[:n]
-                a[:, q] = y[:n]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
+                columns[p][...] = heads[p]
+                columns[q][...] = heads[q]
+                x[p] = app - t * apq
+                y[q] = aqq + t * apq
+                x[q] = y[p] = 0.0
     else:
         raise ValueError(
             f"Jacobi sweep limit ({max_sweeps}) exceeded; "

@@ -80,8 +80,14 @@ def trace_to_csv(trace: OptTrace) -> str:
 
 
 def finish_trace(records, eval_values, termination) -> OptTrace:
-    """The trace of a finished run; its best is the lowest record, the first one on ties."""
-    best = min(records, key=lambda r: r.value)
+    """The trace of a finished run, its best the first lowest record that is not NaN.
+
+    That is the record a strict `<` update, record by record, keeps, as in
+    `spsa_lockstep`: ties and signed zeros keep the earlier record.  When
+    every record is NaN, the best is the first record.
+    """
+    comparable = [r for r in records if not math.isnan(r.value)]
+    best = min(comparable or records[:1], key=lambda r: r.value)
     return OptTrace(
         records=tuple(records),
         eval_values=tuple(eval_values),

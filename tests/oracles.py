@@ -41,7 +41,11 @@ so they share no code with the index arithmetic they check; and
 package's cosine series pointwise.  `jacobi_parity_eigenvalues` diagonalizes
 the package's generator blocks with its own Jacobi solver, which the masked
 loop above checks bit for bit, as a reference for the cutoff guard's LAPACK
-eigenvalues.
+eigenvalues.  `serial_spectrum` is the former mode-by-mode assembly of a
+dihedral's spectrum from its generator at the cutoff itself, and
+`numpy_scalar_composite_states` the former odd-sector filter and state
+order, run on numpy scalars; the package's array assembly from the doubled
+build, and its list-based filter and order, reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -55,12 +59,13 @@ import numpy as np
 
 from rotorvqe import driver, qsim
 from rotorvqe.dihedral import (
+    _DEGENERACY_TOL,
     build_single_dihedral_matrix,
     derivative_matrix_elements,
     fourier_parities,
     uprime_matrix_elements,
 )
-from rotorvqe.linalg import OFFDIAG_TOL, _offdiag_norm, jacobi_eigh
+from rotorvqe.linalg import OFFDIAG_TOL, _offdiag_norm, canonical_sign, jacobi_eigh
 from rotorvqe.paulimap import PRUNE_TOL, PauliOperator, PauliString
 from rotorvqe.potential import cosine_series
 
@@ -311,6 +316,76 @@ def jacobi_parity_eigenvalues(spec, prefactor: float, harmonics: int) -> tuple:
         idx = np.flatnonzero(parities == parity)
         blocks.append(np.sort(jacobi_eigh(matrix[np.ix_(idx, idx)])[0]))
     return tuple(blocks)
+
+
+def serial_spectrum(spec, prefactor: float, harmonics: int):
+    """A dihedral's (eigenvalues, vectors, parities), one mode at a time.
+
+    The generator is built at the cutoff itself; each parity block's Jacobi
+    modes are padded to full Fourier vectors one by one, each sign fixed by
+    `canonical_sign`, then ordered by eigenvalue, and inside each cluster
+    of values within the degeneracy width of its first by (parity, dominant
+    Fourier index).
+    """
+    size = 2 * harmonics + 1
+    matrix = build_single_dihedral_matrix(spec, prefactor, harmonics)
+    parities = fourier_parities(harmonics)
+
+    entries = []
+    for parity in (1, -1):
+        idx = np.flatnonzero(parities == parity)
+        w, v = jacobi_eigh(matrix[np.ix_(idx, idx)])
+        for i in range(len(idx)):
+            full = np.zeros(size)
+            full[idx] = v[:, i]
+            entries.append((float(w[i]), parity, canonical_sign(full)))
+
+    entries.sort(key=lambda e: e[0])
+    scale = max(1.0, abs(entries[-1][0]))
+    ordered = []
+    pos = 0
+    while pos < len(entries):
+        end = pos + 1
+        while end < len(entries) and entries[end][0] - entries[pos][0] <= _DEGENERACY_TOL * scale:
+            end += 1
+        cluster = sorted(
+            entries[pos:end],
+            key=lambda e: (e[1], int(np.argmax(np.abs(e[2])))),
+        )
+        ordered.extend(cluster)
+        pos = end
+
+    return (
+        np.array([e[0] for e in ordered]),
+        np.column_stack([e[2] for e in ordered]),
+        np.array([e[1] for e in ordered], dtype=int),
+    )
+
+
+def numpy_scalar_composite_states(bases, kept_counts, ladder) -> tuple:
+    """The odd-sector product states in `build_composite_basis`'s order.
+
+    Parities multiply through `np.prod` and uncoupled energies are summed
+    from 0 over numpy scalars; the pinned state (1, 0, ..., 0) comes first,
+    then the rest by (ladder tier, energy, state).
+    """
+    states = [
+        s
+        for s in itertools.product(*(range(c) for c in kept_counts))
+        if int(np.prod([bases[k].parities[n] for k, n in enumerate(s)])) == -1
+    ]
+    pinned = (1,) + (0,) * (len(kept_counts) - 1)
+
+    def tier(state):
+        return next(
+            t for t, rung in enumerate(ladder) if all(n < c for n, c in zip(state, rung))
+        )
+
+    def energy(state):
+        return float(sum(bases[k].eigenvalues[n] for k, n in enumerate(state)))
+
+    rest = sorted((s for s in states if s != pinned), key=lambda s: (tier(s), energy(s), s))
+    return (pinned, *rest)
 
 
 def map_element(row: int, col: int, value: float, qubits: int) -> dict:
@@ -623,8 +698,9 @@ def serial_spsa(evaluate, x0, seed, iterations, a=None):
     steps by a_k times the two-point gradient, and records the better
     probe, the + probe on ties; the end records the terminal iterate.
     records[k] is (k, params, value), and the best is the first lowest
-    record.  `spsa_lockstep` must reproduce this bit for bit, for every run
-    of a batch.
+    record that is not NaN, or the first record when all are NaN.
+    `spsa_lockstep` must reproduce this bit for bit, for every run of a
+    batch.
     """
     gain = 2.0 * math.pi / 10.0 if a is None else a
     c, stability, alpha, gamma = 0.1, 0.0, 0.602, 0.101
@@ -640,7 +716,8 @@ def serial_spsa(evaluate, x0, seed, iterations, a=None):
         x = x - gain / (stability + k + 1) ** alpha * gradient
         records.append((k, tuple(up), f_up) if f_up <= f_down else (k, tuple(down), f_down))
     records.append((iterations, tuple(x), float(evaluate(x))))
-    best = min(records, key=lambda record: record[2])
+    comparable = [record for record in records if not math.isnan(record[2])]
+    best = min(comparable or records[:1], key=lambda record: record[2])
     return records, best[2], best[1]
 
 

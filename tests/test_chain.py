@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from rotorvqe.chain import (
     rate_constant,
     reference_spectrum,
 )
+from rotorvqe.dihedral import DihedralEigenbasis
 from rotorvqe.driver import build_problem
 from rotorvqe.linalg import jacobi_eigh
 from rotorvqe.potential import BISTABLE, MONOSTABLE, ChainSpec, DihedralSpec
@@ -181,6 +184,48 @@ def test_three_dihedral_chain_matrix_matches_loop_oracle_bit_for_bit():
     for kept in [(4, 2, 2), (4, 3, 3), (2, 2, 4)]:
         basis = build_composite_basis(chain, kept)
         assert build_chain_matrix(basis).tobytes() == oracles.loop_chain_matrix(basis).tobytes()
+
+
+THREE_DIHEDRALS = ChainSpec(
+    dihedrals=(
+        DihedralSpec(BISTABLE, 0.5),
+        DihedralSpec(MONOSTABLE, 1.0),
+        DihedralSpec(MONOSTABLE, 1.0),
+    ),
+    diffusion=(1.0, 1.0, 1.0, 1.0),
+)
+
+
+@pytest.mark.parametrize(
+    "chain, rungs",
+    [
+        (standard_chain(0.5), LADDER),
+        (standard_chain(3.0), LADDER),
+        (THREE_DIHEDRALS, ((4, 2, 2), (4, 4, 2))),
+    ],
+)
+def test_composite_states_and_matrix_match_numpy_scalar_oracle(chain, rungs):
+    for i, kept in enumerate(rungs):
+        for ladder in (rungs[: i + 1], (kept,)):
+            basis = build_composite_basis(chain, kept, ladder=ladder)
+            expected = oracles.numpy_scalar_composite_states(basis.dihedral_bases, kept, ladder)
+            assert basis.states == expected
+            # writable copies of the shared dihedral bases get their matrix
+            # elements computed afresh, not read from the shared cache
+            fresh = dataclasses.replace(
+                basis,
+                dihedral_bases=tuple(
+                    DihedralEigenbasis(
+                        b.spec, b.prefactor, b.harmonics,
+                        b.eigenvalues.copy(), b.vectors.copy(), b.parities.copy(),
+                    )
+                    for b in basis.dihedral_bases
+                ),
+            )
+            matrix = build_chain_matrix(basis)
+            assert matrix.tobytes() == build_chain_matrix(basis).tobytes()
+            assert matrix.tobytes() == build_chain_matrix(fresh).tobytes()
+            assert matrix.tobytes() == oracles.loop_chain_matrix(fresh).tobytes()
 
 
 @pytest.mark.parametrize("barrier", [0.5, 3.0])

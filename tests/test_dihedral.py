@@ -9,7 +9,10 @@ import oracles
 from rotorvqe.dihedral import (
     DihedralEigenbasis,
     _effective_well_poly,
+    _generator,
     _parity_eigenvalues,
+    _product_plan,
+    _spectrum,
     _uprime_poly,
     build_single_dihedral_matrix,
     derivative_matrix_elements,
@@ -21,7 +24,8 @@ from rotorvqe.dihedral import (
     solve_dihedral,
     uprime_matrix_elements,
 )
-from rotorvqe.potential import BISTABLE, MONOSTABLE, DihedralSpec
+from rotorvqe.driver import build_problem
+from rotorvqe.potential import BISTABLE, MONOSTABLE, ChainSpec, DihedralSpec
 
 CASES = [
     (MONOSTABLE, 0.0),
@@ -237,6 +241,119 @@ def test_multiplication_matrix_matches_pairwise_oracle_bit_for_bit(poly, harmoni
     with np.errstate(over="ignore", invalid="ignore"):
         mat = multiplication_matrix(poly, harmonics)
         assert mat.tobytes() == oracles.pairwise_multiplication_matrix(poly, harmonics).tobytes()
+
+
+def test_cached_product_plans_give_the_pairwise_oracle_bit_for_bit():
+    # one set of poly keys at one cutoff, with fresh values on every build:
+    # every build after the first reads the cached plans
+    keys = (("c", 0), ("c", 2), ("s", 3), ("c", 4))
+    rng = np.random.default_rng(3)
+    before = _product_plan.cache_info()
+    for _ in range(4):
+        poly = dict(zip(keys, rng.normal(size=len(keys)) * 10.0 ** rng.integers(-300, 300, len(keys))))
+        mat = multiplication_matrix(poly, 11)
+        assert mat.tobytes() == oracles.pairwise_multiplication_matrix(poly, 11).tobytes()
+    assert _product_plan.cache_info().hits >= before.hits + 3 * len(keys)
+    for term in _product_plan("s", 3, 11):
+        for array in term:
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+
+SPECTRUM_BARRIERS = [0.0, 0.03, 0.04, 0.5, 1.7, 3.0]
+
+
+@pytest.mark.parametrize("kind", [MONOSTABLE, BISTABLE])
+@pytest.mark.parametrize("barrier", SPECTRUM_BARRIERS + [25.0])
+def test_spectrum_matches_serial_oracle_bit_for_bit(kind, barrier):
+    # barrier 0 is the free rotor, whose excited levels are exact even/odd
+    # pairs; 0.03 and 0.04 hold near-degenerate pairs around the cluster
+    # width; at 25 Jacobi hands back modes whose largest entry is negative
+    spec = DihedralSpec(kind, barrier)
+    for harmonics in (4, 8, 16, 32):
+        for prefactor in (2.0, 0.75):
+            got = _spectrum.__wrapped__(spec, prefactor, harmonics)
+            expected = oracles.serial_spectrum(spec, prefactor, harmonics)
+            for array, oracle in zip(got, expected):
+                assert array.dtype == oracle.dtype and array.shape == oracle.shape
+                assert array.tobytes() == oracle.tobytes()
+            assert got[1].flags.c_contiguous
+
+
+@pytest.mark.parametrize("kind", [MONOSTABLE, BISTABLE])
+@pytest.mark.parametrize("barrier", SPECTRUM_BARRIERS + [7.0, 1e6])
+def test_doubled_generator_leading_block_is_the_cutoff_build(kind, barrier):
+    spec = DihedralSpec(kind, barrier)
+    for harmonics in (1, 4, 16):
+        for prefactor in (2.0, 0.75):
+            size = 2 * harmonics + 1
+            doubled = _generator.__wrapped__(spec, prefactor, 2 * harmonics)
+            built = build_single_dihedral_matrix(spec, prefactor, harmonics)
+            assert doubled[:size, :size].tobytes() == built.tobytes()
+
+
+def test_refusals_keep_their_texts():
+    spec = DihedralSpec(MONOSTABLE, 1.0)
+    refusals = [
+        (lambda: solve_dihedral(spec, 2.0, 4, harmonics=0), "need at least one harmonic, got harmonics=0"),
+        (
+            lambda: solve_dihedral(spec, 2.0, 8, harmonics=3),
+            "kept must be in [1, 2*harmonics + 1] = [1, 7] at harmonics=3, got kept=8;"
+            " lower kept or raise harmonics",
+        ),
+        (
+            lambda: solve_dihedral(DihedralSpec(BISTABLE, 1e200), 2.0, 4),
+            "DihedralSpec(kind='bistable', barrier=1e+200) overflows its generator matrix;"
+            " lower the barrier",
+        ),
+    ]
+    # the default two-dihedral chain, as the command line builds it
+    chain = ChainSpec((DihedralSpec(BISTABLE, 0.5), DihedralSpec(MONOSTABLE, 1.0)), (1.0, 1.0, 1.0))
+    refusals += [
+        (lambda: build_problem(chain, (4, 2), harmonics=0), "need at least one harmonic, got harmonics=0"),
+        (
+            lambda: build_problem(chain, (4, 2), harmonics=4),
+            "eigenvalues drift by 4.617e-05 when doubling harmonics=4; increase the cutoff",
+        ),
+        (
+            lambda: build_problem(chain, (8, 4), harmonics=3),
+            "kept must be in [1, 2*harmonics + 1] = [1, 7] at harmonics=3, got kept=8;"
+            " lower kept or raise harmonics",
+        ),
+        (
+            lambda: build_problem(
+                ChainSpec((DihedralSpec(BISTABLE, 1e200), DihedralSpec(MONOSTABLE, 1.0)), (1.0, 1.0, 1.0)),
+                (4, 2),
+            ),
+            "DihedralSpec(kind='bistable', barrier=1e+200) overflows its generator matrix;"
+            " lower the barrier",
+        ),
+    ]
+    for refuse, text in refusals:
+        with pytest.raises(ValueError) as caught:
+            refuse()
+        assert str(caught.value) == text
+
+
+@pytest.mark.parametrize(
+    "kind, barrier, harmonics",
+    [(BISTABLE, 8.8e76, 16), (BISTABLE, 1.25e77, 4), (MONOSTABLE, 2.46e77, 4)],
+)
+def test_doubled_build_refuses_nothing_the_cutoff_build_accepts(kind, barrier, harmonics):
+    # the generator's norm is finite at the cutoff and overflows at twice it:
+    # a diagonalization at the cutoff goes through, the cutoff guard refuses
+    spec = DihedralSpec(kind, barrier)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(np.linalg.norm(build_single_dihedral_matrix(spec, 2.0, harmonics)))
+        with pytest.raises(ValueError, match="overflows its generator matrix"):
+            build_single_dihedral_matrix(spec, 2.0, 2 * harmonics)
+        basis = diagonalize_dihedral(spec, 2.0, 4, harmonics)
+        expected = oracles.serial_spectrum(spec, 2.0, harmonics)
+        assert basis.eigenvalues.tobytes() == expected[0][:4].tobytes()
+        assert basis.vectors.tobytes() == expected[1][:, :4].tobytes()
+        with pytest.raises(ValueError, match=re.escape(f"{spec} overflows its generator matrix")):
+            solve_dihedral(spec, 2.0, 4, harmonics)
 
 
 @pytest.mark.parametrize("barrier", [1e200, 1e150, 1e100])

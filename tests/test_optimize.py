@@ -11,7 +11,9 @@ from rotorvqe.driver import VqeConfig, run_vqe
 from rotorvqe.optimize import (
     _DIRECTION_BLOCK,
     OptTrace,
+    TraceRecord,
     calibrated_gains,
+    finish_trace,
     nelder_mead_minimize,
     spsa_lockstep,
     trace_to_csv,
@@ -241,6 +243,43 @@ def test_spsa_lockstep_best_skips_nan_records():
     assert np.all(np.isfinite(values))
     assert values.tobytes() == best_values.tobytes()
     assert params.tobytes() == best_params.tobytes()
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        # a NaN first record does not win over a later lower one
+        ((math.nan, 0.5), 1),
+        ((0.5, math.nan, 0.25, math.nan), 2),
+        # ties keep the first record, and so do zeros of either sign
+        ((1.0, 0.25, 0.25), 1),
+        ((0.0, -0.0), 0),
+        ((-0.0, 0.0, math.nan), 0),
+        ((math.nan, 0.0, -0.0), 1),
+        # +inf is comparable, so it beats NaN
+        ((math.nan, math.inf), 1),
+        # with no comparable record, the first one stands
+        ((math.nan, math.nan), 0),
+    ],
+)
+def test_finish_trace_best_is_first_lowest_record_that_is_not_nan(values, expected):
+    records = [TraceRecord(k, (float(k),), value) for k, value in enumerate(values)]
+    trace = finish_trace(records, list(values), "budget")
+    assert trace.best_params == (float(expected),)
+    assert np.float64(trace.best_value).tobytes() == np.float64(values[expected]).tobytes()
+
+
+def test_serial_spsa_oracle_best_skips_a_nan_first_record():
+    # the first probe pair is NaN, so the first record is NaN and every later
+    # iterate is NaN too; the objective ignores the point and counts calls
+    values = iter([math.nan, math.nan, 0.5, 0.75, 0.25])
+    records, best_value, best_params = oracles.serial_spsa(
+        lambda point: next(values), np.zeros(2), 3, 2
+    )
+    assert [record[2] for record in records][1:] == [0.5, 0.25]
+    assert math.isnan(records[0][2])
+    assert best_value == 0.25
+    assert best_params is records[-1][1]
 
 
 def test_spsa_lockstep_refuses_mismatched_runs():
