@@ -23,10 +23,9 @@ what lets a small-register optimization warm-start a larger one.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .dihedral import (
     solve_dihedral,
     uprime_matrix_elements,
 )
-from .linalg import _checked_symmetric, canonical_sign
+from .linalg import _checked_symmetric, _strictly_lower, canonical_sign
 from .potential import ChainSpec
 
 PAD_PENALTY_FACTOR = 10.0
@@ -81,6 +80,18 @@ def _validate_ladder(ladder, kept_counts) -> tuple[tuple[int, ...], ...]:
     return tuple(rungs)
 
 
+@lru_cache(maxsize=16)
+def _product_tiers(kept_counts: tuple, rungs: tuple) -> np.ndarray:
+    """Read-only ladder tier of every product state, in lexicographic order.
+
+    A state's tier is the first rung that holds it.
+    """
+    index = np.indices(kept_counts).reshape(len(kept_counts), -1)
+    tiers = np.all(index < np.array(rungs)[:, :, None], axis=1).argmax(axis=0)
+    tiers.setflags(write=False)
+    return tiers
+
+
 def build_composite_basis(
     chain: ChainSpec,
     kept_counts,
@@ -110,46 +121,36 @@ def build_composite_basis(
         for k, spec in enumerate(chain.dihedrals)
     )
 
-    parities = [b.parities.tolist() for b in bases]
-    eigenvalues = [b.eigenvalues.tolist() for b in bases]
-    states = [
-        s
-        for s in itertools.product(*(range(c) for c in kept_counts))
-        if math.prod(parities[k][n] for k, n in enumerate(s)) == -1
-    ]
-    if not states:
+    # product states are flat indices into the kept_counts grid, whose C
+    # order is the states' lexicographic order
+    odd = reduce(np.multiply.outer, [b.parities for b in bases]).ravel() == -1
+    if not odd.any():
         raise ValueError("no odd-parity product states; enlarge the kept sets")
 
     pinned = (1,) + (0,) * (chain.n_dihedrals - 1)
-    if pinned not in states:
+    at = math.prod(kept_counts[1:])
+    if kept_counts[0] < 2 or not odd[at]:
         raise ValueError(
             f"reference state {pinned} is not in the odd sector; "
             "dihedral 1 needs at least two kept functions with an odd first excitation"
         )
-
-    def tier(state):
-        for t, rung in enumerate(rungs):
-            if all(n < c for n, c in zip(state, rung)):
-                return t
-        raise AssertionError("state outside final rung")
-
-    def energy(state):
-        # added one by one: from Python 3.12 on, sum() compensates float sums
-        total = 0.0
-        for k, n in enumerate(state):
-            total += eigenvalues[k][n]
-        return total
+    odd[at] = False
+    rest = np.flatnonzero(odd)
+    # summed from 0.0 in dihedral order, as a loop over the dihedrals would
+    energies = reduce(np.add.outer, [b.eigenvalues for b in bases], 0.0).ravel()[rest]
 
     # Within a tier, ascending uncoupled energy keeps low-lying product states
     # on low register indices, which a shallow variational circuit can reach.
-    rest = sorted((s for s in states if s != pinned), key=lambda s: (tier(s), energy(s), s))
+    # The sort is stable, so equal energies keep lexicographic order.
+    order = np.lexsort((energies, _product_tiers(kept_counts, rungs)[rest]))
+    indices = np.unravel_index(rest[order], kept_counts)
     return CompositeBasis(
         chain=chain,
         kept_counts=kept_counts,
         harmonics=harmonics,
         ladder=rungs,
         dihedral_bases=bases,
-        states=(pinned, *rest),
+        states=(pinned, *zip(*(n.tolist() for n in indices))),
     )
 
 
@@ -189,16 +190,21 @@ def build_chain_matrix(basis: CompositeBasis) -> np.ndarray:
         diagonal = diagonal + b.eigenvalues[states[:, k]]
     coupling = np.zeros((size, size))
     for k in range(chain.n_dihedrals - 1):
-        left, right = (np.ix_(states[:, j], states[:, j]) for j in (k, k + 1))
+        left, right = states[:, k], states[:, k + 1]
         term = 2.0 * chain.diffusion[k + 1] * (
-            dmats[k][left] * dmats[k + 1][right] - 0.25 * umats[k][left] * umats[k + 1][right]
+            dmats[k][left[:, None], left] * dmats[k + 1][right[:, None], right]
+            - 0.25 * umats[k][left[:, None], left] * umats[k + 1][right[:, None], right]
         )
+        if chain.n_dihedrals == 2:
+            coupling = coupling + term
+            continue
+        # one key per state for the indices of its spectator dihedrals
         spectators = np.delete(states, (k, k + 1), axis=1)
-        same = np.all(spectators[:, None, :] == spectators[None, :, :], axis=-1)
-        coupling = np.where(same, coupling + term, coupling)
+        key = np.ravel_multi_index(spectators.T, np.delete(basis.kept_counts, (k, k + 1)))
+        coupling = np.where(key[:, None] == key, coupling + term, coupling)
 
-    upper = np.triu(coupling, 1)
-    out = upper + upper.T
+    # the strict upper triangle, mirrored
+    out = np.where(_strictly_lower(size), coupling.T, coupling)
     np.fill_diagonal(out, diagonal + np.diagonal(coupling))
     return out
 

@@ -36,13 +36,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import jacobi_eigh
+from .linalg import _strictly_lower, jacobi_eigh
 from .potential import DihedralSpec, cosine_series
 
 # relative clustering width for degenerate eigenvalues (free-rotor pairs)
 _DEGENERACY_TOL = 1e-9
 # kept eigenvalues must move less than this when the cutoff is doubled
 _CONVERGENCE_TOL = 1e-8
+# float64 entries allowed in the generator at twice the cutoff (512 MiB), so
+# harmonics <= 2047
+_MAX_GENERATOR_ENTRIES = 2**26
 
 
 def fourier_parities(harmonics: int) -> np.ndarray:
@@ -94,10 +97,11 @@ def _effective_well_poly(spec: DihedralSpec) -> dict:
 def _product_plan(kind: str, n: int, harmonics: int) -> tuple:
     """Where each basis function times cos(n t) ('c') or sin(n t) ('s') lands.
 
-    One read-only (rows, cols, signs) per product-to-sum identity term,
+    One read-only (rows, keys, signs) per product-to-sum identity term,
     holding only the terms that reach a basis function: basis function
     rows[i] times the poly term adds signs[i] times half its coefficient to
-    the coefficient of basis function cols[i].
+    the coefficient of basis function cols[i], at flat index
+    keys[i] = rows[i] * (2 * harmonics + 1) + cols[i].
     """
     size = 2 * harmonics + 1
     rows = np.arange(size)
@@ -119,7 +123,7 @@ def _product_plan(kind: str, n: int, harmonics: int) -> tuple:
         sign = np.broadcast_to(sign, (size,))
         cols = np.where(out_sine, 2 * out_freq, np.maximum(2 * out_freq - 1, 0))
         keep = (cols < size) & (sign != 0) & ~(out_sine & (out_freq == 0))
-        term = (rows[keep], cols[keep], sign[keep])
+        term = (rows[keep], rows[keep] * size + cols[keep], sign[keep])
         for array in term:
             array.setflags(write=False)
         plan.append(term)
@@ -127,15 +131,12 @@ def _product_plan(kind: str, n: int, harmonics: int) -> tuple:
 
 
 @lru_cache(maxsize=8)
-def _basis_tables(harmonics: int) -> tuple:
-    """Read-only basis norms and strict lower-triangle indices at a cutoff."""
-    size = 2 * harmonics + 1
-    norms = np.full(size, 1.0 / math.sqrt(math.pi))
+def _basis_norms(harmonics: int) -> np.ndarray:
+    """Read-only norms of the basis functions at a cutoff."""
+    norms = np.full(2 * harmonics + 1, 1.0 / math.sqrt(math.pi))
     norms[0] = 1.0 / math.sqrt(2.0 * math.pi)
-    lower = np.tril_indices(size, -1)
-    for array in (norms, *lower):
-        array.setflags(write=False)
-    return norms, lower
+    norms.setflags(write=False)
+    return norms
 
 
 def multiplication_matrix(poly: dict, harmonics: int) -> np.ndarray:
@@ -148,20 +149,38 @@ def multiplication_matrix(poly: dict, harmonics: int) -> np.ndarray:
     cutoff, so a build only does the value arithmetic.
     """
     size = 2 * harmonics + 1
-    norms, lower = _basis_tables(harmonics)
+    norms = _basis_norms(harmonics)
     # coeff[i, j]: coefficient of basis function j's key in basis function i times poly
-    coeff = np.zeros((size, size))
+    coeff = np.zeros(size * size)
     for (kind, n), value in poly.items():
         half = 0.5 * (norms * value)
-        for rows, cols, signs in _product_plan(kind, n, harmonics):
-            coeff[rows, cols] += signs * half[rows]
-    half = 0.5 * (coeff * norms)
+        for rows, keys, signs in _product_plan(kind, n, harmonics):
+            coeff[keys] += signs * half[rows]
+    half = 0.5 * (coeff.reshape(size, size) * norms)
     # times the constant function, the constant key is reached twice: c(0 + 0) and c(|0 - 0|)
-    entries = 2.0 * math.pi * np.where(np.arange(size) == 0, half + half, half)
-    entries[half == 0.0] = 0.0
-    out = np.triu(entries)
-    out[lower] = out.T[lower]
-    return out
+    half[:, 0] += half[:, 0]
+    # adding 0.0 turns the -0.0 of a vanishing entry into 0.0
+    entries = 2.0 * math.pi * half + 0.0
+    # the upper triangle, mirrored
+    return np.where(_strictly_lower(size), entries.T, entries)
+
+
+@lru_cache(maxsize=8)
+def _parity_blocks(harmonics: int) -> tuple:
+    """Read-only (rows, cols) of the even, then the odd parity block at a cutoff.
+
+    cols lists the block's basis functions, and matrix[rows, cols] gathers
+    the block as matrix[np.ix_(cols, cols)] does.
+    """
+    parities = fourier_parities(harmonics)
+    blocks = []
+    for parity in (1, -1):
+        cols = np.flatnonzero(parities == parity)
+        rows = cols[:, None]
+        for array in (rows, cols):
+            array.setflags(write=False)
+        blocks.append((rows, cols))
+    return tuple(blocks)
 
 
 @lru_cache(maxsize=8)
@@ -269,19 +288,16 @@ def _spectrum(spec: DihedralSpec, prefactor: float, harmonics: int):
     size = 2 * harmonics + 1
     matrix = _generator(spec, prefactor, 2 * harmonics)[:size, :size]
     _check_finite(spec, matrix)
-    parities = fourier_parities(harmonics)
 
     # the even block's modes, then the odd block's, each as a full-size column
-    values, mode_parities = [], []
+    blocks = []
     vectors = np.zeros((size, size))
-    for parity in (1, -1):
-        idx = np.flatnonzero(parities == parity)
-        w, v = jacobi_eigh(matrix[np.ix_(idx, idx)])
-        vectors[idx, len(values) : len(values) + idx.size] = v
-        values.extend(w.tolist())
-        mode_parities.extend([parity] * idx.size)
-    values = np.array(values)
-    mode_parities = np.array(mode_parities, dtype=int)
+    for (rows, cols), start in zip(_parity_blocks(harmonics), (0, harmonics + 1)):
+        w, v = jacobi_eigh(matrix[rows, cols])
+        vectors[cols, start : start + cols.size] = v
+        blocks.append(w)
+    values = np.concatenate(blocks)
+    mode_parities = np.repeat((1, -1), (harmonics + 1, harmonics))
     # each column's first largest-magnitude entry made positive, zeros included
     peaks = np.argmax(np.abs(vectors), axis=0)
     np.negative(vectors, out=vectors, where=vectors[peaks, np.arange(size)] < 0.0)
@@ -315,11 +331,9 @@ def _parity_eigenvalues(spec: DihedralSpec, prefactor: float, harmonics: int):
     """
     matrix = _generator(spec, prefactor, harmonics)
     _check_finite(spec, matrix)
-    parities = fourier_parities(harmonics)
     blocks = []
-    for parity in (1, -1):
-        idx = np.flatnonzero(parities == parity)
-        values = np.linalg.eigvalsh(matrix[np.ix_(idx, idx)])
+    for rows, cols in _parity_blocks(harmonics):
+        values = np.linalg.eigvalsh(matrix[rows, cols])
         values.setflags(write=False)
         blocks.append(values)
     return tuple(blocks)
@@ -346,6 +360,12 @@ def diagonalize_dihedral(
     """
     if harmonics < 1:
         raise ValueError(f"need at least one harmonic, got harmonics={harmonics}")
+    doubled = 4 * harmonics + 1
+    if doubled * doubled > _MAX_GENERATOR_ENTRIES:
+        raise ValueError(
+            f"harmonics={harmonics} needs a {doubled} x {doubled} generator at twice the cutoff,"
+            f" over the limit of {_MAX_GENERATOR_ENTRIES} entries; lower harmonics"
+        )
     size = 2 * harmonics + 1
     if not 1 <= n_keep <= size:
         raise ValueError(
@@ -378,11 +398,12 @@ def solve_dihedral(
     cached object whose arrays are read-only.
     """
     basis = diagonalize_dihedral(spec, prefactor, n_keep, harmonics)
-    gaps = []
-    for parity, refined in zip((1, -1), _parity_eigenvalues(spec, prefactor, 2 * harmonics)):
-        kept = np.sort(basis.eigenvalues[basis.parities == parity])
-        gaps.append(np.abs(kept - refined[: kept.size]))
-    drift = float(np.max(np.concatenate(gaps)))
+    even, odd = _parity_eigenvalues(spec, prefactor, 2 * harmonics)
+    # the kept even eigenvalues, then the odd ones, each ascending
+    kept = basis.eigenvalues[np.lexsort((basis.eigenvalues, -basis.parities))]
+    n_even = np.count_nonzero(basis.parities == 1)
+    refined = np.concatenate((even[:n_even], odd[: kept.size - n_even]))
+    drift = float(np.max(np.abs(kept - refined)))
     if drift >= _CONVERGENCE_TOL:
         raise ValueError(
             f"eigenvalues drift by {drift:.3e} when doubling harmonics={harmonics}; "

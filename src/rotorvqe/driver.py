@@ -146,6 +146,8 @@ class VqeConfig:
             raise ValueError("need at least one worker")
         if self.shots < 1:
             raise ValueError("need at least one shot")
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.noise is None:
             object.__setattr__(self, "noise", NoiseSpec())
         kept = tuple(int(c) for c in self.kept_counts)

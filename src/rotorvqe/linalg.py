@@ -19,7 +19,7 @@ import numpy as np
 OFFDIAG_TOL = 1e-12
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def _strictly_lower(n: int) -> np.ndarray:
     mask = np.tri(n, n, -1, dtype=bool)
     mask.setflags(write=False)
@@ -31,18 +31,36 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.where(_strictly_lower(a.shape[0]), a, 0.0) ** 2) * 2.0))
 
 
+# an entry above this in magnitude doubles to infinity
+_HALF_MAX = float(np.finfo(float).max) / 2.0
+
+
+def _exactly_symmetric(a: np.ndarray) -> bool:
+    """Whether 0.5 * (a + a.T) would give back the float array `a` bit for bit.
+
+    It does when `a` equals its transpose bit for bit (signed zeros
+    included), holds no NaN and has no entry that overflows when doubled.
+    """
+    bits = a.view(np.uint64)
+    return bool((bits == bits.T).all()) and np.abs(a).max() <= _HALF_MAX
+
+
 def _checked_symmetric(matrix) -> np.ndarray:
-    """The input as a float array, averaged with its transpose.
+    """The input as a new float array, averaged with its transpose.
 
     Raises ValueError unless it is square, non-empty and symmetric to
     1e-10 * max(1, max|a|); a NaN fails the symmetry check. LAPACK reads one
-    triangle only, so it would take a non-symmetric input silently.
+    triangle only, so it would take a non-symmetric input silently. An
+    exactly symmetric input, such as every matrix the package mirrors,
+    skips the test and the average, which would leave it as it is.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValueError("empty matrix")
+    if _exactly_symmetric(a):
+        return a
     # equal pairs pass, infinities included; any other pair must be finite,
     # even where an infinite entry makes the tolerance infinite
     unequal = a != a.T

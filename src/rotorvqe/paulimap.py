@@ -15,6 +15,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .linalg import _exactly_symmetric
+
 PRUNE_TOL = 1e-12
 
 _LETTER_FOR_BITS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -117,23 +119,25 @@ class PauliOperator:
 
 @lru_cache(maxsize=4)
 def _expansion_tables(qubits: int):
-    """Read-only tables for one register: row signs, phases and ordered strings.
+    """Read-only tables for one register: gathers, row signs, phases and ordered strings.
 
-    signs[z, row] is (-1)^{|row AND z|}, and phases[x, z] holds the real and
-    imaginary parts of i^{|x AND z|}. order lists the flat keys x * dim + z
-    by label, and strings[k] is the string of flat key k.
+    gather[row, x] is the flat index of element (row, row XOR x),
+    signs[row, z] is (-1)^{|row AND z|}, and phases[k] holds the real and
+    imaginary parts of i^{|x AND z|} at flat key k = x * dim + z. order
+    lists the flat keys by label, and strings[k] is the string of flat key k.
     """
     dim = 1 << qubits
     idx = np.arange(dim)
+    gather = idx[:, None] * dim + (idx[:, None] ^ idx)
     masks = idx[:, None] & idx
     signs = 1.0 - 2.0 * (np.bitwise_count(masks) & 1)
-    powers = np.bitwise_count(masks) & 3
+    powers = np.bitwise_count(masks).ravel() & 3
     phases = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])[powers]
     strings = tuple(PauliString(qubits=qubits, x=x, z=z) for x in range(dim) for z in range(dim))
     order = np.array(sorted(range(dim * dim), key=lambda k: strings[k].label))
-    for array in (signs, phases, order):
+    for array in (gather, signs, phases, order):
         array.setflags(write=False)
-    return signs, phases, order, strings
+    return gather, signs, phases, order, strings
 
 
 def map_operator(matrix: np.ndarray, tol: float = PRUNE_TOL) -> PauliOperator:
@@ -141,7 +145,7 @@ def map_operator(matrix: np.ndarray, tol: float = PRUNE_TOL) -> PauliOperator:
 
     The weight of P(x, z) is i^{|x AND z|} times the sum over rows of
     mat[row, row XOR x] / dim * (-1)^{|row AND z|}. The rows are added in
-    ascending order by a cumulative sum, one rounding per term; `np.sum`
+    ascending order by an accumulation, one rounding per term; `np.sum`
     adds pairwise and would round differently.
     """
     mat = np.asarray(matrix, dtype=float)
@@ -150,34 +154,35 @@ def map_operator(matrix: np.ndarray, tol: float = PRUNE_TOL) -> PauliOperator:
     dim = mat.shape[0]
     if dim < 2 or dim & (dim - 1):
         raise ValueError("matrix dimension must be a power of two, at least 2")
-    scale = float(np.max(np.abs(mat))) or 1.0
-    if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * scale):
-        raise ValueError("matrix must be symmetric")
-    # symmetrizing makes the imaginary parts cancel exactly in floating point
-    mat = 0.5 * (mat + mat.T)
+    # symmetrizing makes the imaginary parts cancel exactly in floating point;
+    # an exactly symmetric matrix is already what it would give
+    if not _exactly_symmetric(mat):
+        scale = float(np.max(np.abs(mat))) or 1.0
+        if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * scale):
+            raise ValueError("matrix must be symmetric")
+        mat = 0.5 * (mat + mat.T)
     qubits = dim.bit_length() - 1
-    signs, phases, order, strings = _expansion_tables(qubits)
+    gather, signs, phases, order, strings = _expansion_tables(qubits)
 
-    idx = np.arange(dim)
-    # values[x, row] = mat[row, row XOR x]
-    values = mat[idx, idx[:, None] ^ idx]
-    terms = (values / dim)[:, None, :] * signs
-    totals = np.cumsum(terms, axis=-1)[..., -1]
-    # adding 0.0 turns -0.0 into the 0.0 that a sum started at 0.0 gives
-    real = totals * phases[..., 0] + 0.0
-    imag = totals * phases[..., 1]
-    magnitude = np.hypot(real, imag)
+    # values[row, x] = mat[row, row XOR x], and terms[row, x, z] its terms
+    values = mat.take(gather)
+    terms = (values / dim)[:, :, None] * signs[:, None, :]
+    totals = np.add.accumulate(terms, out=terms)[-1].ravel()
+    # each phase is 1, i, -1 or -i, so |totals| is the weight's modulus
+    magnitude = np.abs(totals)
     # a shift x with no nonzero element contributes no strings at all
-    kept = ~(magnitude <= tol) & np.any(values != 0.0, axis=1)[:, None]
-    if np.any(np.abs(imag[kept]) > 1e-9 * np.maximum(magnitude[kept], 1.0)):
+    kept = ~(magnitude <= tol) & np.repeat(np.any(values != 0.0, axis=0), dim)
+    keys = order[kept[order]]
+    weights = totals[keys]
+    phase = phases[keys]
+    if np.any(np.abs(weights * phase[:, 1]) > 1e-9 * np.maximum(magnitude[keys], 1.0)):
         raise ValueError("expansion of a symmetric matrix produced a complex weight")
-
-    keys = order[kept.ravel()[order]]
-    flat = real.ravel()
+    # adding 0.0 turns -0.0 into the 0.0 that a sum started at 0.0 gives
+    real = weights * phase[:, 0] + 0.0
     return PauliOperator(
         qubits=qubits,
-        strings=tuple(strings[k] for k in keys.tolist()),
-        coefficients=tuple(flat[keys].tolist()),
+        strings=tuple(map(strings.__getitem__, keys.tolist())),
+        coefficients=tuple(real.tolist()),
     )
 
 

@@ -45,7 +45,13 @@ eigenvalues.  `serial_spectrum` is the former mode-by-mode assembly of a
 dihedral's spectrum from its generator at the cutoff itself, and
 `numpy_scalar_composite_states` the former odd-sector filter and state
 order, run on numpy scalars; the package's array assembly from the doubled
-build, and its list-based filter and order, reproduce them bit for bit.
+build, and its array-based filter and order, reproduce them bit for bit.
+`tolerance_checked_symmetric` and `allclose_symmetrized` are the former
+symmetry checks of the chain solvers and of the Pauli map, which test and
+average every input; the package's exact-symmetry fast path must reproduce
+their results and refusals. `former_cold_build` chains the former
+spectrum, state order, chain matrix, checks and Pauli map into
+`build_problem`'s outputs, which the package reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -58,8 +64,10 @@ import math
 import numpy as np
 
 from rotorvqe import driver, qsim
+from rotorvqe.chain import CompositeBasis, pad_matrix
 from rotorvqe.dihedral import (
     _DEGENERACY_TOL,
+    DihedralEigenbasis,
     build_single_dihedral_matrix,
     derivative_matrix_elements,
     fourier_parities,
@@ -406,6 +414,37 @@ def map_element(row: int, col: int, value: float, qubits: int) -> dict:
     return out
 
 
+def allclose_symmetrized(matrix) -> np.ndarray:
+    """The former `map_operator` check: every input is tested and averaged.
+
+    Symmetric to 1e-12 of its largest entry by `np.allclose`, or a
+    ValueError; the average makes the imaginary parts of the expansion
+    cancel exactly in floating point.
+    """
+    mat = np.asarray(matrix, dtype=float)
+    scale = float(np.max(np.abs(mat))) or 1.0
+    if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * scale):
+        raise ValueError("matrix must be symmetric")
+    return 0.5 * (mat + mat.T)
+
+
+def tolerance_checked_symmetric(matrix) -> np.ndarray:
+    """The former `linalg._checked_symmetric`: every input is tested and averaged."""
+    a = np.array(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise ValueError("empty matrix")
+    # equal pairs pass, infinities included; any other pair must be finite,
+    # even where an infinite entry makes the tolerance infinite
+    unequal = a != a.T
+    diff = np.subtract(a, a.T, out=np.zeros_like(a), where=unequal)
+    tol = 1e-10 * max(1.0, np.abs(a).max())
+    if not (np.abs(diff).max() <= tol and np.isfinite(a[unequal]).all()):
+        raise ValueError("matrix is not symmetric")
+    return 0.5 * (a + a.T)
+
+
 def elementwise_map_operator(matrix: np.ndarray, tol: float = PRUNE_TOL) -> PauliOperator:
     """Pauli expansion accumulated one nonzero matrix element at a time."""
     mat = np.asarray(matrix, dtype=float)
@@ -414,11 +453,7 @@ def elementwise_map_operator(matrix: np.ndarray, tol: float = PRUNE_TOL) -> Paul
     dim = mat.shape[0]
     if dim < 2 or dim & (dim - 1):
         raise ValueError("matrix dimension must be a power of two, at least 2")
-    scale = float(np.max(np.abs(mat))) or 1.0
-    if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * scale):
-        raise ValueError("matrix must be symmetric")
-    # symmetrizing makes the imaginary parts cancel exactly in floating point
-    mat = 0.5 * (mat + mat.T)
+    mat = allclose_symmetrized(mat)
     qubits = dim.bit_length() - 1
 
     accum: dict = {}
@@ -443,6 +478,34 @@ def elementwise_map_operator(matrix: np.ndarray, tol: float = PRUNE_TOL) -> Paul
         strings=tuple(strings[i] for i in order),
         coefficients=tuple(coefficients[i] for i in order),
     )
+
+
+def former_cold_build(chain, kept_counts, ladder=None, harmonics: int = 16):
+    """`build_problem`'s (states, matrix, lambda1, operator), built by the former code.
+
+    Each dihedral keeps the first kept_counts[k] modes of `serial_spectrum`;
+    the states come from `numpy_scalar_composite_states`, the matrix from
+    `loop_chain_matrix` padded by the package's `pad_matrix`, lambda1 from
+    LAPACK behind `tolerance_checked_symmetric`, and the operator from
+    `elementwise_map_operator`. The cutoff guard is left out: it can refuse
+    a build, but changes no output.
+    """
+    kept_counts = tuple(kept_counts)
+    ladder = tuple(ladder) if ladder is not None else (kept_counts,)
+    bases = []
+    for k, (spec, n) in enumerate(zip(chain.dihedrals, kept_counts)):
+        prefactor = chain.diffusion[k] + chain.diffusion[k + 1]
+        values, vectors, parities = serial_spectrum(spec, prefactor, harmonics)
+        bases.append(
+            DihedralEigenbasis(
+                spec, prefactor, harmonics, values[:n].copy(), vectors[:, :n].copy(), parities[:n].copy()
+            )
+        )
+    states = numpy_scalar_composite_states(bases, kept_counts, ladder)
+    basis = CompositeBasis(chain, kept_counts, harmonics, ladder, tuple(bases), states)
+    matrix = pad_matrix(loop_chain_matrix(basis), basis.qubits)
+    lambda1 = float(np.linalg.eigh(tolerance_checked_symmetric(matrix))[0][0])
+    return states, matrix, lambda1, elementwise_map_operator(matrix)
 
 
 def loop_chain_matrix(basis) -> np.ndarray:

@@ -15,6 +15,7 @@ from rotorvqe.chain import (
 from rotorvqe.dihedral import DihedralEigenbasis
 from rotorvqe.driver import build_problem
 from rotorvqe.linalg import jacobi_eigh
+from rotorvqe.paulimap import group_qubitwise_commuting
 from rotorvqe.potential import BISTABLE, MONOSTABLE, ChainSpec, DihedralSpec
 
 LADDER = ((4, 2), (4, 4), (8, 4))
@@ -226,6 +227,34 @@ def test_composite_states_and_matrix_match_numpy_scalar_oracle(chain, rungs):
             assert matrix.tobytes() == build_chain_matrix(basis).tobytes()
             assert matrix.tobytes() == build_chain_matrix(fresh).tobytes()
             assert matrix.tobytes() == oracles.loop_chain_matrix(fresh).tobytes()
+
+
+THREE_DIHEDRAL_LADDER = ((2, 2, 2), (4, 2, 2))
+COLD_BUILDS = [
+    *(
+        pytest.param(standard_chain(barrier), rung, LADDER[: i + 1], id=f"{barrier}-{rung}")
+        for barrier in (0.5, 1.7, 3.0)
+        for i, rung in enumerate(LADDER)
+    ),
+    # the three-dihedral chain as the command line builds it, with no ladder
+    pytest.param(THREE_DIHEDRALS, (4, 2, 2), None, id="three-dihedrals"),
+    *(
+        pytest.param(THREE_DIHEDRALS, rung, THREE_DIHEDRAL_LADDER[: i + 1], id=f"three-dihedrals-{rung}")
+        for i, rung in enumerate(THREE_DIHEDRAL_LADDER)
+    ),
+]
+
+
+@pytest.mark.parametrize("chain, kept, ladder", COLD_BUILDS)
+def test_cold_build_matches_former_code_bit_for_bit(chain, kept, ladder):
+    problem = build_problem(chain, kept, ladder=ladder)
+    states, matrix, lambda1, operator = oracles.former_cold_build(chain, kept, ladder)
+    assert problem.basis.states == states
+    assert problem.matrix.tobytes() == matrix.tobytes()
+    assert problem.reference.hex() == lambda1.hex()
+    assert [s.label for s in problem.operator.strings] == [s.label for s in operator.strings]
+    assert [c.hex() for c in problem.operator.coefficients] == [c.hex() for c in operator.coefficients]
+    assert group_qubitwise_commuting(problem.operator) == group_qubitwise_commuting(operator)
 
 
 @pytest.mark.parametrize("barrier", [0.5, 3.0])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +224,23 @@ def test_exit_code_validation_error(tmp_path, capsys):
         params.write_text(text)
         assert main(["dist-study", "--params", str(params)]) == 3
         assert "finite angle" in capsys.readouterr().err
+
+
+def test_oversized_cutoff_and_out_of_range_seeds_exit_3(capsys):
+    tracemalloc.start()
+    try:
+        assert main(["reference", "--set", "harmonics=100000"]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == (
+        "invalid value: harmonics=100000 needs a 400001 x 400001 generator at twice the cutoff,"
+        " over the limit of 67108864 entries; lower harmonics\n"
+    )
+    assert peak < 4 * 2**20
+    for seed in (-1, 2**64):
+        assert main(["vqe", "--set", f"seed={seed}", "--set", "iterations=1"]) == 3
+        assert capsys.readouterr().err == f"invalid value: seed must be in [0, 2**64), got {seed}\n"
 
 
 def test_dist_study_refuses_repetitions_before_its_ensemble(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from rotorvqe import dihedral
 from rotorvqe.dihedral import (
     DihedralEigenbasis,
     _effective_well_poly,
@@ -170,6 +172,32 @@ def test_n_keep_validation():
     for harmonics in (0, -2):
         with pytest.raises(ValueError, match=f"at least one harmonic, got harmonics={harmonics}"):
             solve_dihedral(spec, 2.0, 4, harmonics=harmonics)
+
+
+def test_oversized_cutoff_is_refused_before_any_allocation(monkeypatch):
+    spec = DihedralSpec(MONOSTABLE, 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as caught:
+            solve_dihedral(spec, 2.0, 4, harmonics=100000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == (
+        "harmonics=100000 needs a 400001 x 400001 generator at twice the cutoff,"
+        " over the limit of 67108864 entries; lower harmonics"
+    )
+    assert peak < 2**20
+    # (4h + 1)^2 entries pass the 2^26 bound up to h = 2047; a stand-in
+    # spectrum shows that the guard let a cutoff through, with nothing built
+    def passed(*args):
+        raise LookupError("past the size guard")
+
+    monkeypatch.setattr(dihedral, "_spectrum", passed)
+    with pytest.raises(LookupError):
+        diagonalize_dihedral(spec, 2.0, 4, harmonics=2047)
+    with pytest.raises(ValueError, match="needs a 8193 x 8193 generator"):
+        diagonalize_dihedral(spec, 2.0, 4, harmonics=2048)
 
 
 def test_derivative_matrix_free_rotor():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,15 @@ def test_config_validation():
         quick_config(workers=0)
     with pytest.raises(ValueError):
         quick_config(shots=0)
+
+
+def test_master_seed_must_fit_64_bits():
+    # seed_stream itself still masks a library caller's seed to 64 bits
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be in [0, 2**64), got {seed}")):
+            quick_config(seed=seed)
+    for seed in (0, 2**64 - 1):
+        assert quick_config(seed=seed).seed == seed
 
 
 def test_noisy_mode_gets_default_noise_model():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from rotorvqe import chain as chain_module, linalg, paulimap
 from rotorvqe.chain import build_chain_matrix, build_composite_basis, pad_matrix
 from rotorvqe.dihedral import build_single_dihedral_matrix, fourier_parities
 from rotorvqe.linalg import _checked_symmetric, canonical_sign, jacobi_eigh
@@ -146,3 +147,97 @@ def test_matches_masked_rotation_oracle_on_padded_chain_matrices(barrier):
     for kept, ladder in cases:
         basis = build_composite_basis(chain, kept, ladder=ladder)
         assert_matches_masked_oracle(pad_matrix(build_chain_matrix(basis), basis.qubits))
+
+
+HALF_MAX = np.finfo(float).max / 2.0
+NAN = np.nan
+# what each symmetry check decides on: exactly symmetric input, pairs inside
+# and beyond the chain solvers' 1e-10 and the Pauli map's 1e-12 tolerance,
+# signed zeros that differ across the diagonal, NaN, infinities, and entries
+# that overflow when doubled
+SYMMETRY_INPUTS = {
+    "exact": [[2.0, -1.5, 0.0, 3e-300], [-1.5, 0.5, 7.0, -0.0], [0.0, 7.0, -4.0, 1.0], [3e-300, -0.0, 1.0, 1e5]],
+    "within-map-tol": [[0.0, 1.0], [1.0 + 5e-13, 0.0]],
+    "beyond-map-tol": [[0.0, 1.0], [1.0 + 4e-12, 0.0]],
+    "within-unit-tol": [[0.0, 1.0], [1.0 + 5e-11, 0.0]],
+    "beyond-unit-tol": [[0.0, 1.0], [1.0 + 3e-10, 0.0]],
+    "within-scaled-tol": [[-1e4, 1.0], [1.0 + 5e-7, 0.0]],
+    "beyond-scaled-tol": [[1e4, 1.0], [1.0 + 2e-6, 0.0]],
+    "signed-zeros": [[1.0, 0.0], [-0.0, 2.0]],
+    "signed-zeros-alike": [[-0.0, -0.0], [-0.0, 1.0]],
+    "nan-diagonal": [[NAN, 0.0], [0.0, 1.0]],
+    "nan-pair": [[0.0, NAN], [NAN, 0.0]],
+    "inf-diagonal": [[INF, 1.0], [1.0, 0.0]],
+    "symmetric-infs": [[0.0, -INF], [-INF, INF]],
+    "inf-against-finite": [[0.0, INF], [1.0, 0.0]],
+    "half-max": [[HALF_MAX, -HALF_MAX], [-HALF_MAX, 1.0]],
+    "beyond-half-max": [[1.7e308, 1e308], [1e308, -1.7e308]],
+    "beyond-half-max-near": [[1.7e308, 1e308], [1e308 * (1.0 + 1e-12), 0.0]],
+}
+
+
+# name -> (solver, module, the module's symmetry check, the former check)
+SYMMETRY_SOLVERS = {
+    "_checked_symmetric": (
+        lambda a: linalg._checked_symmetric(a), linalg, "_checked_symmetric", oracles.tolerance_checked_symmetric
+    ),
+    "jacobi_eigh": (jacobi_eigh, linalg, "_checked_symmetric", oracles.tolerance_checked_symmetric),
+    "lowest_eigenvalue": (
+        chain_module.lowest_eigenvalue, chain_module, "_checked_symmetric", oracles.tolerance_checked_symmetric
+    ),
+    "reference_spectrum": (
+        chain_module.reference_spectrum, chain_module, "_checked_symmetric", oracles.tolerance_checked_symmetric
+    ),
+    # with no fast path, every input takes the test and average of `allclose_symmetrized`
+    "map_operator": (paulimap.map_operator, paulimap, "_exactly_symmetric", lambda a: False),
+}
+
+
+def _outcome(solve, matrix):
+    """The result's bits, or the refusal's type and text; the input must not change."""
+    given = np.array(matrix, dtype=float)
+    before = given.tobytes()
+    given.setflags(write=False)
+    try:
+        with np.errstate(all="ignore"):
+            result = solve(given)
+    except Exception as error:  # LAPACK may refuse NaN in its own words
+        outcome = (type(error), str(error))
+    else:
+        if isinstance(result, float):
+            outcome = result.hex()
+        elif isinstance(result, np.ndarray):
+            outcome = result.tobytes()
+        elif isinstance(result, tuple):
+            outcome = tuple(array.tobytes() for array in result)
+        else:
+            outcome = ([s.label for s in result.strings], [c.hex() for c in result.coefficients])
+    assert given.tobytes() == before
+    return outcome
+
+
+@pytest.mark.parametrize("solver", SYMMETRY_SOLVERS)
+@pytest.mark.parametrize("name", SYMMETRY_INPUTS)
+def test_exact_symmetry_fast_path_keeps_the_former_bits_and_refusals(monkeypatch, solver, name):
+    solve, module, check, former = SYMMETRY_SOLVERS[solver]
+    got = _outcome(solve, SYMMETRY_INPUTS[name])
+    monkeypatch.setattr(module, check, former)
+    assert got == _outcome(solve, SYMMETRY_INPUTS[name])
+
+
+@pytest.mark.parametrize("barrier", [0.5, 3.0])
+def test_package_matrices_take_the_exact_symmetry_fast_path(barrier):
+    chain = ChainSpec(
+        dihedrals=(DihedralSpec(BISTABLE, barrier), DihedralSpec(MONOSTABLE, 1.0)),
+        diffusion=(1.0, 1.0, 1.0),
+    )
+    matrix = build_single_dihedral_matrix(chain.dihedrals[0], 2.0, 16)
+    parities = fourier_parities(16)
+    for parity in (1, -1):
+        idx = np.flatnonzero(parities == parity)
+        assert linalg._exactly_symmetric(matrix[np.ix_(idx, idx)])
+    for kept, ladder in [(rung, LADDER[: i + 1]) for i, rung in enumerate(LADDER)] + [((3, 2), None)]:
+        basis = build_composite_basis(chain, kept, ladder=ladder)
+        assert linalg._exactly_symmetric(build_chain_matrix(basis))
+        assert linalg._exactly_symmetric(pad_matrix(build_chain_matrix(basis), basis.qubits))
+    assert not linalg._exactly_symmetric(np.array(SYMMETRY_INPUTS["signed-zeros"]))

@@ -209,6 +209,8 @@ def test_map_operator_matches_elementwise_oracle_on_every_rung(barrier):
     [
         np.array([[0.0, 1.0], [0.0, 0.0]]),
         np.array([[1.0, 2.0, 0.0, 0.0], [2.0 + 1e-9, 1.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4]),
+        # in shift x = 2, 1e16 swamps 1.0 and rounding leaves an imaginary weight
+        np.array([[0.0, 0.0, 1e16, 0.0], [0.0, 0.0, 0.0, 1.0], [1e16, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]),
         np.zeros((3, 3)),
         np.zeros((2, 4)),
         np.zeros((1, 1)),
