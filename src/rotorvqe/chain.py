@@ -29,12 +29,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .dihedral import (
-    DihedralEigenbasis,
-    derivative_matrix_elements,
-    solve_dihedral,
-    uprime_matrix_elements,
-)
+from .dihedral import DihedralEigenbasis, solve_dihedral
 from .linalg import _checked_symmetric, _strictly_lower, canonical_sign
 from .potential import ChainSpec
 
@@ -154,15 +149,6 @@ def build_composite_basis(
     )
 
 
-@lru_cache(maxsize=256)
-def _shared_matrix_elements(basis: DihedralEigenbasis) -> tuple:
-    """Read-only (d/dtheta, U') elements of a basis that `solve_dihedral` shares."""
-    elements = (derivative_matrix_elements(basis), uprime_matrix_elements(basis))
-    for array in elements:
-        array.setflags(write=False)
-    return elements
-
-
 def build_chain_matrix(basis: CompositeBasis) -> np.ndarray:
     """Dense symmetric matrix of the chain generator over the composite basis.
 
@@ -174,16 +160,9 @@ def build_chain_matrix(basis: CompositeBasis) -> np.ndarray:
     bases = basis.dihedral_bases
     states = np.array(basis.states)
     size = len(states)
-    # solve_dihedral's bases are read-only and shared by every ladder rung,
-    # so their elements are computed once; any other basis is read afresh
-    dmats, umats = zip(
-        *(
-            (derivative_matrix_elements(b), uprime_matrix_elements(b))
-            if b.vectors.flags.writeable
-            else _shared_matrix_elements(b)
-            for b in bases
-        )
-    )
+    # each basis keeps its elements, so every ladder rung reads them once computed
+    dmats = [b.derivative_elements for b in bases]
+    umats = [b.uprime_elements for b in bases]
 
     diagonal = np.zeros(size)
     for k, b in enumerate(bases):

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -221,11 +221,13 @@ def _unchecked_generator(spec: DihedralSpec, prefactor: float, harmonics: int) -
         return prefactor * (np.diag((freq * freq).astype(float)) - well)
 
 
-def _check_finite(spec: DihedralSpec, matrix: np.ndarray) -> None:
+def _finite(matrix: np.ndarray) -> bool:
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = math.isfinite(np.linalg.norm(matrix))
-    if not finite:
-        raise ValueError(f"{spec} overflows its generator matrix; lower the barrier")
+        return math.isfinite(np.linalg.norm(matrix))
+
+
+def _overflows(spec: DihedralSpec) -> ValueError:
+    return ValueError(f"{spec} overflows its generator matrix; lower the barrier")
 
 
 def build_single_dihedral_matrix(
@@ -238,34 +240,19 @@ def build_single_dihedral_matrix(
     and block diagonal in parity; one whose norm overflows raises ValueError.
     """
     matrix = _unchecked_generator(spec, prefactor, harmonics)
-    _check_finite(spec, matrix)
+    if not _finite(matrix):
+        raise _overflows(spec)
     return matrix
 
 
-@lru_cache(maxsize=2)
-def _generator(spec: DihedralSpec, prefactor: float, harmonics: int) -> np.ndarray:
-    """Read-only `build_single_dihedral_matrix`, not yet checked for overflow.
-
-    Entry (i, j) depends only on basis functions i and j, so the leading
-    (2h+1) x (2h+1) block of the matrix at 2h harmonics is, bit for bit, the
-    matrix at h: one build at twice the cutoff serves both `_spectrum` at
-    the cutoff and the cutoff guard's `_parity_eigenvalues`. Each reader
-    checks its own block for overflow, so the doubled build refuses nothing
-    that the cutoff's own build accepts.
-    """
-    matrix = _unchecked_generator(spec, prefactor, harmonics)
-    matrix.setflags(write=False)
-    return matrix
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DihedralEigenbasis:
     """Lowest eigenfunctions of one dihedral's generator.
 
     vectors[:, i] holds the Fourier coefficients of eigenfunction i;
     eigenvalues are ascending and parities are +1 (even) or -1 (odd).
-    Instances compare and hash by identity, so the shared bases that
-    `solve_dihedral` hands out can key a cache.
+    The d/dtheta and U' elements between them are computed from the
+    vectors at first use and kept, read-only, with the basis.
     """
 
     spec: DihedralSpec
@@ -275,19 +262,44 @@ class DihedralEigenbasis:
     vectors: np.ndarray
     parities: np.ndarray
 
+    @cached_property
+    def derivative_elements(self) -> np.ndarray:
+        """Read-only `derivative_matrix_elements` of this basis."""
+        out = derivative_matrix_elements(self)
+        out.setflags(write=False)
+        return out
 
-@lru_cache(maxsize=2)
-def _spectrum(spec: DihedralSpec, prefactor: float, harmonics: int):
-    """Every mode of one dihedral's generator, ordered as `diagonalize_dihedral` keeps them.
+    @cached_property
+    def uprime_elements(self) -> np.ndarray:
+        """Read-only `uprime_matrix_elements` of this basis."""
+        out = uprime_matrix_elements(self)
+        out.setflags(write=False)
+        return out
 
-    Returns read-only (eigenvalues, vectors, parities) with vectors[:, i] the
-    i-th eigenfunction. Two entries hold a two-dihedral chain's spectra at
-    the cutoff, which every kept count on a ladder shares; a scan moves on to
-    fresh specs, so a larger cache only holds memory.
+
+# An entry holds a whole spectrum, about 10 KB at harmonics 16. Eight hold
+# the distinct dihedrals of a ladder on a short chain; a scan moves on to
+# fresh specs, where more entries would only hold memory.
+@lru_cache(maxsize=8)
+def _solve(spec: DihedralSpec, prefactor: float, harmonics: int):
+    """Every mode of one dihedral's generator, and its cutoff guard's eigenvalues.
+
+    Returns read-only (eigenvalues, vectors, parities, guard): every mode,
+    ordered as `diagonalize_dihedral` keeps them, with vectors[:, i] the
+    i-th eigenfunction; and the ascending (even, odd) block eigenvalues from
+    numpy's `eigvalsh` at twice the cutoff, or None where only that doubled
+    generator overflows. The guard's values only bound the cutoff error, so
+    they need not match the spectrum bit for bit.
+
+    Entry (i, j) of the generator depends only on basis functions i and j,
+    so the leading (2h+1) x (2h+1) block of the one build at 2h harmonics
+    is, bit for bit, the generator at h.
     """
     size = 2 * harmonics + 1
-    matrix = _generator(spec, prefactor, 2 * harmonics)[:size, :size]
-    _check_finite(spec, matrix)
+    doubled = _unchecked_generator(spec, prefactor, 2 * harmonics)
+    matrix = doubled[:size, :size]
+    if not _finite(matrix):
+        raise _overflows(spec)
 
     # the even block's modes, then the odd block's, each as a full-size column
     blocks = []
@@ -316,27 +328,13 @@ def _spectrum(spec: DihedralSpec, prefactor: float, harmonics: int):
     order = order[np.lexsort((peaks[order], mode_parities[order], clusters))]
 
     spectrum = (values[order], np.ascontiguousarray(vectors[:, order]), mode_parities[order])
-    for array in spectrum:
+    # an overflow of the doubled block alone is recorded, for solve_dihedral to refuse
+    guard = None
+    if _finite(doubled):
+        guard = tuple(np.linalg.eigvalsh(doubled[r, c]) for r, c in _parity_blocks(2 * harmonics))
+    for array in spectrum + (guard or ()):
         array.setflags(write=False)
-    return spectrum
-
-
-@lru_cache(maxsize=2)
-def _parity_eigenvalues(spec: DihedralSpec, prefactor: float, harmonics: int):
-    """Read-only ascending (even, odd) block eigenvalues from numpy's `eigvalsh`.
-
-    They only bound the cutoff error, so they need not match `_spectrum` bit
-    for bit. Two entries hold a two-dihedral chain's, which every kept count
-    on a ladder shares.
-    """
-    matrix = _generator(spec, prefactor, harmonics)
-    _check_finite(spec, matrix)
-    blocks = []
-    for rows, cols in _parity_blocks(harmonics):
-        values = np.linalg.eigvalsh(matrix[rows, cols])
-        values.setflags(write=False)
-        blocks.append(values)
-    return tuple(blocks)
+    return (*spectrum, guard)
 
 
 def diagonalize_dihedral(
@@ -372,7 +370,7 @@ def diagonalize_dihedral(
             f"kept must be in [1, 2*harmonics + 1] = [1, {size}] at harmonics={harmonics},"
             f" got kept={n_keep}; lower kept or raise harmonics"
         )
-    eigenvalues, vectors, parities = _spectrum(spec, prefactor, harmonics)
+    eigenvalues, vectors, parities, _ = _solve(spec, prefactor, harmonics)
     return DihedralEigenbasis(
         spec=spec,
         prefactor=prefactor,
@@ -398,7 +396,10 @@ def solve_dihedral(
     cached object whose arrays are read-only.
     """
     basis = diagonalize_dihedral(spec, prefactor, n_keep, harmonics)
-    even, odd = _parity_eigenvalues(spec, prefactor, 2 * harmonics)
+    guard = _solve(spec, prefactor, harmonics)[3]
+    if guard is None:
+        raise _overflows(spec)
+    even, odd = guard
     # the kept even eigenvalues, then the odd ones, each ascending
     kept = basis.eigenvalues[np.lexsort((basis.eigenvalues, -basis.parities))]
     n_even = np.count_nonzero(basis.parities == 1)

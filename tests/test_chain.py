@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from rotorvqe import dihedral
 from rotorvqe.chain import (
     build_chain_matrix,
     build_composite_basis,
@@ -211,8 +212,8 @@ def test_composite_states_and_matrix_match_numpy_scalar_oracle(chain, rungs):
             basis = build_composite_basis(chain, kept, ladder=ladder)
             expected = oracles.numpy_scalar_composite_states(basis.dihedral_bases, kept, ladder)
             assert basis.states == expected
-            # writable copies of the shared dihedral bases get their matrix
-            # elements computed afresh, not read from the shared cache
+            # writable copies of the shared dihedral bases are new objects,
+            # which compute their matrix elements afresh
             fresh = dataclasses.replace(
                 basis,
                 dihedral_bases=tuple(
@@ -230,6 +231,16 @@ def test_composite_states_and_matrix_match_numpy_scalar_oracle(chain, rungs):
 
 
 THREE_DIHEDRAL_LADDER = ((2, 2, 2), (4, 2, 2))
+# three distinct dihedrals, each with a spectrum of its own
+THREE_DISTINCT = ChainSpec(
+    dihedrals=(
+        DihedralSpec(BISTABLE, 0.5),
+        DihedralSpec(MONOSTABLE, 1.0),
+        DihedralSpec(BISTABLE, 1.5),
+    ),
+    diffusion=(1.0, 1.0, 1.0, 1.0),
+)
+THREE_DISTINCT_LADDER = ((2, 2, 2), (4, 2, 2), (4, 4, 2), (4, 4, 4), (8, 4, 4))
 COLD_BUILDS = [
     *(
         pytest.param(standard_chain(barrier), rung, LADDER[: i + 1], id=f"{barrier}-{rung}")
@@ -241,6 +252,10 @@ COLD_BUILDS = [
     *(
         pytest.param(THREE_DIHEDRALS, rung, THREE_DIHEDRAL_LADDER[: i + 1], id=f"three-dihedrals-{rung}")
         for i, rung in enumerate(THREE_DIHEDRAL_LADDER)
+    ),
+    *(
+        pytest.param(THREE_DISTINCT, rung, THREE_DISTINCT_LADDER[: i + 1], id=f"three-distinct-{rung}")
+        for i, rung in enumerate(THREE_DISTINCT_LADDER[:4])
     ),
 ]
 
@@ -255,6 +270,24 @@ def test_cold_build_matches_former_code_bit_for_bit(chain, kept, ladder):
     assert [s.label for s in problem.operator.strings] == [s.label for s in operator.strings]
     assert [c.hex() for c in problem.operator.coefficients] == [c.hex() for c in operator.coefficients]
     assert group_qubitwise_commuting(problem.operator) == group_qubitwise_commuting(operator)
+
+
+def test_ladder_solves_each_distinct_dihedral_once(monkeypatch):
+    # one spectrum per distinct dihedral, two Jacobi parity blocks each,
+    # however many kept counts the ladder's rungs ask of it
+    calls = []
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return jacobi_eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(dihedral, "jacobi_eigh", counting)
+    dihedral.solve_dihedral.cache_clear()
+    dihedral._solve.cache_clear()
+    for i, rung in enumerate(THREE_DISTINCT_LADDER):
+        build_problem(THREE_DISTINCT, rung, ladder=THREE_DISTINCT_LADDER[: i + 1])
+    assert len(calls) == 6
+    assert dihedral._solve.cache_info().misses == 3
 
 
 @pytest.mark.parametrize("barrier", [0.5, 3.0])

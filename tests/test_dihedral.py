@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -11,10 +12,9 @@ from rotorvqe import dihedral
 from rotorvqe.dihedral import (
     DihedralEigenbasis,
     _effective_well_poly,
-    _generator,
-    _parity_eigenvalues,
     _product_plan,
-    _spectrum,
+    _solve,
+    _unchecked_generator,
     _uprime_poly,
     build_single_dihedral_matrix,
     derivative_matrix_elements,
@@ -155,7 +155,7 @@ def test_solve_dihedral_accepts_converged_near_degenerate_pairs(barrier, harmoni
 def test_guard_eigenvalues_match_jacobi_oracle(kind, barrier):
     # the doubled cutoff of the default 16 harmonics: blocks of order 33 and 32
     spec = DihedralSpec(kind, barrier)
-    got = _parity_eigenvalues(spec, 2.0, 32)
+    got = _solve(spec, 2.0, 16)[3]
     expected = oracles.jacobi_parity_eigenvalues(spec, 2.0, 32)
     assert [len(values) for values in got] == [33, 32]
     for values, oracle in zip(got, expected):
@@ -189,11 +189,11 @@ def test_oversized_cutoff_is_refused_before_any_allocation(monkeypatch):
     )
     assert peak < 2**20
     # (4h + 1)^2 entries pass the 2^26 bound up to h = 2047; a stand-in
-    # spectrum shows that the guard let a cutoff through, with nothing built
+    # solve shows that the guard let a cutoff through, with nothing built
     def passed(*args):
         raise LookupError("past the size guard")
 
-    monkeypatch.setattr(dihedral, "_spectrum", passed)
+    monkeypatch.setattr(dihedral, "_solve", passed)
     with pytest.raises(LookupError):
         diagonalize_dihedral(spec, 2.0, 4, harmonics=2047)
     with pytest.raises(ValueError, match="needs a 8193 x 8193 generator"):
@@ -300,7 +300,7 @@ def test_spectrum_matches_serial_oracle_bit_for_bit(kind, barrier):
     spec = DihedralSpec(kind, barrier)
     for harmonics in (4, 8, 16, 32):
         for prefactor in (2.0, 0.75):
-            got = _spectrum.__wrapped__(spec, prefactor, harmonics)
+            got = _solve.__wrapped__(spec, prefactor, harmonics)[:3]
             expected = oracles.serial_spectrum(spec, prefactor, harmonics)
             for array, oracle in zip(got, expected):
                 assert array.dtype == oracle.dtype and array.shape == oracle.shape
@@ -311,11 +311,12 @@ def test_spectrum_matches_serial_oracle_bit_for_bit(kind, barrier):
 @pytest.mark.parametrize("kind", [MONOSTABLE, BISTABLE])
 @pytest.mark.parametrize("barrier", SPECTRUM_BARRIERS + [7.0, 1e6])
 def test_doubled_generator_leading_block_is_the_cutoff_build(kind, barrier):
+    # _solve diagonalizes the leading block of its one doubled build
     spec = DihedralSpec(kind, barrier)
     for harmonics in (1, 4, 16):
         for prefactor in (2.0, 0.75):
             size = 2 * harmonics + 1
-            doubled = _generator.__wrapped__(spec, prefactor, 2 * harmonics)
+            doubled = _unchecked_generator(spec, prefactor, 2 * harmonics)
             built = build_single_dihedral_matrix(spec, prefactor, harmonics)
             assert doubled[:size, :size].tobytes() == built.tobytes()
 
@@ -369,7 +370,9 @@ def test_refusals_keep_their_texts():
 )
 def test_doubled_build_refuses_nothing_the_cutoff_build_accepts(kind, barrier, harmonics):
     # the generator's norm is finite at the cutoff and overflows at twice it:
-    # a diagonalization at the cutoff goes through, the cutoff guard refuses
+    # a diagonalization at the cutoff goes through, the cutoff guard refuses.
+    # _solve builds the doubled generator for both and records, rather than
+    # raises, an overflow of the doubled block alone
     spec = DihedralSpec(kind, barrier)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -439,14 +442,16 @@ def test_shared_caches_cannot_be_written_through_results():
     for array in (shared.eigenvalues, shared.vectors, shared.parities):
         with pytest.raises(ValueError):
             array[0] = 7
-    # the guard's doubled-cutoff eigenvalues are shared by every kept count;
-    # the unwrapped solver runs the guard even where solve_dihedral's cache hits
-    before = _parity_eigenvalues.cache_info()
+    # the spectrum and the guard's doubled-cutoff eigenvalues are shared by
+    # every kept count; the unwrapped solver reads both (one lookup each)
+    # even where solve_dihedral's cache hits
+    before = _solve.cache_info()
     for n_keep in (6, 8):
         solve_dihedral.__wrapped__(spec, 2.0, n_keep)
-    assert _parity_eigenvalues.cache_info().misses == before.misses
-    assert _parity_eigenvalues.cache_info().hits == before.hits + 2
-    for array in _parity_eigenvalues(spec, 2.0, 32):
+    assert _solve.cache_info().misses == before.misses
+    assert _solve.cache_info().hits == before.hits + 4
+    values, vectors, parities, guard = _solve(spec, 2.0, 16)
+    for array in (values, vectors, parities, *guard):
         with pytest.raises(ValueError):
             array[0] = 7
     # a fresh diagonalization hands out copies of the cached spectrum
@@ -478,3 +483,26 @@ def test_uprime_matrix_is_cached_read_only_and_bitwise_fresh():
     assert fourier_uprime_matrix.cache_info().hits >= before.hits + 2
     assert fourier_uprime_matrix.cache_info().misses == before.misses + 1
 
+
+def test_solved_basis_is_frozen_and_owns_read_only_elements():
+    spec = DihedralSpec(BISTABLE, 1.25)
+    shared = solve_dihedral(spec, 2.0, 4)
+    for name, value in (("vectors", np.eye(4)), ("eigenvalues", np.zeros(4)), ("n_keep", 4)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(shared, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shared.derivative_elements = np.zeros((4, 4))
+    assert solve_dihedral(spec, 2.0, 4).vectors is shared.vectors
+    # the elements are computed once per basis, read-only and bit for bit fresh
+    for cached, fresh in (
+        (shared.derivative_elements, derivative_matrix_elements(shared)),
+        (shared.uprime_elements, uprime_matrix_elements(shared)),
+    ):
+        assert cached.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
+    assert shared.derivative_elements is shared.derivative_elements
+    # a replaced basis is a new object with elements of its own
+    copy = dataclasses.replace(shared, vectors=shared.vectors.copy())
+    assert copy.vectors.flags.writeable and copy.uprime_elements is not shared.uprime_elements
+    assert copy.uprime_elements.tobytes() == shared.uprime_elements.tobytes()
