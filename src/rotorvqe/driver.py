@@ -23,6 +23,7 @@ import concurrent.futures
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from .qsim import (
     AnsatzSpec,
     NoiseSpec,
     _estimate,
+    _measurement_plan,
     _pcg64_states,
     _word_table,
     embed_params,
@@ -79,17 +81,40 @@ def seed_stream(master_seed: int, count: int) -> tuple:
 
 @dataclass(frozen=True)
 class Problem:
-    """A chain eigenproblem bound to a register: matrix, operator, ansatz."""
+    """A chain eigenproblem bound to a register: matrix, ansatz and Pauli operator.
+
+    The operator and each grouping's measurement plan are built on first
+    read and kept, so exact runs, which read neither, never map.  A pickled
+    problem, as `workers > 1` sends it, carries its fields only: each
+    process builds its own operator and plans.
+    """
 
     basis: CompositeBasis
     matrix: np.ndarray = field(repr=False)
-    operator: PauliOperator = field(repr=False)
     ansatz: AnsatzSpec
     reference: float
+
+    def __getstate__(self) -> dict:
+        # the fields only: the cached operator and plans stay behind
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @property
     def qubits(self) -> int:
         return self.ansatz.qubits
+
+    @cached_property
+    def operator(self) -> PauliOperator:
+        return map_operator(self.matrix)
+
+    @cached_property
+    def _plans(self) -> dict:
+        return {}
+
+    def _plan(self, grouping: bool):
+        """The operator's `qsim._measurement_plan` under `grouping`, compiled once."""
+        if grouping not in self._plans:
+            self._plans[grouping] = _measurement_plan(self.operator, grouping)
+        return self._plans[grouping]
 
 
 def build_problem(
@@ -100,13 +125,12 @@ def build_problem(
     depth: int = 1,
     entangler: str = LINEAR,
 ) -> Problem:
-    """Assemble the padded generator matrix, its Pauli expansion, and the ansatz."""
+    """Assemble the padded generator matrix, its lowest eigenvalue and the ansatz."""
     basis = build_composite_basis(chain, kept_counts, harmonics=harmonics, ladder=ladder)
     matrix = pad_matrix(build_chain_matrix(basis), basis.qubits)
-    operator = map_operator(matrix)
     ansatz = AnsatzSpec(qubits=basis.qubits, depth=depth, entangler=entangler)
     reference = lowest_eigenvalue(matrix)
-    return Problem(basis=basis, matrix=matrix, operator=operator, ansatz=ansatz, reference=reference)
+    return Problem(basis=basis, matrix=matrix, ansatz=ansatz, reference=reference)
 
 
 @dataclass(frozen=True)
@@ -202,9 +226,10 @@ def _batch_evaluator(problem: Problem, config: VqeConfig, run_seeds):
     The one way to evaluate an objective: a single point is a batch of one
     row, and every batch is one call.  Exact mode contracts the prepared
     states against the matrix; the statistical modes call the shot
-    estimator, `qsim._estimate`, with the configured noise model in noisy
-    mode.  They seed a run's k-th evaluation with `_evaluation_seed(run
-    seed, k)`, so every run sees the evaluation seeds it would see alone.
+    estimator, `qsim._estimate`, on the problem's measurement plan, with
+    the configured noise model in noisy mode.  They seed a run's k-th
+    evaluation with `_evaluation_seed(run seed, k)`, so every run sees the
+    evaluation seeds it would see alone.
     Every call gives each run the same number of rows (its calibration
     probes, an SPSA pair, a final point or one Nelder-Mead point), so the
     rows' PCG64 starts are read in call order from one table at one shared
@@ -215,6 +240,7 @@ def _batch_evaluator(problem: Problem, config: VqeConfig, run_seeds):
     if config.mode == EXACT:
         return lambda points: _energies(prepare_states(problem.ansatz, points), problem.matrix)
     noise = config.noise if config.mode == NOISY else None
+    plan = problem._plan(config.grouping)
     table, cursor, fetched = [], 0, 0  # fetched: evaluations per run hashed so far
 
     def evaluate(points):
@@ -230,10 +256,7 @@ def _batch_evaluator(problem: Problem, config: VqeConfig, run_seeds):
             fetched += size
         starts = table[cursor : cursor + len(points)]
         cursor += len(points)
-        return _estimate(
-            problem.ansatz, points, problem.operator, config.shots, starts, noise,
-            config.mitigate, config.grouping,
-        )[0]
+        return _estimate(problem.ansatz, points, plan, config.shots, starts, noise, config.mitigate)[0]
 
     return evaluate
 
@@ -567,13 +590,13 @@ def run_distribution_study(
         raise ValueError("every parameter must be a finite angle")
     state = prepare_state(problem.ansatz, params)
     exact_value = float(_energies(state[None, :], problem.matrix)[0])
+    plan = problem._plan(config.grouping)
     studies = []
     for m, mode in enumerate(modes):
         starts = _pcg64_states(_word_table(seed_stream(config.seed + 7919 * (m + 1), repetitions)))
         noise = config.noise if mode == NOISY else None
         values, _ = _estimate(
-            problem.ansatz, params[None, :], problem.operator, config.shots, starts, noise,
-            config.mitigate, config.grouping,
+            problem.ansatz, params[None, :], plan, config.shots, starts, noise, config.mitigate
         )
         values = tuple(values.tolist())
         studies.append(DistributionStudy(mode=mode, values=values, exact_value=exact_value))

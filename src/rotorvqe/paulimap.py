@@ -93,11 +93,6 @@ class PauliOperator:
         for string in self.strings:
             if string.qubits != self.qubits:
                 raise ValueError("all strings must act on the same register")
-        # hashed once, for the plan cache; int and float hashes agree across processes
-        object.__setattr__(self, "_hash", hash((self.qubits, self.strings, self.coefficients)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __len__(self) -> int:
         return len(self.strings)
@@ -245,26 +240,3 @@ def operator_to_text(operator: PauliOperator) -> str:
     """One `LABEL coefficient` line per term; leftmost letter is qubit 1."""
     lines = [f"{s.label} {c:.17g}" for s, c in operator]
     return "\n".join(lines) + "\n"
-
-
-def operator_from_text(text: str) -> PauliOperator:
-    strings = []
-    coefficients = []
-    qubits = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"expected 'LABEL value', got {line!r}")
-        string = PauliString.from_label(parts[0])
-        if qubits is None:
-            qubits = string.qubits
-        elif string.qubits != qubits:
-            raise ValueError("labels of differing length in one operator")
-        strings.append(string)
-        coefficients.append(float(parts[1]))
-    if qubits is None:
-        raise ValueError("no Pauli terms found")
-    return PauliOperator(qubits=qubits, strings=tuple(strings), coefficients=tuple(coefficients))

@@ -65,10 +65,6 @@ class ChainSpec:
     def n_dihedrals(self) -> int:
         return len(self.dihedrals)
 
-    @property
-    def n_rotors(self) -> int:
-        return len(self.dihedrals) + 1
-
 
 def cosine_series(spec: DihedralSpec) -> dict[int, float]:
     """Potential as a finite cosine series {harmonic: coefficient}.

@@ -513,9 +513,8 @@ class _MeasurementPlan:
     paulis: tuple
 
 
-@lru_cache(maxsize=64)
 def _measurement_plan(operator: PauliOperator, grouping: bool) -> _MeasurementPlan:
-    """The operator's `_MeasurementPlan`, compiled once per operator."""
+    """The operator's `_MeasurementPlan`; a `driver.Problem` compiles and keeps one per grouping."""
     qubits, strings = operator.qubits, operator.strings
     if grouping:
         settings = [(g.x, g.z, g.members) for g in group_qubitwise_commuting(operator)]
@@ -745,8 +744,8 @@ def _counts(states, shots: int, probs: np.ndarray) -> np.ndarray:
     return np.array(draws, dtype=np.int64).reshape((len(states),) + probs.shape[1:])
 
 
-def _estimate(ansatz, points, operator, shots, starts, noise=None, mitigate=True, grouping=True):
-    """Estimate <operator> from `shots` per measurement setting, once per PCG64 start.
+def _estimate(ansatz, points, plan, shots, starts, noise=None, mitigate=True):
+    """Estimate an operator from `shots` per setting of its `plan`, once per PCG64 start.
 
     points[B, P] holds one row per start, or one row that every start
     shares; starts[K] are (state, inc) pairs, as `_pcg64_states` gives them.
@@ -764,7 +763,7 @@ def _estimate(ansatz, points, operator, shots, starts, noise=None, mitigate=True
     probability p1 (rotations) or p2 (CNOTs), exactly as a channel on the
     state's Pauli components (`_components`, `_distributions`).
     """
-    if ansatz.qubits != operator.qubits:
+    if plan.outcomes.shape[1] != 1 << ansatz.qubits:
         raise ValueError("ansatz and operator registers differ")
     if shots < 1:
         raise ValueError("need at least one shot")
@@ -772,7 +771,6 @@ def _estimate(ansatz, points, operator, shots, starts, noise=None, mitigate=True
     if len(starts) < 1 or len(values) not in (1, len(starts)):
         raise ValueError(f"expected one seed per point, got {len(starts)} for {len(values)}")
     inverse = _confusion(noise, ansatz.qubits, True) if noise is not None and mitigate else None
-    plan = _measurement_plan(operator, grouping)
     counts = _counts(starts, shots, _distributions(ansatz, values, plan, noise))
     if inverse is not None:
         # one (1, 2^Q) @ (2^Q, 2^Q) product per setting, as for a single setting

@@ -414,6 +414,34 @@ def map_element(row: int, col: int, value: float, qubits: int) -> dict:
     return out
 
 
+def operator_from_text(text: str) -> PauliOperator:
+    """Parse `rotorvqe map` output back: one `LABEL coefficient` line per term.
+
+    Blank lines and `#` comments are skipped; every label must have the
+    same length.
+    """
+    strings = []
+    coefficients = []
+    qubits = None
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"expected 'LABEL value', got {line!r}")
+        string = PauliString.from_label(parts[0])
+        if qubits is None:
+            qubits = string.qubits
+        elif string.qubits != qubits:
+            raise ValueError("labels of differing length in one operator")
+        strings.append(string)
+        coefficients.append(float(parts[1]))
+    if qubits is None:
+        raise ValueError("no Pauli terms found")
+    return PauliOperator(qubits=qubits, strings=tuple(strings), coefficients=tuple(coefficients))
+
+
 def allclose_symmetrized(matrix) -> np.ndarray:
     """The former `map_operator` check: every input is tested and averaged.
 
@@ -732,6 +760,7 @@ def per_evaluation_evaluator(problem, config, run_seeds):
     from the driver's prefetched starts.
     """
     noise = config.noise if config.mode == qsim.NOISY else None
+    plan = qsim._measurement_plan(problem.operator, config.grouping)
     counters = [0] * len(run_seeds)
 
     def evaluate(points):
@@ -741,8 +770,8 @@ def per_evaluation_evaluator(problem, config, run_seeds):
             seed = driver._evaluation_seed(run_seeds[run], counters[run])
             counters[run] += 1
             value, _ = qsim._estimate(
-                problem.ansatz, point[None, :], problem.operator, config.shots,
-                numpy_starts([seed]), noise, config.mitigate, config.grouping,
+                problem.ansatz, point[None, :], plan, config.shots, numpy_starts([seed]), noise,
+                config.mitigate,
             )
             values.append(value[0])
         return np.array(values)

@@ -1,15 +1,19 @@
+import contextlib
+import io
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotorvqe import cli, driver
 from rotorvqe.cli import main
-from rotorvqe.paulimap import operator_from_text
+from rotorvqe.config import _SETTINGS
 
-from oracles import dense_from_labels
+from oracles import dense_from_labels, operator_from_text
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # acceptance criterion 01's pinned eigenvalues, keyed by shipped config file
@@ -276,3 +280,118 @@ def test_argparse_exits_are_returned(capsys):
     assert main([]) == 2  # missing subcommand
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# --set values for every config key, drawn so that every call stays small:
+# at most 3 iterations, 2 restarts, 200 shots, depth 2, 2 workers, 16
+# harmonics and 8 kept functions per dihedral.  A call sets valid values,
+# and about every other call breaks one of them
+def _joined(elements, low=1, high=3, sep=","):
+    return st.lists(elements, min_size=low, max_size=high).map(sep.join)
+
+
+def _ints(low, high):
+    return st.integers(low, high).map(str)
+
+
+def _floats(low, high):
+    return st.floats(low, high).map(repr)
+
+
+_KINDS = st.sampled_from(["bistable", "monostable", "Monostable"])
+_SWITCH = st.sampled_from(["true", "off", "1", "No"])
+_VALID = {
+    "dihedrals": _joined(st.tuples(_KINDS, _floats(0.0, 5.0)).map(":".join), 2, 2),
+    "diffusion": _joined(_floats(0.1, 3.0), 3, 3),
+    "kept": st.tuples(_ints(2, 8), _ints(1, 8)).map(",".join),
+    "ladder": None,  # drawn to end at the call's kept counts
+    "harmonics": _ints(12, 16),
+    "depth": _ints(0, 2),
+    "entangler": st.sampled_from(["linear", "FULL"]),
+    "mode": st.sampled_from(["exact", "sampled", "noisy"]),
+    "shots": _ints(1, 200),
+    "grouping": _SWITCH,
+    "mitigate": _SWITCH,
+    "p1": _floats(0.0, 0.1),
+    "p2": _floats(0.0, 0.1),
+    "readout_flip": st.one_of(_floats(0.0, 0.2), st.just("1")),
+    "optimizer": st.sampled_from(["spsa", "nelder-mead"]),
+    "gain_policy": st.sampled_from(["fixed", "calibrated"]),
+    "iterations": _ints(0, 3),
+    "restarts": _ints(1, 2),
+    "seed": _ints(0, 2**64 - 1),
+    "workers": _ints(1, 2),
+    "barriers": _joined(_floats(0.0, 5.0)),
+    "repetitions": _ints(2, 5),
+}
+_WILD_FLOATS = st.sampled_from(["nan", "-inf", "1e999", "-1", "1.5", "1e300", "5e-324"])
+_INVALID = {
+    "dihedrals": st.sampled_from(
+        ["planar:1", "bistable", "bistable:nan", "bistable:-1,monostable:1", "bistable:1e300,monostable:1",
+         "bistable:0.5", "bistable:0.5,monostable:1,bistable:1.5"]
+    ),
+    "diffusion": st.one_of(_joined(_WILD_FLOATS, 3, 3), st.sampled_from(["1,1", "1,1,1,1", "1,0,1"])),
+    "kept": st.sampled_from(["1,1", "1,2", "0,2", "-1,2", "4", "4,2,2", "4,4,4"]),
+    "ladder": st.sampled_from(["4,4", "2,2;4", "8,8;4,2"]),
+    "harmonics": _ints(-1, 4),
+    "depth": st.just("-1"),
+    "entangler": st.just("ring"),
+    "mode": st.just("dense"),
+    "shots": _ints(-1, 0),
+    "grouping": st.just("maybe"),
+    "mitigate": st.just("maybe"),
+    "p1": _WILD_FLOATS,
+    "p2": _WILD_FLOATS,
+    "readout_flip": st.one_of(_WILD_FLOATS, st.just("0.5")),
+    "optimizer": st.just("adam"),
+    "gain_policy": st.just("adaptive"),
+    "iterations": st.just("-1"),
+    "restarts": st.just("0"),
+    "seed": st.sampled_from(["-1", str(2**64)]),
+    "workers": _ints(-1, 0),
+    "barriers": st.sampled_from(["", "nan", "1,,"]),
+    "repetitions": st.sampled_from(["1.5", "two"]),
+}
+# read by `reference` and `map` too, which build a problem and run nothing
+_BUILD_KEYS = ("dihedrals", "diffusion", "kept", "ladder", "harmonics")
+# unparsable text, for any key
+_JUNK = st.sampled_from(["", " ", "x", "1.5.2", "4;;2", "0x10", "1,,x", "'4'"])
+
+
+def _ladder(kept: str):
+    """The kept counts, after at most one rung below them."""
+    top = [int(c) for c in kept.split(",")]
+    below = st.tuples(*[st.integers(min(2, c), c) for c in top]).map(lambda r: ",".join(map(str, r)) + ";")
+    return st.one_of(st.just(""), below).map(lambda rung: rung + kept)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_any_setting_exits_0_2_or_3_with_one_stderr_line(data):
+    # every key is set, so each pair of values meets often; the defaults of
+    # iterations (600) and shots (20,000) are production sizes anyway
+    command = data.draw(st.sampled_from(["vqe", "vqe", "reference", "map"]))
+    keys = list(_VALID) if command == "vqe" else list(_BUILD_KEYS)
+    values = {key: data.draw(_VALID[key], label=key) for key in keys if key != "ladder"}
+    values["ladder"] = data.draw(_ladder(values["kept"]), label="ladder")
+    if data.draw(st.booleans(), label="break one"):
+        key = data.draw(st.sampled_from(keys), label="broken")
+        values[key] = data.draw(st.one_of(_INVALID[key], _JUNK), label=f"broken {key}")
+    argv = [command]
+    for key, value in values.items():
+        argv += ["--set", f"{key}={value}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue() and not caught, (argv, err.getvalue(), caught)
+    else:
+        assert out.getvalue() and not err.getvalue(), (argv, err.getvalue())
+
+
+def test_setting_strategies_cover_every_config_key():
+    assert set(_VALID) == set(_INVALID) == set(_SETTINGS) and len(_SETTINGS) == 22

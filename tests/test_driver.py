@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
+import io
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -22,7 +25,7 @@ from rotorvqe.driver import (
     run_vqe,
     seed_stream,
 )
-from rotorvqe import driver, optimize, qsim
+from rotorvqe import cli, driver, optimize, qsim
 from rotorvqe.potential import BISTABLE, MONOSTABLE, ChainSpec, DihedralSpec
 from rotorvqe.qsim import (
     EXACT,
@@ -80,6 +83,80 @@ def test_build_problem_is_consistent():
     assert problem.reference == pytest.approx(w[0])
     dense = dense_from_labels([(s.label, c) for s, c in problem.operator])
     assert np.allclose(dense, problem.matrix, atol=1e-12)
+
+
+def test_exact_runs_never_map(monkeypatch):
+    # exact runs contract the matrix and never read the Pauli operator
+    config = quick_config(iterations=8, restarts=2)
+    ladder = LADDER[:2]
+
+    def outputs():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["vqe", "--set", "iterations=8"]) == 0
+        run = run_vqe(config)
+        ensemble = run_ensemble(config)
+        scans = run_barrier_scan(config, (0.5, 2.0)) + run_qubit_scan(config, ladder)
+        rungs = run_hierarchical(ladder, config)
+        return (
+            out.getvalue(),
+            hexes(run.trace.eval_values + run.params),
+            hexes(ensemble.values + ensemble.best_params),
+            [hexes(stats.values + stats.best_params) for _, stats in scans],
+            [hexes((r.start_value, r.best_value) + r.best_params) for r in rungs],
+        )
+
+    mapped = outputs()
+
+    def refuse(matrix):
+        raise AssertionError("an exact run mapped its operator")
+
+    monkeypatch.setattr(driver, "map_operator", refuse)
+    assert outputs() == mapped
+
+
+def test_problem_maps_once_and_builds_one_plan_per_grouping(monkeypatch):
+    maps, plans = [], []
+    real_map, real_plan = driver.map_operator, driver._measurement_plan
+
+    def counted_map(matrix):
+        maps.append(matrix)
+        return real_map(matrix)
+
+    def counted_plan(operator, grouping):
+        plans.append(grouping)
+        return real_plan(operator, grouping)
+
+    monkeypatch.setattr(driver, "map_operator", counted_map)
+    monkeypatch.setattr(driver, "_measurement_plan", counted_plan)
+    problem = build_problem(make_chain(), (4, 2))
+    assert maps == []
+    sampled = quick_config(mode=SAMPLED, shots=200, iterations=4, restarts=2)
+    params = np.linspace(-1.0, 2.0, 8)
+    for config in (sampled, dataclasses.replace(sampled, seed=12), dataclasses.replace(sampled, mode=NOISY)):
+        run_ensemble(config, problem)
+    for seed in (11, 12):
+        run_distribution_study(dataclasses.replace(sampled, seed=seed), params, repetitions=3, problem=problem)
+    assert len(maps) == 1 and plans == [True]
+    ungrouped = dataclasses.replace(sampled, grouping=False)
+    run_ensemble(ungrouped, problem)
+    run_distribution_study(ungrouped, params, repetitions=3, problem=problem)
+    assert len(maps) == 1 and plans == [True, False]
+    assert problem._plan(True) is problem._plan(True)
+
+
+def test_pickled_problem_carries_no_operator_or_plan():
+    problem = build_problem(make_chain(), (4, 2))
+    plan = problem._plan(True)
+    copy = pickle.loads(pickle.dumps(problem))
+    assert {"operator", "_plans"} <= set(vars(problem))
+    assert not {"operator", "_plans"} & set(vars(copy))
+    # the copy maps and plans again, to the same values and read-only arrays
+    again = copy._plan(True)
+    assert again is not plan and copy.operator == problem.operator
+    arrays = (again.outcomes, again.squares, again.pure[1], *again.paulis)
+    assert len(arrays) == 6 and not any(array.flags.writeable for array in arrays)
+    assert again.bases == plan.bases and np.array_equal(again.outcomes, plan.outcomes)
 
 
 def test_config_validation():
@@ -186,21 +263,26 @@ def test_ensemble_worker_count_does_not_change_results(q2_problem):
         parallel = run_ensemble(quick_config(workers=2, **overrides), q2_problem)
         assert serial.values == parallel.values
         assert serial.best_params == parallel.best_params
-    # a warm-start rung: every run starts from the shared embedded x0 with fixed gains
-    serial = run_hierarchical(LADDER[:2], quick_config(iterations=20, restarts=3, workers=1))
-    parallel = run_hierarchical(LADDER[:2], quick_config(iterations=20, restarts=3, workers=2))
-    for one, two in zip(serial, parallel):
-        assert (one.best_value, one.best_params) == (two.best_value, two.best_params)
-    assert serial[1].start_value == parallel[1].start_value
+    # a warm-start rung: every run starts from the shared embedded x0 with
+    # fixed gains.  In the statistical modes its start probe reads the
+    # problem's plan before the pool pickles the problem, and each worker
+    # plans its own
+    statistical = dict(shots=200, iterations=6)
+    for overrides in (dict(iterations=20), dict(statistical, mode=SAMPLED), dict(statistical, mode=NOISY)):
+        serial = run_hierarchical(LADDER[:2], quick_config(restarts=3, workers=1, **overrides))
+        parallel = run_hierarchical(LADDER[:2], quick_config(restarts=3, workers=2, **overrides))
+        for one, two in zip(serial, parallel, strict=True):
+            assert (one.best_value, one.best_params) == (two.best_value, two.best_params)
+        assert serial[1].start_value == parallel[1].start_value
 
 
 def test_sampled_ladder_never_reuses_an_evaluation_seed(monkeypatch):
     seen = []
 
     # the driver passes each evaluation seed hashed to its PCG64 start
-    def spy(ansatz, points, operator, shots, seeds, *args, **kwargs):
+    def spy(ansatz, points, plan, shots, seeds, *args, **kwargs):
         seen.extend(tuple(seed) for seed in seeds)
-        return qsim._estimate(ansatz, points, operator, shots, seeds, *args, **kwargs)
+        return qsim._estimate(ansatz, points, plan, shots, seeds, *args, **kwargs)
 
     monkeypatch.setattr(driver, "_estimate", spy)
     config = quick_config(mode=SAMPLED, shots=200, iterations=5, restarts=2)
@@ -452,15 +534,13 @@ def test_distribution_study_matches_per_repetition_estimates(q2_problem, mitigat
     config = quick_config(shots=700, noise=noise, mitigate=mitigate, grouping=grouping)
     params = np.linspace(-1.0, 2.0, 8)
     sampled, noisy = run_distribution_study(config, params, repetitions=5, problem=q2_problem)
-    ansatz, op = q2_problem.ansatz, q2_problem.operator
+    ansatz, plan = q2_problem.ansatz, qsim._measurement_plan(q2_problem.operator, grouping)
     want_sampled = [
-        qsim._estimate(ansatz, params[None, :], op, 700, numpy_starts([seed]), grouping=grouping)[0][0]
+        qsim._estimate(ansatz, params[None, :], plan, 700, numpy_starts([seed]))[0][0]
         for seed in seed_stream(config.seed + 7919, 5)
     ]
     want_noisy = [
-        qsim._estimate(
-            ansatz, params[None, :], op, 700, numpy_starts([seed]), noise, mitigate, grouping
-        )[0][0]
+        qsim._estimate(ansatz, params[None, :], plan, 700, numpy_starts([seed]), noise, mitigate)[0][0]
         for seed in seed_stream(config.seed + 2 * 7919, 5)
     ]
     assert [v.hex() for v in sampled.values] == [v.hex() for v in want_sampled]
@@ -481,11 +561,9 @@ def test_distribution_study_sampled_batch_matches_one_row_loop(rung_problems, ru
     config = quick_config(kept_counts=rung, ladder=ladder, shots=shots, grouping=grouping)
     params = np.random.default_rng(sum(rung)).uniform(-7.0, 7.0, problem.ansatz.parameter_count)
     (study,) = run_distribution_study(config, params, modes=(SAMPLED,), repetitions=20, problem=problem)
+    plan = qsim._measurement_plan(problem.operator, grouping)
     want = [
-        qsim._estimate(
-            problem.ansatz, params[None, :], problem.operator, shots, numpy_starts([rep_seed]),
-            grouping=grouping,
-        )[0][0]
+        qsim._estimate(problem.ansatz, params[None, :], plan, shots, numpy_starts([rep_seed]))[0][0]
         for rep_seed in seed_stream(config.seed + 7919, 20)
     ]
     assert [v.hex() for v in study.values] == [v.hex() for v in want]

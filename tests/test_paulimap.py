@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from rotorvqe import qsim
 from rotorvqe.chain import build_chain_matrix, build_composite_basis, pad_matrix
 from rotorvqe.driver import build_problem
 from rotorvqe.paulimap import (
@@ -16,13 +15,12 @@ from rotorvqe.paulimap import (
     PauliString,
     group_qubitwise_commuting,
     map_operator,
-    operator_from_text,
     operator_to_text,
     resource_report,
 )
 from rotorvqe.potential import BISTABLE, MONOSTABLE, ChainSpec, DihedralSpec
 
-from oracles import PAULI_1Q, dense_from_labels, map_element
+from oracles import PAULI_1Q, dense_from_labels, map_element, operator_from_text
 
 LADDER = ((4, 2), (4, 4), (8, 4))
 # exact and signed zeros, subnormals, the smallest normal, and values whose
@@ -269,22 +267,20 @@ def test_resource_report():
     assert 0 < report.max_weight <= 2
 
 
-def test_operator_hash_is_computed_once_and_survives_pickling(monkeypatch):
+def test_operator_hashes_nothing_at_construction_and_survives_pickling(monkeypatch):
+    # an operator holds its three fields only, and hashes by value when asked
     matrix, op = standard_operator((8, 4))
-    twin = map_operator(matrix)
     copy = pickle.loads(pickle.dumps(op))
-    assert twin is not op and twin == op and hash(twin) == hash(op)
-    assert copy == op and hash(copy) == hash(op)
+    assert vars(copy) == vars(op) == {"qubits": 4, "strings": op.strings, "coefficients": op.coefficients}
 
     def rehash(string):
-        raise AssertionError("operator hash recomputed from its strings")
+        raise AssertionError("a string hashed while its operator was built")
 
-    plan = qsim._measurement_plan(op, True)
     monkeypatch.setattr(PauliString, "__hash__", rehash)
-    hits = qsim._measurement_plan.cache_info().hits
-    for other in (op, twin, copy, op):
-        assert qsim._measurement_plan(other, True) is plan
-    assert qsim._measurement_plan.cache_info().hits == hits + 4
+    twin = map_operator(matrix)
+    assert twin is not op and twin == op and copy == op
+    monkeypatch.undo()
+    assert hash(twin) == hash(op) == hash(copy)
 
 
 def test_text_export_and_parse():

@@ -83,7 +83,6 @@ def test_chain_validation():
         ChainSpec(dihedrals=(d,), diffusion=(1.0, 0.0))
     chain = ChainSpec(dihedrals=(d, d), diffusion=(1.0, 1.0, 1.0))
     assert chain.n_dihedrals == 2
-    assert chain.n_rotors == 3
 
 
 @given(kinds, barriers, angles)

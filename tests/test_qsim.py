@@ -18,7 +18,7 @@ from rotorvqe.chain import (
     pad_matrix,
     reference_spectrum,
 )
-from rotorvqe.driver import seed_stream
+from rotorvqe.driver import build_problem, seed_stream
 from rotorvqe.paulimap import (
     PauliOperator,
     PauliString,
@@ -53,15 +53,15 @@ from oracles import (
 )
 
 LADDER = ((4, 2), (4, 4), (8, 4))
+CHAIN = ChainSpec(
+    dihedrals=(DihedralSpec(BISTABLE, 0.5), DihedralSpec(MONOSTABLE, 1.0)),
+    diffusion=(1.0, 1.0, 1.0),
+)
 
 
 def chain_problem(kept):
-    chain = ChainSpec(
-        dihedrals=(DihedralSpec(BISTABLE, 0.5), DihedralSpec(MONOSTABLE, 1.0)),
-        diffusion=(1.0, 1.0, 1.0),
-    )
     ladder = tuple(r for r in LADDER if all(a <= b for a, b in zip(r, kept)))
-    basis = build_composite_basis(chain, kept, ladder=ladder if kept in LADDER else None)
+    basis = build_composite_basis(CHAIN, kept, ladder=ladder if kept in LADDER else None)
     matrix = pad_matrix(build_chain_matrix(basis), basis.qubits)
     return basis, matrix, map_operator(matrix)
 
@@ -73,8 +73,9 @@ def single_z(coef=1.0):
 
 
 def seeded_estimate(ansatz, points, op, shots, seeds, noise=None, mitigate=True, grouping=True):
-    """`qsim._estimate` from each seed's `default_rng` start: (value[K], variance[K])."""
-    return qsim._estimate(ansatz, points, op, shots, numpy_starts(seeds), noise, mitigate, grouping)
+    """`qsim._estimate` of op's plan from each seed's `default_rng` start: (value[K], variance[K])."""
+    plan = qsim._measurement_plan(op, grouping)
+    return qsim._estimate(ansatz, points, plan, shots, numpy_starts(seeds), noise, mitigate)
 
 
 def _bits(value, variance) -> list:
@@ -263,7 +264,8 @@ def test_prepare_states_block_edges_match_single_states_bit_for_bit(entangler):
 
 
 def test_cached_programs_are_read_only():
-    # every lru-cached program hands the same arrays to every caller
+    # every lru-cached program, and each plan a problem keeps, hands the
+    # same arrays to every caller
     def arrays(item):
         if isinstance(item, np.ndarray):
             yield item
@@ -273,10 +275,11 @@ def test_cached_programs_are_read_only():
         elif hasattr(item, "__dataclass_fields__"):
             yield from arrays([getattr(item, name) for name in item.__dataclass_fields__])
 
-    _, _, op = chain_problem((4, 2))
+    problem = build_problem(CHAIN, (4, 2))
     noise = NoiseSpec(readout=[symmetric_confusion(0.02), symmetric_confusion(0.05)])
-    plan = qsim._measurement_plan(op, True)
-    cached = [plan, qsim._BASIS_CHANGES, qsim._confusion(noise, 2), qsim._confusion(noise, 2, True)]
+    plan = problem._plan(True)
+    cached = [plan, problem._plan(False), qsim._BASIS_CHANGES]
+    cached += [qsim._confusion(noise, 2), qsim._confusion(noise, 2, True)]
     for qubits, depth, entangler in ((1, 0, LINEAR), (2, 1, LINEAR), (3, 2, FULL)):
         ansatz = AnsatzSpec(qubits=qubits, depth=depth, entangler=entangler)
         cached += [qsim._state_program(ansatz), qsim._pauli_program(ansatz)]
@@ -503,6 +506,16 @@ def test_sampled_expectations_validation():
         seeded_estimate(ansatz, points, single_z(), 0, [1, 2, 3])
 
 
+def test_estimate_refuses_a_plan_of_another_register():
+    # a plan holds no operator: its outcome table, empty or not, gives its register
+    identity = PauliOperator(qubits=2, strings=(PauliString.from_label("II"),), coefficients=(1.0,))
+    for op, qubits in ((single_z(), 2), (identity, 1)):
+        plan = qsim._measurement_plan(op, True)
+        ansatz = AnsatzSpec(qubits=qubits, depth=0)
+        with pytest.raises(ValueError, match="ansatz and operator registers differ"):
+            qsim._estimate(ansatz, np.zeros((1, ansatz.parameter_count)), plan, 10, numpy_starts([1]))
+
+
 # integers the package seeds with, as seed_stream makes them (below 2^63)
 # and at the uint64 edges; a pair's first value below 2^32 gives
 # SeedSequence one word, so such pairs shift the rest of the row
@@ -614,14 +627,13 @@ def test_array_core_matches_estimates_bit_for_bit(noisy, mitigate, grouping):
     seeds = [[s, k] for s in (0, 2**32 - 1, 2**32, 2**63 - 1) for k in (0, 1, 1300)]
     starts = qsim._pcg64_states(qsim._word_table(seeds))
     assert starts == numpy_starts(seeds)
+    plan = qsim._measurement_plan(op, grouping)
     # one row per seed, and one row every seed shares
     for points in (rows, rows[:1]):
-        value, variance = qsim._estimate(ansatz, points, op, 777, starts, noise, mitigate, grouping)
+        value, variance = qsim._estimate(ansatz, points, plan, 777, starts, noise, mitigate)
         assert value.shape == variance.shape == (12,)
         alone = [
-            qsim._estimate(
-                ansatz, points[k % len(points)][None, :], op, 777, [start], noise, mitigate, grouping
-            )
+            qsim._estimate(ansatz, points[k % len(points)][None, :], plan, 777, [start], noise, mitigate)
             for k, start in enumerate(starts)
         ]
         assert _bits(value, variance) == [_bits(*estimate)[0] for estimate in alone]
