@@ -30,7 +30,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .dihedral import DihedralEigenbasis, solve_dihedral
-from .linalg import _checked_symmetric, _strictly_lower, canonical_sign
+from .linalg import _checked_symmetric, _strictly_lower, canonicalize_signs
 from .potential import ChainSpec
 
 PAD_PENALTY_FACTOR = 10.0
@@ -211,21 +211,13 @@ def pad_matrix(matrix: np.ndarray, qubits: int) -> np.ndarray:
 
 
 def reference_spectrum(matrix: np.ndarray):
-    """Full classical eigensolution: ascending eigenvalues, eigenvector columns."""
-    w, v = np.linalg.eigh(_checked_symmetric(matrix))
-    for i in range(v.shape[1]):
-        v[:, i] = canonical_sign(v[:, i])
-    return w, v
+    """Full classical eigensolution: ascending eigenvalues, eigenvector columns.
 
-
-def lowest_eigenvalue(matrix: np.ndarray) -> float:
-    """Smallest eigenvalue, bit for bit `reference_spectrum(matrix)[0][0]`.
-
-    It reads the same LAPACK `eigh` call: `eigvalsh` can differ in the last
-    bit.
+    Each column's first largest-magnitude entry is made positive.
     """
-    w, _ = np.linalg.eigh(_checked_symmetric(matrix))
-    return float(w[0])
+    w, v = np.linalg.eigh(_checked_symmetric(matrix))
+    canonicalize_signs(v)
+    return w, v
 
 
 def rate_constant(lambda1: float) -> float:

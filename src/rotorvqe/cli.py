@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .chain import build_chain_matrix, build_composite_basis, lowest_eigenvalue, rate_constant
+from .chain import build_chain_matrix, build_composite_basis, rate_constant, reference_spectrum
 from .config import ConfigError, build_vqe_config, resolve_settings
 from .driver import (
     _build,
@@ -86,7 +86,7 @@ def _cmd_reference(args, settings) -> int:
         config.chain, config.kept_counts, harmonics=config.harmonics, ladder=config.ladder
     )
     matrix = build_chain_matrix(basis)
-    eigenvalue = lowest_eigenvalue(matrix)
+    eigenvalue = float(reference_spectrum(matrix)[0][0])
     rate = rate_constant(eigenvalue)
     print(f"kept counts : {_fmt_kept(config.kept_counts)}")
     print(f"basis size  : {len(basis.states)}")
@@ -133,7 +133,7 @@ def _cmd_vqe(args, settings) -> int:
     print(f"best value  : {run.value:.6f}")
     print(f"reference   : {run.reference:.6f}")
     print(f"error       : {run.error_percent:.4f} %")
-    print(f"rate        : {run.rate:.6f}")
+    print(f"rate        : {'-' if run.rate is None else f'{run.rate:.6f}'}")
     if args.out:
         if str(args.out).endswith(".json"):
             payload = {

@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import _strictly_lower, jacobi_eigh
+from .linalg import _strictly_lower, canonicalize_signs, jacobi_eigh
 from .potential import DihedralSpec, cosine_series
 
 # relative clustering width for degenerate eigenvalues (free-rotor pairs)
@@ -210,26 +210,6 @@ def fourier_uprime_matrix(spec: DihedralSpec, harmonics: int) -> np.ndarray:
     return out
 
 
-def _unchecked_generator(spec: DihedralSpec, prefactor: float, harmonics: int) -> np.ndarray:
-    if not (prefactor > 0.0 and math.isfinite(prefactor)):
-        raise ValueError(f"prefactor must be finite and > 0, got {prefactor}")
-    if harmonics < 1:
-        raise ValueError(f"need at least one harmonic, got harmonics={harmonics}")
-    freq = (np.arange(2 * harmonics + 1) + 1) // 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        well = multiplication_matrix(_effective_well_poly(spec), harmonics)
-        return prefactor * (np.diag((freq * freq).astype(float)) - well)
-
-
-def _finite(matrix: np.ndarray) -> bool:
-    with np.errstate(over="ignore", invalid="ignore"):
-        return math.isfinite(np.linalg.norm(matrix))
-
-
-def _overflows(spec: DihedralSpec) -> ValueError:
-    return ValueError(f"{spec} overflows its generator matrix; lower the barrier")
-
-
 def build_single_dihedral_matrix(
     spec: DihedralSpec, prefactor: float, harmonics: int = 16
 ) -> np.ndarray:
@@ -239,9 +219,16 @@ def build_single_dihedral_matrix(
     joined by this dihedral. The result is symmetric, positive semidefinite,
     and block diagonal in parity; one whose norm overflows raises ValueError.
     """
-    matrix = _unchecked_generator(spec, prefactor, harmonics)
-    if not _finite(matrix):
-        raise _overflows(spec)
+    if not (prefactor > 0.0 and math.isfinite(prefactor)):
+        raise ValueError(f"prefactor must be finite and > 0, got {prefactor}")
+    if harmonics < 1:
+        raise ValueError(f"need at least one harmonic, got harmonics={harmonics}")
+    freq = (np.arange(2 * harmonics + 1) + 1) // 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        well = multiplication_matrix(_effective_well_poly(spec), harmonics)
+        matrix = prefactor * (np.diag((freq * freq).astype(float)) - well)
+        if not math.isfinite(np.linalg.norm(matrix)):
+            raise ValueError(f"{spec} overflows its generator matrix; lower the barrier")
     return matrix
 
 
@@ -285,21 +272,19 @@ def _solve(spec: DihedralSpec, prefactor: float, harmonics: int):
     """Every mode of one dihedral's generator, and its cutoff guard's eigenvalues.
 
     Returns read-only (eigenvalues, vectors, parities, guard): every mode,
-    ordered as `diagonalize_dihedral` keeps them, with vectors[:, i] the
-    i-th eigenfunction; and the ascending (even, odd) block eigenvalues from
-    numpy's `eigvalsh` at twice the cutoff, or None where only that doubled
-    generator overflows. The guard's values only bound the cutoff error, so
-    they need not match the spectrum bit for bit.
+    ordered as `solve_dihedral` keeps them, with vectors[:, i] the i-th
+    eigenfunction; and the ascending (even, odd) block eigenvalues from
+    numpy's `eigvalsh` at twice the cutoff. The guard's values only bound
+    the cutoff error, so they need not match the spectrum bit for bit.
 
     Entry (i, j) of the generator depends only on basis functions i and j,
     so the leading (2h+1) x (2h+1) block of the one build at 2h harmonics
-    is, bit for bit, the generator at h.
+    is, bit for bit, the generator at h. A barrier whose doubled generator
+    overflows is refused, even where the block at the cutoff would not.
     """
     size = 2 * harmonics + 1
-    doubled = _unchecked_generator(spec, prefactor, 2 * harmonics)
+    doubled = build_single_dihedral_matrix(spec, prefactor, 2 * harmonics)
     matrix = doubled[:size, :size]
-    if not _finite(matrix):
-        raise _overflows(spec)
 
     # the even block's modes, then the odd block's, each as a full-size column
     blocks = []
@@ -310,9 +295,7 @@ def _solve(spec: DihedralSpec, prefactor: float, harmonics: int):
         blocks.append(w)
     values = np.concatenate(blocks)
     mode_parities = np.repeat((1, -1), (harmonics + 1, harmonics))
-    # each column's first largest-magnitude entry made positive, zeros included
-    peaks = np.argmax(np.abs(vectors), axis=0)
-    np.negative(vectors, out=vectors, where=vectors[peaks, np.arange(size)] < 0.0)
+    peaks = canonicalize_signs(vectors)
 
     # ascending values; a cluster runs while a value lies within the
     # degeneracy width of the cluster's first one, and orders odd before
@@ -328,33 +311,45 @@ def _solve(spec: DihedralSpec, prefactor: float, harmonics: int):
     order = order[np.lexsort((peaks[order], mode_parities[order], clusters))]
 
     spectrum = (values[order], np.ascontiguousarray(vectors[:, order]), mode_parities[order])
-    # an overflow of the doubled block alone is recorded, for solve_dihedral to refuse
-    guard = None
-    if _finite(doubled):
-        guard = tuple(np.linalg.eigvalsh(doubled[r, c]) for r, c in _parity_blocks(2 * harmonics))
-    for array in spectrum + (guard or ()):
+    guard = tuple(np.linalg.eigvalsh(doubled[r, c]) for r, c in _parity_blocks(2 * harmonics))
+    for array in spectrum + guard:
         array.setflags(write=False)
     return (*spectrum, guard)
 
 
-def diagonalize_dihedral(
+@lru_cache(maxsize=256)
+def solve_dihedral(
     spec: DihedralSpec, prefactor: float, n_keep: int, harmonics: int = 16
 ) -> DihedralEigenbasis:
     """Diagonalize one dihedral's generator and keep the lowest n_keep modes.
+
+    Refuses, in this order: a cutoff below one harmonic; one whose generator
+    at twice the cutoff would exceed the size limit, before anything is
+    built; a kept count outside [1, 2*harmonics + 1]; a prefactor that is
+    not finite and positive; a barrier whose generator at twice the cutoff
+    overflows; and kept eigenvalues that are not converged in the cutoff.
 
     The even and odd parity blocks are diagonalized independently, so every
     eigenvector has definite parity by construction. Merged ordering is by
     ascending eigenvalue; exactly degenerate pairs are resolved odd-before-
     even, then by dominant Fourier index. Eigenvector signs are fixed so the
-    largest-magnitude coefficient is positive.
+    first largest-magnitude coefficient is positive.
 
     The odd-first tie-break matters: the monostable potential's excited
     spectrum is exactly doubly degenerate (one even, one odd state per level),
     and keeping the odd member of a split pair is what makes truncated sets
     alternate in parity, which the composite odd-sector dimensions rely on.
 
+    The kept eigenvalues of each parity, in ascending order, must agree to
+    1e-8 with the lowest ones of the same parity block at twice the cutoff,
+    otherwise a ValueError asks for a larger basis. The doubled basis holds
+    the original one and the blocks decouple, so each block's k-th eigenvalue
+    can only fall as the cutoff grows, and pairing by parity and rank never
+    depends on how degenerate pairs happen to be ordered.
+
     The full spectrum is computed once per (spec, prefactor, harmonics) and
-    shared; the returned arrays are fresh copies of its first n_keep modes.
+    shared by every kept count. Returns a shared cached object whose arrays
+    are read-only copies of its first n_keep modes.
     """
     if harmonics < 1:
         raise ValueError(f"need at least one harmonic, got harmonics={harmonics}")
@@ -370,8 +365,8 @@ def diagonalize_dihedral(
             f"kept must be in [1, 2*harmonics + 1] = [1, {size}] at harmonics={harmonics},"
             f" got kept={n_keep}; lower kept or raise harmonics"
         )
-    eigenvalues, vectors, parities, _ = _solve(spec, prefactor, harmonics)
-    return DihedralEigenbasis(
+    eigenvalues, vectors, parities, (even, odd) = _solve(spec, prefactor, harmonics)
+    basis = DihedralEigenbasis(
         spec=spec,
         prefactor=prefactor,
         harmonics=harmonics,
@@ -379,27 +374,6 @@ def diagonalize_dihedral(
         vectors=vectors[:, :n_keep].copy(),
         parities=parities[:n_keep].copy(),
     )
-
-
-@lru_cache(maxsize=256)
-def solve_dihedral(
-    spec: DihedralSpec, prefactor: float, n_keep: int, harmonics: int = 16
-) -> DihedralEigenbasis:
-    """Cached diagonalization, checked for convergence in the cutoff.
-
-    The kept eigenvalues of each parity, in ascending order, must agree to
-    1e-8 with the lowest ones of the same parity block at twice the cutoff,
-    otherwise a ValueError asks for a larger basis. The doubled basis holds
-    the original one and the blocks decouple, so each block's k-th eigenvalue
-    can only fall as the cutoff grows, and pairing by parity and rank never
-    depends on how degenerate pairs happen to be ordered. Returns a shared
-    cached object whose arrays are read-only.
-    """
-    basis = diagonalize_dihedral(spec, prefactor, n_keep, harmonics)
-    guard = _solve(spec, prefactor, harmonics)[3]
-    if guard is None:
-        raise _overflows(spec)
-    even, odd = guard
     # the kept even eigenvalues, then the odd ones, each ascending
     kept = basis.eigenvalues[np.lexsort((basis.eigenvalues, -basis.parities))]
     n_even = np.count_nonzero(basis.parities == 1)

@@ -31,9 +31,9 @@ from .chain import (
     CompositeBasis,
     build_chain_matrix,
     build_composite_basis,
-    lowest_eigenvalue,
     pad_matrix,
     rate_constant,
+    reference_spectrum,
 )
 from .optimize import (
     OptTrace,
@@ -129,7 +129,7 @@ def build_problem(
     basis = build_composite_basis(chain, kept_counts, harmonics=harmonics, ladder=ladder)
     matrix = pad_matrix(build_chain_matrix(basis), basis.qubits)
     ansatz = AnsatzSpec(qubits=basis.qubits, depth=depth, entangler=entangler)
-    reference = lowest_eigenvalue(matrix)
+    reference = float(reference_spectrum(matrix)[0][0])
     return Problem(basis=basis, matrix=matrix, ansatz=ansatz, reference=reference)
 
 
@@ -274,8 +274,15 @@ class VqeRun:
     optimizer: str
 
     @property
-    def rate(self) -> float:
-        return rate_constant(self.value)
+    def rate(self) -> float | None:
+        """`rate_constant` of the best value, or None where it refuses one.
+
+        A sampled or noisy estimate can fall below zero, where no rate is defined.
+        """
+        try:
+            return rate_constant(self.value)
+        except ValueError:
+            return None
 
     @property
     def error_percent(self) -> float:

@@ -17,6 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 OFFDIAG_TOL = 1e-12
+# Jacobi gives up after this many sweeps
+_MAX_SWEEPS = 100
 
 
 @lru_cache(maxsize=16)
@@ -71,7 +73,7 @@ def _checked_symmetric(matrix) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = OFFDIAG_TOL, max_sweeps: int = 100):
+def jacobi_eigh(matrix: np.ndarray):
     """Eigenvalues and eigenvectors of a real symmetric matrix.
 
     Returns (w, v) with v[:, i] the eigenvector for w[i], in no particular
@@ -83,7 +85,7 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = OFFDIAG_TOL, max_sweeps: int = 
     scale = float(np.linalg.norm(a))
     if scale == 0.0:
         return np.zeros(n), np.eye(n)
-    thresh = tol * scale
+    thresh = OFFDIAG_TOL * scale
 
     # row i holds column i of the matrix followed by eigenvector i, so the
     # two vectors one rotation turns are contiguous rows p and q
@@ -96,7 +98,7 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = OFFDIAG_TOL, max_sweeps: int = 
     sy = np.empty(2 * n)
     # rotations below this are pointless at double precision
     skip = thresh / max(n, 2)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         if _offdiag_norm(a) <= thresh:
             break
         for p in range(n - 1):
@@ -132,16 +134,18 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = OFFDIAG_TOL, max_sweeps: int = 
                 x[q] = y[p] = 0.0
     else:
         raise ValueError(
-            f"Jacobi sweep limit ({max_sweeps}) exceeded; "
+            f"Jacobi sweep limit ({_MAX_SWEEPS}) exceeded; "
             f"residual off-diagonal norm {_offdiag_norm(a):.3e}"
         )
     return np.diag(a).copy(), stacked[:, n:].T.copy()
 
 
-def canonical_sign(vec: np.ndarray) -> np.ndarray:
-    """Flip an eigenvector so its largest-magnitude entry is positive.
+def canonicalize_signs(vectors: np.ndarray) -> np.ndarray:
+    """Flip columns in place so each one's first largest-magnitude entry is positive.
 
-    Deterministic tie-break: the first entry attaining the maximum decides.
+    Returns the row index of that entry in every column. A column that is
+    flipped has its zeros turned into -0.0, as a negation does.
     """
-    idx = int(np.argmax(np.abs(vec)))
-    return -vec if vec[idx] < 0.0 else vec.copy()
+    peaks = np.argmax(np.abs(vectors), axis=0)
+    np.negative(vectors, out=vectors, where=vectors[peaks, np.arange(vectors.shape[1])] < 0.0)
+    return peaks

@@ -20,7 +20,6 @@ from .linalg import _exactly_symmetric
 PRUNE_TOL = 1e-12
 
 _LETTER_FOR_BITS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-_BITS_FOR_LETTER = {v: k for k, v in _LETTER_FOR_BITS.items()}
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
@@ -38,19 +37,6 @@ class PauliString:
         limit = 1 << self.qubits
         if not (0 <= self.x < limit and 0 <= self.z < limit):
             raise ValueError("bitmask does not fit the qubit register")
-
-    @classmethod
-    def from_label(cls, label: str) -> "PauliString":
-        x = z = 0
-        for letter in label:
-            if letter not in _BITS_FOR_LETTER:
-                raise ValueError(f"unknown Pauli letter {letter!r}")
-            xb, zb = _BITS_FOR_LETTER[letter]
-            x = (x << 1) | xb
-            z = (z << 1) | zb
-        if not label:
-            raise ValueError("empty Pauli label")
-        return cls(qubits=len(label), x=x, z=z)
 
     @property
     def label(self) -> str:

@@ -42,7 +42,9 @@ package's cosine series pointwise.  `jacobi_parity_eigenvalues` diagonalizes
 the package's generator blocks with its own Jacobi solver, which the masked
 loop above checks bit for bit, as a reference for the cutoff guard's LAPACK
 eigenvalues.  `serial_spectrum` is the former mode-by-mode assembly of a
-dihedral's spectrum from its generator at the cutoff itself, and
+dihedral's spectrum from its generator at the cutoff itself, each
+eigenvector's sign fixed one column at a time by `canonical_sign`, the
+per-column form of the package's vectorized sign rule, and
 `numpy_scalar_composite_states` the former odd-sector filter and state
 order, run on numpy scalars; the package's array assembly from the doubled
 build, and its array-based filter and order, reproduce them bit for bit.
@@ -52,6 +54,8 @@ average every input; the package's exact-symmetry fast path must reproduce
 their results and refusals. `former_cold_build` chains the former
 spectrum, state order, chain matrix, checks and Pauli map into
 `build_problem`'s outputs, which the package reproduces bit for bit.
+`pauli_string` parses a label such as 'XIZ' into the package's (x, z)
+mask pair, and `operator_from_text` reads `rotorvqe map` output back.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ import math
 import numpy as np
 
 from rotorvqe import driver, qsim
-from rotorvqe.chain import CompositeBasis, pad_matrix
+from rotorvqe.chain import CompositeBasis, pad_matrix, reference_spectrum
 from rotorvqe.dihedral import (
     _DEGENERACY_TOL,
     DihedralEigenbasis,
@@ -73,7 +77,7 @@ from rotorvqe.dihedral import (
     fourier_parities,
     uprime_matrix_elements,
 )
-from rotorvqe.linalg import OFFDIAG_TOL, _offdiag_norm, canonical_sign, jacobi_eigh
+from rotorvqe.linalg import OFFDIAG_TOL, _offdiag_norm, jacobi_eigh
 from rotorvqe.paulimap import PRUNE_TOL, PauliOperator, PauliString
 from rotorvqe.potential import cosine_series
 
@@ -326,6 +330,20 @@ def jacobi_parity_eigenvalues(spec, prefactor: float, harmonics: int) -> tuple:
     return tuple(blocks)
 
 
+def canonical_sign(vec: np.ndarray) -> np.ndarray:
+    """Flip an eigenvector so its largest-magnitude entry is positive.
+
+    Deterministic tie-break: the first entry attaining the maximum decides.
+    """
+    idx = int(np.argmax(np.abs(vec)))
+    return -vec if vec[idx] < 0.0 else vec.copy()
+
+
+def lowest_eigenvalue(matrix: np.ndarray) -> float:
+    """The chain's lambda_1 read the way `build_problem` and `rotorvqe reference` read it."""
+    return float(reference_spectrum(matrix)[0][0])
+
+
 def serial_spectrum(spec, prefactor: float, harmonics: int):
     """A dihedral's (eigenvalues, vectors, parities), one mode at a time.
 
@@ -414,6 +432,23 @@ def map_element(row: int, col: int, value: float, qubits: int) -> dict:
     return out
 
 
+_BITS_FOR_LETTER = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+
+
+def pauli_string(label: str) -> PauliString:
+    """The Pauli string a label such as 'XIZ' names; its first letter is qubit 1."""
+    x = z = 0
+    for letter in label:
+        if letter not in _BITS_FOR_LETTER:
+            raise ValueError(f"unknown Pauli letter {letter!r}")
+        xb, zb = _BITS_FOR_LETTER[letter]
+        x = (x << 1) | xb
+        z = (z << 1) | zb
+    if not label:
+        raise ValueError("empty Pauli label")
+    return PauliString(qubits=len(label), x=x, z=z)
+
+
 def operator_from_text(text: str) -> PauliOperator:
     """Parse `rotorvqe map` output back: one `LABEL coefficient` line per term.
 
@@ -430,7 +465,7 @@ def operator_from_text(text: str) -> PauliOperator:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"expected 'LABEL value', got {line!r}")
-        string = PauliString.from_label(parts[0])
+        string = pauli_string(parts[0])
         if qubits is None:
             qubits = string.qubits
         elif string.qubits != qubits:

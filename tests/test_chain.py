@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
-from rotorvqe import dihedral
+from rotorvqe import dihedral, driver
 from rotorvqe.chain import (
     build_chain_matrix,
     build_composite_basis,
-    lowest_eigenvalue,
     pad_matrix,
     rate_constant,
     reference_spectrum,
@@ -296,7 +295,44 @@ def test_problem_reference_is_the_lowest_spectrum_value_bit_for_bit(barrier):
         problem = build_problem(standard_chain(barrier), rung, ladder=LADDER[: i + 1])
         expected = float(reference_spectrum(problem.matrix)[0][0])
         assert np.float64(problem.reference).tobytes() == np.float64(expected).tobytes()
-        assert lowest_eigenvalue(problem.matrix) == expected
+        assert type(problem.reference) is float
+
+
+def test_build_problem_reads_the_driver_reference_spectrum_once(monkeypatch):
+    # the reference is read through the driver's own name, the one a tracer wraps
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return reference_spectrum(matrix)
+
+    monkeypatch.setattr(driver, "reference_spectrum", counting)
+    shapes = []
+    for i, rung in enumerate(LADDER):
+        shapes.append(build_problem(standard_chain(), rung, ladder=LADDER[: i + 1]).matrix.shape)
+        assert calls == shapes
+
+
+def test_reference_spectrum_signs_match_the_per_column_oracle_bit_for_bit():
+    # a +-x tie in magnitude, where the first entry decides; zero entries;
+    # and degenerate spectra, whose eigenvectors LAPACK picks freely
+    tie = np.array([[0.0, 1.0], [1.0, 0.0]])
+    matrices = [
+        tie,
+        -tie,
+        np.diag([3.0, -1.0, 2.0]),
+        np.diag([2.0, 2.0, 2.0]),
+        np.kron(np.eye(2), tie),
+        np.kron(np.ones((2, 2)), tie),
+        np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, -1.0, 0.0]]),
+        build_problem(standard_chain(3.0), (8, 4), ladder=LADDER).matrix,
+    ]
+    for matrix in matrices:
+        values, raw = np.linalg.eigh(matrix)
+        expected = np.column_stack([oracles.canonical_sign(raw[:, i]) for i in range(raw.shape[1])])
+        w, v = reference_spectrum(matrix)
+        assert w.tobytes() == values.tobytes()
+        assert v.tobytes() == expected.tobytes()
 
 
 # both ends of a barrier scan plus seeded heights in between
@@ -315,8 +351,7 @@ def test_reference_spectrum_matches_jacobi_oracle_within_tolerance(barrier):
         expected = np.sort(jacobi_eigh(matrix)[0])
         w, v = reference_spectrum(matrix)
         assert np.all(np.diff(w) >= 0.0)
-        for value in (lowest_eigenvalue(matrix), w[0]):
-            assert abs(value - expected[0]) <= LAMBDA1_RTOL * abs(expected[0])
+        assert abs(w[0] - expected[0]) <= LAMBDA1_RTOL * abs(expected[0])
         assert np.max(np.abs(w - expected)) <= SPECTRUM_RTOL * np.max(np.abs(expected))
         residuals = np.linalg.norm(matrix @ v - v * w, axis=0)
         assert np.all(residuals <= 1e-12 * np.linalg.norm(matrix, 2))
@@ -336,7 +371,7 @@ BAD_MATRICES = {
 }
 
 
-@pytest.mark.parametrize("solver", [reference_spectrum, lowest_eigenvalue])
+@pytest.mark.parametrize("solver", [reference_spectrum, oracles.lowest_eigenvalue])
 @pytest.mark.parametrize("kind", BAD_MATRICES)
 def test_chain_solvers_reject_what_jacobi_rejects(solver, kind):
     matrix = BAD_MATRICES[kind]

@@ -100,6 +100,33 @@ def test_vqe_json_csv_and_bitstrings(tmp_path, quick_cfg, capsys):
     assert len(rows) > 40  # one record per iteration plus header and final point
 
 
+# a one-shot sampled estimate that falls below zero: no rate, but a run
+NEGATIVE_ESTIMATE = [
+    "--set", "dihedrals=Monostable:0.6137712619882808,bistable:0.445618592956778",
+    "--set", "diffusion=1.381247950951718,1.8218641676966871,1.9",
+    "--set", "kept=2,3", "--set", "harmonics=14", "--set", "depth=2",
+    "--set", "mode=sampled", "--set", "shots=1", "--set", "grouping=No",
+    "--set", "optimizer=nelder-mead", "--set", "gain_policy=fixed",
+    "--set", "iterations=2", "--set", "seed=1302600",
+]
+
+
+def test_vqe_reports_no_rate_for_a_negative_estimate(tmp_path, capsys):
+    out = tmp_path / "run.json"
+    assert main(["vqe", *NEGATIVE_ESTIMATE, "--out", str(out)]) == 0
+    printed = capsys.readouterr()
+    lines = printed.out.splitlines()
+    assert "best value  : -34.430893" in lines
+    assert lines[-1] == "rate        : -"
+    assert printed.err == ""
+    payload = json.loads(out.read_text())
+    assert payload["value"] < 0.0 and payload["rate"] is None
+    # the classical reference of the same chain still has its rate
+    assert main(["reference", *NEGATIVE_ESTIMATE, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())[0]
+    assert payload["rate"] == 0.5 * payload["lambda1"] > 0.0
+
+
 def test_ensemble_outputs(tmp_path, quick_cfg, capsys):
     csv_path = tmp_path / "ens.csv"
     assert main(["ensemble", "--config", quick_cfg, "--out", str(csv_path)]) == 0

@@ -14,11 +14,9 @@ from rotorvqe.dihedral import (
     _effective_well_poly,
     _product_plan,
     _solve,
-    _unchecked_generator,
     _uprime_poly,
     build_single_dihedral_matrix,
     derivative_matrix_elements,
-    diagonalize_dihedral,
     fourier_derivative_matrix,
     fourier_parities,
     fourier_uprime_matrix,
@@ -82,7 +80,7 @@ def test_matrix_validation():
 
 
 def test_free_rotor_spectrum_and_tiebreak():
-    basis = diagonalize_dihedral(DihedralSpec(MONOSTABLE, 0.0), 2.0, n_keep=4, harmonics=4)
+    basis = solve_dihedral(DihedralSpec(MONOSTABLE, 0.0), 2.0, n_keep=4, harmonics=4)
     assert np.allclose(basis.eigenvalues, [0.0, 2.0, 2.0, 8.0], atol=1e-12)
     # each degenerate pair holds one even and one odd member; ties resolve
     # odd first, which keeps truncated sets parity-alternating
@@ -93,7 +91,7 @@ def test_free_rotor_spectrum_and_tiebreak():
 
 @pytest.mark.parametrize("kind,barrier", CASES)
 def test_eigse_basic_properties(kind, barrier):
-    basis = diagonalize_dihedral(DihedralSpec(kind, barrier), 2.0, n_keep=6, harmonics=16)
+    basis = solve_dihedral(DihedralSpec(kind, barrier), 2.0, n_keep=6, harmonics=16)
     assert basis.eigenvalues[0] == pytest.approx(0.0, abs=1e-9)
     assert np.all(np.diff(basis.eigenvalues) >= -1e-12)
     assert np.all(basis.eigenvalues >= -1e-9)
@@ -113,13 +111,13 @@ def test_eigse_basic_properties(kind, barrier):
 
 @pytest.mark.parametrize("kind,barrier", [(MONOSTABLE, 1.0), (BISTABLE, 0.5), (BISTABLE, 3.0)])
 def test_low_lying_parities_alternate(kind, barrier):
-    basis = diagonalize_dihedral(DihedralSpec(kind, barrier), 2.0, n_keep=4, harmonics=16)
+    basis = solve_dihedral(DihedralSpec(kind, barrier), 2.0, n_keep=4, harmonics=16)
     assert list(basis.parities) == [1, -1, 1, -1]
 
 
 @pytest.mark.parametrize("kind,barrier", [(MONOSTABLE, 1.0), (BISTABLE, 0.5), (BISTABLE, 3.0)])
 def test_ground_state_is_sqrt_boltzmann(kind, barrier):
-    basis = diagonalize_dihedral(DihedralSpec(kind, barrier), 2.0, n_keep=2, harmonics=16)
+    basis = solve_dihedral(DihedralSpec(kind, barrier), 2.0, n_keep=2, harmonics=16)
     expected = oracles.sqrt_boltzmann_coefficients(kind, barrier, harmonics=16)
     overlap = abs(float(expected @ basis.vectors[:, 0]))
     assert overlap >= 1.0 - 1e-8
@@ -144,10 +142,10 @@ def test_solve_dihedral_guard():
 def test_solve_dihedral_accepts_converged_near_degenerate_pairs(barrier, harmonics, n_keep):
     spec = DihedralSpec(BISTABLE, barrier)
     basis = solve_dihedral(spec, 2.0, n_keep, harmonics)
-    fresh = diagonalize_dihedral(spec, 2.0, n_keep, harmonics)
-    assert basis.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
-    assert basis.vectors.tobytes() == fresh.vectors.tobytes()
-    assert basis.parities.tobytes() == fresh.parities.tobytes()
+    values, vectors, parities = oracles.serial_spectrum(spec, 2.0, harmonics)
+    assert basis.eigenvalues.tobytes() == values[:n_keep].tobytes()
+    assert basis.vectors.tobytes() == vectors[:, :n_keep].tobytes()
+    assert basis.parities.tobytes() == parities[:n_keep].tobytes()
 
 
 @pytest.mark.parametrize("kind", [MONOSTABLE, BISTABLE])
@@ -165,9 +163,9 @@ def test_guard_eigenvalues_match_jacobi_oracle(kind, barrier):
 def test_n_keep_validation():
     spec = DihedralSpec(MONOSTABLE, 1.0)
     with pytest.raises(ValueError):
-        diagonalize_dihedral(spec, 2.0, n_keep=0)
+        solve_dihedral(spec, 2.0, n_keep=0)
     with pytest.raises(ValueError, match=r"\[1, 9\] at harmonics=4, got kept=10"):
-        diagonalize_dihedral(spec, 2.0, n_keep=10, harmonics=4)
+        solve_dihedral(spec, 2.0, n_keep=10, harmonics=4)
     # a cutoff below one harmonic is named before the kept count it bounds
     for harmonics in (0, -2):
         with pytest.raises(ValueError, match=f"at least one harmonic, got harmonics={harmonics}"):
@@ -195,13 +193,13 @@ def test_oversized_cutoff_is_refused_before_any_allocation(monkeypatch):
 
     monkeypatch.setattr(dihedral, "_solve", passed)
     with pytest.raises(LookupError):
-        diagonalize_dihedral(spec, 2.0, 4, harmonics=2047)
+        solve_dihedral(spec, 2.0, 4, harmonics=2047)
     with pytest.raises(ValueError, match="needs a 8193 x 8193 generator"):
-        diagonalize_dihedral(spec, 2.0, 4, harmonics=2048)
+        solve_dihedral(spec, 2.0, 4, harmonics=2048)
 
 
 def test_derivative_matrix_free_rotor():
-    basis = diagonalize_dihedral(DihedralSpec(MONOSTABLE, 0.0), 2.0, n_keep=3, harmonics=2)
+    basis = solve_dihedral(DihedralSpec(MONOSTABLE, 0.0), 2.0, n_keep=3, harmonics=2)
     dmat = derivative_matrix_elements(basis)
     # kept order is [const, sin, cos]; <cos|d/dtheta|sin> = +1
     assert list(basis.parities) == [1, -1, 1]
@@ -219,7 +217,7 @@ def test_fourier_derivative_matrix_matches_quadrature():
 
 @pytest.mark.parametrize("kind,barrier", [(MONOSTABLE, 1.0), (BISTABLE, 0.5)])
 def test_coupling_elements_properties(kind, barrier):
-    basis = diagonalize_dihedral(DihedralSpec(kind, barrier), 2.0, n_keep=5, harmonics=16)
+    basis = solve_dihedral(DihedralSpec(kind, barrier), 2.0, n_keep=5, harmonics=16)
     dmat = derivative_matrix_elements(basis)
     umat = uprime_matrix_elements(basis)
     assert np.allclose(dmat, -dmat.T, atol=1e-12)
@@ -240,7 +238,7 @@ def test_uprime_matrix_matches_quadrature():
 
 
 def test_uprime_zero_for_free_rotor():
-    basis = diagonalize_dihedral(DihedralSpec(BISTABLE, 0.0), 2.0, n_keep=4, harmonics=4)
+    basis = solve_dihedral(DihedralSpec(BISTABLE, 0.0), 2.0, n_keep=4, harmonics=4)
     assert np.abs(uprime_matrix_elements(basis)).max() == 0.0
 
 
@@ -316,7 +314,7 @@ def test_doubled_generator_leading_block_is_the_cutoff_build(kind, barrier):
     for harmonics in (1, 4, 16):
         for prefactor in (2.0, 0.75):
             size = 2 * harmonics + 1
-            doubled = _unchecked_generator(spec, prefactor, 2 * harmonics)
+            doubled = build_single_dihedral_matrix(spec, prefactor, 2 * harmonics)
             built = build_single_dihedral_matrix(spec, prefactor, harmonics)
             assert doubled[:size, :size].tobytes() == built.tobytes()
 
@@ -368,23 +366,19 @@ def test_refusals_keep_their_texts():
     "kind, barrier, harmonics",
     [(BISTABLE, 8.8e76, 16), (BISTABLE, 1.25e77, 4), (MONOSTABLE, 2.46e77, 4)],
 )
-def test_doubled_build_refuses_nothing_the_cutoff_build_accepts(kind, barrier, harmonics):
+def test_barrier_that_overflows_only_at_twice_the_cutoff_is_refused(kind, barrier, harmonics):
     # the generator's norm is finite at the cutoff and overflows at twice it:
-    # a diagonalization at the cutoff goes through, the cutoff guard refuses.
-    # _solve builds the doubled generator for both and records, rather than
-    # raises, an overflow of the doubled block alone
+    # the cutoff guard needs the doubled generator, so _solve refuses its build
     spec = DihedralSpec(kind, barrier)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.isfinite(np.linalg.norm(build_single_dihedral_matrix(spec, 2.0, harmonics)))
-        with pytest.raises(ValueError, match="overflows its generator matrix"):
+        overflows = re.escape(f"{spec} overflows its generator matrix; lower the barrier")
+        with pytest.raises(ValueError, match=overflows):
             build_single_dihedral_matrix(spec, 2.0, 2 * harmonics)
-        basis = diagonalize_dihedral(spec, 2.0, 4, harmonics)
-        expected = oracles.serial_spectrum(spec, 2.0, harmonics)
-        assert basis.eigenvalues.tobytes() == expected[0][:4].tobytes()
-        assert basis.vectors.tobytes() == expected[1][:, :4].tobytes()
-        with pytest.raises(ValueError, match=re.escape(f"{spec} overflows its generator matrix")):
-            solve_dihedral(spec, 2.0, 4, harmonics)
+        for solve in (lambda: _solve(spec, 2.0, harmonics), lambda: solve_dihedral(spec, 2.0, 4, harmonics)):
+            with pytest.raises(ValueError, match=overflows):
+                solve()
 
 
 @pytest.mark.parametrize("barrier", [1e200, 1e150, 1e100])
@@ -443,26 +437,17 @@ def test_shared_caches_cannot_be_written_through_results():
         with pytest.raises(ValueError):
             array[0] = 7
     # the spectrum and the guard's doubled-cutoff eigenvalues are shared by
-    # every kept count; the unwrapped solver reads both (one lookup each)
-    # even where solve_dihedral's cache hits
+    # every kept count; the unwrapped solver reads both in one lookup even
+    # where solve_dihedral's cache hits
     before = _solve.cache_info()
     for n_keep in (6, 8):
         solve_dihedral.__wrapped__(spec, 2.0, n_keep)
     assert _solve.cache_info().misses == before.misses
-    assert _solve.cache_info().hits == before.hits + 4
+    assert _solve.cache_info().hits == before.hits + 2
     values, vectors, parities, guard = _solve(spec, 2.0, 16)
     for array in (values, vectors, parities, *guard):
         with pytest.raises(ValueError):
             array[0] = 7
-    # a fresh diagonalization hands out copies of the cached spectrum
-    first = diagonalize_dihedral(spec, 2.0, 6)
-    expected = [first.eigenvalues.copy(), first.vectors.copy(), first.parities.copy()]
-    for array in (first.eigenvalues, first.vectors, first.parities):
-        array[...] = 0
-    again = diagonalize_dihedral(spec, 2.0, 6)
-    assert again.eigenvalues.tobytes() == expected[0].tobytes()
-    assert again.vectors.tobytes() == expected[1].tobytes()
-    assert again.parities.tobytes() == expected[2].tobytes()
 
 
 def test_uprime_matrix_is_cached_read_only_and_bitwise_fresh():

@@ -6,7 +6,7 @@ import oracles
 from rotorvqe import chain as chain_module, linalg, paulimap
 from rotorvqe.chain import build_chain_matrix, build_composite_basis, pad_matrix
 from rotorvqe.dihedral import build_single_dihedral_matrix, fourier_parities
-from rotorvqe.linalg import _checked_symmetric, canonical_sign, jacobi_eigh
+from rotorvqe.linalg import _checked_symmetric, canonicalize_signs, jacobi_eigh
 from rotorvqe.potential import BISTABLE, MONOSTABLE, ChainSpec, DihedralSpec
 
 LADDER = ((4, 2), (4, 4), (8, 4))
@@ -97,12 +97,22 @@ def test_checked_symmetric_accepts_and_rejects(matrix, error):
     assert np.array_equal(_checked_symmetric(matrix), 0.5 * (a + a.T))
 
 
-def test_canonical_sign():
-    v = np.array([0.1, -0.9, 0.3])
-    assert canonical_sign(v)[1] == pytest.approx(0.9)
-    assert np.allclose(canonical_sign(-v), canonical_sign(v) * -1.0 * -1.0)
-    w = np.array([0.5, -0.5])
-    assert canonical_sign(w)[0] == pytest.approx(0.5)
+def test_canonicalize_signs_matches_the_per_column_oracle_bit_for_bit():
+    # columns: a largest entry that is negative, a +-x tie (the first entry
+    # decides) either way round, all zeros, signed zeros, and one positive
+    columns = [
+        [0.1, -0.9, 0.3],
+        [0.5, -0.5, 0.0],
+        [-0.5, 0.5, 0.0],
+        [0.0, 0.0, 0.0],
+        [-0.0, -0.7, 0.0],
+        [0.2, 0.0, -0.1],
+    ]
+    vectors = np.array(columns).T
+    expected = np.column_stack([oracles.canonical_sign(vectors[:, i]) for i in range(len(columns))])
+    peaks = canonicalize_signs(vectors)
+    assert vectors.tobytes() == expected.tobytes()
+    assert peaks.tolist() == [1, 0, 0, 0, 1, 0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -183,7 +193,7 @@ SYMMETRY_SOLVERS = {
     ),
     "jacobi_eigh": (jacobi_eigh, linalg, "_checked_symmetric", oracles.tolerance_checked_symmetric),
     "lowest_eigenvalue": (
-        chain_module.lowest_eigenvalue, chain_module, "_checked_symmetric", oracles.tolerance_checked_symmetric
+        oracles.lowest_eigenvalue, chain_module, "_checked_symmetric", oracles.tolerance_checked_symmetric
     ),
     "reference_spectrum": (
         chain_module.reference_spectrum, chain_module, "_checked_symmetric", oracles.tolerance_checked_symmetric

@@ -45,6 +45,7 @@ from oracles import (
     gather_sampled_expectations,
     kraus_outcome_distributions,
     numpy_starts,
+    pauli_string,
     serial_counts,
     serial_noisy_distributions,
     serial_prepare_state,
@@ -68,7 +69,7 @@ def chain_problem(kept):
 
 def single_z(coef=1.0):
     return PauliOperator(
-        qubits=1, strings=(PauliString.from_label("Z"),), coefficients=(coef,)
+        qubits=1, strings=(pauli_string("Z"),), coefficients=(coef,)
     )
 
 
@@ -141,8 +142,8 @@ def test_qubit_one_is_most_significant_bit():
     ansatz = AnsatzSpec(qubits=2, depth=0)
     state = prepare_state(ansatz, [math.pi, 0, 0, 0])
     assert abs(state[2]) == pytest.approx(1.0)
-    zi = PauliOperator(qubits=2, strings=(PauliString.from_label("ZI"),), coefficients=(1.0,))
-    iz = PauliOperator(qubits=2, strings=(PauliString.from_label("IZ"),), coefficients=(1.0,))
+    zi = PauliOperator(qubits=2, strings=(pauli_string("ZI"),), coefficients=(1.0,))
+    iz = PauliOperator(qubits=2, strings=(pauli_string("IZ"),), coefficients=(1.0,))
     assert exact_expectation(state, zi) == pytest.approx(-1.0)
     assert exact_expectation(state, iz) == pytest.approx(1.0)
 
@@ -321,7 +322,7 @@ def test_exact_expectation_basics():
     zero = np.array([1.0, 0.0])
     assert exact_expectation(zero, single_z()) == pytest.approx(1.0)
     plus = prepare_state(AnsatzSpec(qubits=1, depth=0), [math.pi / 2, 0.0])
-    x_op = PauliOperator(qubits=1, strings=(PauliString.from_label("X"),), coefficients=(1.0,))
+    x_op = PauliOperator(qubits=1, strings=(pauli_string("X"),), coefficients=(1.0,))
     assert exact_expectation(plus, x_op) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         exact_expectation(np.zeros(4), single_z())
@@ -360,7 +361,7 @@ def test_variational_bound_on_random_states():
 
 def test_sampled_identity_operator_is_exact():
     # no setting to measure: both modes' distribution tables have an empty settings axis
-    op = PauliOperator(qubits=2, strings=(PauliString.from_label("II"),), coefficients=(3.7,))
+    op = PauliOperator(qubits=2, strings=(pauli_string("II"),), coefficients=(3.7,))
     points = np.linspace(0.1, 1.5, 16).reshape(2, 8)
     assert len(qsim._measurement_plan(op, True).outcomes) == 0
     for noise in (None, NoiseSpec()):
@@ -375,7 +376,7 @@ def test_measurement_bases_read_their_eigenstates_as_one():
     ansatz = AnsatzSpec(qubits=1, depth=0)
     eigenstates = {"Z": [0.0, 0.0], "X": [math.pi / 2, 0.0], "Y": [math.pi / 2, math.pi / 2]}
     for letter, params in eigenstates.items():
-        op = PauliOperator(qubits=1, strings=(PauliString.from_label(letter),), coefficients=(1.0,))
+        op = PauliOperator(qubits=1, strings=(pauli_string(letter),), coefficients=(1.0,))
         for noise in (None, NoiseSpec(0.0, 0.0, None)):
             for shots in (1, 20000):
                 value, variance = seeded_estimate(ansatz, [params], op, shots, range(3), noise)
@@ -414,7 +415,7 @@ def test_sampled_expectations_rows_match_single_estimates_bit_for_bit(
     coefficients = data.draw(st.lists(st.floats(-3, 3), min_size=len(labels), max_size=len(labels)))
     op = PauliOperator(
         qubits=qubits,
-        strings=tuple(PauliString.from_label(label) for label in labels),
+        strings=tuple(pauli_string(label) for label in labels),
         coefficients=tuple(coefficients),
     )
     points = data.draw(
@@ -467,7 +468,7 @@ def test_distribution_tables_run_in_bounded_blocks(monkeypatch):
     labels = sorted({"".join(rng.choice(list("XYZ"), 4)) for _ in range(40)})[:30]
     op = PauliOperator(
         qubits=4,
-        strings=tuple(PauliString.from_label(label) for label in labels),
+        strings=tuple(pauli_string(label) for label in labels),
         coefficients=tuple(rng.normal(size=len(labels))),
     )
     ansatz = AnsatzSpec(qubits=4)
@@ -508,7 +509,7 @@ def test_sampled_expectations_validation():
 
 def test_estimate_refuses_a_plan_of_another_register():
     # a plan holds no operator: its outcome table, empty or not, gives its register
-    identity = PauliOperator(qubits=2, strings=(PauliString.from_label("II"),), coefficients=(1.0,))
+    identity = PauliOperator(qubits=2, strings=(pauli_string("II"),), coefficients=(1.0,))
     for op, qubits in ((single_z(), 2), (identity, 1)):
         plan = qsim._measurement_plan(op, True)
         ansatz = AnsatzSpec(qubits=qubits, depth=0)
@@ -803,7 +804,7 @@ def test_noisy_distributions_match_kraus_oracle():
         labels = ["I" * qubits] + ["".join(rng.choice(list("IXYZ"), qubits)) for _ in range(5)]
         op = PauliOperator(
             qubits=qubits,
-            strings=tuple(PauliString.from_label(label) for label in labels),
+            strings=tuple(pauli_string(label) for label in labels),
             coefficients=tuple(rng.normal(size=len(labels))),
         )
         flips = rng.uniform(0.0, 0.3, (qubits, 2))
