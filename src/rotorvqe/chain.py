@@ -30,7 +30,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .dihedral import DihedralEigenbasis, solve_dihedral
-from .linalg import _checked_symmetric, _strictly_lower, canonicalize_signs
+from .linalg import _NOT_FINITE, _checked_symmetric, _strictly_lower, canonicalize_signs
 from .potential import ChainSpec
 
 PAD_PENALTY_FACTOR = 10.0
@@ -215,7 +215,10 @@ def reference_spectrum(matrix: np.ndarray):
 
     Each column's first largest-magnitude entry is made positive.
     """
-    w, v = np.linalg.eigh(_checked_symmetric(matrix))
+    a = _checked_symmetric(matrix)
+    if not np.isfinite(a).all():
+        raise ValueError(_NOT_FINITE)
+    w, v = np.linalg.eigh(a)
     canonicalize_signs(v)
     return w, v
 

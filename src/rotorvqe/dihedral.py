@@ -286,14 +286,14 @@ def _solve(spec: DihedralSpec, prefactor: float, harmonics: int):
     doubled = build_single_dihedral_matrix(spec, prefactor, 2 * harmonics)
     matrix = doubled[:size, :size]
 
-    # the even block's modes, then the odd block's, each as a full-size column
-    blocks = []
+    # the even block's modes, then the odd block's, each as a full-size
+    # column; Jacobi turns both blocks in one sweep loop
+    parity_blocks = _parity_blocks(harmonics)
+    solved = jacobi_eigh([matrix[rows, cols] for rows, cols in parity_blocks])
     vectors = np.zeros((size, size))
-    for (rows, cols), start in zip(_parity_blocks(harmonics), (0, harmonics + 1)):
-        w, v = jacobi_eigh(matrix[rows, cols])
+    for (_, cols), (_, v), start in zip(parity_blocks, solved, (0, harmonics + 1)):
         vectors[cols, start : start + cols.size] = v
-        blocks.append(w)
-    values = np.concatenate(blocks)
+    values = np.concatenate([w for w, _ in solved])
     mode_parities = np.repeat((1, -1), (harmonics + 1, harmonics))
     peaks = canonicalize_signs(vectors)
 

@@ -7,6 +7,16 @@ matrix; the chain's own spectrum comes from LAPACK (`numpy.linalg.eigh`)
 behind the same input checks. Jacobi drives the off-diagonal mass below a
 tolerance relative to the Frobenius norm of the input; for matrices of
 order-one entries that is an absolute 1e-12.
+
+Jacobi takes several matrices at once, in practice the two parity blocks
+of one dihedral generator, and runs them in lockstep: one cyclic sweep
+loop visits each pivot (p, q) once for all of them. Each matrix keeps its
+own threshold, skip test, sweep count and sweep limit, and a matrix that
+has converged, or whose pivot is below its skip test, is left alone. Where
+every matrix turns at (p, q), one set of numpy calls turns all their rows
+p and q together; a rotation is elementwise, so each matrix comes out bit
+for bit as it would alone, and the parity blocks rotate at nearly the same
+pivots, so this halves the calls of a dihedral solve.
 """
 
 from __future__ import annotations
@@ -19,6 +29,8 @@ import numpy as np
 OFFDIAG_TOL = 1e-12
 # Jacobi gives up after this many sweeps
 _MAX_SWEEPS = 100
+# both solvers refuse an infinite entry, and Jacobi an overflowing norm
+_NOT_FINITE = "matrix has an entry or a norm that is not finite"
 
 
 @lru_cache(maxsize=16)
@@ -73,71 +85,111 @@ def _checked_symmetric(matrix) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def jacobi_eigh(matrix: np.ndarray):
-    """Eigenvalues and eigenvectors of a real symmetric matrix.
+def jacobi_eigh(matrices) -> list:
+    """Eigenvalues and eigenvectors of each real symmetric matrix in `matrices`.
 
-    Returns (w, v) with v[:, i] the eigenvector for w[i], in no particular
-    order. Raises ValueError if the input is not square/symmetric or if the
-    sweep limit is exceeded.
+    Returns one (w, v) per matrix, with v[:, i] the eigenvector for w[i], in
+    no particular order; each comes out bit for bit as it would alone.
+    Raises ValueError if a matrix is not square/symmetric, if an entry or
+    the norm of one is not finite, or if a sweep limit is exceeded.
     """
-    a = _checked_symmetric(matrix)
-    n = a.shape[0]
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(n), np.eye(n)
-    thresh = OFFDIAG_TOL * scale
+    blocks = [_checked_symmetric(matrix) for matrix in matrices]
+    # entries near the float limit overflow the norm, which is refused
+    with np.errstate(over="ignore"):
+        scales = [float(np.linalg.norm(a)) for a in blocks]
+    if not all(map(math.isfinite, scales)):
+        raise ValueError(_NOT_FINITE)
+    k = len(blocks)
+    sizes = [a.shape[0] for a in blocks]
+    n = max(sizes)
 
-    # row i holds column i of the matrix followed by eigenvector i, so the
-    # two vectors one rotation turns are contiguous rows p and q
-    stacked = np.hstack((a, np.eye(n)))
-    a = stacked[:, :n]
-    rows = list(stacked)
-    heads = [row[:n] for row in rows]
-    columns = [a[:, j] for j in range(n)]
-    sx = np.empty(2 * n)
-    sy = np.empty(2 * n)
+    # stacked[i, b] holds column i of matrix b followed by its eigenvector i,
+    # each zero-padded to n entries, so the vectors one rotation turns are
+    # the contiguous rows stacked[p, b] and stacked[q, b] of matrix b, and
+    # stacked[p] and stacked[q] of every matrix at once; every rotation
+    # keeps the padding +0.0, so it never passes a skip test
+    stacked = np.zeros((n, k, 2 * n))
+    views, live = [], []
+    for b, (a, m) in enumerate(zip(blocks, sizes)):
+        views.append(stacked[:m, b, :m])
+        stacked[:m, b, n : n + m] = np.eye(m)
+        # a zero matrix stays zero and takes no sweep
+        if scales[b] > 0.0:
+            views[b][...] = a
+            live.append(b)
+    # each matrix's diagonal, which only pivot writes change
+    diagonals = [view.diagonal().tolist() for view in views]
+    thresholds = [OFFDIAG_TOL * scale for scale in scales]
     # rotations below this are pointless at double precision
-    skip = thresh / max(n, 2)
+    skips = [thresh / max(m, 2) for thresh, m in zip(thresholds, sizes)]
+    rows = [list(stacked[:, b]) for b in range(k)]
+    heads = [[row[:n] for row in block] for block in rows]
+    columns = [[stacked[:, b, j] for j in range(n)] for b in range(k)]
+    joint = list(stacked.reshape(n, -1))
+    # each matrix's c and s filled across its part of a joint row: a product
+    # with these vectors rounds as with the scalars, and costs less
+    coeffs = np.empty((2, k, 2 * n))
+    cs, ss = coeffs.reshape(2, -1)
+    cparts, sparts = list(coeffs[0]), list(coeffs[1])
+    # s*x and s*y of the joint rows, or of one matrix's rows
+    sx, sy = np.empty((2, k * 2 * n))
+    sx1, sy1 = sx[: 2 * n], sy[: 2 * n]
+
     for _ in range(_MAX_SWEEPS):
-        if _offdiag_norm(a) <= thresh:
+        live = [b for b in live if not _offdiag_norm(views[b]) <= thresholds[b]]
+        if not live:
             break
         for p in range(n - 1):
-            x = rows[p]
+            pivots = [(b, rows[b][p], rows[b], diagonals[b], skips[b]) for b in live]
             for q in range(p + 1, n):
-                apq = x.item(q)
-                if abs(apq) <= skip:
+                turns = []
+                for b, x, block, diagonal, skip in pivots:
+                    apq = x.item(q)
+                    if abs(apq) > skip:
+                        app, aqq = diagonal[p], diagonal[q]
+                        tau = (aqq - app) / (2.0 * apq)
+                        t = 1.0
+                        if tau != 0.0:
+                            t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                        c = 1.0 / math.sqrt(1.0 + t * t)
+                        cparts[b].fill(c)
+                        sparts[b].fill(t * c)
+                        turns.append((b, x, block[q], diagonal, app - t * apq, aqq + t * apq))
+                if not turns:
                     continue
-                y = rows[q]
-                app, aqq = x.item(p), y.item(q)
-                tau = (aqq - app) / (2.0 * apq)
-                t = 1.0
-                if tau != 0.0:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-
                 # turn rows p and q in place into c*x - s*y and s*x + c*y
-                # (x*c and y*c + s*x round exactly as c*x and s*x + c*y),
-                # mirror the matrix part into columns p and q, then
-                # overwrite the four pivot entries (a[p, p] is x[p], a[p, q]
-                # is x[q], a[q, p] is y[p] and a[q, q] is y[q])
-                np.multiply(x, s, out=sx)
-                x *= c
-                np.multiply(y, s, out=sy)
-                x -= sy
-                y *= c
-                y += sx
-                columns[p][...] = heads[p]
-                columns[q][...] = heads[q]
-                x[p] = app - t * apq
-                y[q] = aqq + t * apq
-                x[q] = y[p] = 0.0
+                # (x*c and y*c + s*x round exactly as c*x and s*x + c*y):
+                # the joint rows when every matrix turns here, else the
+                # turning matrix's own
+                if len(turns) == k:
+                    rotations = ((joint[p], joint[q], cs, ss, sx, sy),)
+                else:
+                    rotations = [(x, y, cparts[b], sparts[b], sx1, sy1) for b, x, y, *_ in turns]
+                for x, y, c, s, xs, ys in rotations:
+                    np.multiply(x, s, out=xs)
+                    x *= c
+                    np.multiply(y, s, out=ys)
+                    x -= ys
+                    y *= c
+                    y += xs
+                # set the pivot entries of rows p and q (a[p, p] is x[p],
+                # a[p, q] is x[q] and a[q, q] is y[q]), then mirror the
+                # matrix part into columns p and q, which zeroes a[q, p]
+                for b, x, y, diagonal, app, aqq in turns:
+                    x[p] = diagonal[p] = app
+                    y[q] = diagonal[q] = aqq
+                    x[q] = 0.0
+                    columns[b][p][...] = heads[b][p]
+                    columns[b][q][...] = heads[b][q]
     else:
         raise ValueError(
             f"Jacobi sweep limit ({_MAX_SWEEPS}) exceeded; "
-            f"residual off-diagonal norm {_offdiag_norm(a):.3e}"
+            f"residual off-diagonal norm {_offdiag_norm(views[live[0]]):.3e}"
         )
-    return np.diag(a).copy(), stacked[:, n:].T.copy()
+    return [
+        (view.diagonal().copy(), stacked[:m, b, n : n + m].T.copy())
+        for b, (view, m) in enumerate(zip(views, sizes))
+    ]
 
 
 def canonicalize_signs(vectors: np.ndarray) -> np.ndarray:

@@ -33,16 +33,17 @@ starts reproduce,
 dict-product matrix builders and masked Jacobi rotation loop, and `map_element`, `elementwise_map_operator` and
 `loop_chain_matrix` the former per-element Pauli expansion and
 per-state-pair chain assembly, which the package's versions reproduce bit
-for bit.  The pairwise builders, `dict_uprime_poly` and
+for bit; the masked loop solves one matrix at a time, with its own
+off-diagonal norm, so it shares no Jacobi code with the package's lockstep.  The pairwise builders, `dict_uprime_poly` and
 `dict_effective_well_poly` run on this module's own copy of the package's
 former dict trig-polynomial algebra (`_tp_mul`, `_tp_diff` and friends),
 so they share no code with the index arithmetic they check; and
 `potential_value`, `potential_d1` and `potential_d2` evaluate the
 package's cosine series pointwise.  `jacobi_parity_eigenvalues` diagonalizes
-the package's generator blocks with its own Jacobi solver, which the masked
-loop above checks bit for bit, as a reference for the cutoff guard's LAPACK
-eigenvalues.  `serial_spectrum` is the former mode-by-mode assembly of a
-dihedral's spectrum from its generator at the cutoff itself, each
+the package's generator blocks with the masked loop, as a reference for
+the cutoff guard's LAPACK eigenvalues.  `serial_spectrum` is the former
+mode-by-mode assembly of a dihedral's spectrum from its generator at the
+cutoff itself, each parity block diagonalized by the masked loop and each
 eigenvector's sign fixed one column at a time by `canonical_sign`, the
 per-column form of the package's vectorized sign rule, and
 `numpy_scalar_composite_states` the former odd-sector filter and state
@@ -77,7 +78,7 @@ from rotorvqe.dihedral import (
     fourier_parities,
     uprime_matrix_elements,
 )
-from rotorvqe.linalg import OFFDIAG_TOL, _offdiag_norm, jacobi_eigh
+from rotorvqe.linalg import OFFDIAG_TOL
 from rotorvqe.paulimap import PRUNE_TOL, PauliOperator, PauliString
 from rotorvqe.potential import cosine_series
 
@@ -261,8 +262,12 @@ def pairwise_derivative_matrix(harmonics: int) -> np.ndarray:
     return out
 
 
+def _tril_offdiag_norm(a: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0))
+
+
 def masked_jacobi_eigh(matrix: np.ndarray, tol: float = OFFDIAG_TOL, max_sweeps: int = 100):
-    """Cyclic Jacobi with numpy scalar pivots and masked off-pivot updates."""
+    """Cyclic Jacobi with numpy scalar pivots and masked off-pivot updates, one matrix at a time."""
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -282,7 +287,7 @@ def masked_jacobi_eigh(matrix: np.ndarray, tol: float = OFFDIAG_TOL, max_sweeps:
     # rotations below this are pointless at double precision
     skip = thresh / max(n, 2)
     for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= thresh:
+        if _tril_offdiag_norm(a) <= thresh:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -314,7 +319,7 @@ def masked_jacobi_eigh(matrix: np.ndarray, tol: float = OFFDIAG_TOL, max_sweeps:
     else:
         raise ValueError(
             f"Jacobi sweep limit ({max_sweeps}) exceeded; "
-            f"residual off-diagonal norm {_offdiag_norm(a):.3e}"
+            f"residual off-diagonal norm {_tril_offdiag_norm(a):.3e}"
         )
     return np.diag(a).copy(), v
 
@@ -326,7 +331,7 @@ def jacobi_parity_eigenvalues(spec, prefactor: float, harmonics: int) -> tuple:
     blocks = []
     for parity in (1, -1):
         idx = np.flatnonzero(parities == parity)
-        blocks.append(np.sort(jacobi_eigh(matrix[np.ix_(idx, idx)])[0]))
+        blocks.append(np.sort(masked_jacobi_eigh(matrix[np.ix_(idx, idx)])[0]))
     return tuple(blocks)
 
 
@@ -347,8 +352,9 @@ def lowest_eigenvalue(matrix: np.ndarray) -> float:
 def serial_spectrum(spec, prefactor: float, harmonics: int):
     """A dihedral's (eigenvalues, vectors, parities), one mode at a time.
 
-    The generator is built at the cutoff itself; each parity block's Jacobi
-    modes are padded to full Fourier vectors one by one, each sign fixed by
+    The generator is built at the cutoff itself; each parity block's modes,
+    from `masked_jacobi_eigh`, are padded to full Fourier vectors one by
+    one, each sign fixed by
     `canonical_sign`, then ordered by eigenvalue, and inside each cluster
     of values within the degeneracy width of its first by (parity, dominant
     Fourier index).
@@ -360,7 +366,7 @@ def serial_spectrum(spec, prefactor: float, harmonics: int):
     entries = []
     for parity in (1, -1):
         idx = np.flatnonzero(parities == parity)
-        w, v = jacobi_eigh(matrix[np.ix_(idx, idx)])
+        w, v = masked_jacobi_eigh(matrix[np.ix_(idx, idx)])
         for i in range(len(idx)):
             full = np.zeros(size)
             full[idx] = v[:, i]

@@ -272,20 +272,20 @@ def test_cold_build_matches_former_code_bit_for_bit(chain, kept, ladder):
 
 
 def test_ladder_solves_each_distinct_dihedral_once(monkeypatch):
-    # one spectrum per distinct dihedral, two Jacobi parity blocks each,
-    # however many kept counts the ladder's rungs ask of it
+    # one spectrum per distinct dihedral, one Jacobi call on its two parity
+    # blocks, however many kept counts the ladder's rungs ask of it
     calls = []
 
-    def counting(matrix, *args, **kwargs):
-        calls.append(matrix.shape)
-        return jacobi_eigh(matrix, *args, **kwargs)
+    def counting(matrices):
+        calls.append([matrix.shape for matrix in matrices])
+        return jacobi_eigh(matrices)
 
     monkeypatch.setattr(dihedral, "jacobi_eigh", counting)
     dihedral.solve_dihedral.cache_clear()
     dihedral._solve.cache_clear()
     for i, rung in enumerate(THREE_DISTINCT_LADDER):
         build_problem(THREE_DISTINCT, rung, ladder=THREE_DISTINCT_LADDER[: i + 1])
-    assert len(calls) == 6
+    assert calls == [[(17, 17), (16, 16)]] * 3
     assert dihedral._solve.cache_info().misses == 3
 
 
@@ -348,7 +348,7 @@ SPECTRUM_RTOL = 4e-15
 def test_reference_spectrum_matches_jacobi_oracle_within_tolerance(barrier):
     for i, rung in enumerate(LADDER):
         matrix = build_problem(standard_chain(barrier), rung, ladder=LADDER[: i + 1]).matrix
-        expected = np.sort(jacobi_eigh(matrix)[0])
+        expected = np.sort(jacobi_eigh([matrix])[0][0])
         w, v = reference_spectrum(matrix)
         assert np.all(np.diff(w) >= 0.0)
         assert abs(w[0] - expected[0]) <= LAMBDA1_RTOL * abs(expected[0])
@@ -361,13 +361,14 @@ def test_reference_spectrum_matches_jacobi_oracle_within_tolerance(barrier):
 
 
 # bare LAPACK returns an empty spectrum, reads one triangle of the
-# non-symmetric matrix and returns a NaN eigenvalue, and raises its own
-# message on the non-square one
+# non-symmetric matrix, returns NaN eigenvalues for a NaN or an infinite
+# entry, and raises its own message on the non-square one
 BAD_MATRICES = {
     "non-square": np.zeros((2, 3)),
     "empty": np.zeros((0, 0)),
     "non-symmetric": np.array([[0.0, 1.0], [2.0, 0.0]]),
     "nan": np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    "inf": np.array([[1.0, np.inf], [np.inf, 2.0]]),
 }
 
 
@@ -376,7 +377,7 @@ BAD_MATRICES = {
 def test_chain_solvers_reject_what_jacobi_rejects(solver, kind):
     matrix = BAD_MATRICES[kind]
     with pytest.raises(ValueError) as jacobi_error:
-        jacobi_eigh(matrix)
+        jacobi_eigh([matrix])
     with pytest.raises(ValueError) as error:
         solver(matrix)
     assert str(error.value) == str(jacobi_error.value)

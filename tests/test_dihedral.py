@@ -25,6 +25,7 @@ from rotorvqe.dihedral import (
     uprime_matrix_elements,
 )
 from rotorvqe.driver import build_problem
+from rotorvqe.linalg import jacobi_eigh
 from rotorvqe.potential import BISTABLE, MONOSTABLE, ChainSpec, DihedralSpec
 
 CASES = [
@@ -304,6 +305,25 @@ def test_spectrum_matches_serial_oracle_bit_for_bit(kind, barrier):
                 assert array.dtype == oracle.dtype and array.shape == oracle.shape
                 assert array.tobytes() == oracle.tobytes()
             assert got[1].flags.c_contiguous
+
+
+@pytest.mark.parametrize("kind", [MONOSTABLE, BISTABLE])
+@pytest.mark.parametrize("barrier", [0.0, 0.5, 1.7, 3.0, 25.0])
+def test_parity_blocks_in_lockstep_match_the_masked_oracle_bit_for_bit(kind, barrier):
+    # the two blocks differ in order by one and mostly rotate at the same
+    # pivots; barrier 0 leaves both diagonal, and at 25 Jacobi hands back
+    # modes whose largest entry is negative
+    spec = DihedralSpec(kind, barrier)
+    for harmonics in (1, 4, 16, 32):
+        for prefactor in (2.0, 0.75):
+            matrix = build_single_dihedral_matrix(spec, prefactor, harmonics)
+            blocks = [matrix[rows, cols] for rows, cols in dihedral._parity_blocks(harmonics)]
+            solved = jacobi_eigh(blocks)
+            assert len(solved) == 2
+            for block, (w, v) in zip(blocks, solved):
+                expected_w, expected_v = oracles.masked_jacobi_eigh(block)
+                assert w.tobytes() == expected_w.tobytes()
+                assert v.tobytes() == expected_v.tobytes()
 
 
 @pytest.mark.parametrize("kind", [MONOSTABLE, BISTABLE])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,11 +14,14 @@ from rotorvqe.potential import BISTABLE, MONOSTABLE, ChainSpec, DihedralSpec
 LADDER = ((4, 2), (4, 4), (8, 4))
 
 
-def assert_matches_masked_oracle(a):
-    w, v = jacobi_eigh(a)
-    expected_w, expected_v = oracles.masked_jacobi_eigh(a)
-    assert w.tobytes() == expected_w.tobytes()
-    assert v.tobytes() == expected_v.tobytes()
+def assert_matches_masked_oracle(*matrices):
+    """Each matrix solved in one lockstep call, bit for bit as the masked oracle solves it alone."""
+    solved = jacobi_eigh(matrices)
+    assert len(solved) == len(matrices)
+    for a, (w, v) in zip(matrices, solved):
+        expected_w, expected_v = oracles.masked_jacobi_eigh(a)
+        assert w.tobytes() == expected_w.tobytes()
+        assert v.tobytes() == expected_v.tobytes()
 
 
 @pytest.mark.parametrize("size", [2, 5, 16, 33, 65])
@@ -24,7 +29,7 @@ def test_matches_numpy_eigh(size):
     rng = np.random.default_rng(size)
     a = rng.normal(size=(size, size))
     a = a + a.T
-    w, v = jacobi_eigh(a)
+    [(w, v)] = jacobi_eigh([a])
     order = np.argsort(w)
     w = w[order]
     v = v[:, order]
@@ -37,7 +42,7 @@ def test_matches_numpy_eigh(size):
 
 def test_diagonal_input_is_fixed_point():
     d = np.diag([3.0, -1.0, 2.0])
-    w, v = jacobi_eigh(d)
+    [(w, v)] = jacobi_eigh([d])
     assert np.array_equal(np.sort(w), np.array([-1.0, 2.0, 3.0]))
     assert np.allclose(np.abs(v), np.eye(3))
 
@@ -47,16 +52,16 @@ def test_large_scale_entries_converge():
     rng = np.random.default_rng(7)
     a = rng.normal(scale=500.0, size=(40, 40))
     a = a + a.T
-    w, _ = jacobi_eigh(a)
+    [(w, _)] = jacobi_eigh([a])
     expected = np.linalg.eigvalsh(a)
     assert np.allclose(np.sort(w), expected, atol=1e-8 * np.abs(expected).max())
 
 
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
-        jacobi_eigh(np.zeros((2, 3)))
+        jacobi_eigh([np.zeros((2, 3))])
     with pytest.raises(ValueError):
-        jacobi_eigh(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        jacobi_eigh([np.array([[0.0, 1.0], [2.0, 0.0]])])
 
 
 INF = np.inf
@@ -159,6 +164,101 @@ def test_matches_masked_rotation_oracle_on_padded_chain_matrices(barrier):
         assert_matches_masked_oracle(pad_matrix(build_chain_matrix(basis), basis.qubits))
 
 
+def _dense(rng, size, scale=1.0):
+    a = rng.normal(scale=scale, size=(size, size))
+    return a + a.T
+
+
+def _near_diagonal(size):
+    # one sweep takes it below the threshold, where a dense block needs more
+    a = np.diag(np.arange(1.0, size + 1.0))
+    a[0, 1] = a[1, 0] = 1e-3
+    return a
+
+
+@pytest.mark.parametrize("size", [2, 3, 5, 9, 16, 17, 33])
+def test_lockstep_matches_masked_oracle_on_random_pairs(size):
+    # seeded pairs of orders (n, n - 1), as the two parity blocks of one
+    # generator, across six decades of scale and with sparse entries
+    rng = np.random.default_rng(size)
+    for scale in (1e-3, 1.0, 1e3):
+        pair = [_dense(rng, size, scale), _dense(rng, size - 1, scale)]
+        pair[1][rng.random(pair[1].shape) < 0.5] = 0.0
+        pair[1] = pair[1] + pair[1].T
+        assert_matches_masked_oracle(*pair)
+        assert_matches_masked_oracle(*pair[::-1])
+
+
+def test_lockstep_matches_masked_oracle_on_unlike_blocks():
+    rng = np.random.default_rng(35)
+    dense, small = _dense(rng, 17), _dense(rng, 4)
+    # a dense block needs more sweeps than a near-diagonal one
+    with pytest.raises(ValueError, match="sweep limit"):
+        oracles.masked_jacobi_eigh(dense, max_sweeps=2)
+    oracles.masked_jacobi_eigh(_near_diagonal(16), max_sweeps=2)
+    cases = [
+        (dense, _near_diagonal(16)),
+        (_near_diagonal(17), _dense(rng, 16)),
+        # blocks of very unequal order
+        (dense, small),
+        (small, dense),
+        # a block that is already diagonal, and a zero block, take no sweep
+        (dense, np.diag([3.0, -1.0, 2.0, 0.0])),
+        (np.zeros((3, 3)), dense),
+        (dense, np.zeros((16, 16))),
+        (np.zeros((2, 2)), np.zeros((1, 1))),
+        # three matrices, and one alone
+        (dense, small, _dense(rng, 9)),
+        (dense,),
+    ]
+    for matrices in cases:
+        assert_matches_masked_oracle(*matrices)
+
+
+def test_lockstep_sweep_limit_names_the_first_unconverged_block(monkeypatch):
+    rng = np.random.default_rng(36)
+    first, second, easy = _dense(rng, 17), _dense(rng, 16), _near_diagonal(16)
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 2)
+
+    def oracle_text(matrix):
+        with pytest.raises(ValueError) as caught:
+            oracles.masked_jacobi_eigh(matrix, max_sweeps=2)
+        return str(caught.value)
+
+    # the text the same block raises alone, whichever block it is
+    for matrices, culprit in [((first, easy), first), ((easy, second), second), ((first, second), first)]:
+        with pytest.raises(ValueError) as caught:
+            jacobi_eigh(matrices)
+        assert str(caught.value) == oracle_text(culprit)
+        assert str(caught.value).startswith("Jacobi sweep limit (2) exceeded; residual off-diagonal norm ")
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        pytest.param([[1e200, 1e200], [1e200, 1e200]], id="norm-overflows"),
+        pytest.param([[1.0, INF], [INF, 2.0]], id="inf-pair"),
+        pytest.param([[INF, 1.0], [1.0, 0.0]], id="inf-diagonal"),
+        pytest.param([[1e200, 0.0], [0.0, 1e200]], id="diagonal-norm-overflows"),
+    ],
+)
+def test_non_finite_entry_or_norm_is_refused_without_a_warning(matrix):
+    # a non-finite norm made the threshold infinite, so Jacobi stopped at
+    # once and returned the input's diagonal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as caught:
+            jacobi_eigh([matrix])
+        assert str(caught.value) == linalg._NOT_FINITE
+        # in lockstep beside a finite block too
+        with pytest.raises(ValueError, match=linalg._NOT_FINITE):
+            jacobi_eigh([np.eye(2), matrix])
+        if not np.isfinite(matrix).all():
+            with pytest.raises(ValueError) as caught:
+                chain_module.reference_spectrum(matrix)
+            assert str(caught.value) == linalg._NOT_FINITE
+
+
 HALF_MAX = np.finfo(float).max / 2.0
 NAN = np.nan
 # what each symmetry check decides on: exactly symmetric input, pairs inside
@@ -191,7 +291,7 @@ SYMMETRY_SOLVERS = {
     "_checked_symmetric": (
         lambda a: linalg._checked_symmetric(a), linalg, "_checked_symmetric", oracles.tolerance_checked_symmetric
     ),
-    "jacobi_eigh": (jacobi_eigh, linalg, "_checked_symmetric", oracles.tolerance_checked_symmetric),
+    "jacobi_eigh": (lambda a: jacobi_eigh([a])[0], linalg, "_checked_symmetric", oracles.tolerance_checked_symmetric),
     "lowest_eigenvalue": (
         oracles.lowest_eigenvalue, chain_module, "_checked_symmetric", oracles.tolerance_checked_symmetric
     ),
