@@ -11,10 +11,11 @@ Every SPSA run goes through the optimizer as a lockstep batch: the restarts
 of an ensemble or of a warm-start rung together, and a single `vqe` run as a
 batch of one.  A batch makes one evaluation for all calibration probes, then
 one of every run's probe pair per iteration, `iterations` times, and one of
-the terminal points.  Each run keeps its own random streams and evaluation
-seeds, so its result is bit-identical to the run made alone.  One batch
-evaluator serves every mode and every caller; Nelder-Mead and the warm-start
-probe pass it one row at a time.
+the terminal points.  Each run keeps its own random streams, its start
+angles and SPSA directions from its run seed and its shots from a tagged
+stream of that seed, so its result is bit-identical to the run made alone.
+One batch evaluator serves every mode and every caller; Nelder-Mead and the
+warm-start probe pass it one row at a time.
 """
 
 from __future__ import annotations
@@ -54,8 +55,6 @@ from .qsim import (
     NoiseSpec,
     _estimate,
     _measurement_plan,
-    _pcg64_states,
-    _word_table,
     embed_params,
     prepare_state,
     prepare_states,
@@ -209,15 +208,16 @@ def _energies(states: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return np.matmul(bra, states[:, :, None])[:, 0, 0].real
 
 
-def _evaluation_seed(run_seed: int, counter: int) -> list:
-    """The seed of a run's evaluation number `counter` (from 0)."""
-    return [run_seed & _MASK64, counter]
+# the spawn key that tags every shot stream: SeedSequence appends a spawn key
+# after its entropy padded to four words, so no plain seed, neither a run
+# seed (`default_rng(run seed)`, the start angles and SPSA directions) nor a
+# [seed, 0xCA11] calibration seed, makes the same stream
+_SHOTS = 0x5407
 
 
-# evaluations per run whose seeds `_batch_evaluator` hashes in one pass: a
-# pass costs about 0.1 ms plus 1.1 us a seed, and 60 runs' blocks hold 2.3 MB
-# (9 MB at the peak of their pass)
-_SEED_BLOCK = 256
+def _shot_stream(seed: int, *key) -> np.random.Generator:
+    """The generator that draws a run's (or a study mode's) shots, tagged by `_SHOTS` and `key`."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_SHOTS,) + key))
 
 
 def _batch_evaluator(problem: Problem, config: VqeConfig, run_seeds):
@@ -227,36 +227,19 @@ def _batch_evaluator(problem: Problem, config: VqeConfig, run_seeds):
     row, and every batch is one call.  Exact mode contracts the prepared
     states against the matrix; the statistical modes call the shot
     estimator, `qsim._estimate`, on the problem's measurement plan, with
-    the configured noise model in noisy mode.  They seed a run's k-th
-    evaluation with `_evaluation_seed(run seed, k)`, so every run sees the
-    evaluation seeds it would see alone.
-    Every call gives each run the same number of rows (its calibration
-    probes, an SPSA pair, a final point or one Nelder-Mead point), so the
-    rows' PCG64 starts are read in call order from one table at one shared
-    cursor.  When the table runs short, every run's next `_SEED_BLOCK`
-    evaluation seeds (more if a call needs more) are hashed onto it in one
-    `qsim._pcg64_states` pass, evaluation by evaluation, run by run.
+    the configured noise model in noisy mode.  Each run owns one shot
+    stream, `_shot_stream(run seed)`, which draws its rows' counts in
+    evaluation order, so every run sees the draws it would see alone.
     """
     if config.mode == EXACT:
         return lambda points: _energies(prepare_states(problem.ansatz, points), problem.matrix)
     noise = config.noise if config.mode == NOISY else None
     plan = problem._plan(config.grouping)
-    table, cursor, fetched = [], 0, 0  # fetched: evaluations per run hashed so far
+    streams = [_shot_stream(run_seed) for run_seed in run_seeds]
 
     def evaluate(points):
-        nonlocal table, cursor, fetched
-        if cursor + len(points) > len(table):
-            size = max(_SEED_BLOCK, len(points) // len(run_seeds))
-            seeds = [
-                _evaluation_seed(run_seed, k)
-                for k in range(fetched, fetched + size)
-                for run_seed in run_seeds
-            ]
-            table, cursor = table[cursor:] + _pcg64_states(_word_table(seeds)), 0
-            fetched += size
-        starts = table[cursor : cursor + len(points)]
-        cursor += len(points)
-        return _estimate(problem.ansatz, points, plan, config.shots, starts, noise, config.mitigate)[0]
+        rngs = [streams[i % len(streams)] for i in range(len(points))]
+        return _estimate(problem.ansatz, points, plan, config.shots, rngs, noise, config.mitigate)[0]
 
     return evaluate
 
@@ -302,7 +285,7 @@ def _start_points(problem: Problem, run_seeds, x0=None) -> np.ndarray:
 def _lockstep_runs(problem: Problem, config: VqeConfig, run_seeds, x0=None, observe=None, spent=None):
     """SPSA runs for `run_seeds` in lockstep; (value, params) per run, in seed order.
 
-    Each run keeps its own direction stream, gain, evaluation seeds and
+    Each run keeps its own direction stream, gain, shot stream and
     running best, so its result is bit-identical to the run made alone.
     Cold starts calibrate their gains under the calibrated policy; a warm
     start (a given x0) keeps the fixed gain.  `observe` goes to
@@ -516,8 +499,8 @@ def run_hierarchical(ladder, config: VqeConfig) -> tuple:
         else:
             # the previous rung's ansatz is this one's less its new qubit
             x0 = embed_params(rungs[i - 1][1].ansatz, np.asarray(params, dtype=float))
-            # the probe takes the seed after the runs' seeds, so its evaluation
-            # seeds are not those of run 0's first probe
+            # the probe takes the seed after the runs' seeds, so its shot
+            # stream is no run's
             probe_seed = seed_stream(config.seed + i, config.restarts + 1)[-1]
             start_value = float(_batch_evaluator(problem, rung_config, (probe_seed,))(x0[None, :])[0])
             results = _run_batch(problem, rung_config, seeds, x0=x0)
@@ -580,10 +563,9 @@ def run_distribution_study(
 
     Each mode estimates all its repetitions in one call of `qsim._estimate`:
     the mode's outcome distributions are made once, from the one parameter
-    row, and repetition k draws from them with the PCG64 start of the k-th
-    seed of the mode's stream, hashed as the driver's evaluation seeds are
-    (`qsim._pcg64_states(qsim._word_table(seeds))`), as a lone estimate
-    would.
+    row, and the mode's one shot stream (`_shot_stream` of the master seed,
+    keyed by the mode) draws the repetitions in order, so the first k
+    repetitions of a study are a k-repetition study.
     """
     _check_study(repetitions, modes)
     if problem is None:
@@ -599,11 +581,11 @@ def run_distribution_study(
     exact_value = float(_energies(state[None, :], problem.matrix)[0])
     plan = problem._plan(config.grouping)
     studies = []
-    for m, mode in enumerate(modes):
-        starts = _pcg64_states(_word_table(seed_stream(config.seed + 7919 * (m + 1), repetitions)))
+    for mode in modes:
+        rngs = [_shot_stream(config.seed, _STUDY_MODES.index(mode))] * repetitions
         noise = config.noise if mode == NOISY else None
         values, _ = _estimate(
-            problem.ansatz, params[None, :], plan, config.shots, starts, noise, config.mitigate
+            problem.ansatz, params[None, :], plan, config.shots, rngs, noise, config.mitigate
         )
         values = tuple(values.tolist())
         studies.append(DistributionStudy(mode=mode, values=values, exact_value=exact_value))

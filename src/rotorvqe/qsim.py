@@ -13,17 +13,15 @@ as its 4^Q real Pauli components (`_components`), each gate and its
 depolarizing channel one real step.  Each setting's outcome distribution
 comes off the pure state through its basis change, or off the components
 through one gather, a Walsh-Hadamard transform and the readout confusion.
-Callers hash a batch's seeds at once to the PCG64 starts `default_rng(seed)`
-would take (`_pcg64_states(_word_table(seeds))`); both modes draw each
-start's counts and tally them alike (a noisy estimate optionally undoing
-readout confusion first).
+Callers pass one numpy Generator per estimate; both modes draw each
+estimate's counts from its generator, in row order, and tally them alike
+(a noisy estimate optionally undoing readout confusion first).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -617,146 +615,36 @@ def _distributions(ansatz: AnsatzSpec, values: np.ndarray, plan, noise: NoiseSpe
 # 0.1-1.5 us per setting and a 1-D call 1.3-2.9 us, so they cross at 8-10
 _ROW_DRAWS = 8
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx) with its default
-# pool of four 32-bit words, and PCG64's 128-bit LCG multiplier
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-# 0-d arrays, which numpy applies without the cast a Python int operand costs
-_MIX_L, _MIX_R, _XSHIFT = (np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
 
+def _counts(rngs, shots: int, probs: np.ndarray) -> np.ndarray:
+    """counts[K, S, 2^Q], row k `rngs[k].multinomial(shots, probs[k])`, drawn in row order.
 
-def _hash_constants(init: int, mult: int, count: int) -> tuple:
-    """(xors, mults): the constants of `count` successive SeedSequence hashes from `init`.
-
-    Each hash xors its value with the running constant, multiplies the
-    constant by `mult` and the value by the new constant.
+    probs[B, S, 2^Q] holds a table per generator or one for all.  A
+    generator listed more than once draws its rows in the order they come.
+    numpy draws a 2-D multinomial row by row from one stream, so up to
+    `_ROW_DRAWS` settings 1-D draws per setting give the same counts.
     """
-    running = [init]
-    for _ in range(count):
-        running.append(running[-1] * mult & _MASK32)
-    return np.array(running[:-1], dtype=np.uint32), np.array(running[1:], dtype=np.uint32)
-
-
-def _entropy_hashes() -> tuple:
-    """(xors, mults)[1 + _POOL, _POOL]: mix_entropy's hash constants, one step per row.
-
-    Step 0 hashes each pool word.  Step 1 + src hashes word src once per
-    other word, in order, to mix into that word; its own slot takes the
-    zero constants, and its result is never used.
-    """
-    xors, mults = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
-    mixes = iter(range(_POOL, _POOL * _POOL))
-    slots = [list(range(_POOL))] + [
-        [_POOL * _POOL if dst == src else next(mixes) for dst in range(_POOL)] for src in range(_POOL)
-    ]
-    return tuple(np.append(table, np.uint32(0))[slots] for table in (xors, mults))
-
-
-_ENTROPY_HASHES = _entropy_hashes()
-# generate_state's: one per output word, two passes over the pool
-_STATE_HASHES = tuple(t.reshape(2, _POOL) for t in _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
-
-
-def _hashed(values: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
-    """SeedSequence's hash of each value: xor, multiply, then xorshift by 16."""
-    values = (values ^ xors) * mults
-    values ^= values >> _XSHIFT
-    return values
-
-
-def _word_table(seeds) -> np.ndarray:
-    """words[K, _POOL]: the SeedSequence entropy of every seed the package makes, as uint32.
-
-    A seed is an integer in [0, 2^64) (`seed_stream`'s) or a pair [s, k] of
-    them (`driver._evaluation_seed`'s).  SeedSequence reads each value as
-    its little-endian 32-bit words, a single word below 2^32, and hashes a
-    missing pool word as 0.  So a pair whose s is below 2^32 moves k one
-    word down: [5, 3] is the words [5, 3, 0, 0], not [5, 0, 3, 0].
-    """
-    values = np.asarray(seeds, dtype="<u8")
-    words = np.zeros((len(values), _POOL), dtype=np.uint32)
-    split = values.reshape(len(values), -1).view("<u4")
-    words[:, : split.shape[1]] = split
-    if values.ndim == 2:
-        short = split[:, 1] == 0
-        words[short, 1:3] = split[short, 2:]
-        words[short, 3] = 0
-    return words
-
-
-def _pcg64_states(words: np.ndarray) -> list:
-    """Each seed's `default_rng` start: PCG64 (state, inc) per row of words[K, _POOL].
-
-    `PCG64(SeedSequence(entropy))` runs as uint32 arithmetic on all rows at
-    once.  mix_entropy hashes each pool word, then mixes every source word's
-    hash into each other word: mix(x, y) = L x - R y, xorshifted, the three
-    mixes from one source in one step.  generate_state(4, uint64) hashes the
-    pool twice over into 8 words, paired little-endian into (initstate_hi,
-    initstate_lo, initseq_hi, initseq_lo), and PCG64 seeds from them: inc =
-    2 initseq + 1, state = ((inc + initstate) M + inc) mod 2^128.
-    """
-    xors, mults = _ENTROPY_HASHES
-    pool = _hashed(words, xors[0], mults[0])
-    for src in range(_POOL):
-        hashes = _hashed(pool[:, src, None], xors[1 + src], mults[1 + src])
-        hashes *= _MIX_R
-        mixed = pool * _MIX_L
-        mixed -= hashes
-        mixed ^= mixed >> _XSHIFT
-        mixed[:, src] = pool[:, src]
-        pool = mixed
-    seeded = _hashed(pool[:, None], *_STATE_HASHES).astype("<u4").view("<u8").reshape(-1, _POOL)
-    states = []
-    for a, b, c, d in seeded.tolist():
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        states.append((((a << 64 | b) + inc) * _PCG64_MULT + inc & _MASK128, inc))
-    return states
-
-
-_THREAD = threading.local()
-
-
-def _counts(states, shots: int, probs: np.ndarray) -> np.ndarray:
-    """counts[K, S, 2^Q], row k bit for bit `default_rng(seed k).multinomial(shots, probs[k])`.
-
-    states[K] holds the seeds' PCG64 (state, inc) starts (`_pcg64_states`),
-    probs[B, S, 2^Q] a table per seed or one for all.  The calling thread's
-    one Generator (none is built per call or shared between threads) is set
-    to each start in turn and draws that seed's counts.  numpy draws a 2-D
-    multinomial row by row from one stream, so up to `_ROW_DRAWS` settings
-    1-D draws per setting give the same counts.
-    """
-    if not hasattr(_THREAD, "rng"):
-        _THREAD.rng = np.random.default_rng(0)  # its state is replaced before each draw
-    # the setter only reads the dict, so one serves every seed
-    rng, pcg = _THREAD.rng, {}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    # each table's draw inputs (its rows, or itself past _ROW_DRAWS) are listed once, not once per seed
+    # each table's draw inputs (its rows, or itself past _ROW_DRAWS) are listed once, not once per row
     split = probs.shape[1] <= _ROW_DRAWS
     inputs = itertools.cycle([list(table) if split else [table] for table in probs])
     draws = []
-    for (pcg["state"], pcg["inc"]), ps in zip(states, inputs):
-        rng.bit_generator.state = state
+    for rng, ps in zip(rngs, inputs):
         draws += [rng.multinomial(shots, p) for p in ps]
-    return np.array(draws, dtype=np.int64).reshape((len(states),) + probs.shape[1:])
+    return np.array(draws, dtype=np.int64).reshape((len(rngs),) + probs.shape[1:])
 
 
-def _estimate(ansatz, points, plan, shots, starts, noise=None, mitigate=True):
-    """Estimate an operator from `shots` per setting of its `plan`, once per PCG64 start.
+def _estimate(ansatz, points, plan, shots, rngs, noise=None, mitigate=True):
+    """Estimate an operator from `shots` per setting of its `plan`, once per generator.
 
-    points[B, P] holds one row per start, or one row that every start
-    shares; starts[K] are (state, inc) pairs, as `_pcg64_states` gives them.
-    Each row's measured-outcome distribution of every setting is made once,
-    from its pure state when `noise` is None (sampled), else from its
-    Pauli components under `noise` (noisy), and estimate k draws its
-    settings' counts from its row's as `default_rng` at start k would
-    (`_counts`).  When noisy and `mitigate`, the inverted readout confusion
-    is applied to the measured frequencies, clipping negative entries and
-    renormalizing.  Returns (value[K], variance[K]), each bit-identical to
-    its row and start estimated alone.
+    points[B, P] holds one row per generator in rngs[K], or one row that
+    every generator shares.  Each row's measured-outcome distribution of
+    every setting is made once, from its pure state when `noise` is None
+    (sampled), else from its Pauli components under `noise` (noisy), and
+    estimate k draws its settings' counts from its row's with rngs[k], in
+    row order (`_counts`).  When noisy and `mitigate`, the inverted readout
+    confusion is applied to the measured frequencies, clipping negative
+    entries and renormalizing.  Returns (value[K], variance[K]), each
+    bit-identical to its row estimated alone from its generator's state.
 
     Under noise, after every gate, the basis-change rotations included, a
     uniformly chosen non-identity Pauli strikes the gate's qubits with
@@ -768,10 +656,10 @@ def _estimate(ansatz, points, plan, shots, starts, noise=None, mitigate=True):
     if shots < 1:
         raise ValueError("need at least one shot")
     values = _parameter_rows(ansatz, points)
-    if len(starts) < 1 or len(values) not in (1, len(starts)):
-        raise ValueError(f"expected one seed per point, got {len(starts)} for {len(values)}")
+    if len(rngs) < 1 or len(values) not in (1, len(rngs)):
+        raise ValueError(f"expected one generator per point, got {len(rngs)} for {len(values)}")
     inverse = _confusion(noise, ansatz.qubits, True) if noise is not None and mitigate else None
-    counts = _counts(starts, shots, _distributions(ansatz, values, plan, noise))
+    counts = _counts(rngs, shots, _distributions(ansatz, values, plan, noise))
     if inverse is not None:
         # one (1, 2^Q) @ (2^Q, 2^Q) product per setting, as for a single setting
         freq = np.matmul((counts / shots)[..., None, :], inverse)[..., 0, :]

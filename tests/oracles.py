@@ -24,11 +24,9 @@ the lockstep batch reproduces bit for bit, `serial_calibrated_gain` the
 one-run gain calibration, written out the same way, that
 `calibrated_gains` reproduces bit for bit, and `serial_seed_stream` the
 Python-int splitmix64 loop that the uint64 `seed_stream` reproduces;
-`serial_counts` the one `default_rng` per seed that the hashed PCG64
-starts reproduce,
-`numpy_starts` the PCG64 starts numpy itself gives a seed, and
-`per_evaluation_evaluator` the driver's statistical objective with a
-`default_rng` built per evaluation, which its prefetched starts reproduce;
+`per_run_evaluator` the driver's statistical objective estimated one row
+at a time from its run's own shot stream (`shot_stream`), which the
+batched evaluator reproduces bit for bit;
 `pairwise_multiplication_matrix`, `pairwise_derivative_matrix` and `masked_jacobi_eigh` are the former
 dict-product matrix builders and masked Jacobi rotation loop, and `map_element`, `elementwise_map_operator` and
 `loop_chain_matrix` the former per-element Pauli expansion and
@@ -770,48 +768,29 @@ def serial_seed_stream(master_seed: int, count: int) -> tuple:
     return tuple(out)
 
 
-def serial_counts(words, shots: int, probs) -> np.ndarray:
-    """The former per-seed `_counts`: counts[K, S, 2^Q] from one `default_rng` per seed.
-
-    words[K, 4] holds SeedSequence entropy words (`qsim._word_table`, or
-    any 128-bit pool); numpy reads a uint32 word array as that entropy, so
-    row k draws `default_rng(words[k]).multinomial(shots, probs[k % len(probs)])`,
-    all of its settings in one 2-D draw.
-    """
-    draws = [
-        np.random.default_rng(row).multinomial(shots, probs[k % len(probs)])
-        for k, row in enumerate(words)
-    ]
-    return np.array(draws, dtype=np.int64).reshape((len(words),) + np.shape(probs)[1:])
+def shot_stream(seed, *key):
+    """A run's (or, keyed, a study mode's) shot generator, built from the driver's spawn key `driver._SHOTS`."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(driver._SHOTS,) + key))
 
 
-def numpy_starts(seeds) -> list:
-    """Each seed's PCG64 (state, inc) start, read off `np.random.default_rng(seed)`."""
-    states = [np.random.default_rng(seed).bit_generator.state["state"] for seed in seeds]
-    return [(state["state"], state["inc"]) for state in states]
-
-
-def per_evaluation_evaluator(problem, config, run_seeds):
-    """The driver's statistical objective, seeded one evaluation at a time.
+def per_run_evaluator(problem, config, run_seeds):
+    """The driver's statistical objective, one row at a time from its run's own shot stream.
 
     Row i of a batch belongs to run i % len(run_seeds), as in
-    `driver._batch_evaluator`.  Evaluation k of a run builds
-    `default_rng(driver._evaluation_seed(run seed, k))` and is estimated
-    alone from that generator's PCG64 start, so only the seeding differs
-    from the driver's prefetched starts.
+    `driver._batch_evaluator`.  Each run's generator is built here
+    (`shot_stream`), from its seed and the driver's spawn key, and each row is
+    estimated alone, in row order, by `qsim._estimate` on that one row and
+    its run's generator, so only the batching differs from the driver's.
     """
     noise = config.noise if config.mode == qsim.NOISY else None
     plan = qsim._measurement_plan(problem.operator, config.grouping)
-    counters = [0] * len(run_seeds)
+    rngs = [shot_stream(seed) for seed in run_seeds]
 
     def evaluate(points):
         values = []
         for i, point in enumerate(points):
-            run = i % len(run_seeds)
-            seed = driver._evaluation_seed(run_seeds[run], counters[run])
-            counters[run] += 1
             value, _ = qsim._estimate(
-                problem.ansatz, point[None, :], plan, config.shots, numpy_starts([seed]), noise,
+                problem.ansatz, point[None, :], plan, config.shots, [rngs[i % len(rngs)]], noise,
                 config.mitigate,
             )
             values.append(value[0])

@@ -100,14 +100,15 @@ def test_vqe_json_csv_and_bitstrings(tmp_path, quick_cfg, capsys):
     assert len(rows) > 40  # one record per iteration plus header and final point
 
 
-# a one-shot sampled estimate that falls below zero: no rate, but a run
+# a one-shot sampled estimate that falls below zero: no rate, but a run.
+# Seed 0 is the first of the seeds 0, 1, 2, ... whose run comes out negative
 NEGATIVE_ESTIMATE = [
     "--set", "dihedrals=Monostable:0.6137712619882808,bistable:0.445618592956778",
     "--set", "diffusion=1.381247950951718,1.8218641676966871,1.9",
     "--set", "kept=2,3", "--set", "harmonics=14", "--set", "depth=2",
     "--set", "mode=sampled", "--set", "shots=1", "--set", "grouping=No",
     "--set", "optimizer=nelder-mead", "--set", "gain_policy=fixed",
-    "--set", "iterations=2", "--set", "seed=1302600",
+    "--set", "iterations=2", "--set", "seed=0",
 ]
 
 
@@ -116,7 +117,7 @@ def test_vqe_reports_no_rate_for_a_negative_estimate(tmp_path, capsys):
     assert main(["vqe", *NEGATIVE_ESTIMATE, "--out", str(out)]) == 0
     printed = capsys.readouterr()
     lines = printed.out.splitlines()
-    assert "best value  : -34.430893" in lines
+    assert "best value  : -34.081375" in lines
     assert lines[-1] == "rate        : -"
     assert printed.err == ""
     payload = json.loads(out.read_text())

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import dataclasses
 import io
@@ -41,10 +42,10 @@ from conftest import LADDER, make_chain
 
 from oracles import (
     dense_from_labels,
-    numpy_starts,
-    per_evaluation_evaluator,
+    per_run_evaluator,
     serial_prepare_state,
     serial_seed_stream,
+    shot_stream,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -276,92 +277,129 @@ def test_ensemble_worker_count_does_not_change_results(q2_problem):
         assert serial[1].start_value == parallel[1].start_value
 
 
-def test_sampled_ladder_never_reuses_an_evaluation_seed(monkeypatch):
-    seen = []
+def pool_words(seed_seq) -> tuple:
+    """The first four words a SeedSequence generates: what its generator is seeded from."""
+    return tuple(seed_seq.generate_state(4).tolist())
 
-    # the driver passes each evaluation seed hashed to its PCG64 start
-    def spy(ansatz, points, plan, shots, seeds, *args, **kwargs):
-        seen.extend(tuple(seed) for seed in seeds)
-        return qsim._estimate(ansatz, points, plan, shots, seeds, *args, **kwargs)
+
+@pytest.mark.parametrize("mode", [SAMPLED, NOISY])
+def test_first_evaluation_does_not_draw_from_the_run_seed_stream(q2_problem, monkeypatch, mode):
+    # default_rng(run seed) draws the run's start angles and SPSA directions;
+    # the shots must come from another stream, and not from the calibration's
+    drawn, counts_of = [], qsim._counts
+
+    def spy(rngs, shots, probs):
+        counts = counts_of(rngs, shots, probs)
+        drawn.append((probs, counts))
+        return counts
+
+    monkeypatch.setattr(qsim, "_counts", spy)
+    config = quick_config(mode=mode, shots=20000, iterations=2, restarts=1)
+    (run_seed,) = seed_stream(config.seed, 1)
+    run_vqe(config, q2_problem)
+    probs, counts = drawn[0]
+    assert probs.shape[1] >= 1
+    for seed in (run_seed, [run_seed, 0], [run_seed, 0xCA11]):
+        assert not np.array_equal(counts[0], np.random.default_rng(seed).multinomial(20000, probs[0])), seed
+    assert np.array_equal(counts[0], shot_stream(run_seed).multinomial(20000, probs[0]))
+
+
+def test_no_two_runs_and_no_probe_share_a_shot_stream(monkeypatch):
+    streams, rows = {}, collections.Counter()
+
+    def spy(ansatz, points, plan, shots, rngs, *args, **kwargs):
+        for rng in rngs:
+            streams[id(rng)] = rng
+            rows[id(rng)] += 1
+        return qsim._estimate(ansatz, points, plan, shots, rngs, *args, **kwargs)
 
     monkeypatch.setattr(driver, "_estimate", spy)
     config = quick_config(mode=SAMPLED, shots=200, iterations=5, restarts=2)
     run_hierarchical(LADDER[:2], config)
-    # cold rung: 50 calibration probes + 11 SPSA evaluations per run; warm rung:
-    # one start probe + 11 evaluations per run
-    assert len(seen) == 2 * 61 + 1 + 2 * 11
-    assert len(set(seen)) == len(seen)
-
-
-# run seeds below 2^32 make [run seed, k] take SeedSequence's packed word
-# layout, not the (low, high) words of a 63-bit seed_stream seed; the last
-# puts both layouts in one prefetch pass
-SMALL_RUN_SEEDS = (0, 2**32 - 1, 2**40 + 7)
-
-
-def prefetched_and_per_evaluation(monkeypatch, run, small_seeds, block=7):
-    """run() with the driver's prefetched evaluation seeds, then with per_evaluation_evaluator."""
-    with monkeypatch.context() as patch:
-        patch.setattr(driver, "_SEED_BLOCK", block)
-        if small_seeds:
-            patch.setattr(driver, "seed_stream", lambda master, count: SMALL_RUN_SEEDS[:count])
-        got = run()
-        patch.setattr(driver, "_batch_evaluator", per_evaluation_evaluator)
-        return got, run()
+    run_distribution_study(config, np.full(8, 0.4), repetitions=4)
+    # cold rung: 50 calibration probes + 11 SPSA evaluations per run; warm
+    # rung: 11 evaluations per run, and the start probe's one; the study:
+    # 4 repetitions per mode
+    assert sorted(rows.values()) == [1, 4, 4, 11, 11, 61, 61]
+    # every stream is its own, and none is a plain seed's: neither a run's
+    # start angles and directions nor its calibration directions
+    runs = seed_stream(config.seed, 2) + seed_stream(config.seed + 1, 3)
+    plain = [np.random.SeedSequence(seed) for seed in runs]
+    plain += [np.random.SeedSequence([seed, 0xCA11]) for seed in runs]
+    words = {pool_words(rng.bit_generator.seed_seq) for rng in streams.values()}
+    assert len(words) == 7
+    assert not words & {pool_words(seq) for seq in plain}
 
 
 def hexes(values) -> list:
     return [float(v).hex() for v in values]
 
 
-@pytest.mark.parametrize("small_seeds", [False, True])
+def driver_and_per_run(monkeypatch, run, **oracle_overrides):
+    """run() through the driver, then run(**oracle_overrides) with `per_run_evaluator` in its place."""
+    got = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(driver, "_batch_evaluator", per_run_evaluator)
+        return got, run(**oracle_overrides)
+
+
 @pytest.mark.parametrize("restarts", [1, 2, 3])
 @pytest.mark.parametrize("mode", [SAMPLED, NOISY])
-def test_prefetched_states_match_per_evaluation_seeding(
-    q2_problem, monkeypatch, mode, restarts, small_seeds
-):
-    # 50 calibration probes per run in one call, then 25 SPSA evaluations in
-    # twos, across blocks of 7 that leave one seed over between refills
+def test_spsa_ensemble_matches_the_per_run_oracle(q2_problem, monkeypatch, mode, restarts):
+    # 50 calibration probes per run in one call, then 25 SPSA evaluations in twos
     config = quick_config(mode=mode, shots=200, iterations=12, restarts=restarts)
-    got, want = prefetched_and_per_evaluation(
-        monkeypatch, lambda: run_ensemble(config, q2_problem), small_seeds
-    )
+    got, want = driver_and_per_run(monkeypatch, lambda: run_ensemble(config, q2_problem))
     assert hexes(got.values) == hexes(want.values)
     assert hexes(got.best_params) == hexes(want.best_params)
 
 
-def test_prefetched_states_cross_full_blocks(q2_problem, monkeypatch):
-    # 50 + 2 * 240 + 1 evaluations per run take three passes of _SEED_BLOCK
-    config = quick_config(mode=SAMPLED, shots=200, iterations=240, restarts=2)
-    assert 2 * driver._SEED_BLOCK < 50 + config.budget
-    got, want = prefetched_and_per_evaluation(
-        monkeypatch, lambda: run_ensemble(config, q2_problem), False, driver._SEED_BLOCK
-    )
-    assert hexes(got.values + got.best_params) == hexes(want.values + want.best_params)
+@pytest.mark.parametrize("mode", [SAMPLED, NOISY])
+def test_each_lockstep_run_matches_the_run_made_alone(q2_problem, mode):
+    config = quick_config(mode=mode, shots=200, iterations=12, gain_policy=CALIBRATED)
+    seeds = seed_stream(config.seed, 3)
+    batch = driver._lockstep_runs(q2_problem, config, seeds)
+    for seed, run in zip(seeds, batch, strict=True):
+        ((value, params),) = driver._lockstep_runs(q2_problem, config, (seed,))
+        assert hexes((value,) + params) == hexes((run[0],) + run[1])
 
 
-@pytest.mark.parametrize("small_seeds", [False, True])
-def test_prefetched_states_match_in_nelder_mead(q2_problem, monkeypatch, small_seeds):
-    config = quick_config(mode=SAMPLED, shots=200, iterations=10, optimizer=NELDER_MEAD)
-    got, want = prefetched_and_per_evaluation(
-        monkeypatch, lambda: run_vqe(config, q2_problem), small_seeds
-    )
-    # one row per call, 21 evaluations across blocks of 7
-    assert len(got.trace.eval_values) > 2 * 7
+@pytest.mark.parametrize("mode", [SAMPLED, NOISY])
+def test_nelder_mead_matches_the_per_run_oracle(q2_problem, monkeypatch, mode):
+    config = quick_config(mode=mode, shots=200, iterations=10, optimizer=NELDER_MEAD)
+    got, want = driver_and_per_run(monkeypatch, lambda: run_vqe(config, q2_problem))
+    # one row per call, 21 evaluations
+    assert len(got.trace.eval_values) == 21
     assert hexes(got.trace.eval_values) == hexes(want.trace.eval_values)
     assert hexes((got.value,) + got.params) == hexes((want.value,) + want.params)
 
 
-@pytest.mark.parametrize("small_seeds", [False, True])
-def test_prefetched_states_match_in_warm_start_ladder(monkeypatch, small_seeds):
-    config = quick_config(mode=SAMPLED, shots=200, iterations=5, restarts=2)
-    got, want = prefetched_and_per_evaluation(
-        monkeypatch, lambda: run_hierarchical(LADDER[:2], config), small_seeds
-    )
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mode", [SAMPLED, NOISY])
+def test_warm_start_ladder_matches_the_per_run_oracle(monkeypatch, mode, workers):
+    # the oracle runs in one process; the driver at one worker and at two
+    config = quick_config(mode=mode, shots=200, iterations=5, restarts=3)
+
+    def run(workers=workers):
+        return run_hierarchical(LADDER[:2], dataclasses.replace(config, workers=workers))
+
+    got, want = driver_and_per_run(monkeypatch, run, workers=1)
     for one, two in zip(got, want, strict=True):
         # the warm rung's start value is the probe's one evaluation
         assert hexes((one.start_value, one.best_value)) == hexes((two.start_value, two.best_value))
         assert hexes(one.best_params) == hexes(two.best_params)
+
+
+@pytest.mark.parametrize("mode", [SAMPLED, NOISY])
+def test_two_worker_ensembles_match_the_per_run_oracle(q2_problem, monkeypatch, mode):
+    # three runs split 2 + 1 across the workers; Nelder-Mead runs one at a time in each
+    for optimizer in (driver.SPSA, NELDER_MEAD):
+        config = quick_config(mode=mode, shots=200, iterations=8, restarts=3, optimizer=optimizer)
+
+        def run(workers=2):
+            return run_ensemble(dataclasses.replace(config, workers=workers), q2_problem)
+
+        got, want = driver_and_per_run(monkeypatch, run, workers=1)
+        assert hexes(got.values + got.best_params) == hexes(want.values + want.best_params)
 
 
 def serial_states(ansatz, points):
@@ -535,16 +573,46 @@ def test_distribution_study_matches_per_repetition_estimates(q2_problem, mitigat
     params = np.linspace(-1.0, 2.0, 8)
     sampled, noisy = run_distribution_study(config, params, repetitions=5, problem=q2_problem)
     ansatz, plan = q2_problem.ansatz, qsim._measurement_plan(q2_problem.operator, grouping)
-    want_sampled = [
-        qsim._estimate(ansatz, params[None, :], plan, 700, numpy_starts([seed]))[0][0]
-        for seed in seed_stream(config.seed + 7919, 5)
-    ]
+    # each mode's repetitions, one estimate at a time from the mode's one stream
+    rng = shot_stream(config.seed, 0)
+    want_sampled = [qsim._estimate(ansatz, params[None, :], plan, 700, [rng])[0][0] for _ in range(5)]
+    rng = shot_stream(config.seed, 1)
     want_noisy = [
-        qsim._estimate(ansatz, params[None, :], plan, 700, numpy_starts([seed]), noise, mitigate)[0][0]
-        for seed in seed_stream(config.seed + 2 * 7919, 5)
+        qsim._estimate(ansatz, params[None, :], plan, 700, [rng], noise, mitigate)[0][0] for _ in range(5)
     ]
     assert [v.hex() for v in sampled.values] == [v.hex() for v in want_sampled]
     assert [v.hex() for v in noisy.values] == [v.hex() for v in want_noisy]
+    # a mode's stream does not depend on the other modes studied
+    (alone,) = run_distribution_study(config, params, modes=(NOISY,), repetitions=5, problem=q2_problem)
+    assert alone.values == noisy.values
+
+
+@pytest.mark.parametrize("mitigate", [True, False])
+def test_distribution_study_repetitions_are_a_prefix_of_longer_studies(q2_problem, mitigate):
+    config = quick_config(shots=500, mitigate=mitigate)
+    params = np.linspace(-1.0, 2.0, 8)
+    longest = run_distribution_study(config, params, repetitions=9, problem=q2_problem)
+    for k in (2, 5):
+        shorter = run_distribution_study(config, params, repetitions=k, problem=q2_problem)
+        for one, two in zip(longest, shorter, strict=True):
+            assert one.mode == two.mode
+            assert hexes(one.values[:k]) == hexes(two.values)
+
+
+def test_distribution_study_spread_matches_the_reported_standard_error(q2_problem):
+    # over 400 repetitions the sample standard deviation has a relative
+    # standard error of about 1/sqrt(2 * 399) = 3.5%; the check allows 15%,
+    # over four of those.  The reported variances come from the same draws
+    config = quick_config(shots=2000)
+    params = np.linspace(0.3, 2.1, 8)
+    (study,) = run_distribution_study(config, params, modes=(SAMPLED,), repetitions=400, problem=q2_problem)
+    plan = q2_problem._plan(config.grouping)
+    values, variances = qsim._estimate(
+        q2_problem.ansatz, params[None, :], plan, 2000, [shot_stream(config.seed, 0)] * 400
+    )
+    assert hexes(values) == hexes(study.values)
+    predicted = math.sqrt(float(np.mean(variances)))
+    assert study.std / predicted == pytest.approx(1.0, abs=0.15)
 
 
 @pytest.fixture(scope="module")
@@ -562,10 +630,8 @@ def test_distribution_study_sampled_batch_matches_one_row_loop(rung_problems, ru
     params = np.random.default_rng(sum(rung)).uniform(-7.0, 7.0, problem.ansatz.parameter_count)
     (study,) = run_distribution_study(config, params, modes=(SAMPLED,), repetitions=20, problem=problem)
     plan = qsim._measurement_plan(problem.operator, grouping)
-    want = [
-        qsim._estimate(problem.ansatz, params[None, :], plan, shots, numpy_starts([rep_seed]))[0][0]
-        for rep_seed in seed_stream(config.seed + 7919, 20)
-    ]
+    rng = shot_stream(config.seed, 0)
+    want = [qsim._estimate(problem.ansatz, params[None, :], plan, shots, [rng])[0][0] for _ in range(20)]
     assert [v.hex() for v in study.values] == [v.hex() for v in want]
 
 

@@ -1,7 +1,5 @@
 import cmath
-import concurrent.futures
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -18,7 +16,7 @@ from rotorvqe.chain import (
     pad_matrix,
     reference_spectrum,
 )
-from rotorvqe.driver import build_problem, seed_stream
+from rotorvqe.driver import build_problem
 from rotorvqe.paulimap import (
     PauliOperator,
     PauliString,
@@ -44,9 +42,7 @@ from oracles import (
     exact_expectation,
     gather_sampled_expectations,
     kraus_outcome_distributions,
-    numpy_starts,
     pauli_string,
-    serial_counts,
     serial_noisy_distributions,
     serial_prepare_state,
     serial_sampled_expectation,
@@ -73,10 +69,15 @@ def single_z(coef=1.0):
     )
 
 
+def generators(seeds) -> list:
+    """A fresh `default_rng(seed)` per seed."""
+    return [np.random.default_rng(seed) for seed in seeds]
+
+
 def seeded_estimate(ansatz, points, op, shots, seeds, noise=None, mitigate=True, grouping=True):
-    """`qsim._estimate` of op's plan from each seed's `default_rng` start: (value[K], variance[K])."""
+    """`qsim._estimate` of op's plan from a fresh `default_rng` per seed: (value[K], variance[K])."""
     plan = qsim._measurement_plan(op, grouping)
-    return qsim._estimate(ansatz, points, plan, shots, numpy_starts(seeds), noise, mitigate)
+    return qsim._estimate(ansatz, points, plan, shots, generators(seeds), noise, mitigate)
 
 
 def _bits(value, variance) -> list:
@@ -493,11 +494,11 @@ def test_distribution_tables_run_in_bounded_blocks(monkeypatch):
 def test_sampled_expectations_validation():
     ansatz = AnsatzSpec(qubits=1, depth=0)
     points = np.zeros((3, 2))
-    with pytest.raises(ValueError, match="one seed per point"):
+    with pytest.raises(ValueError, match="one generator per point"):
         seeded_estimate(ansatz, points, single_z(), 10, [1, 2])
-    with pytest.raises(ValueError, match="one seed per point"):
+    with pytest.raises(ValueError, match="one generator per point"):
         seeded_estimate(ansatz, points[:2], single_z(), 10, [1], noise=NoiseSpec())
-    with pytest.raises(ValueError, match="one seed per point"):
+    with pytest.raises(ValueError, match="one generator per point"):
         seeded_estimate(ansatz, points[:1], single_z(), 10, [])
     with pytest.raises(ValueError):
         seeded_estimate(ansatz, np.zeros((3, 3)), single_z(), 10, [1, 2, 3])
@@ -514,152 +515,68 @@ def test_estimate_refuses_a_plan_of_another_register():
         plan = qsim._measurement_plan(op, True)
         ansatz = AnsatzSpec(qubits=qubits, depth=0)
         with pytest.raises(ValueError, match="ansatz and operator registers differ"):
-            qsim._estimate(ansatz, np.zeros((1, ansatz.parameter_count)), plan, 10, numpy_starts([1]))
+            qsim._estimate(ansatz, np.zeros((1, ansatz.parameter_count)), plan, 10, generators([1]))
 
 
-# integers the package seeds with, as seed_stream makes them (below 2^63)
-# and at the uint64 edges; a pair's first value below 2^32 gives
-# SeedSequence one word, so such pairs shift the rest of the row
+# seeds at the uint64 edges, where SeedSequence splits an integer into one
+# 32-bit word or two
 EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1)
-EDGE_PAIRS = [[s, k] for s in EDGE_SEEDS for k in (0, 1, 2**32 - 1)]
-
-
-def package_seeds(rng, count: int) -> tuple:
-    """Seeded-random integers of 0-64 bits, and as many [s, k] pairs of them."""
-
-    def value():
-        return int(rng.integers(0, 2**64, dtype=np.uint64)) >> int(rng.integers(0, 65))
-
-    return [value() for _ in range(count)], [[value(), value()] for _ in range(count)]
-
-
-def random_words(rng, count: int) -> np.ndarray:
-    """Seeded-random SeedSequence pools: words[count, 4] of 0-32 bits each, a quarter of them 0."""
-    words = rng.integers(0, 2**32, size=(count, 4), dtype=np.uint32)
-    words >>= rng.integers(0, 32, size=(count, 4), dtype=np.uint32)
-    words[rng.random((count, 4)) < 0.25] = 0
-    return words
-
-
-def test_hashed_seeding_matches_default_rng():
-    # the word layout and vectorized hash give every seed the package makes
-    # its default_rng's PCG64 start, small and large pair heads in one batch
-    ints, pairs = package_seeds(np.random.default_rng(17), 500)
-    stream = seed_stream(2021, 50)
-    for seeds in (
-        list(EDGE_SEEDS) + ints, EDGE_PAIRS + pairs, stream, [[s, k] for k, s in enumerate(stream)],
-    ):
-        states = qsim._pcg64_states(qsim._word_table(seeds))
-        for seed, state, expected in zip(seeds, states, numpy_starts(seeds), strict=True):
-            assert state == expected, seed
-    # the hash itself covers the whole 128-bit pool
-    words = random_words(np.random.default_rng(18), 1000)
-    assert qsim._pcg64_states(words) == numpy_starts(words)
-    # the one generator _counts reseeds takes each start whole: a uint32 drawn
-    # before a call leaves a half-used word the reseed clears
-    probs = np.random.default_rng(3).dirichlet(np.ones(4), size=(1, 2))
-    for seeds in (list(EDGE_SEEDS) + ints[:30], EDGE_PAIRS):
-        states = qsim._pcg64_states(qsim._word_table(seeds))
-        qsim._counts(states[:1], 1, probs)
-        for seed, state in zip(seeds, states):
-            qsim._THREAD.rng.integers(2**32, dtype=np.uint32)
-            counts = qsim._counts([state], 777, probs)
-            rng = np.random.default_rng(seed)
-            assert np.array_equal(counts[0], rng.multinomial(777, probs[0])), seed
-            assert qsim._THREAD.rng.bit_generator.state == rng.bit_generator.state, seed
-
-
-def test_word_table_matches_seed_words():
-    # each row is the entropy SeedSequence takes from its seed, so numpy
-    # seeded with the row starts where numpy seeded with the seed does
-    ints, pairs = package_seeds(np.random.default_rng(5), 300)
-    stream = seed_stream(2021, 50)
-    batches = [
-        list(EDGE_SEEDS),
-        EDGE_PAIRS,
-        [5],
-        [[5, 3]],
-        [[2**40, 3]],
-        [[0, 0], [2**32, 0], [7, 2**40]],
-        range(100),
-        stream,
-        [[s, k] for k, s in enumerate(stream)],
-        [[k, s] for k, s in enumerate(stream)],
-        ints,
-        pairs,
-    ]
-    for batch in batches:
-        words = qsim._word_table(batch)
-        assert words.dtype == np.uint32 and words.shape == (len(batch), 4), batch
-        assert numpy_starts(words) == numpy_starts(batch), batch
-
-
-def test_hashed_counts_in_threads_match_serial_counts():
-    # each thread reseeds its own generator, so concurrent calls cannot
-    # interleave one another's streams
-    rng = np.random.default_rng(41)
-    tables = rng.dirichlet(np.ones(4), size=(1, 2))
-    words = [random_words(rng, 40) for _ in range(16)]
-    want = [serial_counts(batch, 777, tables) for batch in words]
-    batches = [qsim._pcg64_states(batch) for batch in words]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(qsim._counts, states, 777, tables) for states in batches * 4]
-            done, pending = concurrent.futures.wait(futures, timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not pending
-    for k, future in enumerate(futures):
-        assert np.array_equal(future.result(), want[k % len(batches)])
+RUN_SEEDS = EDGE_SEEDS + tuple(range(1, 8))
 
 
 @pytest.mark.parametrize("noisy, mitigate", [(False, True), (True, True), (True, False)])
 @pytest.mark.parametrize("grouping", [True, False])
 def test_array_core_matches_estimates_bit_for_bit(noisy, mitigate, grouping):
-    # the package's hashed starts of evaluation seeds, run seeds below and
-    # above 2^32 among them, are numpy's, and the array core estimates each
-    # of them in a batch as it does alone
+    # rows that share a generator, as a run's rows in a lockstep batch do,
+    # draw from it in row order: each value is the one its row estimated
+    # alone gets from its generator's state
     _, _, op = chain_problem((4, 4))
     ansatz = AnsatzSpec(qubits=3)
     noise = NoiseSpec(p1=0.01, p2=0.03, readout=symmetric_confusion(0.05)) if noisy else None
     rows = np.random.default_rng(29).uniform(-7.0, 7.0, (12, ansatz.parameter_count))
-    seeds = [[s, k] for s in (0, 2**32 - 1, 2**32, 2**63 - 1) for k in (0, 1, 1300)]
-    starts = qsim._pcg64_states(qsim._word_table(seeds))
-    assert starts == numpy_starts(seeds)
     plan = qsim._measurement_plan(op, grouping)
-    # one row per seed, and one row every seed shares
-    for points in (rows, rows[:1]):
-        value, variance = qsim._estimate(ansatz, points, plan, 777, starts, noise, mitigate)
-        assert value.shape == variance.shape == (12,)
-        alone = [
-            qsim._estimate(ansatz, points[k % len(points)][None, :], plan, 777, [start], noise, mitigate)
-            for k, start in enumerate(starts)
-        ]
-        assert _bits(value, variance) == [_bits(*estimate)[0] for estimate in alone]
+    for runs in (1, 3, 12):
+        # one row per estimate, and one row every estimate shares
+        for points in (rows, rows[:1]):
+            streams = generators(RUN_SEEDS[:runs])
+            rngs = [streams[k % runs] for k in range(12)]
+            value, variance = qsim._estimate(ansatz, points, plan, 777, rngs, noise, mitigate)
+            assert value.shape == variance.shape == (12,)
+            streams = generators(RUN_SEEDS[:runs])
+            alone = [
+                qsim._estimate(ansatz, points[k % len(points)][None, :], plan, 777, [streams[k % runs]], noise, mitigate)
+                for k in range(12)
+            ]
+            assert _bits(value, variance) == [_bits(*estimate)[0] for estimate in alone]
 
 
 @pytest.mark.parametrize("settings_count", [1, 8, 9, 36])
 def test_counts_match_default_rng_multinomial(settings_count):
     # one 1-D draw per setting up to qsim._ROW_DRAWS settings, one 2-D draw
-    # past it; numpy's own 2-D draw is the reference, from one default_rng
-    # per seed as in serial_counts.  Every batch size shares one reseeded
-    # generator
+    # past it; numpy's own 2-D draw is the reference, from a generator per
+    # row, or from one generator that every row shares, in row order
     rng = np.random.default_rng(settings_count)
-    edges = np.concatenate((qsim._word_table(EDGE_SEEDS), qsim._word_table([[5, 0], [2**63 - 1, 12]])))
-    pools = np.concatenate((edges, random_words(rng, 34)))
-    for words in (edges[:1], edges[4:], edges[:4], edges[2:], pools):
+    seeds = list(EDGE_SEEDS) + rng.integers(0, 2**63, 30).tolist()
+    for rows in (seeds[:1], seeds[4:], seeds[:4], seeds[2:], seeds):
         for outcomes in (2, 16):
-            tables = rng.dirichlet(np.ones(outcomes), size=(len(words), settings_count))
+            tables = rng.dirichlet(np.ones(outcomes), size=(len(rows), settings_count))
             tables[:, 0, : outcomes // 2] = 0.0
             tables[:, 0] /= tables[:, 0].sum(axis=-1, keepdims=True)
             for shots in (1, 777, 20000):
-                # one table per seed, or one that every seed shares
+                # one table per row, or one that every row shares
                 for probs in (tables, tables[:1]):
-                    counts = qsim._counts(qsim._pcg64_states(words), shots, probs)
+                    counts = qsim._counts(generators(rows), shots, probs)
                     assert counts.dtype == np.int64
-                    assert np.array_equal(counts, serial_counts(words, shots, probs))
+                    want = [
+                        np.random.default_rng(seed).multinomial(shots, probs[k % len(probs)])
+                        for k, seed in enumerate(rows)
+                    ]
+                    assert np.array_equal(counts, np.reshape(want, counts.shape))
+                    shared = np.random.default_rng(rows[0])
+                    counts = qsim._counts([shared] * len(rows), shots, probs)
+                    shared = np.random.default_rng(rows[0])
+                    want = [shared.multinomial(shots, probs[k % len(probs)]) for k in range(len(rows))]
+                    assert np.array_equal(counts, np.reshape(want, counts.shape))
 
 
 def test_list_readout_noise_spec_estimates():
@@ -690,7 +607,7 @@ def test_sampled_expectations_checks_seed_count_before_preparing_states(monkeypa
 
     for name in ("prepare_states", "_evolved"):
         monkeypatch.setattr(qsim, name, prepare)
-    with pytest.raises(ValueError, match="one seed per point"):
+    with pytest.raises(ValueError, match="one generator per point"):
         seeded_estimate(AnsatzSpec(qubits=1, depth=0), np.zeros((3, 2)), single_z(), 10, [1, 2])
 
 
@@ -859,12 +776,13 @@ def test_noisy_counts_match_serial_table_counts():
         ansatz = AnsatzSpec(qubits=op.qubits, entangler=FULL if kept == (4, 4) else LINEAR)
         plan = qsim._measurement_plan(op, kept != (4, 4))
         rows = rng.uniform(-7.0, 7.0, (6, ansatz.parameter_count))
-        starts = qsim._pcg64_states(qsim._word_table(rng.integers(0, 2**63, 6, dtype=np.uint64)))
+        seeds = rng.integers(0, 2**63, 6, dtype=np.uint64).tolist()
         for noise in models:
             table = qsim._distributions(ansatz, rows, plan, noise)
             serial = np.array([serial_noisy_distributions(ansatz, row, noise, plan.bases) for row in rows])
             for shots in (1, 777, 20000):
-                assert np.array_equal(qsim._counts(starts, shots, table), qsim._counts(starts, shots, serial))
+                counts = qsim._counts(generators(seeds), shots, table)
+                assert np.array_equal(counts, qsim._counts(generators(seeds), shots, serial))
 
 
 def test_noisy_tables_at_five_qubits_stay_small():
