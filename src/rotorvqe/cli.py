@@ -19,8 +19,10 @@ import numpy as np
 from .chain import build_chain_matrix, build_composite_basis, rate_constant, reference_spectrum
 from .config import ConfigError, build_vqe_config, resolve_settings
 from .driver import (
+    _STUDY_MODES,
     _build,
     _check_study,
+    _shot_stream,
     run_barrier_scan,
     run_distribution_study,
     run_ensemble,
@@ -150,7 +152,9 @@ def _cmd_vqe(args, settings) -> int:
             _write(args.out, trace_to_csv(run.trace))
     if args.bitstrings:
         state = prepare_state(problem.ansatz, np.asarray(run.params))
-        samples = sample_bitstrings(state, config.shots, seed=run.seed)
+        # the shot tag keyed past the study modes' keys 0 and 1: neither the
+        # run's start-angle stream, nor its shot stream, nor a study mode's
+        samples = sample_bitstrings(state, config.shots, seed=_shot_stream(run.seed, len(_STUDY_MODES)))
         _write(args.bitstrings, format_bitstrings(samples, problem.qubits))
     return 0
 

@@ -565,7 +565,8 @@ def run_distribution_study(
     the mode's outcome distributions are made once, from the one parameter
     row, and the mode's one shot stream (`_shot_stream` of the master seed,
     keyed by the mode) draws the repetitions in order, so the first k
-    repetitions of a study are a k-repetition study.
+    repetitions of a study are a k-repetition study.  The row's state is
+    prepared once, for the exact value and the sampled table alike.
     """
     _check_study(repetitions, modes)
     if problem is None:
@@ -577,15 +578,15 @@ def run_distribution_study(
         )
     if not np.isfinite(params).all():
         raise ValueError("every parameter must be a finite angle")
-    state = prepare_state(problem.ansatz, params)
-    exact_value = float(_energies(state[None, :], problem.matrix)[0])
+    states = prepare_state(problem.ansatz, params)[None, :]
+    exact_value = float(_energies(states, problem.matrix)[0])
     plan = problem._plan(config.grouping)
     studies = []
     for mode in modes:
         rngs = [_shot_stream(config.seed, _STUDY_MODES.index(mode))] * repetitions
         noise = config.noise if mode == NOISY else None
         values, _ = _estimate(
-            problem.ansatz, params[None, :], plan, config.shots, rngs, noise, config.mitigate
+            problem.ansatz, params[None, :], plan, config.shots, rngs, noise, config.mitigate, states
         )
         values = tuple(values.tolist())
         studies.append(DistributionStudy(mode=mode, values=values, exact_value=exact_value))

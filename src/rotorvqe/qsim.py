@@ -14,13 +14,13 @@ depolarizing channel one real step.  Each setting's outcome distribution
 comes off the pure state through its basis change, or off the components
 through one gather, a Walsh-Hadamard transform and the readout confusion.
 Callers pass one numpy Generator per estimate; both modes draw each
-estimate's counts from its generator, in row order, and tally them alike
-(a noisy estimate optionally undoing readout confusion first).
+estimate's counts from its generator, each generator all its rows in one
+multinomial call, in row order, and tally them alike (a noisy estimate
+optionally undoing readout confusion first).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -570,16 +570,16 @@ def _tally(counts: np.ndarray, plan, shots: int):
 _BLOCK_ENTRIES = 1 << 18
 
 
-def _distributions(ansatz: AnsatzSpec, values: np.ndarray, plan, noise: NoiseSpec) -> np.ndarray:
+def _distributions(ansatz: AnsatzSpec, values: np.ndarray, plan, noise: NoiseSpec, states=None) -> np.ndarray:
     """Every row's measured-outcome distribution of every setting: probs[B, S, 2^Q].
 
-    A row's state is held as (2^Q, S, B) through the plan's basis changes.
-    Under noise, each setting gathers its Z-string components
-    (`_MeasurementPlan.paulis`); one (S, 2^Q) @ (2^Q, 2^Q) product per row,
-    a Walsh-Hadamard transform, gives p(m) = sum_T r_T (-1)^(T.m) / 2^Q
-    (Greenbaum, arXiv:1509.02921), whose totals, 1 or NaN from a non-finite
-    angle, are checked; one more applies the readout confusion, then a clip
-    at 0.  Rows run in blocks of at most `_BLOCK_ENTRIES` working entries
+    A row's state, from `states` when given, is held as (2^Q, S, B) through
+    the plan's basis changes.  Under noise, each setting gathers its
+    Z-string components (`_MeasurementPlan.paulis`); one (S, 2^Q) @
+    (2^Q, 2^Q) product per row, a Walsh-Hadamard transform, gives
+    p(m) = sum_T r_T (-1)^(T.m) / 2^Q (Greenbaum, arXiv:1509.02921), whose
+    totals, 1 or NaN from a non-finite angle, are checked; one more applies
+    the readout confusion, then a clip at 0.  Rows run in blocks of at most `_BLOCK_ENTRIES` working entries
     (or one row), and each row gets the products it would get alone.
     """
     settings, dim = plan.outcomes.shape
@@ -594,7 +594,8 @@ def _distributions(ansatz: AnsatzSpec, values: np.ndarray, plan, noise: NoiseSpe
     for i in range(0, len(values), size):
         block, rows = probs[i : i + size], values[i : i + size]
         if noise is None:
-            work = np.repeat(_evolved(ansatz, rows).T[:, None, :], settings, axis=1)
+            prepared = _evolved(ansatz, rows) if states is None else states[i : i + size]
+            work = np.repeat(prepared.T[:, None, :], settings, axis=1)
             _run_gathers(work, steps, gates)
             # stored in C order, which makes each row's sum the one a lone distribution gets
             block[...] = (np.abs(work.take(measured, axis=0)) ** 2).T
@@ -610,30 +611,42 @@ def _distributions(ansatz: AnsatzSpec, values: np.ndarray, plan, noise: NoiseSpe
     return probs
 
 
-# settings up to which one 1-D multinomial per setting beats one 2-D call: at
-# 20,000 shots and 4 to 16 outcomes a 2-D call costs about 11-14 us plus
-# 0.1-1.5 us per setting and a 1-D call 1.3-2.9 us, so they cross at 8-10
+# tables a generator draws in one estimate up to which one 1-D multinomial per
+# table beats one call on all of them: at 20,000 shots and 4, 8 and 16
+# outcomes one call cost 14.0-16.9 us on 1 table and 19.1-35.5 us on 16, the
+# 1-D calls 3.8-5.6 and 34.2-57.0 us; on 8 tables 18.4 against 17.5, 21.2
+# against 23.2 and 27.3 against 25.8 us, so they cross at 6-10 (best of
+# 5 x 3 x 500 calls on a 2-core host)
 _ROW_DRAWS = 8
 
 
 def _counts(rngs, shots: int, probs: np.ndarray) -> np.ndarray:
     """counts[K, S, 2^Q], row k `rngs[k].multinomial(shots, probs[k])`, drawn in row order.
 
-    probs[B, S, 2^Q] holds a table per generator or one for all.  A
-    generator listed more than once draws its rows in the order they come.
-    numpy draws a 2-D multinomial row by row from one stream, so up to
-    `_ROW_DRAWS` settings 1-D draws per setting give the same counts.
+    probs[B, S, 2^Q] holds a table per generator or one for all.  Each
+    distinct generator draws all its rows, in the order they come, in one
+    multinomial call on their stacked tables (a broadcast of the one shared
+    table).  numpy draws a multi-table multinomial table by table from one
+    stream, so this gives the counts of one call per row; a generator with
+    at most `_ROW_DRAWS` tables in all draws them as 1-D calls, again the
+    same counts.
     """
-    # each table's draw inputs (its rows, or itself past _ROW_DRAWS) are listed once, not once per row
-    split = probs.shape[1] <= _ROW_DRAWS
-    inputs = itertools.cycle([list(table) if split else [table] for table in probs])
-    draws = []
-    for rng, ps in zip(rngs, inputs):
-        draws += [rng.multinomial(shots, p) for p in ps]
-    return np.array(draws, dtype=np.int64).reshape((len(rngs),) + probs.shape[1:])
+    counts = np.empty((len(rngs),) + probs.shape[1:], dtype=np.int64)
+    rows = {}
+    for k, rng in enumerate(rngs):
+        rows.setdefault(id(rng), (rng, []))[1].append(k)
+    for rng, ks in rows.values():
+        shape = (len(ks),) + probs.shape[1:]
+        tables = probs[ks] if len(probs) > 1 else np.broadcast_to(probs, shape)
+        if len(ks) * probs.shape[1] > _ROW_DRAWS:
+            counts[ks] = rng.multinomial(shots, tables)
+        else:
+            draws = [rng.multinomial(shots, p) for p in tables.reshape(-1, shape[-1])]
+            counts[ks] = np.reshape(draws, shape)
+    return counts
 
 
-def _estimate(ansatz, points, plan, shots, rngs, noise=None, mitigate=True):
+def _estimate(ansatz, points, plan, shots, rngs, noise=None, mitigate=True, states=None):
     """Estimate an operator from `shots` per setting of its `plan`, once per generator.
 
     points[B, P] holds one row per generator in rngs[K], or one row that
@@ -641,7 +654,9 @@ def _estimate(ansatz, points, plan, shots, rngs, noise=None, mitigate=True):
     every setting is made once, from its pure state when `noise` is None
     (sampled), else from its Pauli components under `noise` (noisy), and
     estimate k draws its settings' counts from its row's with rngs[k], in
-    row order (`_counts`).  When noisy and `mitigate`, the inverted readout
+    row order (`_counts`).  A sampled estimate reads the rows' prepared
+    states[B, 2^Q] when given, as `prepare_states` makes them, in place of
+    preparing them again.  When noisy and `mitigate`, the inverted readout
     confusion is applied to the measured frequencies, clipping negative
     entries and renormalizing.  Returns (value[K], variance[K]), each
     bit-identical to its row estimated alone from its generator's state.
@@ -659,7 +674,7 @@ def _estimate(ansatz, points, plan, shots, rngs, noise=None, mitigate=True):
     if len(rngs) < 1 or len(values) not in (1, len(rngs)):
         raise ValueError(f"expected one generator per point, got {len(rngs)} for {len(values)}")
     inverse = _confusion(noise, ansatz.qubits, True) if noise is not None and mitigate else None
-    counts = _counts(rngs, shots, _distributions(ansatz, values, plan, noise))
+    counts = _counts(rngs, shots, _distributions(ansatz, values, plan, noise, states))
     if inverse is not None:
         # one (1, 2^Q) @ (2^Q, 2^Q) product per setting, as for a single setting
         freq = np.matmul((counts / shots)[..., None, :], inverse)[..., 0, :]
@@ -682,7 +697,11 @@ def embed_params(ansatz: AnsatzSpec, params) -> np.ndarray:
 
 
 def sample_bitstrings(state: np.ndarray, shots: int, seed=None) -> np.ndarray:
-    """Draw computational-basis outcomes (as integers) from |amplitude|^2."""
+    """Draw computational-basis outcomes (as integers) from |amplitude|^2.
+
+    `seed` is anything `np.random.default_rng` takes; a Generator is drawn
+    from as it is.
+    """
     if shots < 1:
         raise ValueError("need at least one shot")
     probs = np.abs(np.asarray(state, dtype=complex)) ** 2

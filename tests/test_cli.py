@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from rotorvqe import cli, driver
 from rotorvqe.cli import main
-from rotorvqe.config import _SETTINGS
+from rotorvqe.config import _SETTINGS, resolve_settings
+from rotorvqe.qsim import format_bitstrings, prepare_state, sample_bitstrings
 
-from oracles import dense_from_labels, operator_from_text
+from oracles import dense_from_labels, operator_from_text, shot_stream
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # acceptance criterion 01's pinned eigenvalues, keyed by shipped config file
@@ -77,6 +78,24 @@ def test_map_writes_loadable_operator(tmp_path, capsys):
     # the mapped operator must be symmetric with a real spectrum bounded below
     assert np.allclose(dense, dense.conj().T)
     assert np.linalg.eigvalsh(dense)[0] == pytest.approx(1.5156183, rel=1e-6)
+
+
+def test_bitstrings_draw_from_a_stream_of_their_own(tmp_path, quick_cfg):
+    # not default_rng(run seed), which drew the run's start angles, but the
+    # run's shot stream keyed 2, past the study modes' keys 0 and 1
+    run_json, bits = tmp_path / "run.json", tmp_path / "bits.txt"
+    assert main(["vqe", "--config", quick_cfg, "--out", str(run_json), "--bitstrings", str(bits)]) == 0
+    payload = json.loads(run_json.read_text())
+    _, problem = cli._problem(resolve_settings(quick_cfg))
+    state = prepare_state(problem.ansatz, np.asarray(payload["params"]))
+    seed = payload["seed"]
+
+    def dump(rng):
+        return format_bitstrings(sample_bitstrings(state, 400, seed=rng), problem.qubits)
+
+    assert bits.read_text() == dump(shot_stream(seed, 2))
+    for rng in (np.random.default_rng(seed), shot_stream(seed), shot_stream(seed, 0), shot_stream(seed, 1)):
+        assert bits.read_text() != dump(rng)
 
 
 def test_vqe_json_csv_and_bitstrings(tmp_path, quick_cfg, capsys):

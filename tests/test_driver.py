@@ -659,6 +659,26 @@ def test_distribution_study_prepares_one_row_per_call(q2_problem, monkeypatch):
     assert rows and set(rows) == {1}
 
 
+def test_distribution_study_prepares_its_state_once(q2_problem, monkeypatch):
+    # the exact value and the sampled table read one prepared row; the noisy
+    # table runs on Pauli components and prepares no state
+    blocks, evolved = [], qsim._evolved
+
+    def counted(ansatz, values):
+        blocks.append(len(values))
+        return evolved(ansatz, values)
+
+    monkeypatch.setattr(qsim, "_evolved", counted)
+    config = quick_config(shots=300)
+    studies = run_distribution_study(config, np.full(8, 0.4), repetitions=6, problem=q2_problem)
+    assert blocks == [1]
+    monkeypatch.setattr(qsim, "_evolved", evolved)
+    again = run_distribution_study(config, np.full(8, 0.4), repetitions=6, problem=q2_problem)
+    assert [hexes(study.values) + [study.exact_value.hex()] for study in studies] == [
+        hexes(study.values) + [study.exact_value.hex()] for study in again
+    ]
+
+
 def test_distribution_study_validation(q2_problem):
     config = quick_config()
     with pytest.raises(ValueError):

@@ -579,6 +579,45 @@ def test_counts_match_default_rng_multinomial(settings_count):
                     assert np.array_equal(counts, np.reshape(want, counts.shape))
 
 
+class CountingGenerator:
+    """`default_rng(seed)` that counts its multinomial calls."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def multinomial(self, n, pvals):
+        self.calls += 1
+        return self.rng.multinomial(n, pvals)
+
+
+@pytest.mark.parametrize("settings_count", [0, 1, 4, 8, 9, 72])
+def test_each_generator_draws_all_its_rows_in_one_call(settings_count):
+    # rows belong to generators a, b, a, b, a, c: the i % R rows of a two-run
+    # lockstep call, then a generator listed alone.  At S settings a draws
+    # 3S tables, b 2S and c S, so S = 1, 4, 8, 9 and 72 give each side of
+    # qsim._ROW_DRAWS to every generator.  Past it a generator makes one
+    # call, else one per table; either way each row's counts are one
+    # multinomial call per row, in row order, from a fresh generator
+    owners = [0, 1, 0, 1, 0, 2]
+    seeds = (2**64 - 1, 0, 12345)
+    rng = np.random.default_rng(settings_count)
+    for outcomes in (2, 4, 16):
+        tables = rng.dirichlet(np.ones(outcomes), size=(len(owners), settings_count))
+        for shots in (1, 777, 20000):
+            # one table per row, or one that every row shares
+            for probs in (tables, tables[:1]):
+                spies = [CountingGenerator(seed) for seed in seeds]
+                counts = qsim._counts([spies[o] for o in owners], shots, probs)
+                assert counts.dtype == np.int64
+                assert counts.shape == (len(owners), settings_count, outcomes)
+                fresh = generators(seeds)
+                want = [fresh[o].multinomial(shots, probs[k % len(probs)]) for k, o in enumerate(owners)]
+                assert np.array_equal(counts, np.reshape(want, counts.shape))
+                for o, spy in enumerate(spies):
+                    drawn = owners.count(o) * settings_count
+                    assert spy.calls == (1 if drawn > qsim._ROW_DRAWS else drawn)
+
+
 def test_list_readout_noise_spec_estimates():
     # a NoiseSpec keeps its readout as nested tuples, so it is hashable (the
     # register confusion is cached per spec) however the readout was given
