@@ -132,6 +132,7 @@ def _cmd_vqe(args, settings) -> int:
     print(f"mode        : {run.mode}")
     print(f"optimizer   : {run.optimizer}")
     print(f"evaluations : {run.trace.n_evaluations}")
+    print(f"calibration : {run.trace.calibration_evaluations}")
     print(f"best value  : {run.value:.6f}")
     print(f"reference   : {run.reference:.6f}")
     print(f"error       : {run.error_percent:.4f} %")
@@ -144,6 +145,7 @@ def _cmd_vqe(args, settings) -> int:
                 "error_percent": run.error_percent,
                 "rate": run.rate,
                 "evaluations": run.trace.n_evaluations,
+                "calibration_evaluations": run.trace.calibration_evaluations,
                 "seed": run.seed,
                 "params": list(run.params),
             }

@@ -7,15 +7,13 @@ step gain per run by probing the objective at the initial point;
 warm-started runs always keep SPSA's fixed gain, because a gradient probe at
 an already-converged point is degenerate.
 
-Every SPSA run goes through the optimizer as a lockstep batch: the restarts
-of an ensemble or of a warm-start rung together, and a single `vqe` run as a
-batch of one.  A batch makes one evaluation for all calibration probes, then
-one of every run's probe pair per iteration, `iterations` times, and one of
-the terminal points.  Each run keeps its own random streams, its start
-angles and SPSA directions from its run seed and its shots from a tagged
-stream of that seed, so its result is bit-identical to the run made alone.
-One batch evaluator serves every mode and every caller; Nelder-Mead and the
-warm-start probe pass it one row at a time.
+Every run is an ask/tell stepper (`optimize`) over one batch evaluator, run
+by one loop, `optimize.drive`.  SPSA runs one lockstep stepper per batch
+(the restarts of an ensemble or of a warm-start rung, a `vqe` run as a batch
+of one) and Nelder-Mead one stepper per run; either way each round is one
+evaluate call.  Each run keeps its own random streams, its start angles and
+SPSA directions from its run seed and its shots from a tagged stream of
+that seed, so its result is bit-identical to the run made alone.
 """
 
 from __future__ import annotations
@@ -36,14 +34,7 @@ from .chain import (
     rate_constant,
     reference_spectrum,
 )
-from .optimize import (
-    OptTrace,
-    TraceRecord,
-    calibrated_gains,
-    finish_trace,
-    nelder_mead_minimize,
-    spsa_lockstep,
-)
+from .optimize import OptTrace, calibrated_gains, drive, nelder_mead, spsa_lockstep
 from .paulimap import PauliOperator, map_operator
 from .potential import BISTABLE, ChainSpec
 from .qsim import (
@@ -221,24 +212,24 @@ def _shot_stream(seed: int, *key) -> np.random.Generator:
 
 
 def _batch_evaluator(problem: Problem, config: VqeConfig, run_seeds):
-    """Objective over stacked points[B, P], row i belonging to run i % len(run_seeds).
+    """Objective over stacked points[B, P], row i belonging to run runs[i] of `run_seeds`.
 
-    The one way to evaluate an objective: a single point is a batch of one
-    row, and every batch is one call.  Exact mode contracts the prepared
-    states against the matrix; the statistical modes call the shot
+    The one way to evaluate an objective, `evaluate(points, runs)`: every
+    batch is one call.  Exact mode contracts the prepared states against
+    the matrix and needs no runs; the statistical modes call the shot
     estimator, `qsim._estimate`, on the problem's measurement plan, with
     the configured noise model in noisy mode.  Each run owns one shot
     stream, `_shot_stream(run seed)`, which draws its rows' counts in
     evaluation order, so every run sees the draws it would see alone.
     """
     if config.mode == EXACT:
-        return lambda points: _energies(prepare_states(problem.ansatz, points), problem.matrix)
+        return lambda points, runs: _energies(prepare_states(problem.ansatz, points), problem.matrix)
     noise = config.noise if config.mode == NOISY else None
     plan = problem._plan(config.grouping)
     streams = [_shot_stream(run_seed) for run_seed in run_seeds]
 
-    def evaluate(points):
-        rngs = [streams[i % len(streams)] for i in range(len(points))]
+    def evaluate(points, runs):
+        rngs = [streams[run] for run in runs.tolist()]
         return _estimate(problem.ansatz, points, plan, config.shots, rngs, noise, config.mitigate)[0]
 
     return evaluate
@@ -282,52 +273,15 @@ def _start_points(problem: Problem, run_seeds, x0=None) -> np.ndarray:
     )
 
 
-def _lockstep_runs(problem: Problem, config: VqeConfig, run_seeds, x0=None, observe=None, spent=None):
-    """SPSA runs for `run_seeds` in lockstep; (value, params) per run, in seed order.
-
-    Each run keeps its own direction stream, gain, shot stream and
-    running best, so its result is bit-identical to the run made alone.
-    Cold starts calibrate their gains under the calibrated policy; a warm
-    start (a given x0) keeps the fixed gain.  `observe` goes to
-    `spsa_lockstep`, and `spent(values)` sees every batch of values the
-    descent evaluates; calibration probes reach neither.
-    """
-    evaluate = _batch_evaluator(problem, config, run_seeds)
-    starts = _start_points(problem, run_seeds, x0)
-    calibrate = config.gain_policy == CALIBRATED and x0 is None
-    gains = calibrated_gains(evaluate, starts, run_seeds) if calibrate else None
-
-    def descend(points):
-        values = evaluate(points)
-        if spent is not None:
-            spent(values)
-        return values
-
-    values, params = spsa_lockstep(
-        descend, starts, run_seeds, config.iterations, a=gains, observe=observe
-    )
-    return [(float(value), tuple(point)) for value, point in zip(values, params)]
+def _spsa(starts, run_seeds, iterations: int, calibrate: bool, keep_records: bool):
+    """A lockstep SPSA stepper, whose gains are calibrated at the starts first when `calibrate`."""
+    gains = (yield from calibrated_gains(starts, run_seeds)) if calibrate else None
+    return (yield from spsa_lockstep(starts, run_seeds, iterations, gains, keep_records))
 
 
-def _single_run(problem: Problem, config: VqeConfig, run_seed: int, x0=None) -> VqeRun:
-    """One run: an SPSA lockstep batch of one, or Nelder-Mead on a one-row objective."""
-    if config.optimizer == NELDER_MEAD:
-        evaluate = _batch_evaluator(problem, config, (run_seed,))
-        (start,) = _start_points(problem, (run_seed,), x0)
-        trace = nelder_mead_minimize(
-            lambda point: float(evaluate(point[None, :])[0]), start, config.budget
-        )
-    else:
-        records, eval_values = [], []
-
-        def observe(k, points, values):
-            records.append(TraceRecord(k, tuple(points[0]), float(values[0])))
-
-        _lockstep_runs(
-            problem, config, (run_seed,), x0, observe,
-            lambda values: eval_values.extend(values.tolist()),
-        )
-        trace = finish_trace(records, eval_values, "budget")
+def _single_run(problem: Problem, config: VqeConfig, run_seed: int) -> VqeRun:
+    """One run: a chunk of one whose trace is kept."""
+    (trace,) = _run_chunk((problem, config, (run_seed,), None, True))
     return VqeRun(
         value=trace.best_value,
         params=trace.best_params,
@@ -376,12 +330,29 @@ class EnsembleStats:
         return 100.0 * (self.mean - self.reference) / self.reference
 
 
-def _run_chunk(args):
-    problem, config, run_seeds, x0 = args
+def _run_chunk(args) -> list:
+    """One chunk's runs in seed order, an OptTrace each when traced, else (value, params).
+
+    Cold SPSA starts calibrate under the calibrated policy; a warm start (a
+    given x0) keeps the fixed gain.
+    """
+    problem, config, run_seeds, x0, trace = args
+    starts = _start_points(problem, run_seeds, x0)
     if config.optimizer == NELDER_MEAD:
-        runs = (_single_run(problem, config, seed, x0=x0) for seed in run_seeds)
-        return [(run.value, run.params) for run in runs]
-    return _lockstep_runs(problem, config, run_seeds, x0=x0)
+        steppers = [(nelder_mead(start), run, 1) for run, start in enumerate(starts)]
+    else:
+        calibrate = config.gain_policy == CALIBRATED and x0 is None
+        stepper = _spsa(starts, run_seeds, config.iterations, calibrate, trace)
+        steppers = [(stepper, 0, len(run_seeds))]
+    evaluate = _batch_evaluator(problem, config, run_seeds)
+    courses = drive(evaluate, steppers, config.budget, trace)
+    if trace:
+        return [course.trace(run) for course in courses for run in range(course.count)]
+    return [
+        (float(value), tuple(params))
+        for course in courses
+        for value, params in zip(course.result[1], course.result[2])
+    ]
 
 
 def _chunks(items, count: int) -> list:
@@ -394,13 +365,13 @@ def _chunks(items, count: int) -> list:
 
 
 def _run_batch(problem: Problem, config: VqeConfig, run_seeds, x0=None):
-    """One run per seed; reduction is ordered by run index regardless of workers.
+    """One run per seed (`_run_chunk`); reduction is ordered by run index regardless of workers.
 
     `workers` only splits the seed list into contiguous chunks, one per
-    worker: SPSA runs a chunk in lockstep, Nelder-Mead one run at a time.
+    worker.
     """
     chunks = _chunks(run_seeds, min(config.workers, len(run_seeds)))
-    jobs = [(problem, config, chunk, x0) for chunk in chunks]
+    jobs = [(problem, config, chunk, x0, False) for chunk in chunks]
     if config.workers == 1 or len(jobs) == 1:
         results = list(map(_run_chunk, jobs))
     else:
@@ -502,7 +473,8 @@ def run_hierarchical(ladder, config: VqeConfig) -> tuple:
             # the probe takes the seed after the runs' seeds, so its shot
             # stream is no run's
             probe_seed = seed_stream(config.seed + i, config.restarts + 1)[-1]
-            start_value = float(_batch_evaluator(problem, rung_config, (probe_seed,))(x0[None, :])[0])
+            evaluate = _batch_evaluator(problem, rung_config, (probe_seed,))
+            start_value = float(evaluate(x0[None, :], np.zeros(1, dtype=np.intp))[0])
             results = _run_batch(problem, rung_config, seeds, x0=x0)
             results.append((start_value, tuple(float(v) for v in x0)))
         value, params = min(results, key=lambda pair: pair[0])

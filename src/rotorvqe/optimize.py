@@ -1,18 +1,18 @@
-"""Derivative-free minimizers for the variational loop.
+"""Derivative-free minimizers for the variational loop, as ask/tell steppers.
 
-SPSA runs in lockstep batches: `spsa_lockstep` steps every run of a batch
-together, one run being a batch of one, for a budget of `iterations`.  Each
-iteration costs two evaluations (the +/- probe pair), and one final
-evaluation at the terminal point follows, so `iterations` buys
-2*iterations + 1 evaluations; `calibrated_gains` sets each run's gain a
-from probes at its start point.  The loop works one `_DIRECTION_BLOCK` of
-iterations at a time: it draws the block's directions and builds its gain
-tables once, steps through the block, then picks the block's records,
-updates each run's best once and hands the records to `observe` in
-iteration order, so an exception inside a block leaves that block
-unobserved.  Nelder-Mead pays per simplex move and stops after the `budget`
-evaluations it is given, so the driver gives it the same 2*iterations + 1
-and runs with either algorithm are directly comparable.
+A stepper is a generator that yields asks, (purpose, points[B, P], runs[B]),
+and is sent back each ask's values[B], row i a point of its run runs[i].
+`drive` runs steppers over one `evaluate(points, runs)`, the asks of every
+live stepper in one call per round.  An optimizer's stepper returns
+(termination, best values[R], best params[R, P], records), records each
+run's TraceRecords when kept, else None.  `spsa_lockstep` steps every run
+of a batch together, one run being a batch of one: each iteration asks for
+every run's +/- probe pair, and one more ask for the terminal points
+follows, so `iterations` buys 2*iterations + 1 evaluations per run.
+`calibrated_gains` asks for probes at the start points and returns each
+run's gain a.  `nelder_mead` asks for one point at a time and ends
+converged or stopped, so the driver gives it the same budget and runs with
+either algorithm are directly comparable.
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ _SPSA_GAMMA = 0.101
 _CALIBRATION_TRIALS = 25
 _CALIBRATION_STEP = TWO_PI / 10.0
 _MASK64 = (1 << 64) - 1
+# what an ask's rows are for: gain calibration probes, outside the budget,
+# or the search's own points, inside it
+CALIBRATION, DESCENT = "calibration", "descent"
+_ONE_RUN = np.zeros(1, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,7 @@ class OptTrace:
     best_params: tuple
     best_value: float
     termination: str
+    calibration_evaluations: int = 0
 
     @property
     def n_evaluations(self) -> int:
@@ -79,7 +84,7 @@ def trace_to_csv(trace: OptTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def finish_trace(records, eval_values, termination) -> OptTrace:
+def finish_trace(records, eval_values, termination, calibration_evaluations=0) -> OptTrace:
     """The trace of a finished run, its best the first lowest record that is not NaN.
 
     That is the record a strict `<` update, record by record, keeps, as in
@@ -94,21 +99,90 @@ def finish_trace(records, eval_values, termination) -> OptTrace:
         best_params=best.params,
         best_value=best.value,
         termination=termination,
+        calibration_evaluations=calibration_evaluations,
     )
 
 
-def calibrated_gains(evaluate, x0: np.ndarray, seeds) -> np.ndarray:
-    """Per-run SPSA step gains `a` so each first update moves ~2pi/10 per angle.
+class Course:
+    """A stepper's course through `drive`, serving runs first .. first + count - 1.
+
+    A lockstep stepper asks each of its runs the same rows, so they share
+    its calibration rows and its budget, `budget` rows per run outside
+    calibration.
+    """
+
+    def __init__(self, stepper, first: int, count: int, budget, trace: bool):
+        self.stepper, self.first, self.count = stepper, first, count
+        self.allowance, self.spent, self.calibration = budget * count, 0, 0
+        self.eval_values = [[] for _ in range(count)] if trace else None
+        self.ask = self.result = None
+
+    def tell(self, values) -> bool:
+        """Send the stepper values (None to start it) and tally its next ask; False once it ends.
+
+        An ask that would overspend the budget stops the stepper there, and
+        it returns its result, as Python 3.13's `close` would have it.
+        """
+        if self.eval_values is not None and values is not None and self.ask[0] != CALIBRATION:
+            for run, value in zip(self.ask[2].tolist(), values.tolist()):
+                self.eval_values[run].append(value)
+        try:
+            purpose, points, runs = self.ask = self.stepper.send(values)
+            if purpose == CALIBRATION:
+                self.calibration += len(points)
+            else:
+                self.spent += len(points)
+                if self.spent > self.allowance:
+                    self.stepper.throw(GeneratorExit())
+        except StopIteration as end:
+            self.result = end.value
+            return False
+        self.points, self.runs = points, runs + self.first if self.first else runs
+        return True
+
+    def trace(self, run: int) -> OptTrace:
+        """Run `run`'s trace from a traced optimizer stepper's result."""
+        termination, _, _, records = self.result
+        return finish_trace(
+            records[run], self.eval_values[run], termination, self.calibration // self.count
+        )
+
+
+def drive(evaluate, steppers, budget=math.inf, trace: bool = False) -> list:
+    """Run (stepper, first run, run count) triples to their ends; a `Course` each, in order.
+
+    Each round sends every live stepper's ask to one `evaluate(points, runs)`
+    call, a lone stepper's as it is.  Rows are independent, so a run's values
+    do not depend on the runs that share its calls.  With `trace`, each run's
+    values outside calibration are kept in evaluation order.
+    """
+    courses = [Course(stepper, first, count, budget, trace) for stepper, first, count in steppers]
+    live = [course for course in courses if course.tell(None)]
+    while len(live) > 1:
+        values = evaluate(
+            np.concatenate([course.points for course in live]),
+            np.concatenate([course.runs for course in live]),
+        )
+        parts = np.split(values, np.cumsum([len(course.points) for course in live])[:-1])
+        live = [course for course, part in zip(live, parts) if course.tell(part)]
+    # a lone stepper's asks go to evaluate as they are: the loop above costs
+    # 6-22 us more per call on one stepper, for its concatenate and split
+    for course in live:
+        while course.tell(evaluate(course.points, course.runs)):
+            pass
+    return courses
+
+
+def calibrated_gains(x0: np.ndarray, seeds):
+    """Per-run SPSA step gains `a` so each first update moves ~2pi/10 per angle; a stepper.
 
     Mirrors the self-calibration of era-typical SPSA drivers: probe the
     objective along `_CALIBRATION_TRIALS` Rademacher directions, drawn from
     `default_rng([seeds[r], 0xCA11])`, at each run's start point x0[r] and
     set `a` from the mean finite-difference magnitude; a run whose probes
-    show no slope keeps `_SPSA_GAIN`.  All runs' probes go to `evaluate` as one
-    batch, ordered so that row i belongs to run i % R and each run's probes
-    come in its own (+, -) trial order.  The probe budget is bookkept
-    separately from the optimization budget.  There must be one seed per
-    row of x0.
+    show no slope keeps `_SPSA_GAIN`.  All runs' probes are one CALIBRATION
+    ask, trial by trial, the + probes of every run and then the - probes.
+    There must be one seed per row of x0.  Returns the gains[R].
     """
     runs, dim = x0.shape
     if len(seeds) != runs:
@@ -125,8 +199,8 @@ def calibrated_gains(evaluate, x0: np.ndarray, seeds) -> np.ndarray:
     probes = np.stack(
         (x0 + _SPSA_PERTURBATION * delta, x0 - _SPSA_PERTURBATION * delta), axis=1
     )
-    values = np.asarray(evaluate(probes.reshape(-1, dim)), dtype=float)
-    pairs = values.reshape(_CALIBRATION_TRIALS, 2, runs)
+    values = yield CALIBRATION, probes.reshape(-1, dim), np.tile(np.arange(runs), 2 * _CALIBRATION_TRIALS)
+    pairs = np.asarray(values, dtype=float).reshape(_CALIBRATION_TRIALS, 2, runs)
     # the mean |f+ - f-|, summed term by term in trial order
     terms = np.abs(pairs[:, 0] - pairs[:, 1]) / _CALIBRATION_TRIALS
     mean_difference = np.cumsum(terms, axis=0)[-1]
@@ -135,21 +209,18 @@ def calibrated_gains(evaluate, x0: np.ndarray, seeds) -> np.ndarray:
     return np.array([_SPSA_GAIN if g <= 0.0 else step / float(g) for g in gradient_scale])
 
 
-def spsa_lockstep(evaluate, x0, seeds, iterations: int, a=None, observe=None):
-    """Run one SPSA descent per row of x0[R, P], all R in step.
+def spsa_lockstep(x0, seeds, iterations: int, a=None, keep_records: bool = False):
+    """One SPSA descent per row of x0[R, P], all R in step; a stepper.
 
     Run r draws its Rademacher directions from `default_rng(seeds[r])`,
     one `_DIRECTION_BLOCK` of iterations per call, and steps with gain a[r]
     (default `_SPSA_GAIN`); the rest of the schedule is shared.  There must
-    be one seed, and one gain when `a` is given, per row of x0.
-    `evaluate(points[B, P]) -> values[B]` gets every run's probes at once,
-    row i belonging to run i % R: the + probes of all runs, then
-    the - probes, then, after the last iteration, the terminal iterates.
-    Each iteration records the better probe, the end records the terminal
-    iterate, and `observe(k, points, values)` sees every record, in
-    iteration order: a block's records at the end of its block, so an
-    exception inside a block leaves that block unobserved.  Returns each
-    run's best record as (values[R], params[R, P]), the first one on ties.
+    be one seed, and one gain when `a` is given, per row of x0.  Each
+    iteration is one DESCENT ask, the + probes of all runs and then the -
+    probes, and records the better probe; after the last, a DESCENT ask for
+    the terminal iterates, which the end records.  Returns ("budget",
+    values[R], params[R, P], records): each run's best record, the first
+    one on ties, and, when `keep_records`, each run's records in order.
     """
     x = np.array(x0, dtype=float, ndmin=2)
     runs, dim = x.shape
@@ -162,6 +233,8 @@ def spsa_lockstep(evaluate, x0, seeds, iterations: int, a=None, observe=None):
     best_values = np.full(runs, math.inf)
     best_params = x.copy()
     every_run = np.arange(runs)
+    pair_runs = np.tile(every_run, 2)
+    blocks = []
 
     for start in range(0, iterations, _DIRECTION_BLOCK):
         block = min(_DIRECTION_BLOCK, iterations - start)
@@ -183,7 +256,7 @@ def spsa_lockstep(evaluate, x0, seeds, iterations: int, a=None, observe=None):
         f_up, f_down = values[:, :runs], values[:, runs:]
         for i in range(block):
             np.add(x, shifts[i], out=pairs[i])
-            values[i] = evaluate(probes[i])
+            values[i] = yield DESCENT, probes[i], pair_runs
             gradient = (f_up[i] - f_down[i]) / two_c[i]
             # (a_k g) delta is a_k (g delta) bit for bit, delta being +-1
             x -= (steps[i] * gradient)[:, None] * directions[i]
@@ -198,45 +271,47 @@ def spsa_lockstep(evaluate, x0, seeds, iterations: int, a=None, observe=None):
         better = low < best_values
         best_values[better] = low[better]
         best_params[better] = points[first[better], every_run[better]]
-        if observe is not None:
-            for i, k in enumerate(ks):
-                observe(k, points[i], won[i])
+        if keep_records:
+            blocks.append((points, won))
 
-    final = np.asarray(evaluate(x), dtype=float)
+    final = np.asarray((yield DESCENT, x, every_run), dtype=float)
     better = final < best_values
     best_values[better] = final[better]
     best_params[better] = x[better]
-    if observe is not None:
-        observe(iterations, x, final)
-    return best_values, best_params
+    if not keep_records:
+        return "budget", best_values, best_params, None
+    points, won = (np.concatenate(part) for part in zip(*blocks, (x[None], final[None])))
+    records = [
+        list(map(TraceRecord, range(iterations + 1), map(tuple, points[:, r]), won[:, r].tolist()))
+        for r in range(runs)
+    ]
+    return "budget", best_values, best_params, records
 
 
-class _BudgetExhausted(Exception):
-    pass
+def nelder_mead(x0):
+    """Downhill simplex from x0 with standard reflect/expand/contract/shrink moves; a one-run stepper.
 
-
-def nelder_mead_minimize(evaluate, x0, budget: int) -> OptTrace:
-    """Downhill simplex from x0 with standard reflect/expand/contract/shrink moves.
-
-    `evaluate(point) -> value` is called at most `budget` times.
+    It asks for one DESCENT point at a time.  Each iteration records the
+    simplex's best vertex, and the end records the lowest value evaluated.
+    It ends "converged" once the simplex's diameter falls below
+    `_NM_DIAMETER_TOL`, or "budget" when stopped at an ask.  Returns
+    (termination, value[1], params[1, P], [records]), its best the
+    `finish_trace` one.
     """
     start = np.asarray(x0, dtype=float).ravel()
     dim = start.size
     if dim < 1:
         raise ValueError("objective dimension must be at least 1")
-    if budget < 1:
-        raise ValueError("evaluation budget must be at least 1")
-    eval_values = []
     records = []
-    best_seen = [None, math.inf]
+    evaluations, best_point, best_value = 0, None, math.inf
 
     def call(point):
-        if len(eval_values) >= budget:
-            raise _BudgetExhausted
-        value = float(evaluate(point))
-        eval_values.append(value)
-        if value < best_seen[1]:
-            best_seen[0], best_seen[1] = tuple(point), value
+        nonlocal evaluations, best_point, best_value
+        (value,) = yield DESCENT, point[None, :], _ONE_RUN
+        value = float(value)
+        evaluations += 1
+        if value < best_value:
+            best_point, best_value = tuple(point), value
         return value
 
     simplex = [start.copy()]
@@ -246,7 +321,9 @@ def nelder_mead_minimize(evaluate, x0, budget: int) -> OptTrace:
         simplex.append(vertex)
     termination = "budget"
     try:
-        values = [call(vertex) for vertex in simplex]
+        values = []
+        for vertex in simplex:
+            values.append((yield from call(vertex)))
         while True:
             order = np.argsort(values, kind="stable")
             simplex = [simplex[i] for i in order]
@@ -262,10 +339,10 @@ def nelder_mead_minimize(evaluate, x0, budget: int) -> OptTrace:
             centroid = np.mean(simplex[:-1], axis=0)
             worst = simplex[-1]
             reflected = centroid + _NM_REFLECTION * (centroid - worst)
-            f_reflected = call(reflected)
+            f_reflected = yield from call(reflected)
             if f_reflected < values[0]:
                 expanded = centroid + _NM_EXPANSION * (centroid - worst)
-                f_expanded = call(expanded)
+                f_expanded = yield from call(expanded)
                 if f_expanded < f_reflected:
                     simplex[-1], values[-1] = expanded, f_expanded
                 else:
@@ -277,19 +354,33 @@ def nelder_mead_minimize(evaluate, x0, budget: int) -> OptTrace:
                     contracted = centroid + _NM_CONTRACTION * (centroid - worst)
                 else:
                     contracted = centroid - _NM_CONTRACTION * (centroid - worst)
-                f_contracted = call(contracted)
+                f_contracted = yield from call(contracted)
                 if f_contracted < min(f_reflected, values[-1]):
                     simplex[-1], values[-1] = contracted, f_contracted
                 else:
                     for i in range(1, dim + 1):
                         simplex[i] = simplex[0] + _NM_SHRINK * (simplex[i] - simplex[0])
-                        values[i] = call(simplex[i])
-    except _BudgetExhausted:
+                        values[i] = yield from call(simplex[i])
+    except GeneratorExit:
         pass
 
-    if best_seen[0] is None:
+    if best_point is None:
         raise ValueError(
-            f"no evaluation returned a comparable value: all {len(eval_values)} were NaN or +inf"
+            f"no evaluation returned a comparable value: all {evaluations} were NaN or +inf"
         )
-    records.append(TraceRecord(len(records), best_seen[0], best_seen[1]))
-    return finish_trace(records, eval_values, termination)
+    records.append(TraceRecord(len(records), best_point, best_value))
+    best = finish_trace(records, (), termination)
+    return termination, np.array([best.best_value]), np.array([best.best_params]), [records]
+
+
+def nelder_mead_minimize(evaluate, x0, budget: int) -> OptTrace:
+    """`nelder_mead` from x0 over `evaluate(point) -> value`, called at most `budget` times."""
+    if budget < 1:
+        raise ValueError("evaluation budget must be at least 1")
+    (course,) = drive(
+        lambda points, runs: np.array([float(evaluate(point)) for point in points]),
+        [(nelder_mead(x0), 0, 1)],
+        budget,
+        trace=True,
+    )
+    return course.trace(0)

@@ -26,7 +26,10 @@ one-run gain calibration, written out the same way, that
 Python-int splitmix64 loop that the uint64 `seed_stream` reproduces;
 `per_run_evaluator` the driver's statistical objective estimated one row
 at a time from its run's own shot stream (`shot_stream`), which the
-batched evaluator reproduces bit for bit;
+batched evaluator reproduces bit for bit; `serial_nelder_mead` the former
+one-point-per-call Nelder-Mead loop, which stopped by raising once its
+budget was spent, and which each run of a lockstep ensemble and
+`nelder_mead_minimize` reproduce bit for bit;
 `pairwise_multiplication_matrix`, `pairwise_derivative_matrix` and `masked_jacobi_eigh` are the former
 dict-product matrix builders and masked Jacobi rotation loop, and `map_element`, `elementwise_map_operator` and
 `loop_chain_matrix` the former per-element Pauli expansion and
@@ -776,21 +779,21 @@ def shot_stream(seed, *key):
 def per_run_evaluator(problem, config, run_seeds):
     """The driver's statistical objective, one row at a time from its run's own shot stream.
 
-    Row i of a batch belongs to run i % len(run_seeds), as in
-    `driver._batch_evaluator`.  Each run's generator is built here
-    (`shot_stream`), from its seed and the driver's spawn key, and each row is
-    estimated alone, in row order, by `qsim._estimate` on that one row and
-    its run's generator, so only the batching differs from the driver's.
+    Row i of a batch belongs to run runs[i], as in `driver._batch_evaluator`.
+    Each run's generator is built here (`shot_stream`), from its seed and
+    the driver's spawn key, and each row is estimated alone, in row order,
+    by `qsim._estimate` on that one row and its run's generator, so only
+    the batching differs from the driver's.
     """
     noise = config.noise if config.mode == qsim.NOISY else None
     plan = qsim._measurement_plan(problem.operator, config.grouping)
     rngs = [shot_stream(seed) for seed in run_seeds]
 
-    def evaluate(points):
+    def evaluate(points, runs):
         values = []
-        for i, point in enumerate(points):
+        for point, run in zip(points, runs):
             value, _ = qsim._estimate(
-                problem.ansatz, point[None, :], plan, config.shots, [rngs[i % len(rngs)]], noise,
+                problem.ansatz, point[None, :], plan, config.shots, [rngs[run]], noise,
                 config.mitigate,
             )
             values.append(value[0])
@@ -831,6 +834,89 @@ def serial_spsa(evaluate, x0, seed, iterations, a=None):
     comparable = [record for record in records if not math.isnan(record[2])]
     best = min(comparable or records[:1], key=lambda record: record[2])
     return records, best[2], best[1]
+
+
+class _Spent(Exception):
+    pass
+
+
+def serial_nelder_mead(evaluate, x0, budget):
+    """One Nelder-Mead run, one point per objective call: (records, eval_values, termination, moves, best).
+
+    The former `nelder_mead_minimize` body, its coefficients written out:
+    start edge 0.1, reflection 1, expansion 2, contraction 0.5, shrink 0.5,
+    and convergence once the simplex diameter is below 1e-6.  A call past
+    `budget` evaluations raises, which ends the run ("budget").  records[k]
+    is (k, params, value): the simplex's best vertex at each iteration,
+    then the lowest value evaluated; moves[i] names the step that made
+    evaluation i ("start", "reflect", "expand", "contract" or "shrink"),
+    and best is the first lowest record that is not NaN.
+    """
+    start = np.asarray(x0, dtype=float).ravel()
+    dim = start.size
+    eval_values, moves, records = [], [], []
+    best_seen = [None, math.inf]
+
+    def call(point, move):
+        if len(eval_values) >= budget:
+            raise _Spent
+        value = float(evaluate(point))
+        eval_values.append(value)
+        moves.append(move)
+        if value < best_seen[1]:
+            best_seen[0], best_seen[1] = tuple(point), value
+        return value
+
+    simplex = [start.copy()]
+    for i in range(dim):
+        vertex = start.copy()
+        vertex[i] += 0.1
+        simplex.append(vertex)
+    termination = "budget"
+    try:
+        values = [call(vertex, "start") for vertex in simplex]
+        while True:
+            order = np.argsort(values, kind="stable")
+            simplex = [simplex[i] for i in order]
+            values = [values[i] for i in order]
+            records.append((len(records), tuple(simplex[0]), values[0]))
+            diameter = max(float(np.linalg.norm(v - simplex[0])) for v in simplex[1:])
+            if diameter < 1e-6:
+                termination = "converged"
+                break
+
+            centroid = np.mean(simplex[:-1], axis=0)
+            worst = simplex[-1]
+            reflected = centroid + 1.0 * (centroid - worst)
+            f_reflected = call(reflected, "reflect")
+            if f_reflected < values[0]:
+                expanded = centroid + 2.0 * (centroid - worst)
+                f_expanded = call(expanded, "expand")
+                if f_expanded < f_reflected:
+                    simplex[-1], values[-1] = expanded, f_expanded
+                else:
+                    simplex[-1], values[-1] = reflected, f_reflected
+            elif f_reflected < values[-2]:
+                simplex[-1], values[-1] = reflected, f_reflected
+            else:
+                if f_reflected < values[-1]:
+                    contracted = centroid + 0.5 * (centroid - worst)
+                else:
+                    contracted = centroid - 0.5 * (centroid - worst)
+                f_contracted = call(contracted, "contract")
+                if f_contracted < min(f_reflected, values[-1]):
+                    simplex[-1], values[-1] = contracted, f_contracted
+                else:
+                    for i in range(1, dim + 1):
+                        simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+                        values[i] = call(simplex[i], "shrink")
+    except _Spent:
+        pass
+
+    records.append((len(records), best_seen[0], best_seen[1]))
+    comparable = [record for record in records if not math.isnan(record[2])]
+    best = min(comparable or records[:1], key=lambda record: record[2])
+    return records, eval_values, termination, moves, best
 
 
 def serial_calibrated_gain(evaluate, x0, seed):

@@ -104,7 +104,10 @@ def test_vqe_json_csv_and_bitstrings(tmp_path, quick_cfg, capsys):
     assert main(["vqe", "--config", quick_cfg, "--out", str(run_json), "--bitstrings", str(bits)]) == 0
     assert "best value" in capsys.readouterr().out
     payload = json.load(open(run_json))
-    assert set(payload) == {"value", "reference", "error_percent", "rate", "evaluations", "seed", "params"}
+    assert set(payload) == {
+        "value", "reference", "error_percent", "rate", "evaluations", "calibration_evaluations",
+        "seed", "params",
+    }
     assert payload["evaluations"] == 2 * 40 + 1
     assert payload["value"] >= payload["reference"] - 1e-9
     lines = bits.read_text().splitlines()
@@ -117,6 +120,18 @@ def test_vqe_json_csv_and_bitstrings(tmp_path, quick_cfg, capsys):
     rows = trace_csv.read_text().strip().splitlines()
     assert rows[0].startswith("iteration,value,p0")
     assert len(rows) > 40  # one record per iteration plus header and final point
+
+
+@pytest.mark.parametrize(
+    "settings, calibration",
+    [([], 50), (["--set", "gain_policy=fixed"], 0), (["--set", "optimizer=nelder-mead"], 0)],
+)
+def test_vqe_states_its_calibration_evaluations(tmp_path, capsys, settings, calibration):
+    out = tmp_path / "run.json"
+    assert main(["vqe", "--set", "iterations=5", *settings, "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:4] == ["evaluations : 11", f"calibration : {calibration}"]
+    assert json.loads(out.read_text())["calibration_evaluations"] == calibration
 
 
 # a one-shot sampled estimate that falls below zero: no rate, but a run.

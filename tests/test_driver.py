@@ -43,6 +43,7 @@ from conftest import LADDER, make_chain
 from oracles import (
     dense_from_labels,
     per_run_evaluator,
+    serial_nelder_mead,
     serial_prepare_state,
     serial_seed_stream,
     shot_stream,
@@ -357,9 +358,9 @@ def test_spsa_ensemble_matches_the_per_run_oracle(q2_problem, monkeypatch, mode,
 def test_each_lockstep_run_matches_the_run_made_alone(q2_problem, mode):
     config = quick_config(mode=mode, shots=200, iterations=12, gain_policy=CALIBRATED)
     seeds = seed_stream(config.seed, 3)
-    batch = driver._lockstep_runs(q2_problem, config, seeds)
+    batch = driver._run_batch(q2_problem, config, seeds)
     for seed, run in zip(seeds, batch, strict=True):
-        ((value, params),) = driver._lockstep_runs(q2_problem, config, (seed,))
+        ((value, params),) = driver._run_batch(q2_problem, config, (seed,))
         assert hexes((value,) + params) == hexes((run[0],) + run[1])
 
 
@@ -400,6 +401,98 @@ def test_two_worker_ensembles_match_the_per_run_oracle(q2_problem, monkeypatch, 
 
         got, want = driver_and_per_run(monkeypatch, run, workers=1)
         assert hexes(got.values + got.best_params) == hexes(want.values + want.best_params)
+
+
+@pytest.mark.parametrize("shots", [1, 200])
+@pytest.mark.parametrize("mode", [SAMPLED, NOISY])
+def test_evaluator_draws_uneven_rows_from_each_run_stream(q2_problem, mode, shots):
+    # three runs' rows in uneven counts and mixed order, then a second call
+    # that goes on from where the first left each stream: every value must
+    # be its row estimated alone, in order, from its own run's stream
+    config = quick_config(mode=mode, shots=shots)
+    seeds = seed_stream(config.seed, 3)
+    points = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi, (9, 8))
+    evaluate = driver._batch_evaluator(q2_problem, config, seeds)
+    alone = per_run_evaluator(q2_problem, config, seeds)
+    for rows, runs in ((slice(0, 6), [2, 0, 2, 1, 0, 2]), (slice(6, 9), [1, 1, 0])):
+        runs = np.array(runs)
+        assert hexes(evaluate(points[rows], runs)) == hexes(alone(points[rows], runs))
+
+
+def traced_runs(problem, config, run_seeds, x0=None):
+    """Each run's OptTrace, chunk by chunk as `_run_batch` splits the seeds over the workers."""
+    return [
+        trace
+        for chunk in driver._chunks(run_seeds, min(config.workers, len(run_seeds)))
+        for trace in driver._run_chunk((problem, config, chunk, x0, True))
+    ]
+
+
+def one_point_objective(problem, config, run_seeds, run):
+    """Run `run`'s objective, one point per call: the driver's exact evaluator, or `per_run_evaluator`."""
+    make = driver._batch_evaluator if config.mode == EXACT else per_run_evaluator
+    evaluate = make(problem, config, run_seeds)
+    return lambda point: evaluate(point[None, :], np.array([run]))[0]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("restarts", [1, 2, 3])
+@pytest.mark.parametrize("mode", [EXACT, SAMPLED, NOISY])
+def test_lockstep_nelder_mead_matches_the_serial_loop(q2_problem, monkeypatch, mode, restarts, workers):
+    # every live run's point goes to one evaluate call per round, and each run
+    # must still be the one-point-per-call loop, hex for hex.  At a budget of
+    # 601 runs end at different evaluations: in exact mode seed 12's second
+    # run converges at 573 and the others spend the budget; sampled and
+    # noisy runs converge at 260-300.  The short budget, statistical modes
+    # only, stops the first run between two evaluations of one shrink
+    config = quick_config(
+        mode=mode, shots=200, optimizer=NELDER_MEAD, iterations=300, restarts=restarts, seed=12,
+        workers=workers,
+    )
+    seeds = seed_stream(config.seed, restarts)
+    starts = driver._start_points(q2_problem, seeds)
+    budgets = [config.budget]
+    if mode != EXACT:
+        moves = serial_nelder_mead(
+            one_point_objective(q2_problem, config, seeds, 0), starts[0], config.budget
+        )[3]
+        budgets.append(next(i for i in range(1, 99, 2) if moves[i - 1] == moves[i] == "shrink"))
+    calls = []
+
+    def counted(ansatz, points):
+        calls.append(len(points))
+        return prepare_states(ansatz, points)
+
+    monkeypatch.setattr(driver, "prepare_states", counted)
+    for budget in budgets:
+        config = dataclasses.replace(config, iterations=(budget - 1) // 2)
+        calls.clear()
+        traces = traced_runs(q2_problem, config, seeds)
+        rounds = len(calls)
+        ends, bests = [], []
+        for run, trace in enumerate(traces):
+            records, values, termination, _, best = serial_nelder_mead(
+                one_point_objective(q2_problem, config, seeds, run), starts[run], budget
+            )
+            assert hexes(trace.eval_values) == hexes(values)
+            assert [(r.iteration, hexes(r.params), r.value.hex()) for r in trace.records] == [
+                (k, hexes(params), value.hex()) for k, params, value in records
+            ]
+            assert trace.termination == termination
+            assert hexes((trace.best_value,) + trace.best_params) == hexes((best[2],) + best[1])
+            ends.append((len(values), termination))
+            bests.append((best[2],) + best[1])
+        stats = run_ensemble(config, q2_problem)
+        assert hexes(stats.values) == hexes(best[0] for best in bests)
+        assert hexes(stats.best_params) == hexes(min(bests, key=lambda best: best[0])[1:])
+        if budget != budgets[0]:
+            assert ends[0] == (budget, "budget")
+        elif restarts == 3:
+            # a run converges while another goes on
+            assert any(t == "converged" and n < max(m for m, _ in ends) for n, t in ends)
+        if mode == EXACT and workers == 1:
+            # one state preparation per round: as many as the longest run's evaluations
+            assert rounds == max(n for n, _ in ends)
 
 
 def serial_states(ansatz, points):
@@ -698,9 +791,9 @@ def test_gain_policies_differ(q2_problem):
 def test_calibration_runs_once_per_cold_lockstep_batch(q2_problem, monkeypatch):
     calls = []
 
-    def spy(evaluate, x0, seeds):
+    def spy(x0, seeds):
         calls.append((x0.shape, tuple(seeds)))
-        return optimize.calibrated_gains(evaluate, x0, seeds)
+        return optimize.calibrated_gains(x0, seeds)
 
     monkeypatch.setattr(driver, "calibrated_gains", spy)
     # one lockstep batch, calibrated in one call for all its runs
@@ -714,6 +807,26 @@ def test_calibration_runs_once_per_cold_lockstep_batch(q2_problem, monkeypatch):
     # the warm rung (three qubits, 12 angles) starts from the embedded x0
     run_hierarchical(LADDER[:2], config)
     assert calls == [((3, 8), seed_stream(config.seed, 3))]
+
+
+def test_runs_count_calibration_apart_from_their_budget(q2_problem):
+    # descent and final evaluations fill the budget, 2 * iterations + 1; a
+    # calibrated cold SPSA run spends its 25 probe pairs besides, and no
+    # other run spends any calibration
+    config = quick_config(iterations=12)
+
+    def counts(trace):
+        return len(trace.eval_values), trace.calibration_evaluations
+
+    assert counts(run_vqe(config, q2_problem).trace) == (25, 50)
+    assert counts(run_vqe(dataclasses.replace(config, gain_policy=FIXED), q2_problem).trace) == (25, 0)
+    assert counts(run_vqe(dataclasses.replace(config, optimizer=NELDER_MEAD), q2_problem).trace) == (25, 0)
+    # a warm rung's runs start from the embedded x0 and keep the fixed gain
+    seeds = seed_stream(config.seed, 3)
+    warm = traced_runs(q2_problem, config, seeds, x0=np.full(8, 0.3))
+    assert [counts(trace) for trace in warm] == [(25, 0)] * 3
+    cold = traced_runs(q2_problem, config, seeds)
+    assert [counts(trace) for trace in cold] == [(25, 50)] * 3
 
 
 def test_replace_config_reruns_cleanly(q2_problem):

@@ -13,6 +13,7 @@ from rotorvqe.optimize import (
     OptTrace,
     TraceRecord,
     calibrated_gains,
+    drive,
     finish_trace,
     nelder_mead_minimize,
     spsa_lockstep,
@@ -31,20 +32,35 @@ def quadratic(target, scale=1.0):
     return evaluator
 
 
+def run_stepper(stepper, evaluate, runs):
+    """A stepper of `runs` runs driven to its end over `evaluate(points) -> values`; its result."""
+    (course,) = drive(lambda points, _: np.asarray(evaluate(points), dtype=float), [(stepper, 0, runs)])
+    return course.result
+
+
+def lockstep(evaluate, x0, seeds, iterations, a=None):
+    """`spsa_lockstep` with its records kept: (values, params, each run's (k, params, value) records)."""
+    x0 = np.array(x0, dtype=float, ndmin=2)
+    _, values, params, records = run_stepper(
+        spsa_lockstep(x0, seeds, iterations, a, keep_records=True), evaluate, len(x0)
+    )
+    return values, params, [[(r.iteration, r.params, r.value) for r in run] for run in records]
+
+
+def calibrate(evaluate, x0, seeds):
+    return run_stepper(calibrated_gains(x0, seeds), evaluate, len(x0))
+
+
 def one_run(evaluator, x0, seed, iterations):
     """One SPSA run through `spsa_lockstep`: (best value, best params, evaluations, records)."""
     evaluations = []
-    records = []
 
     def evaluate(points):
         values = [evaluator(point) for point in points]
         evaluations.extend(values)
         return values
 
-    def observe(k, points, values):
-        records.append((k, tuple(points[0]), float(values[0])))
-
-    values, params = spsa_lockstep(evaluate, x0, (seed,), iterations, observe=observe)
+    values, params, (records,) = lockstep(evaluate, x0, (seed,), iterations)
     return float(values[0]), tuple(params[0]), evaluations, records
 
 
@@ -113,16 +129,9 @@ def test_spsa_iterates_stay_finite():
     # 100 runs in one lockstep batch, each from its own seed
     seeds = tuple(range(100))
     x0 = np.array([np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, 3) for seed in seeds])
-    seen = []
-
-    def observe(k, points, values):
-        seen.append((points.copy(), values.copy()))
-
-    values, params = spsa_lockstep(
-        lambda points: np.sum(np.sin(points), axis=1), x0, seeds, 20, observe=observe
-    )
-    assert len(seen) == 21
-    assert all(np.all(np.isfinite(points)) and np.all(np.isfinite(v)) for points, v in seen)
+    values, params, records = lockstep(lambda points: np.sum(np.sin(points), axis=1), x0, seeds, 20)
+    assert all(len(run) == 21 for run in records)
+    assert all(np.all(np.isfinite(p)) and np.isfinite(v) for run in records for _, p, v in run)
     assert np.all(np.isfinite(values)) and np.all(np.isfinite(params))
 
 
@@ -152,19 +161,8 @@ def test_spsa_lockstep_matches_serial_oracle_bit_for_bit(iterations, runs, dim, 
     x0 = data.draw(arrays(np.float64, (runs, dim), elements=st.floats(-10, 10)))
     # per-run gains, or none, so both sides fall back to a = 2pi/10
     gains = data.draw(st.none() | st.lists(st.floats(0.01, 2.0), min_size=runs, max_size=runs))
-    observed = [[] for _ in range(runs)]
-
-    def observe(k, points, values):
-        for r in range(runs):
-            observed[r].append((k, tuple(points[r]), float(values[r])))
-
-    values, params = spsa_lockstep(
-        lambda points: [wavy(point) for point in points],
-        x0,
-        seeds,
-        iterations,
-        a=gains,
-        observe=observe,
+    values, params, observed = lockstep(
+        lambda points: [wavy(point) for point in points], x0, seeds, iterations, a=gains
     )
     for r in range(runs):
         records, best_value, best_params = oracles.serial_spsa(
@@ -193,19 +191,10 @@ def test_spsa_lockstep_keeps_the_first_lowest_record_on_ties_and_signed_zeros():
         for runs in (1, 3):
             seeds = [14 + 1000 * r for r in range(runs)]
             x0 = np.random.default_rng(10 * iterations + runs).uniform(-4.0, 4.0, (runs, 4))
-            observed = [[] for _ in range(runs)]
-            seen = []
-
-            def observe(k, points, values):
-                seen.append(k)
-                for r in range(runs):
-                    observed[r].append((k, tuple(points[r]), float(values[r])))
-
-            values, params = spsa_lockstep(
-                lambda points: [tied(point) for point in points], x0, seeds, iterations,
-                observe=observe,
+            values, params, observed = lockstep(
+                lambda points: [tied(point) for point in points], x0, seeds, iterations
             )
-            assert seen == list(range(iterations + 1))
+            assert all([k for k, _, _ in run] == list(range(iterations + 1)) for run in observed)
             for r in range(runs):
                 records, best_value, best_params = oracles.serial_spsa(
                     tied, x0[r], seeds[r], iterations
@@ -229,17 +218,15 @@ def test_spsa_lockstep_best_skips_nan_records():
     runs, iterations = 3, 130
     seeds = [11, 12, 13]
     x0 = np.random.default_rng(5).uniform(-4.0, 4.0, (runs, 3))
-    observed = []
-    values, params = spsa_lockstep(
-        lambda points: [capped(point) for point in points], x0, seeds, iterations,
-        observe=lambda k, points, values: observed.append((points.copy(), values.copy())),
+    values, params, observed = lockstep(
+        lambda points: [capped(point) for point in points], x0, seeds, iterations
     )
     best_values, best_params = np.full(runs, math.inf), x0.copy()
-    for points, record in observed:
-        for r in range(runs):
-            if record[r] < best_values[r]:
-                best_values[r], best_params[r] = record[r], points[r]
-    assert any(np.isnan(record).any() for _, record in observed)
+    for r in range(runs):
+        for _, point, record in observed[r]:
+            if record < best_values[r]:
+                best_values[r], best_params[r] = record, point
+    assert any(math.isnan(record) for run in observed for _, _, record in run)
     assert np.all(np.isfinite(values))
     assert values.tobytes() == best_values.tobytes()
     assert params.tobytes() == best_params.tobytes()
@@ -287,11 +274,11 @@ def test_spsa_lockstep_refuses_mismatched_runs():
         return np.zeros(len(points))
 
     with pytest.raises(ValueError, match="1 seeds for 3 runs"):
-        spsa_lockstep(evaluate, np.zeros((3, 4)), (7,), 10)
+        lockstep(evaluate, np.zeros((3, 4)), (7,), 10)
     with pytest.raises(ValueError, match=r"gains of shape \(1,\) for 3 runs"):
-        spsa_lockstep(evaluate, np.zeros((3, 4)), (7, 8, 9), 10, a=[0.5])
+        lockstep(evaluate, np.zeros((3, 4)), (7, 8, 9), 10, a=[0.5])
     with pytest.raises(ValueError, match="1 seeds for 3 runs"):
-        calibrated_gains(evaluate, np.zeros((3, 4)), (7,))
+        calibrate(evaluate, np.zeros((3, 4)), (7,))
 
 
 def flat(point):
@@ -304,7 +291,7 @@ def test_calibrated_gains_match_serial_oracle_bit_for_bit(runs, objective):
     rng = np.random.default_rng(runs)
     seeds = [int(seed) for seed in rng.integers(0, 2**63, size=runs)]
     x0 = rng.uniform(0.0, 2.0 * math.pi, (runs, 5))
-    gains = calibrated_gains(lambda points: [objective(point) for point in points], x0, seeds)
+    gains = calibrate(lambda points: [objective(point) for point in points], x0, seeds)
     expected = [oracles.serial_calibrated_gain(objective, x0[r], seeds[r]) for r in range(runs)]
     assert gains.tobytes() == np.array(expected).tobytes()
     if objective is flat:
@@ -335,6 +322,30 @@ def test_nelder_mead_deterministic():
     x0 = np.random.default_rng(9).uniform(0.0, 2.0 * math.pi, 3)
     evaluate = quadratic(np.ones(3))
     assert nelder_mead_minimize(evaluate, x0, 200) == nelder_mead_minimize(evaluate, x0, 200)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_nelder_mead_minimize_matches_the_serial_loop(dim):
+    # budgets that end inside the start simplex, right after it, between two
+    # evaluations of one shrink, and after the run has converged; the
+    # plateaus of `tied` make the simplex shrink often
+    objective = tied
+    x0 = np.random.default_rng(dim).uniform(-2.0, 2.0, dim)
+    moves = oracles.serial_nelder_mead(objective, x0, 5000)[3]
+    mid_shrink = next(i for i in range(1, len(moves)) if moves[i - 1] == moves[i] == "shrink")
+    for budget in (1, dim + 1, mid_shrink, 5000):
+        records, values, termination, _, best = oracles.serial_nelder_mead(objective, x0, budget)
+        trace = nelder_mead_minimize(objective, x0, budget)
+        assert hexes(trace.eval_values) == hexes(values)
+        assert [(r.iteration, hexes(r.params), r.value.hex()) for r in trace.records] == [
+            (k, hexes(params), value.hex()) for k, params, value in records
+        ]
+        assert trace.termination == termination == ("converged" if budget == 5000 else "budget")
+        assert hexes((trace.best_value,) + trace.best_params) == hexes((best[2],) + best[1])
 
 
 def test_trace_csv_round_trip_fields(q2_problem):

@@ -592,8 +592,8 @@ class CountingGenerator:
 
 @pytest.mark.parametrize("settings_count", [0, 1, 4, 8, 9, 72])
 def test_each_generator_draws_all_its_rows_in_one_call(settings_count):
-    # rows belong to generators a, b, a, b, a, c: the i % R rows of a two-run
-    # lockstep call, then a generator listed alone.  At S settings a draws
+    # rows belong to generators a, b, a, b, a, c: the interleaved rows of a
+    # two-run lockstep call, then a generator listed alone.  At S settings a draws
     # 3S tables, b 2S and c S, so S = 1, 4, 8, 9 and 72 give each side of
     # qsim._ROW_DRAWS to every generator.  Past it a generator makes one
     # call, else one per table; either way each row's counts are one
