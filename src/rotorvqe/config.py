@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 
-from .driver import CALIBRATED, FIXED, NELDER_MEAD, SPSA, VqeConfig, run_distribution_study
+from .driver import _DEFAULT_NOISE, CALIBRATED, FIXED, NELDER_MEAD, SPSA, VqeConfig, run_distribution_study
 from .potential import BISTABLE, MONOSTABLE, ChainSpec, DihedralSpec
 from .qsim import EXACT, FULL, LINEAR, NOISY, SAMPLED, NoiseSpec, symmetric_confusion
 
@@ -97,7 +97,6 @@ def _choice(options):
 
 
 _VQE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(VqeConfig)}
-_NOISE_DEFAULTS = NoiseSpec()
 
 # key -> (parser, default); a key named after a VqeConfig field takes its default
 _SETTINGS = {
@@ -112,9 +111,9 @@ _SETTINGS = {
     "shots": (_parse_int, _VQE_DEFAULTS["shots"]),
     "grouping": (_parse_bool, _VQE_DEFAULTS["grouping"]),
     "mitigate": (_parse_bool, _VQE_DEFAULTS["mitigate"]),
-    "p1": (_parse_float, _NOISE_DEFAULTS.p1),
-    "p2": (_parse_float, _NOISE_DEFAULTS.p2),
-    "readout_flip": (_parse_float, _NOISE_DEFAULTS.readout[0][1]),
+    "p1": (_parse_float, _DEFAULT_NOISE.p1),
+    "p2": (_parse_float, _DEFAULT_NOISE.p2),
+    "readout_flip": (_parse_float, _DEFAULT_NOISE.readout[0][1]),
     "optimizer": (_choice((SPSA, NELDER_MEAD)), _VQE_DEFAULTS["optimizer"]),
     "gain_policy": (_choice((FIXED, CALIBRATED)), _VQE_DEFAULTS["gain_policy"]),
     "iterations": (_parse_int, _VQE_DEFAULTS["iterations"]),

@@ -46,6 +46,8 @@ from .qsim import (
     NoiseSpec,
     _estimate,
     _measurement_plan,
+    _shot_counts,
+    _tally,
     embed_params,
     prepare_state,
     prepare_states,
@@ -123,6 +125,10 @@ def build_problem(
     return Problem(basis=basis, matrix=matrix, ansatz=ansatz, reference=reference)
 
 
+# the noise model of every config that gives none: one frozen spec, shared
+_DEFAULT_NOISE = NoiseSpec()
+
+
 @dataclass(frozen=True)
 class VqeConfig:
     """Everything one variational run (or ensemble of runs) depends on."""
@@ -163,7 +169,7 @@ class VqeConfig:
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.noise is None:
-            object.__setattr__(self, "noise", NoiseSpec())
+            object.__setattr__(self, "noise", _DEFAULT_NOISE)
         kept = tuple(int(c) for c in self.kept_counts)
         object.__setattr__(self, "kept_counts", kept)
         if self.ladder is not None:
@@ -533,12 +539,14 @@ def run_distribution_study(
 ) -> tuple:
     """Re-measure a fixed parameter set many times per mode (histogram data).
 
-    Each mode estimates all its repetitions in one call of `qsim._estimate`:
-    the mode's outcome distributions are made once, from the one parameter
-    row, and the mode's one shot stream (`_shot_stream` of the master seed,
-    keyed by the mode) draws the repetitions in order, so the first k
-    repetitions of a study are a k-repetition study.  The row's state is
-    prepared once, for the exact value and the sampled table alike.
+    Each mode draws all its repetitions' counts in one call of
+    `qsim._shot_counts`: the mode's outcome distributions are made once,
+    from the one parameter row, and the mode's one shot stream
+    (`_shot_stream` of the master seed, keyed by the mode) draws the
+    repetitions in order, so the first k repetitions of a study are a
+    k-repetition study.  One `qsim._tally` of every mode's counts, stacked,
+    gives each repetition the value `qsim._estimate` gives it.  The row's
+    state is prepared once, for the exact value and the sampled table alike.
     """
     _check_study(repetitions, modes)
     if problem is None:
@@ -550,16 +558,17 @@ def run_distribution_study(
         )
     if not np.isfinite(params).all():
         raise ValueError("every parameter must be a finite angle")
+    if not modes:
+        return ()
     states = prepare_state(problem.ansatz, params)[None, :]
     exact_value = float(_energies(states, problem.matrix)[0])
     plan = problem._plan(config.grouping)
-    studies = []
+    counts = []
     for mode in modes:
         rngs = [_shot_stream(config.seed, _STUDY_MODES.index(mode))] * repetitions
         noise = config.noise if mode == NOISY else None
-        values, _ = _estimate(
-            problem.ansatz, params[None, :], plan, config.shots, rngs, noise, config.mitigate, states
+        counts.append(
+            _shot_counts(problem.ansatz, params[None, :], plan, config.shots, rngs, noise, config.mitigate, states)
         )
-        values = tuple(values.tolist())
-        studies.append(DistributionStudy(mode=mode, values=values, exact_value=exact_value))
-    return tuple(studies)
+    values, _ = _tally(np.stack(counts), plan, config.shots)
+    return tuple(DistributionStudy(mode, tuple(row), exact_value) for mode, row in zip(modes, values.tolist()))

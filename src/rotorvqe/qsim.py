@@ -15,8 +15,10 @@ comes off the pure state through its basis change, or off the components
 through one gather, a Walsh-Hadamard transform and the readout confusion.
 Callers pass one numpy Generator per estimate; both modes draw each
 estimate's counts from its generator, each generator all its rows in one
-multinomial call, in row order, and tally them alike (a noisy estimate
-optionally undoing readout confusion first).
+multinomial call, in row order (`_shot_counts`, a noisy estimate
+optionally undoing readout confusion), and tally them alike (`_tally`).
+The tally keeps rows apart, so the counts of several calls, stacked, are
+tallied in one.
 """
 
 from __future__ import annotations
@@ -306,6 +308,8 @@ def _evolved(ansatz: AnsatzSpec, values: np.ndarray) -> np.ndarray:
 # digit, at place 4^(Q - q), is 2x + z: I 0, Z 1, X 2, Y 3.  An Ry turns the
 # pair from digit 1, (Z, X), and scales Y; an Rz turns (X, Y) and scales Z
 _TURNS = {"ry": (1, 3), "rz": (2, 1)}
+_TURN_SIGNS = np.array([-1.0, 1.0]).reshape(2, 1, 1)
+_TURN_SIGNS.flags.writeable = False
 
 
 @lru_cache(maxsize=64)
@@ -353,10 +357,15 @@ def _components(ansatz: AnsatzSpec, values: np.ndarray, noise: NoiseSpec) -> np.
     decay = 1.0 - 4.0 * noise.p1 / 3.0
     cos, sin = decay * np.cos(values.T), decay * np.sin(values.T)
     ry, rz = slice(0, qubits), slice(qubits, 2 * qubits)
-    layer = np.stack((np.ones((qubits, rows)), decay * cos[ry], sin[ry] * cos[rz], sin[ry] * sin[rz]), axis=1)
+    # each qubit's (1, Z, X, Y), written in place, where stacking fresh products cost more
+    layer = np.empty((qubits, 4, rows))
+    layer[:, 0] = 1.0
+    np.multiply(decay, cos[ry], out=layer[:, 1])
+    np.multiply(sin[ry], cos[rz], out=layer[:, 2])
+    np.multiply(sin[ry], sin[rz], out=layer[:, 3])
     work = reduce(lambda left, right: (left[:, None] * right).reshape(-1, rows), layer)
     # each turn adds (-s v, s u) to (c u, c v)
-    signed = sin[:, None, None] * np.reshape([-1.0, 1.0], (2, 1, 1))
+    signed = sin[:, None, None] * _TURN_SIGNS
     for step in _pauli_program(ansatz):
         if step[0] == "cx":
             _, source, sign, touched = step
@@ -620,51 +629,56 @@ def _distributions(ansatz: AnsatzSpec, values: np.ndarray, plan, noise: NoiseSpe
 _ROW_DRAWS = 8
 
 
+def _draw(rng, shots: int, tables: np.ndarray) -> np.ndarray:
+    """rng's counts of tables[..., 2^Q], table by table in order.
+
+    One multinomial call draws all the tables, or, up to `_ROW_DRAWS`
+    tables, one 1-D call each: numpy draws a multi-table call table by
+    table from one stream, so both give the same counts.
+    """
+    if tables.size > _ROW_DRAWS * tables.shape[-1]:
+        return rng.multinomial(shots, tables)
+    draws = [rng.multinomial(shots, p) for p in tables.reshape(-1, tables.shape[-1])]
+    return np.array(draws, dtype=np.int64).reshape(tables.shape)
+
+
 def _counts(rngs, shots: int, probs: np.ndarray) -> np.ndarray:
     """counts[K, S, 2^Q], row k `rngs[k].multinomial(shots, probs[k])`, drawn in row order.
 
     probs[B, S, 2^Q] holds a table per generator or one for all.  Each
     distinct generator draws all its rows, in the order they come, in one
-    multinomial call on their stacked tables (a broadcast of the one shared
-    table).  numpy draws a multi-table multinomial table by table from one
-    stream, so this gives the counts of one call per row; a generator with
-    at most `_ROW_DRAWS` tables in all draws them as 1-D calls, again the
-    same counts.
+    `_draw` on their stacked tables (a broadcast of the one shared table),
+    so the counts are those of one call per row.  A lone generator, such as
+    a distribution study's mode lists once per repetition, is found with no
+    Python loop over the rows and draws the tables as given.  Several
+    generators, as a lockstep batch's runs, are grouped row by row, which
+    on batches of a few rows costs less than sorting the rows by generator.
     """
-    counts = np.empty((len(rngs),) + probs.shape[1:], dtype=np.int64)
+    tables = probs if len(probs) == len(rngs) else np.broadcast_to(probs, (len(rngs),) + probs.shape[1:])
+    if len(dict.fromkeys(map(id, rngs))) == 1:
+        return _draw(rngs[0], shots, tables)
     rows = {}
     for k, rng in enumerate(rngs):
         rows.setdefault(id(rng), (rng, []))[1].append(k)
+    counts = np.empty(tables.shape, dtype=np.int64)
     for rng, ks in rows.values():
-        shape = (len(ks),) + probs.shape[1:]
-        tables = probs[ks] if len(probs) > 1 else np.broadcast_to(probs, shape)
-        if len(ks) * probs.shape[1] > _ROW_DRAWS:
-            counts[ks] = rng.multinomial(shots, tables)
-        else:
-            draws = [rng.multinomial(shots, p) for p in tables.reshape(-1, shape[-1])]
-            counts[ks] = np.reshape(draws, shape)
+        counts[ks] = _draw(rng, shots, tables[ks])
     return counts
 
 
-def _estimate(ansatz, points, plan, shots, rngs, noise=None, mitigate=True, states=None):
-    """Estimate an operator from `shots` per setting of its `plan`, once per generator.
+def _shot_counts(ansatz, points, plan, shots, rngs, noise=None, mitigate=True, states=None):
+    """The counts `_estimate` tallies: float counts[K, S, 2^Q], estimate k's row from rngs[k].
 
     points[B, P] holds one row per generator in rngs[K], or one row that
     every generator shares.  Each row's measured-outcome distribution of
-    every setting is made once, from its pure state when `noise` is None
-    (sampled), else from its Pauli components under `noise` (noisy), and
-    estimate k draws its settings' counts from its row's with rngs[k], in
-    row order (`_counts`).  A sampled estimate reads the rows' prepared
-    states[B, 2^Q] when given, as `prepare_states` makes them, in place of
-    preparing them again.  When noisy and `mitigate`, the inverted readout
-    confusion is applied to the measured frequencies, clipping negative
-    entries and renormalizing.  Returns (value[K], variance[K]), each
-    bit-identical to its row estimated alone from its generator's state.
-
-    Under noise, after every gate, the basis-change rotations included, a
-    uniformly chosen non-identity Pauli strikes the gate's qubits with
-    probability p1 (rotations) or p2 (CNOTs), exactly as a channel on the
-    state's Pauli components (`_components`, `_distributions`).
+    every setting is made once (`_distributions`), from its pure state when
+    `noise` is None (sampled), else from its Pauli components under `noise`
+    (noisy), and estimate k draws its settings' counts from its row's with
+    rngs[k], in row order (`_counts`).  A sampled estimate reads the rows'
+    prepared states[B, 2^Q] when given, as `prepare_states` makes them, in
+    place of preparing them again.  When noisy and `mitigate`, the
+    inverted readout confusion is applied to the measured frequencies,
+    clipping negative entries and renormalizing.
     """
     if plan.outcomes.shape[1] != 1 << ansatz.qubits:
         raise ValueError("ansatz and operator registers differ")
@@ -675,12 +689,29 @@ def _estimate(ansatz, points, plan, shots, rngs, noise=None, mitigate=True, stat
         raise ValueError(f"expected one generator per point, got {len(rngs)} for {len(values)}")
     inverse = _confusion(noise, ansatz.qubits, True) if noise is not None and mitigate else None
     counts = _counts(rngs, shots, _distributions(ansatz, values, plan, noise, states))
-    if inverse is not None:
-        # one (1, 2^Q) @ (2^Q, 2^Q) product per setting, as for a single setting
-        freq = np.matmul((counts / shots)[..., None, :], inverse)[..., 0, :]
-        freq = np.clip(freq, 0.0, None)
-        counts = shots * freq / freq.sum(axis=-1, keepdims=True)
-    return _tally(counts, plan, shots)
+    if inverse is None:
+        return counts.astype(float)
+    # one (1, 2^Q) @ (2^Q, 2^Q) product per setting, as for a single setting
+    freq = np.matmul((counts / shots)[..., None, :], inverse)[..., 0, :]
+    freq = np.clip(freq, 0.0, None)
+    return shots * freq / freq.sum(axis=-1, keepdims=True)
+
+
+def _estimate(ansatz, points, plan, shots, rngs, noise=None, mitigate=True, states=None):
+    """Estimate an operator from `shots` per setting of its `plan`, once per generator.
+
+    `_tally` of `_shot_counts`, which takes the same arguments: returns
+    (value[K], variance[K]), each bit-identical to its row estimated alone
+    from its generator's state.  As `_tally` keeps rows apart, callers with
+    several estimates' counts, such as a distribution study's modes, may
+    tally them in one call.
+
+    Under noise, after every gate, the basis-change rotations included, a
+    uniformly chosen non-identity Pauli strikes the gate's qubits with
+    probability p1 (rotations) or p2 (CNOTs), exactly as a channel on the
+    state's Pauli components (`_components`, `_distributions`).
+    """
+    return _tally(_shot_counts(ansatz, points, plan, shots, rngs, noise, mitigate, states), plan, shots)
 
 
 def embed_params(ansatz: AnsatzSpec, params) -> np.ndarray:

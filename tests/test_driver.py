@@ -192,6 +192,21 @@ def test_noisy_mode_gets_default_noise_model():
         assert quick_config(mode=mode).noise == NoiseSpec()
 
 
+def test_configs_without_noise_share_one_default_spec():
+    # a config that gives no noise model holds the one frozen default, not a
+    # fresh spec; a replaced or unpickled config still holds an equal one
+    one, two = quick_config(), quick_config(seed=3, mode=NOISY)
+    assert one.noise is two.noise
+    assert one.noise == NoiseSpec() and hash(one.noise) == hash(NoiseSpec())
+    replaced = dataclasses.replace(one, shots=500)
+    assert replaced.noise is one.noise
+    copy = pickle.loads(pickle.dumps(one))
+    assert copy == one and copy.noise == NoiseSpec()
+    assert quick_config(noise=NoiseSpec(p1=0.01)).noise != one.noise
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        one.noise.p1 = 0.5
+
+
 def test_zero_iterations_returns_start_value(q2_problem):
     config = quick_config(iterations=0)
     run = run_vqe(config, q2_problem)
@@ -308,13 +323,18 @@ def test_first_evaluation_does_not_draw_from_the_run_seed_stream(q2_problem, mon
 def test_no_two_runs_and_no_probe_share_a_shot_stream(monkeypatch):
     streams, rows = {}, collections.Counter()
 
-    def spy(ansatz, points, plan, shots, rngs, *args, **kwargs):
-        for rng in rngs:
-            streams[id(rng)] = rng
-            rows[id(rng)] += 1
-        return qsim._estimate(ansatz, points, plan, shots, rngs, *args, **kwargs)
+    def spying(draw):
+        def spy(ansatz, points, plan, shots, rngs, *args, **kwargs):
+            for rng in rngs:
+                streams[id(rng)] = rng
+                rows[id(rng)] += 1
+            return draw(ansatz, points, plan, shots, rngs, *args, **kwargs)
 
-    monkeypatch.setattr(driver, "_estimate", spy)
+        return spy
+
+    # runs estimate through _estimate; a study draws its counts through _shot_counts
+    for name in ("_estimate", "_shot_counts"):
+        monkeypatch.setattr(driver, name, spying(getattr(qsim, name)))
     config = quick_config(mode=SAMPLED, shots=200, iterations=5, restarts=2)
     run_hierarchical(LADDER[:2], config)
     run_distribution_study(config, np.full(8, 0.4), repetitions=4)
@@ -645,6 +665,23 @@ def test_hierarchical_rejects_bad_ladders():
         run_hierarchical(((4, 2),), config)
 
 
+@pytest.mark.parametrize("mode", [SAMPLED, NOISY])
+def test_statistical_nelder_mead_converges_by_a_collapsed_simplex(q2_problem, mode):
+    # "converged" is the simplex's diameter under its tolerance; under shot
+    # noise the simplex collapses wherever it stands, so at 200 shots these
+    # runs end "converged" within half their budget, far above the reference
+    for seed in (11, 12, 13):
+        config = quick_config(
+            mode=mode, shots=200, optimizer=NELDER_MEAD, iterations=300, restarts=1, seed=seed
+        )
+        run = run_vqe(config, q2_problem)
+        assert run.trace.termination == "converged"
+        assert 266 <= run.trace.n_evaluations <= 296 < config.budget // 2
+        state = prepare_state(q2_problem.ansatz, np.asarray(run.params))
+        exact = float(np.real(np.conj(state) @ q2_problem.matrix @ state))
+        assert exact > q2_problem.reference + 3.0
+
+
 def test_distribution_study_statistics(q2_problem):
     config = quick_config(shots=2000)
     params = np.full(8, 0.4)
@@ -728,11 +765,18 @@ def test_distribution_study_sampled_batch_matches_one_row_loop(rung_problems, ru
     assert [v.hex() for v in study.values] == [v.hex() for v in want]
 
 
+def test_distribution_study_of_no_modes_is_empty(q2_problem):
+    assert run_distribution_study(quick_config(), np.zeros(8), modes=(), repetitions=4, problem=q2_problem) == ()
+    # its parameters are still checked
+    with pytest.raises(ValueError, match="expected 8 parameters"):
+        run_distribution_study(quick_config(), np.zeros(7), modes=(), repetitions=4, problem=q2_problem)
+
+
 def test_distribution_study_checks_every_mode_before_estimating(q2_problem, monkeypatch):
     def estimate(*args, **kwargs):
         raise AssertionError("estimated before every mode was checked")
 
-    for name in ("prepare_state", "_estimate"):
+    for name in ("prepare_state", "_shot_counts", "_tally"):
         monkeypatch.setattr(driver, name, estimate)
     with pytest.raises(ValueError, match="must be statistical, got 'exact'"):
         run_distribution_study(

@@ -85,6 +85,11 @@ def _bits(value, variance) -> list:
     return [(v.hex(), math.sqrt(e).hex()) for v, e in zip(value.tolist(), variance.tolist())]
 
 
+def hexes(values) -> list:
+    """Every entry of values, as exact hex strings."""
+    return [v.hex() for v in np.ravel(values).tolist()]
+
+
 def test_parameter_count_and_validation():
     assert AnsatzSpec(qubits=2, depth=1).parameter_count == 8
     assert AnsatzSpec(qubits=3, depth=2).parameter_count == 18
@@ -550,6 +555,34 @@ def test_array_core_matches_estimates_bit_for_bit(noisy, mitigate, grouping):
             assert _bits(value, variance) == [_bits(*estimate)[0] for estimate in alone]
 
 
+@pytest.mark.parametrize("kept", LADDER)
+@pytest.mark.parametrize("grouping", [True, False])
+def test_tally_of_stacked_counts_matches_each_slice_bit_for_bit(kept, grouping):
+    # a distribution study tallies its modes' counts stacked in one call:
+    # every slice's values and variances are those it gets tallied alone,
+    # for drawn integer counts and mitigated float counts alike
+    _, _, op = chain_problem(kept)
+    ansatz = AnsatzSpec(qubits=op.qubits)
+    plan = qsim._measurement_plan(op, grouping)
+    noise = NoiseSpec(p1=0.01, p2=0.03, readout=symmetric_confusion(0.05))
+    row = np.random.default_rng(sum(kept)).uniform(-7.0, 7.0, (1, ansatz.parameter_count))
+    for shots in (1, 777, 20000):
+        drawn = qsim._counts(generators(range(5)), shots, qsim._distributions(ansatz, row, plan, None))
+        assert drawn.dtype == np.int64
+        slices = [
+            drawn,
+            qsim._shot_counts(ansatz, row, plan, shots, generators(range(5, 10))),
+            qsim._shot_counts(ansatz, row, plan, shots, generators(range(10, 15)), noise),
+            qsim._shot_counts(ansatz, row, plan, shots, generators(range(15, 20)), noise, False),
+        ]
+        value, variance = qsim._tally(np.stack(slices), plan, shots)
+        assert value.shape == variance.shape == (len(slices), 5)
+        for k, counts in enumerate(slices):
+            want_value, want_variance = qsim._tally(counts, plan, shots)
+            assert hexes(value[k]) == hexes(want_value)
+            assert hexes(variance[k]) == hexes(want_variance)
+
+
 @pytest.mark.parametrize("settings_count", [1, 8, 9, 36])
 def test_counts_match_default_rng_multinomial(settings_count):
     # one 1-D draw per setting up to qsim._ROW_DRAWS settings, one 2-D draw
@@ -580,14 +613,36 @@ def test_counts_match_default_rng_multinomial(settings_count):
 
 
 class CountingGenerator:
-    """`default_rng(seed)` that counts its multinomial calls."""
+    """`default_rng(seed)` that counts its multinomial calls and keeps the last tables drawn."""
 
     def __init__(self, seed):
-        self.rng, self.calls = np.random.default_rng(seed), 0
+        self.rng, self.calls, self.pvals = np.random.default_rng(seed), 0, None
 
     def multinomial(self, n, pvals):
         self.calls += 1
+        self.pvals = pvals
         return self.rng.multinomial(n, pvals)
+
+
+@pytest.mark.parametrize("settings_count", [1, 2, 9])
+def test_one_generator_draws_all_its_rows_in_one_call(settings_count):
+    # a distribution study's mode lists one generator once per repetition:
+    # it makes one multinomial call on the tables as given (no gathered
+    # copy), and its counts are one call per row, in row order
+    rng = np.random.default_rng(settings_count)
+    for outcomes in (4, 16):
+        tables = rng.dirichlet(np.ones(outcomes), size=(50, settings_count))
+        for shots in (1, 777, 20000):
+            # one table per row, or one that every row shares
+            for probs in (tables, tables[:1]):
+                spy = CountingGenerator(7)
+                counts = qsim._counts([spy] * 50, shots, probs)
+                assert spy.calls == 1
+                assert np.shares_memory(spy.pvals, probs)
+                assert counts.dtype == np.int64 and counts.shape == (50, settings_count, outcomes)
+                fresh = np.random.default_rng(7)
+                want = [fresh.multinomial(shots, probs[k % len(probs)]) for k in range(50)]
+                assert np.array_equal(counts, np.reshape(want, counts.shape))
 
 
 @pytest.mark.parametrize("settings_count", [0, 1, 4, 8, 9, 72])
