@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .chain import build_chain_matrix, build_composite_basis, rate_constant, reference_spectrum
+from .chain import rate_constant
 from .config import ConfigError, build_vqe_config, resolve_settings
 from .driver import (
     _STUDY_MODES,
@@ -83,26 +83,21 @@ def _problem(settings):
 
 
 def _cmd_reference(args, settings) -> int:
-    config = build_vqe_config(settings)
-    basis = build_composite_basis(
-        config.chain, config.kept_counts, harmonics=config.harmonics, ladder=config.ladder
-    )
-    matrix = build_chain_matrix(basis)
-    eigenvalue = float(reference_spectrum(matrix)[0][0])
-    rate = rate_constant(eigenvalue)
+    config, problem = _problem(settings)
+    rate = rate_constant(problem.reference)
     print(f"kept counts : {_fmt_kept(config.kept_counts)}")
-    print(f"basis size  : {len(basis.states)}")
-    print(f"qubits      : {basis.qubits}")
-    print(f"lambda1     : {eigenvalue:.6f}")
+    print(f"basis size  : {len(problem.basis.states)}")
+    print(f"qubits      : {problem.qubits}")
+    print(f"lambda1     : {problem.reference:.6f}")
     print(f"rate        : {rate:.6f}")
     _emit(
         args.out,
         [
             {
                 "kept": _fmt_kept(config.kept_counts),
-                "basis_size": len(basis.states),
-                "qubits": basis.qubits,
-                "lambda1": eigenvalue,
+                "basis_size": len(problem.basis.states),
+                "qubits": problem.qubits,
+                "lambda1": problem.reference,
                 "rate": rate,
             }
         ],

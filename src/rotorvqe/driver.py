@@ -117,12 +117,15 @@ def build_problem(
     depth: int = 1,
     entangler: str = LINEAR,
 ) -> Problem:
-    """Assemble the padded generator matrix, its lowest eigenvalue and the ansatz."""
+    """Assemble the padded generator matrix, the chain's lowest eigenvalue and the ansatz.
+
+    The eigenvalue is the unpadded chain matrix's, as `rotorvqe reference` prints it.
+    """
     basis = build_composite_basis(chain, kept_counts, harmonics=harmonics, ladder=ladder)
-    matrix = pad_matrix(build_chain_matrix(basis), basis.qubits)
     ansatz = AnsatzSpec(qubits=basis.qubits, depth=depth, entangler=entangler)
+    matrix = build_chain_matrix(basis)
     reference = float(reference_spectrum(matrix)[0][0])
-    return Problem(basis=basis, matrix=matrix, ansatz=ansatz, reference=reference)
+    return Problem(basis=basis, matrix=pad_matrix(matrix, basis.qubits), ansatz=ansatz, reference=reference)
 
 
 # the noise model of every config that gives none: one frozen spec, shared
@@ -226,7 +229,8 @@ def _batch_evaluator(problem: Problem, config: VqeConfig, run_seeds):
     estimator, `qsim._estimate`, on the problem's measurement plan, with
     the configured noise model in noisy mode.  Each run owns one shot
     stream, `_shot_stream(run seed)`, which draws its rows' counts in
-    evaluation order, so every run sees the draws it would see alone.
+    evaluation order, so every run sees the draws it would see alone; the
+    streams and each call's runs go to the estimator as they are.
     """
     if config.mode == EXACT:
         return lambda points, runs: _energies(prepare_states(problem.ansatz, points), problem.matrix)
@@ -235,8 +239,7 @@ def _batch_evaluator(problem: Problem, config: VqeConfig, run_seeds):
     streams = [_shot_stream(run_seed) for run_seed in run_seeds]
 
     def evaluate(points, runs):
-        rngs = [streams[run] for run in runs.tolist()]
-        return _estimate(problem.ansatz, points, plan, config.shots, rngs, noise, config.mitigate)[0]
+        return _estimate(problem.ansatz, points, plan, config.shots, streams, runs, noise, config.mitigate)[0]
 
     return evaluate
 
@@ -450,17 +453,15 @@ def run_hierarchical(ladder, config: VqeConfig) -> tuple:
     the previous state is reproduced exactly) and runs a restart ensemble from
     that point with SPSA's fixed gain under either gain policy; the embedded
     value itself participates in the minimum, which makes rung minima
-    non-increasing by construction.  Every rung's problem is built, and
-    checked to add one qubit, before the first ensemble runs.
+    non-increasing by construction.  Every rung's problem is built, its
+    build checking that the ladder is nested, and checked to add one qubit,
+    before the first ensemble runs.
     """
     ladder = tuple(tuple(int(c) for c in rung) for rung in ladder)
     if len(ladder) < 2:
         raise ValueError("a warm-start ladder needs at least two rungs")
-    for small, large in zip(ladder, ladder[1:]):
-        if len(small) != len(large) or any(a > b for a, b in zip(small, large)):
-            raise ValueError(f"ladder rungs must be nested: {small} then {large}")
-        if small == large:
-            raise ValueError("consecutive ladder rungs must strictly grow")
+    if any(small == large for small, large in zip(ladder, ladder[1:])):
+        raise ValueError("consecutive ladder rungs must strictly grow")
     rungs = []
     for rung_config, problem in _rung_problems(config, ladder):
         if rungs and problem.qubits != rungs[-1][1].qubits + 1:
@@ -563,12 +564,13 @@ def run_distribution_study(
     states = prepare_state(problem.ansatz, params)[None, :]
     exact_value = float(_energies(states, problem.matrix)[0])
     plan = problem._plan(config.grouping)
+    runs = np.zeros(repetitions, dtype=np.intp)
     counts = []
     for mode in modes:
-        rngs = [_shot_stream(config.seed, _STUDY_MODES.index(mode))] * repetitions
+        streams = [_shot_stream(config.seed, _STUDY_MODES.index(mode))]
         noise = config.noise if mode == NOISY else None
         counts.append(
-            _shot_counts(problem.ansatz, params[None, :], plan, config.shots, rngs, noise, config.mitigate, states)
+            _shot_counts(problem.ansatz, params[None, :], plan, config.shots, streams, runs, noise, config.mitigate, states)
         )
     values, _ = _tally(np.stack(counts), plan, config.shots)
     return tuple(DistributionStudy(mode, tuple(row), exact_value) for mode, row in zip(modes, values.tolist()))

@@ -376,15 +376,3 @@ def nelder_mead(x0):
     best = finish_trace(records, (), termination)
     return termination, np.array([best.best_value]), np.array([best.best_params]), [records]
 
-
-def nelder_mead_minimize(evaluate, x0, budget: int) -> OptTrace:
-    """`nelder_mead` from x0 over `evaluate(point) -> value`, called at most `budget` times."""
-    if budget < 1:
-        raise ValueError("evaluation budget must be at least 1")
-    (course,) = drive(
-        lambda points, runs: np.array([float(evaluate(point)) for point in points]),
-        [(nelder_mead(x0), 0, 1)],
-        budget,
-        trace=True,
-    )
-    return course.trace(0)

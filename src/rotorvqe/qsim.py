@@ -1,4 +1,4 @@
-"""Statevector and density-matrix simulation of RyRz variational circuits.
+"""Statevector and Pauli-component simulation of RyRz variational circuits.
 
 Qubit 1 is the most significant bit of a computational-basis index,
 matching `paulimap`.  Rotation gates follow exp(-i theta sigma / 2).
@@ -13,10 +13,11 @@ as its 4^Q real Pauli components (`_components`), each gate and its
 depolarizing channel one real step.  Each setting's outcome distribution
 comes off the pure state through its basis change, or off the components
 through one gather, a Walsh-Hadamard transform and the readout confusion.
-Callers pass one numpy Generator per estimate; both modes draw each
-estimate's counts from its generator, each generator all its rows in one
-multinomial call, in row order (`_shot_counts`, a noisy estimate
-optionally undoing readout confusion), and tally them alike (`_tally`).
+Callers pass numpy Generators, `streams`, and each estimate's run, an
+index into them; both modes draw each estimate's counts from its run's
+stream, each stream all its rows in one multinomial call, in row order
+(`_shot_counts`, a noisy estimate optionally undoing readout confusion),
+and tally them alike (`_tally`).
 The tally keeps rows apart, so the counts of several calls, stacked, are
 tallied in one.
 """
@@ -642,39 +643,40 @@ def _draw(rng, shots: int, tables: np.ndarray) -> np.ndarray:
     return np.array(draws, dtype=np.int64).reshape(tables.shape)
 
 
-def _counts(rngs, shots: int, probs: np.ndarray) -> np.ndarray:
-    """counts[K, S, 2^Q], row k `rngs[k].multinomial(shots, probs[k])`, drawn in row order.
+def _counts(streams, runs, shots: int, probs: np.ndarray) -> np.ndarray:
+    """counts[K, S, 2^Q], row k `streams[runs[k]].multinomial(shots, probs[k])`, drawn in row order.
 
-    probs[B, S, 2^Q] holds a table per generator or one for all.  Each
-    distinct generator draws all its rows, in the order they come, in one
-    `_draw` on their stacked tables (a broadcast of the one shared table),
-    so the counts are those of one call per row.  A lone generator, such as
-    a distribution study's mode lists once per repetition, is found with no
-    Python loop over the rows and draws the tables as given.  Several
-    generators, as a lockstep batch's runs, are grouped row by row, which
-    on batches of a few rows costs less than sorting the rows by generator.
+    probs[B, S, 2^Q] holds a table per row or one for all.  Each run's
+    stream draws all its rows, in the order they come, in one `_draw` on
+    their stacked tables (a broadcast of the one shared table), so the
+    counts are those of one call per row.  A lone stream, such as a
+    distribution study mode's, draws the tables as given with no Python
+    loop over the rows.  Several, as a lockstep batch's runs, group their
+    rows under their run, which on batches of a few rows costs less than
+    sorting the rows by run.
     """
-    tables = probs if len(probs) == len(rngs) else np.broadcast_to(probs, (len(rngs),) + probs.shape[1:])
-    if len(dict.fromkeys(map(id, rngs))) == 1:
-        return _draw(rngs[0], shots, tables)
+    tables = probs if len(probs) == len(runs) else np.broadcast_to(probs, (len(runs),) + probs.shape[1:])
+    if len(streams) == 1:
+        return _draw(streams[0], shots, tables)
     rows = {}
-    for k, rng in enumerate(rngs):
-        rows.setdefault(id(rng), (rng, []))[1].append(k)
+    for k, run in enumerate(runs.tolist()):
+        rows.setdefault(run, []).append(k)
     counts = np.empty(tables.shape, dtype=np.int64)
-    for rng, ks in rows.values():
-        counts[ks] = _draw(rng, shots, tables[ks])
+    for run, ks in rows.items():
+        counts[ks] = _draw(streams[run], shots, tables[ks])
     return counts
 
 
-def _shot_counts(ansatz, points, plan, shots, rngs, noise=None, mitigate=True, states=None):
-    """The counts `_estimate` tallies: float counts[K, S, 2^Q], estimate k's row from rngs[k].
+def _shot_counts(ansatz, points, plan, shots, streams, runs, noise=None, mitigate=True, states=None):
+    """The counts `_estimate` tallies: float counts[K, S, 2^Q], estimate k's from streams[runs[k]].
 
-    points[B, P] holds one row per generator in rngs[K], or one row that
-    every generator shares.  Each row's measured-outcome distribution of
-    every setting is made once (`_distributions`), from its pure state when
-    `noise` is None (sampled), else from its Pauli components under `noise`
-    (noisy), and estimate k draws its settings' counts from its row's with
-    rngs[k], in row order (`_counts`).  A sampled estimate reads the rows'
+    points[B, P] holds one row per estimate, runs[K] naming each one's
+    stream, or one row that every estimate shares.  Each row's
+    measured-outcome distribution of every setting is made once
+    (`_distributions`), from its pure state when `noise` is None
+    (sampled), else from its Pauli components under `noise` (noisy), and
+    estimate k draws its settings' counts from its row's with its run's
+    stream, in row order (`_counts`).  A sampled estimate reads the rows'
     prepared states[B, 2^Q] when given, as `prepare_states` makes them, in
     place of preparing them again.  When noisy and `mitigate`, the
     inverted readout confusion is applied to the measured frequencies,
@@ -685,10 +687,10 @@ def _shot_counts(ansatz, points, plan, shots, rngs, noise=None, mitigate=True, s
     if shots < 1:
         raise ValueError("need at least one shot")
     values = _parameter_rows(ansatz, points)
-    if len(rngs) < 1 or len(values) not in (1, len(rngs)):
-        raise ValueError(f"expected one generator per point, got {len(rngs)} for {len(values)}")
+    if len(runs) < 1 or len(values) not in (1, len(runs)):
+        raise ValueError(f"expected one run per point, got {len(runs)} for {len(values)}")
     inverse = _confusion(noise, ansatz.qubits, True) if noise is not None and mitigate else None
-    counts = _counts(rngs, shots, _distributions(ansatz, values, plan, noise, states))
+    counts = _counts(streams, runs, shots, _distributions(ansatz, values, plan, noise, states))
     if inverse is None:
         return counts.astype(float)
     # one (1, 2^Q) @ (2^Q, 2^Q) product per setting, as for a single setting
@@ -697,21 +699,21 @@ def _shot_counts(ansatz, points, plan, shots, rngs, noise=None, mitigate=True, s
     return shots * freq / freq.sum(axis=-1, keepdims=True)
 
 
-def _estimate(ansatz, points, plan, shots, rngs, noise=None, mitigate=True, states=None):
-    """Estimate an operator from `shots` per setting of its `plan`, once per generator.
+def _estimate(ansatz, points, plan, shots, streams, runs, noise=None, mitigate=True, states=None):
+    """Estimate an operator from `shots` per setting of its `plan`, once per entry of runs.
 
     `_tally` of `_shot_counts`, which takes the same arguments: returns
     (value[K], variance[K]), each bit-identical to its row estimated alone
-    from its generator's state.  As `_tally` keeps rows apart, callers with
-    several estimates' counts, such as a distribution study's modes, may
-    tally them in one call.
+    from its run's stream in its state.  As `_tally` keeps rows apart,
+    callers with several estimates' counts, such as a distribution study's
+    modes, may tally them in one call.
 
     Under noise, after every gate, the basis-change rotations included, a
     uniformly chosen non-identity Pauli strikes the gate's qubits with
     probability p1 (rotations) or p2 (CNOTs), exactly as a channel on the
     state's Pauli components (`_components`, `_distributions`).
     """
-    return _tally(_shot_counts(ansatz, points, plan, shots, rngs, noise, mitigate, states), plan, shots)
+    return _tally(_shot_counts(ansatz, points, plan, shots, streams, runs, noise, mitigate, states), plan, shots)
 
 
 def embed_params(ansatz: AnsatzSpec, params) -> np.ndarray:

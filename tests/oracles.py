@@ -28,8 +28,8 @@ Python-int splitmix64 loop that the uint64 `seed_stream` reproduces;
 at a time from its run's own shot stream (`shot_stream`), which the
 batched evaluator reproduces bit for bit; `serial_nelder_mead` the former
 one-point-per-call Nelder-Mead loop, which stopped by raising once its
-budget was spent, and which each run of a lockstep ensemble and
-`nelder_mead_minimize` reproduce bit for bit;
+budget was spent, and which each `nelder_mead` run that `optimize.drive`
+steps, alone or in a lockstep ensemble, reproduces bit for bit;
 `pairwise_multiplication_matrix`, `pairwise_derivative_matrix` and `masked_jacobi_eigh` are the former
 dict-product matrix builders and masked Jacobi rotation loop, and `map_element`, `elementwise_map_operator` and
 `loop_chain_matrix` the former per-element Pauli expansion and
@@ -793,8 +793,8 @@ def per_run_evaluator(problem, config, run_seeds):
         values = []
         for point, run in zip(points, runs):
             value, _ = qsim._estimate(
-                problem.ansatz, point[None, :], plan, config.shots, [rngs[run]], noise,
-                config.mitigate,
+                problem.ansatz, point[None, :], plan, config.shots, [rngs[run]],
+                np.zeros(1, dtype=np.intp), noise, config.mitigate,
             )
             values.append(value[0])
         return np.array(values)
@@ -843,7 +843,7 @@ class _Spent(Exception):
 def serial_nelder_mead(evaluate, x0, budget):
     """One Nelder-Mead run, one point per objective call: (records, eval_values, termination, moves, best).
 
-    The former `nelder_mead_minimize` body, its coefficients written out:
+    The former one-run Nelder-Mead loop, its coefficients written out:
     start edge 0.1, reflection 1, expansion 2, contraction 0.5, shrink 0.5,
     and convergence once the simplex diameter is below 1e-6.  A call past
     `budget` evaluations raises, which ends the run ("budget").  records[k]

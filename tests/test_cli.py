@@ -12,7 +12,10 @@ from hypothesis import given, settings, strategies as st
 from rotorvqe import cli, driver
 from rotorvqe.cli import main
 from rotorvqe.config import _SETTINGS, resolve_settings
+from rotorvqe.driver import build_problem
 from rotorvqe.qsim import format_bitstrings, prepare_state, sample_bitstrings
+
+from conftest import make_chain
 
 from oracles import dense_from_labels, operator_from_text, shot_stream
 
@@ -54,6 +57,22 @@ def test_reference_csv(tmp_path):
     fields = row.split(",")
     assert fields[0] == "4/4" and fields[2] == "3"
     assert float(fields[3]) == pytest.approx(1.4753736, rel=1e-5)
+
+
+def test_reference_writes_the_problems_lambda1_bit_for_bit(tmp_path):
+    # kept 4,6 pads 12 chain states into 4 qubits; lambda1 is the unpadded
+    # chain matrix's, for `reference` and the built problem alike
+    out = tmp_path / "ref.json"
+    assert main(["reference", "--set", "kept=4,6", "--out", str(out)]) == 0
+    (row,) = json.loads(out.read_text())
+    assert (row["basis_size"], row["qubits"]) == (12, 4)
+    assert row["lambda1"].hex() == build_problem(make_chain(), (4, 6)).reference.hex()
+
+
+def test_reference_checks_the_ansatz_settings_as_map_does(capsys):
+    for command in ("reference", "map"):
+        assert main([command, "--set", "depth=-1"]) == 3
+        assert "depth must be non-negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", [None] + SHIPPED)
@@ -415,7 +434,7 @@ _INVALID = {
     "repetitions": st.sampled_from(["1.5", "two"]),
 }
 # read by `reference` and `map` too, which build a problem and run nothing
-_BUILD_KEYS = ("dihedrals", "diffusion", "kept", "ladder", "harmonics")
+_BUILD_KEYS = ("dihedrals", "diffusion", "kept", "ladder", "harmonics", "depth", "entangler")
 # unparsable text, for any key
 _JUNK = st.sampled_from(["", " ", "x", "1.5.2", "4;;2", "0x10", "1,,x", "'4'"])
 

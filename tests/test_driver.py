@@ -52,6 +52,11 @@ from oracles import (
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
+def one_stream(count) -> np.ndarray:
+    """runs[count], every row drawn from the one stream given."""
+    return np.zeros(count, dtype=np.intp)
+
+
 def quick_config(**overrides) -> VqeConfig:
     base = dict(chain=make_chain(), kept_counts=(4, 2), iterations=60, restarts=3, seed=11)
     base.update(overrides)
@@ -304,8 +309,8 @@ def test_first_evaluation_does_not_draw_from_the_run_seed_stream(q2_problem, mon
     # the shots must come from another stream, and not from the calibration's
     drawn, counts_of = [], qsim._counts
 
-    def spy(rngs, shots, probs):
-        counts = counts_of(rngs, shots, probs)
+    def spy(streams, runs, shots, probs):
+        counts = counts_of(streams, runs, shots, probs)
         drawn.append((probs, counts))
         return counts
 
@@ -324,11 +329,11 @@ def test_no_two_runs_and_no_probe_share_a_shot_stream(monkeypatch):
     streams, rows = {}, collections.Counter()
 
     def spying(draw):
-        def spy(ansatz, points, plan, shots, rngs, *args, **kwargs):
-            for rng in rngs:
-                streams[id(rng)] = rng
-                rows[id(rng)] += 1
-            return draw(ansatz, points, plan, shots, rngs, *args, **kwargs)
+        def spy(ansatz, points, plan, shots, given, runs, *args, **kwargs):
+            for run in runs.tolist():
+                streams[id(given[run])] = given[run]
+                rows[id(given[run])] += 1
+            return draw(ansatz, points, plan, shots, given, runs, *args, **kwargs)
 
         return spy
 
@@ -620,6 +625,7 @@ def test_qubit_scan_refuses_a_bad_rung_before_any_ensemble(monkeypatch):
     [
         (((4, 2), (4, 4), (40, 4)), "got kept=40"),
         (((4, 2), (4, 4), (16, 4)), "grow by one qubit at a time"),
+        (((4, 2), (2, 4)), "componentwise nested"),
     ],
 )
 def test_hierarchical_refuses_a_bad_rung_before_any_ensemble(monkeypatch, ladder, message):
@@ -705,10 +711,11 @@ def test_distribution_study_matches_per_repetition_estimates(q2_problem, mitigat
     ansatz, plan = q2_problem.ansatz, qsim._measurement_plan(q2_problem.operator, grouping)
     # each mode's repetitions, one estimate at a time from the mode's one stream
     rng = shot_stream(config.seed, 0)
-    want_sampled = [qsim._estimate(ansatz, params[None, :], plan, 700, [rng])[0][0] for _ in range(5)]
+    want_sampled = [qsim._estimate(ansatz, params[None, :], plan, 700, [rng], one_stream(1))[0][0] for _ in range(5)]
     rng = shot_stream(config.seed, 1)
     want_noisy = [
-        qsim._estimate(ansatz, params[None, :], plan, 700, [rng], noise, mitigate)[0][0] for _ in range(5)
+        qsim._estimate(ansatz, params[None, :], plan, 700, [rng], one_stream(1), noise, mitigate)[0][0]
+        for _ in range(5)
     ]
     assert [v.hex() for v in sampled.values] == [v.hex() for v in want_sampled]
     assert [v.hex() for v in noisy.values] == [v.hex() for v in want_noisy]
@@ -738,7 +745,7 @@ def test_distribution_study_spread_matches_the_reported_standard_error(q2_proble
     (study,) = run_distribution_study(config, params, modes=(SAMPLED,), repetitions=400, problem=q2_problem)
     plan = q2_problem._plan(config.grouping)
     values, variances = qsim._estimate(
-        q2_problem.ansatz, params[None, :], plan, 2000, [shot_stream(config.seed, 0)] * 400
+        q2_problem.ansatz, params[None, :], plan, 2000, [shot_stream(config.seed, 0)], one_stream(400)
     )
     assert hexes(values) == hexes(study.values)
     predicted = math.sqrt(float(np.mean(variances)))
@@ -761,7 +768,7 @@ def test_distribution_study_sampled_batch_matches_one_row_loop(rung_problems, ru
     (study,) = run_distribution_study(config, params, modes=(SAMPLED,), repetitions=20, problem=problem)
     plan = qsim._measurement_plan(problem.operator, grouping)
     rng = shot_stream(config.seed, 0)
-    want = [qsim._estimate(problem.ansatz, params[None, :], plan, shots, [rng])[0][0] for _ in range(20)]
+    want = [qsim._estimate(problem.ansatz, params[None, :], plan, shots, [rng], one_stream(1))[0][0] for _ in range(20)]
     assert [v.hex() for v in study.values] == [v.hex() for v in want]
 
 

@@ -15,7 +15,7 @@ from rotorvqe.optimize import (
     calibrated_gains,
     drive,
     finish_trace,
-    nelder_mead_minimize,
+    nelder_mead,
     spsa_lockstep,
     trace_to_csv,
 )
@@ -36,6 +36,17 @@ def run_stepper(stepper, evaluate, runs):
     """A stepper of `runs` runs driven to its end over `evaluate(points) -> values`; its result."""
     (course,) = drive(lambda points, _: np.asarray(evaluate(points), dtype=float), [(stepper, 0, runs)])
     return course.result
+
+
+def nelder_mead_trace(evaluate, x0, budget):
+    """One `nelder_mead` run from x0 over `evaluate(point) -> value`, driven within `budget`; its trace."""
+    (course,) = drive(
+        lambda points, _: np.array([float(evaluate(point)) for point in points]),
+        [(nelder_mead(x0), 0, 1)],
+        budget,
+        trace=True,
+    )
+    return course.trace(0)
 
 
 def lockstep(evaluate, x0, seeds, iterations, a=None):
@@ -72,9 +83,7 @@ def run_config(**overrides) -> VqeConfig:
 
 def test_objective_validation():
     with pytest.raises(ValueError, match="objective dimension must be at least 1"):
-        nelder_mead_minimize(lambda p: 0.0, np.zeros(0), 10)
-    with pytest.raises(ValueError, match="evaluation budget must be at least 1"):
-        nelder_mead_minimize(lambda p: 0.0, np.zeros(2), 0)
+        nelder_mead_trace(lambda p: 0.0, np.zeros(0), 10)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -86,7 +95,7 @@ def test_nelder_mead_refuses_an_objective_with_no_comparable_value(bad):
         return bad
 
     with pytest.raises(ValueError, match="no evaluation returned a comparable value: all 50 were"):
-        nelder_mead_minimize(evaluate, np.zeros(2), 50)
+        nelder_mead_trace(evaluate, np.zeros(2), 50)
     assert len(calls) == 50
 
 
@@ -299,20 +308,20 @@ def test_calibrated_gains_match_serial_oracle_bit_for_bit(runs, objective):
 
 
 def test_nelder_mead_two_dim_quadratic():
-    trace = nelder_mead_minimize(quadratic([0.7, -1.3]), np.zeros(2), 800)
+    trace = nelder_mead_trace(quadratic([0.7, -1.3]), np.zeros(2), 800)
     assert trace.termination == "converged"
     assert trace.best_value < 1e-10
     assert np.allclose(trace.best_params, [0.7, -1.3], atol=1e-4)
 
 
 def test_nelder_mead_one_dim():
-    trace = nelder_mead_minimize(quadratic([2.0]), np.array([0.5]), 300)
+    trace = nelder_mead_trace(quadratic([2.0]), np.array([0.5]), 300)
     assert trace.best_params[0] == pytest.approx(2.0, abs=1e-3)
 
 
 def test_nelder_mead_respects_budget():
     x0 = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi, 8)
-    trace = nelder_mead_minimize(quadratic(np.ones(8)), x0, 10)
+    trace = nelder_mead_trace(quadratic(np.ones(8)), x0, 10)
     assert trace.n_evaluations <= 10
     assert trace.termination == "budget"
     assert trace.best_value == min(trace.eval_values)
@@ -321,7 +330,7 @@ def test_nelder_mead_respects_budget():
 def test_nelder_mead_deterministic():
     x0 = np.random.default_rng(9).uniform(0.0, 2.0 * math.pi, 3)
     evaluate = quadratic(np.ones(3))
-    assert nelder_mead_minimize(evaluate, x0, 200) == nelder_mead_minimize(evaluate, x0, 200)
+    assert nelder_mead_trace(evaluate, x0, 200) == nelder_mead_trace(evaluate, x0, 200)
 
 
 def hexes(values):
@@ -329,7 +338,7 @@ def hexes(values):
 
 
 @pytest.mark.parametrize("dim", [2, 4, 6])
-def test_nelder_mead_minimize_matches_the_serial_loop(dim):
+def test_driven_nelder_mead_matches_the_serial_loop(dim):
     # budgets that end inside the start simplex, right after it, between two
     # evaluations of one shrink, and after the run has converged; the
     # plateaus of `tied` make the simplex shrink often
@@ -339,7 +348,7 @@ def test_nelder_mead_minimize_matches_the_serial_loop(dim):
     mid_shrink = next(i for i in range(1, len(moves)) if moves[i - 1] == moves[i] == "shrink")
     for budget in (1, dim + 1, mid_shrink, 5000):
         records, values, termination, _, best = oracles.serial_nelder_mead(objective, x0, budget)
-        trace = nelder_mead_minimize(objective, x0, budget)
+        trace = nelder_mead_trace(objective, x0, budget)
         assert hexes(trace.eval_values) == hexes(values)
         assert [(r.iteration, hexes(r.params), r.value.hex()) for r in trace.records] == [
             (k, hexes(params), value.hex()) for k, params, value in records

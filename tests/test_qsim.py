@@ -74,10 +74,20 @@ def generators(seeds) -> list:
     return [np.random.default_rng(seed) for seed in seeds]
 
 
+def every_run(count) -> np.ndarray:
+    """runs[count], row k drawn from stream k."""
+    return np.arange(count)
+
+
+def one_stream(count) -> np.ndarray:
+    """runs[count], every row drawn from stream 0."""
+    return np.zeros(count, dtype=np.intp)
+
+
 def seeded_estimate(ansatz, points, op, shots, seeds, noise=None, mitigate=True, grouping=True):
-    """`qsim._estimate` of op's plan from a fresh `default_rng` per seed: (value[K], variance[K])."""
+    """`qsim._estimate` of op's plan, estimate k from a fresh `default_rng(seeds[k])`: (value[K], variance[K])."""
     plan = qsim._measurement_plan(op, grouping)
-    return qsim._estimate(ansatz, points, plan, shots, generators(seeds), noise, mitigate)
+    return qsim._estimate(ansatz, points, plan, shots, generators(seeds), every_run(len(seeds)), noise, mitigate)
 
 
 def _bits(value, variance) -> list:
@@ -499,11 +509,11 @@ def test_distribution_tables_run_in_bounded_blocks(monkeypatch):
 def test_sampled_expectations_validation():
     ansatz = AnsatzSpec(qubits=1, depth=0)
     points = np.zeros((3, 2))
-    with pytest.raises(ValueError, match="one generator per point"):
+    with pytest.raises(ValueError, match="one run per point"):
         seeded_estimate(ansatz, points, single_z(), 10, [1, 2])
-    with pytest.raises(ValueError, match="one generator per point"):
+    with pytest.raises(ValueError, match="one run per point"):
         seeded_estimate(ansatz, points[:2], single_z(), 10, [1], noise=NoiseSpec())
-    with pytest.raises(ValueError, match="one generator per point"):
+    with pytest.raises(ValueError, match="one run per point"):
         seeded_estimate(ansatz, points[:1], single_z(), 10, [])
     with pytest.raises(ValueError):
         seeded_estimate(ansatz, np.zeros((3, 3)), single_z(), 10, [1, 2, 3])
@@ -520,7 +530,7 @@ def test_estimate_refuses_a_plan_of_another_register():
         plan = qsim._measurement_plan(op, True)
         ansatz = AnsatzSpec(qubits=qubits, depth=0)
         with pytest.raises(ValueError, match="ansatz and operator registers differ"):
-            qsim._estimate(ansatz, np.zeros((1, ansatz.parameter_count)), plan, 10, generators([1]))
+            qsim._estimate(ansatz, np.zeros((1, ansatz.parameter_count)), plan, 10, generators([1]), one_stream(1))
 
 
 # seeds at the uint64 edges, where SeedSequence splits an integer into one
@@ -544,12 +554,11 @@ def test_array_core_matches_estimates_bit_for_bit(noisy, mitigate, grouping):
         # one row per estimate, and one row every estimate shares
         for points in (rows, rows[:1]):
             streams = generators(RUN_SEEDS[:runs])
-            rngs = [streams[k % runs] for k in range(12)]
-            value, variance = qsim._estimate(ansatz, points, plan, 777, rngs, noise, mitigate)
+            value, variance = qsim._estimate(ansatz, points, plan, 777, streams, every_run(12) % runs, noise, mitigate)
             assert value.shape == variance.shape == (12,)
             streams = generators(RUN_SEEDS[:runs])
             alone = [
-                qsim._estimate(ansatz, points[k % len(points)][None, :], plan, 777, [streams[k % runs]], noise, mitigate)
+                qsim._estimate(ansatz, points[k % len(points)][None, :], plan, 777, [streams[k % runs]], one_stream(1), noise, mitigate)
                 for k in range(12)
             ]
             assert _bits(value, variance) == [_bits(*estimate)[0] for estimate in alone]
@@ -567,13 +576,13 @@ def test_tally_of_stacked_counts_matches_each_slice_bit_for_bit(kept, grouping):
     noise = NoiseSpec(p1=0.01, p2=0.03, readout=symmetric_confusion(0.05))
     row = np.random.default_rng(sum(kept)).uniform(-7.0, 7.0, (1, ansatz.parameter_count))
     for shots in (1, 777, 20000):
-        drawn = qsim._counts(generators(range(5)), shots, qsim._distributions(ansatz, row, plan, None))
+        drawn = qsim._counts(generators(range(5)), every_run(5), shots, qsim._distributions(ansatz, row, plan, None))
         assert drawn.dtype == np.int64
         slices = [
             drawn,
-            qsim._shot_counts(ansatz, row, plan, shots, generators(range(5, 10))),
-            qsim._shot_counts(ansatz, row, plan, shots, generators(range(10, 15)), noise),
-            qsim._shot_counts(ansatz, row, plan, shots, generators(range(15, 20)), noise, False),
+            qsim._shot_counts(ansatz, row, plan, shots, generators(range(5, 10)), every_run(5)),
+            qsim._shot_counts(ansatz, row, plan, shots, generators(range(10, 15)), every_run(5), noise),
+            qsim._shot_counts(ansatz, row, plan, shots, generators(range(15, 20)), every_run(5), noise, False),
         ]
         value, variance = qsim._tally(np.stack(slices), plan, shots)
         assert value.shape == variance.shape == (len(slices), 5)
@@ -598,7 +607,7 @@ def test_counts_match_default_rng_multinomial(settings_count):
             for shots in (1, 777, 20000):
                 # one table per row, or one that every row shares
                 for probs in (tables, tables[:1]):
-                    counts = qsim._counts(generators(rows), shots, probs)
+                    counts = qsim._counts(generators(rows), every_run(len(rows)), shots, probs)
                     assert counts.dtype == np.int64
                     want = [
                         np.random.default_rng(seed).multinomial(shots, probs[k % len(probs)])
@@ -606,7 +615,7 @@ def test_counts_match_default_rng_multinomial(settings_count):
                     ]
                     assert np.array_equal(counts, np.reshape(want, counts.shape))
                     shared = np.random.default_rng(rows[0])
-                    counts = qsim._counts([shared] * len(rows), shots, probs)
+                    counts = qsim._counts([shared], one_stream(len(rows)), shots, probs)
                     shared = np.random.default_rng(rows[0])
                     want = [shared.multinomial(shots, probs[k % len(probs)]) for k in range(len(rows))]
                     assert np.array_equal(counts, np.reshape(want, counts.shape))
@@ -626,7 +635,7 @@ class CountingGenerator:
 
 @pytest.mark.parametrize("settings_count", [1, 2, 9])
 def test_one_generator_draws_all_its_rows_in_one_call(settings_count):
-    # a distribution study's mode lists one generator once per repetition:
+    # a distribution study's mode draws every repetition from its one stream:
     # it makes one multinomial call on the tables as given (no gathered
     # copy), and its counts are one call per row, in row order
     rng = np.random.default_rng(settings_count)
@@ -636,7 +645,7 @@ def test_one_generator_draws_all_its_rows_in_one_call(settings_count):
             # one table per row, or one that every row shares
             for probs in (tables, tables[:1]):
                 spy = CountingGenerator(7)
-                counts = qsim._counts([spy] * 50, shots, probs)
+                counts = qsim._counts([spy], one_stream(50), shots, probs)
                 assert spy.calls == 1
                 assert np.shares_memory(spy.pvals, probs)
                 assert counts.dtype == np.int64 and counts.shape == (50, settings_count, outcomes)
@@ -647,30 +656,32 @@ def test_one_generator_draws_all_its_rows_in_one_call(settings_count):
 
 @pytest.mark.parametrize("settings_count", [0, 1, 4, 8, 9, 72])
 def test_each_generator_draws_all_its_rows_in_one_call(settings_count):
-    # rows belong to generators a, b, a, b, a, c: the interleaved rows of a
-    # two-run lockstep call, then a generator listed alone.  At S settings a draws
-    # 3S tables, b 2S and c S, so S = 1, 4, 8, 9 and 72 give each side of
-    # qsim._ROW_DRAWS to every generator.  Past it a generator makes one
-    # call, else one per table; either way each row's counts are one
-    # multinomial call per row, in row order, from a fresh generator
-    owners = [0, 1, 0, 1, 0, 2]
+    # rows belong to runs 0, 1, 0, 1, 0, 2 of three streams: the interleaved
+    # rows of a two-run lockstep call, then a run alone; or to runs 2, 0, 2,
+    # out of order and leaving stream 1 out, as in a Nelder-Mead round after
+    # run 1 has ended.  At S settings a run with n rows draws nS tables, so
+    # S = 1, 4, 8, 9 and 72 give each side of qsim._ROW_DRAWS to every run.
+    # Past it a stream makes one call, else one per table; either way each
+    # row's counts are one multinomial call per row, in row order, from a
+    # fresh generator, and a stream with no rows draws nothing
     seeds = (2**64 - 1, 0, 12345)
     rng = np.random.default_rng(settings_count)
-    for outcomes in (2, 4, 16):
-        tables = rng.dirichlet(np.ones(outcomes), size=(len(owners), settings_count))
-        for shots in (1, 777, 20000):
-            # one table per row, or one that every row shares
-            for probs in (tables, tables[:1]):
-                spies = [CountingGenerator(seed) for seed in seeds]
-                counts = qsim._counts([spies[o] for o in owners], shots, probs)
-                assert counts.dtype == np.int64
-                assert counts.shape == (len(owners), settings_count, outcomes)
-                fresh = generators(seeds)
-                want = [fresh[o].multinomial(shots, probs[k % len(probs)]) for k, o in enumerate(owners)]
-                assert np.array_equal(counts, np.reshape(want, counts.shape))
-                for o, spy in enumerate(spies):
-                    drawn = owners.count(o) * settings_count
-                    assert spy.calls == (1 if drawn > qsim._ROW_DRAWS else drawn)
+    for runs in ([0, 1, 0, 1, 0, 2], [2, 0, 2]):
+        for outcomes in (2, 4, 16):
+            tables = rng.dirichlet(np.ones(outcomes), size=(len(runs), settings_count))
+            for shots in (1, 777, 20000):
+                # one table per row, or one that every row shares
+                for probs in (tables, tables[:1]):
+                    spies = [CountingGenerator(seed) for seed in seeds]
+                    counts = qsim._counts(spies, np.array(runs), shots, probs)
+                    assert counts.dtype == np.int64
+                    assert counts.shape == (len(runs), settings_count, outcomes)
+                    fresh = generators(seeds)
+                    want = [fresh[run].multinomial(shots, probs[k % len(probs)]) for k, run in enumerate(runs)]
+                    assert np.array_equal(counts, np.reshape(want, counts.shape))
+                    for run, spy in enumerate(spies):
+                        drawn = runs.count(run) * settings_count
+                        assert spy.calls == (1 if drawn > qsim._ROW_DRAWS else drawn)
 
 
 def test_list_readout_noise_spec_estimates():
@@ -701,7 +712,7 @@ def test_sampled_expectations_checks_seed_count_before_preparing_states(monkeypa
 
     for name in ("prepare_states", "_evolved"):
         monkeypatch.setattr(qsim, name, prepare)
-    with pytest.raises(ValueError, match="one generator per point"):
+    with pytest.raises(ValueError, match="one run per point"):
         seeded_estimate(AnsatzSpec(qubits=1, depth=0), np.zeros((3, 2)), single_z(), 10, [1, 2])
 
 
@@ -875,8 +886,8 @@ def test_noisy_counts_match_serial_table_counts():
             table = qsim._distributions(ansatz, rows, plan, noise)
             serial = np.array([serial_noisy_distributions(ansatz, row, noise, plan.bases) for row in rows])
             for shots in (1, 777, 20000):
-                counts = qsim._counts(generators(seeds), shots, table)
-                assert np.array_equal(counts, qsim._counts(generators(seeds), shots, serial))
+                counts = qsim._counts(generators(seeds), every_run(6), shots, table)
+                assert np.array_equal(counts, qsim._counts(generators(seeds), every_run(6), shots, serial))
 
 
 def test_noisy_tables_at_five_qubits_stay_small():
