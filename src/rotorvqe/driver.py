@@ -46,8 +46,6 @@ from .qsim import (
     NoiseSpec,
     _estimate,
     _measurement_plan,
-    _shot_counts,
-    _tally,
     embed_params,
     prepare_state,
     prepare_states,
@@ -230,7 +228,8 @@ def _batch_evaluator(problem: Problem, config: VqeConfig, run_seeds):
     the configured noise model in noisy mode.  Each run owns one shot
     stream, `_shot_stream(run seed)`, which draws its rows' counts in
     evaluation order, so every run sees the draws it would see alone; the
-    streams and each call's runs go to the estimator as they are.
+    streams and each call's runs go to the estimator, and its values come
+    back, as they are.
     """
     if config.mode == EXACT:
         return lambda points, runs: _energies(prepare_states(problem.ansatz, points), problem.matrix)
@@ -239,7 +238,7 @@ def _batch_evaluator(problem: Problem, config: VqeConfig, run_seeds):
     streams = [_shot_stream(run_seed) for run_seed in run_seeds]
 
     def evaluate(points, runs):
-        return _estimate(problem.ansatz, points, plan, config.shots, streams, runs, noise, config.mitigate)[0]
+        return _estimate(problem.ansatz, points, plan, config.shots, streams, runs, noise, config.mitigate)
 
     return evaluate
 
@@ -540,14 +539,14 @@ def run_distribution_study(
 ) -> tuple:
     """Re-measure a fixed parameter set many times per mode (histogram data).
 
-    Each mode draws all its repetitions' counts in one call of
-    `qsim._shot_counts`: the mode's outcome distributions are made once,
-    from the one parameter row, and the mode's one shot stream
-    (`_shot_stream` of the master seed, keyed by the mode) draws the
-    repetitions in order, so the first k repetitions of a study are a
-    k-repetition study.  One `qsim._tally` of every mode's counts, stacked,
-    gives each repetition the value `qsim._estimate` gives it.  The row's
-    state is prepared once, for the exact value and the sampled table alike.
+    Each mode estimates all its repetitions in one call of
+    `qsim._estimate`: the mode's outcome distributions are made once, from
+    the one parameter row, and the mode's one shot stream (`_shot_stream`
+    of the master seed, keyed by the mode) draws the repetitions in order,
+    so the first k repetitions of a study are a k-repetition study, each
+    the value a one-row `qsim._estimate` from that stream gives it.  The
+    row's state is prepared once, for the exact value and the sampled
+    table alike.
     """
     _check_study(repetitions, modes)
     if problem is None:
@@ -565,12 +564,10 @@ def run_distribution_study(
     exact_value = float(_energies(states, problem.matrix)[0])
     plan = problem._plan(config.grouping)
     runs = np.zeros(repetitions, dtype=np.intp)
-    counts = []
+    out = []
     for mode in modes:
         streams = [_shot_stream(config.seed, _STUDY_MODES.index(mode))]
         noise = config.noise if mode == NOISY else None
-        counts.append(
-            _shot_counts(problem.ansatz, params[None, :], plan, config.shots, streams, runs, noise, config.mitigate, states)
-        )
-    values, _ = _tally(np.stack(counts), plan, config.shots)
-    return tuple(DistributionStudy(mode, tuple(row), exact_value) for mode, row in zip(modes, values.tolist()))
+        values = _estimate(problem.ansatz, params[None, :], plan, config.shots, streams, runs, noise, config.mitigate, states)
+        out.append(DistributionStudy(mode, tuple(values.tolist()), exact_value))
+    return tuple(out)

@@ -16,10 +16,8 @@ through one gather, a Walsh-Hadamard transform and the readout confusion.
 Callers pass numpy Generators, `streams`, and each estimate's run, an
 index into them; both modes draw each estimate's counts from its run's
 stream, each stream all its rows in one multinomial call, in row order
-(`_shot_counts`, a noisy estimate optionally undoing readout confusion),
-and tally them alike (`_tally`).
-The tally keeps rows apart, so the counts of several calls, stacked, are
-tallied in one.
+(`_counts`), a noisy estimate optionally undoing readout confusion, and
+sum each setting's mean onto the offset alike, all in one `_estimate`.
 """
 
 from __future__ import annotations
@@ -502,10 +500,10 @@ class _MeasurementPlan:
 
     A setting is one QWC group, or one string when grouping is off; the
     identity string is never measured.  Setting s measures the letters of
-    its (x, z) masks bases[s] and has outcome values outcomes[s] and their
-    squares squares[s].  `pure` holds the basis changes compiled for a
-    state, as (steps, gates, measured gather): each qubit some setting
-    rotates takes, per setting, the `_BASIS_CHANGES` gate its letter picks.
+    its (x, z) masks bases[s] and has outcome values outcomes[s].  `pure`
+    holds the basis changes compiled for a state, as (steps, gates,
+    measured gather): each qubit some setting rotates takes, per setting,
+    the `_BASIS_CHANGES` gate its letter picks.
     `paulis` holds them for Pauli components as (index, turns, hadamard):
     setting s reads the Z-string on qubit subset T (an index's bits) as
     component index[s, T] times (1 - 4 p1 / 3) ** turns[s, T], the count
@@ -516,7 +514,6 @@ class _MeasurementPlan:
     offset: float
     bases: tuple
     outcomes: np.ndarray
-    squares: np.ndarray
     pure: tuple
     paulis: tuple
 
@@ -535,7 +532,6 @@ def _measurement_plan(operator: PauliOperator, grouping: bool) -> _MeasurementPl
             outcomes.append(_outcome_values(operator, members, 1 << qubits))
             bases.append((x, z))
     table = np.array(outcomes).reshape(len(bases), 1 << qubits)
-    squares = table**2
     bits, shifts = _bits(qubits), np.arange(qubits - 1, -1, -1)
     x, z = (np.array(bases, dtype=np.int64).reshape(-1, 2).T[:, :, None] >> shifts) & 1
     # gates[R, 2, 2, 1, S, 1], gate[j, i] of every setting on each rotated qubit
@@ -547,31 +543,10 @@ def _measurement_plan(operator: PauliOperator, grouping: bool) -> _MeasurementPl
     index = ((2 * x + (z | 1 - x)) << 2 * shifts) @ bits
     turns = x @ bits
     hadamard = (1.0 - 2.0 * ((bits.T @ bits) & 1)) / (1 << qubits)
-    for array in (gates, table, squares, index, turns, hadamard):
+    for array in (gates, table, index, turns, hadamard):
         array.flags.writeable = False
     pure, paulis = (steps, gates, final), (index, turns, hadamard)
-    return _MeasurementPlan(operator.identity_offset, tuple(bases), table, squares, pure, paulis)
-
-
-def _tally(counts: np.ndarray, plan, shots: int):
-    """Estimates and their variances from counts[..., S, 2^Q] of a measurement plan's settings.
-
-    Each setting's sample mean of the outcome values and that mean's
-    variance are summed in order onto the offset, as a running sum would;
-    every (1, 2^Q) @ (2^Q, 1) product and the sequential `cumsum` keep each
-    row's figures independent of the rows beside it.
-    """
-    counts = np.asarray(counts, dtype=float)[..., None, :]
-    mean = np.matmul(counts, plan.outcomes[:, :, None])[..., 0, 0] / shots
-    if shots > 1:
-        second = np.matmul(counts, plan.squares[:, :, None])[..., 0, 0]
-        variance = np.maximum(second - shots * mean * mean, 0.0) / (shots - 1) / shots
-    else:
-        variance = np.zeros_like(mean)
-    start = np.zeros(mean.shape[:-1] + (1,))
-    value = np.cumsum(np.concatenate((start + plan.offset, mean), axis=-1), axis=-1)[..., -1]
-    variance = np.cumsum(np.concatenate((start, variance), axis=-1), axis=-1)[..., -1]
-    return value, variance
+    return _MeasurementPlan(operator.identity_offset, tuple(bases), table, pure, paulis)
 
 
 # entries of one block of rows' working arrays in `_distributions` (4 MB as
@@ -650,14 +625,15 @@ def _counts(streams, runs, shots: int, probs: np.ndarray) -> np.ndarray:
     stream draws all its rows, in the order they come, in one `_draw` on
     their stacked tables (a broadcast of the one shared table), so the
     counts are those of one call per row.  A lone stream, such as a
-    distribution study mode's, draws the tables as given with no Python
+    distribution study mode's, or a lone row, such as a Nelder-Mead
+    round's with one live run, draws the tables as given with no Python
     loop over the rows.  Several, as a lockstep batch's runs, group their
     rows under their run, which on batches of a few rows costs less than
     sorting the rows by run.
     """
     tables = probs if len(probs) == len(runs) else np.broadcast_to(probs, (len(runs),) + probs.shape[1:])
-    if len(streams) == 1:
-        return _draw(streams[0], shots, tables)
+    if len(streams) == 1 or len(runs) == 1:
+        return _draw(streams[runs[0]], shots, tables)
     rows = {}
     for k, run in enumerate(runs.tolist()):
         rows.setdefault(run, []).append(k)
@@ -667,8 +643,8 @@ def _counts(streams, runs, shots: int, probs: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _shot_counts(ansatz, points, plan, shots, streams, runs, noise=None, mitigate=True, states=None):
-    """The counts `_estimate` tallies: float counts[K, S, 2^Q], estimate k's from streams[runs[k]].
+def _estimate(ansatz, points, plan, shots, streams, runs, noise=None, mitigate=True, states=None):
+    """Estimate an operator from `shots` per setting of its `plan`: value[K], estimate k from streams[runs[k]].
 
     points[B, P] holds one row per estimate, runs[K] naming each one's
     stream, or one row that every estimate shares.  Each row's
@@ -680,7 +656,16 @@ def _shot_counts(ansatz, points, plan, shots, streams, runs, noise=None, mitigat
     prepared states[B, 2^Q] when given, as `prepare_states` makes them, in
     place of preparing them again.  When noisy and `mitigate`, the
     inverted readout confusion is applied to the measured frequencies,
-    clipping negative entries and renormalizing.
+    clipping negative entries and renormalizing.  Each setting's sample
+    mean of the outcome values is summed in order onto the offset, as a
+    running sum would; every (1, 2^Q) @ (2^Q, 1) product and the
+    sequential `cumsum` keep each value bit-identical to its row estimated
+    alone from its run's stream in its state.
+
+    Under noise, after every gate, the basis-change rotations included, a
+    uniformly chosen non-identity Pauli strikes the gate's qubits with
+    probability p1 (rotations) or p2 (CNOTs), exactly as a channel on the
+    state's Pauli components (`_components`, `_distributions`).
     """
     if plan.outcomes.shape[1] != 1 << ansatz.qubits:
         raise ValueError("ansatz and operator registers differ")
@@ -690,30 +675,15 @@ def _shot_counts(ansatz, points, plan, shots, streams, runs, noise=None, mitigat
     if len(runs) < 1 or len(values) not in (1, len(runs)):
         raise ValueError(f"expected one run per point, got {len(runs)} for {len(values)}")
     inverse = _confusion(noise, ansatz.qubits, True) if noise is not None and mitigate else None
-    counts = _counts(streams, runs, shots, _distributions(ansatz, values, plan, noise, states))
-    if inverse is None:
-        return counts.astype(float)
-    # one (1, 2^Q) @ (2^Q, 2^Q) product per setting, as for a single setting
-    freq = np.matmul((counts / shots)[..., None, :], inverse)[..., 0, :]
-    freq = np.clip(freq, 0.0, None)
-    return shots * freq / freq.sum(axis=-1, keepdims=True)
-
-
-def _estimate(ansatz, points, plan, shots, streams, runs, noise=None, mitigate=True, states=None):
-    """Estimate an operator from `shots` per setting of its `plan`, once per entry of runs.
-
-    `_tally` of `_shot_counts`, which takes the same arguments: returns
-    (value[K], variance[K]), each bit-identical to its row estimated alone
-    from its run's stream in its state.  As `_tally` keeps rows apart,
-    callers with several estimates' counts, such as a distribution study's
-    modes, may tally them in one call.
-
-    Under noise, after every gate, the basis-change rotations included, a
-    uniformly chosen non-identity Pauli strikes the gate's qubits with
-    probability p1 (rotations) or p2 (CNOTs), exactly as a channel on the
-    state's Pauli components (`_components`, `_distributions`).
-    """
-    return _tally(_shot_counts(ansatz, points, plan, shots, streams, runs, noise, mitigate, states), plan, shots)
+    counts = _counts(streams, runs, shots, _distributions(ansatz, values, plan, noise, states)).astype(float)
+    if inverse is not None:
+        # one (1, 2^Q) @ (2^Q, 2^Q) product per setting, as for a single setting
+        freq = np.matmul((counts / shots)[..., None, :], inverse)[..., 0, :]
+        freq = np.clip(freq, 0.0, None)
+        counts = shots * freq / freq.sum(axis=-1, keepdims=True)
+    mean = np.matmul(counts[..., None, :], plan.outcomes[:, :, None])[..., 0, 0] / shots
+    start = np.zeros(mean.shape[:-1] + (1,)) + plan.offset
+    return np.cumsum(np.concatenate((start, mean), axis=-1), axis=-1)[..., -1]
 
 
 def embed_params(ansatz: AnsatzSpec, params) -> np.ndarray:

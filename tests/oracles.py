@@ -14,11 +14,12 @@ evolution, which the Pauli-component engine reproduces within a stated
 tolerance.  `gather_sampled_expectations` is the former gather-and-scatter
 basis change that the compiled one reproduces bit for bit.  These four
 read the package's measurement plan only for its settings, the (x, z)
-masks `bases`, and, through `qsim._tally` or directly, its `offset`,
-`outcomes` and `squares`; each builds its own literal basis-change gates
-from the masks (`_basis_change`).  The amplitude-traversal
-`exact_expectation` uses the package's bitmask convention and is itself
-checked against dense matrices;
+masks `bases`, and its `offset` and `outcomes`, which they sum in
+`tally` or directly; each builds its own literal basis-change gates from
+the masks (`_basis_change`).  `predicted_standard_error` is a sampled
+estimate's standard error from its outcome law, not from any draws.
+The amplitude-traversal `exact_expectation` uses the package's bitmask
+convention and is itself checked against dense matrices;
 `serial_spsa` is the one-run SPSA loop, its gain schedule written out, that
 the lockstep batch reproduces bit for bit, `serial_calibrated_gain` the
 one-run gain calibration, written out the same way, that
@@ -792,7 +793,7 @@ def per_run_evaluator(problem, config, run_seeds):
     def evaluate(points, runs):
         values = []
         for point, run in zip(points, runs):
-            value, _ = qsim._estimate(
+            value = qsim._estimate(
                 problem.ansatz, point[None, :], plan, config.shots, [rngs[run]],
                 np.zeros(1, dtype=np.intp), noise, config.mitigate,
             )
@@ -1137,30 +1138,54 @@ def serial_noisy_distributions(ansatz, params, noise, bases) -> np.ndarray:
 
 
 def serial_sampled_expectation(ansatz, params, operator, shots, grouping=True, seed=None):
-    """(value, std_error, shots_used) of one point, one setting at a time.
+    """The value of one point, one setting at a time.
 
     Each setting's basis change acts on its own copy of the state, gate by
     gate, its counts are their own multinomial draw from the one generator,
-    and its tally is a pair of scalar dot products added to running sums.
-    The batched estimator must reproduce this bit for bit.
+    and its tally is a scalar dot product added to a running sum.  The
+    batched estimator must reproduce this bit for bit.
     """
     state = qsim.prepare_state(ansatz, params)
     plan = qsim._measurement_plan(operator, grouping)
     rng = np.random.default_rng(seed)
-    value, variance = plan.offset, 0.0
+    value = plan.offset
     for (x, z), values in zip(plan.bases, plan.outcomes):
         rotated = state.copy()
         for qubit, gate in _basis_change(ansatz.qubits, x, z).items():
             _apply_single(rotated, ansatz.qubits, qubit, gate)
         probs = np.abs(rotated) ** 2
         counts = rng.multinomial(shots, probs / probs.sum())
-        mean = float(counts @ values) / shots
-        var = 0.0
-        if shots > 1:
-            var = max(float(counts @ values**2) - shots * mean * mean, 0.0) / (shots - 1)
-        value += mean
-        variance += var / shots
-    return float(value), math.sqrt(variance), len(plan.bases) * shots
+        value += float(counts @ values) / shots
+    return float(value)
+
+
+def tally(counts, plan, shots):
+    """value[K] from counts[K, S, 2^Q] of a measurement plan's settings.
+
+    Row by row, each setting's sample mean, a (1, 2^Q) @ (2^Q, 1) product
+    over `shots`, is added to a running sum from the plan's offset, in
+    setting order.
+    """
+    values = []
+    for row in np.asarray(counts, dtype=float):
+        value = plan.offset
+        for setting, outcomes in zip(row, plan.outcomes):
+            value += (setting[None, :] @ outcomes[:, None])[0, 0] / shots
+        values.append(value)
+    return np.array(values, dtype=float)
+
+
+def predicted_standard_error(ansatz, params, plan, shots):
+    """A sampled estimate's standard error, sqrt(sum_s Var_s / shots), from its outcome law.
+
+    Var_s = sum_m p o^2 - (sum_m p o)^2 over setting s's outcome
+    probabilities p (`qsim._distributions` of the one point) and outcome
+    values o; the settings' counts are independent draws.
+    """
+    (probs,) = qsim._distributions(ansatz, np.asarray(params, dtype=float).reshape(1, -1), plan, None)
+    first = (probs * plan.outcomes).sum(axis=-1)
+    second = (probs * plan.outcomes**2).sum(axis=-1)
+    return math.sqrt(float((second - first**2).sum()) / shots)
 
 
 def gather_sampled_expectations(ansatz, points, operator, shots, seeds, grouping=True):
@@ -1169,7 +1194,7 @@ def gather_sampled_expectations(ansatz, points, operator, shots, seeds, grouping
     Every setting's gates are stacked per qubit, with the identity where a
     setting does not rotate the qubit, and each qubit's rotation gathers the
     (j0, j1) amplitude halves of every row and setting and scatters
-    g00 a + g01 b and g10 a + g11 b back; returns (value[K], variance[K]).
+    g00 a + g01 b and g10 a + g11 b back; returns value[K] (`tally`).
     The package's compiled gather kernel must reproduce it bit for bit.
     """
     plan = qsim._measurement_plan(operator, grouping)
@@ -1193,7 +1218,7 @@ def gather_sampled_expectations(ansatz, points, operator, shots, seeds, grouping
     probs = np.abs(rotated) ** 2
     probs /= probs.sum(axis=-1, keepdims=True)
     counts = [np.random.default_rng(seed).multinomial(shots, p) for seed, p in zip(seeds, probs)]
-    return qsim._tally(np.array(counts), plan, shots)
+    return tally(counts, plan, shots)
 
 
 def trajectory_noisy_expectation(
@@ -1207,7 +1232,7 @@ def trajectory_noisy_expectation(
     faults on every later gate.  This samples the same counts law as the
     exact channel with a different use of the random stream, so it serves
     as a two-sample reference.  Unlike the other oracles it reuses the
-    package's measurement settings, outcome values and tally, and runs on
+    package's measurement settings and outcome values, and runs on
     `_apply_single` and `_apply_cnot`, since it checks the noise channel and
     sampling law, not those.
     """
@@ -1287,5 +1312,4 @@ def trajectory_noisy_expectation(
             freq = np.clip(counts / shots @ inverse, 0.0, None)
             counts = shots * freq / freq.sum()
         tallied[s] = counts
-    value, _ = qsim._tally(tallied, plan, shots)
-    return float(value)
+    return float(tally(tallied[None], plan, shots)[0])

@@ -43,6 +43,7 @@ from conftest import LADDER, make_chain
 from oracles import (
     dense_from_labels,
     per_run_evaluator,
+    predicted_standard_error,
     serial_nelder_mead,
     serial_prepare_state,
     serial_seed_stream,
@@ -161,8 +162,8 @@ def test_pickled_problem_carries_no_operator_or_plan():
     # the copy maps and plans again, to the same values and read-only arrays
     again = copy._plan(True)
     assert again is not plan and copy.operator == problem.operator
-    arrays = (again.outcomes, again.squares, again.pure[1], *again.paulis)
-    assert len(arrays) == 6 and not any(array.flags.writeable for array in arrays)
+    arrays = (again.outcomes, again.pure[1], *again.paulis)
+    assert len(arrays) == 5 and not any(array.flags.writeable for array in arrays)
     assert again.bases == plan.bases and np.array_equal(again.outcomes, plan.outcomes)
 
 
@@ -337,9 +338,8 @@ def test_no_two_runs_and_no_probe_share_a_shot_stream(monkeypatch):
 
         return spy
 
-    # runs estimate through _estimate; a study draws its counts through _shot_counts
-    for name in ("_estimate", "_shot_counts"):
-        monkeypatch.setattr(driver, name, spying(getattr(qsim, name)))
+    # runs and study modes alike estimate through _estimate
+    monkeypatch.setattr(driver, "_estimate", spying(qsim._estimate))
     config = quick_config(mode=SAMPLED, shots=200, iterations=5, restarts=2)
     run_hierarchical(LADDER[:2], config)
     run_distribution_study(config, np.full(8, 0.4), repetitions=4)
@@ -711,10 +711,10 @@ def test_distribution_study_matches_per_repetition_estimates(q2_problem, mitigat
     ansatz, plan = q2_problem.ansatz, qsim._measurement_plan(q2_problem.operator, grouping)
     # each mode's repetitions, one estimate at a time from the mode's one stream
     rng = shot_stream(config.seed, 0)
-    want_sampled = [qsim._estimate(ansatz, params[None, :], plan, 700, [rng], one_stream(1))[0][0] for _ in range(5)]
+    want_sampled = [qsim._estimate(ansatz, params[None, :], plan, 700, [rng], one_stream(1))[0] for _ in range(5)]
     rng = shot_stream(config.seed, 1)
     want_noisy = [
-        qsim._estimate(ansatz, params[None, :], plan, 700, [rng], one_stream(1), noise, mitigate)[0][0]
+        qsim._estimate(ansatz, params[None, :], plan, 700, [rng], one_stream(1), noise, mitigate)[0]
         for _ in range(5)
     ]
     assert [v.hex() for v in sampled.values] == [v.hex() for v in want_sampled]
@@ -739,16 +739,17 @@ def test_distribution_study_repetitions_are_a_prefix_of_longer_studies(q2_proble
 def test_distribution_study_spread_matches_the_reported_standard_error(q2_problem):
     # over 400 repetitions the sample standard deviation has a relative
     # standard error of about 1/sqrt(2 * 399) = 3.5%; the check allows 15%,
-    # over four of those.  The reported variances come from the same draws
+    # over four of those.  The standard error is predicted from the state's
+    # outcome law, not from the draws
     config = quick_config(shots=2000)
     params = np.linspace(0.3, 2.1, 8)
     (study,) = run_distribution_study(config, params, modes=(SAMPLED,), repetitions=400, problem=q2_problem)
     plan = q2_problem._plan(config.grouping)
-    values, variances = qsim._estimate(
+    values = qsim._estimate(
         q2_problem.ansatz, params[None, :], plan, 2000, [shot_stream(config.seed, 0)], one_stream(400)
     )
     assert hexes(values) == hexes(study.values)
-    predicted = math.sqrt(float(np.mean(variances)))
+    predicted = predicted_standard_error(q2_problem.ansatz, params, plan, 2000)
     assert study.std / predicted == pytest.approx(1.0, abs=0.15)
 
 
@@ -768,7 +769,7 @@ def test_distribution_study_sampled_batch_matches_one_row_loop(rung_problems, ru
     (study,) = run_distribution_study(config, params, modes=(SAMPLED,), repetitions=20, problem=problem)
     plan = qsim._measurement_plan(problem.operator, grouping)
     rng = shot_stream(config.seed, 0)
-    want = [qsim._estimate(problem.ansatz, params[None, :], plan, shots, [rng], one_stream(1))[0][0] for _ in range(20)]
+    want = [qsim._estimate(problem.ansatz, params[None, :], plan, shots, [rng], one_stream(1))[0] for _ in range(20)]
     assert [v.hex() for v in study.values] == [v.hex() for v in want]
 
 
@@ -783,7 +784,7 @@ def test_distribution_study_checks_every_mode_before_estimating(q2_problem, monk
     def estimate(*args, **kwargs):
         raise AssertionError("estimated before every mode was checked")
 
-    for name in ("prepare_state", "_shot_counts", "_tally"):
+    for name in ("prepare_state", "_estimate"):
         monkeypatch.setattr(driver, name, estimate)
     with pytest.raises(ValueError, match="must be statistical, got 'exact'"):
         run_distribution_study(

@@ -43,9 +43,11 @@ from oracles import (
     gather_sampled_expectations,
     kraus_outcome_distributions,
     pauli_string,
+    predicted_standard_error,
     serial_noisy_distributions,
     serial_prepare_state,
     serial_sampled_expectation,
+    tally,
     trajectory_noisy_expectation,
 )
 
@@ -85,14 +87,9 @@ def one_stream(count) -> np.ndarray:
 
 
 def seeded_estimate(ansatz, points, op, shots, seeds, noise=None, mitigate=True, grouping=True):
-    """`qsim._estimate` of op's plan, estimate k from a fresh `default_rng(seeds[k])`: (value[K], variance[K])."""
+    """`qsim._estimate` of op's plan, estimate k from a fresh `default_rng(seeds[k])`: value[K]."""
     plan = qsim._measurement_plan(op, grouping)
     return qsim._estimate(ansatz, points, plan, shots, generators(seeds), every_run(len(seeds)), noise, mitigate)
-
-
-def _bits(value, variance) -> list:
-    """Each estimate's value and standard error, as exact hex strings."""
-    return [(v.hex(), math.sqrt(e).hex()) for v, e in zip(value.tolist(), variance.tolist())]
 
 
 def hexes(values) -> list:
@@ -381,9 +378,8 @@ def test_sampled_identity_operator_is_exact():
     points = np.linspace(0.1, 1.5, 16).reshape(2, 8)
     assert len(qsim._measurement_plan(op, True).outcomes) == 0
     for noise in (None, NoiseSpec()):
-        value, variance = seeded_estimate(AnsatzSpec(qubits=2), points, op, 100, [1, 2], noise)
+        value = seeded_estimate(AnsatzSpec(qubits=2), points, op, 100, [1, 2], noise)
         assert value.tolist() == pytest.approx([3.7, 3.7])
-        assert variance.tolist() == [0.0, 0.0]
 
 
 def test_measurement_bases_read_their_eigenstates_as_one():
@@ -395,9 +391,8 @@ def test_measurement_bases_read_their_eigenstates_as_one():
         op = PauliOperator(qubits=1, strings=(pauli_string(letter),), coefficients=(1.0,))
         for noise in (None, NoiseSpec(0.0, 0.0, None)):
             for shots in (1, 20000):
-                value, variance = seeded_estimate(ansatz, [params], op, shots, range(3), noise)
+                value = seeded_estimate(ansatz, [params], op, shots, range(3), noise)
                 assert value.tolist() == [1.0, 1.0, 1.0], (letter, noise, shots)
-                assert variance.tolist() == [0.0, 0.0, 0.0], (letter, noise, shots)
 
 
 # how far a noisy distribution table may lie from serial_noisy_distributions
@@ -444,7 +439,7 @@ def test_sampled_expectations_rows_match_single_estimates_bit_for_bit(
     order = data.draw(st.permutations(range(batch)))
 
     def estimate(rows, row_seeds):
-        return _bits(*seeded_estimate(ansatz, rows, op, shots, row_seeds, noise, mitigate, grouping))
+        return hexes(seeded_estimate(ansatz, rows, op, shots, row_seeds, noise, mitigate, grouping))
 
     rows = estimate(points, seeds)
     shuffled = estimate(points[order], [seeds[i] for i in order])
@@ -464,16 +459,14 @@ def test_sampled_expectations_rows_match_single_estimates_bit_for_bit(
             np.testing.assert_allclose(probs, want, rtol=0, atol=NOISY_TABLE_TOL)
     else:
         gathered = gather_sampled_expectations(ansatz, points, op, shots, seeds, grouping=grouping)
-        assert rows == _bits(*gathered)
+        assert rows == hexes(gathered)
     for b in range(batch):
         (alone,) = estimate(points[b : b + 1], [seeds[b]])
         assert rows[b] == alone
         assert shuffled[order.index(b)] == alone
         if not noisy:
-            value, std_error, _ = serial_sampled_expectation(
-                ansatz, points[b], op, shots, grouping=grouping, seed=seeds[b]
-            )
-            assert alone == (value.hex(), std_error.hex())
+            value = serial_sampled_expectation(ansatz, points[b], op, shots, grouping=grouping, seed=seeds[b])
+            assert alone == value.hex()
 
 
 def test_distribution_tables_run_in_bounded_blocks(monkeypatch):
@@ -554,42 +547,42 @@ def test_array_core_matches_estimates_bit_for_bit(noisy, mitigate, grouping):
         # one row per estimate, and one row every estimate shares
         for points in (rows, rows[:1]):
             streams = generators(RUN_SEEDS[:runs])
-            value, variance = qsim._estimate(ansatz, points, plan, 777, streams, every_run(12) % runs, noise, mitigate)
-            assert value.shape == variance.shape == (12,)
+            value = qsim._estimate(ansatz, points, plan, 777, streams, every_run(12) % runs, noise, mitigate)
+            assert value.shape == (12,)
             streams = generators(RUN_SEEDS[:runs])
             alone = [
                 qsim._estimate(ansatz, points[k % len(points)][None, :], plan, 777, [streams[k % runs]], one_stream(1), noise, mitigate)
                 for k in range(12)
             ]
-            assert _bits(value, variance) == [_bits(*estimate)[0] for estimate in alone]
+            assert hexes(value) == [hexes(estimate)[0] for estimate in alone]
 
 
 @pytest.mark.parametrize("kept", LADDER)
 @pytest.mark.parametrize("grouping", [True, False])
 def test_tally_of_stacked_counts_matches_each_slice_bit_for_bit(kept, grouping):
-    # a distribution study tallies its modes' counts stacked in one call:
-    # every slice's values and variances are those it gets tallied alone,
+    # `_estimate` tallies the counts of all its rows, stacked [K, S, 2^Q], in
+    # one product and one cumsum, as a distribution study's mode does: every
+    # value is the oracle's running sum over its own slice of the counts,
     # for drawn integer counts and mitigated float counts alike
     _, _, op = chain_problem(kept)
     ansatz = AnsatzSpec(qubits=op.qubits)
     plan = qsim._measurement_plan(op, grouping)
-    noise = NoiseSpec(p1=0.01, p2=0.03, readout=symmetric_confusion(0.05))
+    noisy = NoiseSpec(p1=0.01, p2=0.03, readout=symmetric_confusion(0.05))
+    inverse = qsim._confusion(noisy, ansatz.qubits, True)
     row = np.random.default_rng(sum(kept)).uniform(-7.0, 7.0, (1, ansatz.parameter_count))
+    runs = one_stream(5)
     for shots in (1, 777, 20000):
-        drawn = qsim._counts(generators(range(5)), every_run(5), shots, qsim._distributions(ansatz, row, plan, None))
-        assert drawn.dtype == np.int64
-        slices = [
-            drawn,
-            qsim._shot_counts(ansatz, row, plan, shots, generators(range(5, 10)), every_run(5)),
-            qsim._shot_counts(ansatz, row, plan, shots, generators(range(10, 15)), every_run(5), noise),
-            qsim._shot_counts(ansatz, row, plan, shots, generators(range(15, 20)), every_run(5), noise, False),
-        ]
-        value, variance = qsim._tally(np.stack(slices), plan, shots)
-        assert value.shape == variance.shape == (len(slices), 5)
-        for k, counts in enumerate(slices):
-            want_value, want_variance = qsim._tally(counts, plan, shots)
-            assert hexes(value[k]) == hexes(want_value)
-            assert hexes(variance[k]) == hexes(want_variance)
+        for seed, (noise, mitigate) in enumerate(((None, True), (noisy, True), (noisy, False))):
+            value = qsim._estimate(ansatz, row, plan, shots, generators([seed]), runs, noise, mitigate)
+            counts = qsim._counts(generators([seed]), runs, shots, qsim._distributions(ansatz, row, plan, noise))
+            assert counts.dtype == np.int64 and counts.shape == (5, len(plan.bases), 1 << ansatz.qubits)
+            slices = counts.astype(float)
+            if noise is not None and mitigate:
+                for setting in slices.reshape(-1, slices.shape[-1]):
+                    freq = np.clip((setting / shots)[None, :] @ inverse, 0.0, None)[0]
+                    setting[:] = shots * freq / freq.sum()
+            assert value.shape == (5,)
+            assert hexes(value) == [hexes(tally(piece[None], plan, shots))[0] for piece in slices]
 
 
 @pytest.mark.parametrize("settings_count", [1, 8, 9, 36])
@@ -659,14 +652,16 @@ def test_each_generator_draws_all_its_rows_in_one_call(settings_count):
     # rows belong to runs 0, 1, 0, 1, 0, 2 of three streams: the interleaved
     # rows of a two-run lockstep call, then a run alone; or to runs 2, 0, 2,
     # out of order and leaving stream 1 out, as in a Nelder-Mead round after
-    # run 1 has ended.  At S settings a run with n rows draws nS tables, so
-    # S = 1, 4, 8, 9 and 72 give each side of qsim._ROW_DRAWS to every run.
-    # Past it a stream makes one call, else one per table; either way each
-    # row's counts are one multinomial call per row, in row order, from a
-    # fresh generator, and a stream with no rows draws nothing
-    seeds = (2**64 - 1, 0, 12345)
+    # run 1 has ended; or to run 5 alone of 60, a Nelder-Mead round with one
+    # live run, which draws its table as given, with no gathered copy.  At S
+    # settings a run with n rows draws nS tables, so S = 1, 4, 8, 9 and 72
+    # give each side of qsim._ROW_DRAWS to every run.  Past it a stream
+    # makes one call, else one per table; either way each row's counts are
+    # one multinomial call per row, in row order, from a fresh generator,
+    # and a stream with no rows draws nothing
+    three = (2**64 - 1, 0, 12345)
     rng = np.random.default_rng(settings_count)
-    for runs in ([0, 1, 0, 1, 0, 2], [2, 0, 2]):
+    for seeds, runs in ((three, [0, 1, 0, 1, 0, 2]), (three, [2, 0, 2]), (range(60), [5])):
         for outcomes in (2, 4, 16):
             tables = rng.dirichlet(np.ones(outcomes), size=(len(runs), settings_count))
             for shots in (1, 777, 20000):
@@ -682,6 +677,8 @@ def test_each_generator_draws_all_its_rows_in_one_call(settings_count):
                     for run, spy in enumerate(spies):
                         drawn = runs.count(run) * settings_count
                         assert spy.calls == (1 if drawn > qsim._ROW_DRAWS else drawn)
+                    if len(runs) == 1 and settings_count:
+                        assert np.shares_memory(spies[runs[0]].pvals, probs)
 
 
 def test_list_readout_noise_spec_estimates():
@@ -701,9 +698,9 @@ def test_list_readout_noise_spec_estimates():
         assert given == nested and hash(given) == hash(nested)
         for mitigate in (True, False):
             got = seeded_estimate(ansatz, params, op, 500, [1, 2, 3], given, mitigate)
-            assert got[0].shape == got[1].shape == (3,)
+            assert got.shape == (3,)
             want = seeded_estimate(ansatz, params, op, 500, [1, 2, 3], nested, mitigate)
-            assert _bits(*got) == _bits(*want)
+            assert hexes(got) == hexes(want)
 
 
 def test_sampled_expectations_checks_seed_count_before_preparing_states(monkeypatch):
@@ -723,12 +720,13 @@ def test_sampled_expectation_reproducible_and_unbiased():
     params = rng.uniform(0, 2 * math.pi, ansatz.parameter_count)
     exact = exact_expectation(prepare_state(ansatz, params), op)
 
-    one, two = _bits(*seeded_estimate(ansatz, params[None, :], op, 4000, [7, 7]))
+    one, two = hexes(seeded_estimate(ansatz, params[None, :], op, 4000, [7, 7]))
     assert one == two
-    assert len(qsim._measurement_plan(op, True).outcomes) > 0
+    plan = qsim._measurement_plan(op, True)
+    assert len(plan.outcomes) > 0
 
-    values, variances = seeded_estimate(ansatz, params[None, :], op, 20000, range(100))
-    combined_se = math.sqrt(sum(variances.tolist())) / len(values)
+    values = seeded_estimate(ansatz, params[None, :], op, 20000, range(100))
+    combined_se = predicted_standard_error(ansatz, params, plan, 20000) / math.sqrt(len(values))
     assert abs(values.mean() - exact) < 3 * combined_se
 
 
@@ -737,8 +735,8 @@ def test_sampled_without_grouping_agrees():
     ansatz = AnsatzSpec(qubits=2, depth=1)
     params = np.linspace(0.3, 2.1, ansatz.parameter_count)
     exact = exact_expectation(prepare_state(ansatz, params), op)
-    grouped, _ = seeded_estimate(ansatz, params[None, :], op, 20000, range(60), grouping=True)
-    single, _ = seeded_estimate(ansatz, params[None, :], op, 20000, range(60), grouping=False)
+    grouped = seeded_estimate(ansatz, params[None, :], op, 20000, range(60), grouping=True)
+    single = seeded_estimate(ansatz, params[None, :], op, 20000, range(60), grouping=False)
     assert abs(np.mean(grouped) - exact) < 0.02
     assert abs(np.mean(single) - exact) < 0.02
 
@@ -747,8 +745,8 @@ def test_shot_noise_scaling():
     _, _, op = chain_problem((4, 2))
     ansatz = AnsatzSpec(qubits=2, depth=1)
     params = np.linspace(0.2, 2.8, ansatz.parameter_count)
-    coarse = np.std(seeded_estimate(ansatz, params[None, :], op, 5000, range(200))[0])
-    fine = np.std(seeded_estimate(ansatz, params[None, :], op, 20000, range(1000, 1200))[0])
+    coarse = np.std(seeded_estimate(ansatz, params[None, :], op, 5000, range(200)))
+    fine = np.std(seeded_estimate(ansatz, params[None, :], op, 20000, range(1000, 1200)))
     assert coarse / fine == pytest.approx(2.0, rel=0.2)
 
 
@@ -757,8 +755,8 @@ def test_zero_noise_matches_sampled_distribution():
     ansatz = AnsatzSpec(qubits=2, depth=1)
     params = np.linspace(0.4, 2.4, ansatz.parameter_count)
     quiet = NoiseSpec(p1=0.0, p2=0.0, readout=None)
-    sampled, _ = seeded_estimate(ansatz, params[None, :], op, 2000, range(150))
-    noisy, _ = seeded_estimate(ansatz, params[None, :], op, 2000, range(150), noise=quiet)
+    sampled = seeded_estimate(ansatz, params[None, :], op, 2000, range(150))
+    noisy = seeded_estimate(ansatz, params[None, :], op, 2000, range(150), noise=quiet)
     assert stats.ks_2samp(sampled, noisy).pvalue > 0.01
     assert quiet.readout_matrices(2) is None
 
@@ -768,7 +766,7 @@ def test_depolarizing_pulls_toward_mixed_state():
     ansatz = AnsatzSpec(qubits=1, depth=0)
     params = [[math.pi / 3, 0.0]]
     op = single_z()
-    values, _ = seeded_estimate(
+    values = seeded_estimate(
         ansatz, params, op, 20000, range(100), noise=NoiseSpec(p1=0.05, p2=0.0, readout=None)
     )
     se_mean = np.std(values) / math.sqrt(len(values))
@@ -781,8 +779,8 @@ def test_readout_mitigation_recovers_exact_value():
     op = single_z()
     noise = NoiseSpec(p1=0.0, p2=0.0, readout=symmetric_confusion(0.02))
 
-    mitigated, _ = seeded_estimate(ansatz, params, op, 20000, range(60), noise, mitigate=True)
-    raw, _ = seeded_estimate(ansatz, params, op, 20000, range(60), noise, mitigate=False)
+    mitigated = seeded_estimate(ansatz, params, op, 20000, range(60), noise, mitigate=True)
+    raw = seeded_estimate(ansatz, params, op, 20000, range(60), noise, mitigate=False)
     se = np.std(mitigated) / math.sqrt(len(mitigated))
     assert abs(np.mean(mitigated) - 0.5) < 3 * se
     # unmitigated readout shrinks the expectation by 1 - 2*flip
@@ -794,12 +792,12 @@ def test_mitigation_amplifies_shot_noise():
     ansatz = AnsatzSpec(qubits=1, depth=0)
     params = [[math.pi / 3, 0.0]]
     op = single_z()
-    clean = np.std(seeded_estimate(ansatz, params, op, 5000, range(100))[0])
+    clean = np.std(seeded_estimate(ansatz, params, op, 5000, range(100)))
     flipped = np.std(
         seeded_estimate(
             ansatz, params, op, 5000, range(100),
             noise=NoiseSpec(p1=0.0, p2=0.0, readout=symmetric_confusion(0.15)),
-        )[0]
+        )
     )
     # inversion divides by (1 - 2*flip) = 0.7, inflating the spread
     assert flipped / clean > 1.2
@@ -809,11 +807,10 @@ def test_noisy_estimate_metadata():
     _, _, op = chain_problem((4, 2))
     ansatz = AnsatzSpec(qubits=2, depth=1)
     params = np.linspace(0.1, 1.9, ansatz.parameter_count)[None, :]
-    value, variance = seeded_estimate(ansatz, params, op, 500, [3, 3], noise=NoiseSpec())
-    est, again = _bits(value, variance)
+    # one seed gives one estimate again; another seed's shots give another
+    est, again, other = hexes(seeded_estimate(ansatz, params, op, 500, [3, 3, 4], noise=NoiseSpec()))
     assert len(qsim._measurement_plan(op, True).outcomes) * 500 >= 500
-    assert math.sqrt(variance[0]) > 0
-    assert est == again
+    assert est == again != other
 
 
 def test_noisy_distributions_match_kraus_oracle():
@@ -925,7 +922,7 @@ def test_exact_channel_matches_trajectory_estimator():
         )
         for s in range(300)
     ]
-    new, _ = seeded_estimate(
+    new = seeded_estimate(
         ansatz, params[None, :], op, 100, range(1000, 1300), NoiseSpec(p1=0.02, p2=0.1)
     )
     assert stats.ks_2samp(old, new).pvalue > 0.01
@@ -966,7 +963,7 @@ def test_noise_spec_validation():
     unmitigated = seeded_estimate(
         AnsatzSpec(qubits=2), np.zeros((1, 8)), op, 10, [1, 2], noise=singular, mitigate=False
     )
-    assert all(math.isfinite(v) and math.isfinite(math.sqrt(e)) for v, e in zip(*unmitigated))
+    assert all(math.isfinite(v) for v in unmitigated.tolist())
 
 
 def test_embedding_reproduces_smaller_register():
